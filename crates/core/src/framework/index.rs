@@ -54,6 +54,164 @@ struct Node<C> {
     materialized: FxHashMap<Keyword, Vec<u32>>,
 }
 
+/// Build-time keyword state, shared by every node of one build.
+///
+/// Keywords are remapped once onto dense ids `0..V` in ascending
+/// keyword order, so ascending dense ids are ascending keywords and the
+/// per-node tables come out exactly as a keyword-keyed build makes them.
+struct DenseKeywords {
+    /// Dense id → keyword, ascending.
+    words: Vec<Keyword>,
+    /// Object `o`'s dense ids, ascending, are `ids[off[o]..off[o + 1]]`.
+    off: Vec<u32>,
+    ids: Vec<u32>,
+    /// Per dense id, zero outside the node being built. While a node
+    /// counts, a candidate holds `1 + |D_u^act(w)|`; once classified, a
+    /// large keyword holds `1 + local id`, a small one `SMALL | list
+    /// index`, and an absent one 0.
+    state: Vec<u32>,
+    /// A document's large-keyword local ids.
+    local: Vec<u32>,
+}
+
+/// Marks a small keyword's `DenseKeywords::state`.
+const SMALL: u32 = 1 << 31;
+
+impl DenseKeywords {
+    fn new(docs: &[Document]) -> Self {
+        let mut words: Vec<Keyword> = docs
+            .iter()
+            .flat_map(|d| d.keywords().iter().copied())
+            .collect();
+        let total = words.len();
+        words.sort_unstable();
+        words.dedup();
+        let mut off = Vec::with_capacity(docs.len() + 1);
+        let mut ids = Vec::with_capacity(total);
+        off.push(0);
+        for d in docs {
+            ids.extend(
+                d.keywords()
+                    .iter()
+                    .map(|&w| words.partition_point(|&x| x < w) as u32),
+            );
+            off.push(ids.len() as u32);
+        }
+        let state = vec![0; words.len()];
+        Self {
+            words,
+            off,
+            ids,
+            state,
+            local: Vec::new(),
+        }
+    }
+
+    /// Fills an internal node's large keywords, emptiness tables and
+    /// materialized lists (§3.2) from its pivots and `children`; returns
+    /// the large keywords' dense ids, ascending — the children's
+    /// candidates.
+    fn fill_node<C>(
+        &mut self,
+        node: &mut Node<C>,
+        k: usize,
+        children: &[(C, Vec<u32>)],
+        candidates: &[u32],
+    ) -> Vec<u32> {
+        let Self {
+            words,
+            off,
+            ids,
+            state,
+            local,
+        } = self;
+        let doc = |o: u32| &ids[off[o as usize] as usize..off[o as usize + 1] as usize];
+        let weight = node.weight;
+
+        // --- Large/small classification at this node (§3.2). ---
+        // Count |D_u^act(w)| for the materialization candidates (keywords
+        // large at every proper ancestor — others can never be needed
+        // here, because a query only descends while all its keywords
+        // stay large). A non-candidate's state stays 0.
+        let tau = (weight as f64).powf(1.0 - 1.0 / k as f64);
+        for &w in candidates {
+            state[w as usize] = 1;
+        }
+        for &o in node
+            .pivots
+            .iter()
+            .chain(children.iter().flat_map(|(_, c)| c))
+        {
+            for &w in doc(o) {
+                let s = &mut state[w as usize];
+                *s += u32::from(*s != 0);
+            }
+        }
+        // Candidates ascend, so local ids follow ascending keyword order.
+        let mut large_list: Vec<u32> = Vec::new();
+        let mut small_lists: Vec<(Keyword, Vec<u32>)> = Vec::new();
+        for &w in candidates {
+            let s = &mut state[w as usize];
+            let count = *s - 1;
+            *s = if count == 0 {
+                0 // empty list: absence means empty at query time
+            } else if (count as f64) >= tau {
+                large_list.push(w);
+                large_list.len() as u32
+            } else {
+                small_lists.push((words[w as usize], Vec::with_capacity(count as usize)));
+                SMALL | (small_lists.len() - 1) as u32
+            };
+        }
+        debug_assert!(
+            (large_list.len() as f64) <= (weight as f64).powf(1.0 / k as f64) + 1.0,
+            "more than N_u^(1/k) large keywords"
+        );
+
+        // --- One pass over the children's active sets fills both the
+        // materialized lists (small here, large at all ancestors) and the
+        // per-child emptiness tables over large-keyword k-tuples. Pivots
+        // are excluded: every visit scans them anyway, so listing them
+        // would double-report.
+        let l = large_list.len();
+        let mut combos: Vec<ComboTable> = Vec::new();
+        if l >= k || !small_lists.is_empty() {
+            for (_, child_objs) in children {
+                let mut table = (l >= k).then(|| ComboTable::new(l, k));
+                for &o in child_objs {
+                    local.clear();
+                    for &w in doc(o) {
+                        match state[w as usize] {
+                            0 => {}
+                            s if s & SMALL != 0 => small_lists[(s & !SMALL) as usize].1.push(o),
+                            s => local.push(s - 1),
+                        }
+                    }
+                    if let Some(table) = &mut table {
+                        // Dense ids ascend within a document, so the
+                        // local ids do too.
+                        for_each_k_subset(local, k, &mut |subset| table.set(subset));
+                    }
+                }
+                combos.extend(table);
+            }
+        }
+        for &w in candidates {
+            state[w as usize] = 0;
+        }
+
+        node.large = large_list
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| (words[w as usize], i as u32))
+            .collect();
+        node.combos = combos;
+        small_lists.retain(|(_, list)| !list.is_empty());
+        node.materialized = small_lists.into_iter().collect();
+        large_list
+    }
+}
+
 /// A keyword-transformed space-partitioning index (§3.2).
 ///
 /// Generic over the geometry via [`Partitioner`]; the query side is
@@ -90,7 +248,8 @@ impl<P: Partitioner> TransformedIndex<P> {
     /// # Errors
     ///
     /// `SkqError::InvalidQuery` if `k < 2` or `k > 16`;
-    /// `SkqError::InvalidDataset` if `docs` is empty. (With the
+    /// `SkqError::InvalidDataset` if `docs` is empty or holds 2³¹ or
+    /// more keyword occurrences in total. (With the
     /// `failpoints` feature, an armed `framework::build` site also
     /// fails here.)
     pub fn try_build(
@@ -114,9 +273,18 @@ impl<P: Partitioner> TransformedIndex<P> {
                 "cannot index an empty dataset".into(),
             ));
         }
+        // The build's keyword offsets, counts and list indexes are u32
+        // below the `SMALL` tag bit; every document is non-empty, so this
+        // bounds the object count too.
+        if docs.iter().map(Document::len).sum::<usize>() >= SMALL as usize {
+            return Err(SkqError::InvalidDataset(
+                "the framework indexes fewer than 2^31 keyword occurrences".into(),
+            ));
+        }
         failpoints::check("framework::build")?;
         let all: Vec<u32> = (0..docs.len() as u32).collect();
         let total_weight = partitioner.total_weight(&all);
+        let mut dense = DenseKeywords::new(&docs);
         let mut index = Self {
             partitioner,
             docs,
@@ -128,27 +296,21 @@ impl<P: Partitioner> TransformedIndex<P> {
         let root_cell = index.partitioner.root_cell();
         // At the root every keyword is trivially "large at all (zero)
         // proper ancestors", i.e. a materialization candidate.
-        let candidates: Vec<Keyword> = {
-            let mut ws: Vec<Keyword> = index
-                .docs
-                .iter()
-                .flat_map(|d| d.keywords().iter().copied())
-                .collect();
-            ws.sort_unstable();
-            ws.dedup();
-            ws
-        };
-        index.build_node(root_cell, all, 0, &candidates);
+        let candidates: Vec<u32> = (0..dense.words.len() as u32).collect();
+        index.build_node(&mut dense, root_cell, all, 0, &candidates);
         Ok(index)
     }
 
-    /// Recursively builds the subtree over `objects`; returns the node id.
+    /// Recursively builds the subtree over `objects`; returns the node
+    /// id. Nodes are numbered in preorder. `candidates` are the dense
+    /// ids of the keywords large at every proper ancestor, ascending.
     fn build_node(
         &mut self,
+        dense: &mut DenseKeywords,
         cell: P::Cell,
         objects: Vec<u32>,
         level: u32,
-        candidates: &[Keyword],
+        candidates: &[u32],
     ) -> u32 {
         let weight = self.partitioner.total_weight(&objects);
         let id = self.nodes.len() as u32;
@@ -175,93 +337,26 @@ impl<P: Partitioner> TransformedIndex<P> {
             self.nodes[id as usize].pivots = objects;
             return id;
         };
+        let node = &mut self.nodes[id as usize];
+        node.pivots = pivots;
         if children.is_empty() {
             // The split degenerated to "everything is a boundary object".
-            self.nodes[id as usize].pivots = pivots;
             return id;
         }
 
-        // --- Large/small classification at this node (§3.2). ---
-        // Count |D_u^act(w)| for the materialization candidates (keywords
-        // large at every proper ancestor — others can never be needed
-        // here, because a query only descends while all its keywords
-        // stay large).
-        let tau = (weight as f64).powf(1.0 - 1.0 / self.k as f64);
-        let mut counts: FxHashMap<Keyword, u64> = FxHashMap::default();
-        for &o in pivots.iter().chain(children.iter().flat_map(|(_, c)| c)) {
-            for &w in self.docs[o as usize].keywords() {
-                *counts.entry(w).or_insert(0) += 1;
-            }
-        }
-        let mut large_list: Vec<Keyword> = Vec::new();
-        let mut small_set: Vec<Keyword> = Vec::new();
-        for &w in candidates {
-            match counts.get(&w) {
-                Some(&c) if (c as f64) >= tau => large_list.push(w),
-                Some(_) => small_set.push(w),
-                None => {} // empty list: absence means empty at query time
-            }
-        }
-        debug_assert!(
-            (large_list.len() as f64) <= (weight as f64).powf(1.0 / self.k as f64) + 1.0,
-            "more than N_u^(1/k) large keywords"
-        );
-        let large: FxHashMap<Keyword, u32> = large_list
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| (w, i as u32))
-            .collect();
-
-        // --- Materialized lists: small here, large at all ancestors. ---
-        // Built over the children's active sets only (pivots are scanned
-        // by every visit anyway; excluding them avoids double reports).
-        let mut materialized: FxHashMap<Keyword, Vec<u32>> = FxHashMap::default();
-        if !small_set.is_empty() {
-            small_set.sort_unstable();
-            for (_, child_objs) in &children {
-                for &o in child_objs {
-                    for &w in self.docs[o as usize].keywords() {
-                        if small_set.binary_search(&w).is_ok() {
-                            materialized.entry(w).or_default().push(o);
-                        }
-                    }
-                }
-            }
-        }
-
-        // --- Per-child emptiness tables over large-keyword k-tuples. ---
-        let l = large_list.len();
-        let mut combos: Vec<ComboTable> = Vec::new();
-        if l >= self.k {
-            for (_, child_objs) in &children {
-                let mut table = ComboTable::new(l, self.k);
-                let mut local: Vec<u32> = Vec::new();
-                for &o in child_objs {
-                    local.clear();
-                    for &w in self.docs[o as usize].keywords() {
-                        if let Some(&lid) = large.get(&w) {
-                            local.push(lid);
-                        }
-                    }
-                    local.sort_unstable();
-                    for_each_k_subset(&local, self.k, &mut |subset| table.set(subset));
-                }
-                combos.push(table);
-            }
-        }
-
-        {
-            let node = &mut self.nodes[id as usize];
-            node.pivots = pivots;
-            node.large = large;
-            node.combos = combos;
-            node.materialized = materialized;
-        }
+        // With no candidates nothing is large, small or tabled here, nor
+        // anywhere below: a query never descends past a node where one
+        // of its keywords is small.
+        let large_list = if candidates.is_empty() {
+            Vec::new()
+        } else {
+            dense.fill_node(node, self.k, &children, candidates)
+        };
 
         // --- Recurse; children inherit the large keywords as candidates.
         let child_ids: Vec<u32> = children
             .into_iter()
-            .map(|(ccell, cobjs)| self.build_node(ccell, cobjs, level + 1, &large_list))
+            .map(|(ccell, cobjs)| self.build_node(dense, ccell, cobjs, level + 1, &large_list))
             .collect();
         self.nodes[id as usize].children = child_ids;
         id
@@ -1027,6 +1122,22 @@ mod tests {
         assert_eq!(out, vec![100, 200]); // 10 % 4 != 0, so only 100 and 200
         assert_eq!(stats.small_path_nodes, 1, "must stop at the root");
         assert!(stats.list_scans <= 3);
+    }
+
+    #[test]
+    fn candidate_free_subtrees_hold_no_keyword_tables() {
+        // 256 keywords, each in one document: all are small at the root,
+        // so every node below it is built without keyword work.
+        let docs: Vec<Vec<Keyword>> = (0..256).map(|i| vec![i]).collect();
+        let tree = build_1d(docs, 2, 4);
+        assert!(tree.num_nodes() > 10);
+        let root = &tree.nodes[0];
+        assert!(root.large.is_empty());
+        assert_eq!(root.materialized.len(), 256 - root.pivots.len());
+        for n in &tree.nodes[1..] {
+            assert!(n.large.is_empty() && n.combos.is_empty() && n.materialized.is_empty());
+        }
+        assert_eq!(run(&tree, &[3, 4], usize::MAX), Vec::<u32>::new());
     }
 
     #[test]

@@ -94,35 +94,39 @@ impl Partitioner for KdPartitioner {
 
 impl KdPartitioner {
     fn try_axis(&self, cell: &Rect, objects: &[u32], axis: usize) -> Option<SplitOutcome<Rect>> {
-        let mut order: Vec<u32> = objects.to_vec();
-        order.sort_unstable_by(|&a, &b| {
-            self.points[a as usize]
-                .get(axis)
-                .total_cmp(&self.points[b as usize].get(axis))
-                .then(a.cmp(&b))
-        });
+        // Sort (coordinate, id) pairs: ties on the coordinate fall back
+        // to the object id, and the comparator reads no point.
+        let mut keyed: Vec<(f64, u32)> = objects
+            .iter()
+            .map(|&o| (self.points[o as usize].get(axis), o))
+            .collect();
+        keyed.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
         // Weighted median: the minimal prefix reaching half the weight.
-        let total: u64 = order.iter().map(|&o| self.weights[o as usize]).sum();
+        let total: u64 = objects.iter().map(|&o| self.weights[o as usize]).sum();
         let mut cum = 0u64;
-        let mut median_pos = 0usize;
-        for (i, &o) in order.iter().enumerate() {
-            cum += self.weights[o as usize];
-            if 2 * cum >= total {
-                median_pos = i;
-                break;
-            }
-        }
-        let split_coord = self.points[order[median_pos] as usize].get(axis);
+        let median_pos = keyed
+            .iter()
+            .position(|&(_, o)| {
+                cum += self.weights[o as usize];
+                2 * cum >= total
+            })
+            .unwrap_or(0);
+        let split_coord = keyed[median_pos].0;
 
         // Pivot set: every object on the split hyperplane (§3.2 — the
         // objects on the child-cell boundary). In rank space this is a
         // single object; with raw duplicated coordinates it may be more.
-        let mut pivots = Vec::new();
-        let mut left = Vec::new();
-        let mut right = Vec::new();
-        for &o in &order {
-            let c = self.points[o as usize].get(axis);
+        let below = keyed.iter().filter(|&&(c, _)| c < split_coord).count();
+        let above = keyed.iter().filter(|&&(c, _)| c > split_coord).count();
+        if below + above == 0 {
+            return None; // everything on the hyperplane — try another axis
+        }
+        // Sized exactly: the sorted pairs already cost 16 bytes an object.
+        let mut pivots = Vec::with_capacity(keyed.len() - below - above);
+        let mut left = Vec::with_capacity(below);
+        let mut right = Vec::with_capacity(above);
+        for &(c, o) in &keyed {
             if c < split_coord {
                 left.push(o);
             } else if c > split_coord {
@@ -131,10 +135,6 @@ impl KdPartitioner {
                 pivots.push(o);
             }
         }
-        if left.is_empty() && right.is_empty() {
-            return None; // everything on the hyperplane — try another axis
-        }
-
         let (lcell, rcell) = cell.split(axis, split_coord);
         let mut children = Vec::with_capacity(2);
         if !left.is_empty() {
@@ -186,6 +186,30 @@ mod tests {
             let w: u64 = objs.iter().map(|&o| weights[o as usize]).sum();
             assert!(2 * w <= total, "child weight {w} of {total}");
         }
+    }
+
+    #[test]
+    fn heavy_median_object_on_duplicate_coordinates_ties_by_id() {
+        // x = 2 is shared by objects 1, 2 (heavy) and 3; x = 1 by 0 and
+        // 5; x = 3 by 4 and 6. The weighted median lands on the heavy
+        // object, the whole x = 2 run becomes the pivot set, and every
+        // run lists its objects by ascending id whatever the input order.
+        let points = pts(&[
+            (1.0, 4.0),
+            (2.0, 5.0),
+            (2.0, 1.0),
+            (2.0, 9.0),
+            (3.0, 0.0),
+            (1.0, 7.0),
+            (3.0, 3.0),
+        ]);
+        let p = KdPartitioner::new(points, vec![1, 1, 9, 1, 1, 1, 1]);
+        let out = p.split(&p.root_cell(), &[6, 5, 4, 3, 2, 1, 0], 0).unwrap();
+        assert_eq!(out.pivots, vec![1, 2, 3]);
+        assert_eq!(out.children.len(), 2);
+        assert_eq!(out.children[0].1, vec![0, 5]);
+        assert_eq!(out.children[1].1, vec![4, 6]);
+        assert_eq!(out.children[0].0.hi(0), 2.0);
     }
 
     #[test]
