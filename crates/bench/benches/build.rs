@@ -63,14 +63,13 @@ fn bench_leaf_weight(c: &mut Criterion) {
             b.iter(|| {
                 let mut out = Vec::new();
                 let mut stats = skq_core::stats::QueryStats::new();
-                tree.query(
+                let _ = tree.query_sink(
                     &kws,
                     &|cell| {
                         let _ = cell;
                         Region::Covered
                     },
                     &|_| true,
-                    usize::MAX,
                     &mut out,
                     &mut stats,
                 );

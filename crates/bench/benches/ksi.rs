@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use skq_core::ksi::KsiIndex;
+use skq_core::query::KwQuery;
 use skq_invidx::InvertedIndex;
 use skq_workload::ksi::planted_instance;
 
@@ -15,7 +16,7 @@ fn bench_reporting(c: &mut Criterion) {
         let ksi = KsiIndex::build(&inst.docs, 3);
         let inv = InvertedIndex::build(&inst.docs);
         g.bench_with_input(BenchmarkId::new("framework", out), &out, |b, _| {
-            b.iter(|| ksi.intersect(&inst.query))
+            b.iter(|| ksi.query(&(), &inst.query))
         });
         g.bench_with_input(BenchmarkId::new("inverted", out), &out, |b, _| {
             b.iter(|| inv.intersect(&inst.query))
@@ -31,7 +32,7 @@ fn bench_emptiness(c: &mut Criterion) {
         let ksi = KsiIndex::build(&inst.docs, 3);
         let inv = InvertedIndex::build(&inst.docs);
         g.bench_with_input(BenchmarkId::new("framework", n), &n, |b, _| {
-            b.iter(|| ksi.intersection_is_empty(&inst.query))
+            b.iter(|| ksi.count_at_least(&(), &inst.query, 1))
         });
         g.bench_with_input(BenchmarkId::new("inverted", n), &n, |b, _| {
             b.iter(|| inv.intersection_is_empty(&inst.query))

@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use skq_bench::planted_spatial;
 use skq_core::naive::{KeywordsFirst, StructuredFirst};
+use skq_core::query::KwQuery;
 use skq_core::sp::{SpKwIndex, SpStrategy};
 use skq_geom::{ConvexPolytope, Halfspace};
 
@@ -19,10 +20,10 @@ fn bench_lc(c: &mut Criterion) {
         let q = ConvexPolytope::from_halfspace(Halfspace::new(&[1.0, 1.0], 1e6));
         let kws = ps.query_keywords.clone();
         g.bench_with_input(BenchmarkId::new("willard", n), &n, |b, _| {
-            b.iter(|| willard.query_polytope(&q, &kws))
+            b.iter(|| willard.query(&q, &kws))
         });
         g.bench_with_input(BenchmarkId::new("kd_cells", n), &n, |b, _| {
-            b.iter(|| kdcells.query_polytope(&q, &kws))
+            b.iter(|| kdcells.query(&q, &kws))
         });
         g.bench_with_input(BenchmarkId::new("keywords_only", n), &n, |b, _| {
             b.iter(|| kf.query_polytope(&q, &kws))
@@ -43,7 +44,7 @@ fn bench_lc_3d(c: &mut Criterion) {
         Halfspace::new(&[-1.0, 0.0, 1.0], 2e5),
     ]);
     let kws = ps.query_keywords.clone();
-    g.bench_function("index", |b| b.iter(|| index.query_polytope(&q, &kws)));
+    g.bench_function("index", |b| b.iter(|| index.query(&q, &kws)));
     g.finish();
 }
 

@@ -5,6 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use skq_bench::planted_spatial;
 use skq_core::naive::{FullScan, KeywordsFirst, StructuredFirst};
 use skq_core::orp::OrpKwIndex;
+use skq_core::query::KwQuery;
 use skq_geom::Rect;
 
 fn bench_orp_vs_n(c: &mut Criterion) {

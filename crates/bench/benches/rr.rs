@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use skq_core::query::KwQuery;
 use skq_core::rr::{rr_bruteforce, RrKwIndex};
 use skq_geom::Rect;
 use skq_invidx::Keyword;

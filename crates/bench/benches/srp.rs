@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use skq_bench::planted_spatial;
 use skq_core::naive::{FullScan, KeywordsFirst};
+use skq_core::query::KwQuery;
 use skq_core::srp::SrpKwIndex;
 use skq_geom::{Ball, Point};
 

@@ -27,10 +27,11 @@ use skq_core::naive::{FullScan, KeywordsFirst, StructuredFirst};
 use skq_core::nn_l2::L2NnIndex;
 use skq_core::nn_linf::LinfNnIndex;
 use skq_core::orp::OrpKwIndex;
+use skq_core::query::KwQuery;
 use skq_core::rr::RrKwIndex;
 use skq_core::sp::{SpKwIndex, SpStrategy};
 use skq_core::srp::SrpKwIndex;
-use skq_geom::{Ball, Point, Rect};
+use skq_geom::{Ball, ConvexPolytope, Point, Rect};
 use skq_invidx::{InvertedIndex, Keyword};
 use skq_workload::queries::QueryGen;
 
@@ -159,7 +160,7 @@ fn write_artifact(path: &str, contents: &str) -> Result<(), String> {
 /// Median query time over `queries` random full-space ORP queries.
 fn orp_query_time(index: &OrpKwIndex, q: &Rect, kws: &[Keyword], reps: usize) -> Duration {
     measure(reps, || {
-        std::hint::black_box(index.query(std::hint::black_box(q), kws));
+        let _ = std::hint::black_box(index.query(std::hint::black_box(q), kws));
     })
     .median
 }
@@ -264,7 +265,7 @@ fn e1(cfg: &Config) {
             let fs = FullScan::new(&ps.dataset);
             let q = Rect::full(2);
             let kws = &ps.query_keywords;
-            let (hits, stats) = index.query_with_stats(&q, kws);
+            let (hits, stats) = index.query_with_stats(&q, kws).expect("valid query");
             assert!(hits.is_empty());
             let ti = orp_query_time(&index, &q, kws, cfg.reps());
             let tk = measure(cfg.reps(), || {
@@ -314,7 +315,9 @@ fn e1(cfg: &Config) {
             let index = OrpKwIndex::build(&ps.dataset, k);
             let kf = KeywordsFirst::build(&ps.dataset);
             let q = Rect::full(2);
-            let (_, stats) = index.query_with_stats(&q, &ps.query_keywords);
+            let (_, stats) = index
+                .query_with_stats(&q, &ps.query_keywords)
+                .expect("valid query");
             let ti = orp_query_time(&index, &q, &ps.query_keywords, cfg.reps());
             let tk = measure(cfg.reps(), || {
                 std::hint::black_box(kf.query_rect(&q, &ps.query_keywords));
@@ -362,11 +365,11 @@ fn e2(cfg: &Config) {
         let q = gen.rect(0.25);
         let kws = &ps.query_keywords;
         let to = measure(cfg.reps(), || {
-            std::hint::black_box(orp.query(&q, kws));
+            let _ = std::hint::black_box(orp.query(&q, kws));
         })
         .median;
         let tl = measure(cfg.reps(), || {
-            std::hint::black_box(lc.query_rect(&q, kws));
+            let _ = std::hint::black_box(lc.query(&ConvexPolytope::from_rect(&q), kws));
         })
         .median;
         let big_n = ps.dataset.input_size() as f64;
@@ -410,10 +413,10 @@ fn e3(cfg: &Config) {
                 Rect::new(&lo, &hi)
             };
             let kws = &bl.query_keywords;
-            let (hits, stats) = index.query_with_stats(&q, kws);
+            let (hits, stats) = index.query_with_stats(&q, kws).expect("valid query");
             let out_len = hits.len();
             let ti = measure(cfg.reps(), || {
-                std::hint::black_box(index.query(&q, kws));
+                let _ = std::hint::black_box(index.query(&q, kws));
             })
             .median;
             let ts = measure(3, || {
@@ -457,7 +460,7 @@ fn e4(cfg: &Config) {
     let mut times = Vec::new();
     for t_arg in [1usize, 4, 16, 64, 256] {
         let ti = measure(cfg.reps(), || {
-            std::hint::black_box(index.query(&q, t_arg, kws));
+            let _ = std::hint::black_box(index.query(&q, t_arg, kws));
         })
         .median;
         let tk = measure(cfg.reps(), || {
@@ -482,7 +485,7 @@ fn e4(cfg: &Config) {
         let index = LinfNnIndex::build(&ps.dataset, 2);
         let kf = KeywordsFirst::build(&ps.dataset);
         let ti = measure(cfg.reps(), || {
-            std::hint::black_box(index.query(&q, 16, &ps.query_keywords));
+            let _ = std::hint::black_box(index.query(&q, 16, &ps.query_keywords));
         })
         .median;
         let tk = measure(cfg.reps(), || {
@@ -531,14 +534,14 @@ fn e5(cfg: &Config) {
         let mut gen = QueryGen::new(&ps.dataset, 33);
         let q = gen.halfspaces(1);
         let kws = &ps.query_keywords;
-        let (_, sw) = willard.query_with_stats(&q, kws);
-        let (_, sk) = kdcells.query_with_stats(&q, kws);
+        let (_, sw) = willard.query_with_stats(&q, kws).expect("valid query");
+        let (_, sk) = kdcells.query_with_stats(&q, kws).expect("valid query");
         let t1 = measure(cfg.reps(), || {
-            std::hint::black_box(willard.query_polytope(&q, kws));
+            let _ = std::hint::black_box(willard.query(&q, kws));
         })
         .median;
         let t2 = measure(cfg.reps(), || {
-            std::hint::black_box(kdcells.query_polytope(&q, kws));
+            let _ = std::hint::black_box(kdcells.query(&q, kws));
         })
         .median;
         let t3 = measure(cfg.reps(), || {
@@ -611,18 +614,18 @@ fn e5(cfg: &Config) {
             let (a, b) = (theta.cos(), theta.sin());
             let c = a * rng.gen_range(2e5..8e5) + b * rng.gen_range(2e5..8e5);
             let q = skq_geom::ConvexPolytope::from_halfspace(skq_geom::Halfspace::new(&[a, b], c));
-            let (hits, sw) = willard.query_with_stats(&q, kws);
-            let (_, sk) = kdcells.query_with_stats(&q, kws);
+            let (hits, sw) = willard.query_with_stats(&q, kws).expect("valid query");
+            let (_, sk) = kdcells.query_with_stats(&q, kws).expect("valid query");
             if sw.crossing_nodes > worst_w.1 {
                 let t1 = measure(3, || {
-                    std::hint::black_box(willard.query_polytope(&q, kws));
+                    let _ = std::hint::black_box(willard.query(&q, kws));
                 })
                 .median;
                 worst_w = (sw.nodes_visited, sw.crossing_nodes, hits.len(), t1);
             }
             if sk.crossing_nodes > worst_k.1 {
                 let t2 = measure(3, || {
-                    std::hint::black_box(kdcells.query_polytope(&q, kws));
+                    let _ = std::hint::black_box(kdcells.query(&q, kws));
                 })
                 .median;
                 worst_k = (sk.nodes_visited, sk.crossing_nodes, t2);
@@ -669,9 +672,9 @@ fn e6(cfg: &Config) {
         let fs = FullScan::new(&ps.dataset);
         let ball = Ball::new(Point::new2(5e5, 5e5), 2e5);
         let kws = &ps.query_keywords;
-        let out_len = index.query(&ball, kws).len();
+        let out_len = index.query(&ball, kws).expect("valid query").len();
         let t1 = measure(cfg.reps(), || {
-            std::hint::black_box(index.query(&ball, kws));
+            let _ = std::hint::black_box(index.query(&ball, kws));
         })
         .median;
         let t2 = measure(cfg.reps(), || {
@@ -716,7 +719,7 @@ fn e7(cfg: &Config) {
     let mut times = Vec::new();
     for t_arg in [1usize, 4, 16, 64] {
         let t1 = measure(cfg.reps(), || {
-            std::hint::black_box(index.query(&q, t_arg, kws));
+            let _ = std::hint::black_box(index.query(&q, t_arg, kws));
         })
         .median;
         let t2 = measure(cfg.reps(), || {
@@ -807,9 +810,9 @@ fn e9(cfg: &Config) {
             let inst = shuffled_planted(n, 8, k, planted, 6, 71);
             let ksi = KsiIndex::build(&inst.docs, k);
             let inv = InvertedIndex::build(&inst.docs);
-            let (_, stats) = ksi.intersect_with_stats(&inst.query);
+            let (_, stats) = ksi.query_with_stats(&(), &inst.query).expect("valid query");
             let t1 = measure(cfg.reps(), || {
-                std::hint::black_box(ksi.intersect(&inst.query));
+                let _ = std::hint::black_box(ksi.query(&(), &inst.query));
             })
             .median;
             let t2 = measure(cfg.reps(), || {
@@ -845,7 +848,9 @@ fn e9(cfg: &Config) {
     for k in [2usize, 3] {
         let bl = borderline_spatial(n, 1, k, 0.8, 73);
         let ksi = KsiIndex::build(bl.dataset.docs(), k);
-        let (hits, stats) = ksi.intersect_with_stats(&bl.query_keywords);
+        let (hits, stats) = ksi
+            .query_with_stats(&(), &bl.query_keywords)
+            .expect("valid query");
         assert!(hits.is_empty());
         let bound = (ksi.input_size() as f64).powf(1.0 - 1.0 / k as f64);
         println!(
@@ -870,7 +875,7 @@ fn e10(cfg: &Config) {
         let ksi = KsiIndex::build(&inst.docs, 2);
         let inv = InvertedIndex::build(&inst.docs);
         let t1 = measure(cfg.reps(), || {
-            std::hint::black_box(ksi.intersect(&inst.query));
+            let _ = std::hint::black_box(ksi.query(&(), &inst.query));
         })
         .median;
         let t2 = measure(cfg.reps(), || {
@@ -921,18 +926,23 @@ fn x1(cfg: &Config) {
         let mut gen = QueryGen::new(&ps.dataset, 112);
         let q = gen.rect(0.05);
         let kws = &ps.query_keywords;
+        let unguarded = skq_core::QueryGuard::new();
         let td = measure(cfg.reps(), || {
-            std::hint::black_box(dynamic.query(&q, kws));
+            let _ = std::hint::black_box(dynamic.query(&q, kws, &unguarded));
         })
         .median;
         let ts = measure(cfg.reps(), || {
-            std::hint::black_box(static_index.query(&q, kws));
+            let _ = std::hint::black_box(static_index.query(&q, kws));
         })
         .median;
         // Sanity: identical answer sizes.
         assert_eq!(
-            dynamic.query(&q, kws).len(),
-            static_index.query(&q, kws).len()
+            dynamic
+                .query(&q, kws, &unguarded)
+                .expect("valid query")
+                .0
+                .len(),
+            static_index.query(&q, kws).expect("valid query").len()
         );
         t.row(vec![
             n.to_string(),
@@ -964,9 +974,9 @@ fn x2(cfg: &Config) {
         let index = OrpKwIndex::build(&ps.dataset, 2);
         let q = Rect::full(2);
         let kws = &ps.query_keywords;
-        let out_len = index.query(&q, kws).len();
+        let out_len = index.query(&q, kws).expect("valid query").len();
         let tc = measure(cfg.reps(), || {
-            std::hint::black_box(index.query(std::hint::black_box(&q), kws));
+            let _ = std::hint::black_box(index.query(std::hint::black_box(&q), kws));
         })
         .median;
         let tn = measure(cfg.reps(), || {
@@ -1022,7 +1032,7 @@ fn x3(cfg: &Config) {
         let index = OrpKwIndex::build(&ps.dataset, 2);
         let q = Rect::full(2);
         let kws = &ps.query_keywords;
-        let out_len = index.query(&q, kws).len();
+        let out_len = index.query(&q, kws).expect("valid query").len();
         let tp = measure(cfg.reps(), || {
             let mut out: Vec<u32> = Vec::new();
             let mut stats = QueryStats::new();
@@ -1098,11 +1108,11 @@ fn f1(cfg: &Config) {
             // the line on an actual object's x.
             let x = ps.dataset.point(rng.gen_range(0..ps.dataset.len())).get(0);
             let line = Rect::new(&[x, f64::NEG_INFINITY], &[x, f64::INFINITY]);
-            let (_, s) = index.query_with_stats(&line, kws);
+            let (_, s) = index.query_with_stats(&line, kws).expect("valid query");
             max_cross_line = max_cross_line.max(s.crossing_nodes);
             max_cov_line = max_cov_line.max(s.covered_nodes);
             let w = gen.rect(0.1);
-            let (_, s) = index.query_with_stats(&w, kws);
+            let (_, s) = index.query_with_stats(&w, kws).expect("valid query");
             max_cross_window = max_cross_window.max(s.crossing_nodes);
         }
         let big_n = ps.dataset.input_size() as f64;
@@ -1129,7 +1139,9 @@ fn f1(cfg: &Config) {
     let index = OrpKwIndex::build(&ps.dataset, 2);
     let anchor_x = ps.dataset.point(ps.dataset.len() / 2).get(0);
     let line = Rect::new(&[anchor_x, f64::NEG_INFINITY], &[anchor_x, f64::INFINITY]);
-    let (_, s) = index.query_with_stats(&line, &ps.query_keywords);
+    let (_, s) = index
+        .query_with_stats(&line, &ps.query_keywords)
+        .expect("valid query");
     println!("\nsample per-level crossing histogram for one vertical line:");
     println!("{:?}", s.crossing_by_level);
     // Lemma 10 bounds Σ over the *leaves* of T_cross of (1/2)^(ℓ/2);
@@ -1148,7 +1160,9 @@ fn f1(cfg: &Config) {
     }
 
     // Fully-covering queries have no crossing nodes at all.
-    let (_, s) = index.query_with_stats(&Rect::full(2), &ps.query_keywords);
+    let (_, s) = index
+        .query_with_stats(&Rect::full(2), &ps.query_keywords)
+        .expect("valid query");
     println!(
         "full-space query: crossing = {}, covered = {} (crossing must be ~0)",
         s.crossing_nodes, s.covered_nodes
@@ -1177,7 +1191,9 @@ fn f2(cfg: &Config) {
         let mut max_t1 = 0u64;
         for _ in 0..20 {
             let q = gen.rect(0.2);
-            let (_, s) = index.query_with_stats(&q, &ps.query_keywords);
+            let (_, s) = index
+                .query_with_stats(&q, &ps.query_keywords)
+                .expect("valid query");
             max_t2 = max_t2.max(s.type2_by_level.iter().copied().max().unwrap_or(0));
             max_t1 = max_t1.max(s.type1_by_level.iter().copied().max().unwrap_or(0));
         }

@@ -29,6 +29,7 @@ use skq_core::nn_linf::LinfNnIndex;
 use skq_core::orp::OrpKwIndex;
 use skq_core::persist::Persist;
 use skq_core::planner::{Plan, PlannedOrpKw};
+use skq_core::query::KwQuery;
 use skq_core::rr::RrKwIndex;
 use skq_core::sink::CountSink;
 use skq_core::sp::SpKwIndex;
@@ -255,7 +256,7 @@ fn orp_problem(ctx: &Ctx, d: &Dataset) -> Json {
     );
     let query = ctx.query_record("orp", queries.len(), |i| {
         let (rect, kws) = &queries[i];
-        index.query_with_stats(rect, kws).1
+        index.query_with_stats(rect, kws).expect("valid query").1
     });
     let mut out = Json::obj();
     problem_header(&mut out, "city", d.len(), d.input_size(), BUILD_K);
@@ -285,7 +286,7 @@ fn rr_problem(ctx: &Ctx, d: &Dataset) -> Json {
     );
     let query = ctx.query_record("rr", queries.len(), |i| {
         let (rect, kws) = &queries[i];
-        index.query_with_stats(rect, kws).1
+        index.query_with_stats(rect, kws).expect("valid query").1
     });
     let mut out = Json::obj();
     problem_header(&mut out, "city", d.len(), input_size, BUILD_K);
@@ -311,7 +312,7 @@ fn lc_problem(ctx: &Ctx, d: &Dataset) -> Json {
     );
     let query = ctx.query_record("lc", queries.len(), |i| {
         let (poly, kws) = &queries[i];
-        index.query_with_stats(poly.halfspaces(), kws).1
+        index.query_with_stats(poly, kws).expect("valid query").1
     });
     let mut out = Json::obj();
     problem_header(&mut out, "city", d.len(), d.input_size(), BUILD_K);
@@ -337,7 +338,7 @@ fn sp_problem(ctx: &Ctx, d: &Dataset) -> Json {
     );
     let query = ctx.query_record("sp", queries.len(), |i| {
         let (poly, kws) = &queries[i];
-        index.query_with_stats(poly, kws).1
+        index.query_with_stats(poly, kws).expect("valid query").1
     });
     let mut out = Json::obj();
     problem_header(&mut out, "city", d.len(), d.input_size(), BUILD_K);
@@ -363,7 +364,7 @@ fn srp_problem(ctx: &Ctx, d: &Dataset) -> Json {
     );
     let query = ctx.query_record("srp", queries.len(), |i| {
         let (ball, kws) = &queries[i];
-        index.query_with_stats(ball, kws).1
+        index.query_with_stats(ball, kws).expect("valid query").1
     });
     let mut out = Json::obj();
     problem_header(&mut out, "city", d.len(), d.input_size(), BUILD_K);
@@ -390,7 +391,7 @@ fn nn_problem(
     let (index, build) = ctx.build_record(d.len(), &build_index, NnEngine::space_words);
     let query = ctx.query_record(problem, queries.len(), |i| {
         let (p, kws) = &queries[i];
-        index.query_with_stats(p, 8, kws)
+        index.query(p, 8, kws)
     });
     let mut out = Json::obj();
     problem_header(&mut out, "city", d.len(), d.input_size(), BUILD_K);
@@ -413,11 +414,12 @@ impl NnEngine {
         }
     }
 
-    fn query_with_stats(&self, p: &skq_geom::Point, t: usize, kws: &[Keyword]) -> QueryStats {
-        match self {
-            NnEngine::Linf(i) => i.query_with_stats(p, t, kws).1,
-            NnEngine::L2(i) => i.query_with_stats(p, t, kws).1,
-        }
+    fn query(&self, p: &skq_geom::Point, t: usize, kws: &[Keyword]) -> QueryStats {
+        let answer = match self {
+            NnEngine::Linf(i) => i.query(p, t, kws),
+            NnEngine::L2(i) => i.query(p, t, kws),
+        };
+        answer.expect("valid query").1
     }
 }
 
@@ -487,7 +489,10 @@ fn ksi_problem(ctx: &Ctx) -> Json {
     // One planted query repeated: k-SI query cost is a function of the
     // sets, so the sweep exercises the steady-state path.
     let query = ctx.query_record("ksi", ctx.opts.scale.queries(), |_| {
-        index.intersect_with_stats(&inst.query).1
+        index
+            .query_with_stats(&(), &inst.query)
+            .expect("valid query")
+            .1
     });
     let mut out = Json::obj();
     problem_header(&mut out, "shuffled_planted", n, input_size, BUILD_K);
@@ -507,12 +512,11 @@ fn planner_problem(ctx: &Ctx, d: &Dataset) -> Json {
         let (rect, kws) = &queries[i];
         let mut sink = CountSink::new();
         let mut stats = QueryStats::new();
-        let plan = planner.query_sink(rect, kws, &mut sink, &mut stats);
-        chosen[match plan {
-            Plan::KeywordsOnly => 0,
-            Plan::StructuredOnly => 1,
-            Plan::Framework => 2,
-        }] += 1;
+        let _ = planner.query_sink(rect, kws, &mut sink, &mut stats);
+        let plans = [Plan::KeywordsOnly, Plan::StructuredOnly, Plan::Framework];
+        if let Some(slot) = plans.iter().position(|&p| stats.route == Some(p.into())) {
+            chosen[slot] += 1;
+        }
         stats
     });
     let mut plans = Json::obj();

@@ -23,6 +23,7 @@ use crate::error::SkqError;
 use crate::failpoints;
 use crate::guard::{GuardedSink, QueryGuard};
 use crate::orp::OrpKwIndex;
+use crate::query::KwQuery;
 use crate::sink::ResultSink;
 use crate::stats::QueryStats;
 use crate::telemetry;

@@ -23,7 +23,8 @@ use skq_invidx::Keyword;
 
 use crate::dataset::Dataset;
 use crate::orp::OrpKwIndex;
-use crate::sink::{LimitSink, MapSink, ResultSink};
+use crate::query::KwQuery;
+use crate::sink::{MapSink, ResultSink};
 use crate::stats::QueryStats;
 
 use cut::f_balanced_cut;
@@ -151,23 +152,7 @@ impl DimRedTree {
             .sum()
     }
 
-    /// Answers a query, appending global object ids to `out`.
-    pub fn query(
-        &self,
-        q: &Rect,
-        keywords: &[Keyword],
-        limit: usize,
-        out: &mut Vec<u32>,
-        stats: &mut QueryStats,
-    ) {
-        let mut sink = LimitSink::new(&mut *out, limit);
-        let _ = self.query_sink(q, keywords, &mut sink, stats);
-        stats.emitted += sink.emitted();
-        stats.truncated |= sink.truncated();
-    }
-
-    /// Streaming form of [`query`](Self::query): global object ids are
-    /// emitted into `sink`; type-1 secondary-index hits stream through
+    /// Answers a query: global object ids are emitted into `sink`; type-1 secondary-index hits stream through
     /// the node's local→global map with no intermediate vector.
     pub fn query_sink<S: ResultSink>(
         &self,
@@ -239,10 +224,8 @@ impl DimRedTree {
     }
 }
 
-#[cfg(feature = "debug-invariants")]
 impl DimRedTree {
-    /// Deep structural validation (`debug-invariants`; DESIGN.md §12):
-    /// checks §4's x-extent ordering and nesting, level progression,
+    /// Deep structural validation (DESIGN.md §12): checks §4's x-extent ordering and nesting, level progression,
     /// the pivot partition across the tree, the local→global id maps,
     /// and recursively every node's secondary index.
     pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
@@ -352,7 +335,7 @@ mod tests {
         let kws = [0u32, 3u32];
         let mut out = Vec::new();
         let mut stats = QueryStats::new();
-        tree.query(&q, &kws, usize::MAX, &mut out, &mut stats);
+        let _ = tree.query_sink(&q, &kws, &mut out, &mut stats);
         out.sort_unstable();
         let expected: Vec<u32> = (0..40u32)
             .filter(|&i| {
@@ -379,7 +362,7 @@ mod tests {
         let q = Rect::new(&[17.0, 0.0, 0.0], &[240.0, 300.0, 300.0]);
         let mut out = Vec::new();
         let mut stats = QueryStats::new();
-        tree.query(&q, &[0, 1], usize::MAX, &mut out, &mut stats);
+        let _ = tree.query_sink(&q, &[0, 1], &mut out, &mut stats);
         for (lvl, &count) in stats.type2_by_level.iter().enumerate() {
             assert!(count <= 2, "level {lvl} has {count} type-2 nodes");
         }

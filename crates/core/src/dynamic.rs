@@ -25,6 +25,7 @@ use crate::failpoints;
 use crate::fastmap::FxHashMap;
 use crate::guard::{GuardedSink, QueryGuard};
 use crate::orp::OrpKwIndex;
+use crate::query::KwQuery;
 use crate::sink::ResultSink;
 use crate::stats::{QueryStats, TruncatedReason};
 use crate::telemetry;
@@ -59,14 +60,18 @@ struct Block {
 ///
 /// ```
 /// use skq_core::dynamic::DynamicOrpKw;
+/// use skq_core::QueryGuard;
 /// use skq_geom::{Point, Rect};
 ///
 /// let mut index = DynamicOrpKw::new(2, 2);
 /// let a = index.insert(Point::new2(1.0, 1.0), vec![0, 1]);
 /// let _b = index.insert(Point::new2(9.0, 9.0), vec![0, 1]);
-/// assert_eq!(index.query(&Rect::new(&[0.0, 0.0], &[5.0, 5.0]), &[0, 1]), vec![a]);
+/// let q = Rect::new(&[0.0, 0.0], &[5.0, 5.0]);
+/// let (hits, _stats) = index.query(&q, &[0, 1], &QueryGuard::new())?;
+/// assert_eq!(hits, vec![a]);
 /// index.delete(a);
-/// assert!(index.query(&Rect::new(&[0.0, 0.0], &[5.0, 5.0]), &[0, 1]).is_empty());
+/// assert!(index.query(&q, &[0, 1], &QueryGuard::new())?.0.is_empty());
+/// # Ok::<(), skq_core::SkqError>(())
 /// ```
 pub struct DynamicOrpKw {
     k: usize,
@@ -321,114 +326,62 @@ impl DynamicOrpKw {
     }
 
     /// Reports the handles of live objects in `q` whose documents
-    /// contain all `keywords` (exactly `k` distinct).
-    pub fn query(&self, q: &Rect, keywords: &[Keyword]) -> Vec<ObjectHandle> {
-        self.query_with_stats(q, keywords).0
-    }
-
-    /// Like [`query`](Self::query) with aggregated statistics.
-    pub fn query_with_stats(
-        &self,
-        q: &Rect,
-        keywords: &[Keyword],
-    ) -> (Vec<ObjectHandle>, QueryStats) {
-        self.query_limited(q, keywords, usize::MAX)
-    }
-
-    /// Like [`query`](Self::query), stopping after `limit` live
-    /// matches. Each static block streams its hits through a
-    /// handle-translating sink (no per-block staging vector), so the
-    /// early stop propagates into every block traversal.
-    pub fn query_limited(
-        &self,
-        q: &Rect,
-        keywords: &[Keyword],
-        limit: usize,
-    ) -> (Vec<ObjectHandle>, QueryStats) {
-        self.query_impl(q, keywords, limit, &QueryGuard::default())
-    }
-
-    /// Fallible query: validates the rectangle and the keyword-count
-    /// contract up front, then reports like [`query`](Self::query),
-    /// appending the live matching handles to `out`.
+    /// contain all `keywords` (exactly `k` distinct), under `guard`,
+    /// with statistics aggregated over the blocks. Each static block
+    /// streams its hits through a handle-translating sink (no per-block
+    /// staging vector), so a filled result budget stops every block
+    /// traversal early; it is a successful, truncated answer with
+    /// `QueryStats::truncated_reason` set.
     ///
     /// # Errors
     ///
     /// `SkqError::InvalidQuery` on a dimension mismatch, NaN bounds, or
-    /// a wrong number of distinct keywords.
-    pub fn try_query_into(
+    /// a wrong number of distinct keywords;
+    /// `SkqError::DeadlineExceeded` / `SkqError::Cancelled` when the
+    /// guard trips.
+    pub fn query(
         &self,
         q: &Rect,
         keywords: &[Keyword],
-        out: &mut Vec<ObjectHandle>,
-    ) -> Result<QueryStats, SkqError> {
+        guard: &QueryGuard,
+    ) -> Result<(Vec<ObjectHandle>, QueryStats), SkqError> {
         validate::rect_query(q, self.dim)?;
         validate::distinct_keywords(keywords, self.k)?;
-        let (handles, stats) = self.query_with_stats(q, keywords);
-        out.extend(handles);
-        Ok(stats)
-    }
-
-    /// Guarded query: like [`query_with_stats`](Self::query_with_stats)
-    /// but subject to `guard`'s deadline, cancellation token, and
-    /// result budget. When the guard trips, the partial results
-    /// gathered so far are returned and
-    /// `QueryStats::truncated_reason` records why.
-    pub fn query_guarded(
-        &self,
-        q: &Rect,
-        keywords: &[Keyword],
-        guard: &QueryGuard,
-    ) -> (Vec<ObjectHandle>, QueryStats) {
-        self.query_impl(q, keywords, usize::MAX, guard)
-    }
-
-    fn query_impl(
-        &self,
-        q: &Rect,
-        keywords: &[Keyword],
-        limit: usize,
-        guard: &QueryGuard,
-    ) -> (Vec<ObjectHandle>, QueryStats) {
-        assert_eq!(q.dim(), self.dim, "query dimension mismatch");
         let span = skq_obs::Span::enter("orp.dynamic_query");
         let mut kws = keywords.to_vec();
         kws.sort_unstable();
         kws.dedup();
-        assert_eq!(kws.len(), self.k, "need exactly k distinct keywords");
         let mut out = Vec::new();
         let mut stats = QueryStats::new();
-        let mut truncated = false;
         let mut reason: Option<TruncatedReason> = None;
-        for block in self.blocks.iter().flatten() {
-            // The guard is also consulted per emission inside the
-            // traversal; this boundary check catches deadlines that
-            // expire inside match-free subtrees.
-            if let Err(e) = guard.check() {
-                reason = reason.or(Some(Self::trip(&e)));
-                break;
-            }
-            let mut s = QueryStats::new();
-            let mut handle_sink = HandleSink {
-                handles: &block.handles,
+        {
+            // One guarded sink across every block, so the result budget
+            // spans the whole answer; only the id→handle map changes.
+            let handle_sink = HandleSink {
+                handles: &[],
                 live: &self.live_set,
                 out: &mut out,
-                limit,
-                hit_limit: false,
             };
-            let (flow, sink_reason) = {
-                let mut sink = GuardedSink::new(&mut handle_sink, guard);
+            let mut sink = GuardedSink::new(handle_sink, guard);
+            for block in self.blocks.iter().flatten() {
+                // The guard is also consulted per emission inside the
+                // traversal; this boundary check catches deadlines that
+                // expire inside match-free subtrees.
+                if let Err(e) = guard.check() {
+                    reason = Some(Self::trip(&e));
+                    break;
+                }
+                sink.inner_mut().handles = &block.handles;
+                let mut s = QueryStats::new();
                 let flow = block.index.query_sink(q, &kws, &mut sink, &mut s);
-                (flow, sink.truncated_reason())
-            };
-            reason = reason.or(sink_reason);
-            truncated |= handle_sink.hit_limit;
-            stats.absorb(&s);
-            if flow.is_break() {
-                break;
+                stats.absorb(&s);
+                if flow.is_break() {
+                    break;
+                }
             }
+            reason = reason.or(sink.truncated_reason());
         }
-        if !truncated && reason.is_none() {
+        if reason.is_none() {
             match guard.check() {
                 Err(e) => reason = Some(Self::trip(&e)),
                 Ok(()) => {
@@ -439,10 +392,6 @@ impl DynamicOrpKw {
                             && q.contains(p)
                             && kws.iter().all(|w| doc_kws.contains(w))
                         {
-                            if out.len() >= limit {
-                                truncated = true;
-                                break;
-                            }
                             if out.len() as u64 >= budget {
                                 reason = Some(TruncatedReason::Limit);
                                 break;
@@ -455,14 +404,14 @@ impl DynamicOrpKw {
             }
         }
         stats.emitted = out.len() as u64;
-        stats.truncated |= truncated || reason.is_some();
-        stats.truncated_reason = reason.or(if truncated {
-            Some(TruncatedReason::Limit)
-        } else {
-            None
-        });
+        stats.truncated |= reason.is_some();
+        stats.truncated_reason = reason;
         telemetry::record_query("orp_dynamic", self.k, &stats, span.elapsed());
-        (out, stats)
+        match reason {
+            Some(TruncatedReason::DeadlineExceeded) => Err(SkqError::DeadlineExceeded),
+            Some(TruncatedReason::Cancelled) => Err(SkqError::Cancelled),
+            Some(TruncatedReason::Limit) | None => Ok((out, stats)),
+        }
     }
 
     /// Maps a guard trip to its truncation reason, bumping the matching
@@ -536,8 +485,8 @@ impl DynamicOrpKw {
         blocks + self.buffer.len() * (self.dim + 4) + self.live_set.len() * 2
     }
 
-    /// Deep structural validation (`debug-invariants`; DESIGN.md §12):
-    /// re-derives the logarithmic-method bookkeeping — buffer and block
+    /// Deep structural validation (DESIGN.md §12): re-derives the
+    /// logarithmic-method bookkeeping — buffer and block
     /// capacities, handle/source alignment per block, global handle
     /// uniqueness, and that every live handle is actually stored — then
     /// validates each block's static ORP-KW index.
@@ -545,7 +494,6 @@ impl DynamicOrpKw {
     /// # Errors
     ///
     /// The first violated invariant, by name.
-    #[cfg(feature = "debug-invariants")]
     pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
         use crate::invariants::InvariantViolation as V;
         // After a failed rebuild the whole pool parks in the buffer with
@@ -612,42 +560,25 @@ impl DynamicOrpKw {
     }
 }
 
-/// Translates block-local ids to handles, filters dead objects, and
-/// enforces the cross-block output limit — all inside the block's own
-/// traversal, so an early stop saves real work.
+/// Translates block-local ids to handles and filters dead objects,
+/// inside the block's own traversal. `emitted` counts the whole
+/// cross-block output, so a guard's result budget spans every block.
 struct HandleSink<'a> {
     handles: &'a [ObjectHandle],
     live: &'a FxHashMap<u64, ()>,
     out: &'a mut Vec<ObjectHandle>,
-    limit: usize,
-    hit_limit: bool,
 }
 
 impl ResultSink for HandleSink<'_> {
     fn emit(&mut self, id: u32) -> ControlFlow<()> {
         let h = self.handles[id as usize];
-        if !self.live.contains_key(&h.0) {
-            return ControlFlow::Continue(());
-        }
-        if self.out.len() >= self.limit {
-            self.hit_limit = true;
-            return ControlFlow::Break(());
-        }
-        self.out.push(h);
-        if self.out.len() >= self.limit {
-            self.hit_limit = true;
-            return ControlFlow::Break(());
+        if self.live.contains_key(&h.0) {
+            self.out.push(h);
         }
         ControlFlow::Continue(())
     }
     fn emitted(&self) -> u64 {
         self.out.len() as u64
-    }
-    fn truncated(&self) -> bool {
-        self.hit_limit
-    }
-    fn is_full(&self) -> bool {
-        self.out.len() >= self.limit
     }
 }
 
@@ -890,6 +821,11 @@ mod tests {
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use std::collections::HashMap;
 
+    /// An unguarded query's handles.
+    fn hits(idx: &DynamicOrpKw, q: &Rect, kws: &[Keyword]) -> Vec<ObjectHandle> {
+        idx.query(q, kws, &QueryGuard::new()).unwrap().0
+    }
+
     /// Naive mirror for differential testing.
     struct Mirror {
         objects: HashMap<u64, (Point, Vec<Keyword>)>,
@@ -930,7 +866,7 @@ mod tests {
             let q = Rect::new(&[x, y], &[x + 15.0, y + 15.0]);
             let w1 = rng.gen_range(0..6);
             let w2 = (w1 + 1 + rng.gen_range(0..5)) % 6;
-            let mut got = idx.query(&q, &[w1, w2]);
+            let mut got = hits(&idx, &q, &[w1, w2]);
             got.sort();
             assert_eq!(got, mirror.query(&q, &[w1, w2]));
         }
@@ -965,7 +901,7 @@ mod tests {
                 let q = Rect::new(&[x, y], &[x + 12.0, y + 12.0]);
                 let w1 = rng.gen_range(0..5);
                 let w2 = (w1 + 1 + rng.gen_range(0..4)) % 5;
-                let mut got = idx.query(&q, &[w1, w2]);
+                let mut got = hits(&idx, &q, &[w1, w2]);
                 got.sort();
                 assert_eq!(got, mirror.query(&q, &[w1, w2]), "step {step}");
             }
@@ -987,14 +923,15 @@ mod tests {
             idx.delete(*h);
         }
         let q = Rect::full(2);
-        let full = idx.query(&q, &[0, 3]);
+        let full = hits(&idx, &q, &[0, 3]);
         assert!(full.len() > 7);
-        let (limited, stats) = idx.query_limited(&q, &[0, 3], 7);
+        let capped = QueryGuard::new().with_max_results(7);
+        let (limited, stats) = idx.query(&q, &[0, 3], &capped).unwrap();
         assert_eq!(limited.len(), 7);
         assert_eq!(stats.emitted, 7);
         assert!(stats.truncated);
         assert!(limited.iter().all(|h| full.contains(h)));
-        let (unlimited, stats) = idx.query_limited(&q, &[0, 3], usize::MAX);
+        let (unlimited, stats) = idx.query(&q, &[0, 3], &QueryGuard::new()).unwrap();
         assert_eq!(unlimited.len(), full.len());
         assert!(!stats.truncated);
     }
@@ -1006,7 +943,7 @@ mod tests {
         assert!(idx.delete(h));
         assert!(!idx.delete(h));
         assert!(idx.is_empty());
-        assert!(idx.query(&Rect::full(1), &[0, 1]).is_empty());
+        assert!(hits(&idx, &Rect::full(1), &[0, 1]).is_empty());
     }
 
     #[test]
@@ -1025,7 +962,7 @@ mod tests {
         }
         // The failed inserts left no trace.
         assert_eq!(idx.len(), 1);
-        assert_eq!(idx.query(&Rect::full(2), &[0, 1]), vec![a]);
+        assert_eq!(hits(&idx, &Rect::full(2), &[0, 1]), vec![a]);
         // Fresh ids still work, and plain inserts continue above them.
         let b = idx
             .try_insert_with_id(9, Point::new2(3.0, 3.0), vec![0, 1])
@@ -1055,7 +992,7 @@ mod tests {
 
     #[test]
     fn guarded_query_respects_budget_and_cancel() {
-        use crate::guard::{CancelToken, QueryGuard};
+        use crate::guard::CancelToken;
         use crate::stats::TruncatedReason;
         let mut idx = DynamicOrpKw::new(2, 2);
         let mut rng = StdRng::seed_from_u64(5);
@@ -1064,20 +1001,42 @@ mod tests {
             idx.insert(p, vec![rng.gen_range(0..3), 3]);
         }
         let q = Rect::full(2);
-        let full = idx.query(&q, &[0, 3]);
+        let full = hits(&idx, &q, &[0, 3]);
         assert!(full.len() > 5);
         let guard = QueryGuard::new().with_max_results(5);
-        let (limited, stats) = idx.query_guarded(&q, &[0, 3], &guard);
+        let (limited, stats) = idx.query(&q, &[0, 3], &guard).unwrap();
         assert_eq!(limited.len(), 5);
         assert_eq!(stats.truncated_reason, Some(TruncatedReason::Limit));
         assert!(limited.iter().all(|h| full.contains(h)));
-        // A pre-cancelled token yields no results, with the reason set.
+        // A pre-cancelled token is a typed error.
         let token = CancelToken::new();
         token.cancel();
         let guard = QueryGuard::new().with_cancel(token);
-        let (cancelled, stats) = idx.query_guarded(&q, &[0, 3], &guard);
-        assert!(cancelled.is_empty());
-        assert_eq!(stats.truncated_reason, Some(TruncatedReason::Cancelled));
+        assert_eq!(idx.query(&q, &[0, 3], &guard), Err(SkqError::Cancelled));
+        // So is a malformed query.
+        assert!(matches!(
+            idx.query(&q, &[3, 3], &QueryGuard::new()),
+            Err(SkqError::InvalidQuery(_))
+        ));
+    }
+
+    #[test]
+    fn result_budget_spans_every_block() {
+        use crate::stats::TruncatedReason;
+        // Sparse matches (every 40th object) spread across several
+        // blocks, so no single block holds the whole budget.
+        let mut idx = DynamicOrpKw::new(2, 2);
+        for i in 0..2_000u32 {
+            let kws = if i % 40 == 0 { vec![0, 1] } else { vec![0, 2] };
+            idx.insert(Point::new2((i % 50) as f64, (i / 50) as f64), kws);
+        }
+        assert!(idx.num_blocks() >= 2);
+        let q = Rect::full(2);
+        assert_eq!(hits(&idx, &q, &[0, 1]).len(), 50);
+        let guard = QueryGuard::new().with_max_results(30);
+        let (capped, stats) = idx.query(&q, &[0, 1], &guard).unwrap();
+        assert_eq!(capped.len(), 30, "the budget caps the whole answer");
+        assert_eq!(stats.truncated_reason, Some(TruncatedReason::Limit));
     }
 
     #[test]
@@ -1114,10 +1073,10 @@ mod tests {
         );
         // Survivors still queryable.
         assert_eq!(
-            idx.query(&Rect::full(2), &[0, 4]).len()
-                + idx.query(&Rect::full(2), &[1, 4]).len()
-                + idx.query(&Rect::full(2), &[2, 4]).len()
-                + idx.query(&Rect::full(2), &[3, 4]).len(),
+            hits(&idx, &Rect::full(2), &[0, 4]).len()
+                + hits(&idx, &Rect::full(2), &[1, 4]).len()
+                + hits(&idx, &Rect::full(2), &[2, 4]).len()
+                + hits(&idx, &Rect::full(2), &[3, 4]).len(),
             100
         );
     }
@@ -1145,13 +1104,12 @@ mod tests {
         assert_eq!(loaded.live_objects(), idx.live_objects());
         for w1 in 0..5u32 {
             let q = Rect::new(&[5.0, 5.0], &[40.0, 40.0]);
-            let mut a = idx.query(&q, &[w1, 5]);
-            let mut b = loaded.query(&q, &[w1, 5]);
+            let mut a = hits(&idx, &q, &[w1, 5]);
+            let mut b = hits(&loaded, &q, &[w1, 5]);
             a.sort();
             b.sort();
             assert_eq!(a, b, "keyword {w1}");
         }
-        #[cfg(feature = "debug-invariants")]
         loaded.validate().unwrap();
         // The loaded index keeps accepting writes where the old one
         // left off.
@@ -1181,7 +1139,6 @@ mod tests {
 
     /// Deliberate corruption must be rejected with a descriptive
     /// invariant name (`debug-invariants` acceptance criterion).
-    #[cfg(feature = "debug-invariants")]
     mod corruption {
         use super::*;
 

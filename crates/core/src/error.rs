@@ -1,9 +1,9 @@
 //! Typed errors for the fallible construction and query surfaces.
 //!
-//! Every `try_build` / `try_query_into` entry point in this crate
-//! returns [`SkqError`]. The legacy infallible APIs (`build`, `query`,
-//! …) are thin wrappers that panic with the error's `Display` text, so
-//! the two surfaces always agree on *what* is invalid — the only
+//! Every `try_build` entry point and every query (the
+//! [`KwQuery`](crate::query::KwQuery) contract) returns [`SkqError`].
+//! The panicking `build` wrappers panic with the error's `Display`
+//! text, so both build surfaces agree on *what* is invalid — the only
 //! difference is how the violation is delivered.
 
 use std::fmt;
@@ -125,9 +125,10 @@ impl fmt::Display for SkqError {
 
 impl std::error::Error for SkqError {}
 
-/// Shared query-validation helpers for the `try_query_into` surfaces
-/// (public so service layers can pre-validate before cheaper
-/// unvalidated sink paths — e.g. the brownout count-only rung).
+/// Shared query-validation helpers behind every
+/// [`KwQuery::check`](crate::query::KwQuery::check) (public so service
+/// layers can pre-validate before cheaper unvalidated sink paths —
+/// e.g. the brownout count-only rung).
 pub mod validate {
     use super::SkqError;
     use skq_geom::{ConvexPolytope, Point, Rect};
@@ -147,16 +148,35 @@ pub mod validate {
         Ok(())
     }
 
+    /// The number of distinct keywords, by pairwise comparison: query
+    /// keyword sets are tiny (`k ≤ 16`), so this beats sorting a copy
+    /// and allocates nothing.
+    pub fn count_distinct(keywords: &[u32]) -> usize {
+        keywords
+            .iter()
+            .enumerate()
+            .filter(|&(i, w)| !keywords[..i].contains(w))
+            .count()
+    }
+
     /// Exactly `k` distinct keywords (the framework's query contract).
     pub fn distinct_keywords(keywords: &[u32], k: usize) -> Result<(), SkqError> {
-        let mut kws = keywords.to_vec();
-        kws.sort_unstable();
-        kws.dedup();
-        if kws.len() != k {
+        let distinct = count_distinct(keywords);
+        if distinct != k {
             return Err(SkqError::InvalidQuery(format!(
-                "the index was built for exactly {k} distinct keywords, got {}",
-                kws.len()
+                "the index was built for exactly {k} distinct keywords, got {distinct}"
             )));
+        }
+        Ok(())
+    }
+
+    /// A neighbour count or threshold `t ≥ 1` (`t = 0` asks for
+    /// nothing, which is a malformed query rather than an empty one).
+    pub fn result_count(t: usize) -> Result<(), SkqError> {
+        if t == 0 {
+            return Err(SkqError::InvalidQuery(
+                "the result count t must be at least 1".into(),
+            ));
         }
         Ok(())
     }
@@ -240,6 +260,15 @@ mod tests {
         };
         let s = format!("{e}");
         assert!(s.contains("10") && s.contains("25"), "{s}");
+    }
+
+    #[test]
+    fn distinct_keywords_counts_without_sorting() {
+        assert_eq!(validate::count_distinct(&[]), 0);
+        assert_eq!(validate::count_distinct(&[5, 3, 5, 3, 9]), 3);
+        assert!(validate::distinct_keywords(&[7, 2], 2).is_ok());
+        let err = validate::distinct_keywords(&[7, 7], 2).unwrap_err();
+        assert!(err.to_string().contains("got 1"), "{err}");
     }
 
     #[test]

@@ -7,11 +7,20 @@
 //! — no external crate, consistent with the workspace's zero-dep
 //! observability gate.
 //!
+//! Arming is scoped. `inject` returns a [`FailPoint`] guard that
+//! disarms its site on drop, and a test that arms a site holds the
+//! process-wide `exclusive` lock while it runs; a test that merely
+//! drives sites another test might arm holds `shared` (all three exist
+//! only with the feature). An injected fault therefore fires only
+//! inside the test that armed it, even under the parallel test harness.
+//!
 //! ```ignore
 //! // Only with `--features failpoints`:
-//! skq_core::failpoints::inject("orp::build", FailAction::Err, None);
+//! let _serial = skq_core::failpoints::exclusive();
+//! let armed = skq_core::failpoints::inject("orp::build", FailAction::Err, None);
 //! assert!(OrpKwIndex::try_build(&dataset, 2).is_err());
-//! skq_core::failpoints::clear();
+//! drop(armed); // disarmed
+//! assert!(OrpKwIndex::try_build(&dataset, 2).is_ok());
 //! ```
 
 use crate::error::SkqError;
@@ -73,28 +82,71 @@ pub fn check(site: &'static str) -> Result<(), SkqError> {
     }
 }
 
-/// Arms a fail point. `times` bounds how many hits fire (`None` =
-/// every hit until [`clear`]). Re-injecting a site replaces its entry.
-#[cfg(feature = "failpoints")]
-pub fn inject(site: &str, action: FailAction, times: Option<usize>) {
-    imp::inject(site, action, times);
+/// An armed fail point: dropping it disarms the site. Without the
+/// `failpoints` feature no value of this type can be made.
+#[must_use = "dropping the guard disarms the fail point at once"]
+#[derive(Debug)]
+pub struct FailPoint {
+    #[cfg(feature = "failpoints")]
+    site: String,
+    #[cfg(feature = "failpoints")]
+    arming: u64,
 }
 
-/// Disarms every fail point.
 #[cfg(feature = "failpoints")]
-pub fn clear() {
-    imp::clear();
+impl Drop for FailPoint {
+    fn drop(&mut self) {
+        imp::disarm(&self.site, self.arming);
+    }
+}
+
+/// Arms a fail point until the returned guard drops. `times` bounds
+/// how many hits fire (`None` = every hit). Re-injecting a site
+/// replaces its entry; the replaced guard's drop then does nothing.
+#[cfg(feature = "failpoints")]
+pub fn inject(site: &str, action: FailAction, times: Option<usize>) -> FailPoint {
+    FailPoint {
+        site: site.to_string(),
+        arming: imp::inject(site, action, times),
+    }
+}
+
+/// The process-wide fail-point lock, write side: held by a test for
+/// as long as it arms sites, so no other test observes its faults.
+#[cfg(feature = "failpoints")]
+pub fn exclusive() -> std::sync::RwLockWriteGuard<'static, ()> {
+    imp::LOCK
+        .write()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// The process-wide fail-point lock, read side: held by a test that
+/// drives fail-point sites without arming them, so it never runs while
+/// another test has them armed.
+#[cfg(feature = "failpoints")]
+pub fn shared() -> std::sync::RwLockReadGuard<'static, ()> {
+    imp::LOCK
+        .read()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(feature = "failpoints")]
 mod imp {
     use super::{FailAction, SkqError};
     use std::collections::HashMap;
-    use std::sync::{Mutex, PoisonError};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Mutex, PoisonError, RwLock};
+
+    /// Serializes arming tests against everything else that drives
+    /// the sites (see [`super::exclusive`]).
+    pub static LOCK: RwLock<()> = RwLock::new(());
 
     struct Entry {
         action: FailAction,
         remaining: Option<usize>,
+        /// Which `inject` call armed the site, so only its own guard
+        /// disarms it.
+        arming: u64,
     }
 
     fn registry() -> &'static Mutex<HashMap<String, Entry>> {
@@ -103,7 +155,11 @@ mod imp {
         REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
     }
 
-    pub fn inject(site: &str, action: FailAction, times: Option<usize>) {
+    /// Arms `site` and returns the arming's id.
+    pub fn inject(site: &str, action: FailAction, times: Option<usize>) -> u64 {
+        static NEXT_ARMING: AtomicU64 = AtomicU64::new(0);
+        // relaxed: a unique-id counter; nothing is published through it
+        let arming = NEXT_ARMING.fetch_add(1, Ordering::Relaxed);
         registry()
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -112,15 +168,18 @@ mod imp {
                 Entry {
                     action,
                     remaining: times,
+                    arming,
                 },
             );
+        arming
     }
 
-    pub fn clear() {
-        registry()
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
+    /// Removes `site`'s entry if `arming` still owns it.
+    pub fn disarm(site: &str, arming: u64) {
+        let mut map = registry().lock().unwrap_or_else(PoisonError::into_inner);
+        if map.get(site).is_some_and(|e| e.arming == arming) {
+            map.remove(site);
+        }
     }
 
     pub fn check(site: &'static str) -> Result<(), SkqError> {
@@ -162,9 +221,27 @@ mod tests {
 
     #[test]
     fn bounded_injection_fires_n_times() {
-        inject("test::bounded", FailAction::Err, Some(2));
+        let _armed = inject("test::bounded", FailAction::Err, Some(2));
         assert!(check("test::bounded").is_err());
         assert!(check("test::bounded").is_err());
         assert!(check("test::bounded").is_ok());
+    }
+
+    #[test]
+    fn dropping_the_guard_disarms_the_site() {
+        let armed = inject("test::scoped", FailAction::Err, None);
+        assert!(check("test::scoped").is_err());
+        drop(armed);
+        assert!(check("test::scoped").is_ok());
+    }
+
+    #[test]
+    fn a_replaced_guard_leaves_the_new_arming_alone() {
+        let first = inject("test::replaced", FailAction::Err, None);
+        let second = inject("test::replaced", FailAction::Err, None);
+        drop(first);
+        assert!(check("test::replaced").is_err());
+        drop(second);
+        assert!(check("test::replaced").is_ok());
     }
 }

@@ -9,7 +9,7 @@ use crate::error::SkqError;
 use crate::failpoints;
 use crate::fastmap::FxHashMap;
 use crate::persist::{self, Persist, SCHEMA_VERSION};
-use crate::sink::{LimitSink, ResultSink};
+use crate::sink::ResultSink;
 use crate::stats::QueryStats;
 
 use super::combo::{for_each_k_subset, ComboTable};
@@ -403,42 +403,13 @@ impl<P: Partitioner> TransformedIndex<P> {
         total
     }
 
-    /// Answers a `k`-keyword query, collecting into `out` with a limit.
+    /// Answers a `k`-keyword query: every matching object is emitted
+    /// into `sink`, which may stop the traversal early (the returned
+    /// `ControlFlow::Break` reports that it did).
     ///
     /// * `keywords` — exactly `k` distinct keywords;
     /// * `classify` — cell-vs-query classification (conservative allowed);
-    /// * `accept` — exact point-in-query test by object id;
-    /// * `limit` — stop after this many results (used by the
-    ///   threshold/emptiness queries of Corollaries 4 and 7; pass
-    ///   `usize::MAX` to report everything);
-    /// * `out` — results are appended (object ids, no duplicates);
-    /// * `stats` — execution counters.
-    ///
-    /// Thin wrapper over [`query_sink`](Self::query_sink) with a
-    /// [`LimitSink`] around `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keywords` does not contain exactly `k` distinct
-    /// values.
-    pub fn query(
-        &self,
-        keywords: &[Keyword],
-        classify: &dyn Fn(&P::Cell) -> Region,
-        accept: &dyn Fn(u32) -> bool,
-        limit: usize,
-        out: &mut Vec<u32>,
-        stats: &mut QueryStats,
-    ) {
-        let mut sink = LimitSink::new(&mut *out, limit);
-        let _ = self.query_sink(keywords, classify, accept, &mut sink, stats);
-        stats.emitted += sink.emitted();
-        stats.truncated |= sink.truncated();
-    }
-
-    /// Streaming form of [`query`](Self::query): every matching object
-    /// is emitted into `sink`, which may stop the traversal early (the
-    /// returned `ControlFlow::Break` reports that it did).
+    /// * `accept` — exact point-in-query test by object id.
     ///
     /// The traversal records `reported` (offers to the sink) in `stats`
     /// but leaves `emitted`/`truncated` for the sink's owner, so a sink
@@ -575,79 +546,59 @@ impl<P: Partitioner> TransformedIndex<P> {
             .map(|n| (n.level, n.weight, n.pivots.len(), n.large.len()))
     }
 
-    /// Verifies the structural invariants of §3.2; returns a violation
-    /// description if any. Used by tests.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        self.check_invariants_with(true)
-    }
-
-    /// Like [`check_invariants`](Self::check_invariants); pass
-    /// `require_balance = false` for partitioners without a
-    /// weight-halving guarantee (the midpoint quadtree).
-    pub fn check_invariants_with(&self, require_balance: bool) -> Result<(), String> {
+    /// Deep structural validation (DESIGN.md §12): re-derives the §3
+    /// invariants from the built structure rather than trusting the
+    /// build path's bookkeeping.
+    ///
+    /// # Errors
+    ///
+    /// The first violated invariant, by name.
+    pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
+        use crate::invariants::InvariantViolation as V;
+        // The §3.2 arithmetic invariants: large-keyword cap L ≤ N_u^(1/k),
+        // materialized lists < τ, child weight ≤ half, combo parallelism.
+        let section3 = |detail: String| V::new("framework::section3", detail);
         for (i, n) in self.nodes.iter().enumerate() {
             // Large-keyword bound L ≤ N_u^(1/k) (+1 for float rounding).
             let cap = (n.weight as f64).powf(1.0 / self.k as f64) + 1.0;
             if n.large.len() as f64 > cap {
-                return Err(format!(
+                return Err(section3(format!(
                     "node {i}: {} large keywords exceeds N_u^(1/k) = {cap}",
                     n.large.len()
-                ));
+                )));
             }
             // Materialized lists must be shorter than the threshold.
             let tau = (n.weight as f64).powf(1.0 - 1.0 / self.k as f64);
             for (w, list) in &n.materialized {
                 if list.len() as f64 >= tau + 1.0 {
-                    return Err(format!(
+                    return Err(section3(format!(
                         "node {i}: materialized list for {w} has {} ≥ τ = {tau}",
                         list.len()
-                    ));
+                    )));
                 }
             }
-            // Children carry at most half the weight (median-split
-            // partitioners only).
-            if require_balance {
-                for &c in &n.children {
-                    let cw = self.nodes[c as usize].weight;
-                    if cw * 2 > n.weight {
-                        return Err(format!(
-                            "node {i}: child weight {cw} exceeds half of {}",
-                            n.weight
-                        ));
-                    }
+            // Children carry at most half the weight.
+            // (Out-of-range children are reported by the shape check.)
+            for cw in n
+                .children
+                .iter()
+                .filter_map(|&c| self.nodes.get(c as usize))
+            {
+                let cw = cw.weight;
+                if cw * 2 > n.weight {
+                    return Err(section3(format!(
+                        "node {i}: child weight {cw} exceeds half of {}",
+                        n.weight
+                    )));
                 }
             }
             // Combo tables parallel children when present.
             if !n.combos.is_empty() && n.combos.len() != n.children.len() {
-                return Err(format!("node {i}: combo/children length mismatch"));
+                return Err(section3(format!(
+                    "node {i}: combo/children length mismatch"
+                )));
             }
         }
-        Ok(())
-    }
-}
-
-#[cfg(feature = "debug-invariants")]
-impl<P: Partitioner> TransformedIndex<P> {
-    /// Deep structural validation (DESIGN.md §12): re-derives the §3
-    /// invariants from the built structure rather than trusting the
-    /// build path's bookkeeping. Requires the weight-halving balance
-    /// guarantee; use [`validate_with`](Self::validate_with) for
-    /// partitioners without one.
-    pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
-        self.validate_with(true)
-    }
-
-    /// Like [`validate`](Self::validate) with the weight-balance check
-    /// made optional (the midpoint quadtree halves area, not weight).
-    pub fn validate_with(
-        &self,
-        require_balance: bool,
-    ) -> Result<(), crate::invariants::InvariantViolation> {
-        use crate::invariants::InvariantViolation as V;
-        // The §3.2 arithmetic invariants: large-keyword cap L ≤ N_u^(1/k),
-        // materialized lists < τ, child weight ≤ half, combo parallelism.
-        self.check_invariants_with(require_balance)
-            .map_err(|d| V::new("framework::section3", d))?;
         let n = self.docs.len();
 
         // Tree shape: child ids in range, every non-root node the child
@@ -1045,6 +996,7 @@ fn decode_node(
 mod tests {
     use super::*;
     use crate::framework::KdPartitioner;
+    use crate::sink::LimitSink;
     use skq_geom::Point;
 
     /// A 1D framework index over object ids — the minimal harness for
@@ -1068,12 +1020,11 @@ mod tests {
     fn run(tree: &TransformedIndex<KdPartitioner>, kws: &[Keyword], limit: usize) -> Vec<u32> {
         let mut out = Vec::new();
         let mut stats = QueryStats::new();
-        tree.query(
+        let _ = tree.query_sink(
             kws,
             &|_| Region::Covered,
             &|_| true,
-            limit,
-            &mut out,
+            &mut LimitSink::new(&mut out, limit),
             &mut stats,
         );
         out.sort_unstable();
@@ -1110,11 +1061,10 @@ mod tests {
         let tree = build_1d(docs, 2, 4);
         let mut out = Vec::new();
         let mut stats = QueryStats::new();
-        tree.query(
+        let _ = tree.query_sink(
             &[0, 9],
             &|_| Region::Covered,
             &|_| true,
-            usize::MAX,
             &mut out,
             &mut stats,
         );
@@ -1168,43 +1118,13 @@ mod tests {
     }
 
     #[test]
-    fn limit_wrapper_records_emitted_and_truncated() {
-        let docs: Vec<Vec<Keyword>> = (0..32).map(|_| vec![0, 1]).collect();
-        let tree = build_1d(docs, 2, 4);
-        let mut out = Vec::new();
-        let mut stats = QueryStats::new();
-        tree.query(
-            &[0, 1],
-            &|_| Region::Covered,
-            &|_| true,
-            5,
-            &mut out,
-            &mut stats,
-        );
-        assert_eq!(stats.emitted, 5);
-        assert!(stats.truncated);
-        let mut stats = QueryStats::new();
-        let mut all = Vec::new();
-        tree.query(
-            &[0, 1],
-            &|_| Region::Covered,
-            &|_| true,
-            usize::MAX,
-            &mut all,
-            &mut stats,
-        );
-        assert_eq!(stats.emitted, 32);
-        assert!(!stats.truncated);
-    }
-
-    #[test]
     fn geometry_pruning_respects_classifier() {
         let docs: Vec<Vec<Keyword>> = (0..64).map(|_| vec![0, 1]).collect();
         let tree = build_1d(docs, 2, 4);
         // Accept only ids < 10, prune cells entirely right of 10.
         let mut out = Vec::new();
         let mut stats = QueryStats::new();
-        tree.query(
+        let _ = tree.query_sink(
             &[0, 1],
             &|cell| {
                 if cell.lo(0) > 10.0 {
@@ -1216,7 +1136,6 @@ mod tests {
                 }
             },
             &|o| o < 10,
-            usize::MAX,
             &mut out,
             &mut stats,
         );
@@ -1231,11 +1150,10 @@ mod tests {
         let tree = build_1d(docs, 2, 4);
         let mut out = Vec::new();
         let mut stats = QueryStats::new();
-        tree.query(
+        let _ = tree.query_sink(
             &[0, 777],
             &|_| Region::Covered,
             &|_| true,
-            usize::MAX,
             &mut out,
             &mut stats,
         );
@@ -1259,12 +1177,11 @@ mod tests {
         let words = tree.space_words(3);
         assert!(words > 512);
         assert!(words < 200 * 1024, "space {words}");
-        tree.check_invariants().unwrap();
+        tree.validate().unwrap();
     }
 
     /// Deliberate corruption must be rejected with the *name* of the
     /// broken invariant (acceptance criterion of DESIGN.md §12).
-    #[cfg(feature = "debug-invariants")]
     mod corruption {
         use super::*;
         use skq_geom::Rect;

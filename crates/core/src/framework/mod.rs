@@ -29,12 +29,10 @@ mod combo;
 mod index;
 mod kd;
 mod partitioner;
-mod quad;
 mod willard;
 
 pub use combo::{for_each_k_subset, ComboTable};
 pub use index::{FrameworkConfig, TransformedIndex};
 pub use kd::KdPartitioner;
 pub use partitioner::{Partitioner, SplitOutcome};
-pub use quad::QuadPartitioner;
 pub use willard::WillardPartitioner;

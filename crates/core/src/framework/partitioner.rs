@@ -61,8 +61,7 @@ pub trait Partitioner {
     fn weight(&self, obj: u32) -> u64;
 
     /// Whether `child`'s cell is contained in `parent`'s — the §3.1
-    /// nesting requirement, consulted by the `debug-invariants` deep
-    /// validator. `None` (the default) means the cell type cannot
+    /// nesting requirement, consulted by the deep validator. `None` (the default) means the cell type cannot
     /// answer cheaply and the nesting check is skipped for this
     /// partitioner.
     fn cell_nested(parent: &Self::Cell, child: &Self::Cell) -> Option<bool> {

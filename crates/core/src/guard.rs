@@ -165,6 +165,12 @@ impl<S: ResultSink> GuardedSink<S> {
         &self.inner
     }
 
+    /// The wrapped sink, mutably (for sinks whose configuration changes
+    /// between traversals sharing one guard).
+    pub fn inner_mut(&mut self) -> &mut S {
+        &mut self.inner
+    }
+
     /// Consumes the guard, returning the wrapped sink.
     pub fn into_inner(self) -> S {
         self.inner

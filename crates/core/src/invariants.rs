@@ -1,18 +1,18 @@
-//! Deep structural validation (the `debug-invariants` cargo feature;
-//! DESIGN.md §12).
+//! Deep structural validation (DESIGN.md §12).
 //!
-//! Every index exposes a `validate()` method under this feature that
-//! re-derives the paper's structural invariants from the *built*
-//! structure — not from the build path's own bookkeeping — so a bug
-//! that corrupts an index without tripping an assertion is still caught
-//! the moment a property test validates it. Violations carry a stable
-//! invariant *name* (`"framework::pivot_partition"`,
-//! `"dynamic::carry_bound"`, …) naming the broken lemma or contract,
-//! plus a human-readable detail string locating the damage.
+//! Every index exposes one checker, `validate()`, that re-derives the
+//! paper's structural invariants from the *built* structure — not from
+//! the build path's own bookkeeping — so a bug that corrupts an index
+//! without tripping an assertion is still caught the moment a test
+//! validates it. Violations carry a stable invariant *name*
+//! (`"framework::pivot_partition"`, `"dynamic::carry_bound"`, …)
+//! naming the broken lemma or contract, plus a human-readable detail
+//! string locating the damage.
 //!
 //! The checkers are `O(index size)` per call (some are
-//! `O(size · log size)` from re-sorting); they exist for test builds
-//! and are compiled out entirely without the feature.
+//! `O(size · log size)` from re-sorting) and compile in every build.
+//! The `debug-invariants` cargo feature only makes the load, insert
+//! and publish paths call them automatically.
 
 use std::fmt;
 

@@ -22,7 +22,8 @@ use skq_invidx::{Document, Keyword};
 use crate::error::{validate, SkqError};
 use crate::failpoints;
 use crate::framework::{FrameworkConfig, KdPartitioner, TransformedIndex};
-use crate::sink::{CountSink, LimitSink, ResultSink};
+use crate::query::KwQuery;
+use crate::sink::ResultSink;
 use crate::stats::QueryStats;
 
 /// The k-SI index over a family of sets given as documents.
@@ -31,11 +32,13 @@ use crate::stats::QueryStats;
 ///
 /// ```
 /// use skq_core::ksi::KsiIndex;
+/// use skq_core::query::KwQuery;
 ///
 /// // S0 = {0, 1}, S1 = {1, 2}: elements carry their set memberships.
 /// let index = KsiIndex::from_sets(&[vec![0, 1], vec![1, 2]], 3, 2);
-/// assert_eq!(index.intersect(&[0, 1]), vec![1]);
-/// assert!(!index.intersection_is_empty(&[0, 1]));
+/// assert_eq!(index.query(&(), &[0, 1])?, vec![1]);
+/// assert!(index.count_at_least(&(), &[0, 1], 1)?); // non-empty
+/// # Ok::<(), skq_core::SkqError>(())
 /// ```
 pub struct KsiIndex {
     tree: TransformedIndex<KdPartitioner>,
@@ -103,100 +106,44 @@ impl KsiIndex {
         self.tree.input_size()
     }
 
-    /// Reports `⋂ᵢ S_{wᵢ}` (a reporting query).
-    pub fn intersect(&self, keywords: &[Keyword]) -> Vec<u32> {
-        self.intersect_with_stats(keywords).0
+    /// Index space in 64-bit words.
+    pub fn space_words(&self) -> usize {
+        self.tree.space_words(3)
     }
 
-    /// Like [`intersect`](Self::intersect) with statistics.
-    pub fn intersect_with_stats(&self, keywords: &[Keyword]) -> (Vec<u32>, QueryStats) {
-        let mut out = Vec::new();
-        let mut stats = QueryStats::new();
-        let _ = self.intersect_sink(keywords, &mut out, &mut stats);
-        stats.emitted = out.len() as u64;
-        (out, stats)
+    /// Deep structural validation (DESIGN.md §12): delegates to the
+    /// underlying framework tree.
+    ///
+    /// # Errors
+    ///
+    /// The first violated invariant, by name.
+    pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
+        self.tree.validate()
+    }
+}
+
+/// A reporting query is `⋂ᵢ S_{wᵢ}`; an emptiness query (§1.2,
+/// footnote 4) is `!count_at_least(&(), keywords, 1)`, a reporting query
+/// cut off at the first result.
+impl KwQuery for KsiIndex {
+    /// Pure keyword search: no geometric predicate.
+    type Shape = ();
+
+    fn check(&self, _: &(), keywords: &[Keyword]) -> Result<(), SkqError> {
+        validate::distinct_keywords(keywords, self.k())
     }
 
-    /// Streaming intersection: each element of `⋂ᵢ S_{wᵢ}` is emitted
-    /// into `sink` as it is found (a full-space ORP-KW traversal).
-    pub fn intersect_sink<S: ResultSink>(
+    /// A full-space ORP-KW traversal: each element of `⋂ᵢ S_{wᵢ}` is
+    /// emitted as it is found.
+    fn query_sink<S: ResultSink>(
         &self,
+        _: &(),
         keywords: &[Keyword],
         sink: &mut S,
         stats: &mut QueryStats,
     ) -> ControlFlow<()> {
         self.tree
             .query_sink(keywords, &|_| Region::Covered, &|_| true, sink, stats)
-    }
-
-    /// Fallible intersection: validates the keyword set, then appends
-    /// `⋂ᵢ S_{wᵢ}` to `out`.
-    ///
-    /// # Errors
-    ///
-    /// `SkqError::InvalidQuery` if the keyword set is not exactly `k`
-    /// distinct keywords.
-    pub fn try_query_into(
-        &self,
-        keywords: &[Keyword],
-        out: &mut Vec<u32>,
-    ) -> Result<QueryStats, SkqError> {
-        validate::distinct_keywords(keywords, self.k())?;
-        let mut stats = QueryStats::new();
-        let before = out.len();
-        let _ = self.intersect_sink(keywords, out, &mut stats);
-        stats.emitted = (out.len() - before) as u64;
-        Ok(stats)
-    }
-
-    /// An emptiness query: whether `⋂ᵢ S_{wᵢ} = ∅`
-    /// (`O(N^{1−1/k})` — a reporting query cut off at the first result,
-    /// exactly the footnote-4 argument of §1.2). Allocation-free on the
-    /// result side.
-    pub fn intersection_is_empty(&self, keywords: &[Keyword]) -> bool {
-        !self.count_at_least(keywords, 1)
-    }
-
-    /// The size of the intersection `|⋂ᵢ S_{wᵢ}|`, without materializing
-    /// the result set.
-    pub fn count(&self, keywords: &[Keyword]) -> u64 {
-        let mut sink = CountSink::new();
-        let mut stats = QueryStats::new();
-        let _ = self.intersect_sink(keywords, &mut sink, &mut stats);
-        sink.count()
-    }
-
-    /// Whether the intersection has at least `t` elements, by early
-    /// termination (no result vector is built).
-    pub fn count_at_least(&self, keywords: &[Keyword], t: usize) -> bool {
-        if t == 0 {
-            return true;
-        }
-        let mut sink = LimitSink::new(CountSink::new(), t);
-        let mut stats = QueryStats::new();
-        let _ = self.intersect_sink(keywords, &mut sink, &mut stats);
-        sink.emitted() >= t as u64
-    }
-
-    /// Index space in 64-bit words.
-    pub fn space_words(&self) -> usize {
-        self.tree.space_words(3)
-    }
-
-    /// Structural invariants (see the framework docs).
-    pub fn check_invariants(&self) -> Result<(), String> {
-        self.tree.check_invariants()
-    }
-
-    /// Deep structural validation (`debug-invariants`; DESIGN.md §12):
-    /// delegates to the underlying framework tree.
-    ///
-    /// # Errors
-    ///
-    /// The first violated invariant, by name.
-    #[cfg(feature = "debug-invariants")]
-    pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
-        self.tree.validate()
     }
 }
 
@@ -220,16 +167,17 @@ mod tests {
     fn matches_inverted_index_k2() {
         let docs = random_docs(400, 12, 1);
         let ksi = KsiIndex::build(&docs, 2);
-        ksi.check_invariants().unwrap();
+        ksi.validate().unwrap();
         let inv = InvertedIndex::build(&docs);
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..100 {
             let w1 = rng.gen_range(0..12);
             let w2 = (w1 + 1 + rng.gen_range(0..11)) % 12;
-            let mut got = ksi.intersect(&[w1, w2]);
+            let mut got = ksi.query(&(), &[w1, w2]).unwrap();
             got.sort_unstable();
             assert_eq!(got, inv.intersect(&[w1, w2]), "[{w1},{w2}]");
-            assert_eq!(ksi.intersection_is_empty(&[w1, w2]), got.is_empty());
+            let nonempty = ksi.count_at_least(&(), &[w1, w2], 1).unwrap();
+            assert_eq!(nonempty, !got.is_empty());
         }
     }
 
@@ -247,7 +195,7 @@ mod tests {
                     ws.push(w);
                 }
             }
-            let mut got = ksi.intersect(&ws);
+            let mut got = ksi.query(&(), &ws).unwrap();
             got.sort_unstable();
             assert_eq!(got, inv.intersect(&ws));
         }
@@ -258,28 +206,20 @@ mod tests {
         // S0 = {0,1,2}, S1 = {1,2,3}, S2 = {2,3,4}.
         let sets = vec![vec![0, 1, 2], vec![1, 2, 3], vec![2, 3, 4]];
         let ksi = KsiIndex::from_sets(&sets, 5, 2);
-        let mut got = ksi.intersect(&[0, 1]);
+        let mut got = ksi.query(&(), &[0, 1]).unwrap();
         got.sort_unstable();
         assert_eq!(got, vec![1, 2]);
-        let mut got = ksi.intersect(&[1, 2]);
+        let mut got = ksi.query(&(), &[1, 2]).unwrap();
         got.sort_unstable();
         assert_eq!(got, vec![2, 3]);
-        assert!(!ksi.intersection_is_empty(&[0, 2]));
-        assert_eq!(ksi.intersect(&[0, 2]), vec![2]);
+        assert!(ksi.count_at_least(&(), &[0, 2], 1).unwrap());
+        assert_eq!(ksi.query(&(), &[0, 2]).unwrap(), vec![2]);
     }
 
     #[test]
-    fn try_surfaces_round_trip_and_validate() {
+    fn invalid_input_is_a_typed_error() {
         let docs = random_docs(200, 8, 41);
         let ksi = KsiIndex::try_build(&docs, 2).unwrap();
-        let legacy = KsiIndex::build(&docs, 2);
-        let mut out = Vec::new();
-        let stats = ksi.try_query_into(&[0, 1], &mut out).unwrap();
-        let mut expected = legacy.intersect(&[0, 1]);
-        out.sort_unstable();
-        expected.sort_unstable();
-        assert_eq!(out, expected);
-        assert_eq!(stats.emitted, out.len() as u64);
         assert!(matches!(
             KsiIndex::try_build(&[], 2),
             Err(SkqError::InvalidDataset(_))
@@ -288,9 +228,8 @@ mod tests {
             KsiIndex::try_build(&docs, 1),
             Err(SkqError::InvalidQuery(_))
         ));
-        let mut scratch = Vec::new();
         assert!(matches!(
-            ksi.try_query_into(&[0, 0], &mut scratch),
+            ksi.query(&(), &[0, 0]),
             Err(SkqError::InvalidQuery(_))
         ));
     }
@@ -301,9 +240,9 @@ mod tests {
         let ksi = KsiIndex::build(&docs, 2);
         let inv = InvertedIndex::build(&docs);
         let truth = inv.intersect(&[0, 1]).len();
-        assert!(ksi.count_at_least(&[0, 1], truth));
-        assert!(!ksi.count_at_least(&[0, 1], truth + 1));
-        assert!(ksi.count_at_least(&[0, 1], 0));
-        assert_eq!(ksi.count(&[0, 1]), truth as u64);
+        assert!(ksi.count_at_least(&(), &[0, 1], truth).unwrap());
+        assert!(!ksi.count_at_least(&(), &[0, 1], truth + 1).unwrap());
+        assert!(ksi.count_at_least(&(), &[0, 1], 0).is_err());
+        assert_eq!(ksi.count(&(), &[0, 1]).unwrap(), truth as u64);
     }
 }

@@ -11,17 +11,19 @@
 //! several.
 //!
 //! LC-KW also gives an alternative linear-space ORP-KW index (a
-//! `d`-rectangle is `2d` linear constraints), realizing Table 1's
-//! "`d ≤ k`, `O(N)` space" row: see [`LcKwIndex::query_rect`].
+//! `d`-rectangle is `2d` linear constraints,
+//! [`ConvexPolytope::from_rect`]), realizing Table 1's "`d ≤ k`, `O(N)`
+//! space" row.
 
 use std::ops::ControlFlow;
 
-use skq_geom::{ConvexPolytope, Halfspace, Rect};
+use skq_geom::ConvexPolytope;
 use skq_invidx::Keyword;
 
 use crate::dataset::Dataset;
 use crate::error::SkqError;
 use crate::failpoints;
+use crate::query::KwQuery;
 use crate::sink::ResultSink;
 use crate::sp::{SpKwIndex, SpStrategy};
 use crate::stats::QueryStats;
@@ -80,108 +82,39 @@ impl LcKwIndex {
         self.sp.k()
     }
 
-    /// Reports objects satisfying all `constraints` and containing all
-    /// `keywords`.
-    pub fn query(&self, constraints: &[Halfspace], keywords: &[Keyword]) -> Vec<u32> {
-        self.sp
-            .query_polytope(&ConvexPolytope::new(constraints.to_vec()), keywords)
-    }
-
-    /// Like [`query`](Self::query) with statistics.
-    pub fn query_with_stats(
-        &self,
-        constraints: &[Halfspace],
-        keywords: &[Keyword],
-    ) -> (Vec<u32>, QueryStats) {
-        self.sp
-            .query_with_stats(&ConvexPolytope::new(constraints.to_vec()), keywords)
-    }
-
-    /// Fallible query: validates the constraints and keyword set, then
-    /// appends matching ids to `out`.
-    ///
-    /// # Errors
-    ///
-    /// `SkqError::InvalidQuery` on a dimension mismatch, NaN
-    /// coefficients, or a keyword set that is not exactly `k` distinct
-    /// keywords.
-    pub fn try_query_into(
-        &self,
-        constraints: &[Halfspace],
-        keywords: &[Keyword],
-        out: &mut Vec<u32>,
-    ) -> Result<QueryStats, SkqError> {
-        self.sp
-            .try_query_into(&ConvexPolytope::new(constraints.to_vec()), keywords, out)
-    }
-
-    /// ORP-KW through LC-KW: a `d`-rectangle is the conjunction of `2d`
-    /// linear constraints (Table 1, row "`d ≤ k`": linear space with an
-    /// extra `log N` additive term in the query bound).
-    pub fn query_rect(&self, q: &Rect, keywords: &[Keyword]) -> Vec<u32> {
-        self.sp
-            .query_polytope(&ConvexPolytope::from_rect(q), keywords)
-    }
-
-    /// Limited-output variant.
-    pub fn query_limited(
-        &self,
-        constraints: &[Halfspace],
-        keywords: &[Keyword],
-        limit: usize,
-        out: &mut Vec<u32>,
-        stats: &mut QueryStats,
-    ) {
-        self.sp.query_limited(
-            &ConvexPolytope::new(constraints.to_vec()),
-            keywords,
-            limit,
-            out,
-            stats,
-        );
-    }
-
-    /// Streaming variant: matching ids are emitted into `sink`.
-    pub fn query_sink<S: ResultSink>(
-        &self,
-        constraints: &[Halfspace],
-        keywords: &[Keyword],
-        sink: &mut S,
-        stats: &mut QueryStats,
-    ) -> ControlFlow<()> {
-        self.sp.query_sink(
-            &ConvexPolytope::new(constraints.to_vec()),
-            keywords,
-            sink,
-            stats,
-        )
-    }
-
-    /// Whether at least `t` objects match, by early termination.
-    pub fn count_at_least(
-        &self,
-        constraints: &[Halfspace],
-        keywords: &[Keyword],
-        t: usize,
-    ) -> bool {
-        self.sp
-            .count_at_least(&ConvexPolytope::new(constraints.to_vec()), keywords, t)
-    }
-
     /// Index space in 64-bit words.
     pub fn space_words(&self) -> usize {
         self.sp.space_words()
     }
 
-    /// Deep structural validation (`debug-invariants`; DESIGN.md §12):
-    /// delegates to the inner SP-KW index.
+    /// Deep structural validation (DESIGN.md §12): delegates to the
+    /// inner SP-KW index.
     ///
     /// # Errors
     ///
     /// The first violated invariant, by name.
-    #[cfg(feature = "debug-invariants")]
     pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
         self.sp.validate()
+    }
+}
+
+impl KwQuery for LcKwIndex {
+    /// The constraint conjunction `Σᵢ cᵢ·x[i] ≤ c_{d+1}`; a rectangle
+    /// is `2d` of them ([`ConvexPolytope::from_rect`]).
+    type Shape = ConvexPolytope;
+
+    fn check(&self, constraints: &ConvexPolytope, keywords: &[Keyword]) -> Result<(), SkqError> {
+        self.sp.check(constraints, keywords)
+    }
+
+    fn query_sink<S: ResultSink>(
+        &self,
+        constraints: &ConvexPolytope,
+        keywords: &[Keyword],
+        sink: &mut S,
+        stats: &mut QueryStats,
+    ) -> ControlFlow<()> {
+        self.sp.query_sink(constraints, keywords, sink, stats)
     }
 }
 
@@ -189,7 +122,7 @@ impl LcKwIndex {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
-    use skq_geom::Point;
+    use skq_geom::{Halfspace, Point, Rect};
 
     /// The paper's introductory example: hotels with price, rating, and
     /// feature tags; condition C2 is `c₁·price + c₂·(10 − rating) ≤ c₃`.
@@ -207,7 +140,8 @@ mod tests {
         let index = LcKwIndex::build(&hotels, 3);
         // price + 50·(10 − rating) ≤ 200  ⇔  price − 50·rating ≤ −300.
         let c2 = Halfspace::new(&[1.0, -50.0], -300.0);
-        let mut got = index.query(&[c2], &[POOL, PARKING, PETS]);
+        let c2 = ConvexPolytope::new(vec![c2]);
+        let mut got = index.query(&c2, &[POOL, PARKING, PETS]).unwrap();
         got.sort_unstable();
         // Hotel 0: 100 − 450 = −350 ✓; hotel 1: 250 − 475 = −225 ✗;
         // hotel 2: 120 − 300 = −180 ✗; hotel 3: keywords missing.
@@ -239,8 +173,8 @@ mod tests {
             let q = Rect::new(&[x0.min(x1), y0.min(y1)], &[x0.max(x1), y0.max(y1)]);
             let w1 = rng.gen_range(0..8);
             let w2 = (w1 + 1 + rng.gen_range(0..7)) % 8;
-            let mut a = lc.query_rect(&q, &[w1, w2]);
-            let mut b = orp.query(&q, &[w1, w2]);
+            let mut a = lc.query(&ConvexPolytope::from_rect(&q), &[w1, w2]).unwrap();
+            let mut b = orp.query(&q, &[w1, w2]).unwrap();
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b);
@@ -248,7 +182,7 @@ mod tests {
     }
 
     #[test]
-    fn try_surfaces_round_trip() {
+    fn invalid_input_is_a_typed_error() {
         let mut rng = StdRng::seed_from_u64(77);
         let dataset = Dataset::from_parts(
             (0..150)
@@ -262,22 +196,13 @@ mod tests {
                 .collect(),
         );
         let index = LcKwIndex::try_build(&dataset, 2).unwrap();
-        let legacy = LcKwIndex::build(&dataset, 2);
-        let cs = [Halfspace::new(&[1.0, 1.0], 5.0)];
-        let mut out = Vec::new();
-        index.try_query_into(&cs, &[0, 1], &mut out).unwrap();
-        let mut expected = legacy.query(&cs, &[0, 1]);
-        out.sort_unstable();
-        expected.sort_unstable();
-        assert_eq!(out, expected);
-        // Validation surfaces.
+        let cs = ConvexPolytope::new(vec![Halfspace::new(&[1.0, 1.0], 5.0)]);
         assert!(matches!(
             LcKwIndex::try_build(&dataset, 1),
             Err(SkqError::InvalidQuery(_))
         ));
-        let mut scratch = Vec::new();
         assert!(matches!(
-            index.try_query_into(&cs, &[0, 0], &mut scratch),
+            index.query(&cs, &[0, 0]),
             Err(SkqError::InvalidQuery(_))
         ));
         assert!(matches!(
@@ -305,7 +230,9 @@ mod tests {
             Halfspace::new(&[1.0, 1.0, 1.0, 1.0], 5.0),
             Halfspace::new(&[-1.0, 0.5, 0.0, 0.0], 3.0),
         ];
-        let mut got = index.query(&cs, &[0, 1]);
+        let mut got = index
+            .query(&ConvexPolytope::new(cs.to_vec()), &[0, 1])
+            .unwrap();
         got.sort_unstable();
         let expected: Vec<u32> = (0..dataset.len() as u32)
             .filter(|&i| {

@@ -30,6 +30,9 @@
 //!   (ORP-KW is a decomposable search problem).
 //! * [`planner`] — a cost-based choice among the three strategies.
 //! * [`suite`] — one index per `k ∈ 2..=k_max`, routed automatically.
+//! * [`query`] — the one query contract, [`KwQuery`]: a typed input
+//!   check plus a streaming traversal per index, with collect, count,
+//!   at-least and guarded queries written once over sinks.
 //! * [`sink`] — streaming result emission: every traversal reports
 //!   through a [`sink::ResultSink`], so collecting, counting,
 //!   limit-`t`, dedup, and tee behaviours compose without re-walking
@@ -45,15 +48,18 @@
 //!   persistence tier: the [`persist::Persist`] trait plus the
 //!   page-walk reader/writer with checksums and schema versioning.
 //! * [`error`] / [`guard`] / [`failpoints`] — the robustness layer
-//!   (DESIGN.md §11): typed errors for the fallible
-//!   `try_build`/`try_query_into` surfaces, deadline/cancellation/
-//!   budget guards for queries, and chaos-test fail-point injection.
+//!   (DESIGN.md §11): typed errors for `try_build` and every query,
+//!   deadline/cancellation/budget guards for queries, and chaos-test
+//!   fail-point injection.
+//! * [`invariants`] — the violation type of the single structural
+//!   checker, each index's `validate()` (DESIGN.md §12).
 //!
 //! # Example
 //!
 //! ```
 //! use skq_core::dataset::Dataset;
 //! use skq_core::orp::OrpKwIndex;
+//! use skq_core::query::KwQuery;
 //! use skq_geom::{Point, Rect};
 //!
 //! // Hotels: (price, rating) plus feature tags as integer keywords.
@@ -65,11 +71,12 @@
 //!     (Point::new2(150.0, 8.8), vec![PARKING, POOL]),
 //! ]);
 //!
-//! let index = OrpKwIndex::build(&dataset, 2);
+//! let index = OrpKwIndex::try_build(&dataset, 2)?;
 //! let q = Rect::new(&[100.0, 8.0], &[200.0, 10.0]);
-//! let mut hits = index.query(&q, &[POOL, PARKING]);
+//! let mut hits = index.query(&q, &[POOL, PARKING])?;
 //! hits.sort_unstable();
 //! assert_eq!(hits, vec![0, 2]);
+//! # Ok::<(), skq_core::SkqError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -92,7 +99,6 @@ pub mod failpoints;
 pub mod fastmap;
 pub mod framework;
 pub mod guard;
-#[cfg(feature = "debug-invariants")]
 pub mod invariants;
 pub mod ksi;
 pub mod lc;
@@ -103,6 +109,7 @@ pub mod orp;
 pub mod persist;
 #[warn(clippy::disallowed_methods, clippy::disallowed_macros)]
 pub mod planner;
+pub mod query;
 pub mod rr;
 pub mod sink;
 pub mod sp;
@@ -115,4 +122,5 @@ pub mod telemetry;
 pub use dataset::Dataset;
 pub use error::SkqError;
 pub use guard::{CancelToken, GuardedSink, QueryGuard};
-pub use stats::{QueryStats, TruncatedReason};
+pub use query::KwQuery;
+pub use stats::{QueryStats, Route, TruncatedReason};

@@ -19,7 +19,6 @@ use skq_geom::{Ball, ConvexPolytope, KdTree, Point, Rect};
 use skq_invidx::{InvertedIndex, Keyword};
 
 use crate::dataset::Dataset;
-use crate::error::{validate, SkqError};
 use crate::sink::ResultSink;
 
 /// The one brute-force ORP-KW oracle: scans the whole dataset and
@@ -261,24 +260,6 @@ impl FullScan {
     /// ORP-KW by scan (delegates to the shared [`brute_rect`] oracle).
     pub fn query_rect(&self, q: &Rect, keywords: &[Keyword]) -> Vec<u32> {
         brute_rect(&self.dataset, q, keywords)
-    }
-
-    /// Fallible oracle query: validates the rectangle, then scans.
-    /// Gives harnesses comparing `try_` surfaces an oracle with the
-    /// same error contract as the indexes under test.
-    ///
-    /// # Errors
-    ///
-    /// `SkqError::InvalidQuery` on a dimension mismatch or NaN bounds.
-    pub fn try_query_rect_into(
-        &self,
-        q: &Rect,
-        keywords: &[Keyword],
-        out: &mut Vec<u32>,
-    ) -> Result<(), SkqError> {
-        validate::rect_query(q, self.dataset.dim())?;
-        out.extend(brute_rect(&self.dataset, q, keywords));
-        Ok(())
     }
 
     /// LC-KW / SP-KW by scan.

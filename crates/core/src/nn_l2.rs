@@ -32,8 +32,10 @@ use crate::stats::QueryStats;
 ///     (Point::new2(3.0, 4.0), vec![0, 1]),
 ///     (Point::new2(6.0, 8.0), vec![0, 1]),
 /// ]);
-/// let index = L2NnIndex::build(&data, 2);
-/// assert_eq!(index.query(&Point::new2(0.0, 0.0), 1, &[0, 1]), vec![0]);
+/// let index = L2NnIndex::try_build(&data, 2)?;
+/// let (nearest, _stats) = index.query(&Point::new2(0.0, 0.0), 1, &[0, 1])?;
+/// assert_eq!(nearest, vec![0]);
+/// # Ok::<(), skq_core::SkqError>(())
 /// ```
 pub struct L2NnIndex {
     srp: SrpKwIndex,
@@ -103,36 +105,33 @@ impl L2NnIndex {
         self.srp.k()
     }
 
-    /// Returns up to `t` matching objects nearest to `q` in `L2`
-    /// distance, sorted by `(distance, id)`. Fewer than `t` are
-    /// returned only when fewer objects match the keywords at all.
+    /// Returns up to `t ≥ 1` matching objects nearest to `q` in `L2`
+    /// distance, sorted by `(distance, id)`, with aggregate statistics
+    /// over the internal threshold probes. Fewer than `t` are returned
+    /// only when fewer objects match the keywords at all.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `q` has non-integer or oversized coordinates.
-    pub fn query(&self, q: &Point, t: usize, keywords: &[Keyword]) -> Vec<u32> {
-        self.query_with_stats(q, t, keywords).0
-    }
-
-    /// Like [`query`](Self::query) with aggregate statistics over the
-    /// internal threshold probes.
-    pub fn query_with_stats(
+    /// `SkqError::InvalidQuery` on a dimension mismatch, non-integer or
+    /// oversized query coordinates, `t = 0`, or a keyword set that is
+    /// not exactly `k` distinct keywords.
+    pub fn query(
         &self,
         q: &Point,
         t: usize,
         keywords: &[Keyword],
-    ) -> (Vec<u32>, QueryStats) {
-        assert_eq!(q.dim(), self.dim, "query dimension mismatch");
+    ) -> Result<(Vec<u32>, QueryStats), SkqError> {
+        validate::point_query(q, self.dim)?;
         for &c in q.coords() {
-            assert!(
-                c.fract() == 0.0 && c.abs() <= (1 << 25) as f64,
-                "query coordinates must be integers with |c| <= 2^25"
-            );
+            if c.fract() != 0.0 || c.abs() > (1 << 25) as f64 {
+                return Err(SkqError::InvalidQuery(format!(
+                    "query coordinates must be integers with |c| <= 2^25, got {c}"
+                )));
+            }
         }
+        validate::result_count(t)?;
+        validate::distinct_keywords(keywords, self.k())?;
         let mut stats = QueryStats::new();
-        if t == 0 {
-            return (Vec::new(), stats);
-        }
 
         // Max possible squared distance to any stored point: exact
         // integer arithmetic in u64.
@@ -155,7 +154,7 @@ impl L2NnIndex {
                 .query_sq_sink(q, max_sq as f64, keywords, &mut all, &mut stats);
             let ranked = self.rank_by_distance(q, all, usize::MAX);
             stats.emitted = ranked.len() as u64;
-            return (ranked, stats);
+            return Ok((ranked, stats));
         }
 
         // Binary search the integer squared radius.
@@ -176,37 +175,7 @@ impl L2NnIndex {
             .query_sq_sink(q, lo as f64, keywords, &mut hits, &mut stats);
         let out = self.rank_by_distance(q, hits, t);
         stats.emitted = out.len() as u64;
-        (out, stats)
-    }
-
-    /// Fallible query: validates the query point and keyword set, then
-    /// appends the `t` nearest matching ids to `out` in `(distance,
-    /// id)` order.
-    ///
-    /// # Errors
-    ///
-    /// `SkqError::InvalidQuery` on a dimension mismatch, non-integer or
-    /// oversized query coordinates, or a keyword set that is not
-    /// exactly `k` distinct keywords.
-    pub fn try_query_into(
-        &self,
-        q: &Point,
-        t: usize,
-        keywords: &[Keyword],
-        out: &mut Vec<u32>,
-    ) -> Result<QueryStats, SkqError> {
-        validate::point_query(q, self.dim)?;
-        for &c in q.coords() {
-            if c.fract() != 0.0 || c.abs() > (1 << 25) as f64 {
-                return Err(SkqError::InvalidQuery(format!(
-                    "query coordinates must be integers with |c| <= 2^25, got {c}"
-                )));
-            }
-        }
-        validate::distinct_keywords(keywords, self.k())?;
-        let (ids, stats) = self.query_with_stats(q, t, keywords);
-        out.extend(ids);
-        Ok(stats)
+        Ok((out, stats))
     }
 
     /// "Are there at least `t` matches within squared radius `r²`?" —
@@ -244,15 +213,14 @@ impl L2NnIndex {
         self.srp.space_words() + self.dim * self.points.len()
     }
 
-    /// Deep structural validation (`debug-invariants`; DESIGN.md §12):
-    /// the per-dimension extremes (the initial radius bound) must be the
+    /// Deep structural validation (DESIGN.md §12): the per-dimension
+    /// extremes (the initial radius bound) must be the
     /// exact min/max of the stored coordinates, and the inner SRP-KW
     /// index must itself validate.
     ///
     /// # Errors
     ///
     /// The first violated invariant, by name.
-    #[cfg(feature = "debug-invariants")]
     pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
         use crate::invariants::InvariantViolation as V;
         if self.extremes.len() != self.dim {
@@ -336,7 +304,7 @@ mod tests {
             let w1 = rng.gen_range(0..8);
             let w2 = (w1 + 1 + rng.gen_range(0..7)) % 8;
             assert_eq!(
-                index.query(&q, t, &[w1, w2]),
+                index.query(&q, t, &[w1, w2]).unwrap().0,
                 brute(&dataset, &q, t, &[w1, w2]),
                 "q={q:?} t={t}"
             );
@@ -358,7 +326,7 @@ mod tests {
             let w1 = rng.gen_range(0..6);
             let w2 = (w1 + 1 + rng.gen_range(0..5)) % 6;
             assert_eq!(
-                index.query(&q, t, &[w1, w2]),
+                index.query(&q, t, &[w1, w2]).unwrap().0,
                 brute(&dataset, &q, t, &[w1, w2])
             );
         }
@@ -373,9 +341,9 @@ mod tests {
         ]);
         let index = L2NnIndex::build(&dataset, 2);
         let q = Point::new2(0.0, 0.0);
-        assert_eq!(index.query(&q, 1, &[0, 1]), vec![0]);
-        assert_eq!(index.query(&q, 2, &[0, 1]), vec![0, 1]);
-        assert_eq!(index.query(&q, 3, &[0, 1]), vec![0, 1, 2]);
+        assert_eq!(index.query(&q, 1, &[0, 1]).unwrap().0, vec![0]);
+        assert_eq!(index.query(&q, 2, &[0, 1]).unwrap().0, vec![0, 1]);
+        assert_eq!(index.query(&q, 3, &[0, 1]).unwrap().0, vec![0, 1, 2]);
     }
 
     #[test]
@@ -383,7 +351,7 @@ mod tests {
         let dataset = integer_dataset(60, 2, 4, 21);
         let index = L2NnIndex::build(&dataset, 2);
         let q = Point::new2(0.0, 0.0);
-        let got = index.query(&q, 1000, &[0, 1]);
+        let (got, _) = index.query(&q, 1000, &[0, 1]).unwrap();
         let expected = brute(&dataset, &q, usize::MAX, &[0, 1]);
         assert_eq!(got, expected);
     }
@@ -396,28 +364,26 @@ mod tests {
     }
 
     #[test]
-    fn try_surfaces_round_trip_and_validate() {
+    fn invalid_input_is_a_typed_error() {
         let dataset = integer_dataset(120, 2, 6, 31);
         let index = L2NnIndex::try_build(&dataset, 2).unwrap();
-        let legacy = L2NnIndex::build(&dataset, 2);
         let q = Point::new2(5.0, -7.0);
-        let mut out = Vec::new();
-        index.try_query_into(&q, 4, &[0, 1], &mut out).unwrap();
-        assert_eq!(out, legacy.query(&q, 4, &[0, 1]));
         // Validation surfaces.
         let bad = Dataset::from_parts(vec![(Point::new2(0.5, 0.0), vec![0, 1])]);
         assert!(matches!(
             L2NnIndex::try_build(&bad, 2),
             Err(SkqError::InvalidDataset(_))
         ));
-        let mut scratch = Vec::new();
-        assert!(matches!(
-            index.try_query_into(&Point::new2(0.5, 0.0), 1, &[0, 1], &mut scratch),
-            Err(SkqError::InvalidQuery(_))
-        ));
-        assert!(matches!(
-            index.try_query_into(&q, 1, &[0, 1, 2], &mut scratch),
-            Err(SkqError::InvalidQuery(_))
-        ));
+        for (p, t, kws) in [
+            (Point::new2(0.5, 0.0), 1, vec![0, 1]),
+            (Point::new2(f64::NAN, 0.0), 1, vec![0, 1]),
+            (q, 1, vec![0, 1, 2]),
+            (q, 0, vec![0, 1]),
+        ] {
+            assert!(matches!(
+                index.query(&p, t, &kws),
+                Err(SkqError::InvalidQuery(_))
+            ));
+        }
     }
 }

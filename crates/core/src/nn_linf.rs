@@ -20,6 +20,7 @@ use crate::failpoints;
 use crate::lc::LcKwIndex;
 use crate::orp::OrpKwIndex;
 use crate::persist::{self, Persist, SCHEMA_VERSION};
+use crate::query::KwQuery;
 use crate::sink::{CountSink, LimitSink, ResultSink};
 use crate::stats::QueryStats;
 use crate::telemetry;
@@ -57,7 +58,7 @@ impl RectEngine {
             RectEngine::Orp(i) => i.query_sink(q, keywords, sink, stats),
             RectEngine::Lc(i) => {
                 let poly = skq_geom::ConvexPolytope::from_rect(q);
-                i.query_sink(poly.halfspaces(), keywords, sink, stats)
+                i.query_sink(&poly, keywords, sink, stats)
             }
         }
     }
@@ -84,9 +85,11 @@ impl RectEngine {
 ///     (Point::new2(5.0, 0.0), vec![0, 1]),
 ///     (Point::new2(2.0, 0.0), vec![0]), // missing keyword 1
 /// ]);
-/// let index = LinfNnIndex::build(&data, 2);
+/// let index = LinfNnIndex::try_build(&data, 2)?;
 /// // Nearest matching object to the origin.
-/// assert_eq!(index.query(&Point::new2(0.0, 0.0), 1, &[0, 1]), vec![0]);
+/// let (nearest, _stats) = index.query(&Point::new2(0.0, 0.0), 1, &[0, 1])?;
+/// assert_eq!(nearest, vec![0]);
+/// # Ok::<(), skq_core::SkqError>(())
 /// ```
 pub struct LinfNnIndex {
     engine: RectEngine,
@@ -180,26 +183,27 @@ impl LinfNnIndex {
         }
     }
 
-    /// Returns up to `t` matching objects nearest to `q` under `L∞`
-    /// distance, sorted by `(distance, id)`. Fewer than `t` are
-    /// returned only when fewer objects match the keywords at all.
-    pub fn query(&self, q: &Point, t: usize, keywords: &[Keyword]) -> Vec<u32> {
-        self.query_with_stats(q, t, keywords).0
-    }
-
-    /// Like [`query`](Self::query) with aggregate statistics over all
-    /// the internal threshold queries.
-    pub fn query_with_stats(
+    /// Returns up to `t ≥ 1` matching objects nearest to `q` under
+    /// `L∞` distance, sorted by `(distance, id)`, with aggregate
+    /// statistics over all the internal threshold queries. Fewer than
+    /// `t` are returned only when fewer objects match the keywords at
+    /// all.
+    ///
+    /// # Errors
+    ///
+    /// `SkqError::InvalidQuery` on a dimension mismatch, a non-finite
+    /// query point, `t = 0`, or a keyword set that is not exactly `k`
+    /// distinct keywords.
+    pub fn query(
         &self,
         q: &Point,
         t: usize,
         keywords: &[Keyword],
-    ) -> (Vec<u32>, QueryStats) {
-        assert_eq!(q.dim(), self.dim, "query dimension mismatch");
+    ) -> Result<(Vec<u32>, QueryStats), SkqError> {
+        validate::point_query(q, self.dim)?;
+        validate::result_count(t)?;
+        validate::distinct_keywords(keywords, self.k())?;
         let mut stats = QueryStats::new();
-        if t == 0 {
-            return (Vec::new(), stats);
-        }
 
         // Are there t matches at all? Probe with the maximal radius.
         let n = self.points.len();
@@ -214,7 +218,7 @@ impl LinfNnIndex {
                 .query_sink(&ball, keywords, &mut all, &mut stats);
             let ranked = self.rank_by_distance(q, all, usize::MAX);
             stats.emitted = ranked.len() as u64;
-            return (ranked, stats);
+            return Ok((ranked, stats));
         }
 
         // Binary search the candidate-radius rank for the minimal radius
@@ -252,30 +256,7 @@ impl LinfNnIndex {
             .query_sink(&ball, keywords, &mut hits, &mut stats);
         let out = self.rank_by_distance(q, hits, t);
         stats.emitted = out.len() as u64;
-        (out, stats)
-    }
-
-    /// Fallible query: validates the query point and keyword set, then
-    /// appends the `t` nearest matching ids to `out` in `(distance,
-    /// id)` order.
-    ///
-    /// # Errors
-    ///
-    /// `SkqError::InvalidQuery` on a dimension mismatch, a non-finite
-    /// query point, or a keyword set that is not exactly `k` distinct
-    /// keywords.
-    pub fn try_query_into(
-        &self,
-        q: &Point,
-        t: usize,
-        keywords: &[Keyword],
-        out: &mut Vec<u32>,
-    ) -> Result<QueryStats, SkqError> {
-        validate::point_query(q, self.dim)?;
-        validate::distinct_keywords(keywords, self.k())?;
-        let (ids, stats) = self.query_with_stats(q, t, keywords);
-        out.extend(ids);
-        Ok(stats)
+        Ok((out, stats))
     }
 
     /// "Are there at least `t` matches within radius `r`?" — the
@@ -350,8 +331,8 @@ impl LinfNnIndex {
         self.engine.space_words() + self.dim * self.points.len()
     }
 
-    /// Deep structural validation (`debug-invariants`; DESIGN.md §12):
-    /// the candidate-radius columns must be sorted permutations of the
+    /// Deep structural validation (DESIGN.md §12): the candidate-radius
+    /// columns must be sorted permutations of the
     /// stored coordinates (the binary-search step of Corollary 4 silently
     /// returns wrong neighbors otherwise), and the rectangle engine must
     /// itself validate.
@@ -359,7 +340,6 @@ impl LinfNnIndex {
     /// # Errors
     ///
     /// The first violated invariant, by name.
-    #[cfg(feature = "debug-invariants")]
     pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
         use crate::invariants::InvariantViolation as V;
         if self.sorted_coords.len() != self.dim {
@@ -538,7 +518,7 @@ mod tests {
             let t = rng.gen_range(1..8);
             let w1 = rng.gen_range(0..8);
             let w2 = (w1 + 1 + rng.gen_range(0..7)) % 8;
-            let got = index.query(&q, t, &[w1, w2]);
+            let (got, _) = index.query(&q, t, &[w1, w2]).unwrap();
             let expected = brute(&dataset, &q, t, &[w1, w2]);
             // Sets of distances must agree (ties at the boundary may pick
             // different ids only if distances tie — with the (dist, id)
@@ -565,7 +545,11 @@ mod tests {
             let t = rng.gen_range(1..5);
             let w1 = rng.gen_range(0..6);
             let w2 = (w1 + 1 + rng.gen_range(0..5)) % 6;
-            assert_eq!(a.query(&q, t, &[w1, w2]), b.query(&q, t, &[w1, w2]));
+            let kws = [w1, w2];
+            assert_eq!(
+                a.query(&q, t, &kws).unwrap().0,
+                b.query(&q, t, &kws).unwrap().0
+            );
         }
     }
 
@@ -584,7 +568,7 @@ mod tests {
             let w1 = rng.gen_range(0..6);
             let w2 = (w1 + 1 + rng.gen_range(0..5)) % 6;
             assert_eq!(
-                index.query(&q, t, &[w1, w2]),
+                index.query(&q, t, &[w1, w2]).unwrap().0,
                 brute(&dataset, &q, t, &[w1, w2])
             );
         }
@@ -598,39 +582,26 @@ mod tests {
             (Point::new2(5.0, 0.0), vec![0]),
         ]);
         let index = LinfNnIndex::build(&dataset, 2);
-        let got = index.query(&Point::new2(0.0, 0.0), 10, &[0, 1]);
+        let (got, _) = index.query(&Point::new2(0.0, 0.0), 10, &[0, 1]).unwrap();
         assert_eq!(got, vec![0, 1]);
     }
 
     #[test]
-    fn t_zero_is_empty() {
-        let dataset = random_dataset(50, 2, 4, 21);
-        let index = LinfNnIndex::build(&dataset, 2);
-        assert!(index.query(&Point::new2(0.0, 0.0), 0, &[0, 1]).is_empty());
-    }
-
-    #[test]
-    fn try_surfaces_round_trip_and_validate() {
+    fn invalid_input_is_a_typed_error() {
         let dataset = random_dataset(120, 2, 6, 61);
         let index = LinfNnIndex::try_build(&dataset, 2).unwrap();
-        let legacy = LinfNnIndex::build(&dataset, 2);
         let q = Point::new2(1.0, -3.0);
-        let mut out = Vec::new();
-        index.try_query_into(&q, 5, &[0, 1], &mut out).unwrap();
-        assert_eq!(out, legacy.query(&q, 5, &[0, 1]));
-        let mut scratch = Vec::new();
-        assert!(matches!(
-            index.try_query_into(&Point::new1(0.0), 1, &[0, 1], &mut scratch),
-            Err(SkqError::InvalidQuery(_))
-        ));
-        assert!(matches!(
-            index.try_query_into(&Point::new2(f64::NAN, 0.0), 1, &[0, 1], &mut scratch),
-            Err(SkqError::InvalidQuery(_))
-        ));
-        assert!(matches!(
-            index.try_query_into(&q, 1, &[0], &mut scratch),
-            Err(SkqError::InvalidQuery(_))
-        ));
+        for (p, t, kws) in [
+            (Point::new1(0.0), 1, vec![0, 1]),
+            (Point::new2(f64::NAN, 0.0), 1, vec![0, 1]),
+            (q, 1, vec![0]),
+            (q, 0, vec![0, 1]),
+        ] {
+            assert!(matches!(
+                index.query(&p, t, &kws),
+                Err(SkqError::InvalidQuery(_))
+            ));
+        }
         assert!(matches!(
             LinfNnIndex::try_build(&dataset, 17),
             Err(SkqError::InvalidQuery(_))
@@ -647,12 +618,12 @@ mod tests {
             (Point::new2(0.0, 7.0), vec![0, 1]),
         ]);
         let index = LinfNnIndex::build(&dataset, 2);
-        assert_eq!(index.query(&Point::new2(0.0, 0.0), 1, &[0, 1]), vec![0]);
-        assert_eq!(index.query(&Point::new2(0.0, 0.0), 2, &[0, 1]), vec![0, 1]);
+        let origin = Point::new2(0.0, 0.0);
+        assert_eq!(index.query(&origin, 1, &[0, 1]).unwrap().0, vec![0]);
+        assert_eq!(index.query(&origin, 2, &[0, 1]).unwrap().0, vec![0, 1]);
     }
 
     #[test]
-    #[cfg(feature = "debug-invariants")]
     fn scrambled_radius_column_names_sorted_coords() {
         let dataset = random_dataset(80, 2, 4, 71);
         let mut index = LinfNnIndex::build(&dataset, 2);

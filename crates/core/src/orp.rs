@@ -19,7 +19,8 @@ use crate::error::{validate, SkqError};
 use crate::failpoints;
 use crate::framework::{FrameworkConfig, KdPartitioner, TransformedIndex};
 use crate::persist::{self, Persist, SCHEMA_VERSION};
-use crate::sink::{CountSink, LimitSink, ResultSink};
+use crate::query::KwQuery;
+use crate::sink::ResultSink;
 use crate::stats::QueryStats;
 use crate::telemetry;
 
@@ -130,68 +131,42 @@ impl OrpKwIndex {
         self.dim
     }
 
-    /// Reports all objects in `q` whose documents contain all
-    /// `keywords` (exactly `k` distinct keywords).
-    pub fn query(&self, q: &Rect, keywords: &[Keyword]) -> Vec<u32> {
-        let mut out = Vec::new();
-        let mut stats = QueryStats::new();
-        self.query_limited(q, keywords, usize::MAX, &mut out, &mut stats);
-        out
+    /// Index space in 64-bit words.
+    pub fn space_words(&self) -> usize {
+        match &self.inner {
+            Inner::Kd { rank, tree } => {
+                // Rank arrays: d sorted columns of (coord, id).
+                let rank_words = rank.len() * rank.dim() * 2;
+                rank_words + tree.space_words(2 * self.dim + 1)
+            }
+            Inner::DimRed(tree) => tree.space_words(),
+        }
     }
 
-    /// Like [`query`](Self::query) but also returns execution
-    /// statistics.
-    pub fn query_with_stats(&self, q: &Rect, keywords: &[Keyword]) -> (Vec<u32>, QueryStats) {
-        let mut out = Vec::new();
-        let mut stats = QueryStats::new();
-        self.query_limited(q, keywords, usize::MAX, &mut out, &mut stats);
-        (out, stats)
-    }
-
-    /// Reports at most `limit` results (used by the threshold queries of
-    /// Corollary 4: a query that is cut short certifies
-    /// `|q ∩ D(w₁…w_k)| ≥ limit` within the `O(N^{1−1/k}·limit^{1/k})`
-    /// budget).
-    pub fn query_limited(
-        &self,
-        q: &Rect,
-        keywords: &[Keyword],
-        limit: usize,
-        out: &mut Vec<u32>,
-        stats: &mut QueryStats,
-    ) {
-        let mut sink = LimitSink::new(&mut *out, limit);
-        let _ = self.query_sink(q, keywords, &mut sink, stats);
-        stats.emitted += sink.emitted();
-        stats.truncated |= sink.truncated();
-    }
-
-    /// Fallible query: validates the rectangle and keywords, then
-    /// appends every match to `out` and returns the execution
-    /// statistics. Equivalent to [`query`](Self::query) on valid
-    /// input.
+    /// Deep structural validation (DESIGN.md §12): delegates to the kd
+    /// framework or the dimension-reduction tree, each of which
+    /// re-derives its invariants from the built structure.
     ///
     /// # Errors
     ///
-    /// `SkqError::InvalidQuery` instead of panicking on a dimension
-    /// mismatch, NaN bounds, or a wrong number of distinct keywords.
-    pub fn try_query_into(
-        &self,
-        q: &Rect,
-        keywords: &[Keyword],
-        out: &mut Vec<u32>,
-    ) -> Result<QueryStats, SkqError> {
+    /// The first violated invariant, by name.
+    pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
+        match &self.inner {
+            Inner::Kd { tree, .. } => tree.validate(),
+            Inner::DimRed(tree) => tree.validate(),
+        }
+    }
+}
+
+impl KwQuery for OrpKwIndex {
+    type Shape = Rect;
+
+    fn check(&self, q: &Rect, keywords: &[Keyword]) -> Result<(), SkqError> {
         validate::rect_query(q, self.dim)?;
-        validate::distinct_keywords(keywords, self.k)?;
-        let mut stats = QueryStats::new();
-        self.query_limited(q, keywords, usize::MAX, out, &mut stats);
-        Ok(stats)
+        validate::distinct_keywords(keywords, self.k)
     }
 
-    /// Streaming query: every matching object id is emitted into `sink`,
-    /// which decides whether to store, count, or stop. The other query
-    /// methods are thin wrappers over this.
-    pub fn query_sink<S: ResultSink>(
+    fn query_sink<S: ResultSink>(
         &self,
         q: &Rect,
         keywords: &[Keyword],
@@ -213,61 +188,6 @@ impl OrpKwIndex {
                 )
             }
             Inner::DimRed(tree) => tree.query_sink(q, keywords, sink, stats),
-        }
-    }
-
-    /// The number of matching objects, with no result materialization
-    /// (a [`CountSink`] run).
-    pub fn count(&self, q: &Rect, keywords: &[Keyword]) -> u64 {
-        let mut sink = CountSink::new();
-        let mut stats = QueryStats::new();
-        let _ = self.query_sink(q, keywords, &mut sink, &mut stats);
-        sink.count()
-    }
-
-    /// Whether at least `t` objects match (`O(N^{1−1/k} · t^{1/k})` by
-    /// early termination — see the proof of Corollary 4). Allocation-free
-    /// on the result side: a [`LimitSink`] over a [`CountSink`].
-    pub fn count_at_least(&self, q: &Rect, keywords: &[Keyword], t: usize) -> bool {
-        if t == 0 {
-            return true;
-        }
-        let mut sink = LimitSink::new(CountSink::new(), t);
-        let mut stats = QueryStats::new();
-        let _ = self.query_sink(q, keywords, &mut sink, &mut stats);
-        sink.emitted() >= t as u64
-    }
-
-    /// Index space in 64-bit words.
-    pub fn space_words(&self) -> usize {
-        match &self.inner {
-            Inner::Kd { rank, tree } => {
-                // Rank arrays: d sorted columns of (coord, id).
-                let rank_words = rank.len() * rank.dim() * 2;
-                rank_words + tree.space_words(2 * self.dim + 1)
-            }
-            Inner::DimRed(tree) => tree.space_words(),
-        }
-    }
-
-    /// Structural invariants (delegates to the framework; trivially Ok
-    /// for the dimension-reduction tree, whose invariants are asserted
-    /// by its own tests).
-    pub fn check_invariants(&self) -> Result<(), String> {
-        match &self.inner {
-            Inner::Kd { tree, .. } => tree.check_invariants(),
-            Inner::DimRed(_) => Ok(()),
-        }
-    }
-
-    /// Deep structural validation (`debug-invariants`; DESIGN.md §12):
-    /// delegates to the kd framework or the dimension-reduction tree,
-    /// each of which re-derives its invariants from the built structure.
-    #[cfg(feature = "debug-invariants")]
-    pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
-        match &self.inner {
-            Inner::Kd { tree, .. } => tree.validate(),
-            Inner::DimRed(tree) => tree.validate(),
         }
     }
 }
@@ -398,13 +318,13 @@ mod tests {
     fn matches_bruteforce_2d_k2() {
         let dataset = random_dataset(400, 2, 12, 11);
         let index = OrpKwIndex::build(&dataset, 2);
-        index.check_invariants().unwrap();
+        index.validate().unwrap();
         let mut rng = StdRng::seed_from_u64(12);
         for _ in 0..100 {
             let q = random_rect(&mut rng, 2);
             let w1 = rng.gen_range(0..12);
             let w2 = (w1 + 1 + rng.gen_range(0..11)) % 12;
-            let mut got = index.query(&q, &[w1, w2]);
+            let mut got = index.query(&q, &[w1, w2]).unwrap();
             got.sort_unstable();
             assert_eq!(
                 got,
@@ -418,7 +338,7 @@ mod tests {
     fn matches_bruteforce_1d_k3() {
         let dataset = random_dataset(300, 1, 8, 21);
         let index = OrpKwIndex::build(&dataset, 3);
-        index.check_invariants().unwrap();
+        index.validate().unwrap();
         let mut rng = StdRng::seed_from_u64(22);
         for _ in 0..100 {
             let q = random_rect(&mut rng, 1);
@@ -429,7 +349,7 @@ mod tests {
                     ws.push(w);
                 }
             }
-            let mut got = index.query(&q, &ws);
+            let mut got = index.query(&q, &ws).unwrap();
             got.sort_unstable();
             assert_eq!(got, brute(&dataset, &q, &ws));
         }
@@ -444,7 +364,7 @@ mod tests {
             let q = random_rect(&mut rng, 3);
             let w1 = rng.gen_range(0..10);
             let w2 = (w1 + 1 + rng.gen_range(0..9)) % 10;
-            let mut got = index.query(&q, &[w1, w2]);
+            let mut got = index.query(&q, &[w1, w2]).unwrap();
             got.sort_unstable();
             assert_eq!(got, brute(&dataset, &q, &[w1, w2]));
         }
@@ -459,7 +379,7 @@ mod tests {
             let q = random_rect(&mut rng, 4);
             let w1 = rng.gen_range(0..8);
             let w2 = (w1 + 1 + rng.gen_range(0..7)) % 8;
-            let mut got = index.query(&q, &[w1, w2]);
+            let mut got = index.query(&q, &[w1, w2]).unwrap();
             got.sort_unstable();
             assert_eq!(got, brute(&dataset, &q, &[w1, w2]));
         }
@@ -470,7 +390,7 @@ mod tests {
         let dataset = random_dataset(250, 2, 6, 51);
         let index = OrpKwIndex::build(&dataset, 2);
         let q = Rect::full(2);
-        let mut got = index.query(&q, &[1, 4]);
+        let mut got = index.query(&q, &[1, 4]).unwrap();
         got.sort_unstable();
         assert_eq!(got, brute(&dataset, &q, &[1, 4]));
     }
@@ -484,13 +404,16 @@ mod tests {
         assert!(full.len() > 5, "need enough matches for the test");
         let mut out = Vec::new();
         let mut stats = QueryStats::new();
-        index.query_limited(&q, &[0, 1], 3, &mut out, &mut stats);
+        let capped = crate::guard::QueryGuard::new().with_max_results(3);
+        let _ = index
+            .run(&q, &[0, 1], &capped, &mut out, &mut stats)
+            .unwrap();
         assert_eq!(out.len(), 3);
         assert_eq!(stats.emitted, 3);
         assert!(stats.truncated);
-        assert!(index.count_at_least(&q, &[0, 1], full.len()));
-        assert!(!index.count_at_least(&q, &[0, 1], full.len() + 1));
-        assert_eq!(index.count(&q, &[0, 1]), full.len() as u64);
+        assert!(index.count_at_least(&q, &[0, 1], full.len()).unwrap());
+        assert!(!index.count_at_least(&q, &[0, 1], full.len() + 1).unwrap());
+        assert_eq!(index.count(&q, &[0, 1]).unwrap(), full.len() as u64);
     }
 
     #[test]
@@ -503,7 +426,7 @@ mod tests {
             let w1 = rng.gen_range(0..8);
             let w2 = (w1 + 1 + rng.gen_range(0..7)) % 8;
             assert_eq!(
-                index.count(&q, &[w1, w2]),
+                index.count(&q, &[w1, w2]).unwrap(),
                 brute(&dataset, &q, &[w1, w2]).len() as u64
             );
         }
@@ -513,47 +436,32 @@ mod tests {
     fn unknown_keyword_yields_empty() {
         let dataset = random_dataset(100, 2, 5, 71);
         let index = OrpKwIndex::build(&dataset, 2);
-        assert!(index.query(&Rect::full(2), &[0, 999]).is_empty());
+        assert!(index.query(&Rect::full(2), &[0, 999]).unwrap().is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "distinct keywords")]
-    fn duplicate_keywords_rejected() {
-        let dataset = random_dataset(50, 2, 5, 81);
-        let index = OrpKwIndex::build(&dataset, 2);
-        let _ = index.query(&Rect::full(2), &[3, 3]);
-    }
-
-    #[test]
-    fn try_build_and_query_match_legacy() {
-        let dataset = random_dataset(200, 2, 8, 101);
-        let index = OrpKwIndex::try_build(&dataset, 2).unwrap();
-        let q = Rect::full(2);
-        let mut got = Vec::new();
-        let stats = index.try_query_into(&q, &[0, 1], &mut got).unwrap();
-        got.sort_unstable();
-        assert_eq!(got, brute(&dataset, &q, &[0, 1]));
-        assert_eq!(stats.emitted as usize, got.len());
-    }
-
-    #[test]
-    fn try_surfaces_reject_invalid_input() {
+    fn invalid_input_is_a_typed_error() {
         let dataset = random_dataset(50, 2, 5, 102);
         assert!(matches!(
             OrpKwIndex::try_build(&dataset, 1),
             Err(SkqError::InvalidQuery(_))
         ));
         let index = OrpKwIndex::try_build(&dataset, 2).unwrap();
-        let mut out = Vec::new();
-        // Duplicate keywords, wrong dimensionality, NaN bound.
+        // Duplicate keywords, wrong dimensionality.
         assert!(matches!(
-            index.try_query_into(&Rect::full(2), &[3, 3], &mut out),
+            index.query(&Rect::full(2), &[3, 3]),
             Err(SkqError::InvalidQuery(ref m)) if m.contains("distinct keywords")
         ));
-        assert!(matches!(
-            index.try_query_into(&Rect::full(3), &[0, 1], &mut out),
-            Err(SkqError::InvalidQuery(_))
-        ));
+        let mut out = Vec::new();
+        let guard = crate::guard::QueryGuard::new();
+        let got = index.run(
+            &Rect::full(3),
+            &[0, 1],
+            &guard,
+            &mut out,
+            &mut QueryStats::new(),
+        );
+        assert!(matches!(got, Err(SkqError::InvalidQuery(_))));
         assert!(out.is_empty(), "failed validation must not emit");
     }
 

@@ -22,17 +22,19 @@
 //! returns identical results, so planning is purely a performance
 //! decision.
 
+use std::ops::ControlFlow;
+
 use skq_geom::{ConvexPolytope, Rect};
 use skq_invidx::{InvertedIndex, Keyword};
 
 use crate::dataset::Dataset;
 use crate::error::{validate, SkqError};
-use crate::guard::{GuardedSink, QueryGuard};
 use crate::lc::LcKwIndex;
 use crate::naive::{KeywordsFirst, StructuredFirst};
 use crate::orp::OrpKwIndex;
+use crate::query::KwQuery;
 use crate::sink::{CountSink, ResultSink, TeeSink};
-use crate::stats::QueryStats;
+use crate::stats::{QueryStats, Route};
 use crate::telemetry;
 
 /// Which plan the planner chose.
@@ -49,10 +51,16 @@ pub enum Plan {
 impl Plan {
     /// Stable label used for metric series and query-log records.
     pub fn label(self) -> &'static str {
-        match self {
-            Plan::KeywordsOnly => "keywords_only",
-            Plan::StructuredOnly => "structured_only",
-            Plan::Framework => "framework",
+        Route::from(self).label()
+    }
+}
+
+impl From<Plan> for Route {
+    fn from(plan: Plan) -> Route {
+        match plan {
+            Plan::KeywordsOnly => Route::KeywordsOnly,
+            Plan::StructuredOnly => Route::StructuredOnly,
+            Plan::Framework => Route::Framework,
         }
     }
 }
@@ -300,74 +308,126 @@ impl PlannedOrpKw {
         big_n.powf(1.0 - 1.0 / self.k as f64) * (1.0 + out.max(0.0).powf(1.0 / self.k as f64))
     }
 
-    /// Executes the query with the estimated-cheapest plan; returns the
-    /// matches (sorted) and the plan used.
+    /// Executes with an explicit plan (for testing/measurement),
+    /// returning the sorted matches.
+    ///
+    /// # Errors
+    ///
+    /// [`KwQuery::check`]'s errors.
+    pub fn query_with_plan(
+        &self,
+        q: &Rect,
+        keywords: &[Keyword],
+        plan: Plan,
+    ) -> Result<Vec<u32>, SkqError> {
+        self.check(q, keywords)?;
+        let mut out = Vec::new();
+        let mut stats = QueryStats::new();
+        let _ = match (plan, &self.engine) {
+            (Plan::KeywordsOnly, _) => self.keywords_first.query_rect_sink(q, keywords, &mut out),
+            (Plan::Framework, Engine::Framework(index)) => {
+                index.query_sink(q, keywords, &mut out, &mut stats)
+            }
+            (Plan::Framework, Engine::Linear(lc)) => lc.query_sink(
+                &ConvexPolytope::from_rect(q),
+                keywords,
+                &mut out,
+                &mut stats,
+            ),
+            (Plan::StructuredOnly, _) | (Plan::Framework, Engine::Naive) => {
+                self.structured_first.query_rect_sink(q, keywords, &mut out)
+            }
+        };
+        out.sort_unstable();
+        Ok(out)
+    }
+
+    /// Serves a framework-plan query on whatever tier was admitted.
+    /// Returns whether an actual framework/linear index ran (i.e.
+    /// whether `stats` was populated by the engine itself), and the
+    /// traversal's flow.
+    fn run_framework_slot<S: ResultSink>(
+        &self,
+        q: &Rect,
+        keywords: &[Keyword],
+        est: &CostEstimate,
+        sink: &mut S,
+        stats: &mut QueryStats,
+    ) -> (bool, ControlFlow<()>) {
+        match &self.engine {
+            Engine::Framework(index) => (true, index.query_sink(q, keywords, sink, stats)),
+            Engine::Linear(lc) => {
+                let poly = ConvexPolytope::from_rect(q);
+                (true, lc.query_sink(&poly, keywords, sink, stats))
+            }
+            // No index survived admission: serve with the cheaper of
+            // the two naive engines (still correct, just slow).
+            Engine::Naive if est.keywords_only <= est.structured_only => (
+                false,
+                self.keywords_first.query_rect_sink(q, keywords, sink),
+            ),
+            Engine::Naive => (
+                false,
+                self.structured_first.query_rect_sink(q, keywords, sink),
+            ),
+        }
+    }
+
+    /// Query-log label: the plan, suffixed with the degraded tier when
+    /// the framework slot is not the full index (e.g.
+    /// `framework@linear`).
+    fn plan_label(&self, plan: Plan) -> &'static str {
+        match (plan, self.tier) {
+            (Plan::Framework, BuildTier::Linear) => "framework@linear",
+            (Plan::Framework, BuildTier::Naive) => "framework@naive",
+            _ => plan.label(),
+        }
+    }
+}
+
+impl KwQuery for PlannedOrpKw {
+    type Shape = Rect;
+
+    fn check(&self, q: &Rect, keywords: &[Keyword]) -> Result<(), SkqError> {
+        validate::rect_query(q, self.dataset.dim())?;
+        validate::distinct_keywords(keywords, self.k)
+    }
+
+    /// Picks the estimated-cheapest plan, records it in
+    /// [`QueryStats::route`], and emits matching ids into `sink` in
+    /// traversal order (unsorted).
     ///
     /// Telemetry: increments `skq_planner_chosen_total{plan=…}`,
     /// compares the prediction against a post-hoc estimate using the
     /// true output size (bumping `skq_planner_mispredictions_total`
     /// when the winner would have changed), and appends a query-log
-    /// record carrying both costs.
-    pub fn query(&self, q: &Rect, keywords: &[Keyword]) -> (Vec<u32>, Plan) {
-        let mut out = Vec::new();
-        let mut stats = QueryStats::new();
-        let plan = self.query_sink(q, keywords, &mut out, &mut stats);
-        out.sort_unstable();
-        (out, plan)
-    }
-
-    /// Fallible planned query: validates the rectangle and keyword
-    /// contract up front, then executes [`query`](Self::query),
-    /// appending the sorted matches to `out` and returning the plan
-    /// used.
-    ///
-    /// # Errors
-    ///
-    /// `SkqError::InvalidQuery` on a dimension mismatch, NaN bounds, or
-    /// a wrong number of distinct keywords.
-    pub fn try_query_into(
-        &self,
-        q: &Rect,
-        keywords: &[Keyword],
-        out: &mut Vec<u32>,
-    ) -> Result<Plan, SkqError> {
-        validate::rect_query(q, self.dataset.dim())?;
-        validate::distinct_keywords(keywords, self.k)?;
-        let (ids, plan) = self.query(q, keywords);
-        out.extend(ids);
-        Ok(plan)
-    }
-
-    /// Streaming planned query: picks the estimated-cheapest plan and
-    /// emits matching ids into `sink` in traversal order (unsorted).
-    /// Returns the chosen plan.
-    ///
-    /// The emission stream is teed into an internal counter so the true
-    /// output size feeds the misprediction check regardless of what
-    /// `sink` does with the ids; if `sink` stops the query early, the
-    /// post-hoc check uses the partial count (the best observation
-    /// available).
-    pub fn query_sink<S: ResultSink>(
+    /// record carrying both costs. The emission stream is teed into an
+    /// internal counter so the true output size feeds the
+    /// misprediction check regardless of what `sink` does with the
+    /// ids; if `sink` stops the query early, the post-hoc check uses
+    /// the partial count (the best observation available).
+    fn query_sink<S: ResultSink>(
         &self,
         q: &Rect,
         keywords: &[Keyword],
         sink: &mut S,
         stats: &mut QueryStats,
-    ) -> Plan {
+    ) -> ControlFlow<()> {
         let span = skq_obs::Span::enter("orp.planned_query");
         skq_obs::trace::attach_str("build_tier", self.tier().label());
         let est = self.estimate(q, keywords);
         let plan = est.best();
+        stats.route = Some(plan.into());
         let mut tee = TeeSink::new(&mut *sink, CountSink::new());
-        let framework_ran = match plan {
-            Plan::KeywordsOnly => {
-                let _ = self.keywords_first.query_rect_sink(q, keywords, &mut tee);
-                false
-            }
-            Plan::StructuredOnly => {
-                let _ = self.structured_first.query_rect_sink(q, keywords, &mut tee);
-                false
-            }
+        let (framework_ran, flow) = match plan {
+            Plan::KeywordsOnly => (
+                false,
+                self.keywords_first.query_rect_sink(q, keywords, &mut tee),
+            ),
+            Plan::StructuredOnly => (
+                false,
+                self.structured_first.query_rect_sink(q, keywords, &mut tee),
+            ),
             Plan::Framework => self.run_framework_slot(q, keywords, &est, &mut tee, stats),
         };
         let out_len = tee.secondary().count();
@@ -400,88 +460,7 @@ impl PlannedOrpKw {
             Some(est.cost_of(plan)),
             Some(actual.cost_of(plan)),
         );
-        plan
-    }
-
-    /// Guarded planned query: like [`query`](Self::query) but enforcing
-    /// the deadline / cancellation / result budget of `guard`. The
-    /// returned stats carry [`truncated_reason`](QueryStats) when a
-    /// limit tripped; results collected before the trip are kept.
-    pub fn query_guarded(
-        &self,
-        q: &Rect,
-        keywords: &[Keyword],
-        guard: &QueryGuard,
-    ) -> (Vec<u32>, Plan, QueryStats) {
-        let mut out = Vec::new();
-        let mut stats = QueryStats::new();
-        let mut guarded = GuardedSink::new(&mut out, guard);
-        let plan = self.query_sink(q, keywords, &mut guarded, &mut stats);
-        let reason = guarded.truncated_reason();
-        stats.truncated |= reason.is_some();
-        stats.truncated_reason = stats.truncated_reason.or(reason);
-        out.sort_unstable();
-        (out, plan, stats)
-    }
-
-    /// Executes with an explicit plan (for testing/measurement).
-    pub fn query_with_plan(&self, q: &Rect, keywords: &[Keyword], plan: Plan) -> Vec<u32> {
-        let mut out = match plan {
-            Plan::KeywordsOnly => self.keywords_first.query_rect(q, keywords),
-            Plan::StructuredOnly => self.structured_first.query_rect(q, keywords),
-            Plan::Framework => match &self.engine {
-                Engine::Framework(index) => index.query(q, keywords),
-                Engine::Linear(lc) => lc.query_rect(q, keywords),
-                Engine::Naive => self.structured_first.query_rect(q, keywords),
-            },
-        };
-        out.sort_unstable();
-        out
-    }
-
-    /// Serves a framework-plan query on whatever tier was admitted.
-    /// Returns whether an actual framework/linear index ran (i.e.
-    /// whether `stats` was populated by the engine itself).
-    fn run_framework_slot<S: ResultSink>(
-        &self,
-        q: &Rect,
-        keywords: &[Keyword],
-        est: &CostEstimate,
-        sink: &mut S,
-        stats: &mut QueryStats,
-    ) -> bool {
-        match &self.engine {
-            Engine::Framework(index) => {
-                let _ = index.query_sink(q, keywords, sink, stats);
-                true
-            }
-            Engine::Linear(lc) => {
-                let poly = ConvexPolytope::from_rect(q);
-                let _ = lc.query_sink(poly.halfspaces(), keywords, sink, stats);
-                true
-            }
-            Engine::Naive => {
-                // No index survived admission: serve with the cheaper
-                // of the two naive engines (still correct, just slow).
-                if est.keywords_only <= est.structured_only {
-                    let _ = self.keywords_first.query_rect_sink(q, keywords, sink);
-                } else {
-                    let _ = self.structured_first.query_rect_sink(q, keywords, sink);
-                }
-                false
-            }
-        }
-    }
-
-    /// Query-log label: the plan, suffixed with the degraded tier when
-    /// the framework slot is not the full index (e.g.
-    /// `framework@linear`).
-    fn plan_label(&self, plan: Plan) -> &'static str {
-        match (plan, self.tier) {
-            (Plan::Framework, BuildTier::Linear) => "framework@linear",
-            (Plan::Framework, BuildTier::Naive) => "framework@naive",
-            _ => plan.label(),
-        }
+        flow
     }
 }
 
@@ -525,12 +504,15 @@ mod tests {
             (Rect::new(&[499.0, 499.0], &[501.0, 501.0]), vec![0, 1]),
         ];
         for (q, kws) in &queries {
-            let a = planner.query_with_plan(q, kws, Plan::KeywordsOnly);
-            let b = planner.query_with_plan(q, kws, Plan::StructuredOnly);
-            let c = planner.query_with_plan(q, kws, Plan::Framework);
+            let a = planner.query_with_plan(q, kws, Plan::KeywordsOnly).unwrap();
+            let b = planner
+                .query_with_plan(q, kws, Plan::StructuredOnly)
+                .unwrap();
+            let c = planner.query_with_plan(q, kws, Plan::Framework).unwrap();
             assert_eq!(a, b);
             assert_eq!(b, c);
-            let (d2, _) = planner.query(q, kws);
+            let mut d2 = planner.query(q, kws).unwrap();
+            d2.sort_unstable();
             assert_eq!(d2, c);
         }
     }
@@ -541,17 +523,17 @@ mod tests {
         let d = dataset();
         let planner = PlannedOrpKw::build(&d, 2);
         let q = Rect::new(&[100.0, 100.0], &[300.0, 300.0]);
-        let (full, _) = planner.query(&q, &[0, 1]);
+        let full = planner
+            .query_with_plan(&q, &[0, 1], Plan::Framework)
+            .unwrap();
         assert!(full.len() > 3, "query too selective for this test");
 
-        let mut count = CountSink::new();
-        let mut stats = QueryStats::new();
-        planner.query_sink(&q, &[0, 1], &mut count, &mut stats);
-        assert_eq!(count.count(), full.len() as u64);
+        assert_eq!(planner.count(&q, &[0, 1]).unwrap(), full.len() as u64);
 
         let mut limited = LimitSink::new(Vec::new(), 3);
         let mut stats = QueryStats::new();
-        planner.query_sink(&q, &[0, 1], &mut limited, &mut stats);
+        let _ = planner.query_sink(&q, &[0, 1], &mut limited, &mut stats);
+        assert!(stats.route.is_some(), "the chosen plan is recorded");
         assert!(limited.truncated());
         let got = limited.into_inner();
         assert_eq!(got.len(), 3);
@@ -607,7 +589,7 @@ mod tests {
 
         let full = PlannedOrpKw::try_build_with_budget(&d, 2, None).unwrap();
         assert_eq!(full.tier(), BuildTier::Framework);
-        let expected = full.query_with_plan(&q, &kws, Plan::Framework);
+        let expected = full.query_with_plan(&q, &kws, Plan::Framework).unwrap();
         assert!(!expected.is_empty());
 
         // A budget between the LC footprint and the ORP footprint must
@@ -620,8 +602,10 @@ mod tests {
         for (budget, tier) in [(Some(mid), BuildTier::Linear), (Some(1), BuildTier::Naive)] {
             let planner = PlannedOrpKw::try_build_with_budget(&d, 2, budget).unwrap();
             assert_eq!(planner.tier(), tier, "budget {budget:?}");
-            assert_eq!(planner.query_with_plan(&q, &kws, Plan::Framework), expected);
-            let (got, _) = planner.query(&q, &kws);
+            let forced = planner.query_with_plan(&q, &kws, Plan::Framework);
+            assert_eq!(forced.unwrap(), expected);
+            let mut got = planner.query(&q, &kws).unwrap();
+            got.sort_unstable();
             assert_eq!(got, expected);
         }
         let tiers =
@@ -635,10 +619,16 @@ mod tests {
         let d = dataset();
         let planner = PlannedOrpKw::build(&d, 2);
         let q = Rect::new(&[100.0, 100.0], &[300.0, 300.0]);
-        let (full, _) = planner.query(&q, &[0, 1]);
+        let full = planner
+            .query_with_plan(&q, &[0, 1], Plan::Framework)
+            .unwrap();
         assert!(full.len() > 3);
-        let guard = QueryGuard::new().with_max_results(3);
-        let (got, _, stats) = planner.query_guarded(&q, &[0, 1], &guard);
+        let guard = crate::guard::QueryGuard::new().with_max_results(3);
+        let mut got = Vec::new();
+        let mut stats = QueryStats::new();
+        let _ = planner
+            .run(&q, &[0, 1], &guard, &mut got, &mut stats)
+            .unwrap();
         assert_eq!(got.len(), 3);
         assert_eq!(stats.truncated_reason, Some(TruncatedReason::Limit));
         assert!(got.iter().all(|i| full.binary_search(i).is_ok()));

@@ -12,7 +12,7 @@
 
 use std::ops::ControlFlow;
 
-use skq_geom::{Point, Rect};
+use skq_geom::{ConvexPolytope, Point, Rect};
 use skq_invidx::{Document, Keyword};
 
 use crate::dataset::Dataset;
@@ -21,7 +21,8 @@ use crate::failpoints;
 use crate::lc::LcKwIndex;
 use crate::orp::OrpKwIndex;
 use crate::persist::{self, Persist, SCHEMA_VERSION};
-use crate::sink::{DedupSink, LimitSink, ResultSink};
+use crate::query::KwQuery;
+use crate::sink::{DedupSink, ResultSink};
 use crate::stats::QueryStats;
 
 /// The RR-KW index over a set of `d`-rectangles with documents.
@@ -29,6 +30,7 @@ use crate::stats::QueryStats;
 /// # Example
 ///
 /// ```
+/// use skq_core::query::KwQuery;
 /// use skq_core::rr::RrKwIndex;
 /// use skq_geom::Rect;
 ///
@@ -37,9 +39,10 @@ use crate::stats::QueryStats;
 ///     (Rect::new(&[0.0], &[10.0]), vec![0, 1]),
 ///     (Rect::new(&[20.0], &[30.0]), vec![0, 1]),
 /// ];
-/// let index = RrKwIndex::build(&versions, 2);
+/// let index = RrKwIndex::try_build(&versions, 2)?;
 /// // Alive during days [5, 8] with both keywords:
-/// assert_eq!(index.query(&Rect::new(&[5.0], &[8.0]), &[0, 1]), vec![0]);
+/// assert_eq!(index.query(&Rect::new(&[5.0], &[8.0]), &[0, 1])?, vec![0]);
+/// # Ok::<(), skq_core::SkqError>(())
 /// ```
 pub struct RrKwIndex {
     orp: OrpKwIndex,
@@ -89,87 +92,18 @@ impl RrKwIndex {
         self.orp.k()
     }
 
-    /// Reports ids of data rectangles intersecting `q` whose documents
-    /// contain all `keywords`.
-    pub fn query(&self, q: &Rect, keywords: &[Keyword]) -> Vec<u32> {
-        self.query_with_stats(q, keywords).0
-    }
-
-    /// Like [`query`](Self::query) with statistics.
-    pub fn query_with_stats(&self, q: &Rect, keywords: &[Keyword]) -> (Vec<u32>, QueryStats) {
-        let mut out = Vec::new();
-        let mut stats = QueryStats::new();
-        self.query_limited(q, keywords, usize::MAX, &mut out, &mut stats);
-        (out, stats)
-    }
-
-    /// Limited-output variant (threshold queries on intersecting
-    /// rectangles).
-    pub fn query_limited(
-        &self,
-        q: &Rect,
-        keywords: &[Keyword],
-        limit: usize,
-        out: &mut Vec<u32>,
-        stats: &mut QueryStats,
-    ) {
-        let mut sink = LimitSink::new(&mut *out, limit);
-        let _ = self.query_sink(q, keywords, &mut sink, stats);
-        stats.emitted += sink.emitted();
-        stats.truncated |= sink.truncated();
-    }
-
-    /// Fallible query: validates the query rectangle and keyword set,
-    /// then appends matching ids to `out`.
-    ///
-    /// # Errors
-    ///
-    /// `SkqError::InvalidQuery` on a dimension mismatch, NaN bounds, or
-    /// a keyword set that is not exactly `k` distinct keywords.
-    pub fn try_query_into(
-        &self,
-        q: &Rect,
-        keywords: &[Keyword],
-        out: &mut Vec<u32>,
-    ) -> Result<QueryStats, SkqError> {
-        validate::rect_query(q, self.dim)?;
-        validate::distinct_keywords(keywords, self.k())?;
-        let mut stats = QueryStats::new();
-        self.query_limited(q, keywords, usize::MAX, out, &mut stats);
-        Ok(stats)
-    }
-
-    /// Streaming variant. The `2d`-dimensional flattening maps each
-    /// rectangle to a single point, so a correct ORP-KW backend reports
-    /// each id at most once; a bitset [`DedupSink`] guards the reduction
-    /// anyway (one bit per rectangle), keeping the set semantics of the
-    /// composed index independent of backend internals.
-    pub fn query_sink<S: ResultSink>(
-        &self,
-        q: &Rect,
-        keywords: &[Keyword],
-        sink: &mut S,
-        stats: &mut QueryStats,
-    ) -> ControlFlow<()> {
-        assert_eq!(q.dim(), self.dim, "query dimension mismatch");
-        let mut dedup = DedupSink::new(self.len, &mut *sink);
-        self.orp
-            .query_sink(&lift_query(q), keywords, &mut dedup, stats)
-    }
-
     /// Index space in 64-bit words.
     pub fn space_words(&self) -> usize {
         self.orp.space_words()
     }
 
-    /// Deep structural validation (`debug-invariants`; DESIGN.md §12):
-    /// the Corollary 3 flattening must have doubled the dimension, and
-    /// the inner ORP-KW index must itself validate.
+    /// Deep structural validation (DESIGN.md §12): the Corollary 3
+    /// flattening must have doubled the dimension, and the inner ORP-KW
+    /// index must itself validate.
     ///
     /// # Errors
     ///
     /// The first violated invariant, by name.
-    #[cfg(feature = "debug-invariants")]
     pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
         if self.orp.dim() != 2 * self.dim {
             return Err(crate::invariants::InvariantViolation::new(
@@ -183,6 +117,33 @@ impl RrKwIndex {
             ));
         }
         self.orp.validate()
+    }
+}
+
+impl KwQuery for RrKwIndex {
+    type Shape = Rect;
+
+    fn check(&self, q: &Rect, keywords: &[Keyword]) -> Result<(), SkqError> {
+        validate::rect_query(q, self.dim)?;
+        validate::distinct_keywords(keywords, self.k())
+    }
+
+    /// The `2d`-dimensional flattening maps each rectangle to a single
+    /// point, so a correct ORP-KW backend reports each id at most once;
+    /// a bitset [`DedupSink`] guards the reduction anyway (one bit per
+    /// rectangle), keeping the set semantics of the composed index
+    /// independent of backend internals.
+    fn query_sink<S: ResultSink>(
+        &self,
+        q: &Rect,
+        keywords: &[Keyword],
+        sink: &mut S,
+        stats: &mut QueryStats,
+    ) -> ControlFlow<()> {
+        assert_eq!(q.dim(), self.dim, "query dimension mismatch");
+        let mut dedup = DedupSink::new(self.len, &mut *sink);
+        self.orp
+            .query_sink(&lift_query(q), keywords, &mut dedup, stats)
     }
 }
 
@@ -259,46 +220,40 @@ impl RrKwLinear {
         })
     }
 
-    /// Reports ids of data rectangles intersecting `q` whose documents
-    /// contain all `keywords`.
-    pub fn query(&self, q: &Rect, keywords: &[Keyword]) -> Vec<u32> {
-        assert_eq!(q.dim(), self.dim, "query dimension mismatch");
-        self.lc.query_rect(&lift_query(q), keywords)
-    }
-
-    /// Fallible [`query`](Self::query): validates inputs and appends
-    /// matching ids to `out`.
-    ///
-    /// # Errors
-    ///
-    /// `SkqError::InvalidQuery` on a dimension mismatch, NaN bounds, or
-    /// a keyword set that is not exactly `k` distinct keywords.
-    pub fn try_query_into(
-        &self,
-        q: &Rect,
-        keywords: &[Keyword],
-        out: &mut Vec<u32>,
-    ) -> Result<QueryStats, SkqError> {
-        validate::rect_query(q, self.dim)?;
-        validate::distinct_keywords(keywords, self.lc.k())?;
-        out.extend(self.lc.query_rect(&lift_query(q), keywords));
-        Ok(QueryStats::new())
-    }
-
     /// Index space in 64-bit words (linear in `N`).
     pub fn space_words(&self) -> usize {
         self.lc.space_words()
     }
 
-    /// Deep structural validation (`debug-invariants`; DESIGN.md §12):
-    /// delegates to the inner LC-KW index.
+    /// Deep structural validation (DESIGN.md §12): delegates to the
+    /// inner LC-KW index.
     ///
     /// # Errors
     ///
     /// The first violated invariant, by name.
-    #[cfg(feature = "debug-invariants")]
     pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
         self.lc.validate()
+    }
+}
+
+impl KwQuery for RrKwLinear {
+    type Shape = Rect;
+
+    fn check(&self, q: &Rect, keywords: &[Keyword]) -> Result<(), SkqError> {
+        validate::rect_query(q, self.dim)?;
+        validate::distinct_keywords(keywords, self.lc.k())
+    }
+
+    fn query_sink<S: ResultSink>(
+        &self,
+        q: &Rect,
+        keywords: &[Keyword],
+        sink: &mut S,
+        stats: &mut QueryStats,
+    ) -> ControlFlow<()> {
+        assert_eq!(q.dim(), self.dim, "query dimension mismatch");
+        let lifted = ConvexPolytope::from_rect(&lift_query(q));
+        self.lc.query_sink(&lifted, keywords, sink, stats)
     }
 }
 
@@ -406,7 +361,7 @@ mod tests {
             let q = Rect::new(&[a], &[b]);
             let w1 = rng.gen_range(0..8);
             let w2 = (w1 + 1 + rng.gen_range(0..7)) % 8;
-            let mut got = index.query(&q, &[w1, w2]);
+            let mut got = index.query(&q, &[w1, w2]).unwrap();
             got.sort_unstable();
             assert_eq!(got, rr_bruteforce(&rects, &q, &[w1, w2]));
         }
@@ -428,7 +383,7 @@ mod tests {
             let q = Rect::new(&lo, &hi);
             let w1 = rng.gen_range(0..8);
             let w2 = (w1 + 1 + rng.gen_range(0..7)) % 8;
-            let mut got = index.query(&q, &[w1, w2]);
+            let mut got = index.query(&q, &[w1, w2]).unwrap();
             got.sort_unstable();
             assert_eq!(got, rr_bruteforce(&rects, &q, &[w1, w2]));
         }
@@ -443,7 +398,10 @@ mod tests {
         assert!(full.len() > 4, "need enough matches for the test");
         let mut out = Vec::new();
         let mut stats = QueryStats::new();
-        index.query_limited(&q, &[0, 1], 4, &mut out, &mut stats);
+        let capped = crate::guard::QueryGuard::new().with_max_results(4);
+        let _ = index
+            .run(&q, &[0, 1], &capped, &mut out, &mut stats)
+            .unwrap();
         assert_eq!(out.len(), 4);
         assert_eq!(stats.emitted, 4);
         assert!(stats.truncated);
@@ -459,7 +417,7 @@ mod tests {
         ];
         let index = RrKwIndex::build(&rects, 2);
         let q = Rect::new(&[1.0], &[1.0]); // degenerate point query
-        let mut got = index.query(&q, &[0, 1]);
+        let mut got = index.query(&q, &[0, 1]).unwrap();
         got.sort_unstable();
         assert_eq!(got, vec![0, 1]);
     }
@@ -484,8 +442,8 @@ mod tests {
             let q = Rect::new(&lo, &hi);
             let w1 = rng.gen_range(0..8);
             let w2 = (w1 + 1 + rng.gen_range(0..7)) % 8;
-            let mut x = a.query(&q, &[w1, w2]);
-            let mut y = b.query(&q, &[w1, w2]);
+            let mut x = a.query(&q, &[w1, w2]).unwrap();
+            let mut y = b.query(&q, &[w1, w2]).unwrap();
             x.sort_unstable();
             y.sort_unstable();
             assert_eq!(x, y);
@@ -493,22 +451,7 @@ mod tests {
     }
 
     #[test]
-    fn try_build_and_query_match_legacy() {
-        let rects = random_rects(150, 1, 6, 41);
-        let legacy = RrKwIndex::build(&rects, 2);
-        let fallible = RrKwIndex::try_build(&rects, 2).unwrap();
-        let q = Rect::new(&[10.0], &[60.0]);
-        let mut out = Vec::new();
-        let stats = fallible.try_query_into(&q, &[0, 1], &mut out).unwrap();
-        let mut legacy_out = legacy.query(&q, &[0, 1]);
-        out.sort_unstable();
-        legacy_out.sort_unstable();
-        assert_eq!(out, legacy_out);
-        assert_eq!(stats.emitted, out.len() as u64);
-    }
-
-    #[test]
-    fn try_surfaces_reject_invalid_input() {
+    fn invalid_input_is_a_typed_error() {
         assert!(matches!(
             RrKwIndex::try_build(&[], 2),
             Err(SkqError::InvalidDataset(_))
@@ -519,19 +462,16 @@ mod tests {
             Err(SkqError::InvalidQuery(_))
         ));
         let index = RrKwIndex::try_build(&rects, 2).unwrap();
-        let mut out = Vec::new();
         // Duplicate keywords: only one distinct value.
-        let dup = index.try_query_into(&Rect::new(&[0.0], &[1.0]), &[3, 3], &mut out);
+        let dup = index.query(&Rect::new(&[0.0], &[1.0]), &[3, 3]);
         assert!(matches!(dup, Err(SkqError::InvalidQuery(ref m)) if m.contains("distinct")));
         // Wrong dimensionality.
-        let wrong_dim =
-            index.try_query_into(&Rect::new(&[0.0, 0.0], &[1.0, 1.0]), &[0, 1], &mut out);
+        let wrong_dim = index.query(&Rect::new(&[0.0, 0.0], &[1.0, 1.0]), &[0, 1]);
         assert!(matches!(wrong_dim, Err(SkqError::InvalidQuery(_))));
         // Linear variant shares the validation path.
         let linear = RrKwLinear::try_build(&rects, 2).unwrap();
-        let wrong = linear.try_query_into(&Rect::full(2), &[0, 1], &mut out);
+        let wrong = linear.query(&Rect::full(2), &[0, 1]);
         assert!(matches!(wrong, Err(SkqError::InvalidQuery(_))));
-        assert!(out.is_empty());
     }
 
     #[test]
@@ -541,6 +481,9 @@ mod tests {
             (Rect::new(&[0.0], &[10.0]), vec![0, 1]),
         ];
         let index = RrKwIndex::build(&rects, 2);
-        assert_eq!(index.query(&Rect::new(&[5.0], &[6.0]), &[0, 1]), vec![1]);
+        assert_eq!(
+            index.query(&Rect::new(&[5.0], &[6.0]), &[0, 1]).unwrap(),
+            vec![1]
+        );
     }
 }

@@ -12,17 +12,16 @@
 
 use std::ops::ControlFlow;
 
-use skq_geom::{ConvexPolytope, Point, Simplex};
+use skq_geom::{ConvexPolytope, Point};
 use skq_invidx::Keyword;
 
 use crate::dataset::Dataset;
 use crate::error::{validate, SkqError};
 use crate::failpoints;
-use crate::framework::{
-    FrameworkConfig, KdPartitioner, QuadPartitioner, TransformedIndex, WillardPartitioner,
-};
+use crate::framework::{FrameworkConfig, KdPartitioner, TransformedIndex, WillardPartitioner};
 use crate::persist::{self, Persist, SCHEMA_VERSION};
-use crate::sink::{CountSink, LimitSink, ResultSink};
+use crate::query::KwQuery;
+use crate::sink::ResultSink;
 use crate::stats::QueryStats;
 
 /// Which partitioner backs the index.
@@ -34,16 +33,11 @@ pub enum SpStrategy {
     /// kd-tree cells (any dimension): crossing number
     /// `O(N^{1−1/max(k,d)})` for simplex queries.
     Kd,
-    /// Midpoint quadtree (2D only): the spatial-keyword systems
-    /// literature's favorite; no weight-balance (and hence no depth)
-    /// guarantee on skewed data, but cheap construction.
-    Quad,
 }
 
 enum Inner {
     Willard(TransformedIndex<WillardPartitioner>),
     Kd(TransformedIndex<KdPartitioner>),
-    Quad(TransformedIndex<QuadPartitioner>),
 }
 
 /// The SP-KW index.
@@ -52,6 +46,7 @@ enum Inner {
 ///
 /// ```
 /// use skq_core::dataset::Dataset;
+/// use skq_core::query::KwQuery;
 /// use skq_core::sp::SpKwIndex;
 /// use skq_geom::{Point, Simplex};
 ///
@@ -60,13 +55,14 @@ enum Inner {
 ///     (Point::new2(9.0, 9.0), vec![0, 1]),
 ///     (Point::new2(2.0, 1.0), vec![0]),
 /// ]);
-/// let index = SpKwIndex::build(&data, 2);
+/// let index = SpKwIndex::try_build(&data, 2)?;
 /// let triangle = Simplex::new(vec![
 ///     Point::new2(0.0, 0.0),
 ///     Point::new2(5.0, 0.0),
 ///     Point::new2(0.0, 5.0),
 /// ]).unwrap();
-/// assert_eq!(index.query_simplex(&triangle, &[0, 1]), vec![0]);
+/// assert_eq!(index.query(&triangle.to_polytope(), &[0, 1])?, vec![0]);
+/// # Ok::<(), skq_core::SkqError>(())
 /// ```
 pub struct SpKwIndex {
     inner: Inner,
@@ -167,15 +163,6 @@ impl SpKwIndex {
                 let p = KdPartitioner::new(points.clone(), weights);
                 Inner::Kd(TransformedIndex::try_build(p, docs, k, config)?)
             }
-            SpStrategy::Quad => {
-                if dataset.dim() != 2 {
-                    return Err(SkqError::InvalidDataset(
-                        "the quadtree partitioner is 2D".into(),
-                    ));
-                }
-                let p = QuadPartitioner::new(points.clone(), weights);
-                Inner::Quad(TransformedIndex::try_build(p, docs, k, config)?)
-            }
         };
         Ok(Self {
             inner,
@@ -200,75 +187,71 @@ impl SpKwIndex {
         match self.inner {
             Inner::Willard(_) => SpStrategy::Willard,
             Inner::Kd(_) => SpStrategy::Kd,
-            Inner::Quad(_) => SpStrategy::Quad,
         }
     }
 
-    /// Reports all objects inside the convex region `q` (a conjunction
-    /// of halfspaces) whose documents contain all `keywords`.
-    pub fn query_polytope(&self, q: &ConvexPolytope, keywords: &[Keyword]) -> Vec<u32> {
-        let mut out = Vec::new();
-        let mut stats = QueryStats::new();
-        self.query_limited(q, keywords, usize::MAX, &mut out, &mut stats);
-        out
+    /// Index space in 64-bit words (cells charged as a constant; the
+    /// Willard polygons average `O(1)` vertices because each level adds
+    /// at most two clips).
+    pub fn space_words(&self) -> usize {
+        let point_words = self.points.len() * self.dim;
+        point_words
+            + match &self.inner {
+                Inner::Willard(t) => t.space_words(12),
+                Inner::Kd(t) => t.space_words(2 * self.dim + 1),
+            }
     }
 
-    /// Like [`query_polytope`](Self::query_polytope) with statistics.
-    pub fn query_with_stats(
-        &self,
-        q: &ConvexPolytope,
-        keywords: &[Keyword],
-    ) -> (Vec<u32>, QueryStats) {
-        let mut out = Vec::new();
-        let mut stats = QueryStats::new();
-        self.query_limited(q, keywords, usize::MAX, &mut out, &mut stats);
-        (out, stats)
+    /// `(level, weight, pivots, large)` per framework node — tree-shape
+    /// diagnostics for the harness.
+    pub fn node_summaries(&self) -> Vec<(u32, u64, usize, usize)> {
+        match &self.inner {
+            Inner::Willard(t) => t.node_summaries().collect(),
+            Inner::Kd(t) => t.node_summaries().collect(),
+        }
     }
 
-    /// Fallible query: validates the constraint conjunction and keyword
-    /// set, then appends matching ids to `out`.
+    /// The stored point set, exposed so lifting-based wrappers (SRP-KW)
+    /// can cross-check their lifted coordinates during deep validation.
+    pub(crate) fn validate_points(&self) -> &[Point] {
+        &self.points
+    }
+
+    /// Deep structural validation (DESIGN.md §12).
     ///
     /// # Errors
     ///
-    /// `SkqError::InvalidQuery` on a dimension mismatch, NaN
-    /// coefficients, or a keyword set that is not exactly `k` distinct
-    /// keywords.
-    pub fn try_query_into(
-        &self,
-        q: &ConvexPolytope,
-        keywords: &[Keyword],
-        out: &mut Vec<u32>,
-    ) -> Result<QueryStats, SkqError> {
+    /// The first violated invariant, by name.
+    pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
+        use crate::invariants::InvariantViolation as V;
+        if let Some(p) = self.points.iter().find(|p| p.dim() != self.dim) {
+            return Err(V::new(
+                "sp::points",
+                format!(
+                    "stored point of dimension {}, index is {}D",
+                    p.dim(),
+                    self.dim
+                ),
+            ));
+        }
+        match &self.inner {
+            Inner::Willard(t) => t.validate(),
+            Inner::Kd(t) => t.validate(),
+        }
+    }
+}
+
+impl KwQuery for SpKwIndex {
+    /// A conjunction of halfspaces; a simplex is exactly `d + 1` of
+    /// them ([`Simplex::to_polytope`](skq_geom::Simplex::to_polytope)).
+    type Shape = ConvexPolytope;
+
+    fn check(&self, q: &ConvexPolytope, keywords: &[Keyword]) -> Result<(), SkqError> {
         validate::polytope_query(q, self.dim)?;
-        validate::distinct_keywords(keywords, self.k)?;
-        let mut stats = QueryStats::new();
-        self.query_limited(q, keywords, usize::MAX, out, &mut stats);
-        Ok(stats)
+        validate::distinct_keywords(keywords, self.k)
     }
 
-    /// Reports all matching objects inside a `d`-simplex.
-    pub fn query_simplex(&self, q: &Simplex, keywords: &[Keyword]) -> Vec<u32> {
-        assert_eq!(q.dim(), self.dim);
-        self.query_polytope(&q.to_polytope(), keywords)
-    }
-
-    /// Limited-output variant (threshold queries).
-    pub fn query_limited(
-        &self,
-        q: &ConvexPolytope,
-        keywords: &[Keyword],
-        limit: usize,
-        out: &mut Vec<u32>,
-        stats: &mut QueryStats,
-    ) {
-        let mut sink = LimitSink::new(&mut *out, limit);
-        let _ = self.query_sink(q, keywords, &mut sink, stats);
-        stats.emitted += sink.emitted();
-        stats.truncated |= sink.truncated();
-    }
-
-    /// Streaming query: matching object ids are emitted into `sink`.
-    pub fn query_sink<S: ResultSink>(
+    fn query_sink<S: ResultSink>(
         &self,
         q: &ConvexPolytope,
         keywords: &[Keyword],
@@ -294,107 +277,13 @@ impl SpKwIndex {
                 sink,
                 stats,
             ),
-            Inner::Quad(tree) => tree.query_sink(
-                keywords,
-                &|cell| q.classify_rect(cell),
-                &accept,
-                sink,
-                stats,
-            ),
-        }
-    }
-
-    /// The number of matching objects, with no result materialization.
-    pub fn count(&self, q: &ConvexPolytope, keywords: &[Keyword]) -> u64 {
-        let mut sink = CountSink::new();
-        let mut stats = QueryStats::new();
-        let _ = self.query_sink(q, keywords, &mut sink, &mut stats);
-        sink.count()
-    }
-
-    /// Whether at least `t` objects match, by early termination
-    /// (allocation-free on the result side).
-    pub fn count_at_least(&self, q: &ConvexPolytope, keywords: &[Keyword], t: usize) -> bool {
-        if t == 0 {
-            return true;
-        }
-        let mut sink = LimitSink::new(CountSink::new(), t);
-        let mut stats = QueryStats::new();
-        let _ = self.query_sink(q, keywords, &mut sink, &mut stats);
-        sink.emitted() >= t as u64
-    }
-
-    /// Index space in 64-bit words (cells charged as a constant; the
-    /// Willard polygons average `O(1)` vertices because each level adds
-    /// at most two clips).
-    pub fn space_words(&self) -> usize {
-        let point_words = self.points.len() * self.dim;
-        point_words
-            + match &self.inner {
-                Inner::Willard(t) => t.space_words(12),
-                Inner::Kd(t) => t.space_words(2 * self.dim + 1),
-                Inner::Quad(t) => t.space_words(2 * self.dim + 1),
-            }
-    }
-
-    /// `(level, weight, pivots, large)` per framework node — tree-shape
-    /// diagnostics for the harness.
-    pub fn node_summaries(&self) -> Vec<(u32, u64, usize, usize)> {
-        match &self.inner {
-            Inner::Willard(t) => t.node_summaries().collect(),
-            Inner::Kd(t) => t.node_summaries().collect(),
-            Inner::Quad(t) => t.node_summaries().collect(),
-        }
-    }
-
-    /// Structural invariants of the underlying framework.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        match &self.inner {
-            Inner::Willard(t) => t.check_invariants(),
-            Inner::Kd(t) => t.check_invariants(),
-            // Midpoint splits carry no weight-halving guarantee.
-            Inner::Quad(t) => t.check_invariants_with(false),
-        }
-    }
-
-    /// The stored point set, exposed so lifting-based wrappers (SRP-KW)
-    /// can cross-check their lifted coordinates during deep validation.
-    #[cfg(feature = "debug-invariants")]
-    pub(crate) fn validate_points(&self) -> &[Point] {
-        &self.points
-    }
-
-    /// Deep structural validation (`debug-invariants`; DESIGN.md §12).
-    ///
-    /// # Errors
-    ///
-    /// The first violated invariant, by name.
-    #[cfg(feature = "debug-invariants")]
-    pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
-        use crate::invariants::InvariantViolation as V;
-        if let Some(p) = self.points.iter().find(|p| p.dim() != self.dim) {
-            return Err(V::new(
-                "sp::points",
-                format!(
-                    "stored point of dimension {}, index is {}D",
-                    p.dim(),
-                    self.dim
-                ),
-            ));
-        }
-        match &self.inner {
-            Inner::Willard(t) => t.validate(),
-            Inner::Kd(t) => t.validate(),
-            // Midpoint splits carry no weight-halving guarantee.
-            Inner::Quad(t) => t.validate_with(false),
         }
     }
 }
 
 /// Strategy tag written in the `SP_HEAD` page: the kd strategy — the
-/// only one the paged format encodes (Willard polygons and quadtree
-/// cells have no node codec yet; saving them returns
-/// [`SkqError::Store`]).
+/// only one the paged format encodes (Willard polygons have no node
+/// codec yet; saving them returns [`SkqError::Store`]).
 const SP_STRATEGY_KD: u64 = 1;
 
 impl Persist for SpKwIndex {
@@ -411,7 +300,7 @@ impl Persist for SpKwIndex {
                 // already carries it — no separate point pages.
                 tree.to_pages(w)
             }
-            Inner::Willard(_) | Inner::Quad(_) => Err(SkqError::Store {
+            Inner::Willard(_) => Err(SkqError::Store {
                 backend: "save".into(),
                 message: format!(
                     "the {:?} partition tree has no snapshot encoding; build with SpStrategy::Kd \
@@ -459,7 +348,7 @@ impl Persist for SpKwIndex {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
-    use skq_geom::Halfspace;
+    use skq_geom::{Halfspace, Simplex};
 
     fn random_dataset(n: usize, dim: usize, vocab: u32, seed: u64) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -498,14 +387,14 @@ mod tests {
         let dataset = random_dataset(400, 2, 10, 1);
         let index = SpKwIndex::build(&dataset, 2);
         assert_eq!(index.strategy(), SpStrategy::Willard);
-        index.check_invariants().unwrap();
+        index.validate().unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..60 {
             let s = rng.gen_range(1..4);
             let q = random_halfspaces(&mut rng, 2, s);
             let w1 = rng.gen_range(0..10);
             let w2 = (w1 + 1 + rng.gen_range(0..9)) % 10;
-            let mut got = index.query_polytope(&q, &[w1, w2]);
+            let mut got = index.query(&q, &[w1, w2]).unwrap();
             got.sort_unstable();
             assert_eq!(got, brute(&dataset, &q, &[w1, w2]));
         }
@@ -520,7 +409,7 @@ mod tests {
             let q = random_halfspaces(&mut rng, 2, 2);
             let w1 = rng.gen_range(0..8);
             let w2 = (w1 + 1 + rng.gen_range(0..7)) % 8;
-            let mut got = index.query_polytope(&q, &[w1, w2]);
+            let mut got = index.query(&q, &[w1, w2]).unwrap();
             got.sort_unstable();
             assert_eq!(got, brute(&dataset, &q, &[w1, w2]));
         }
@@ -538,7 +427,7 @@ mod tests {
             Point::new3(0.0, 0.0, 40.0),
         ])
         .unwrap();
-        let mut got = index.query_simplex(&simplex, &[0, 1]);
+        let mut got = index.query(&simplex.to_polytope(), &[0, 1]).unwrap();
         got.sort_unstable();
         assert_eq!(got, brute(&dataset, &simplex.to_polytope(), &[0, 1]));
     }
@@ -553,7 +442,7 @@ mod tests {
             Point::new2(0.0, 18.0),
         ])
         .unwrap();
-        let mut got = index.query_simplex(&tri, &[0, 1]);
+        let mut got = index.query(&tri.to_polytope(), &[0, 1]).unwrap();
         got.sort_unstable();
         assert_eq!(got, brute(&dataset, &tri.to_polytope(), &[0, 1]));
     }
@@ -563,24 +452,15 @@ mod tests {
         let dataset = random_dataset(200, 2, 5, 41);
         let index = SpKwIndex::build(&dataset, 2);
         let q = ConvexPolytope::default();
-        let mut got = index.query_polytope(&q, &[0, 2]);
+        let mut got = index.query(&q, &[0, 2]).unwrap();
         got.sort_unstable();
         assert_eq!(got, brute(&dataset, &q, &[0, 2]));
     }
 
     #[test]
-    fn try_surfaces_match_legacy_and_validate() {
+    fn invalid_input_is_a_typed_error() {
         let dataset = random_dataset(200, 2, 6, 61);
         let index = SpKwIndex::try_build(&dataset, 2).unwrap();
-        let legacy = SpKwIndex::build(&dataset, 2);
-        let mut rng = StdRng::seed_from_u64(62);
-        let q = random_halfspaces(&mut rng, 2, 2);
-        let mut out = Vec::new();
-        index.try_query_into(&q, &[0, 1], &mut out).unwrap();
-        let mut expected = legacy.query_polytope(&q, &[0, 1]);
-        out.sort_unstable();
-        expected.sort_unstable();
-        assert_eq!(out, expected);
         // Invalid surfaces.
         assert!(matches!(
             SpKwIndex::try_build(&dataset, 1),
@@ -592,9 +472,8 @@ mod tests {
             Err(SkqError::InvalidDataset(_))
         ));
         let nan = ConvexPolytope::new(vec![Halfspace::new(&[f64::NAN, 0.0], 1.0)]);
-        let mut scratch = Vec::new();
         assert!(matches!(
-            index.try_query_into(&nan, &[0, 1], &mut scratch),
+            index.query(&nan, &[0, 1]),
             Err(SkqError::InvalidQuery(_))
         ));
         assert!(matches!(
@@ -617,7 +496,7 @@ mod tests {
                     ws.push(w);
                 }
             }
-            let mut got = index.query_polytope(&q, &ws);
+            let mut got = index.query(&q, &ws).unwrap();
             got.sort_unstable();
             assert_eq!(got, brute(&dataset, &q, &ws));
         }

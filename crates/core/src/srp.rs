@@ -15,7 +15,8 @@ use crate::dataset::Dataset;
 use crate::error::{validate, SkqError};
 use crate::failpoints;
 use crate::persist::{self, Persist, SCHEMA_VERSION};
-use crate::sink::{CountSink, LimitSink, ResultSink};
+use crate::query::KwQuery;
+use crate::sink::ResultSink;
 use crate::sp::SpKwIndex;
 use crate::stats::QueryStats;
 use crate::telemetry;
@@ -26,6 +27,7 @@ use crate::telemetry;
 ///
 /// ```
 /// use skq_core::dataset::Dataset;
+/// use skq_core::query::KwQuery;
 /// use skq_core::srp::SrpKwIndex;
 /// use skq_geom::{Ball, Point};
 ///
@@ -34,11 +36,12 @@ use crate::telemetry;
 ///     (Point::new2(3.0, 4.0), vec![0, 1]), // distance exactly 5
 ///     (Point::new2(9.0, 9.0), vec![0, 1]),
 /// ]);
-/// let index = SrpKwIndex::build(&data, 2);
+/// let index = SrpKwIndex::try_build(&data, 2)?;
 /// let ball = Ball::new(Point::new2(0.0, 0.0), 5.0);
-/// let mut hits = index.query(&ball, &[0, 1]);
+/// let mut hits = index.query(&ball, &[0, 1])?;
 /// hits.sort_unstable();
 /// assert_eq!(hits, vec![0, 1]);
+/// # Ok::<(), skq_core::SkqError>(())
 /// ```
 pub struct SrpKwIndex {
     /// SP-KW index over the lifted `(d+1)`-dimensional point set.
@@ -102,90 +105,11 @@ impl SrpKwIndex {
         self.sp.k()
     }
 
-    /// Reports objects inside `ball` whose documents contain all
-    /// `keywords`.
-    pub fn query(&self, ball: &Ball, keywords: &[Keyword]) -> Vec<u32> {
-        self.query_with_stats(ball, keywords).0
-    }
-
-    /// Like [`query`](Self::query) with statistics.
-    pub fn query_with_stats(&self, ball: &Ball, keywords: &[Keyword]) -> (Vec<u32>, QueryStats) {
-        assert_eq!(ball.dim(), self.dim, "query dimension mismatch");
-        self.query_sq_with_stats(ball.center(), ball.radius() * ball.radius(), keywords)
-    }
-
-    /// Queries by *squared* radius — exact for integer coordinates, and
-    /// the primitive the L2-NN binary search (Corollary 7) needs.
-    pub fn query_sq(&self, center: &Point, radius_sq: f64, keywords: &[Keyword]) -> Vec<u32> {
-        self.query_sq_with_stats(center, radius_sq, keywords).0
-    }
-
-    /// [`query_sq`](Self::query_sq) with statistics.
-    pub fn query_sq_with_stats(
-        &self,
-        center: &Point,
-        radius_sq: f64,
-        keywords: &[Keyword],
-    ) -> (Vec<u32>, QueryStats) {
-        let mut out = Vec::new();
-        let mut stats = QueryStats::new();
-        self.query_sq_limited(
-            center,
-            radius_sq,
-            keywords,
-            usize::MAX,
-            &mut out,
-            &mut stats,
-        );
-        (out, stats)
-    }
-
-    /// Fallible squared-radius query: validates the center, radius, and
-    /// keyword set, then appends matching ids to `out`.
-    ///
-    /// # Errors
-    ///
-    /// `SkqError::InvalidQuery` on a dimension mismatch, a non-finite
-    /// center or negative/NaN radius, or a keyword set that is not
-    /// exactly `k` distinct keywords.
-    pub fn try_query_into(
-        &self,
-        center: &Point,
-        radius_sq: f64,
-        keywords: &[Keyword],
-        out: &mut Vec<u32>,
-    ) -> Result<QueryStats, SkqError> {
-        validate::point_query(center, self.dim)?;
-        if !(radius_sq.is_finite() && radius_sq >= 0.0) {
-            return Err(SkqError::InvalidQuery(format!(
-                "squared radius must be finite and non-negative, got {radius_sq}"
-            )));
-        }
-        validate::distinct_keywords(keywords, self.k())?;
-        let mut stats = QueryStats::new();
-        self.query_sq_limited(center, radius_sq, keywords, usize::MAX, out, &mut stats);
-        Ok(stats)
-    }
-
-    /// Limited-output squared-radius query (threshold queries).
-    pub fn query_sq_limited(
-        &self,
-        center: &Point,
-        radius_sq: f64,
-        keywords: &[Keyword],
-        limit: usize,
-        out: &mut Vec<u32>,
-        stats: &mut QueryStats,
-    ) {
-        let mut sink = LimitSink::new(&mut *out, limit);
-        let _ = self.query_sq_sink(center, radius_sq, keywords, &mut sink, stats);
-        stats.emitted += sink.emitted();
-        stats.truncated |= sink.truncated();
-    }
-
-    /// Streaming squared-radius query: matching ids are emitted into
-    /// `sink` — the primitive behind the allocation-free L2-NN probes.
-    pub fn query_sq_sink<S: ResultSink>(
+    /// Streaming query by *squared* radius — exact for integer
+    /// coordinates, and the primitive the L2-NN binary search
+    /// (Corollary 7) probes. Unchecked, like
+    /// [`KwQuery::query_sink`].
+    pub(crate) fn query_sq_sink<S: ResultSink>(
         &self,
         center: &Point,
         radius_sq: f64,
@@ -200,38 +124,19 @@ impl SrpKwIndex {
             .query_sink(&ConvexPolytope::from_halfspace(hs), keywords, sink, stats)
     }
 
-    /// Whether at least `t` objects match, by early termination
-    /// (allocation-free on the result side).
-    pub fn count_at_least(
-        &self,
-        center: &Point,
-        radius_sq: f64,
-        keywords: &[Keyword],
-        t: usize,
-    ) -> bool {
-        if t == 0 {
-            return true;
-        }
-        let mut sink = LimitSink::new(CountSink::new(), t);
-        let mut stats = QueryStats::new();
-        let _ = self.query_sq_sink(center, radius_sq, keywords, &mut sink, &mut stats);
-        sink.emitted() >= t as u64
-    }
-
     /// Index space in 64-bit words.
     pub fn space_words(&self) -> usize {
         self.sp.space_words()
     }
 
-    /// Deep structural validation (`debug-invariants`; DESIGN.md §12):
-    /// re-derives the Lemma 10 lifting — every stored point's last
+    /// Deep structural validation (DESIGN.md §12): re-derives the
+    /// Lemma 10 lifting — every stored point's last
     /// coordinate must equal the squared norm of its first `d` — then
     /// recurses into the inner SP-KW index.
     ///
     /// # Errors
     ///
     /// The first violated invariant, by name.
-    #[cfg(feature = "debug-invariants")]
     pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
         use crate::invariants::InvariantViolation as V;
         if self.sp.dim() != self.dim + 1 {
@@ -256,6 +161,32 @@ impl SrpKwIndex {
             }
         }
         self.sp.validate()
+    }
+}
+
+impl KwQuery for SrpKwIndex {
+    type Shape = Ball;
+
+    fn check(&self, ball: &Ball, keywords: &[Keyword]) -> Result<(), SkqError> {
+        validate::point_query(ball.center(), self.dim)?;
+        if !ball.radius().is_finite() {
+            return Err(SkqError::InvalidQuery(format!(
+                "ball radius must be finite, got {}",
+                ball.radius()
+            )));
+        }
+        validate::distinct_keywords(keywords, self.k())
+    }
+
+    fn query_sink<S: ResultSink>(
+        &self,
+        ball: &Ball,
+        keywords: &[Keyword],
+        sink: &mut S,
+        stats: &mut QueryStats,
+    ) -> ControlFlow<()> {
+        let radius_sq = ball.radius() * ball.radius();
+        self.query_sq_sink(ball.center(), radius_sq, keywords, sink, stats)
     }
 }
 
@@ -342,7 +273,7 @@ mod tests {
             );
             let w1 = rng.gen_range(0..8);
             let w2 = (w1 + 1 + rng.gen_range(0..7)) % 8;
-            let mut got = index.query(&ball, &[w1, w2]);
+            let mut got = index.query(&ball, &[w1, w2]).unwrap();
             got.sort_unstable();
             assert_eq!(got, brute(&dataset, &ball, &[w1, w2]));
         }
@@ -360,7 +291,7 @@ mod tests {
             );
             let w1 = rng.gen_range(0..10);
             let w2 = (w1 + 1 + rng.gen_range(0..9)) % 10;
-            let mut got = index.query(&ball, &[w1, w2]);
+            let mut got = index.query(&ball, &[w1, w2]).unwrap();
             got.sort_unstable();
             assert_eq!(got, brute(&dataset, &ball, &[w1, w2]));
         }
@@ -387,7 +318,7 @@ mod tests {
                     ws.push(w);
                 }
             }
-            let mut got = index.query(&ball, &ws);
+            let mut got = index.query(&ball, &ws).unwrap();
             got.sort_unstable();
             assert_eq!(got, brute(&dataset, &ball, &ws));
         }
@@ -402,38 +333,27 @@ mod tests {
         ]);
         let index = SrpKwIndex::build(&dataset, 2);
         let ball = Ball::new(Point::new2(0.0, 0.0), 5.0);
-        let mut got = index.query(&ball, &[0, 1]);
+        let mut got = index.query(&ball, &[0, 1]).unwrap();
         got.sort_unstable();
         assert_eq!(got, vec![0, 2]);
     }
 
     #[test]
-    fn try_surfaces_round_trip_and_validate() {
+    fn invalid_input_is_a_typed_error() {
         let dataset = integer_dataset(150, 2, 6, 71);
         let index = SrpKwIndex::try_build(&dataset, 2).unwrap();
-        let legacy = SrpKwIndex::build(&dataset, 2);
-        let center = Point::new2(0.0, 0.0);
-        let mut out = Vec::new();
-        let stats = index
-            .try_query_into(&center, 400.0, &[0, 1], &mut out)
-            .unwrap();
-        let mut expected = legacy.query_sq(&center, 400.0, &[0, 1]);
-        out.sort_unstable();
-        expected.sort_unstable();
-        assert_eq!(out, expected);
-        assert_eq!(stats.emitted, out.len() as u64);
-        // Validation surfaces.
-        let mut scratch = Vec::new();
+        let nan_center = Ball::new(Point::new2(f64::NAN, 0.0), 1.0);
         assert!(matches!(
-            index.try_query_into(&center, -1.0, &[0, 1], &mut scratch),
+            index.query(&nan_center, &[0, 1]),
+            Err(SkqError::InvalidQuery(_))
+        ));
+        let infinite = Ball::new(Point::new2(0.0, 0.0), f64::INFINITY);
+        assert!(matches!(
+            index.query(&infinite, &[0, 1]),
             Err(SkqError::InvalidQuery(_))
         ));
         assert!(matches!(
-            index.try_query_into(&center, f64::NAN, &[0, 1], &mut scratch),
-            Err(SkqError::InvalidQuery(_))
-        ));
-        assert!(matches!(
-            index.try_query_into(&Point::new1(0.0), 1.0, &[0, 1], &mut scratch),
+            index.query(&Ball::new(Point::new1(0.0), 1.0), &[0, 1]),
             Err(SkqError::InvalidQuery(_))
         ));
         assert!(matches!(
@@ -455,7 +375,9 @@ mod tests {
         ]);
         let index = SrpKwIndex::build(&dataset, 2);
         assert_eq!(
-            index.query(&Ball::new(Point::new2(1.0, 1.0), 0.0), &[0, 1]),
+            index
+                .query(&Ball::new(Point::new2(1.0, 1.0), 0.0), &[0, 1])
+                .unwrap(),
             vec![0]
         );
     }

@@ -11,9 +11,10 @@
 
 /// Why a guarded query stopped before exhausting its answer.
 ///
-/// Set in [`QueryStats::truncated_reason`] by the sink-owning wrapper
-/// when a [`GuardedSink`](crate::guard::GuardedSink) (or a plain
-/// limit) cut the traversal short.
+/// Set in [`QueryStats::truncated_reason`] by the sink's owner
+/// ([`KwQuery::run`](crate::query::KwQuery::run) and the dynamic index)
+/// when a [`GuardedSink`](crate::guard::GuardedSink) cut the traversal
+/// short.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TruncatedReason {
     /// A result-count budget (`LimitSink` / `max_results`) filled up.
@@ -31,6 +32,40 @@ impl TruncatedReason {
             TruncatedReason::Limit => "limit",
             TruncatedReason::DeadlineExceeded => "deadline_exceeded",
             TruncatedReason::Cancelled => "cancelled",
+        }
+    }
+}
+
+/// Which execution path answered a query ([`QueryStats::route`]): the
+/// query planner's chosen plan, or the multi-`k` suite's route for the
+/// query's keyword count.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Route {
+    /// Intersect postings lists, then filter geometrically (planner).
+    KeywordsOnly,
+    /// Geometric index, then filter by keywords (planner).
+    StructuredOnly,
+    /// The paper's framework index (planner; suite, `2 ≤ k ≤ k_max`).
+    Framework,
+    /// Suite, `k = 0`: a pure range scan.
+    RangeScan,
+    /// Suite, `k = 1`: one postings list, filtered geometrically.
+    PostingsFilter,
+    /// Suite, `k > k_max`: the framework index over the `k_max` rarest
+    /// keywords, post-filtered by the rest.
+    PostFilter,
+}
+
+impl Route {
+    /// Stable label used for metric series and query-log records.
+    pub fn label(self) -> &'static str {
+        match self {
+            Route::KeywordsOnly => "keywords_only",
+            Route::StructuredOnly => "structured_only",
+            Route::Framework => "framework",
+            Route::RangeScan => "range_scan",
+            Route::PostingsFilter => "postings_filter",
+            Route::PostFilter => "post_filter",
         }
     }
 }
@@ -56,11 +91,12 @@ pub struct QueryStats {
     pub reported: u64,
     /// Results accepted by the query's [`ResultSink`] — the true
     /// output size of this execution even under a limit. Set by the
-    /// sink-owning wrapper methods (`query`, `query_limited`,
-    /// `query_with_stats`, …), not by the traversal core, so absorbing
-    /// sub-query statistics never double-counts.
+    /// sink-owning entry ([`KwQuery::run`] and the methods over it),
+    /// not by the traversal core, so absorbing sub-query statistics
+    /// never double-counts.
     ///
     /// [`ResultSink`]: crate::sink::ResultSink
+    /// [`KwQuery::run`]: crate::query::KwQuery::run
     pub emitted: u64,
     /// Whether the sink cut the query short (a `LimitSink` fired), i.e.
     /// `emitted` may undercount the full answer.
@@ -68,6 +104,10 @@ pub struct QueryStats {
     /// Why the query was cut short, when a guarded wrapper knows
     /// (`None` for plain `ControlFlow::Break` sinks).
     pub truncated_reason: Option<TruncatedReason>,
+    /// Which execution path answered the query: the planner's chosen
+    /// plan or the multi-`k` suite's route. `None` for indexes with a
+    /// single execution path.
+    pub route: Option<Route>,
     /// Histogram of crossing nodes by tree level (for Lemma 10 /
     /// Figure 1: `Σ_z (1/2)^{level(z)/2}` must stay `O(1)` per query
     /// line in the kd-tree).
@@ -109,6 +149,7 @@ impl QueryStats {
         self.emitted += other.emitted;
         self.truncated |= other.truncated;
         self.truncated_reason = self.truncated_reason.or(other.truncated_reason);
+        self.route = self.route.or(other.route);
         Self::merge_hist(&mut self.crossing_by_level, &other.crossing_by_level);
         Self::merge_hist(&mut self.type1_by_level, &other.type1_by_level);
         Self::merge_hist(&mut self.type2_by_level, &other.type2_by_level);

@@ -17,11 +17,12 @@ use skq_invidx::{InvertedIndex, Keyword};
 
 use crate::dataset::Dataset;
 use crate::error::{validate, SkqError};
-use crate::guard::{GuardedSink, QueryGuard};
+use crate::guard::QueryGuard;
 use crate::orp::OrpKwIndex;
 use crate::persist::{self, Persist, SCHEMA_VERSION};
+use crate::query::KwQuery;
 use crate::sink::{FilterSink, ResultSink};
-use crate::stats::QueryStats;
+use crate::stats::{QueryStats, Route};
 use crate::telemetry;
 
 /// ORP-KW for any number of distinct query keywords in `1..=k_max`
@@ -31,6 +32,7 @@ use crate::telemetry;
 ///
 /// ```
 /// use skq_core::dataset::Dataset;
+/// use skq_core::query::KwQuery;
 /// use skq_core::suite::OrpKwSuite;
 /// use skq_geom::{Point, Rect};
 ///
@@ -38,11 +40,12 @@ use crate::telemetry;
 ///     (Point::new2(1.0, 1.0), vec![0, 1, 2]),
 ///     (Point::new2(2.0, 2.0), vec![0, 1]),
 /// ]);
-/// let suite = OrpKwSuite::build(&data, 3);
+/// let suite = OrpKwSuite::try_build(&data, 3)?;
 /// let q = Rect::full(2);
-/// assert_eq!(suite.query(&q, &[0]).len(), 2);        // k = 1 fallback
-/// assert_eq!(suite.query(&q, &[0, 1]).len(), 2);     // k = 2 index
-/// assert_eq!(suite.query(&q, &[0, 1, 2]), vec![0]);  // k = 3 index
+/// assert_eq!(suite.count(&q, &[0])?, 2);             // k = 1 fallback
+/// assert_eq!(suite.count(&q, &[0, 1])?, 2);          // k = 2 index
+/// assert_eq!(suite.query(&q, &[0, 1, 2])?, vec![0]); // k = 3 index
+/// # Ok::<(), skq_core::SkqError>(())
 /// ```
 pub struct OrpKwSuite {
     /// `indexes[i]` serves `k = i + 2`.
@@ -110,57 +113,18 @@ impl OrpKwSuite {
         self.dataset.len() == 0
     }
 
-    /// Reports all objects in `q` containing all of `keywords`
-    /// (any number of them; duplicates ignored):
+    /// Streams all objects in `q` containing all of `keywords` into
+    /// `sink` (any number of keywords; duplicates ignored), so counting
+    /// or limited queries materialize no result vector on any route:
     ///
     /// * `k = 0` — pure range query (inverted fallback over all ids);
     /// * `k = 1` — postings scan + geometric filter;
     /// * `2 ≤ k ≤ k_max` — the matching framework index;
     /// * `k > k_max` — the `k_max` index over the `k_max` *rarest*
     ///   keywords, then post-filtering by the rest (a safe superset).
-    pub fn query(&self, q: &Rect, keywords: &[Keyword]) -> Vec<u32> {
-        let span = skq_obs::Span::enter("orp.suite_query");
-        let mut kws = keywords.to_vec();
-        kws.sort_unstable();
-        kws.dedup();
-        let mut stats = QueryStats::new();
-        let mut result = Vec::new();
-        let (route, _) = self.dispatch(q, &kws, &mut result, &mut stats);
-        stats.emitted = result.len() as u64;
-        telemetry::record_query_planned(
-            "orp_suite",
-            kws.len(),
-            Some(route),
-            &stats,
-            span.elapsed(),
-            None,
-            None,
-        );
-        result
-    }
-
-    /// Fallible query: validates the rectangle, then routes like
-    /// [`query`](Self::query) — any number of distinct keywords is
-    /// acceptable, that is the suite's job — appending the matches to
-    /// `out`.
     ///
-    /// # Errors
-    ///
-    /// `SkqError::InvalidQuery` on a dimension mismatch or NaN bounds.
-    pub fn try_query_into(
-        &self,
-        q: &Rect,
-        keywords: &[Keyword],
-        out: &mut Vec<u32>,
-    ) -> Result<(), SkqError> {
-        validate::rect_query(q, self.dataset.dim())?;
-        out.extend(self.query(q, keywords));
-        Ok(())
-    }
-
-    /// Streaming variant of [`query`](Self::query): matching ids are
-    /// emitted into `sink` as they are found, so counting or limited
-    /// queries materialize no result vector on any route.
+    /// The route taken is recorded in [`QueryStats::route`]. Unchecked,
+    /// like [`KwQuery::query_sink`]; [`KwQuery::run`] validates first.
     pub fn query_sink<S: ResultSink>(
         &self,
         q: &Rect,
@@ -171,50 +135,14 @@ impl OrpKwSuite {
         let mut kws = keywords.to_vec();
         kws.sort_unstable();
         kws.dedup();
-        self.dispatch(q, &kws, sink, stats).1
+        let (route, flow) = self.dispatch(q, &kws, sink, stats);
+        stats.route = Some(route);
+        flow
     }
 
-    /// Guarded variant of [`query`](Self::query): enforces the deadline
-    /// / cancellation / result budget of `guard` on whatever route the
-    /// keyword count selects. Results collected before a limit trips
-    /// are kept (sorted), and the returned stats carry the
-    /// [`truncated_reason`](QueryStats).
-    pub fn query_guarded(
-        &self,
-        q: &Rect,
-        keywords: &[Keyword],
-        guard: &QueryGuard,
-    ) -> (Vec<u32>, QueryStats) {
-        let span = skq_obs::Span::enter("orp.suite_query");
-        let mut kws = keywords.to_vec();
-        kws.sort_unstable();
-        kws.dedup();
-        let mut stats = QueryStats::new();
-        let mut result = Vec::new();
-        let (route, reason) = {
-            let mut guarded = GuardedSink::new(&mut result, guard);
-            let (route, _) = self.dispatch(q, &kws, &mut guarded, &mut stats);
-            (route, guarded.truncated_reason())
-        };
-        stats.emitted = result.len() as u64;
-        stats.truncated |= reason.is_some();
-        stats.truncated_reason = stats.truncated_reason.or(reason);
-        telemetry::record_query_planned(
-            "orp_suite",
-            kws.len(),
-            Some(route),
-            &stats,
-            span.elapsed(),
-            None,
-            None,
-        );
-        result.sort_unstable();
-        (result, stats)
-    }
-
-    /// Fallible variant of [`query_guarded`](Self::query_guarded) for
-    /// callers (the `skq-serve` request path) that want guard trips
-    /// delivered as typed errors instead of truncation markers.
+    /// The serving entry (the `skq-serve` request path): a
+    /// [`KwQuery::run`] under `guard` that also records the query's
+    /// telemetry and returns the matches sorted.
     ///
     /// A result-budget trip (`with_max_results`) is *not* an error —
     /// the caller asked for at most that many results — so it is
@@ -233,26 +161,36 @@ impl OrpKwSuite {
         keywords: &[Keyword],
         guard: &QueryGuard,
     ) -> Result<(Vec<u32>, QueryStats), SkqError> {
-        validate::rect_query(q, self.dataset.dim())?;
-        let (ids, stats) = self.query_guarded(q, keywords, guard);
-        match stats.truncated_reason {
-            Some(crate::stats::TruncatedReason::DeadlineExceeded) => {
-                Err(SkqError::DeadlineExceeded)
-            }
-            Some(crate::stats::TruncatedReason::Cancelled) => Err(SkqError::Cancelled),
-            _ => Ok((ids, stats)),
+        let span = skq_obs::Span::enter("orp.suite_query");
+        let mut ids = Vec::new();
+        let mut stats = QueryStats::new();
+        let outcome = self.run(q, keywords, guard, &mut ids, &mut stats);
+        // A route ran unless the input check refused the query.
+        if let Some(route) = stats.route {
+            telemetry::record_query_planned(
+                "orp_suite",
+                validate::count_distinct(keywords),
+                Some(route.label()),
+                &stats,
+                span.elapsed(),
+                None,
+                None,
+            );
         }
+        let _ = outcome?;
+        ids.sort_unstable();
+        Ok((ids, stats))
     }
 
     /// Routes a deduped keyword set to the right member and streams the
-    /// answer into `sink`. Returns the route label for telemetry.
+    /// answer into `sink`. Returns the route taken.
     fn dispatch<S: ResultSink>(
         &self,
         q: &Rect,
         kws: &[Keyword],
         sink: &mut S,
         stats: &mut QueryStats,
-    ) -> (&'static str, ControlFlow<()>) {
+    ) -> (Route, ControlFlow<()>) {
         match kws.len() {
             0 => {
                 let mut flow = ControlFlow::Continue(());
@@ -266,7 +204,7 @@ impl OrpKwSuite {
                         }
                     }
                 }
-                ("range_scan", flow)
+                (Route::RangeScan, flow)
             }
             1 => {
                 let mut flow = ControlFlow::Continue(());
@@ -280,10 +218,10 @@ impl OrpKwSuite {
                         }
                     }
                 }
-                ("postings_filter", flow)
+                (Route::PostingsFilter, flow)
             }
             k if k <= self.k_max => (
-                "framework",
+                Route::Framework,
                 self.indexes[k - 2].query_sink(q, kws, sink, stats),
             ),
             _ => {
@@ -298,7 +236,7 @@ impl OrpKwSuite {
                     self.dataset.doc(i as usize).contains_all(kws)
                 });
                 let flow = self.indexes[self.k_max - 2].query_sink(q, &head, &mut filt, stats);
-                ("post_filter", flow)
+                (Route::PostFilter, flow)
             }
         }
     }
@@ -312,14 +250,12 @@ impl OrpKwSuite {
             + self.inv.input_size() * 2
     }
 
-    /// Deep structural validation (`debug-invariants`; DESIGN.md §12):
-    /// every per-`k` member index and the inverted fallback must
-    /// validate.
+    /// Deep structural validation (DESIGN.md §12): every per-`k`
+    /// member index and the inverted fallback must validate.
     ///
     /// # Errors
     ///
     /// The first violated invariant, by name.
-    #[cfg(feature = "debug-invariants")]
     pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
         for index in &self.indexes {
             index.validate()?;
@@ -328,6 +264,7 @@ impl OrpKwSuite {
             crate::invariants::InvariantViolation::new("invidx::postings", detail)
         })
     }
+
     /// Decodes a suite from snapshot bytes (DESIGN.md §15) and — under
     /// the `debug-invariants` feature — deep-validates the result, so a
     /// checksum-valid but structurally inconsistent snapshot is refused
@@ -350,6 +287,27 @@ impl OrpKwSuite {
             detail: v.to_string(),
         })?;
         Ok(suite)
+    }
+}
+
+/// Forwards to the inherent [`OrpKwSuite::query_sink`]; the check is
+/// the rectangle alone, because routing any keyword count is the
+/// suite's job.
+impl KwQuery for OrpKwSuite {
+    type Shape = Rect;
+
+    fn check(&self, q: &Rect, _keywords: &[Keyword]) -> Result<(), SkqError> {
+        validate::rect_query(q, self.dim())
+    }
+
+    fn query_sink<S: ResultSink>(
+        &self,
+        q: &Rect,
+        keywords: &[Keyword],
+        sink: &mut S,
+        stats: &mut QueryStats,
+    ) -> ControlFlow<()> {
+        OrpKwSuite::query_sink(self, q, keywords, sink, stats)
     }
 }
 
@@ -463,7 +421,7 @@ mod tests {
                     kws.push(w);
                 }
             }
-            let mut got = suite.query(&q, &kws);
+            let mut got = suite.query(&q, &kws).unwrap();
             got.sort_unstable();
             assert_eq!(got, brute(&d, &q, &kws), "trial {trial} k={k}");
         }
@@ -474,7 +432,7 @@ mod tests {
         let d = dataset();
         let suite = OrpKwSuite::build(&d, 3);
         let q = Rect::full(2);
-        let mut a = suite.query(&q, &[3, 3, 5, 5]);
+        let mut a = suite.query(&q, &[3, 3, 5, 5]).unwrap();
         a.sort_unstable();
         assert_eq!(a, brute(&d, &q, &[3, 5]));
     }
@@ -485,7 +443,7 @@ mod tests {
         let suite = OrpKwSuite::build(&d, 2);
         let q = Rect::full(2);
         let kws = [0u32, 1, 2, 3, 4];
-        let mut got = suite.query(&q, &kws);
+        let mut got = suite.query(&q, &kws).unwrap();
         got.sort_unstable();
         assert_eq!(got, brute(&d, &q, &kws));
     }
@@ -499,7 +457,7 @@ mod tests {
         // One keyword set per route: range_scan, postings_filter,
         // framework, post_filter.
         for kws in [vec![], vec![4], vec![1, 2], vec![0, 1, 2, 3]] {
-            let full = suite.query(&q, &kws);
+            let full = suite.query(&q, &kws).unwrap();
             let mut count = CountSink::new();
             let mut stats = QueryStats::new();
             let _ = suite.query_sink(&q, &kws, &mut count, &mut stats);
@@ -527,28 +485,40 @@ mod tests {
 
     #[test]
     fn guarded_query_caps_every_route() {
-        use crate::guard::QueryGuard;
         use crate::stats::TruncatedReason;
         let d = dataset();
         let suite = OrpKwSuite::build(&d, 3);
         let q = Rect::new(&[10.0, 10.0], &[45.0, 45.0]);
-        for kws in [vec![], vec![4], vec![1, 2], vec![0, 1, 2, 3]] {
-            let full = suite.query(&q, &kws);
+        for (kws, route) in [
+            (vec![], Route::RangeScan),
+            (vec![4], Route::PostingsFilter),
+            (vec![1, 2], Route::Framework),
+            (vec![0, 1, 2, 3], Route::PostFilter),
+        ] {
+            let full = suite.query(&q, &kws).unwrap();
             if full.len() < 3 {
                 continue;
             }
             let guard = QueryGuard::new().with_max_results(2);
-            let (got, stats) = suite.query_guarded(&q, &kws, &guard);
+            let (got, stats) = suite.try_query_guarded(&q, &kws, &guard).unwrap();
             assert_eq!(got.len(), 2, "kws={kws:?}");
             assert_eq!(stats.truncated_reason, Some(TruncatedReason::Limit));
+            assert_eq!(stats.route, Some(route));
             assert!(got.iter().all(|i| full.contains(i)), "kws={kws:?}");
         }
         // An unguarded guard leaves the answer untouched.
-        let (all, stats) = suite.query_guarded(&q, &[1, 2], &QueryGuard::new());
-        let mut expected = suite.query(&q, &[1, 2]);
+        let (all, stats) = suite
+            .try_query_guarded(&q, &[1, 2], &QueryGuard::new())
+            .unwrap();
+        let mut expected = suite.query(&q, &[1, 2]).unwrap();
         expected.sort_unstable();
         assert_eq!(all, expected);
         assert_eq!(stats.truncated_reason, None);
+        // The check is the rectangle alone.
+        assert!(matches!(
+            suite.try_query_guarded(&Rect::full(3), &[1, 2], &QueryGuard::new()),
+            Err(SkqError::InvalidQuery(_))
+        ));
     }
 
     #[test]
@@ -556,7 +526,7 @@ mod tests {
         let d = dataset();
         let suite = OrpKwSuite::build(&d, 2);
         let q = Rect::new(&[0.0, 0.0], &[30.0, 30.0]);
-        let mut got = suite.query(&q, &[]);
+        let mut got = suite.query(&q, &[]).unwrap();
         got.sort_unstable();
         let expected: Vec<u32> = (0..d.len() as u32)
             .filter(|&i| q.contains(d.point(i as usize)))

@@ -40,8 +40,9 @@ use scan::SourceFile;
 /// removed, or change meaning.
 ///
 /// History: 1 = masked-line engine, L01–L14; 2 = token-stream engine,
-/// L01–L18.
-pub const RULE_VERSION: u32 = 2;
+/// L01–L18; 3 = L02 retired (the query surface it kept in step is one
+/// trait now).
+pub const RULE_VERSION: u32 = 3;
 
 /// One diagnostic produced by a rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -327,7 +328,7 @@ mod tests {
         ));
         assert!(!suppresses("x(); // skq-lint: allow(L01)", "L01"));
         assert!(!suppresses(
-            "x(); // skq-lint: allow(L02) wrong rule",
+            "x(); // skq-lint: allow(L03) wrong rule",
             "L01"
         ));
         assert!(suppresses(
@@ -349,7 +350,7 @@ mod tests {
         };
         assert!(b.accepts(&hit));
         let miss = Finding {
-            rule: "L02",
+            rule: "L03",
             ..hit.clone()
         };
         assert!(!b.accepts(&miss));

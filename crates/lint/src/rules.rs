@@ -20,11 +20,6 @@ pub const RULES: &[(&str, &str, RuleFn)] = &[
         l01_no_panics_in_request_path,
     ),
     (
-        "L02",
-        "every core module with `pub fn query*` exposes a fallible query counterpart",
-        l02_fallible_query_counterpart,
-    ),
-    (
         "L03",
         "metric names start with `skq_`, keep one kind per name, and appear in DESIGN.md",
         l03_metric_discipline,
@@ -156,51 +151,6 @@ fn l01_no_panics_in_request_path(ws: &Workspace, out: &mut Vec<Finding>) {
                         "`{}` in request-path module; return SkqError (or use the guarded surface) instead",
                         token.trim_start_matches('.').trim_end_matches('(')
                     ),
-                );
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------- L02
-
-fn l02_fallible_query_counterpart(ws: &Workspace, out: &mut Vec<Finding>) {
-    for file in &ws.files {
-        // Top-level core modules only: the public index surface.
-        let Some(rest) = file.path.strip_prefix("crates/core/src/") else {
-            continue;
-        };
-        if rest.contains('/') {
-            continue;
-        }
-        let mut first_query: Option<usize> = None;
-        let mut has_fallible = false;
-        for o in file.masked_offsets("pub fn ") {
-            if file.is_test_at(o) {
-                continue;
-            }
-            let name_start = o + "pub fn ".len();
-            let name = ident_at(&file.masked, name_start);
-            if name.starts_with("try_query") {
-                has_fallible = true;
-            } else if name.starts_with("query") {
-                first_query.get_or_insert(o);
-                // A query returning Result counts as its own fallible form.
-                if signature_text(&file.masked, o).contains("Result<") {
-                    has_fallible = true;
-                }
-            }
-        }
-        if let Some(o) = first_query {
-            if !has_fallible {
-                push(
-                    out,
-                    "L02",
-                    file,
-                    o,
-                    "module declares `pub fn query*` but no fallible counterpart \
-                     (`try_query*` or a query returning Result)"
-                        .to_string(),
                 );
             }
         }
@@ -782,17 +732,6 @@ fn ident_at(text: &str, offset: usize) -> String {
         .chars()
         .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
         .collect()
-}
-
-/// The signature text of a `fn` declared at `offset`: everything up to
-/// the body brace (bounded, in case of parse confusion).
-fn signature_text(masked: &str, offset: usize) -> &str {
-    let end = masked[offset..]
-        .char_indices()
-        .find(|&(i, c)| c == '{' || c == ';' || i > 600)
-        .map(|(i, _)| offset + i)
-        .unwrap_or(masked.len());
-    &masked[offset..end]
 }
 
 /// If (after whitespace) a string literal opens at `offset` in the raw

@@ -50,21 +50,6 @@ fn l01_skips_test_regions_strings_and_other_modules() {
 }
 
 #[test]
-fn l02_requires_fallible_query_counterpart() {
-    let bad = "pub fn query(&self) -> Vec<u32> { Vec::new() }\n";
-    let findings = lint(&[("crates/core/src/rr.rs", bad)]);
-    assert_one(&findings, "L02", "crates/core/src/rr.rs", 1, 1);
-
-    let good_try = "pub fn query(&self) -> Vec<u32> { Vec::new() }\n\
-                    /// # Errors\n/// Never.\n\
-                    pub fn try_query_into(&self) -> Result<(), ()> { Ok(()) }\n";
-    assert!(lint(&[("crates/core/src/rr.rs", good_try)]).is_empty());
-
-    let good_result = "pub fn query_guarded(&self) -> Result<Vec<u32>, ()> { Ok(Vec::new()) }\n";
-    assert!(lint(&[("crates/core/src/rr.rs", good_result)]).is_empty());
-}
-
-#[test]
 fn l03_flags_undocumented_and_misshapen_metrics() {
     let src = "pub fn f(reg: &R) {\n    reg.counter(\"skq_good_total\", &[]).inc();\n    reg.counter(\"bad_name\", &[]).inc();\n    reg.gauge(\"skq_missing_from_design\", &[]).set(1.0);\n}\n";
     let findings = lint(&[
@@ -300,10 +285,11 @@ fn inline_suppression_needs_justification() {
 #[test]
 fn every_rule_id_is_covered_by_a_fixture() {
     // Meta-check: the registry and the fixture files must grow
-    // together (L01–L14 here, L15–L18 in tests/conc_fixtures.rs).
+    // together (L01–L14 here, L15–L18 in tests/conc_fixtures.rs; L02
+    // was retired with the duplicated query surface it policed).
     let covered = [
-        "L01", "L02", "L03", "L04", "L05", "L06", "L07", "L08", "L09", "L10", "L11", "L12", "L13",
-        "L14", "L15", "L16", "L17", "L18",
+        "L01", "L03", "L04", "L05", "L06", "L07", "L08", "L09", "L10", "L11", "L12", "L13", "L14",
+        "L15", "L16", "L17", "L18",
     ];
     for (id, _, _) in skq_lint::rules::RULES {
         assert!(covered.contains(id), "rule {id} has no fixture test");

@@ -21,6 +21,7 @@ use std::process::ExitCode;
 
 use skq_core::dynamic::ObjectHandle;
 use skq_core::nn_linf::LinfNnIndex;
+use skq_core::query::KwQuery;
 use skq_core::srp::SrpKwIndex;
 use skq_core::suite::OrpKwSuite;
 use skq_core::Dataset;
@@ -160,8 +161,9 @@ fn config(ckpt_ops: u64) -> DurabilityConfig {
     config
 }
 
-/// Arms the chosen fail-point site to abort the process on next hit.
-fn arm_abort(site: &str) -> Result<(), String> {
+/// Arms the chosen fail-point site to abort the process on next hit,
+/// for as long as the returned guard lives.
+fn arm_abort(site: &str) -> Result<skq_core::failpoints::FailPoint, String> {
     let full = match site {
         "wal_append" => "store::wal_append",
         "fsync" => "store::fsync",
@@ -170,8 +172,11 @@ fn arm_abort(site: &str) -> Result<(), String> {
     };
     #[cfg(feature = "failpoints")]
     {
-        skq_core::failpoints::inject(full, skq_core::failpoints::FailAction::Abort, Some(1));
-        Ok(())
+        Ok(skq_core::failpoints::inject(
+            full,
+            skq_core::failpoints::FailAction::Abort,
+            Some(1),
+        ))
     }
     #[cfg(not(feature = "failpoints"))]
     {
@@ -186,9 +191,12 @@ fn cmd_run(a: &Args) -> Result<(), String> {
     let mut rng = Rng::new(a.seed);
     let mut oracle = Oracle::new();
     let mut handles: Vec<ObjectHandle> = Vec::new();
+    // Held to the end of the run: the abort fires at the site's next
+    // hit, which may come several ops after arming.
+    let mut _armed = None;
     for step in 0..a.ops {
         if a.abort_at == Some(step) {
-            arm_abort(&a.site)?;
+            _armed = Some(arm_abort(&a.site)?);
         }
         let op = oracle.gen_op(&mut rng);
         match &op {
@@ -307,7 +315,9 @@ fn cmd_verify(a: &Args) -> Result<(), ExitCode> {
         let lo = (qrng.below(64) as f64 - 0.5, qrng.below(64) as f64 - 0.5);
         let span = (qrng.below(32) as f64, qrng.below(32) as f64);
         let rect = Rect::new(&[lo.0, lo.1], &[lo.0 + span.0 + 1.0, lo.1 + span.1 + 1.0]);
-        let mut got_ids = suite.query(&rect, &kws);
+        let mut got_ids = suite
+            .query(&rect, &kws)
+            .map_err(|e| fail(format!("rect query: {e}")))?;
         got_ids.sort_unstable();
         let mut want = brute_rect(&expect, &rect, &kws);
         want.sort_unstable();
@@ -323,7 +333,9 @@ fn cmd_verify(a: &Args) -> Result<(), ExitCode> {
         // no boundary ties.
         let center = Point::new2(qrng.below(64) as f64, qrng.below(64) as f64);
         let radius = qrng.below(24) as f64 + 0.5;
-        let mut ball_ids = srp.query(&Ball::new(center, radius), &kws);
+        let mut ball_ids = srp
+            .query(&Ball::new(center, radius), &kws)
+            .map_err(|e| fail(format!("ball query: {e}")))?;
         ball_ids.sort_unstable();
         let mut ball_want: Vec<u32> = expect
             .iter()
@@ -345,7 +357,9 @@ fn cmd_verify(a: &Args) -> Result<(), ExitCode> {
         // NN: L∞ distances can tie on the grid, so compare the sorted
         // distance profile, not the id set.
         let t = 1 + qrng.below(5) as usize;
-        let nn_ids = nn.query(&center, t, &kws);
+        let (nn_ids, _) = nn
+            .query(&center, t, &kws)
+            .map_err(|e| fail(format!("nn query: {e}")))?;
         let mut nn_dists: Vec<f64> = nn_ids
             .iter()
             .map(|&i| expect[i as usize].1.linf(&center))

@@ -168,14 +168,16 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
     } else {
         0
     };
+    // Armed for the whole run: the guard disarms the site when `run`
+    // returns.
     #[cfg(feature = "failpoints")]
-    if opts.chaos {
+    let _chaos = opts.chaos.then(|| {
         skq_core::failpoints::inject(
             "serve::request",
             skq_core::failpoints::FailAction::Err,
             Some(chaos_budget),
-        );
-    }
+        )
+    });
 
     if opts.trace.is_some() {
         skq_obs::trace::enable();

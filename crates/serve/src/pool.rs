@@ -30,11 +30,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use skq_core::concurrency::{available_threads, effective_threads};
-use skq_core::error::validate;
 use skq_core::failpoints;
-use skq_core::sink::{CountSink, ResultSink as _};
+use skq_core::query::KwQuery;
+use skq_core::sink::CountSink;
 use skq_core::suite::OrpKwSuite;
-use skq_core::{CancelToken, GuardedSink, QueryGuard, QueryStats, SkqError, TruncatedReason};
+use skq_core::{CancelToken, QueryGuard, QueryStats, SkqError};
 use skq_geom::Rect;
 use skq_invidx::Keyword;
 
@@ -493,20 +493,14 @@ fn execute(snap: &Versioned<OrpKwSuite>, job: &Job) -> Result<Reply, SkqError> {
 /// cancellation still produce their typed errors so a browned-out
 /// request is cheap, not unbounded.
 fn execute_count_only(snap: &Versioned<OrpKwSuite>, job: &Job) -> Result<Reply, SkqError> {
-    validate::rect_query(&job.rect, snap.value.dim())?;
     let mut stats = QueryStats::default();
-    let mut sink = GuardedSink::new(CountSink::new(), &job.guard);
-    let _ = snap
-        .value
-        .query_sink(&job.rect, &job.keywords, &mut sink, &mut stats);
-    match sink.truncated_reason() {
-        Some(TruncatedReason::DeadlineExceeded) => return Err(SkqError::DeadlineExceeded),
-        Some(TruncatedReason::Cancelled) => return Err(SkqError::Cancelled),
-        Some(TruncatedReason::Limit) | None => {}
-    }
-    stats.emitted = sink.emitted();
-    stats.truncated = sink.truncated_reason().is_some();
-    stats.truncated_reason = sink.truncated_reason();
+    let _ = snap.value.run(
+        &job.rect,
+        &job.keywords,
+        &job.guard,
+        &mut CountSink::new(),
+        &mut stats,
+    )?;
     Ok(Reply {
         ids: Vec::new(),
         stats,
@@ -538,7 +532,7 @@ mod tests {
         let suite = OrpKwSuite::build(&dataset, 2);
         // Replies are sorted (the guarded path sorts before returning);
         // the direct query emits in traversal order.
-        let mut expected = suite.query(&Rect::full(2), &[0, 1]);
+        let mut expected = suite.query(&Rect::full(2), &[0, 1]).unwrap();
         expected.sort_unstable();
         let server = Server::start(suite, ServerConfig::default());
         let reply = server
@@ -582,7 +576,7 @@ mod tests {
     fn brownout_count_only_answers_with_a_count() {
         let dataset = scenarios::city(300, 11);
         let suite = OrpKwSuite::build(&dataset, 2);
-        let mut expected = suite.query(&Rect::full(2), &[0, 1]);
+        let mut expected = suite.query(&Rect::full(2), &[0, 1]).unwrap();
         expected.sort_unstable();
         // Depth thresholds of 0 put every request on the deepest rung,
         // making the ladder deterministic under test.

@@ -455,9 +455,14 @@ mod tests {
             assert_eq!(lkw, akw);
         }
         // And the recovered index answers queries.
-        let hits = d
+        let (hits, _) = d
             .index()
-            .query(&Rect::new(&[0.0, 0.0], &[100.0, 100.0]), &[0, 100]);
+            .query(
+                &Rect::new(&[0.0, 0.0], &[100.0, 100.0]),
+                &[0, 100],
+                &skq_core::QueryGuard::new(),
+            )
+            .unwrap();
         let expect = acked
             .iter()
             .filter(|(_, _, kw)| kw == &vec![0, 100])

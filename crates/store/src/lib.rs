@@ -28,6 +28,7 @@
 //!
 //! ```
 //! use skq_core::dataset::Dataset;
+//! use skq_core::query::KwQuery;
 //! use skq_core::suite::OrpKwSuite;
 //! use skq_geom::{Point, Rect};
 //! use skq_store::{IndexBackend, MemBackend};
@@ -40,7 +41,7 @@
 //! let store = MemBackend::new();
 //! store.save("demo", &suite).unwrap();
 //! let loaded: OrpKwSuite = store.load("demo").unwrap();
-//! assert_eq!(loaded.query(&Rect::full(2), &[0, 1]).len(), 1);
+//! assert_eq!(loaded.count(&Rect::full(2), &[0, 1]).unwrap(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -362,6 +363,7 @@ mod tests {
 
     use super::*;
     use skq_core::dataset::Dataset;
+    use skq_core::query::KwQuery;
     use skq_core::suite::OrpKwSuite;
     use skq_geom::{Point, Rect};
 
@@ -391,7 +393,10 @@ mod tests {
         assert!(written > 0);
         let loaded: OrpKwSuite = store.load("a").unwrap();
         let q = Rect::full(2);
-        assert_eq!(loaded.query(&q, &[0, 1]), s.query(&q, &[0, 1]));
+        assert_eq!(
+            loaded.query(&q, &[0, 1]).unwrap(),
+            s.query(&q, &[0, 1]).unwrap()
+        );
         assert_eq!(store.list().unwrap(), vec!["a".to_string()]);
     }
 
@@ -415,7 +420,10 @@ mod tests {
         );
         let loaded: OrpKwSuite = store.load("snap-1").unwrap();
         let q = Rect::new(&[1.0, 1.0], &[6.0, 6.0]);
-        assert_eq!(loaded.query(&q, &[0, 1]), s.query(&q, &[0, 1]));
+        assert_eq!(
+            loaded.query(&q, &[0, 1]).unwrap(),
+            s.query(&q, &[0, 1]).unwrap()
+        );
         assert!(store.path_of("snap-1").unwrap().exists());
         let _ = fs::remove_dir_all(&dir);
     }

@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use structured_keyword_search::prelude::*;
 
-fn main() {
+fn main() -> Result<(), SkqError> {
     // --- A synthetic city: 50k POIs, clustered, correlated tags. ---
     let config = SpatialKeywordConfig {
         num_objects: 50_000,
@@ -63,7 +63,7 @@ fn main() {
         &[anchor.get(0) + half, anchor.get(1) + half],
     );
     let t = Instant::now();
-    let (hits, stats) = orp.query_with_stats(&window, &kws);
+    let (hits, stats) = orp.query_with_stats(&window, &kws)?;
     let dt = t.elapsed();
     println!("RANGE  {window:?} tags {kws:?}");
     println!(
@@ -93,7 +93,7 @@ fn main() {
     let center = Point::new2(anchor.get(0).round(), anchor.get(1).round());
     let ball = Ball::new(center, 3_000.0);
     let t = Instant::now();
-    let (hits_b, stats_b) = srp.query_with_stats(&ball, &kws);
+    let (hits_b, stats_b) = srp.query_with_stats(&ball, &kws)?;
     println!("\nBALL   center {center:?}, radius 3000, tags {kws:?}");
     println!(
         "  SRP-KW index : {:>5} hits, {:>7} objects examined, {:.1?}",
@@ -107,7 +107,7 @@ fn main() {
     // --- Nearest neighbours: "5 closest POIs with both tags". ------
     let q = gen.integer_point();
     let t = Instant::now();
-    let nearest = nn.query(&q, 5, &kws);
+    let (nearest, _) = nn.query(&q, 5, &kws)?;
     println!(
         "\nNN     query point {q:?}, t = 5, tags {kws:?} ({:.1?})",
         t.elapsed()
@@ -124,6 +124,7 @@ fn main() {
     assert_eq!(nearest, base_nn);
 
     println!("\nall answers verified against the naive baselines ✓");
+    Ok(())
 }
 
 fn sorted(mut v: Vec<u32>) -> Vec<u32> {

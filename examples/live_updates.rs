@@ -13,7 +13,7 @@ use std::time::Instant;
 use structured_keyword_search::core::dynamic::DynamicOrpKw;
 use structured_keyword_search::prelude::*;
 
-fn main() {
+fn main() -> Result<(), SkqError> {
     let mut dict = Dictionary::new();
     let amenities: Vec<Keyword> = [
         "balcony",
@@ -78,7 +78,7 @@ fn main() {
                 let x: f64 = rng.gen_range(0.0..90.0);
                 let y: f64 = rng.gen_range(0.0..90.0);
                 let q = Rect::new(&[x, y], &[x + 10.0, y + 10.0]);
-                let hits = index.query(&q, &[balcony, parking]);
+                let (hits, _) = index.query(&q, &[balcony, parking], &QueryGuard::new())?;
                 reported += hits.len();
                 n_queries += 1;
                 let _ = tick;
@@ -98,9 +98,10 @@ fn main() {
 
     // Spot-check correctness against a scan of the live set.
     let q = Rect::new(&[20.0, 20.0], &[60.0, 60.0]);
-    let hits = index.query(&q, &[balcony, parking]);
+    let (hits, _) = index.query(&q, &[balcony, parking], &QueryGuard::new())?;
     println!(
         "\nspot query [20,60]² with {{balcony, parking}}: {} listings ✓",
         hits.len()
     );
+    Ok(())
 }

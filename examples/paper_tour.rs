@@ -11,7 +11,7 @@
 use structured_keyword_search::prelude::*;
 use structured_keyword_search::workload::scenarios;
 
-fn main() {
+fn main() -> Result<(), SkqError> {
     println!("================================================================");
     println!(" §3.2 — the transformed kd-tree");
     println!("================================================================\n");
@@ -51,7 +51,7 @@ fn main() {
     // A window query: most visited cells are covered, the boundary ring
     // crosses.
     let window = gen.rect(0.05);
-    let (hits, stats) = index.query_with_stats(&window, &kws);
+    let (hits, stats) = index.query_with_stats(&window, &kws)?;
     println!("window query ({} hits): {stats}", hits.len());
     println!(
         "  covered : {} nodes (their subtrees are pure output — Lemma 9)",
@@ -65,7 +65,7 @@ fn main() {
     // A vertical line through a data coordinate: the Figure-1 picture.
     let x = city.point(city.len() / 2).get(0);
     let line = Rect::new(&[x, f64::NEG_INFINITY], &[x, f64::INFINITY]);
-    let (_, stats) = index.query_with_stats(&line, &kws);
+    let (_, stats) = index.query_with_stats(&line, &kws)?;
     println!("vertical line x = {x}: crossing histogram by level");
     println!("  {:?}", stats.crossing_by_level);
     println!(
@@ -85,7 +85,7 @@ fn main() {
     let mut gen3 = QueryGen::new(&net, 4);
     let kws3 = gen3.top_keywords(2).unwrap();
     let q3 = gen3.rect(0.2);
-    let (hits3, stats3) = index3.query_with_stats(&q3, &kws3);
+    let (hits3, stats3) = index3.query_with_stats(&q3, &kws3)?;
     println!(
         "3D query ({} hits) on N = {}: type-1 per level {:?}, type-2 per level {:?}",
         hits3.len(),
@@ -100,4 +100,5 @@ fn main() {
         stats3.type1_by_level.len().max(stats3.type2_by_level.len()),
         (net.input_size() as f64).log2().log2()
     );
+    Ok(())
 }

@@ -15,7 +15,7 @@ use std::time::Instant;
 use structured_keyword_search::core::planner::{Plan, PlannedOrpKw};
 use structured_keyword_search::prelude::*;
 
-fn main() {
+fn main() -> Result<(), SkqError> {
     // City POIs with Zipf tags: a few huge tags, a long rare tail.
     let config = SpatialKeywordConfig {
         num_objects: 80_000,
@@ -87,23 +87,30 @@ fn main() {
 
     for (name, q, kws) in &scenarios {
         let est = planner.estimate(q, kws);
-        let (hits, plan) = planner.query(q, kws);
+        let (mut hits, stats) = planner.query_with_stats(q, kws)?;
+        hits.sort_unstable();
+        let plan = stats.route.map_or("none", Route::label);
         println!("scenario: {name}");
         println!(
             "  estimates — keywords-only: {:.0}, structured-only: {:.0}, framework: {:.0}",
             est.keywords_only, est.structured_only, est.framework
         );
-        println!("  chosen plan: {plan:?}, {} results", hits.len());
+        println!("  chosen plan: {plan}, {} results", hits.len());
 
         // Time all three plans to show the choice was sound.
         for p in [Plan::KeywordsOnly, Plan::StructuredOnly, Plan::Framework] {
             let t = Instant::now();
-            let r = planner.query_with_plan(q, kws, p);
+            let r = planner.query_with_plan(q, kws, p)?;
             let dt = t.elapsed();
             assert_eq!(r, hits, "plans must agree");
-            let marker = if p == plan { "  ← chosen" } else { "" };
+            let marker = if p.label() == plan {
+                "  ← chosen"
+            } else {
+                ""
+            };
             println!("    {p:?}: {dt:.1?}{marker}");
         }
         println!();
     }
+    Ok(())
 }

@@ -12,7 +12,7 @@
 
 use structured_keyword_search::prelude::*;
 
-fn main() {
+fn main() -> Result<(), SkqError> {
     // --- Build the hotel table. -----------------------------------
     let mut dict = Dictionary::new();
     let pool = dict.intern("pool");
@@ -47,7 +47,7 @@ fn main() {
     // --- C1: orthogonal range + keywords (ORP-KW, Theorem 1). -----
     let orp = OrpKwIndex::build(&hotels, wanted.len());
     let c1 = Rect::new(&[100.0, 8.0], &[200.0, 10.0]);
-    let mut hits = orp.query(&c1, &wanted);
+    let mut hits = orp.query(&c1, &wanted)?;
     hits.sort_unstable();
     println!("C1: price ∈ [100, 200] AND rating ≥ 8 AND pool ∧ free-parking ∧ pet-friendly");
     for id in &hits {
@@ -64,7 +64,7 @@ fn main() {
     // price + 40·(10 − rating) ≤ 240  ⇔  price − 40·rating ≤ −160.
     let lc = LcKwIndex::build(&hotels, wanted.len());
     let c2 = Halfspace::new(&[1.0, -40.0], -160.0);
-    let mut hits = lc.query(&[c2], &wanted);
+    let mut hits = lc.query(&ConvexPolytope::new(vec![c2]), &wanted)?;
     hits.sort_unstable();
     println!("\nC2: price + 40·(10 − rating) ≤ 240 AND the same keywords");
     for id in &hits {
@@ -80,7 +80,7 @@ fn main() {
     // --- Nearest by value profile (L∞NN-KW, Corollary 4). ---------
     let nn = LinfNnIndex::build(&hotels, wanted.len());
     let target = Point::new2(150.0, 9.0);
-    let best = nn.query(&target, 2, &wanted);
+    let (best, _) = nn.query(&target, 2, &wanted)?;
     println!("\n2 hotels with all keywords closest to (price 150, rating 9) under L∞:");
     for id in &best {
         let p = hotels.point(*id as usize);
@@ -101,11 +101,12 @@ fn main() {
             v.sort_unstable();
             v
         },
-        orp.query(&c1, &wanted)
+        orp.query(&c1, &wanted)?
             .into_iter()
             .collect::<std::collections::BTreeSet<_>>()
             .into_iter()
             .collect::<Vec<_>>()
     );
     println!("\nAll index answers verified against a full scan. ✓");
+    Ok(())
 }

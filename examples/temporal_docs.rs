@@ -11,7 +11,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use structured_keyword_search::core::rr::{rr_bruteforce, RrKwIndex};
 use structured_keyword_search::prelude::*;
 
-fn main() {
+fn main() -> Result<(), SkqError> {
     let mut rng = StdRng::seed_from_u64(2010);
     let mut dict = Dictionary::new();
     let vocab: Vec<Keyword> = [
@@ -54,7 +54,7 @@ fn main() {
         dict.lookup("temporal").unwrap(),
         dict.lookup("index").unwrap(),
     ];
-    let (mut hits, stats) = index.query_with_stats(&window, &query_kws);
+    let (mut hits, stats) = index.query_with_stats(&window, &query_kws)?;
     hits.sort_unstable();
     println!(
         "\nalive in days [1000, 1030] with {{database, temporal, index}}: {} versions",
@@ -83,9 +83,10 @@ fn main() {
     for _ in 0..20 {
         let a: f64 = rng.gen_range(0.0..horizon);
         let w = Rect::new(&[a], &[(a + rng.gen_range(1.0..200.0)).min(horizon)]);
-        let mut got = index.query(&w, &query_kws);
+        let mut got = index.query(&w, &query_kws)?;
         got.sort_unstable();
         assert_eq!(got, rr_bruteforce(&versions, &w, &query_kws));
     }
     println!("\nverified against brute force on 21 windows ✓");
+    Ok(())
 }

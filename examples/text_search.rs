@@ -10,7 +10,7 @@
 use structured_keyword_search::invidx::Analyzer;
 use structured_keyword_search::prelude::*;
 
-fn main() {
+fn main() -> Result<(), SkqError> {
     // (year, minutes, title-ish text blurb)
     let articles: Vec<(f64, f64, &str)> = vec![
         (
@@ -98,7 +98,7 @@ fn main() {
         .into_iter()
         .map(|t| t.expect("terms occur in the corpus"))
         .collect();
-    let mut hits = index.query(&window, &ids);
+    let mut hits = index.query(&window, &ids)?;
     hits.sort_unstable();
     println!("query: {terms:?} AND year ∈ [2015, 2021] AND minutes ≤ 12");
     for id in &hits {
@@ -117,4 +117,5 @@ fn main() {
     expected.sort_unstable();
     assert_eq!(hits, expected);
     println!("verified against a full scan ✓");
+    Ok(())
 }

@@ -166,19 +166,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                     }
                     let q = Rect::new(&lo, &hi);
                     let index = OrpKwIndex::build(&loaded.dataset, k);
-                    let mut stats = QueryStats::new();
-                    if count_only {
-                        let mut sink =
-                            GuardedSink::new(LimitSink::new(CountSink::new(), limit), &guard);
-                        let _ = index.query_sink(&q, &tag_ids, &mut sink, &mut stats);
-                        finish_guarded(&mut stats, &sink);
-                        (None, stats)
-                    } else {
-                        let mut sink = GuardedSink::new(LimitSink::new(Vec::new(), limit), &guard);
-                        let _ = index.query_sink(&q, &tag_ids, &mut sink, &mut stats);
-                        finish_guarded(&mut stats, &sink);
-                        (Some(sink.into_inner().into_inner()), stats)
-                    }
+                    sink_query(&index, &q, &tag_ids, &guard, limit, count_only)?
                 }
                 "ball" => {
                     let center = Point::new(
@@ -194,23 +182,9 @@ fn run(args: &[String]) -> Result<(), CliError> {
                             "--radius must be finite and non-negative".to_string(),
                         ));
                     }
-                    let radius_sq = radius * radius;
                     let index = SrpKwIndex::build(&loaded.dataset, k);
-                    let mut stats = QueryStats::new();
-                    if count_only {
-                        let mut sink =
-                            GuardedSink::new(LimitSink::new(CountSink::new(), limit), &guard);
-                        let _ = index
-                            .query_sq_sink(&center, radius_sq, &tag_ids, &mut sink, &mut stats);
-                        finish_guarded(&mut stats, &sink);
-                        (None, stats)
-                    } else {
-                        let mut sink = GuardedSink::new(LimitSink::new(Vec::new(), limit), &guard);
-                        let _ = index
-                            .query_sq_sink(&center, radius_sq, &tag_ids, &mut sink, &mut stats);
-                        finish_guarded(&mut stats, &sink);
-                        (Some(sink.into_inner().into_inner()), stats)
-                    }
+                    let ball = Ball::new(center, radius);
+                    sink_query(&index, &ball, &tag_ids, &guard, limit, count_only)?
                 }
                 _ => {
                     let at = Point::new(
@@ -222,7 +196,9 @@ fn run(args: &[String]) -> Result<(), CliError> {
                         .parse()
                         .map_err(|_| CliError::BadArg("--t must be an integer".to_string()))?;
                     let index = LinfNnIndex::build(&loaded.dataset, k);
-                    let (hits, stats) = index.query_with_stats(&at, t, &tag_ids);
+                    let (hits, stats) = index
+                        .query(&at, t, &tag_ids)
+                        .map_err(|e| CliError::BadArg(e.to_string()))?;
                     (Some(hits), stats)
                 }
             };
@@ -344,7 +320,9 @@ fn run(args: &[String]) -> Result<(), CliError> {
                             .map_err(|_| CliError::BadArg(format!("bad tag id {t:?}")))
                     })
                     .collect::<Result<_, _>>()?;
-                let mut hits = suite.query(&Rect::new(&lo, &hi), &tag_ids);
+                let mut hits = suite
+                    .query(&Rect::new(&lo, &hi), &tag_ids)
+                    .map_err(|e| CliError::BadArg(e.to_string()))?;
                 hits.sort_unstable();
                 println!("{} matches: {hits:?}", hits.len());
             }
@@ -540,10 +518,32 @@ fn build_guard(opts: &Flags) -> Result<QueryGuard, CliError> {
 }
 
 /// Folds a guarded sink's accounting into the query stats.
-fn finish_guarded<S: ResultSink>(stats: &mut QueryStats, sink: &GuardedSink<S>) {
-    stats.emitted += sink.emitted();
-    stats.truncated |= sink.truncated();
-    stats.truncated_reason = stats.truncated_reason.or(sink.truncated_reason());
+/// Runs a rect or ball query under `guard`, stopping after `limit`
+/// matches: counted only, or collected for printing. A deadline or
+/// cancellation keeps the partial answer; `stats.truncated_reason` says
+/// which limit stopped it.
+fn sink_query<I: KwQuery>(
+    index: &I,
+    shape: &I::Shape,
+    tags: &[Keyword],
+    guard: &QueryGuard,
+    limit: usize,
+    count_only: bool,
+) -> Result<(Option<Vec<u32>>, QueryStats), CliError> {
+    let mut stats = QueryStats::new();
+    let mut count = LimitSink::new(CountSink::new(), limit);
+    let mut collect = LimitSink::new(Vec::new(), limit);
+    let outcome = if count_only {
+        index.run(shape, tags, guard, &mut count, &mut stats)
+    } else {
+        index.run(shape, tags, guard, &mut collect, &mut stats)
+    };
+    match outcome {
+        Ok(_) | Err(SkqError::DeadlineExceeded | SkqError::Cancelled) => {}
+        Err(e) => return Err(CliError::BadArg(e.to_string())),
+    }
+    let hits = (!count_only).then(|| collect.into_inner());
+    Ok((hits, stats))
 }
 
 fn resolve_tags(loaded: &Loaded, tags: &str) -> Result<Vec<Keyword>, String> {
@@ -699,10 +699,10 @@ mod tests {
         let tags = resolve_tags(&loaded, "pool,pet-friendly").unwrap();
         let index = OrpKwIndex::build(&loaded.dataset, tags.len());
         let q = Rect::new(&[100.0, 8.0], &[200.0, 10.0]);
-        let mut sink = CountSink::new();
-        let mut stats = QueryStats::new();
-        let _ = index.query_sink(&q, &tags, &mut sink, &mut stats);
-        assert_eq!(sink.count(), 3);
+        let guard = QueryGuard::new();
+        let (hits, stats) = sink_query(&index, &q, &tags, &guard, usize::MAX, true).unwrap();
+        assert!(hits.is_none());
+        assert_eq!(stats.emitted, 3);
         assert_eq!(stats.reported, 3);
     }
 
@@ -828,11 +828,8 @@ mod tests {
         let q = Rect::new(&[0.0, 0.0], &[300.0, 10.0]);
         let opts = parse_flags(&string_args(&["--max-results", "2"])).unwrap();
         let guard = build_guard(&opts).unwrap();
-        let mut stats = QueryStats::new();
-        let mut sink = GuardedSink::new(LimitSink::new(Vec::new(), usize::MAX), &guard);
-        let _ = index.query_sink(&q, &tags, &mut sink, &mut stats);
-        finish_guarded(&mut stats, &sink);
-        assert_eq!(sink.into_inner().into_inner().len(), 2);
+        let (hits, stats) = sink_query(&index, &q, &tags, &guard, usize::MAX, false).unwrap();
+        assert_eq!(hits.unwrap().len(), 2);
         assert_eq!(stats.truncated_reason, Some(TruncatedReason::Limit));
     }
 
@@ -842,7 +839,7 @@ mod tests {
         let tags = resolve_tags(&loaded, "pool,pet-friendly").unwrap();
         let index = OrpKwIndex::build(&loaded.dataset, tags.len());
         let q = Rect::new(&[100.0, 8.0], &[200.0, 10.0]);
-        let mut hits = index.query(&q, &tags);
+        let mut hits = index.query(&q, &tags).unwrap();
         hits.sort_unstable();
         assert_eq!(hits, vec![0, 2, 6]);
     }

@@ -36,11 +36,17 @@
 //! ]);
 //!
 //! // C1: price ∈ [100, 200] and rating ≥ 8, plus three keywords.
-//! let index = OrpKwIndex::build(&hotels, 3);
+//! let index = OrpKwIndex::try_build(&hotels, 3)?;
 //! let q = Rect::new(&[100.0, 8.0], &[200.0, 10.0]);
-//! let mut hits = index.query(&q, &[pool, parking, pets]);
+//! let mut hits = index.query(&q, &[pool, parking, pets])?;
 //! hits.sort_unstable();
 //! assert_eq!(hits, vec![0, 2]);
+//!
+//! // Every index asks the same question the same ways (`KwQuery`):
+//! // count without materializing, or stop at a threshold.
+//! assert_eq!(index.count(&q, &[pool, parking, pets])?, 2);
+//! assert!(index.count_at_least(&q, &[pool, parking, pets], 1)?);
+//! # Ok::<(), SkqError>(())
 //! ```
 //!
 //! ## Crate map
@@ -71,13 +77,14 @@ pub use skq_workload as workload;
 
 /// The most commonly used types, re-exported flat.
 ///
-/// Robustness types ride along: every index has a fallible
-/// `try_build`/`try_query_into` surface returning
-/// [`SkqError`](prelude::SkqError), and any query can run under a
+/// The query contract rides along: every index answers through
+/// [`KwQuery`](prelude::KwQuery), whose queries return
+/// [`SkqError`](prelude::SkqError) on malformed input, and any query
+/// can [`run`](prelude::KwQuery::run) under a
 /// [`QueryGuard`](prelude::QueryGuard) (deadline,
-/// [`CancelToken`](prelude::CancelToken), result budget) enforced by a
-/// [`GuardedSink`](prelude::GuardedSink) — truncation is reported via
-/// [`TruncatedReason`](prelude::TruncatedReason) in the query stats.
+/// [`CancelToken`](prelude::CancelToken), result budget) — truncation
+/// is reported via [`TruncatedReason`](prelude::TruncatedReason) in the
+/// query stats.
 pub mod prelude {
     pub use skq_core::dataset::Dataset;
     pub use skq_core::error::SkqError;
@@ -88,13 +95,14 @@ pub mod prelude {
     pub use skq_core::nn_l2::L2NnIndex;
     pub use skq_core::nn_linf::LinfNnIndex;
     pub use skq_core::orp::OrpKwIndex;
+    pub use skq_core::query::KwQuery;
     pub use skq_core::rr::{RrKwIndex, RrKwLinear};
     pub use skq_core::sink::{
         CollectSink, CountSink, DedupSink, FilterSink, LimitSink, MapSink, ResultSink, TeeSink,
     };
     pub use skq_core::sp::{SpKwIndex, SpStrategy};
     pub use skq_core::srp::SrpKwIndex;
-    pub use skq_core::stats::{QueryStats, TruncatedReason};
+    pub use skq_core::stats::{QueryStats, Route, TruncatedReason};
     pub use skq_geom::{
         Ball, ConvexPolytope, Halfspace, KdTree, Point, Polygon, RangeTree2D, RankSpace, Rect,
         Region, Simplex,

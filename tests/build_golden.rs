@@ -224,8 +224,8 @@ proptest! {
             }
             let sparse_kws: Vec<Keyword> = kws.iter().map(|&w| map[w as usize]).collect();
             let want = naive::brute_rect(&d, &q, &kws);
-            prop_assert_eq!(&sorted(dense_ix.query(&q, &kws)), &want);
-            prop_assert_eq!(&sorted(sparse_ix.query(&q, &sparse_kws)), &want);
+            prop_assert_eq!(&sorted(dense_ix.query(&q, &kws).unwrap()), &want);
+            prop_assert_eq!(&sorted(sparse_ix.query(&q, &sparse_kws).unwrap()), &want);
             prop_assert_eq!(&naive::brute_rect(&sparse, &q, &sparse_kws), &want);
         }
         prop_assert_eq!(ksi_summaries(&d), ksi_summaries(&sparse));

@@ -3,13 +3,13 @@
 //! isolated shard failure) — never an uncaught panic — and disarming it
 //! must leave every index able to build and answer correctly.
 //!
-//! The fail-point registry is process-global, so these tests serialize
-//! on a shared mutex instead of relying on distinct site names.
+//! The fail-point registry is process-global, so every test holds the
+//! exclusive fail-point lock and arms sites through guards that disarm
+//! them on drop.
 
 #![cfg(feature = "failpoints")]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use structured_keyword_search::core::batch::{run_batch_isolated, BatchQuery, ShardOutcome};
 use structured_keyword_search::core::dynamic::DynamicOrpKw;
@@ -20,39 +20,14 @@ use structured_keyword_search::prelude::*;
 use structured_keyword_search::serve::{Request, Server, ServerConfig};
 use structured_keyword_search::store::{CheckpointPolicy, DurabilityConfig, DurableDynamic};
 
-static CHAOS_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs the `debug-invariants` deep validator when both chaos and
-/// invariant features are enabled — an injected failure must never
-/// leave a structurally corrupt index behind. Compiles to nothing
-/// without `debug-invariants`.
+/// An injected failure must never leave a structurally corrupt index
+/// behind: the deep validator runs after every rollback.
 macro_rules! deep_validate {
     ($index:expr) => {{
-        #[cfg(feature = "debug-invariants")]
         $index
             .validate()
             .unwrap_or_else(|v| panic!("deep invariant violated: {v}"));
-        #[cfg(not(feature = "debug-invariants"))]
-        let _ = &$index;
     }};
-}
-
-/// Serializes a chaos test and guarantees a clean registry on both
-/// entry and (via `Drop`) exit, even if the test panics.
-struct ChaosGuard<'a>(#[allow(dead_code)] std::sync::MutexGuard<'a, ()>);
-
-impl<'a> ChaosGuard<'a> {
-    fn acquire() -> Self {
-        let guard = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        failpoints::clear();
-        Self(guard)
-    }
-}
-
-impl Drop for ChaosGuard<'_> {
-    fn drop(&mut self) {
-        failpoints::clear();
-    }
 }
 
 fn dataset() -> Dataset {
@@ -173,10 +148,10 @@ fn drive(site: &str, d: &Dataset) -> Result<(), SkqError> {
 
 #[test]
 fn every_site_surfaces_as_typed_error_and_recovers() {
-    let _guard = ChaosGuard::acquire();
+    let _serial = failpoints::exclusive();
     let d = dataset();
     for &site in failpoints::SITES {
-        failpoints::inject(site, FailAction::Err, None);
+        let armed = failpoints::inject(site, FailAction::Err, None);
         let err = match drive(site, &d) {
             Err(e) => e,
             Ok(()) => panic!("site {site}: armed fail point did not surface"),
@@ -203,14 +178,14 @@ fn every_site_surfaces_as_typed_error_and_recovers() {
                 assert!(err.to_string().contains(site), "{site}: {err}");
             }
         }
-        failpoints::clear();
+        drop(armed);
         drive(site, &d).unwrap_or_else(|e| panic!("site {site} did not recover: {e}"));
     }
 }
 
 #[test]
 fn injected_failure_does_not_poison_a_dynamic_index() {
-    let _guard = ChaosGuard::acquire();
+    let _serial = failpoints::exclusive();
     let mut dynamic = DynamicOrpKw::new(2, 2);
     let mut expected = Vec::new();
     for i in 0..127u32 {
@@ -218,7 +193,7 @@ fn injected_failure_does_not_poison_a_dynamic_index() {
         expected.push(h);
     }
     // The 128th insert triggers the first block build — inject there.
-    failpoints::inject("dynamic::build_block", FailAction::Err, None);
+    let armed = failpoints::inject("dynamic::build_block", FailAction::Err, None);
     let err = dynamic
         .try_insert(Point::new2(0.0, 0.0), vec![0, 1])
         .unwrap_err();
@@ -226,24 +201,30 @@ fn injected_failure_does_not_poison_a_dynamic_index() {
     // The failed insert rolled back: the index still answers exactly
     // the pre-failure contents, and its bookkeeping is intact.
     deep_validate!(dynamic);
-    let mut got = dynamic.query(&Rect::full(2), &[0, 1]);
+    let mut got = dynamic
+        .query(&Rect::full(2), &[0, 1], &QueryGuard::new())
+        .unwrap()
+        .0;
     got.sort();
     assert_eq!(got, expected);
     // Disarmed, the same insert succeeds and the index stays correct.
-    failpoints::clear();
+    drop(armed);
     let h = dynamic
         .try_insert(Point::new2(0.0, 0.0), vec![0, 1])
         .unwrap();
     expected.push(h);
     deep_validate!(dynamic);
-    let mut got = dynamic.query(&Rect::full(2), &[0, 1]);
+    let mut got = dynamic
+        .query(&Rect::full(2), &[0, 1], &QueryGuard::new())
+        .unwrap()
+        .0;
     got.sort();
     assert_eq!(got, expected);
 }
 
 #[test]
 fn batch_shards_retry_and_isolate_injected_panics() {
-    let _guard = ChaosGuard::acquire();
+    let _serial = failpoints::exclusive();
     let d = dataset();
     let index = OrpKwIndex::build(&d, 2);
     let queries = vec![
@@ -253,11 +234,11 @@ fn batch_shards_retry_and_isolate_injected_panics() {
         };
         8
     ];
-    let expected = index.query(&Rect::full(2), &[0, 1]).len();
+    let expected = index.count(&Rect::full(2), &[0, 1]).unwrap() as usize;
 
     // One injected panic: the first shard attempt dies, the bounded
     // retry succeeds, and the batch completes.
-    failpoints::inject("batch::shard", FailAction::Panic, Some(1));
+    let armed = failpoints::inject("batch::shard", FailAction::Panic, Some(1));
     let report = run_batch_isolated(&index, &queries, 2, &QueryGuard::new());
     assert!(report.is_complete());
     assert!(report.outcomes.contains(&ShardOutcome::Retried));
@@ -267,14 +248,15 @@ fn batch_shards_retry_and_isolate_injected_panics() {
 
     // A persistent panic exhausts the retry: the shard fails but the
     // others still complete, and nothing escapes as a panic.
-    failpoints::inject("batch::shard", FailAction::Panic, None);
+    drop(armed);
+    let armed = failpoints::inject("batch::shard", FailAction::Panic, None);
     let report = run_batch_isolated(&index, &queries, 2, &QueryGuard::new());
     assert!(!report.is_complete());
     assert!(report.outcomes.iter().all(|o| *o == ShardOutcome::Failed));
 
     // Disarmed, the same index and queries run clean — the injected
     // panics poisoned nothing, structurally included.
-    failpoints::clear();
+    drop(armed);
     deep_validate!(index);
     let report = run_batch_isolated(&index, &queries, 2, &QueryGuard::new());
     assert!(report.is_complete());

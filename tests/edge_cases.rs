@@ -17,18 +17,25 @@ fn all_objects_identical_point() {
             .collect(),
     );
     let orp = OrpKwIndex::build(&dataset, 2);
-    let got = sorted(orp.query(&Rect::new(&[7.0, 7.0], &[7.0, 7.0]), &[0, 5]));
+    let got = sorted(
+        orp.query(&Rect::new(&[7.0, 7.0], &[7.0, 7.0]), &[0, 5])
+            .unwrap(),
+    );
     let expected: Vec<u32> = (0..200u32).filter(|i| i % 5 == 0).collect();
     assert_eq!(got, expected);
     assert!(orp
         .query(&Rect::new(&[8.0, 8.0], &[9.0, 9.0]), &[0, 5])
+        .unwrap()
         .is_empty());
 
     let sp = SpKwIndex::build(&dataset, 2);
-    let got = sorted(sp.query_polytope(
-        &ConvexPolytope::from_halfspace(Halfspace::new(&[1.0, 0.0], 10.0)),
-        &[0, 5],
-    ));
+    let got = sorted(
+        sp.query(
+            &ConvexPolytope::from_halfspace(Halfspace::new(&[1.0, 0.0], 10.0)),
+            &[0, 5],
+        )
+        .unwrap(),
+    );
     assert_eq!(got, expected);
 }
 
@@ -37,10 +44,11 @@ fn all_objects_identical_point() {
 fn singleton_dataset() {
     let dataset = Dataset::from_parts(vec![(Point::new2(1.0, 2.0), vec![3, 4])]);
     let orp = OrpKwIndex::build(&dataset, 2);
-    assert_eq!(orp.query(&Rect::full(2), &[3, 4]), vec![0]);
-    assert!(orp.query(&Rect::full(2), &[3, 5]).is_empty());
+    assert_eq!(orp.query(&Rect::full(2), &[3, 4]).unwrap(), vec![0]);
+    assert!(orp.query(&Rect::full(2), &[3, 5]).unwrap().is_empty());
     let nn = LinfNnIndex::build(&dataset, 2);
-    assert_eq!(nn.query(&Point::new2(100.0, 100.0), 3, &[3, 4]), vec![0]);
+    let (nearest, _) = nn.query(&Point::new2(100.0, 100.0), 3, &[3, 4]).unwrap();
+    assert_eq!(nearest, vec![0]);
 }
 
 /// Every object shares one giant document: all keywords maximally
@@ -55,10 +63,10 @@ fn identical_large_documents() {
     );
     for k in [2usize, 3, 4] {
         let orp = OrpKwIndex::build(&dataset, k);
-        orp.check_invariants().unwrap();
+        orp.validate().unwrap();
         let kws: Vec<Keyword> = (0..k as u32).collect();
         let q = Rect::new(&[50.0, 0.0], &[150.0, 300.0]);
-        let got = sorted(orp.query(&q, &kws));
+        let got = sorted(orp.query(&q, &kws).unwrap());
         let expected: Vec<u32> = (0..300u32).filter(|&i| (50..=150).contains(&i)).collect();
         assert_eq!(got, expected, "k={k}");
     }
@@ -74,14 +82,21 @@ fn degenerate_queries() {
     );
     let orp = OrpKwIndex::build(&dataset, 2);
     // A query that is a single point.
-    let got = orp.query(&Rect::new(&[3.0, 4.0], &[3.0, 4.0]), &[0, 1]);
+    let got = orp
+        .query(&Rect::new(&[3.0, 4.0], &[3.0, 4.0]), &[0, 1])
+        .unwrap();
     assert_eq!(got, vec![43]);
     // A line (x = 3).
-    let got = sorted(orp.query(&Rect::new(&[3.0, 0.0], &[3.0, 9.0]), &[0, 1]));
+    let got = sorted(
+        orp.query(&Rect::new(&[3.0, 0.0], &[3.0, 9.0]), &[0, 1])
+            .unwrap(),
+    );
     assert_eq!(got, (0..10).map(|r| r * 10 + 3).collect::<Vec<u32>>());
 
     let srp = SrpKwIndex::build(&dataset, 2);
-    let got = srp.query(&Ball::new(Point::new2(3.0, 4.0), 0.0), &[0, 1]);
+    let got = srp
+        .query(&Ball::new(Point::new2(3.0, 4.0), 0.0), &[0, 1])
+        .unwrap();
     assert_eq!(got, vec![43]);
 }
 
@@ -96,9 +111,15 @@ fn extreme_coordinates() {
         (Point::new2(1e15, -1e15), vec![0, 1]),
     ]);
     let orp = OrpKwIndex::build(&dataset, 2);
-    let got = sorted(orp.query(&Rect::new(&[-1e16, -1e16], &[1e16, 1e16]), &[0, 1]));
+    let got = sorted(
+        orp.query(&Rect::new(&[-1e16, -1e16], &[1e16, 1e16]), &[0, 1])
+            .unwrap(),
+    );
     assert_eq!(got, vec![0, 1, 2, 3]);
-    let got = sorted(orp.query(&Rect::new(&[-1.0, -1.0], &[1.0, 1.0]), &[0, 1]));
+    let got = sorted(
+        orp.query(&Rect::new(&[-1.0, -1.0], &[1.0, 1.0]), &[0, 1])
+            .unwrap(),
+    );
     assert_eq!(got, vec![1, 2]);
 }
 
@@ -123,7 +144,7 @@ fn max_dimension_queries() {
         let q = Rect::new(&lo, &hi);
         let w = rng.gen_range(0..3);
         assert_eq!(
-            sorted(orp.query(&q, &[w, 3])),
+            sorted(orp.query(&q, &[w, 3]).unwrap()),
             oracle.query_rect(&q, &[w, 3])
         );
     }
@@ -145,7 +166,7 @@ fn wide_documents() {
             .collect(),
     );
     let orp = OrpKwIndex::build(&dataset, 3);
-    orp.check_invariants().unwrap();
+    orp.validate().unwrap();
     let oracle = FullScan::new(&dataset);
     for _ in 0..30 {
         let mut kws: Vec<Keyword> = Vec::new();
@@ -158,7 +179,10 @@ fn wide_documents() {
         let x: f64 = rng.gen_range(0..50) as f64;
         let y: f64 = rng.gen_range(0..50) as f64;
         let q = Rect::new(&[x, y], &[x + 20.0, y + 20.0]);
-        assert_eq!(sorted(orp.query(&q, &kws)), oracle.query_rect(&q, &kws));
+        assert_eq!(
+            sorted(orp.query(&q, &kws).unwrap()),
+            oracle.query_rect(&q, &kws)
+        );
     }
 }
 
@@ -193,7 +217,7 @@ fn concurrent_queries_are_safe() {
                     let q = Rect::new(&[x, y], &[x + 30.0, y + 30.0]);
                     let w1 = rng.gen_range(0..8);
                     let w2 = (w1 + 1 + rng.gen_range(0..7)) % 8;
-                    let mut got = orp.query(&q, &[w1, w2]);
+                    let mut got = orp.query(&q, &[w1, w2]).unwrap();
                     got.sort_unstable();
                     assert_eq!(got, oracle.query_rect(&q, &[w1, w2]));
                 }
@@ -225,13 +249,17 @@ fn full_space_equals_pure_keyword_search() {
     let srp = SrpKwIndex::build(&dataset, 2);
     for (w1, w2) in [(0u32, 1u32), (2, 4), (3, 5)] {
         let expected = inv.intersect(&[w1, w2]);
-        assert_eq!(sorted(orp.query(&Rect::full(2), &[w1, w2])), expected);
         assert_eq!(
-            sorted(lc.query(&[], &[w1, w2])), // zero constraints = everything
+            sorted(orp.query(&Rect::full(2), &[w1, w2]).unwrap()),
+            expected
+        );
+        assert_eq!(
+            // zero constraints = everything
+            sorted(lc.query(&ConvexPolytope::default(), &[w1, w2]).unwrap()),
             expected
         );
         // A ball big enough to cover the extent.
         let ball = Ball::new(Point::new2(0.0, 0.0), 1000.0);
-        assert_eq!(sorted(srp.query(&ball, &[w1, w2])), expected);
+        assert_eq!(sorted(srp.query(&ball, &[w1, w2]).unwrap()), expected);
     }
 }

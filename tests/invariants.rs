@@ -22,9 +22,7 @@ fn framework_invariants_hold_on_zipf_workload() {
     for k in [2, 3] {
         let dataset = workload(5_000, 1);
         let index = OrpKwIndex::build(&dataset, k);
-        index
-            .check_invariants()
-            .unwrap_or_else(|e| panic!("k={k}: {e}"));
+        index.validate().unwrap_or_else(|e| panic!("k={k}: {e}"));
     }
 }
 
@@ -95,7 +93,7 @@ fn dimred_type2_nodes_at_most_two_per_level() {
     for _ in 0..50 {
         let q = gen.rect(0.2);
         let kws = gen.keywords(2, 0.2).unwrap();
-        let (_, stats) = index.query_with_stats(&q, &kws);
+        let (_, stats) = index.query_with_stats(&q, &kws).unwrap();
         for (lvl, &c) in stats.type2_by_level.iter().enumerate() {
             assert!(c <= 2, "level {lvl}: {c} type-2 nodes");
         }
@@ -133,7 +131,7 @@ fn vertical_line_crossing_nodes_are_sqrt() {
         let p = gen.point();
         // A vertical line: x fixed, y unbounded.
         let q = Rect::new(&[p.get(0), f64::NEG_INFINITY], &[p.get(0), f64::INFINITY]);
-        let (_, stats) = index.query_with_stats(&q, &kws);
+        let (_, stats) = index.query_with_stats(&q, &kws).unwrap();
         assert!(
             (stats.crossing_nodes as f64) <= 12.0 * n.sqrt(),
             "crossing {} vs √N = {:.0}",
@@ -170,8 +168,9 @@ fn all_solutions_agree_end_to_end() {
         let kws = gen.keywords(2, band).unwrap();
         let q = gen.rect(0.05);
         let expected = oracle.query_rect(&q, &kws);
-        assert_eq!(sorted(orp.query(&q, &kws)), expected);
-        assert_eq!(sorted(lc.query_rect(&q, &kws)), expected);
+        assert_eq!(sorted(orp.query(&q, &kws).unwrap()), expected);
+        let as_constraints = ConvexPolytope::from_rect(&q);
+        assert_eq!(sorted(lc.query(&as_constraints, &kws).unwrap()), expected);
         assert_eq!(sorted(kf.query_rect(&q, &kws)), expected);
         assert_eq!(sorted(sf.query_rect(&q, &kws)), expected);
 
@@ -181,14 +180,20 @@ fn all_solutions_agree_end_to_end() {
             ball.radius().round(),
         );
         let expected = oracle.query_ball(&ball, &kws);
-        assert_eq!(sorted(srp.query(&ball, &kws)), expected);
+        assert_eq!(sorted(srp.query(&ball, &kws).unwrap()), expected);
         assert_eq!(sorted(kf.query_ball(&ball, &kws)), expected);
         assert_eq!(sorted(sf.query_ball(&ball, &kws)), expected);
 
         let p = gen.integer_point();
         for t in [1, 5] {
-            assert_eq!(nn_inf.query(&p, t, &kws), oracle.nn_linf(&p, t, &kws));
-            assert_eq!(nn_2.query(&p, t, &kws), oracle.nn_l2(&p, t, &kws));
+            assert_eq!(
+                nn_inf.query(&p, t, &kws).unwrap().0,
+                oracle.nn_linf(&p, t, &kws)
+            );
+            assert_eq!(
+                nn_2.query(&p, t, &kws).unwrap().0,
+                oracle.nn_l2(&p, t, &kws)
+            );
         }
     }
 }

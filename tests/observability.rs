@@ -46,22 +46,20 @@ fn planned_query_increments_chosen_plan_counter() {
         .map(|&p| chosen_before(p))
         .collect();
 
-    let (hits, plan) = planner.query(&q, &[0, 1]);
+    let (hits, stats) = planner.query_with_stats(&q, &[0, 1]).unwrap();
     assert_eq!(hits.len(), 300);
 
-    let after: Vec<u64> = [Plan::KeywordsOnly, Plan::StructuredOnly, Plan::Framework]
+    let plans = [Plan::KeywordsOnly, Plan::StructuredOnly, Plan::Framework];
+    let after: Vec<u64> = plans.iter().map(|&p| chosen_before(p)).collect();
+    let idx = plans
         .iter()
-        .map(|&p| chosen_before(p))
-        .collect();
-    let idx = match plan {
-        Plan::KeywordsOnly => 0,
-        Plan::StructuredOnly => 1,
-        Plan::Framework => 2,
-    };
+        .position(|&p| stats.route == Some(p.into()))
+        .expect("the chosen plan is recorded in the stats");
     assert_eq!(
         after[idx],
         before[idx] + 1,
-        "chosen-plan counter for {plan:?} must increment"
+        "chosen-plan counter for {:?} must increment",
+        plans[idx]
     );
 }
 
@@ -69,7 +67,9 @@ fn planned_query_increments_chosen_plan_counter() {
 fn planned_query_logs_predicted_and_actual_cost() {
     let d = dataset();
     let planner = PlannedOrpKw::build(&d, 2);
-    let (hits, plan) = planner.query(&Rect::new(&[0.0, 0.0], &[10.0, 10.0]), &[0, 1]);
+    let (hits, stats) = planner
+        .query_with_stats(&Rect::new(&[0.0, 0.0], &[10.0, 10.0]), &[0, 1])
+        .unwrap();
 
     // The query log is global; scan recent records for ours.
     let records = obs::query_log().recent(obs::QUERY_LOG_CAPACITY);
@@ -79,7 +79,7 @@ fn planned_query_logs_predicted_and_actual_cost() {
         .find(|r| r.kind == "orp_planned" && r.reported == hits.len() as u64)
         .expect("planned query must appear in the query log");
     assert_eq!(record.k, 2);
-    assert_eq!(record.plan, Some(plan.label()));
+    assert_eq!(record.plan, stats.route.map(Route::label));
     let predicted = record.predicted_cost.expect("predicted cost recorded");
     let actual = record.actual_cost.expect("actual cost recorded");
     assert!(predicted > 0.0 && predicted.is_finite());
@@ -109,8 +109,13 @@ fn index_build_populates_build_series() {
 fn suite_query_routes_appear_in_query_log() {
     let d = dataset();
     let suite = structured_keyword_search::core::suite::OrpKwSuite::build(&d, 2);
-    let n0 = suite.query(&Rect::full(2), &[]).len();
-    assert_eq!(n0, 600);
+    // The serving entry records one query-log entry per request.
+    let guard = QueryGuard::new();
+    let (hits, stats) = suite
+        .try_query_guarded(&Rect::full(2), &[], &guard)
+        .unwrap();
+    assert_eq!(hits.len(), 600);
+    assert_eq!(stats.route, Some(Route::RangeScan));
     let records = obs::query_log().recent(obs::QUERY_LOG_CAPACITY);
     let record = records
         .iter()
@@ -127,7 +132,9 @@ fn traced_query_bumps_span_counter_and_logs_trace_pointer() {
     let before = reg.counter_value("skq_trace_spans_total", &[]).unwrap_or(0);
     obs::trace::enable();
     let planner = PlannedOrpKw::build(&d, 2);
-    let (hits, _plan) = planner.query(&Rect::new(&[0.0, 0.0], &[5.0, 5.0]), &[0, 1]);
+    let hits = planner
+        .query(&Rect::new(&[0.0, 0.0], &[5.0, 5.0]), &[0, 1])
+        .unwrap();
     obs::trace::disable();
     let after = reg.counter_value("skq_trace_spans_total", &[]).unwrap_or(0);
     assert!(after > before, "enabled tracing must count recorded spans");

@@ -53,17 +53,12 @@ fn sorted(mut v: Vec<u32>) -> Vec<u32> {
     v
 }
 
-/// Runs the `debug-invariants` deep validator on a freshly built index;
-/// compiles to nothing under the default feature set, so the oracle
-/// comparisons below are unchanged in ordinary CI.
+/// Runs the deep validator on a freshly built index.
 macro_rules! deep_validate {
     ($index:expr) => {{
-        #[cfg(feature = "debug-invariants")]
         $index
             .validate()
             .unwrap_or_else(|v| panic!("deep invariant violated: {v}"));
-        #[cfg(not(feature = "debug-invariants"))]
-        let _ = &$index;
     }};
 }
 
@@ -77,10 +72,9 @@ proptest! {
         kws in two_keywords(),
     ) {
         let index = OrpKwIndex::build(&dataset, 2);
-        index.check_invariants().unwrap();
         deep_validate!(index);
         let oracle = FullScan::new(&dataset);
-        prop_assert_eq!(sorted(index.query(&q, &kws)), oracle.query_rect(&q, &kws));
+        prop_assert_eq!(sorted(index.query(&q, &kws).unwrap()), oracle.query_rect(&q, &kws));
     }
 
     #[test]
@@ -92,7 +86,7 @@ proptest! {
         let index = OrpKwIndex::build(&dataset, 2);
         deep_validate!(index);
         let oracle = FullScan::new(&dataset);
-        prop_assert_eq!(sorted(index.query(&q, &kws)), oracle.query_rect(&q, &kws));
+        prop_assert_eq!(sorted(index.query(&q, &kws).unwrap()), oracle.query_rect(&q, &kws));
     }
 
     #[test]
@@ -104,7 +98,7 @@ proptest! {
         let index = OrpKwIndex::build(&dataset, 2);
         deep_validate!(index);
         let oracle = FullScan::new(&dataset);
-        prop_assert_eq!(sorted(index.query(&q, &kws)), oracle.query_rect(&q, &kws));
+        prop_assert_eq!(sorted(index.query(&q, &kws).unwrap()), oracle.query_rect(&q, &kws));
     }
 
     #[test]
@@ -122,7 +116,7 @@ proptest! {
         let index = OrpKwIndex::build(&dataset, 3);
         deep_validate!(index);
         let oracle = FullScan::new(&dataset);
-        prop_assert_eq!(sorted(index.query(&q, &kws)), oracle.query_rect(&q, &kws));
+        prop_assert_eq!(sorted(index.query(&q, &kws).unwrap()), oracle.query_rect(&q, &kws));
     }
 
     #[test]
@@ -138,29 +132,9 @@ proptest! {
                 .collect(),
         );
         let index = SpKwIndex::build_with_strategy(&dataset, 2, SpStrategy::Willard);
-        index.check_invariants().unwrap();
         deep_validate!(index);
         let oracle = FullScan::new(&dataset);
-        prop_assert_eq!(sorted(index.query_polytope(&q, &kws)), oracle.query_polytope(&q, &kws));
-    }
-
-    #[test]
-    fn sp_quad_equals_oracle(
-        dataset in dataset_strategy(2, 1..120),
-        coeffs in prop::collection::vec((-4i32..4, -4i32..4, -20i32..20), 1..3),
-        kws in two_keywords(),
-    ) {
-        let q = ConvexPolytope::new(
-            coeffs
-                .into_iter()
-                .map(|(a, b, c)| Halfspace::new(&[f64::from(a), f64::from(b)], f64::from(c)))
-                .collect(),
-        );
-        let index = SpKwIndex::build_with_strategy(&dataset, 2, SpStrategy::Quad);
-        index.check_invariants().unwrap();
-        deep_validate!(index);
-        let oracle = FullScan::new(&dataset);
-        prop_assert_eq!(sorted(index.query_polytope(&q, &kws)), oracle.query_polytope(&q, &kws));
+        prop_assert_eq!(sorted(index.query(&q, &kws).unwrap()), oracle.query_polytope(&q, &kws));
     }
 
     #[test]
@@ -180,7 +154,7 @@ proptest! {
         let index = SpKwIndex::build_with_strategy(&dataset, 2, SpStrategy::Kd);
         deep_validate!(index);
         let oracle = FullScan::new(&dataset);
-        prop_assert_eq!(sorted(index.query_polytope(&q, &kws)), oracle.query_polytope(&q, &kws));
+        prop_assert_eq!(sorted(index.query(&q, &kws).unwrap()), oracle.query_polytope(&q, &kws));
     }
 
     #[test]
@@ -193,7 +167,7 @@ proptest! {
         let index = SrpKwIndex::build(&dataset, 2);
         deep_validate!(index);
         let oracle = FullScan::new(&dataset);
-        prop_assert_eq!(sorted(index.query(&ball, &kws)), oracle.query_ball(&ball, &kws));
+        prop_assert_eq!(sorted(index.query(&ball, &kws).unwrap()), oracle.query_ball(&ball, &kws));
     }
 
     #[test]
@@ -206,7 +180,10 @@ proptest! {
         let index = LinfNnIndex::build(&dataset, 2);
         deep_validate!(index);
         let oracle = FullScan::new(&dataset);
-        prop_assert_eq!(index.query(&q, t, &kws), oracle.nn_linf(&q, t, &kws));
+        match index.query(&q, t, &kws) {
+            Ok((got, _)) => prop_assert_eq!(got, oracle.nn_linf(&q, t, &kws)),
+            Err(e) => prop_assert!(t == 0 && matches!(e, SkqError::InvalidQuery(_))),
+        }
     }
 
     #[test]
@@ -219,7 +196,10 @@ proptest! {
         let index = L2NnIndex::build(&dataset, 2);
         deep_validate!(index);
         let oracle = FullScan::new(&dataset);
-        prop_assert_eq!(index.query(&q, t, &kws), oracle.nn_l2(&q, t, &kws));
+        match index.query(&q, t, &kws) {
+            Ok((got, _)) => prop_assert_eq!(got, oracle.nn_l2(&q, t, &kws)),
+            Err(e) => prop_assert!(t == 0 && matches!(e, SkqError::InvalidQuery(_))),
+        }
     }
 
     #[test]
@@ -229,11 +209,11 @@ proptest! {
     ) {
         let docs: Vec<Document> = docs.into_iter().map(Document::new).collect();
         let ksi = KsiIndex::build(&docs, 2);
-        ksi.check_invariants().unwrap();
         deep_validate!(ksi);
         let inv = InvertedIndex::build(&docs);
-        prop_assert_eq!(sorted(ksi.intersect(&kws)), inv.intersect(&kws));
-        prop_assert_eq!(ksi.intersection_is_empty(&kws), inv.intersect(&kws).is_empty());
+        prop_assert_eq!(sorted(ksi.query(&(), &kws).unwrap()), inv.intersect(&kws));
+        let nonempty = ksi.count_at_least(&(), &kws, 1).unwrap();
+        prop_assert_eq!(nonempty, !inv.intersect(&kws).is_empty());
     }
 
     #[test]
@@ -249,7 +229,8 @@ proptest! {
         let full = oracle.query_rect(&q, &kws);
         let mut out = Vec::new();
         let mut stats = QueryStats::new();
-        index.query_limited(&q, &kws, limit, &mut out, &mut stats);
+        let capped = QueryGuard::new().with_max_results(limit);
+        let _ = index.run(&q, &kws, &capped, &mut out, &mut stats).unwrap();
         // Limited output size is min(limit, total), and every id is a
         // genuine match.
         prop_assert_eq!(out.len(), limit.min(full.len()));

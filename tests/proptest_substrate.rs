@@ -13,16 +13,12 @@ fn sorted(mut v: Vec<u32>) -> Vec<u32> {
     v
 }
 
-/// Runs the `debug-invariants` deep validator; compiles to nothing
-/// under the default feature set.
+/// Runs the deep validator.
 macro_rules! deep_validate {
     ($index:expr) => {{
-        #[cfg(feature = "debug-invariants")]
         $index
             .validate()
             .unwrap_or_else(|v| panic!("deep invariant violated: {v}"));
-        #[cfg(not(feature = "debug-invariants"))]
-        let _ = &$index;
     }};
 }
 
@@ -172,7 +168,7 @@ proptest! {
                         &[f64::from(x) - 5.0, f64::from(y) - 5.0],
                         &[f64::from(x) + 5.0, f64::from(y) + 5.0],
                     );
-                    let mut got = idx.query(&q, &ks);
+                    let mut got = idx.query(&q, &ks, &QueryGuard::new()).unwrap().0;
                     got.sort();
                     let mut expected: Vec<_> = mirror
                         .iter()
@@ -208,13 +204,12 @@ proptest! {
             &[f64::from(q.0 .0 + q.0 .1), f64::from(q.1 .0 + q.1 .1)],
         );
         let kws = [w1, (w1 + d) % 6];
-        let a = planner.query_with_plan(&rect, &kws, Plan::KeywordsOnly);
-        let b = planner.query_with_plan(&rect, &kws, Plan::StructuredOnly);
-        let c = planner.query_with_plan(&rect, &kws, Plan::Framework);
+        let a = planner.query_with_plan(&rect, &kws, Plan::KeywordsOnly).unwrap();
+        let b = planner.query_with_plan(&rect, &kws, Plan::StructuredOnly).unwrap();
+        let c = planner.query_with_plan(&rect, &kws, Plan::Framework).unwrap();
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(&b, &c);
-        let (d2, _) = planner.query(&rect, &kws);
-        prop_assert_eq!(d2, c);
+        prop_assert_eq!(sorted(planner.query(&rect, &kws).unwrap()), c);
     }
 
     /// The multi-k suite answers any keyword count correctly.
@@ -231,7 +226,7 @@ proptest! {
         let suite = OrpKwSuite::build(&dataset, 3);
         deep_validate!(suite);
         let q = Rect::new(&[5.0, 5.0], &[20.0, 20.0]);
-        let got = sorted(suite.query(&q, &kws));
+        let got = sorted(suite.query(&q, &kws).unwrap());
         let mut dedup = kws.clone();
         dedup.sort_unstable();
         dedup.dedup();

@@ -11,7 +11,6 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 use structured_keyword_search::core::dynamic::ObjectHandle;
 use structured_keyword_search::core::failpoints::{self, FailAction};
@@ -20,26 +19,6 @@ use structured_keyword_search::prelude::*;
 use structured_keyword_search::store::{
     CheckpointPolicy, DurabilityConfig, DurableDynamic, SyncPolicy, WalConfig,
 };
-
-/// The fail-point registry is process-global; serialize the battery and
-/// leave the registry clean even when a test fails.
-static CHAOS_LOCK: Mutex<()> = Mutex::new(());
-
-struct ChaosGuard<'a>(#[allow(dead_code)] std::sync::MutexGuard<'a, ()>);
-
-impl ChaosGuard<'_> {
-    fn acquire() -> ChaosGuard<'static> {
-        let guard = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        failpoints::clear();
-        ChaosGuard(guard)
-    }
-}
-
-impl Drop for ChaosGuard<'_> {
-    fn drop(&mut self) {
-        failpoints::clear();
-    }
-}
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("skq-rchaos-{tag}-{}", std::process::id()));
@@ -98,10 +77,11 @@ fn drive(
     let mut acked: Live = Vec::new();
     let mut handles: HashMap<u64, ObjectHandle> = HashMap::new();
     let mut failures = 0u64;
+    let mut armed = None;
     for step in 0..ops {
         if let Some(site) = site {
             if step % inject_every == inject_every - 1 {
-                failpoints::inject(site, FailAction::Err, Some(1));
+                armed = Some(failpoints::inject(site, FailAction::Err, Some(1)));
             }
         }
         if rng.below(100) < 75 || acked.is_empty() {
@@ -144,7 +124,7 @@ fn drive(
         assert!(failures > 0, "{site:?}: injections never fired");
     }
     // A leftover one-shot injection must not leak into recovery.
-    failpoints::clear();
+    drop(armed);
     acked
 }
 
@@ -186,7 +166,7 @@ fn assert_queries_match_oracle(acked: &Live, seed: u64) {
         let lo = (rng.below(64) as f64 - 0.5, rng.below(64) as f64 - 0.5);
         let span = (rng.below(32) as f64 + 1.0, rng.below(32) as f64 + 1.0);
         let rect = Rect::new(&[lo.0, lo.1], &[lo.0 + span.0, lo.1 + span.1]);
-        let mut got = suite.query(&rect, &kws);
+        let mut got = suite.query(&rect, &kws).unwrap();
         got.sort_unstable();
         let mut want: Vec<u32> = live
             .iter()
@@ -203,7 +183,7 @@ fn assert_queries_match_oracle(acked: &Live, seed: u64) {
         // so no boundary ties.
         let center = Point::new2(rng.below(64) as f64, rng.below(64) as f64);
         let radius = rng.below(20) as f64 + 0.5;
-        let mut got = srp.query(&Ball::new(center, radius), &kws);
+        let mut got = srp.query(&Ball::new(center, radius), &kws).unwrap();
         got.sort_unstable();
         let mut want: Vec<u32> = live
             .iter()
@@ -219,6 +199,8 @@ fn assert_queries_match_oracle(acked: &Live, seed: u64) {
         let t = 1 + rng.below(4) as usize;
         let mut got: Vec<f64> = nn
             .query(&center, t, &kws)
+            .unwrap()
+            .0
             .iter()
             .map(|&i| live[i as usize].1.linf(&center))
             .collect();
@@ -236,7 +218,7 @@ fn assert_queries_match_oracle(acked: &Live, seed: u64) {
 
 #[test]
 fn injected_failures_at_every_durability_site_never_lose_acked_ops() {
-    let _guard = ChaosGuard::acquire();
+    let _serial = failpoints::exclusive();
     for (i, site) in ["store::wal_append", "store::fsync", "store::checkpoint"]
         .iter()
         .enumerate()
@@ -263,12 +245,12 @@ fn injected_failures_at_every_durability_site_never_lose_acked_ops() {
 
 #[test]
 fn persistent_checkpoint_failure_costs_replay_not_data() {
-    let _guard = ChaosGuard::acquire();
+    let _serial = failpoints::exclusive();
     let dir = tmpdir("ckpt-down");
     let acked = {
         let (mut durable, _) = DurableDynamic::open(&dir, 2, 2, config(16)).expect("open");
         // Every checkpoint attempt fails for the whole run.
-        failpoints::inject("store::checkpoint", FailAction::Err, None);
+        let _armed = failpoints::inject("store::checkpoint", FailAction::Err, None);
         drive(&mut durable, 0xabcd, 200, None, u64::MAX)
     };
     let (durable, report) = DurableDynamic::open(&dir, 2, 2, config(16)).expect("recover");
@@ -291,7 +273,7 @@ fn persistent_checkpoint_failure_costs_replay_not_data() {
 
 #[test]
 fn torn_wal_tail_after_injected_failures_recovers_a_valid_prefix() {
-    let _guard = ChaosGuard::acquire();
+    let _serial = failpoints::exclusive();
     let dir = tmpdir("torn");
     let acked = {
         let (mut durable, _) = DurableDynamic::open(&dir, 2, 2, config(64)).expect("open");

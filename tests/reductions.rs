@@ -54,6 +54,7 @@ fn ksi_solved_by_orp_kw_with_full_rectangle() {
         let b = (a + 1 + rng.gen_range(0..m as u32 - 1)) % m as u32;
         let got: std::collections::BTreeSet<u32> = index
             .query(&Rect::full(2), &[a, b])
+            .unwrap()
             .into_iter()
             .map(|row| element_of[row as usize])
             .collect();
@@ -91,7 +92,7 @@ fn ksi_reporting_via_linf_nn_doubling() {
         let q = Point::new2(0.0, 0.0); // arbitrary
         let mut t = 1usize;
         let result = loop {
-            let r = nn.query(&q, t, &[w1, w2]);
+            let (r, _) = nn.query(&q, t, &[w1, w2]).unwrap();
             if r.len() < t {
                 break r;
             }
@@ -160,8 +161,8 @@ fn srp_equals_lc_on_lifted_points() {
         let hs = structured_keyword_search::geom::lift_ball(&ball);
         let w1 = rng.gen_range(0..5);
         let w2 = (w1 + 1 + rng.gen_range(0..4)) % 5;
-        let mut a = srp.query(&ball, &[w1, w2]);
-        let mut b = lc.query(&[hs], &[w1, w2]);
+        let mut a = srp.query(&ball, &[w1, w2]).unwrap();
+        let mut b = lc.query(&ConvexPolytope::new(vec![hs]), &[w1, w2]).unwrap();
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);

@@ -11,8 +11,8 @@
 //!    loaded epoch;
 //! 3. per-thread generations are **monotone** (a reader never travels
 //!    back in time);
-//! 4. with `debug-invariants`, every published snapshot passes the
-//!    deep structural validator *while rotation is live*.
+//! 4. every published snapshot passes the deep structural validator
+//!    *while rotation is live*.
 //!
 //! Interleaving schedules are seeded through the vendored proptest
 //! substrate, so a failing schedule reproduces from its printed seed.
@@ -45,7 +45,9 @@ fn fingerprint_suite(n: usize) -> OrpKwSuite {
 
 /// Full-range guarded query against a snapshot; returns the hit count.
 fn count_hits(suite: &OrpKwSuite) -> usize {
-    let (ids, _) = suite.query_guarded(&Rect::full(2), &[0, 1], &QueryGuard::new());
+    let (ids, _) = suite
+        .try_query_guarded(&Rect::full(2), &[0, 1], &QueryGuard::new())
+        .unwrap();
     ids.len()
 }
 
@@ -104,7 +106,6 @@ fn rotation_stress(seed: u64, writers: usize, publishes: usize, readers: usize, 
                     );
                     // Deep structural validation of the served snapshot
                     // (every 8th read: it walks the whole index).
-                    #[cfg(feature = "debug-invariants")]
                     if performed.is_multiple_of(8) {
                         snap.value
                             .validate()

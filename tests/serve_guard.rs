@@ -6,6 +6,12 @@
 //!
 //! Counter assertions use *deltas with `>=`*: the `skq-obs` registry
 //! is process-global and the test harness runs files in parallel.
+//!
+//! Every server here passes the `serve::request` / `serve::worker`
+//! fail-point sites, so each test holds the fail-point lock: shared for
+//! the tests that only drive the sites, exclusive for the battery that
+//! arms them. An injected fault never fires in a test that did not arm
+//! it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -32,10 +38,21 @@ fn counter(name: &str) -> u64 {
     skq_obs::global().counter(name, &[]).get()
 }
 
+/// Keeps a test that starts a server off the sites the fail-point
+/// battery arms (a no-op without the `failpoints` feature).
+#[cfg(feature = "failpoints")]
+fn isolated() -> impl Sized {
+    structured_keyword_search::core::failpoints::shared()
+}
+
+#[cfg(not(feature = "failpoints"))]
+fn isolated() -> impl Sized {}
+
 /// An already-lapsed deadline is shed by admission control with the
 /// typed error, and the dedicated deadline counter fires.
 #[test]
 fn lapsed_deadline_is_shed_with_typed_error() {
+    let _fp = isolated();
     let server = Server::start(suite(200), ServerConfig::default());
     let before = counter("skq_query_deadline_exceeded");
     let mut shed = 0;
@@ -63,6 +80,7 @@ fn lapsed_deadline_is_shed_with_typed_error() {
 /// A server-wide default deadline applies to requests that carry none.
 #[test]
 fn default_deadline_applies_to_bare_requests() {
+    let _fp = isolated();
     let server = Server::start(
         suite(100),
         ServerConfig {
@@ -84,6 +102,7 @@ fn default_deadline_applies_to_bare_requests() {
 /// A pre-cancelled token sheds deterministically with `Cancelled`.
 #[test]
 fn cancelled_token_sheds_with_typed_error() {
+    let _fp = isolated();
     let server = Server::start(suite(100), ServerConfig::default());
     let before = counter("skq_query_cancelled");
     let token = CancelToken::new();
@@ -100,6 +119,7 @@ fn cancelled_token_sheds_with_typed_error() {
 /// most that many — rather than erroring.
 #[test]
 fn result_budget_truncates_without_error() {
+    let _fp = isolated();
     let server = Server::start(suite(200), ServerConfig::default());
     let mut req = Request::new(Rect::full(2), vec![0, 1]);
     req.max_results = Some(25);
@@ -113,6 +133,7 @@ fn result_budget_truncates_without_error() {
 /// overload error before any worker is involved.
 #[test]
 fn saturated_queue_sheds_with_overloaded() {
+    let _fp = isolated();
     let server = Server::start(
         suite(100),
         ServerConfig {
@@ -141,6 +162,7 @@ fn saturated_queue_sheds_with_overloaded() {
 /// panic), and the pool still serves cleanly afterwards.
 #[test]
 fn pool_saturation_resolves_every_request() {
+    let _fp = isolated();
     let server = Arc::new(Server::start(
         suite(400),
         ServerConfig {
@@ -192,6 +214,7 @@ fn pool_saturation_resolves_every_request() {
 /// worker pool.
 #[test]
 fn invalid_queries_stay_typed_under_load() {
+    let _fp = isolated();
     let server = Server::start(suite(50), ServerConfig::default());
     for wrong_dim in [1usize, 3, 5] {
         let err = server
@@ -203,38 +226,19 @@ fn invalid_queries_stay_typed_under_load() {
 }
 
 /// Fail-point battery: worker poisoning and request-level injections.
-/// Serialized on a local mutex — the fail-point registry is
-/// process-global — and cleared on entry and exit.
+/// Each test holds the exclusive fail-point lock and arms sites through
+/// guards that disarm them on drop, even when an assertion fails.
 #[cfg(feature = "failpoints")]
 mod failpoint_battery {
     use super::*;
-    use std::sync::Mutex;
     use structured_keyword_search::core::failpoints::{self, FailAction};
-
-    static FAILPOINT_LOCK: Mutex<()> = Mutex::new(());
-
-    struct FpGuard<'a>(#[allow(dead_code)] std::sync::MutexGuard<'a, ()>);
-
-    impl<'a> FpGuard<'a> {
-        fn acquire() -> Self {
-            let guard = FAILPOINT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-            failpoints::clear();
-            Self(guard)
-        }
-    }
-
-    impl Drop for FpGuard<'_> {
-        fn drop(&mut self) {
-            failpoints::clear();
-        }
-    }
 
     /// A poisoned worker (panic between pop and reply) loses exactly
     /// the jobs it was holding, is respawned, and the pool keeps
     /// serving.
     #[test]
     fn poisoned_worker_is_isolated_and_respawned() {
-        let _fp = FpGuard::acquire();
+        let _serial = failpoints::exclusive();
         let server = Server::start(
             suite(100),
             ServerConfig {
@@ -245,7 +249,7 @@ mod failpoint_battery {
         );
         let respawns_before = counter("skq_serve_worker_respawns_total");
 
-        failpoints::inject("serve::worker", FailAction::Panic, Some(3));
+        let armed = failpoints::inject("serve::worker", FailAction::Panic, Some(3));
         let mut lost = 0;
         let mut served = 0;
         for _ in 0..12 {
@@ -263,13 +267,18 @@ mod failpoint_battery {
         }
         assert_eq!(lost, 3, "exactly the injected panics lose their job");
         assert_eq!(served, 9);
-        assert!(
-            counter("skq_serve_worker_respawns_total") >= respawns_before + 3,
-            "every poisoned worker must be respawned"
-        );
+        // The caller learns its job was lost while the worker is still
+        // unwinding; the supervisor counts the respawn once the unwind
+        // ends, so give the last one a moment to land.
+        let respawned = || counter("skq_serve_worker_respawns_total") >= respawns_before + 3;
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !respawned() && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(respawned(), "every poisoned worker must be respawned");
 
         // Disarmed, the pool serves at full strength.
-        failpoints::clear();
+        drop(armed);
         for _ in 0..4 {
             let reply = server
                 .query(Request::new(Rect::full(2), vec![0, 1]))
@@ -283,7 +292,7 @@ mod failpoint_battery {
     /// worker alive (no respawn, no panic counter).
     #[test]
     fn injected_request_error_spares_the_worker() {
-        let _fp = FpGuard::acquire();
+        let _serial = failpoints::exclusive();
         let server = Server::start(
             suite(100),
             ServerConfig {
@@ -294,7 +303,7 @@ mod failpoint_battery {
         );
         let respawns_before = counter("skq_serve_worker_respawns_total");
 
-        failpoints::inject("serve::request", FailAction::Err, Some(2));
+        let _armed = failpoints::inject("serve::request", FailAction::Err, Some(2));
         for _ in 0..2 {
             let err = server
                 .query(Request::new(Rect::full(2), vec![0, 1]))
@@ -321,7 +330,7 @@ mod failpoint_battery {
     /// fires, and the same worker keeps serving (no respawn).
     #[test]
     fn injected_request_panic_is_contained() {
-        let _fp = FpGuard::acquire();
+        let _serial = failpoints::exclusive();
         let server = Server::start(
             suite(100),
             ServerConfig {
@@ -333,7 +342,7 @@ mod failpoint_battery {
         let panics_before = counter("skq_serve_worker_panics_total");
         let respawns_before = counter("skq_serve_worker_respawns_total");
 
-        failpoints::inject("serve::request", FailAction::Panic, Some(1));
+        let _armed = failpoints::inject("serve::request", FailAction::Panic, Some(1));
         let err = server
             .query(Request::new(Rect::full(2), vec![0, 1]))
             .unwrap_err();

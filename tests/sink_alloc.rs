@@ -71,10 +71,10 @@ fn counting_and_threshold_queries_do_not_materialize_results() {
 
     // Warm up lazily initialized global state (metrics series, log
     // buffers) so it is not charged to the measured paths.
-    assert_eq!(index.query(&q, &[0, 1]).len(), n);
+    assert_eq!(index.query(&q, &[0, 1]).unwrap().len(), n);
 
     let collect_bytes = bytes_allocated_by(|| {
-        assert_eq!(index.query(&q, &[0, 1]).len(), n);
+        assert_eq!(index.query(&q, &[0, 1]).unwrap().len(), n);
     });
     assert!(
         collect_bytes >= (n * 4) as u64,
@@ -82,10 +82,7 @@ fn counting_and_threshold_queries_do_not_materialize_results() {
     );
 
     let count_bytes = bytes_allocated_by(|| {
-        let mut sink = CountSink::new();
-        let mut stats = QueryStats::new();
-        let _ = index.query_sink(&q, &[0, 1], &mut sink, &mut stats);
-        assert_eq!(sink.count(), n as u64);
+        assert_eq!(index.count(&q, &[0, 1]).unwrap(), n as u64);
     });
     assert!(
         count_bytes < 4096,
@@ -96,8 +93,8 @@ fn counting_and_threshold_queries_do_not_materialize_results() {
     // The threshold probe (the shape behind the NN-L∞ radius binary
     // search and `count_at_least`): a LimitSink over a CountSink.
     let probe_bytes = bytes_allocated_by(|| {
-        assert!(index.count_at_least(&q, &[0, 1], 100));
-        assert!(!index.count_at_least(&q, &[0, 1], n + 1));
+        assert!(index.count_at_least(&q, &[0, 1], 100).unwrap());
+        assert!(!index.count_at_least(&q, &[0, 1], n + 1).unwrap());
     });
     assert!(
         probe_bytes < 4096,
@@ -109,7 +106,10 @@ fn counting_and_threshold_queries_do_not_materialize_results() {
     let mut out = Vec::with_capacity(8);
     let limited_bytes = bytes_allocated_by(|| {
         let mut stats = QueryStats::new();
-        index.query_limited(&q, &[0, 1], 8, &mut out, &mut stats);
+        let capped = QueryGuard::new().with_max_results(8);
+        let _ = index
+            .run(&q, &[0, 1], &capped, &mut out, &mut stats)
+            .unwrap();
         assert_eq!(out.len(), 8);
         assert!(stats.truncated);
     });
@@ -124,7 +124,8 @@ fn counting_and_threshold_queries_do_not_materialize_results() {
     let nn = LinfNnIndex::build(&dataset, 2);
     let _ = nn.query(&Point::new2(0.0, 0.0), 5, &[0, 1]); // warm-up
     let nn_bytes = bytes_allocated_by(|| {
-        assert_eq!(nn.query(&Point::new2(0.0, 0.0), 5, &[0, 1]).len(), 5);
+        let (nearest, _) = nn.query(&Point::new2(0.0, 0.0), 5, &[0, 1]).unwrap();
+        assert_eq!(nearest.len(), 5);
     });
     assert!(
         nn_bytes < (n * 4 / 2) as u64,

@@ -103,7 +103,7 @@ proptest! {
         kws in two_keywords(),
     ) {
         let index = OrpKwIndex::build(&dataset, 2);
-        let legacy = sorted(index.query(&q, &kws));
+        let legacy = sorted(index.query(&q, &kws).unwrap());
         let mut collected = CollectSink::new();
         let mut stats = QueryStats::new();
         let _ = index.query_sink(&q, &kws, &mut collected, &mut stats);
@@ -118,12 +118,12 @@ proptest! {
         kws in two_keywords(),
     ) {
         let index = OrpKwIndex::build(&dataset, 2);
-        let full = index.query(&q, &kws);
+        let full = index.query(&q, &kws).unwrap();
         let mut count = CountSink::new();
         let mut stats = QueryStats::new();
         let _ = index.query_sink(&q, &kws, &mut count, &mut stats);
         prop_assert_eq!(count.count(), full.len() as u64);
-        prop_assert_eq!(index.count(&q, &kws), full.len() as u64);
+        prop_assert_eq!(index.count(&q, &kws).unwrap(), full.len() as u64);
     }
 
     #[test]
@@ -134,17 +134,18 @@ proptest! {
         t in 0usize..12,
     ) {
         let index = OrpKwIndex::build(&dataset, 2);
-        let full = index.query(&q, &kws);
+        let full = index.query(&q, &kws).unwrap();
         let mut sink = LimitSink::new(Vec::new(), t);
         let mut stats = QueryStats::new();
         let _ = index.query_sink(&q, &kws, &mut sink, &mut stats);
         let truncated = sink.truncated();
         let got = sink.into_inner();
         check_limited(&full, &got, truncated, t)?;
-        // The legacy limited entry point agrees with the raw sink.
+        // A guard's result cap agrees with the raw sink.
         let mut out = Vec::new();
         let mut stats = QueryStats::new();
-        index.query_limited(&q, &kws, t, &mut out, &mut stats);
+        let capped = QueryGuard::new().with_max_results(t);
+        let _ = index.run(&q, &kws, &capped, &mut out, &mut stats).unwrap();
         prop_assert_eq!(out, got);
         prop_assert_eq!(stats.emitted, t.min(full.len()) as u64);
     }
@@ -157,7 +158,7 @@ proptest! {
         t in 0usize..8,
     ) {
         let index = RrKwIndex::build(&rects, 2);
-        let full = index.query(&q, &kws);
+        let full = index.query(&q, &kws).unwrap();
         let mut count = CountSink::new();
         let mut stats = QueryStats::new();
         let _ = index.query_sink(&q, &kws, &mut count, &mut stats);
@@ -179,8 +180,8 @@ proptest! {
     ) {
         let index = LinfNnIndex::build(&dataset, 2);
         let q = Point::new2(f64::from(at[0]), f64::from(at[1]));
-        let all = index.query(&q, usize::MAX, &kws);
-        let got = index.query(&q, t, &kws);
+        let (all, _) = index.query(&q, usize::MAX, &kws).unwrap();
+        let (got, _) = index.query(&q, t, &kws).unwrap();
         prop_assert_eq!(&got[..], &all[..t.min(all.len())]);
     }
 }

@@ -37,7 +37,7 @@ fn try_load_mangled(bytes: &[u8], what: &str) {
             // dead bytes; the result must then behave like a real
             // index (try_load already deep-validated it under
             // debug-invariants). Exercise a query to be sure.
-            let _ = suite.query(&Rect::full(2), &[0, 1]);
+            let _ = suite.query(&Rect::full(2), &[0, 1]).unwrap();
         }
     }
 }

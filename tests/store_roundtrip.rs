@@ -77,13 +77,13 @@ proptest! {
         let built = OrpKwIndex::build(&d, 2);
         let loaded = reload(&built);
         prop_assert_eq!(
-            sorted(built.query(&q, &kws)),
-            sorted(loaded.query(&q, &kws))
+            sorted(built.query(&q, &kws).unwrap()),
+            sorted(loaded.query(&q, &kws).unwrap())
         );
         // The structural counters must agree too: the loaded index is
         // the same tree, not merely an equivalent one.
-        let (_, sa) = built.query_with_stats(&q, &kws);
-        let (_, sb) = loaded.query_with_stats(&q, &kws);
+        let (_, sa) = built.query_with_stats(&q, &kws).unwrap();
+        let (_, sb) = loaded.query_with_stats(&q, &kws).unwrap();
         prop_assert_eq!(sa.nodes_visited, sb.nodes_visited);
         prop_assert_eq!(sa.objects_examined(), sb.objects_examined());
     }
@@ -107,8 +107,8 @@ proptest! {
         let built = RrKwIndex::build(&rects, 2);
         let loaded = reload(&built);
         prop_assert_eq!(
-            sorted(built.query(&q, &kws)),
-            sorted(loaded.query(&q, &kws))
+            sorted(built.query(&q, &kws).unwrap()),
+            sorted(loaded.query(&q, &kws).unwrap())
         );
     }
 
@@ -126,8 +126,8 @@ proptest! {
         let c: Vec<f64> = center.into_iter().map(f64::from).collect();
         let ball = Ball::new(Point::new(&c), f64::from(radius));
         prop_assert_eq!(
-            sorted(built.query(&ball, &kws)),
-            sorted(loaded.query(&ball, &kws))
+            sorted(built.query(&ball, &kws).unwrap()),
+            sorted(loaded.query(&ball, &kws).unwrap())
         );
     }
 
@@ -142,7 +142,7 @@ proptest! {
         let loaded = reload(&built);
         let p: Vec<f64> = at.into_iter().map(f64::from).collect();
         let p = Point::new(&p);
-        prop_assert_eq!(built.query(&p, t, &kws), loaded.query(&p, t, &kws));
+        prop_assert_eq!(built.query(&p, t, &kws).unwrap().0, loaded.query(&p, t, &kws).unwrap().0);
     }
 
     #[test]
@@ -158,8 +158,8 @@ proptest! {
         // Any keyword count: exercises the range-scan, postings,
         // framework, and post-filter routes of the suite dispatcher.
         prop_assert_eq!(
-            sorted(built.query(&q, &kws)),
-            sorted(loaded.query(&q, &kws))
+            sorted(built.query(&q, &kws).unwrap()),
+            sorted(loaded.query(&q, &kws).unwrap())
         );
     }
 }

@@ -31,9 +31,13 @@ fn city_200k_all_indexes_agree_with_baselines() {
 
         let q = gen.rect(0.002 * ((trial % 7) + 1) as f64);
         let expected = sorted(kf.query_rect(&q, &kws));
-        assert_eq!(sorted(orp.query(&q, &kws)), expected, "orp trial {trial}");
         assert_eq!(
-            sorted(lc.query_rect(&q, &kws)),
+            sorted(orp.query(&q, &kws).unwrap()),
+            expected,
+            "orp trial {trial}"
+        );
+        assert_eq!(
+            sorted(lc.query(&ConvexPolytope::from_rect(&q), &kws).unwrap()),
             expected,
             "lc trial {trial}"
         );
@@ -41,7 +45,7 @@ fn city_200k_all_indexes_agree_with_baselines() {
         let center = gen.integer_point();
         let ball = Ball::new(center, 2_000.0 + 500.0 * (trial % 5) as f64);
         assert_eq!(
-            sorted(srp.query(&ball, &kws)),
+            sorted(srp.query(&ball, &kws).unwrap()),
             sorted(kf.query_ball(&ball, &kws)),
             "srp trial {trial}"
         );
@@ -49,7 +53,7 @@ fn city_200k_all_indexes_agree_with_baselines() {
         let p = gen.point();
         let t = 1 + trial % 16;
         assert_eq!(
-            nn.query(&p, t, &kws),
+            nn.query(&p, t, &kws).unwrap().0,
             kf.nn_linf(&p, t, &kws),
             "nn trial {trial}"
         );
@@ -69,7 +73,7 @@ fn sensor_net_100k_dimred_agrees() {
         };
         let q = gen.rect(0.01 * ((trial % 9) + 1) as f64);
         assert_eq!(
-            sorted(orp.query(&q, &kws)),
+            sorted(orp.query(&q, &kws).unwrap()),
             sorted(kf.query_rect(&q, &kws)),
             "trial {trial}"
         );
@@ -104,7 +108,7 @@ fn dynamic_churn_500k_operations() {
                 let q = Rect::new(&[x, y], &[x + 50.0, y + 50.0]);
                 let w = rng.gen_range(0..12);
                 let v = 12 + rng.gen_range(0..4);
-                let hits = idx.query(&q, &[w, v]);
+                let (hits, _) = idx.query(&q, &[w, v], &QueryGuard::new()).unwrap();
                 // Spot-invariant: every reported handle is live.
                 assert!(hits.len() <= idx.len(), "step {step}");
             }
