@@ -54,7 +54,7 @@ fn bench_leaf_weight(c: &mut Criterion) {
         let tree = TransformedIndex::build(
             KdPartitioner::new(rank_points.clone(), weights.clone()),
             ps.dataset.docs().to_vec(),
-            2,
+            2..=2,
             FrameworkConfig { leaf_weight: leaf },
         );
         let _rq = rank.rect(&Rect::full(2)).expect("non-empty");

@@ -6,7 +6,6 @@
 //! terms of `N`.
 
 use crate::error::SkqError;
-use crate::persist::{self, Persist, SCHEMA_VERSION};
 use skq_geom::Point;
 use skq_invidx::{Document, Keyword};
 
@@ -235,34 +234,6 @@ impl Dataset {
         let points: Vec<Point> = ids.iter().map(|&i| self.points[i as usize]).collect();
         let docs: Vec<Document> = ids.iter().map(|&i| self.docs[i as usize].clone()).collect();
         (Dataset::assemble(points, docs), ids.to_vec())
-    }
-}
-
-impl Persist for Dataset {
-    fn to_pages(&self, w: &mut persist::PageWriter) -> Result<(), SkqError> {
-        let mut head = Vec::new();
-        persist::put_uv(&mut head, self.points.len() as u64);
-        persist::put_uv(&mut head, self.dim as u64);
-        w.page(persist::kind::DATASET_HEAD, SCHEMA_VERSION, head);
-        persist::put_point_pages(w, persist::kind::DATASET_POINTS, &self.points, self.dim);
-        persist::put_doc_pages(w, persist::kind::DATASET_DOCS, &self.docs);
-        Ok(())
-    }
-
-    fn from_pages(r: &mut persist::PageReader<'_>) -> Result<Self, SkqError> {
-        let mut head = r.page(persist::kind::DATASET_HEAD, SCHEMA_VERSION, "dataset")?;
-        let n = head.usizev()?;
-        let dim = head.usizev()?;
-        head.end()?;
-        let points =
-            persist::read_point_pages(r, persist::kind::DATASET_POINTS, "dataset", n, dim)?;
-        let docs = persist::read_doc_pages(r, persist::kind::DATASET_DOCS, "dataset", n)?;
-        // `try_new` re-validates non-emptiness, dimension consistency,
-        // and coordinate finiteness, and recomputes the derived totals.
-        Dataset::try_new(points, docs).map_err(|e| SkqError::Corrupted {
-            section: "dataset".into(),
-            detail: e.to_string(),
-        })
     }
 }
 

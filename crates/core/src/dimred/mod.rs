@@ -141,6 +141,11 @@ impl DimRedTree {
         self.nodes.len()
     }
 
+    /// The indexed dataset.
+    pub(crate) fn dataset(&self) -> &Dataset {
+        &self.dataset
+    }
+
     /// Index space in words (tree skeleton + pivots + id maps +
     /// secondary structures).
     pub fn space_words(&self) -> usize {

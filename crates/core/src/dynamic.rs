@@ -783,10 +783,10 @@ impl Persist for DynamicOrpKw {
                     index.dim()
                 )));
             }
-            if index.kd_num_objects() != Some(*len) {
+            if index.len() != *len {
                 return Err(dyn_corrupt(format!(
                     "block {slot} index covers {:?} objects, source holds {len}",
-                    index.kd_num_objects()
+                    index.len()
                 )));
             }
             let source: Vec<(Point, Vec<Keyword>, ObjectHandle)> = entries

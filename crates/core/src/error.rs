@@ -130,17 +130,30 @@ impl std::error::Error for SkqError {}
 /// layers can pre-validate before cheaper unvalidated sink paths —
 /// e.g. the brownout count-only rung).
 pub mod validate {
+    use std::ops::RangeInclusive;
+
     use super::SkqError;
     use skq_geom::{ConvexPolytope, Point, Rect};
 
     /// The build-time `k` range every framework-backed index accepts.
     pub fn build_k(k: usize) -> Result<(), SkqError> {
-        if k < 2 {
+        build_ks(&(k..=k))
+    }
+
+    /// A non-empty range of build-time `k` inside `2..=16` — the `k`
+    /// served by one multi-layer framework build.
+    pub fn build_ks(ks: &RangeInclusive<usize>) -> Result<(), SkqError> {
+        if ks.is_empty() {
+            return Err(SkqError::InvalidQuery(format!(
+                "the k range {ks:?} is empty"
+            )));
+        }
+        if *ks.start() < 2 {
             return Err(SkqError::InvalidQuery(
                 "the framework requires k >= 2 query keywords".into(),
             ));
         }
-        if k > 16 {
+        if *ks.end() > 16 {
             return Err(SkqError::InvalidQuery(
                 "k > 16 keywords is unsupported (and pointless: the bound degrades to O(N))".into(),
             ));
@@ -161,10 +174,25 @@ pub mod validate {
 
     /// Exactly `k` distinct keywords (the framework's query contract).
     pub fn distinct_keywords(keywords: &[u32], k: usize) -> Result<(), SkqError> {
+        distinct_keywords_in(keywords, &(k..=k))
+    }
+
+    /// A distinct-keyword count inside `ks` (the contract of an index
+    /// serving several `k`).
+    pub fn distinct_keywords_in(
+        keywords: &[u32],
+        ks: &RangeInclusive<usize>,
+    ) -> Result<(), SkqError> {
         let distinct = count_distinct(keywords);
-        if distinct != k {
+        if !ks.contains(&distinct) {
+            let (lo, hi) = (ks.start(), ks.end());
+            let want = if lo == hi {
+                format!("exactly {lo}")
+            } else {
+                format!("{lo} to {hi}")
+            };
             return Err(SkqError::InvalidQuery(format!(
-                "the index was built for exactly {k} distinct keywords, got {distinct}"
+                "the index was built for {want} distinct keywords, got {distinct}"
             )));
         }
         Ok(())

@@ -1,11 +1,11 @@
 //! The transformed index (Steps 2–3 of the framework, §3.2–§3.3).
 
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, RangeInclusive};
 
 use skq_geom::{Rect, Region};
 use skq_invidx::{Document, Keyword};
 
-use crate::error::SkqError;
+use crate::error::{validate, SkqError};
 use crate::failpoints;
 use crate::fastmap::FxHashMap;
 use crate::persist::{self, Persist, SCHEMA_VERSION};
@@ -15,6 +15,13 @@ use crate::stats::QueryStats;
 use super::combo::{for_each_k_subset, ComboTable};
 use super::kd::KdPartitioner;
 use super::partitioner::{Partitioner, SplitOutcome};
+
+/// The largest supported `k` (`validate::build_k`'s upper bound).
+const MAX_K: usize = 16;
+
+/// One list per layer, on the stack: at most one layer per
+/// `k ∈ 2..=MAX_K`.
+type PerLayer = [Vec<u32>; MAX_K - 1];
 
 /// Build-time knobs.
 #[derive(Clone, Copy, Debug)]
@@ -32,6 +39,7 @@ impl Default for FrameworkConfig {
     }
 }
 
+/// A tree node's geometry: everything that does not depend on `k`.
 struct Node<C> {
     cell: C,
     level: u32,
@@ -40,11 +48,17 @@ struct Node<C> {
     /// Objects stored at this node (boundary objects for internal
     /// nodes; the whole active set for leaves).
     pivots: Vec<u32>,
+}
+
+/// One node's keyword tables for one `k` (§3.2).
+#[derive(Default)]
+struct NodeTable {
     /// Large keywords at this node → local id in `0..L` (ids follow
     /// ascending keyword order).
     large: FxHashMap<Keyword, u32>,
-    /// One emptiness table per child (parallel to `children`); empty
-    /// when `L < k` (then no `k` distinct keywords can all be large).
+    /// One emptiness table per child (parallel to the node's
+    /// `children`); empty when `L < k` (then no `k` distinct keywords
+    /// can all be large).
     combos: Vec<ComboTable>,
     /// Materialized `D_u^act(w)` for keywords small at this node but
     /// large at all proper ancestors. Lists exclude this node's pivots
@@ -54,11 +68,21 @@ struct Node<C> {
     materialized: FxHashMap<Keyword, Vec<u32>>,
 }
 
-/// Build-time keyword state, shared by every node of one build.
+/// The keyword layer for one `k`: a table per tree node, parallel to
+/// the node arena. Only the large/small threshold `N_u^{1−1/k}` and
+/// what follows from it depend on `k`; the tree is shared.
+struct Layer {
+    k: usize,
+    tables: Vec<NodeTable>,
+}
+
+/// Build-time keyword state, shared by every node and layer of one
+/// build.
 ///
 /// Keywords are remapped once onto dense ids `0..V` in ascending
 /// keyword order, so ascending dense ids are ascending keywords and the
 /// per-node tables come out exactly as a keyword-keyed build makes them.
+#[derive(Default)]
 struct DenseKeywords {
     /// Dense id → keyword, ascending.
     words: Vec<Keyword>,
@@ -79,11 +103,9 @@ const SMALL: u32 = 1 << 31;
 
 impl DenseKeywords {
     fn new(docs: &[Document]) -> Self {
-        let mut words: Vec<Keyword> = docs
-            .iter()
-            .flat_map(|d| d.keywords().iter().copied())
-            .collect();
-        let total = words.len();
+        let total = docs.iter().map(Document::len).sum();
+        let mut words: Vec<Keyword> = Vec::with_capacity(total);
+        words.extend(docs.iter().flat_map(|d| d.keywords().iter().copied()));
         words.sort_unstable();
         words.dedup();
         let mut off = Vec::with_capacity(docs.len() + 1);
@@ -107,14 +129,16 @@ impl DenseKeywords {
         }
     }
 
-    /// Fills an internal node's large keywords, emptiness tables and
-    /// materialized lists (§3.2) from its pivots and `children`; returns
-    /// the large keywords' dense ids, ascending — the children's
-    /// candidates.
+    /// Fills an internal node's layer-`k` table — large keywords,
+    /// emptiness tables and materialized lists (§3.2) — from its
+    /// `weight`, `pivots` and `children`; returns the large keywords'
+    /// dense ids, ascending — the children's candidates in this layer.
     fn fill_node<C>(
         &mut self,
-        node: &mut Node<C>,
+        table: &mut NodeTable,
         k: usize,
+        weight: u64,
+        pivots: &[u32],
         children: &[(C, Vec<u32>)],
         candidates: &[u32],
     ) -> Vec<u32> {
@@ -126,7 +150,6 @@ impl DenseKeywords {
             local,
         } = self;
         let doc = |o: u32| &ids[off[o as usize] as usize..off[o as usize + 1] as usize];
-        let weight = node.weight;
 
         // --- Large/small classification at this node (§3.2). ---
         // Count |D_u^act(w)| for the materialization candidates (keywords
@@ -137,11 +160,7 @@ impl DenseKeywords {
         for &w in candidates {
             state[w as usize] = 1;
         }
-        for &o in node
-            .pivots
-            .iter()
-            .chain(children.iter().flat_map(|(_, c)| c))
-        {
+        for &o in pivots.iter().chain(children.iter().flat_map(|(_, c)| c)) {
             for &w in doc(o) {
                 let s = &mut state[w as usize];
                 *s += u32::from(*s != 0);
@@ -177,7 +196,7 @@ impl DenseKeywords {
         let mut combos: Vec<ComboTable> = Vec::new();
         if l >= k || !small_lists.is_empty() {
             for (_, child_objs) in children {
-                let mut table = (l >= k).then(|| ComboTable::new(l, k));
+                let mut combo = (l >= k).then(|| ComboTable::new(l, k));
                 for &o in child_objs {
                     local.clear();
                     for &w in doc(o) {
@@ -187,32 +206,55 @@ impl DenseKeywords {
                             s => local.push(s - 1),
                         }
                     }
-                    if let Some(table) = &mut table {
+                    if let Some(combo) = &mut combo {
                         // Dense ids ascend within a document, so the
                         // local ids do too.
-                        for_each_k_subset(local, k, &mut |subset| table.set(subset));
+                        for_each_k_subset(local, k, &mut |subset| combo.set(subset));
                     }
                 }
-                combos.extend(table);
+                combos.extend(combo);
             }
         }
         for &w in candidates {
             state[w as usize] = 0;
         }
 
-        node.large = large_list
+        table.large = large_list
             .iter()
             .enumerate()
             .map(|(i, &w)| (words[w as usize], i as u32))
             .collect();
-        node.combos = combos;
+        table.combos = combos;
         small_lists.retain(|(_, list)| !list.is_empty());
-        node.materialized = small_lists.into_iter().collect();
+        table.materialized = small_lists.into_iter().collect();
         large_list
     }
 }
 
+/// Sorts and dedups `keywords` into `buf` without allocating; returns
+/// the number of distinct keywords, or `None` past [`MAX_K`].
+fn distinct_sorted(keywords: &[Keyword], buf: &mut [Keyword; MAX_K]) -> Option<usize> {
+    let mut n = 0;
+    for &w in keywords {
+        let pos = buf[..n].partition_point(|&x| x < w);
+        if pos < n && buf[pos] == w {
+            continue;
+        }
+        if n == MAX_K {
+            return None;
+        }
+        buf.copy_within(pos..n, pos + 1);
+        buf[pos] = w;
+        n += 1;
+    }
+    Some(n)
+}
+
 /// A keyword-transformed space-partitioning index (§3.2).
+///
+/// One tree — cells, levels, weights, pivots — is built from the
+/// geometry alone and carries one keyword layer per served `k`, so
+/// a range of `k` shares the split, the documents and the pivots.
 ///
 /// Generic over the geometry via [`Partitioner`]; the query side is
 /// generic over the query shape via a cell-classification closure and a
@@ -222,13 +264,15 @@ pub struct TransformedIndex<P: Partitioner> {
     partitioner: P,
     docs: Vec<Document>,
     nodes: Vec<Node<P::Cell>>,
-    k: usize,
+    /// One layer per served `k`, ascending and consecutive.
+    layers: Vec<Layer>,
     config: FrameworkConfig,
     total_weight: u64,
 }
 
 impl<P: Partitioner> TransformedIndex<P> {
-    /// Builds the index for exactly-`k`-keyword queries.
+    /// Builds the index for queries of `k` distinct keywords, for every
+    /// `k` in `ks` (a single-`k` index passes `k..=k`).
     ///
     /// `docs[i]` is the document of object `i`; the partitioner owns the
     /// matching coordinates. `N = Σ |docs[i]|` is the paper's input
@@ -237,17 +281,27 @@ impl<P: Partitioner> TransformedIndex<P> {
     /// # Panics
     ///
     /// Panics with the [`try_build`](Self::try_build) error message if
-    /// `k < 2` (the paper fixes `k ≥ 2`) or `docs` is empty.
-    pub fn build(partitioner: P, docs: Vec<Document>, k: usize, config: FrameworkConfig) -> Self {
-        Self::try_build(partitioner, docs, k, config).unwrap_or_else(|e| panic!("{e}"))
+    /// `ks` is empty or leaves `2..=16` (the paper fixes `k ≥ 2`) or
+    /// `docs` is empty.
+    pub fn build(
+        partitioner: P,
+        docs: Vec<Document>,
+        ks: RangeInclusive<usize>,
+        config: FrameworkConfig,
+    ) -> Self {
+        Self::try_build(partitioner, docs, ks, config).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`build`](Self::build): validates the parameters and
     /// returns `Err` instead of panicking.
     ///
+    /// The tree is split once; each node then fills one keyword table
+    /// per `k`, each from the candidates its own layer inherited, so
+    /// every layer equals the single-`k` build of its `k`.
+    ///
     /// # Errors
     ///
-    /// `SkqError::InvalidQuery` if `k < 2` or `k > 16`;
+    /// `SkqError::InvalidQuery` if `ks` is empty or leaves `2..=16`;
     /// `SkqError::InvalidDataset` if `docs` is empty or holds 2³¹ or
     /// more keyword occurrences in total. (With the
     /// `failpoints` feature, an armed `framework::build` site also
@@ -255,19 +309,10 @@ impl<P: Partitioner> TransformedIndex<P> {
     pub fn try_build(
         partitioner: P,
         docs: Vec<Document>,
-        k: usize,
+        ks: RangeInclusive<usize>,
         config: FrameworkConfig,
     ) -> Result<Self, SkqError> {
-        if k < 2 {
-            return Err(SkqError::InvalidQuery(
-                "the framework requires k >= 2 query keywords".into(),
-            ));
-        }
-        if k > 16 {
-            return Err(SkqError::InvalidQuery(
-                "k > 16 keywords is unsupported (and pointless: the bound degrades to O(N))".into(),
-            ));
-        }
+        validate::build_ks(&ks)?;
         if docs.is_empty() {
             return Err(SkqError::InvalidDataset(
                 "cannot index an empty dataset".into(),
@@ -284,87 +329,111 @@ impl<P: Partitioner> TransformedIndex<P> {
         failpoints::check("framework::build")?;
         let all: Vec<u32> = (0..docs.len() as u32).collect();
         let total_weight = partitioner.total_weight(&all);
-        let mut dense = DenseKeywords::new(&docs);
+        // A root that is a leaf does no keyword work, so it needs no remap.
+        let mut dense = if total_weight > config.leaf_weight {
+            DenseKeywords::new(&docs)
+        } else {
+            DenseKeywords::default()
+        };
         let mut index = Self {
             partitioner,
             docs,
             nodes: Vec::new(),
-            k,
+            layers: ks
+                .map(|k| Layer {
+                    k,
+                    tables: Vec::new(),
+                })
+                .collect(),
             config,
             total_weight,
         };
         let root_cell = index.partitioner.root_cell();
         // At the root every keyword is trivially "large at all (zero)
         // proper ancestors", i.e. a materialization candidate.
-        let candidates: Vec<u32> = (0..dense.words.len() as u32).collect();
+        let mut candidates = PerLayer::default();
+        for c in &mut candidates[..index.layers.len()] {
+            *c = (0..dense.words.len() as u32).collect();
+        }
         index.build_node(&mut dense, root_cell, all, 0, &candidates);
         Ok(index)
     }
 
     /// Recursively builds the subtree over `objects`; returns the node
-    /// id. Nodes are numbered in preorder. `candidates` are the dense
-    /// ids of the keywords large at every proper ancestor, ascending.
+    /// id. Nodes are numbered in preorder. `candidates[i]` are the
+    /// dense ids of the keywords large at every proper ancestor in
+    /// layer `i`, ascending.
     fn build_node(
         &mut self,
         dense: &mut DenseKeywords,
         cell: P::Cell,
         objects: Vec<u32>,
         level: u32,
-        candidates: &[u32],
+        candidates: &PerLayer,
     ) -> u32 {
         let weight = self.partitioner.total_weight(&objects);
         let id = self.nodes.len() as u32;
-        self.nodes.push(Node {
-            cell,
-            level,
-            weight,
-            children: Vec::new(),
-            pivots: Vec::new(),
-            large: FxHashMap::default(),
-            combos: Vec::new(),
-            materialized: FxHashMap::default(),
-        });
+        for layer in &mut self.layers {
+            layer.tables.push(NodeTable::default());
+        }
 
         // Leaf: store the whole active set as pivots; a visit scans them
         // all, so no keyword machinery is needed.
         let outcome = if weight <= self.config.leaf_weight {
             None
         } else {
-            let cell_ref = self.nodes[id as usize].cell.clone();
-            self.partitioner.split(&cell_ref, &objects, level as usize)
+            self.partitioner.split(&cell, &objects, level as usize)
         };
-        let Some(SplitOutcome { pivots, children }) = outcome else {
-            self.nodes[id as usize].pivots = objects;
-            return id;
+        let (pivots, children) = match outcome {
+            Some(SplitOutcome { pivots, children }) => (pivots, children),
+            None => (objects, Vec::new()),
         };
-        let node = &mut self.nodes[id as usize];
-        node.pivots = pivots;
-        if children.is_empty() {
-            // The split degenerated to "everything is a boundary object".
-            return id;
-        }
-
-        // With no candidates nothing is large, small or tabled here, nor
+        // With no children (a leaf, or a split that degenerated to
+        // "everything is a boundary object") nothing is tabled here. With
+        // no candidates nothing is large, small or tabled here, nor
         // anywhere below: a query never descends past a node where one
         // of its keywords is small.
-        let large_list = if candidates.is_empty() {
-            Vec::new()
-        } else {
-            dense.fill_node(node, self.k, &children, candidates)
-        };
+        let mut larges = PerLayer::default();
+        if !children.is_empty() {
+            for ((layer, cands), large) in self.layers.iter_mut().zip(candidates).zip(&mut larges) {
+                if !cands.is_empty() {
+                    let table = &mut layer.tables[id as usize];
+                    *large = dense.fill_node(table, layer.k, weight, &pivots, &children, cands);
+                }
+            }
+        }
+        self.nodes.push(Node {
+            cell,
+            level,
+            weight,
+            children: Vec::new(),
+            pivots,
+        });
 
-        // --- Recurse; children inherit the large keywords as candidates.
+        // --- Recurse; children inherit each layer's large keywords as
+        // that layer's candidates.
         let child_ids: Vec<u32> = children
             .into_iter()
-            .map(|(ccell, cobjs)| self.build_node(dense, ccell, cobjs, level + 1, &large_list))
+            .map(|(ccell, cobjs)| self.build_node(dense, ccell, cobjs, level + 1, &larges))
             .collect();
         self.nodes[id as usize].children = child_ids;
         id
     }
 
-    /// The fixed number of query keywords `k`.
+    /// The smallest number of query keywords served — the only one for
+    /// a single-`k` build.
     pub fn k(&self) -> usize {
-        self.k
+        self.layers[0].k
+    }
+
+    /// Every number of query keywords served, one keyword layer each.
+    pub fn ks(&self) -> RangeInclusive<usize> {
+        self.k()..=self.layers[self.layers.len() - 1].k
+    }
+
+    /// The layer answering `k`-keyword queries, if one is built.
+    fn layer(&self, k: usize) -> Option<&Layer> {
+        self.layers.get(k.checked_sub(self.k())?)
     }
 
     /// The number of tree nodes.
@@ -387,27 +456,36 @@ impl<P: Partitioner> TransformedIndex<P> {
         &self.partitioner
     }
 
-    /// Index space in 64-bit words: tree skeleton, pivot ids, large
-    /// tables, emptiness bit arrays, and materialized lists. Cells are
-    /// charged a constant via `cell_words`.
+    /// Object `i`'s document.
+    pub(crate) fn doc(&self, i: usize) -> &Document {
+        &self.docs[i]
+    }
+
+    /// Index space in 64-bit words: tree skeleton and pivot ids once,
+    /// then per layer the large tables, emptiness bit arrays, and
+    /// materialized lists. Cells are charged a constant via
+    /// `cell_words`.
     pub fn space_words(&self, cell_words: usize) -> usize {
         let mut total = 0usize;
         for n in &self.nodes {
             total += 6 + cell_words; // fixed per-node fields
             total += n.children.len();
             total += n.pivots.len();
-            total += n.large.len() * 2;
-            total += n.combos.iter().map(ComboTable::space_words).sum::<usize>();
-            total += n.materialized.values().map(|v| v.len() + 2).sum::<usize>();
+        }
+        for t in self.layers.iter().flat_map(|l| &l.tables) {
+            total += t.large.len() * 2;
+            total += t.combos.iter().map(ComboTable::space_words).sum::<usize>();
+            total += t.materialized.values().map(|v| v.len() + 2).sum::<usize>();
         }
         total
     }
 
-    /// Answers a `k`-keyword query: every matching object is emitted
-    /// into `sink`, which may stop the traversal early (the returned
-    /// `ControlFlow::Break` reports that it did).
+    /// Answers a query of `k` distinct keywords, for a `k` the index
+    /// serves: every matching object is emitted into `sink`, which may
+    /// stop the traversal early (the returned `ControlFlow::Break`
+    /// reports that it did).
     ///
-    /// * `keywords` — exactly `k` distinct keywords;
+    /// * `keywords` — the query keywords (duplicates ignored);
     /// * `classify` — cell-vs-query classification (conservative allowed);
     /// * `accept` — exact point-in-query test by object id.
     ///
@@ -417,8 +495,8 @@ impl<P: Partitioner> TransformedIndex<P> {
     ///
     /// # Panics
     ///
-    /// Panics if `keywords` does not contain exactly `k` distinct
-    /// values.
+    /// Panics if the number of distinct `keywords` is not a `k` the
+    /// index was built for.
     pub fn query_sink<S: ResultSink>(
         &self,
         keywords: &[Keyword],
@@ -427,15 +505,12 @@ impl<P: Partitioner> TransformedIndex<P> {
         sink: &mut S,
         stats: &mut QueryStats,
     ) -> ControlFlow<()> {
-        let mut kws = keywords.to_vec();
-        kws.sort_unstable();
-        kws.dedup();
-        assert_eq!(
-            kws.len(),
-            self.k,
-            "the index was built for exactly {} distinct keywords",
-            self.k
-        );
+        let mut buf = [0; MAX_K];
+        let layer = distinct_sorted(keywords, &mut buf).and_then(|n| self.layer(n));
+        let Some(layer) = layer else {
+            panic!("{:?}", validate::distinct_keywords_in(keywords, &self.ks()));
+        };
+        let kws = &buf[..layer.k];
         if sink.is_full() {
             return ControlFlow::Break(());
         }
@@ -443,15 +518,25 @@ impl<P: Partitioner> TransformedIndex<P> {
         if root_region == Region::Disjoint {
             return ControlFlow::Continue(());
         }
-        self.visit(0, root_region, &kws, classify, accept, sink, stats)
+        self.visit(
+            &layer.tables,
+            0,
+            root_region,
+            kws,
+            classify,
+            accept,
+            sink,
+            stats,
+        )
     }
 
-    // The recursion threads every traversal input (region, keyword
-    // set, classify/accept callbacks, sink, stats) explicitly instead
-    // of a context struct rebuilt per node.
+    // The recursion threads every traversal input (layer, region,
+    // keyword set, classify/accept callbacks, sink, stats) explicitly
+    // instead of a context struct rebuilt per node.
     #[allow(clippy::too_many_arguments)]
     fn visit<S: ResultSink>(
         &self,
+        tables: &[NodeTable],
         node_id: u32,
         region: Region,
         kws: &[Keyword],
@@ -461,6 +546,7 @@ impl<P: Partitioner> TransformedIndex<P> {
         stats: &mut QueryStats,
     ) -> ControlFlow<()> {
         let node = &self.nodes[node_id as usize];
+        let table = &tables[node_id as usize];
         stats.nodes_visited += 1;
         match region {
             Region::Covered => stats.covered_nodes += 1,
@@ -484,11 +570,10 @@ impl<P: Partitioner> TransformedIndex<P> {
         }
 
         // Are all k keywords large at this node?
-        let mut local = [0u32; 16];
-        debug_assert!(self.k <= 16);
+        let mut local = [0u32; MAX_K];
         let mut all_large = true;
         for (slot, &w) in local.iter_mut().zip(kws) {
-            match node.large.get(&w) {
+            match table.large.get(&w) {
                 Some(&lid) => *slot = lid,
                 None => {
                     all_large = false;
@@ -498,14 +583,14 @@ impl<P: Partitioner> TransformedIndex<P> {
         }
 
         if all_large {
-            let ids = &mut local[..self.k];
+            let ids = &mut local[..kws.len()];
             ids.sort_unstable();
             debug_assert!(
-                !node.combos.is_empty(),
+                !table.combos.is_empty(),
                 "k distinct large keywords imply L >= k"
             );
             for (ci, &child) in node.children.iter().enumerate() {
-                if !node.combos[ci].get(ids) {
+                if !table.combos[ci].get(ids) {
                     continue; // ⋂ D_v^act(w_i) = ∅ — skip the subtree
                 }
                 let child_region = match region {
@@ -513,7 +598,16 @@ impl<P: Partitioner> TransformedIndex<P> {
                     _ => classify(&self.nodes[child as usize].cell),
                 };
                 if child_region != Region::Disjoint {
-                    self.visit(child, child_region, kws, classify, accept, sink, stats)?;
+                    self.visit(
+                        tables,
+                        child,
+                        child_region,
+                        kws,
+                        classify,
+                        accept,
+                        sink,
+                        stats,
+                    )?;
                 }
             }
         } else {
@@ -523,8 +617,8 @@ impl<P: Partitioner> TransformedIndex<P> {
             stats.small_path_nodes += 1;
             let list: &[u32] = kws
                 .iter()
-                .filter(|w| !node.large.contains_key(w))
-                .map(|w| node.materialized.get(w).map(Vec::as_slice).unwrap_or(&[]))
+                .filter(|w| !table.large.contains_key(w))
+                .map(|w| table.materialized.get(w).map(Vec::as_slice).unwrap_or(&[]))
                 .min_by_key(|l| l.len())
                 .unwrap_or(&[]);
             for &e in list {
@@ -538,17 +632,26 @@ impl<P: Partitioner> TransformedIndex<P> {
         ControlFlow::Continue(())
     }
 
-    /// Iterates over `(level, weight, num_pivots, num_large)` per node —
-    /// diagnostics for the invariants the property tests assert.
-    pub fn node_summaries(&self) -> impl Iterator<Item = (u32, u64, usize, usize)> + '_ {
+    /// Iterates over `(level, weight, num_pivots, num_large)` per node
+    /// in layer `k` — diagnostics for the invariants the property tests
+    /// assert.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the index serves no layer `k`.
+    pub fn node_summaries(&self, k: usize) -> impl Iterator<Item = (u32, u64, usize, usize)> + '_ {
+        let layer = self
+            .layer(k)
+            .unwrap_or_else(|| panic!("the index has no layer k = {k}"));
         self.nodes
             .iter()
-            .map(|n| (n.level, n.weight, n.pivots.len(), n.large.len()))
+            .zip(&layer.tables)
+            .map(|(n, t)| (n.level, n.weight, n.pivots.len(), t.large.len()))
     }
 
     /// Deep structural validation (DESIGN.md §12): re-derives the §3
     /// invariants from the built structure rather than trusting the
-    /// build path's bookkeeping.
+    /// build path's bookkeeping — the tree once, then every layer.
     ///
     /// # Errors
     ///
@@ -559,24 +662,6 @@ impl<P: Partitioner> TransformedIndex<P> {
         // materialized lists < τ, child weight ≤ half, combo parallelism.
         let section3 = |detail: String| V::new("framework::section3", detail);
         for (i, n) in self.nodes.iter().enumerate() {
-            // Large-keyword bound L ≤ N_u^(1/k) (+1 for float rounding).
-            let cap = (n.weight as f64).powf(1.0 / self.k as f64) + 1.0;
-            if n.large.len() as f64 > cap {
-                return Err(section3(format!(
-                    "node {i}: {} large keywords exceeds N_u^(1/k) = {cap}",
-                    n.large.len()
-                )));
-            }
-            // Materialized lists must be shorter than the threshold.
-            let tau = (n.weight as f64).powf(1.0 - 1.0 / self.k as f64);
-            for (w, list) in &n.materialized {
-                if list.len() as f64 >= tau + 1.0 {
-                    return Err(section3(format!(
-                        "node {i}: materialized list for {w} has {} ≥ τ = {tau}",
-                        list.len()
-                    )));
-                }
-            }
             // Children carry at most half the weight.
             // (Out-of-range children are reported by the shape check.)
             for cw in n
@@ -592,14 +677,67 @@ impl<P: Partitioner> TransformedIndex<P> {
                     )));
                 }
             }
-            // Combo tables parallel children when present.
-            if !n.combos.is_empty() && n.combos.len() != n.children.len() {
-                return Err(section3(format!(
-                    "node {i}: combo/children length mismatch"
-                )));
-            }
         }
         let n = self.docs.len();
+        for (li, layer) in self.layers.iter().enumerate() {
+            let k = layer.k;
+            if k != self.k() + li || layer.tables.len() != self.nodes.len() {
+                return Err(section3(format!(
+                    "layer {li} serves k = {k} with {} tables for {} nodes",
+                    layer.tables.len(),
+                    self.nodes.len()
+                )));
+            }
+            for (i, (node, t)) in self.nodes.iter().zip(&layer.tables).enumerate() {
+                // Large-keyword bound L ≤ N_u^(1/k) (+1 for float rounding).
+                let cap = (node.weight as f64).powf(1.0 / k as f64) + 1.0;
+                if t.large.len() as f64 > cap {
+                    return Err(section3(format!(
+                        "layer k = {k}, node {i}: {} large keywords exceeds N_u^(1/k) = {cap}",
+                        t.large.len()
+                    )));
+                }
+                // Combo tables parallel children when present.
+                if !t.combos.is_empty() && t.combos.len() != node.children.len() {
+                    return Err(section3(format!(
+                        "layer k = {k}, node {i}: combo/children length mismatch"
+                    )));
+                }
+                // Materialized lists: shorter than the threshold, and
+                // in-range, duplicate-free ids whose documents actually
+                // contain the listed keyword.
+                let tau = (node.weight as f64).powf(1.0 - 1.0 / k as f64);
+                for (&w, list) in &t.materialized {
+                    let fail = |name, what: String| {
+                        V::new(
+                            name,
+                            format!("layer k = {k}, node {i}, list of {w}: {what}"),
+                        )
+                    };
+                    if list.len() as f64 >= tau + 1.0 {
+                        let what = format!("{} ≥ τ = {tau}", list.len());
+                        return Err(fail("framework::section3", what));
+                    }
+                    let mut sorted = list.clone();
+                    sorted.sort_unstable();
+                    if sorted.windows(2).any(|p| p[0] == p[1]) {
+                        return Err(fail("framework::materialized", "duplicate id".into()));
+                    }
+                    for &e in list {
+                        if e as usize >= n {
+                            return Err(fail(
+                                "framework::materialized",
+                                format!("id {e} out of range"),
+                            ));
+                        }
+                        if !self.docs[e as usize].contains_all(&[w]) {
+                            let what = format!("object {e}'s document lacks the keyword");
+                            return Err(fail("framework::materialized", what));
+                        }
+                    }
+                }
+            }
+        }
 
         // Tree shape: child ids in range, every non-root node the child
         // of exactly one parent, levels increasing by one, child cells
@@ -672,47 +810,23 @@ impl<P: Partitioner> TransformedIndex<P> {
             ));
         }
 
-        // Materialized lists: in-range, duplicate-free ids whose
-        // documents actually contain the listed keyword.
-        for (i, node) in self.nodes.iter().enumerate() {
-            for (&w, list) in &node.materialized {
-                let mut sorted = list.clone();
-                sorted.sort_unstable();
-                if sorted.windows(2).any(|p| p[0] == p[1]) {
-                    return Err(V::new(
-                        "framework::materialized",
-                        format!("node {i}: duplicate id in the list of keyword {w}"),
-                    ));
-                }
-                for &e in list {
-                    if e as usize >= n {
-                        return Err(V::new(
-                            "framework::materialized",
-                            format!("node {i}: id {e} out of range in the list of keyword {w}"),
-                        ));
-                    }
-                    if !self.docs[e as usize].contains_all(&[w]) {
-                        return Err(V::new(
-                            "framework::materialized",
-                            format!(
-                                "node {i}: object {e} listed for keyword {w} its document lacks"
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
         Ok(())
     }
 }
 
+/// The snapshot layout: `TREE_HEAD` (declaring the lowest `k`), points,
+/// weights and documents, then `TREE_NODES` pages holding each node's
+/// geometry followed by its lowest-`k` table — so a single-`k` index
+/// writes exactly the single-layer format. Every further layer follows
+/// as one `TREE_LAYER` section: a head page (`k`, node count) and then
+/// the node tables, 256 per page, in the same codec.
 impl Persist for TransformedIndex<KdPartitioner> {
     fn to_pages(&self, w: &mut persist::PageWriter) -> Result<(), SkqError> {
         let points = self.partitioner.points();
         let dim = self.partitioner.dim();
         let n = points.len();
         let mut head = Vec::new();
-        persist::put_uv(&mut head, self.k as u64);
+        persist::put_uv(&mut head, self.k() as u64);
         persist::put_uv(&mut head, self.config.leaf_weight);
         persist::put_uv(&mut head, self.total_weight);
         persist::put_uv(&mut head, n as u64);
@@ -726,22 +840,37 @@ impl Persist for TransformedIndex<KdPartitioner> {
         }
         w.page(persist::kind::TREE_WEIGHTS, SCHEMA_VERSION, weights);
         persist::put_doc_pages(w, persist::kind::TREE_DOCS, &self.docs);
-        for chunk in self.nodes.chunks(NODES_PER_PAGE) {
+        let first = &self.layers[0].tables;
+        for (nodes, tables) in self
+            .nodes
+            .chunks(NODES_PER_PAGE)
+            .zip(first.chunks(NODES_PER_PAGE))
+        {
             let mut buf = Vec::new();
-            for node in chunk {
+            for (node, table) in nodes.iter().zip(tables) {
                 encode_node(&mut buf, node, dim);
+                encode_table(&mut buf, table);
             }
             w.page(persist::kind::TREE_NODES, SCHEMA_VERSION, buf);
+        }
+        for layer in &self.layers[1..] {
+            let mut head = Vec::new();
+            persist::put_uv(&mut head, layer.k as u64);
+            persist::put_uv(&mut head, layer.tables.len() as u64);
+            w.page(persist::kind::TREE_LAYER, SCHEMA_VERSION, head);
+            for tables in layer.tables.chunks(NODES_PER_PAGE) {
+                let mut buf = Vec::new();
+                for table in tables {
+                    encode_table(&mut buf, table);
+                }
+                w.page(persist::kind::TREE_LAYER, SCHEMA_VERSION, buf);
+            }
         }
         Ok(())
     }
 
     fn from_pages(r: &mut persist::PageReader<'_>) -> Result<Self, SkqError> {
         let section = "framework";
-        let fail = |detail: String| SkqError::Corrupted {
-            section: section.into(),
-            detail,
-        };
         let mut head = r.page(persist::kind::TREE_HEAD, SCHEMA_VERSION, section)?;
         let k = head.usizev()?;
         let leaf_weight = head.uv()?;
@@ -750,20 +879,20 @@ impl Persist for TransformedIndex<KdPartitioner> {
         let dim = head.usizev()?;
         let node_count = head.usizev()?;
         head.end()?;
-        if !(2..=16).contains(&k) {
-            return Err(fail(format!("k = {k} outside the supported 2..=16")));
+        if !(2..=MAX_K).contains(&k) {
+            return Err(corrupt(format!("k = {k} outside the supported 2..=16")));
         }
         if n == 0 {
-            return Err(fail("tree indexes zero objects".into()));
+            return Err(corrupt("tree indexes zero objects".into()));
         }
         if node_count == 0 {
-            return Err(fail("tree has zero nodes".into()));
+            return Err(corrupt("tree has zero nodes".into()));
         }
         let points = persist::read_point_pages(r, persist::kind::TREE_POINTS, section, n, dim)?;
         for (i, p) in points.iter().enumerate() {
             for d in 0..dim {
                 if !p.get(d).is_finite() {
-                    return Err(fail(format!("point {i} has a non-finite coordinate")));
+                    return Err(corrupt(format!("point {i} has a non-finite coordinate")));
                 }
             }
         }
@@ -772,23 +901,56 @@ impl Persist for TransformedIndex<KdPartitioner> {
         for i in 0..n {
             let wt = wdec.uv()?;
             if wt == 0 {
-                return Err(fail(format!("object {i} has zero weight")));
+                return Err(corrupt(format!("object {i} has zero weight")));
             }
             weights.push(wt);
         }
         wdec.end()?;
         let docs = persist::read_doc_pages(r, persist::kind::TREE_DOCS, section, n)?;
         let mut nodes = Vec::with_capacity(node_count.min(1 << 20));
+        let mut tables = Vec::with_capacity(node_count.min(1 << 20));
         let mut remaining = node_count;
         while remaining > 0 {
             let mut d = r.page(persist::kind::TREE_NODES, SCHEMA_VERSION, section)?;
             let in_page = remaining.min(NODES_PER_PAGE);
             for _ in 0..in_page {
                 let id = nodes.len();
-                nodes.push(decode_node(&mut d, id, dim, k, n, node_count)?);
+                let node = decode_node(&mut d, id, dim, n, node_count)?;
+                tables.push(decode_table(&mut d, id, k, n, node.children.len())?);
+                nodes.push(node);
             }
             d.end()?;
             remaining -= in_page;
+        }
+        let mut layers = vec![Layer { k, tables }];
+        while r.peek_kind() == Some(persist::kind::TREE_LAYER) {
+            let mut head = r.page(persist::kind::TREE_LAYER, SCHEMA_VERSION, section)?;
+            let lk = head.usizev()?;
+            let count = head.usizev()?;
+            head.end()?;
+            let want = layers[layers.len() - 1].k + 1;
+            if lk != want || lk > MAX_K {
+                return Err(corrupt(format!(
+                    "layer k = {lk} where k = {want} (at most {MAX_K}) comes next"
+                )));
+            }
+            if count != node_count {
+                return Err(corrupt(format!(
+                    "layer k = {lk} covers {count} nodes, the tree has {node_count}"
+                )));
+            }
+            let mut tables = Vec::with_capacity(node_count.min(1 << 20));
+            while tables.len() < node_count {
+                let mut d = r.page(persist::kind::TREE_LAYER, SCHEMA_VERSION, section)?;
+                let in_page = (node_count - tables.len()).min(NODES_PER_PAGE);
+                for _ in 0..in_page {
+                    let id = tables.len();
+                    let children = nodes[id].children.len();
+                    tables.push(decode_table(&mut d, id, lk, n, children)?);
+                }
+                d.end()?;
+            }
+            layers.push(Layer { k: lk, tables });
         }
         // `new` cannot panic here: points are non-empty with consistent
         // dimensionality by decoding, and every weight is positive.
@@ -797,20 +959,17 @@ impl Persist for TransformedIndex<KdPartitioner> {
             partitioner,
             docs,
             nodes,
-            k,
+            layers,
             config: FrameworkConfig { leaf_weight },
             total_weight,
         })
     }
 }
 
-/// Nodes per `TREE_NODES` page.
+/// Nodes per `TREE_NODES` page, and node tables per `TREE_LAYER` page.
 const NODES_PER_PAGE: usize = 256;
 
-/// Appends one arena node to a `TREE_NODES` payload. The `large` map
-/// is stored as its ascending keyword list alone: local ids are
-/// assigned by ascending-keyword enumeration at build time, so the
-/// position in the list *is* the id.
+/// Appends one arena node's geometry to a `TREE_NODES` payload.
 fn encode_node(buf: &mut Vec<u8>, node: &Node<Rect>, dim: usize) {
     for i in 0..dim {
         persist::put_f64(buf, node.cell.lo(i));
@@ -828,15 +987,22 @@ fn encode_node(buf: &mut Vec<u8>, node: &Node<Rect>, dim: usize) {
     for &p in &node.pivots {
         persist::put_uv(buf, u64::from(p));
     }
-    let mut large: Vec<(Keyword, u32)> = node.large.iter().map(|(&w, &id)| (w, id)).collect();
+}
+
+/// Appends one node's keyword table to a `TREE_NODES` or `TREE_LAYER`
+/// payload. The `large` map is stored as its ascending keyword list
+/// alone: local ids are assigned by ascending-keyword enumeration at
+/// build time, so the position in the list *is* the id.
+fn encode_table(buf: &mut Vec<u8>, table: &NodeTable) {
+    let mut large: Vec<(Keyword, u32)> = table.large.iter().map(|(&w, &id)| (w, id)).collect();
     large.sort_unstable();
     persist::put_uv(buf, large.len() as u64);
     for &(w, _) in &large {
         persist::put_uv(buf, u64::from(w));
     }
-    persist::put_uv(buf, node.combos.len() as u64);
-    for table in &node.combos {
-        let (l, k, bits) = table.parts();
+    persist::put_uv(buf, table.combos.len() as u64);
+    for combo in &table.combos {
+        let (l, k, bits) = combo.parts();
         persist::put_uv(buf, l as u64);
         persist::put_uv(buf, k as u64);
         for &word in bits {
@@ -844,7 +1010,7 @@ fn encode_node(buf: &mut Vec<u8>, node: &Node<Rect>, dim: usize) {
         }
     }
     let mut mat: Vec<(Keyword, &Vec<u32>)> =
-        node.materialized.iter().map(|(&w, v)| (w, v)).collect();
+        table.materialized.iter().map(|(&w, v)| (w, v)).collect();
     mat.sort_unstable_by_key(|&(w, _)| w);
     persist::put_uv(buf, mat.len() as u64);
     for (w, list) in mat {
@@ -856,24 +1022,26 @@ fn encode_node(buf: &mut Vec<u8>, node: &Node<Rect>, dim: usize) {
     }
 }
 
-/// Decodes one arena node, validating every field against the tree's
-/// scalars so a checksum-passing but inconsistent file cannot put the
-/// query path in a panicking state: cells are NaN-free with ordered
-/// bounds, child ids point strictly forward (the arena is built
-/// parent-before-child, which also rules out cycles), object ids are
-/// in range, combo tables match the large-keyword count and `k`.
+fn corrupt(detail: String) -> SkqError {
+    SkqError::Corrupted {
+        section: "framework".into(),
+        detail,
+    }
+}
+
+/// Decodes one arena node's geometry, validating every field against
+/// the tree's scalars so a checksum-passing but inconsistent file
+/// cannot put the query path in a panicking state: cells are NaN-free
+/// with ordered bounds, child ids point strictly forward (the arena is
+/// built parent-before-child, which also rules out cycles), and object
+/// ids are in range.
 fn decode_node(
     d: &mut persist::Dec<'_>,
     id: usize,
     dim: usize,
-    k: usize,
     n: usize,
     node_count: usize,
 ) -> Result<Node<Rect>, SkqError> {
-    let fail = |detail: String| SkqError::Corrupted {
-        section: "framework".into(),
-        detail,
-    };
     let mut lo = [0.0f64; skq_geom::MAX_DIM];
     let mut hi = [0.0f64; skq_geom::MAX_DIM];
     for c in lo.iter_mut().take(dim) {
@@ -884,7 +1052,9 @@ fn decode_node(
     }
     for i in 0..dim {
         if lo[i].is_nan() || hi[i].is_nan() || lo[i] > hi[i] {
-            return Err(fail(format!("node {id}: malformed cell bounds on dim {i}")));
+            return Err(corrupt(format!(
+                "node {id}: malformed cell bounds on dim {i}"
+            )));
         }
     }
     let cell = Rect::new(&lo[..dim], &hi[..dim]);
@@ -895,7 +1065,7 @@ fn decode_node(
     for _ in 0..num_children {
         let c = d.u32v()?;
         if c as usize >= node_count || c as usize <= id {
-            return Err(fail(format!(
+            return Err(corrupt(format!(
                 "node {id}: child id {c} not strictly forward"
             )));
         }
@@ -906,17 +1076,36 @@ fn decode_node(
     for _ in 0..num_pivots {
         let p = d.u32v()?;
         if p as usize >= n {
-            return Err(fail(format!("node {id}: pivot {p} out of range")));
+            return Err(corrupt(format!("node {id}: pivot {p} out of range")));
         }
         pivots.push(p);
     }
+    Ok(Node {
+        cell,
+        level,
+        weight,
+        children,
+        pivots,
+    })
+}
+
+/// Decodes node `id`'s layer-`k` table: ascending keywords, combo
+/// tables parallel to the node's `num_children` children and matching
+/// the large-keyword count and `k`, and in-range list ids.
+fn decode_table(
+    d: &mut persist::Dec<'_>,
+    id: usize,
+    k: usize,
+    n: usize,
+    num_children: usize,
+) -> Result<NodeTable, SkqError> {
     let num_large = d.len(1)?;
     let mut large = FxHashMap::default();
     let mut prev: Option<Keyword> = None;
     for lid in 0..num_large {
         let w = d.u32v()?;
         if prev.is_some_and(|p| p >= w) {
-            return Err(fail(format!(
+            return Err(corrupt(format!(
                 "node {id}: large keywords out of order at {w}"
             )));
         }
@@ -924,10 +1113,9 @@ fn decode_node(
         large.insert(w, lid as u32);
     }
     let num_combos = d.len(1)?;
-    if num_combos != 0 && num_combos != children.len() {
-        return Err(fail(format!(
-            "node {id}: {num_combos} combo tables for {} children",
-            children.len()
+    if num_combos != 0 && num_combos != num_children {
+        return Err(corrupt(format!(
+            "node {id}: {num_combos} combo tables for {num_children} children"
         )));
     }
     let mut combos = Vec::with_capacity(num_combos);
@@ -935,7 +1123,7 @@ fn decode_node(
         let l = d.usizev()?;
         let tk = d.usizev()?;
         if l != num_large || tk != k {
-            return Err(fail(format!(
+            return Err(corrupt(format!(
                 "node {id}: combo table over l={l} k={tk}, node has L={num_large} k={k}"
             )));
         }
@@ -943,18 +1131,18 @@ fn decode_node(
         let cells = (l as u128)
             .checked_pow(tk as u32)
             .filter(|&c| c <= 1 << 40)
-            .ok_or_else(|| fail(format!("node {id}: combo table size overflows")))?;
+            .ok_or_else(|| corrupt(format!("node {id}: combo table size overflows")))?;
         let words = (cells as usize).div_ceil(64);
         if d.remaining() < words * 8 {
-            return Err(fail(format!("node {id}: combo table truncated")));
+            return Err(corrupt(format!("node {id}: combo table truncated")));
         }
         let mut bits = Vec::with_capacity(words);
         for _ in 0..words {
             bits.push(d.u64_raw()?);
         }
-        let table =
-            ComboTable::from_parts(l, tk, bits).map_err(|e| fail(format!("node {id}: {e}")))?;
-        combos.push(table);
+        let combo =
+            ComboTable::from_parts(l, tk, bits).map_err(|e| corrupt(format!("node {id}: {e}")))?;
+        combos.push(combo);
     }
     let num_mat = d.len(1)?;
     let mut materialized = FxHashMap::default();
@@ -962,7 +1150,7 @@ fn decode_node(
     for _ in 0..num_mat {
         let w = d.u32v()?;
         if prev_w.is_some_and(|p| p >= w) {
-            return Err(fail(format!(
+            return Err(corrupt(format!(
                 "node {id}: materialized keywords out of order at {w}"
             )));
         }
@@ -972,7 +1160,7 @@ fn decode_node(
         for _ in 0..len {
             let e = d.u32v()?;
             if e as usize >= n {
-                return Err(fail(format!(
+                return Err(corrupt(format!(
                     "node {id}: materialized id {e} out of range for keyword {w}"
                 )));
             }
@@ -980,12 +1168,7 @@ fn decode_node(
         }
         materialized.insert(w, list);
     }
-    Ok(Node {
-        cell,
-        level,
-        weight,
-        children,
-        pivots,
+    Ok(NodeTable {
         large,
         combos,
         materialized,
@@ -1003,7 +1186,7 @@ mod tests {
     /// exercising the large/small machinery directly.
     fn build_1d(
         docs: Vec<Vec<Keyword>>,
-        k: usize,
+        ks: RangeInclusive<usize>,
         leaf_weight: u64,
     ) -> TransformedIndex<KdPartitioner> {
         let points: Vec<Point> = (0..docs.len()).map(|i| Point::new1(i as f64)).collect();
@@ -1012,7 +1195,7 @@ mod tests {
         TransformedIndex::build(
             KdPartitioner::new(points, weights),
             docs,
-            k,
+            ks,
             FrameworkConfig { leaf_weight },
         )
     }
@@ -1033,7 +1216,7 @@ mod tests {
 
     #[test]
     fn single_node_tree() {
-        let tree = build_1d(vec![vec![0, 1], vec![0], vec![1]], 2, 1000);
+        let tree = build_1d(vec![vec![0, 1], vec![0], vec![1]], 2..=2, 1000);
         assert_eq!(tree.num_nodes(), 1);
         assert_eq!(run(&tree, &[0, 1], usize::MAX), vec![0]);
         assert_eq!(run(&tree, &[0, 1], 0), Vec::<u32>::new());
@@ -1044,7 +1227,7 @@ mod tests {
         // Every object has both keywords → both keywords are large
         // everywhere; descent is steered purely by the bit tables.
         let docs: Vec<Vec<Keyword>> = (0..64).map(|_| vec![0, 1]).collect();
-        let tree = build_1d(docs, 2, 4);
+        let tree = build_1d(docs, 2..=2, 4);
         assert!(tree.num_nodes() > 10);
         let got = run(&tree, &[0, 1], usize::MAX);
         assert_eq!(got, (0..64).collect::<Vec<u32>>());
@@ -1058,7 +1241,7 @@ mod tests {
         for i in [10usize, 100, 200] {
             docs[i].push(9);
         }
-        let tree = build_1d(docs, 2, 4);
+        let tree = build_1d(docs, 2..=2, 4);
         let mut out = Vec::new();
         let mut stats = QueryStats::new();
         let _ = tree.query_sink(
@@ -1079,13 +1262,16 @@ mod tests {
         // 256 keywords, each in one document: all are small at the root,
         // so every node below it is built without keyword work.
         let docs: Vec<Vec<Keyword>> = (0..256).map(|i| vec![i]).collect();
-        let tree = build_1d(docs, 2, 4);
+        let tree = build_1d(docs, 2..=2, 4);
         assert!(tree.num_nodes() > 10);
-        let root = &tree.nodes[0];
-        assert!(root.large.is_empty());
-        assert_eq!(root.materialized.len(), 256 - root.pivots.len());
-        for n in &tree.nodes[1..] {
-            assert!(n.large.is_empty() && n.combos.is_empty() && n.materialized.is_empty());
+        let tables = &tree.layers[0].tables;
+        assert!(tables[0].large.is_empty());
+        assert_eq!(
+            tables[0].materialized.len(),
+            256 - tree.nodes[0].pivots.len()
+        );
+        for t in &tables[1..] {
+            assert!(t.large.is_empty() && t.combos.is_empty() && t.materialized.is_empty());
         }
         assert_eq!(run(&tree, &[3, 4], usize::MAX), Vec::<u32>::new());
     }
@@ -1093,7 +1279,7 @@ mod tests {
     #[test]
     fn limit_stops_mid_list() {
         let docs: Vec<Vec<Keyword>> = (0..32).map(|_| vec![0, 1]).collect();
-        let tree = build_1d(docs, 2, 4);
+        let tree = build_1d(docs, 2..=2, 4);
         let got = run(&tree, &[0, 1], 5);
         assert_eq!(got.len(), 5);
     }
@@ -1101,7 +1287,7 @@ mod tests {
     #[test]
     fn count_sink_counts_without_collecting() {
         let docs: Vec<Vec<Keyword>> = (0..64).map(|_| vec![0, 1]).collect();
-        let tree = build_1d(docs, 2, 4);
+        let tree = build_1d(docs, 2..=2, 4);
         let mut count = crate::sink::CountSink::new();
         let mut stats = QueryStats::new();
         let flow = tree.query_sink(
@@ -1120,7 +1306,7 @@ mod tests {
     #[test]
     fn geometry_pruning_respects_classifier() {
         let docs: Vec<Vec<Keyword>> = (0..64).map(|_| vec![0, 1]).collect();
-        let tree = build_1d(docs, 2, 4);
+        let tree = build_1d(docs, 2..=2, 4);
         // Accept only ids < 10, prune cells entirely right of 10.
         let mut out = Vec::new();
         let mut stats = QueryStats::new();
@@ -1147,7 +1333,7 @@ mod tests {
     #[test]
     fn absent_keyword_is_empty_fast() {
         let docs: Vec<Vec<Keyword>> = (0..128).map(|_| vec![0, 1]).collect();
-        let tree = build_1d(docs, 2, 4);
+        let tree = build_1d(docs, 2..=2, 4);
         let mut out = Vec::new();
         let mut stats = QueryStats::new();
         let _ = tree.query_sink(
@@ -1165,15 +1351,44 @@ mod tests {
     }
 
     #[test]
+    fn layered_tree_answers_every_served_k() {
+        let docs: Vec<Vec<Keyword>> = (0..300)
+            .map(|i| vec![i % 3, 3 + i % 5, 8 + i % 7])
+            .collect();
+        let layered = build_1d(docs.clone(), 2..=3, 4);
+        layered.validate().unwrap();
+        for kws in [vec![0, 3], vec![1, 4, 9], vec![2, 7, 14]] {
+            let single = build_1d(docs.clone(), kws.len()..=kws.len(), 4);
+            assert_eq!(
+                run(&layered, &kws, usize::MAX),
+                run(&single, &kws, usize::MAX)
+            );
+        }
+        // Duplicates collapse, however many there are.
+        let repeated: Vec<Keyword> = (0..40).map(|i| [0, 3][i % 2]).collect();
+        assert_eq!(
+            run(&layered, &repeated, usize::MAX),
+            run(&layered, &[0, 3], usize::MAX)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "built for 2 to 3 distinct keywords, got 4")]
+    fn unserved_keyword_count_panics() {
+        let layered = build_1d(vec![vec![0, 1, 2, 3]; 8], 2..=3, 4);
+        let _ = run(&layered, &[0, 1, 2, 3], usize::MAX);
+    }
+
+    #[test]
     #[should_panic(expected = "k >= 2")]
     fn k1_rejected() {
-        let _ = build_1d(vec![vec![0]], 1, 4);
+        let _ = build_1d(vec![vec![0]], 1..=1, 4);
     }
 
     #[test]
     fn space_accounting_is_positive_and_bounded() {
         let docs: Vec<Vec<Keyword>> = (0..512).map(|i| vec![i % 16, 16 + (i % 8)]).collect();
-        let tree = build_1d(docs, 2, 8);
+        let tree = build_1d(docs, 2..=2, 8);
         let words = tree.space_words(3);
         assert!(words > 512);
         assert!(words < 200 * 1024, "space {words}");
@@ -1188,7 +1403,7 @@ mod tests {
 
         fn tree() -> TransformedIndex<KdPartitioner> {
             let docs: Vec<Vec<Keyword>> = (0..96).map(|i| vec![i % 4, 4 + (i % 3)]).collect();
-            let t = build_1d(docs, 2, 4);
+            let t = build_1d(docs, 2..=2, 4);
             t.validate().unwrap();
             t
         }
@@ -1237,8 +1452,8 @@ mod tests {
         #[test]
         fn foreign_id_in_list_names_materialized() {
             let mut t = tree();
-            let (node, w) = t
-                .nodes
+            let (node, w) = t.layers[0]
+                .tables
                 .iter()
                 .enumerate()
                 .find_map(|(i, n)| n.materialized.keys().next().map(|&w| (i, w)))
@@ -1248,7 +1463,7 @@ mod tests {
             let foreign = (0..96u32)
                 .find(|&e| !t.docs[e as usize].contains_all(&[w]))
                 .unwrap();
-            t.nodes[node]
+            t.layers[0].tables[node]
                 .materialized
                 .get_mut(&w)
                 .unwrap()

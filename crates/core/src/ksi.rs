@@ -73,8 +73,12 @@ impl KsiIndex {
         let points: Vec<Point> = (0..docs.len()).map(|i| Point::new1(i as f64)).collect();
         let weights: Vec<u64> = docs.iter().map(|d| d.len() as u64).collect();
         let partitioner = KdPartitioner::new(points, weights);
-        let tree =
-            TransformedIndex::try_build(partitioner, docs.to_vec(), k, FrameworkConfig::default())?;
+        let tree = TransformedIndex::try_build(
+            partitioner,
+            docs.to_vec(),
+            k..=k,
+            FrameworkConfig::default(),
+        )?;
         Ok(Self { tree })
     }
 

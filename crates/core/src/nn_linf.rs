@@ -158,7 +158,7 @@ impl LinfNnIndex {
         };
         let (nodes, pivots) = match &index.engine {
             RectEngine::Orp(orp) => orp
-                .kd_node_summaries()
+                .kd_node_summaries(orp.k())
                 .map(|s| (s.len() as u64, s.iter().map(|&(_, _, p, _)| p as u64).sum()))
                 .unwrap_or((0, 0)),
             RectEngine::Lc(_) => (0, 0),
@@ -449,10 +449,10 @@ impl Persist for LinfNnIndex {
                 orp.dim()
             )));
         }
-        if orp.kd_num_objects() != Some(n) {
+        if orp.len() != n {
             return Err(fail(format!(
                 "head declares {n} points, inner index holds {:?}",
-                orp.kd_num_objects()
+                orp.len()
             )));
         }
         // Rebuild the per-dimension candidate-radius columns exactly as

@@ -8,10 +8,10 @@
 //! with an `O(log log N)` space blow-up per extra dimension
 //! (Theorem 2).
 
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, RangeInclusive};
 
 use skq_geom::{RankSpace, Rect};
-use skq_invidx::Keyword;
+use skq_invidx::{Document, Keyword};
 
 use crate::dataset::Dataset;
 use crate::dimred::DimRedTree;
@@ -25,20 +25,23 @@ use crate::stats::QueryStats;
 use crate::telemetry;
 
 enum Inner {
-    /// Theorem 1: kd-tree framework over rank-space coordinates.
+    /// Theorem 1: kd-tree framework over rank-space coordinates — one
+    /// tree whose keyword layers serve every `k`.
     Kd {
         rank: RankSpace,
         tree: TransformedIndex<KdPartitioner>,
     },
-    /// Theorem 2: dimension-reduction tree.
-    DimRed(Box<DimRedTree>),
+    /// Theorem 2: dimension-reduction trees, one per `k` in ascending
+    /// order (the fanout `2 · 2^{k^level}` shapes the tree itself).
+    DimRed(Vec<DimRedTree>),
 }
 
-/// The ORP-KW index.
+/// The ORP-KW index, serving queries of any number of distinct
+/// keywords in its `k` range (a single `k` unless built for a suite).
 pub struct OrpKwIndex {
     inner: Inner,
     dim: usize,
-    k: usize,
+    ks: RangeInclusive<usize>,
 }
 
 impl OrpKwIndex {
@@ -58,26 +61,31 @@ impl OrpKwIndex {
     ///
     /// `SkqError::InvalidQuery` if `k` is outside `2..=16`.
     pub fn try_build(dataset: &Dataset, k: usize) -> Result<Self, SkqError> {
-        Self::try_build_with_budget(dataset, k, None)
+        Self::try_build_with_budget(dataset, k..=k, None)
     }
 
-    /// Fallible build with a space-admission budget: if the finished
-    /// index would occupy more than `max_space_words` 64-bit words, it
-    /// is discarded and `SkqError::BuildBudgetExceeded` is returned.
-    /// The planner's degradation ladder uses this to fall back to the
-    /// linear-space engines (footnote 3) and finally the naive scan.
+    /// Fallible build for every `k` in `ks`, with a space-admission
+    /// budget: if the finished index would occupy more than
+    /// `max_space_words` 64-bit words, it is discarded and
+    /// `SkqError::BuildBudgetExceeded` is returned. The planner's
+    /// degradation ladder uses this to fall back to the linear-space
+    /// engines (footnote 3) and finally the naive scan; the suite
+    /// passes `2..=k_max` and no budget.
+    ///
+    /// For `d ≤ 2` the range shares one rank space and one kd tree,
+    /// adding only a keyword layer per extra `k`.
     ///
     /// # Errors
     ///
-    /// `SkqError::InvalidQuery` if `k` is outside `2..=16`;
+    /// `SkqError::InvalidQuery` if `ks` is empty or leaves `2..=16`;
     /// `SkqError::BuildBudgetExceeded` if the finished index would
     /// exceed `max_space_words`.
     pub fn try_build_with_budget(
         dataset: &Dataset,
-        k: usize,
+        ks: RangeInclusive<usize>,
         max_space_words: Option<usize>,
     ) -> Result<Self, SkqError> {
-        validate::build_k(k)?;
+        validate::build_ks(&ks)?;
         failpoints::check("orp::build")?;
         let _span = skq_obs::Span::enter("orp.build");
         let start = std::time::Instant::now();
@@ -90,14 +98,14 @@ impl OrpKwIndex {
             let tree = TransformedIndex::try_build(
                 partitioner,
                 dataset.docs().to_vec(),
-                k,
+                ks.clone(),
                 FrameworkConfig::default(),
             )?;
             Inner::Kd { rank, tree }
         } else {
-            Inner::DimRed(Box::new(DimRedTree::build(dataset, k)))
+            Inner::DimRed(ks.clone().map(|k| DimRedTree::build(dataset, k)).collect())
         };
-        let index = Self { inner, dim, k };
+        let index = Self { inner, dim, ks };
         if let Some(budget) = max_space_words {
             let needed = index.space_words();
             if needed > budget {
@@ -107,9 +115,11 @@ impl OrpKwIndex {
         let (nodes, pivots) = match &index.inner {
             Inner::Kd { tree, .. } => (
                 tree.num_nodes() as u64,
-                tree.node_summaries().map(|(_, _, p, _)| p as u64).sum(),
+                tree.node_summaries(tree.k())
+                    .map(|(_, _, p, _)| p as u64)
+                    .sum(),
             ),
-            Inner::DimRed(tree) => (tree.num_nodes() as u64, 0),
+            Inner::DimRed(trees) => (trees.iter().map(|t| t.num_nodes() as u64).sum(), 0),
         };
         telemetry::record_build(
             "orp_kw",
@@ -121,14 +131,52 @@ impl OrpKwIndex {
         Ok(index)
     }
 
-    /// The number of query keywords the index was built for.
+    /// The smallest number of query keywords served — the only one of
+    /// a single-`k` build.
     pub fn k(&self) -> usize {
-        self.k
+        *self.ks.start()
+    }
+
+    /// Every number of distinct query keywords the index serves.
+    pub fn ks(&self) -> RangeInclusive<usize> {
+        self.ks.clone()
     }
 
     /// The dimensionality `d`.
     pub fn dim(&self) -> usize {
         self.dim
+    }
+
+    /// The number of indexed objects.
+    pub(crate) fn len(&self) -> usize {
+        match &self.inner {
+            Inner::Kd { rank, .. } => rank.len(),
+            Inner::DimRed(trees) => trees[0].dataset().len(),
+        }
+    }
+
+    /// Object `i`'s document.
+    pub(crate) fn doc(&self, i: usize) -> &Document {
+        match &self.inner {
+            Inner::Kd { tree, .. } => tree.doc(i),
+            Inner::DimRed(trees) => trees[0].dataset().doc(i),
+        }
+    }
+
+    /// An exact test of whether object `o` lies in `q`, without the
+    /// keyword filter: the kd engine tests the object's rank-space
+    /// point against `q`'s rank-space image (which selects exactly what
+    /// `q` selects), the dimension-reduction engine its point.
+    pub(crate) fn contains_fn<'a>(&'a self, q: &Rect) -> impl Fn(u32) -> bool + 'a {
+        // `None`: `q` hits no data coordinate.
+        let (points, rq) = match &self.inner {
+            Inner::Kd { rank, tree } => (tree.partitioner().points(), rank.rect(q)),
+            Inner::DimRed(trees) => (trees[0].dataset().points(), Some(*q)),
+        };
+        move |o| {
+            rq.as_ref()
+                .is_some_and(|rq| rq.contains(&points[o as usize]))
+        }
     }
 
     /// Index space in 64-bit words.
@@ -139,13 +187,13 @@ impl OrpKwIndex {
                 let rank_words = rank.len() * rank.dim() * 2;
                 rank_words + tree.space_words(2 * self.dim + 1)
             }
-            Inner::DimRed(tree) => tree.space_words(),
+            Inner::DimRed(trees) => trees.iter().map(DimRedTree::space_words).sum(),
         }
     }
 
     /// Deep structural validation (DESIGN.md §12): delegates to the kd
-    /// framework or the dimension-reduction tree, each of which
-    /// re-derives its invariants from the built structure.
+    /// framework (every layer) or each dimension-reduction tree, each
+    /// of which re-derives its invariants from the built structure.
     ///
     /// # Errors
     ///
@@ -153,7 +201,7 @@ impl OrpKwIndex {
     pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
         match &self.inner {
             Inner::Kd { tree, .. } => tree.validate(),
-            Inner::DimRed(tree) => tree.validate(),
+            Inner::DimRed(trees) => trees.iter().try_for_each(DimRedTree::validate),
         }
     }
 }
@@ -163,7 +211,7 @@ impl KwQuery for OrpKwIndex {
 
     fn check(&self, q: &Rect, keywords: &[Keyword]) -> Result<(), SkqError> {
         validate::rect_query(q, self.dim)?;
-        validate::distinct_keywords(keywords, self.k)
+        validate::distinct_keywords_in(keywords, &self.ks)
     }
 
     fn query_sink<S: ResultSink>(
@@ -182,12 +230,18 @@ impl KwQuery for OrpKwIndex {
                 tree.query_sink(
                     keywords,
                     &|cell| rq.classify(cell),
-                    &|o| rq.contains(&rank.point(o as usize)),
+                    &|o| rq.contains(tree.partitioner().point(o)),
                     sink,
                     stats,
                 )
             }
-            Inner::DimRed(tree) => tree.query_sink(q, keywords, sink, stats),
+            Inner::DimRed(trees) => {
+                let k = validate::count_distinct(keywords);
+                let Some(tree) = k.checked_sub(self.k()).and_then(|i| trees.get(i)) else {
+                    panic!("{:?}", validate::distinct_keywords_in(keywords, &self.ks));
+                };
+                tree.query_sink(q, keywords, sink, stats)
+            }
         }
     }
 }
@@ -195,22 +249,14 @@ impl KwQuery for OrpKwIndex {
 /// Exposes framework diagnostics for the harness (kd case only).
 impl OrpKwIndex {
     /// `(level, weight, pivots, large)` summaries of the kd framework
-    /// nodes, or `None` for the dimension-reduction variant.
-    pub fn kd_node_summaries(&self) -> Option<Vec<(u32, u64, usize, usize)>> {
+    /// nodes in layer `k`, or `None` for the dimension-reduction
+    /// variant or a `k` the index does not serve.
+    pub fn kd_node_summaries(&self, k: usize) -> Option<Vec<(u32, u64, usize, usize)>> {
         match &self.inner {
-            Inner::Kd { tree, .. } => Some(tree.node_summaries().collect()),
-            Inner::DimRed(_) => None,
-        }
-    }
-
-    /// Number of indexed objects for the kd variant, `None` for the
-    /// dimension-reduction variant. Used by the snapshot loaders of the
-    /// wrapping indexes to cross-check decoded sections against each
-    /// other.
-    pub(crate) fn kd_num_objects(&self) -> Option<usize> {
-        match &self.inner {
-            Inner::Kd { rank, .. } => Some(rank.len()),
-            Inner::DimRed(_) => None,
+            Inner::Kd { tree, .. } if self.ks.contains(&k) => {
+                Some(tree.node_summaries(k).collect())
+            }
+            _ => None,
         }
     }
 }
@@ -220,6 +266,9 @@ impl OrpKwIndex {
 /// encoding; saving it returns [`SkqError::Store`].
 const ORP_ENGINE_KD: u64 = 0;
 
+/// `ORP_HEAD` declares the lowest `k`; further `k` travel as the
+/// tree's `TREE_LAYER` sections, so a single-`k` index writes the
+/// single-layer format.
 impl Persist for OrpKwIndex {
     fn to_pages(&self, w: &mut persist::PageWriter) -> Result<(), SkqError> {
         match &self.inner {
@@ -227,7 +276,7 @@ impl Persist for OrpKwIndex {
                 let mut head = Vec::new();
                 persist::put_uv(&mut head, ORP_ENGINE_KD);
                 persist::put_uv(&mut head, self.dim as u64);
-                persist::put_uv(&mut head, self.k as u64);
+                persist::put_uv(&mut head, self.k() as u64);
                 w.page(persist::kind::ORP_HEAD, SCHEMA_VERSION, head);
                 rank.to_pages(w)?;
                 tree.to_pages(w)
@@ -274,9 +323,9 @@ impl Persist for OrpKwIndex {
             )));
         }
         Ok(Self {
+            ks: tree.ks(),
             inner: Inner::Kd { rank, tree },
             dim,
-            k,
         })
     }
 }
@@ -468,13 +517,13 @@ mod tests {
     #[test]
     fn space_budget_is_enforced() {
         let dataset = random_dataset(200, 2, 8, 103);
-        let err = OrpKwIndex::try_build_with_budget(&dataset, 2, Some(10));
+        let err = OrpKwIndex::try_build_with_budget(&dataset, 2..=2, Some(10));
         assert!(matches!(
             err,
             Err(SkqError::BuildBudgetExceeded { budget: 10, .. })
         ));
         let full = OrpKwIndex::try_build(&dataset, 2).unwrap();
-        let ok = OrpKwIndex::try_build_with_budget(&dataset, 2, Some(full.space_words()));
+        let ok = OrpKwIndex::try_build_with_budget(&dataset, 2..=2, Some(full.space_words()));
         assert!(ok.is_ok());
     }
 

@@ -56,13 +56,10 @@ pub const PAGE_HEADER_BYTES: usize = 24;
 /// that each page it reads carries the kind it expects next, so a
 /// reordered or misassembled file fails loudly instead of decoding
 /// into the wrong structure.
+///
+/// Kinds 1–3 (the retired `Dataset` head, points and documents, once
+/// a suite's own copy of its input) are never reused.
 pub mod kind {
-    /// `Dataset` scalars: object count and dimensionality.
-    pub const DATASET_HEAD: u16 = 1;
-    /// A chunk of `Dataset` points (raw `f64` coordinates).
-    pub const DATASET_POINTS: u16 = 2;
-    /// A chunk of `Dataset` documents (delta-coded keyword sets).
-    pub const DATASET_DOCS: u16 = 3;
     /// `InvertedIndex` scalars: object count, list count, chunk count.
     pub const POSTINGS_HEAD: u16 = 4;
     /// A chunk of postings lists (delta-coded ascending object ids).
@@ -79,7 +76,8 @@ pub mod kind {
     pub const TREE_WEIGHTS: u16 = 10;
     /// A chunk of the tree's documents.
     pub const TREE_DOCS: u16 = 11;
-    /// A chunk of arena-flattened tree nodes.
+    /// A chunk of arena-flattened tree nodes: each node's geometry
+    /// followed by its keyword table for the tree's lowest `k`.
     pub const TREE_NODES: u16 = 12;
     /// `OrpKwIndex` head: engine tag, dimensionality, `k`.
     pub const ORP_HEAD: u16 = 13;
@@ -102,6 +100,11 @@ pub mod kind {
     /// keywords)` tuples — used for both the insertion buffer and each
     /// block's retained source.
     pub const DYN_OBJECTS: u16 = 21;
+    /// One further keyword layer of a multi-`k` framework tree: a head
+    /// page (`k`, node count) followed by pages of per-node tables in
+    /// the `TREE_NODES` table codec. Zero or more layers follow the
+    /// `TREE_NODES` pages, each serving the previous layer's `k + 1`.
+    pub const TREE_LAYER: u16 = 22;
 }
 
 /// FNV-1a, 64-bit — the per-section checksum of DESIGN.md §15.
@@ -657,9 +660,9 @@ pub trait Persist: Sized {
     }
 }
 
-/// Points per `DATASET_POINTS`/`TREE_POINTS`/`NN_POINTS` page.
+/// Points per `TREE_POINTS`/`NN_POINTS` page.
 pub(crate) const POINTS_PER_PAGE: usize = 4096;
-/// Documents per `DATASET_DOCS`/`TREE_DOCS` page.
+/// Documents per `TREE_DOCS` page.
 pub(crate) const DOCS_PER_PAGE: usize = 4096;
 /// Target payload bytes per `POSTINGS_CHUNK` page.
 const POSTINGS_PAGE_BYTES: usize = 48 * 1024;

@@ -214,7 +214,8 @@ impl PlannedOrpKw {
         let sample: Vec<u32> = (0..SAMPLE_SIZE)
             .map(|_| (next() % dataset.len().max(1) as u64) as u32)
             .collect();
-        let (engine, tier) = match OrpKwIndex::try_build_with_budget(dataset, k, max_space_words) {
+        let framework = OrpKwIndex::try_build_with_budget(dataset, k..=k, max_space_words);
+        let (engine, tier) = match framework {
             Ok(index) => (Engine::Framework(index), BuildTier::Framework),
             Err(SkqError::BuildBudgetExceeded { .. }) => {
                 match LcKwIndex::try_build_with_budget(dataset, k, max_space_words) {

@@ -175,10 +175,10 @@ impl Persist for RrKwIndex {
         }
         // The flattening maps each rectangle to one point, so the inner
         // object count is the id universe the dedup bitset is sized by.
-        if orp.kd_num_objects() != Some(len) {
+        if orp.len() != len {
             return Err(fail(format!(
                 "head declares {len} rectangles, inner index holds {:?}",
-                orp.kd_num_objects()
+                orp.len()
             )));
         }
         Ok(Self { orp, dim, len })

@@ -157,11 +157,11 @@ impl SpKwIndex {
                     ));
                 }
                 let p = WillardPartitioner::new(points.clone(), weights);
-                Inner::Willard(TransformedIndex::try_build(p, docs, k, config)?)
+                Inner::Willard(TransformedIndex::try_build(p, docs, k..=k, config)?)
             }
             SpStrategy::Kd => {
                 let p = KdPartitioner::new(points.clone(), weights);
-                Inner::Kd(TransformedIndex::try_build(p, docs, k, config)?)
+                Inner::Kd(TransformedIndex::try_build(p, docs, k..=k, config)?)
             }
         };
         Ok(Self {
@@ -206,8 +206,8 @@ impl SpKwIndex {
     /// diagnostics for the harness.
     pub fn node_summaries(&self) -> Vec<(u32, u64, usize, usize)> {
         match &self.inner {
-            Inner::Willard(t) => t.node_summaries().collect(),
-            Inner::Kd(t) => t.node_summaries().collect(),
+            Inner::Willard(t) => t.node_summaries(self.k).collect(),
+            Inner::Kd(t) => t.node_summaries(self.k).collect(),
         }
     }
 

@@ -1,14 +1,16 @@
 //! A multi-`k` index suite.
 //!
-//! Every index in this crate is built for a fixed number of query
-//! keywords `k` — the large/small threshold `N_u^{1−1/k}` bakes `k`
-//! into the structure. Applications rarely know `k` in advance, so
-//! [`OrpKwSuite`] builds one index per `k ∈ 2..=k_max` plus an
-//! inverted-index fallback for single-keyword (or very-many-keyword)
-//! queries, and routes each query to the right member.
+//! Every index in this crate answers a fixed number of query keywords
+//! `k` — the large/small threshold `N_u^{1−1/k}` bakes `k` into the
+//! keyword tables. Applications rarely know `k` in advance, so
+//! [`OrpKwSuite`] holds one [`OrpKwIndex`] serving every
+//! `k ∈ 2..=k_max` plus an inverted-index fallback for single-keyword
+//! (or very-many-keyword) queries, and routes each query to the right
+//! one.
 //!
-//! Space grows by the factor `k_max − 1`, which is `O(1)` under the
-//! paper's constant-`k` regime.
+//! The space-partitioning tree depends on the geometry alone, so for
+//! `d ≤ 2` the suite builds one rank space and one kd tree and stores
+//! the documents once; each extra `k` adds only its keyword layer.
 
 use std::ops::ControlFlow;
 
@@ -48,15 +50,14 @@ use crate::telemetry;
 /// # Ok::<(), skq_core::SkqError>(())
 /// ```
 pub struct OrpKwSuite {
-    /// `indexes[i]` serves `k = i + 2`.
-    indexes: Vec<OrpKwIndex>,
+    /// Serves `k ∈ 2..=k_max`; also the point tests and documents of
+    /// the other routes.
+    orp: OrpKwIndex,
     inv: InvertedIndex,
-    dataset: Dataset,
-    k_max: usize,
 }
 
 impl OrpKwSuite {
-    /// Builds indexes for every `k ∈ 2..=k_max`.
+    /// Builds the index for every `k ∈ 2..=k_max`.
     ///
     /// # Panics
     ///
@@ -74,43 +75,43 @@ impl OrpKwSuite {
     /// # Errors
     ///
     /// `SkqError::InvalidQuery` if `k_max < 2`, plus everything
-    /// [`OrpKwIndex::try_build`] rejects.
+    /// [`OrpKwIndex::try_build_with_budget`] rejects.
     pub fn try_build(dataset: &Dataset, k_max: usize) -> Result<Self, SkqError> {
         if k_max < 2 {
             return Err(SkqError::InvalidQuery(
                 "k_max must be at least 2".to_string(),
             ));
         }
-        let indexes = (2..=k_max)
-            .map(|k| OrpKwIndex::try_build(dataset, k))
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
-            indexes,
+            orp: OrpKwIndex::try_build_with_budget(dataset, 2..=k_max, None)?,
             inv: InvertedIndex::build(dataset.docs()),
-            dataset: dataset.clone(),
-            k_max,
         })
     }
 
-    /// The largest `k` with a dedicated index.
+    /// The largest `k` with a dedicated keyword layer.
     pub fn k_max(&self) -> usize {
-        self.k_max
+        *self.orp.ks().end()
     }
 
     /// Dimensionality of the indexed points.
     pub fn dim(&self) -> usize {
-        self.dataset.dim()
+        self.orp.dim()
     }
 
     /// Number of indexed objects.
     pub fn len(&self) -> usize {
-        self.dataset.len()
+        self.orp.len()
     }
 
     /// Whether the suite indexes no objects (never true: datasets are
     /// non-empty by construction).
     pub fn is_empty(&self) -> bool {
-        self.dataset.len() == 0
+        self.len() == 0
+    }
+
+    /// The multi-`k` index behind the framework routes.
+    pub fn index(&self) -> &OrpKwIndex {
+        &self.orp
     }
 
     /// Streams all objects in `q` containing all of `keywords` into
@@ -119,8 +120,8 @@ impl OrpKwSuite {
     ///
     /// * `k = 0` — pure range query (inverted fallback over all ids);
     /// * `k = 1` — postings scan + geometric filter;
-    /// * `2 ≤ k ≤ k_max` — the matching framework index;
-    /// * `k > k_max` — the `k_max` index over the `k_max` *rarest*
+    /// * `2 ≤ k ≤ k_max` — the index's layer `k`;
+    /// * `k > k_max` — the `k_max` layer over the `k_max` *rarest*
     ///   keywords, then post-filtering by the rest (a safe superset).
     ///
     /// The route taken is recorded in [`QueryStats::route`]. Unchecked,
@@ -182,8 +183,8 @@ impl OrpKwSuite {
         Ok((ids, stats))
     }
 
-    /// Routes a deduped keyword set to the right member and streams the
-    /// answer into `sink`. Returns the route taken.
+    /// Routes a deduped keyword set by its size and streams the answer
+    /// into `sink`. Returns the route taken.
     fn dispatch<S: ResultSink>(
         &self,
         q: &Rect,
@@ -191,12 +192,14 @@ impl OrpKwSuite {
         sink: &mut S,
         stats: &mut QueryStats,
     ) -> (Route, ControlFlow<()>) {
+        let k_max = self.k_max();
         match kws.len() {
             0 => {
+                let inside = self.orp.contains_fn(q);
                 let mut flow = ControlFlow::Continue(());
-                for i in 0..self.dataset.len() as u32 {
+                for i in 0..self.len() as u32 {
                     stats.pivot_scans += 1;
-                    if q.contains(self.dataset.point(i as usize)) {
+                    if inside(i) {
                         stats.reported += 1;
                         if sink.emit(i).is_break() {
                             flow = ControlFlow::Break(());
@@ -207,10 +210,11 @@ impl OrpKwSuite {
                 (Route::RangeScan, flow)
             }
             1 => {
+                let inside = self.orp.contains_fn(q);
                 let mut flow = ControlFlow::Continue(());
                 for &i in self.inv.postings(kws[0]) {
                     stats.list_scans += 1;
-                    if q.contains(self.dataset.point(i as usize)) {
+                    if inside(i) {
                         stats.reported += 1;
                         if sink.emit(i).is_break() {
                             flow = ControlFlow::Break(());
@@ -220,10 +224,7 @@ impl OrpKwSuite {
                 }
                 (Route::PostingsFilter, flow)
             }
-            k if k <= self.k_max => (
-                Route::Framework,
-                self.indexes[k - 2].query_sink(q, kws, sink, stats),
-            ),
+            k if k <= k_max => (Route::Framework, self.orp.query_sink(q, kws, sink, stats)),
             _ => {
                 // Use the k_max rarest keywords for the index (they
                 // constrain the most), then post-filter the rest —
@@ -231,35 +232,29 @@ impl OrpKwSuite {
                 // never materialized.
                 let mut by_freq = kws.to_vec();
                 by_freq.sort_by_key(|&w| self.inv.len_of(w));
-                let head = by_freq[..self.k_max].to_vec();
-                let mut filt = FilterSink::new(&mut *sink, |i| {
-                    self.dataset.doc(i as usize).contains_all(kws)
-                });
-                let flow = self.indexes[self.k_max - 2].query_sink(q, &head, &mut filt, stats);
+                let head = &by_freq[..k_max];
+                let mut filt =
+                    FilterSink::new(&mut *sink, |i| self.orp.doc(i as usize).contains_all(kws));
+                let flow = self.orp.query_sink(q, head, &mut filt, stats);
                 (Route::PostFilter, flow)
             }
         }
     }
 
-    /// Total space across all member indexes, in 64-bit words.
+    /// Total space of the index and the inverted fallback, in 64-bit
+    /// words.
     pub fn space_words(&self) -> usize {
-        self.indexes
-            .iter()
-            .map(OrpKwIndex::space_words)
-            .sum::<usize>()
-            + self.inv.input_size() * 2
+        self.orp.space_words() + self.inv.input_size() * 2
     }
 
-    /// Deep structural validation (DESIGN.md §12): every per-`k`
-    /// member index and the inverted fallback must validate.
+    /// Deep structural validation (DESIGN.md §12): the index (tree and
+    /// every keyword layer) and the inverted fallback must validate.
     ///
     /// # Errors
     ///
     /// The first violated invariant, by name.
     pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
-        for index in &self.indexes {
-            index.validate()?;
-        }
+        self.orp.validate()?;
         self.inv.validate().map_err(|detail| {
             crate::invariants::InvariantViolation::new("invidx::postings", detail)
         })
@@ -311,17 +306,23 @@ impl KwQuery for OrpKwSuite {
     }
 }
 
+/// Page version of `SUITE_HEAD`. Version 1 headed a dataset section
+/// and one member index per `k`; version 2 heads the inverted index and
+/// one multi-layer index. Only this page's version moves: bumping
+/// `SCHEMA_VERSION` would re-stamp every page of every snapshot, and a
+/// version-1 suite is still refused by name (DESIGN.md §15).
+const SUITE_HEAD_VERSION: u16 = 2;
+
+// A schema bump re-versions every page; revisit the suite head then.
+const _: () = assert!(SCHEMA_VERSION == 1);
+
 impl Persist for OrpKwSuite {
     fn to_pages(&self, w: &mut persist::PageWriter) -> Result<(), SkqError> {
         let mut head = Vec::new();
-        persist::put_uv(&mut head, self.k_max as u64);
-        w.page(persist::kind::SUITE_HEAD, SCHEMA_VERSION, head);
-        self.dataset.to_pages(w)?;
+        persist::put_uv(&mut head, self.k_max() as u64);
+        w.page(persist::kind::SUITE_HEAD, SUITE_HEAD_VERSION, head);
         self.inv.to_pages(w)?;
-        for index in &self.indexes {
-            index.to_pages(w)?;
-        }
-        Ok(())
+        self.orp.to_pages(w)
     }
 
     fn from_pages(r: &mut persist::PageReader<'_>) -> Result<Self, SkqError> {
@@ -329,53 +330,28 @@ impl Persist for OrpKwSuite {
             section: "suite".to_string(),
             detail,
         };
-        let mut head = r.page(persist::kind::SUITE_HEAD, SCHEMA_VERSION, "suite")?;
+        let mut head = r.page(persist::kind::SUITE_HEAD, SUITE_HEAD_VERSION, "suite")?;
         let k_max = head.usizev()?;
         head.end()?;
         if !(2..=16).contains(&k_max) {
             return Err(fail(format!("implausible k_max {k_max}")));
         }
-        let dataset = Dataset::from_pages(r)?;
         let inv = InvertedIndex::from_pages(r)?;
-        if inv.num_objects() != dataset.len() {
+        let orp = OrpKwIndex::from_pages(r)?;
+        if orp.ks() != (2..=k_max) {
             return Err(fail(format!(
-                "inverted index covers {} objects, dataset holds {}",
-                inv.num_objects(),
-                dataset.len()
+                "the index serves k = {:?}, the head declares 2..={k_max}",
+                orp.ks()
             )));
         }
-        let mut indexes = Vec::with_capacity(k_max - 1);
-        for k in 2..=k_max {
-            let index = OrpKwIndex::from_pages(r)?;
-            if index.k() != k {
-                return Err(fail(format!(
-                    "member {} declares k = {}, expected {k}",
-                    k - 2,
-                    index.k()
-                )));
-            }
-            if index.dim() != dataset.dim() {
-                return Err(fail(format!(
-                    "member k = {k} is {}D, dataset is {}D",
-                    index.dim(),
-                    dataset.dim()
-                )));
-            }
-            if index.kd_num_objects() != Some(dataset.len()) {
-                return Err(fail(format!(
-                    "member k = {k} indexes {:?} objects, dataset holds {}",
-                    index.kd_num_objects(),
-                    dataset.len()
-                )));
-            }
-            indexes.push(index);
+        if inv.num_objects() != orp.len() {
+            return Err(fail(format!(
+                "inverted index covers {} objects, the index holds {}",
+                inv.num_objects(),
+                orp.len()
+            )));
         }
-        Ok(Self {
-            indexes,
-            inv,
-            dataset,
-            k_max,
-        })
+        Ok(Self { orp, inv })
     }
 }
 

@@ -7,7 +7,7 @@
 //! to rank space in `O(log N)` by binary search without affecting the
 //! result.
 
-use crate::{Point, Rect};
+use crate::{Point, Rect, MAX_DIM};
 
 /// A per-dimension rank mapping over a fixed point set.
 #[derive(Clone, Debug)]
@@ -161,8 +161,8 @@ impl RankSpace {
     /// original rectangle selects. `O(d log N)`.
     pub fn rect(&self, q: &Rect) -> Option<Rect> {
         assert_eq!(q.dim(), self.dim, "query dimension mismatch");
-        let mut lo = Vec::with_capacity(self.dim);
-        let mut hi = Vec::with_capacity(self.dim);
+        let mut lo = [0.0; MAX_DIM];
+        let mut hi = [0.0; MAX_DIM];
         for d in 0..self.dim {
             let (qlo, qhi) = q.interval(d);
             let col = &self.sorted[d];
@@ -182,13 +182,14 @@ impl RankSpace {
                 // one).
                 col.partition_point(|&(c, _)| c <= qhi) as f64 - 1.0
             };
-            lo.push(l);
-            hi.push(h);
+            lo[d] = l;
+            hi[d] = h;
         }
-        if lo.iter().zip(&hi).any(|(a, b)| a > b) {
+        let (lo, hi) = (&lo[..self.dim], &hi[..self.dim]);
+        if lo.iter().zip(hi).any(|(a, b)| a > b) {
             None
         } else {
-            Some(Rect::new(&lo, &hi))
+            Some(Rect::new(lo, hi))
         }
     }
 }

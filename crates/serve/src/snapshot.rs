@@ -115,7 +115,9 @@ impl<T> SnapshotCell<T> {
     /// generation. Readers that already hold an `Arc` keep the old
     /// snapshot; new [`current`](Self::current) calls see the new one
     /// as their stripe is written. The epoch is bumped (Release) only
-    /// after every stripe holds the new snapshot.
+    /// after every stripe holds the new snapshot. The replaced `Arc`s
+    /// are released after every lock is, so freeing the previous
+    /// snapshot never stalls a reader.
     pub fn publish(&self, value: T) -> u64 {
         let span = skq_obs::Span::enter("serve.publish");
         let guard = self
@@ -129,12 +131,14 @@ impl<T> SnapshotCell<T> {
         // DESIGN.md §12)
         let generation = self.epoch.load(Ordering::Relaxed) + 1;
         let next = Arc::new(Versioned { value, generation });
+        let mut replaced = Vec::with_capacity(self.stripes.len());
         for stripe in &self.stripes {
             let mut slot = stripe.write().unwrap_or_else(PoisonError::into_inner);
-            *slot = Arc::clone(&next);
+            replaced.push(std::mem::replace(&mut *slot, Arc::clone(&next)));
         }
         self.epoch.store(generation, Ordering::Release);
         drop(guard);
+        drop(replaced);
         let registry = skq_obs::global();
         registry
             .counter("skq_serve_snapshots_published_total", &[])
@@ -184,6 +188,36 @@ mod tests {
         assert_eq!(held.value, "old");
         assert_eq!(held.generation, 1);
         assert_eq!(cell.current().value, "new");
+    }
+
+    #[test]
+    fn old_snapshot_is_freed_outside_every_lock() {
+        use std::sync::{OnceLock, Weak};
+
+        /// On drop, records which stripes a reader could lock right now.
+        struct Probe {
+            cell: Arc<OnceLock<Weak<SnapshotCell<Probe>>>>,
+            readable: Arc<Mutex<Vec<bool>>>,
+        }
+        impl Drop for Probe {
+            fn drop(&mut self) {
+                if let Some(cell) = self.cell.get().and_then(Weak::upgrade) {
+                    let free = cell.stripes.iter().map(|s| s.try_read().is_ok());
+                    self.readable.lock().unwrap().extend(free);
+                }
+            }
+        }
+
+        let slot = Arc::new(OnceLock::new());
+        let readable = Arc::new(Mutex::new(Vec::new()));
+        let probe = || Probe {
+            cell: Arc::clone(&slot),
+            readable: Arc::clone(&readable),
+        };
+        let cell = Arc::new(SnapshotCell::new(probe()));
+        assert!(slot.set(Arc::downgrade(&cell)).is_ok());
+        cell.publish(probe());
+        assert_eq!(*readable.lock().unwrap(), vec![true; cell.stripe_count()]);
     }
 
     #[test]

@@ -24,7 +24,9 @@ fn main() -> Result<(), SkqError> {
         city.input_size()
     );
     let index = OrpKwIndex::build(&city, k);
-    let summaries = index.kd_node_summaries().expect("2D uses the kd framework");
+    let summaries = index
+        .kd_node_summaries(index.k())
+        .expect("2D uses the kd framework");
     let height = summaries.iter().map(|&(l, ..)| l).max().unwrap();
     println!(
         "kd framework tree: {} nodes, height {height} (≈ log2 N = {:.1})",

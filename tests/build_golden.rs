@@ -77,10 +77,10 @@ fn ksi_summaries(d: &Dataset) -> Vec<(u32, u64, usize, usize)> {
     let tree = TransformedIndex::build(
         KdPartitioner::new(points, weights),
         docs,
-        2,
+        2..=2,
         FrameworkConfig::default(),
     );
-    tree.node_summaries().collect()
+    tree.node_summaries(2).collect()
 }
 
 fn ksi_digest(d: &Dataset) -> u64 {
@@ -112,10 +112,14 @@ fn digests() -> Vec<(String, u64)> {
 }
 
 /// Recorded on the build path that predates the dense-keyword build.
+/// The `suite_kmax4` digests were re-recorded when the suite moved from
+/// one index per `k` (plus its own dataset copy) to one tree with a
+/// keyword layer per `k`: the page layout changed, the layers did not
+/// (see `suite_layers_equal_the_single_k_indexes`).
 const GOLDEN: &[(&str, u64)] = &[
     ("city/orp_k2", 0xc84ed58e7d4ddd61),
     ("city/orp_k3", 0xc198c7f9a6ec597b),
-    ("city/suite_kmax4", 0x6a32c4c7e0607772),
+    ("city/suite_kmax4", 0x1333d95dc7f223be),
     ("city/sp_kd", 0x5f0abc214d1c9073),
     ("city/sp_willard", 0x57fc07c6a14f0300),
     ("city/srp", 0x3c3a2423b5fd2c1c),
@@ -123,7 +127,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("city/ksi", 0xd6b3b94943d732b5),
     ("web_docs/orp_k2", 0xd1fc64381c9c7893),
     ("web_docs/orp_k3", 0x562f3f46fc3f2abd),
-    ("web_docs/suite_kmax4", 0x5c5674e113222f12),
+    ("web_docs/suite_kmax4", 0xb58af8dce19badb4),
     ("web_docs/sp_kd", 0x7db39aa1dca3b5cc),
     ("web_docs/sp_willard", 0xe38bb0464d4f34b6),
     ("web_docs/srp", 0xadf0502cd40942cc),
@@ -140,6 +144,42 @@ fn built_structures_match_the_golden_digests() {
         .collect();
     let want: Vec<(String, u64)> = GOLDEN.iter().map(|&(n, h)| (n.to_string(), h)).collect();
     assert_eq!(got, want, "digests now:\n{}", rendered.join("\n"));
+}
+
+/// The suite builds one tree and a keyword layer per `k`; each layer must
+/// be the standalone single-`k` index: the same per-node summaries, and
+/// the same traversal — node visits, pivot and list scans, reports — on
+/// every query of a seeded rectangle set.
+#[test]
+fn suite_layers_equal_the_single_k_indexes() {
+    use structured_keyword_search::workload::queries::QueryGen;
+    for (name, d) in datasets() {
+        let suite = OrpKwSuite::build(&d, 4);
+        let mut gen = QueryGen::new(&d, 17);
+        for k in 2..=4 {
+            let single = OrpKwIndex::build(&d, k);
+            assert_eq!(
+                suite.index().kd_node_summaries(k),
+                single.kd_node_summaries(k),
+                "{name}: layer k = {k}"
+            );
+            assert!(single.kd_node_summaries(k).is_some());
+            for i in 0..60 {
+                let q = gen.rect([0.01, 0.05, 0.2][i % 3]);
+                let kws = gen
+                    .keywords(k, [0.0, 0.3, 0.7][i % 3])
+                    .expect("enough distinct keywords");
+                let (mut got, s) = suite.query_with_stats(&q, &kws).unwrap();
+                let (mut want, w) = single.query_with_stats(&q, &kws).unwrap();
+                let counters =
+                    |s: &QueryStats| (s.nodes_visited, s.pivot_scans, s.list_scans, s.reported);
+                assert_eq!(counters(&s), counters(&w), "{name}: k = {k}, query {i}");
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "{name}: k = {k}, query {i}");
+            }
+        }
+    }
 }
 
 const VOCAB: u32 = 9;
@@ -213,7 +253,7 @@ proptest! {
         for k in 2..=3usize {
             let dense_ix = OrpKwIndex::build(&d, k);
             let sparse_ix = OrpKwIndex::build(&sparse, k);
-            prop_assert_eq!(dense_ix.kd_node_summaries(), sparse_ix.kd_node_summaries());
+            prop_assert_eq!(dense_ix.kd_node_summaries(k), sparse_ix.kd_node_summaries(k));
             prop_assert_eq!(dense_ix.space_words(), sparse_ix.space_words());
             // Distinct query keywords, padded from the vocabulary.
             let mut kws: Vec<Keyword> = Vec::new();

@@ -32,7 +32,9 @@ fn framework_invariants_hold_on_zipf_workload() {
 fn kd_tree_height_is_logarithmic() {
     let dataset = workload(8_000, 2);
     let index = OrpKwIndex::build(&dataset, 2);
-    let summaries = index.kd_node_summaries().expect("2D uses the kd framework");
+    let summaries = index
+        .kd_node_summaries(index.k())
+        .expect("2D uses the kd framework");
     let max_level = summaries.iter().map(|&(l, ..)| l).max().unwrap();
     let n = dataset.input_size() as f64;
     // Levels ≤ log2(N) + slack (leaf cap shifts it down in practice).

@@ -195,7 +195,7 @@ fn every_error_variant_is_reachable_from_public_api() {
     assert!(matches!(err, SkqError::InvalidQuery(_)), "{err}");
 
     // BuildBudgetExceeded — a one-word space budget.
-    let err = match OrpKwIndex::try_build_with_budget(&d, 2, Some(1)) {
+    let err = match OrpKwIndex::try_build_with_budget(&d, 2..=2, Some(1)) {
         Err(e) => e,
         Ok(_) => panic!("a one-word budget must not admit the index"),
     };

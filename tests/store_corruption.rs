@@ -4,6 +4,7 @@
 //! a structurally broken index. When `debug-invariants` is on, every
 //! *successful* load is additionally deep-validated.
 
+use structured_keyword_search::core::persist::kind;
 use structured_keyword_search::core::suite::OrpKwSuite;
 use structured_keyword_search::prelude::*;
 use structured_keyword_search::store::Persist;
@@ -136,6 +137,84 @@ fn page_swap_is_rejected() {
     assert!(matches!(err, SkqError::Corrupted { .. }), "{err}");
 }
 
+/// Byte offset of every page header, in file order.
+fn page_offsets(bytes: &[u8]) -> Vec<usize> {
+    let mut offsets = Vec::new();
+    let mut pos = 24;
+    while pos + 24 <= bytes.len() {
+        offsets.push(pos);
+        let len = u32::from_le_bytes(bytes[pos + 8..pos + 12].try_into().unwrap());
+        pos += 24 + len as usize;
+    }
+    offsets
+}
+
+fn page_kind(bytes: &[u8], page: usize) -> u16 {
+    u16::from_le_bytes([bytes[page + 4], bytes[page + 5]])
+}
+
+/// Rewrites one page's payload through `edit` and re-stamps its
+/// checksum, so the decoder's own checks are what must fire.
+fn edit_payload(bytes: &mut [u8], page: usize, edit: impl FnOnce(&mut [u8])) {
+    let len = u32::from_le_bytes(bytes[page + 8..page + 12].try_into().unwrap()) as usize;
+    let payload = page + 24..page + 24 + len;
+    edit(&mut bytes[payload.clone()]);
+    let digest = fnv64(&bytes[payload]);
+    bytes[page + 16..page + 24].copy_from_slice(&digest.to_le_bytes());
+}
+
+#[test]
+fn old_suite_head_version_is_rejected_with_versions_named() {
+    let mut bytes = snapshot();
+    let head = page_offsets(&bytes)[0];
+    assert_eq!(page_kind(&bytes, head), kind::SUITE_HEAD);
+    assert_eq!(&bytes[head + 6..head + 8], &2u16.to_le_bytes());
+    // The page version is outside the payload checksum: no re-stamp.
+    bytes[head + 6..head + 8].copy_from_slice(&1u16.to_le_bytes());
+    let err = OrpKwSuite::try_load(&bytes).err().expect("must fail");
+    assert!(matches!(err, SkqError::Corrupted { .. }), "{err}");
+    let msg = err.to_string();
+    assert!(msg.contains("suite"), "{msg}");
+    assert!(
+        msg.contains("version 1") && msg.contains("expected 2"),
+        "{msg}"
+    );
+}
+
+/// The `k_max = 3` suite's one extra layer (`k = 3`) heads its
+/// `TREE_LAYER` section with its `k` and node count.
+fn layer_head(bytes: &[u8]) -> usize {
+    page_offsets(bytes)
+        .into_iter()
+        .find(|&p| page_kind(bytes, p) == kind::TREE_LAYER)
+        .expect("a k_max = 3 suite has a layer section")
+}
+
+#[test]
+fn layer_with_a_foreign_k_is_corrupted() {
+    let mut bytes = snapshot();
+    let head = layer_head(&bytes);
+    edit_payload(&mut bytes, head, |p| {
+        assert_eq!(p[0], 3, "the layer head starts with k = 3");
+        p[0] = 4;
+    });
+    let err = OrpKwSuite::try_load(&bytes).err().expect("must fail");
+    assert!(matches!(err, SkqError::Corrupted { .. }), "{err}");
+    assert!(err.to_string().contains("layer k = 4"), "{err}");
+}
+
+#[test]
+fn layer_with_a_foreign_node_count_is_corrupted() {
+    let mut bytes = snapshot();
+    let head = layer_head(&bytes);
+    // Flip the low bit of the node-count varint (one byte after `k`):
+    // the varint keeps its length, the count moves by one.
+    edit_payload(&mut bytes, head, |p| p[1] ^= 1);
+    let err = OrpKwSuite::try_load(&bytes).err().expect("must fail");
+    assert!(matches!(err, SkqError::Corrupted { .. }), "{err}");
+    assert!(err.to_string().contains("nodes, the tree has"), "{err}");
+}
+
 // ---------------------------------------------------------------------
 // WAL corruption battery (DESIGN §16): a segment mangled any way must
 // decode to a clean valid prefix plus a typed `Corrupted` error —
@@ -227,8 +306,8 @@ mod wal_battery {
     }
 }
 
-/// FNV-1a 64 — mirrors the file-header digest so the schema-bump test
-/// can re-stamp a "valid" header.
+/// FNV-1a 64 — mirrors the header and payload digests so the tests can
+/// re-stamp a "valid" header or page.
 fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
