@@ -16,22 +16,28 @@ fn bench_build(c: &mut Criterion) {
         let ps2 = planted_spatial(n, 2, 2, 100, 1e6, 61);
         let ps3 = planted_spatial(n, 3, 2, 100, 1e6, 62);
         g.bench_with_input(BenchmarkId::new("orp_2d", n), &n, |b, _| {
-            b.iter(|| OrpKwIndex::build(&ps2.dataset, 2))
+            b.iter(|| OrpKwIndex::try_build(&ps2.dataset, 2).expect("valid bench input"))
         });
         g.bench_with_input(BenchmarkId::new("orp_3d_dimred", n), &n, |b, _| {
-            b.iter(|| OrpKwIndex::build(&ps3.dataset, 2))
+            b.iter(|| OrpKwIndex::try_build(&ps3.dataset, 2).expect("valid bench input"))
         });
         g.bench_with_input(BenchmarkId::new("sp_willard", n), &n, |b, _| {
-            b.iter(|| SpKwIndex::build_with_strategy(&ps2.dataset, 2, SpStrategy::Willard))
+            b.iter(|| {
+                SpKwIndex::try_build_with_strategy(&ps2.dataset, 2, SpStrategy::Willard)
+                    .expect("valid bench input")
+            })
         });
         g.bench_with_input(BenchmarkId::new("sp_kd", n), &n, |b, _| {
-            b.iter(|| SpKwIndex::build_with_strategy(&ps2.dataset, 2, SpStrategy::Kd))
+            b.iter(|| {
+                SpKwIndex::try_build_with_strategy(&ps2.dataset, 2, SpStrategy::Kd)
+                    .expect("valid bench input")
+            })
         });
         g.bench_with_input(BenchmarkId::new("srp", n), &n, |b, _| {
-            b.iter(|| SrpKwIndex::build(&ps2.dataset, 2))
+            b.iter(|| SrpKwIndex::try_build(&ps2.dataset, 2).expect("valid bench input"))
         });
         g.bench_with_input(BenchmarkId::new("ksi", n), &n, |b, _| {
-            b.iter(|| KsiIndex::build(ps2.dataset.docs(), 2))
+            b.iter(|| KsiIndex::try_build(ps2.dataset.docs(), 2).expect("valid bench input"))
         });
     }
     g.finish();
@@ -41,22 +47,23 @@ fn bench_build(c: &mut Criterion) {
 /// slower builds) but less per-leaf scanning; the default 24 sits at
 /// the flat part of the query-time curve.
 fn bench_leaf_weight(c: &mut Criterion) {
-    use skq_geom::{Point, RankSpace, Rect, Region};
+    use skq_geom::{RankSpace, Rect, Region};
     let ps = planted_spatial(30_000, 2, 2, 300, 1e6, 63);
     let rank = RankSpace::build(ps.dataset.points());
-    let rank_points: Vec<Point> = (0..ps.dataset.len()).map(|i| rank.point(i)).collect();
+    let rank_points = rank.points();
     let weights: Vec<u64> = (0..ps.dataset.len())
         .map(|i| ps.dataset.weight(i))
         .collect();
     let mut g = c.benchmark_group("ablation/leaf_weight");
     g.sample_size(15);
     for leaf in [8u64, 24, 96, 384] {
-        let tree = TransformedIndex::build(
+        let tree = TransformedIndex::try_build(
             KdPartitioner::new(rank_points.clone(), weights.clone()),
             ps.dataset.docs().to_vec(),
             2..=2,
             FrameworkConfig { leaf_weight: leaf },
-        );
+        )
+        .expect("valid bench input");
         let _rq = rank.rect(&Rect::full(2)).expect("non-empty");
         let kws = ps.query_keywords.clone();
         g.bench_with_input(BenchmarkId::new("query", leaf), &leaf, |b, _| {

@@ -12,8 +12,10 @@ fn bench_lc(c: &mut Criterion) {
     let mut g = c.benchmark_group("lc_kw/halfplane");
     for n in [20_000usize, 60_000] {
         let ps = planted_spatial(n, 2, 2, 0, 1e6, 31);
-        let willard = SpKwIndex::build_with_strategy(&ps.dataset, 2, SpStrategy::Willard);
-        let kdcells = SpKwIndex::build_with_strategy(&ps.dataset, 2, SpStrategy::Kd);
+        let willard = SpKwIndex::try_build_with_strategy(&ps.dataset, 2, SpStrategy::Willard)
+            .expect("valid bench input");
+        let kdcells = SpKwIndex::try_build_with_strategy(&ps.dataset, 2, SpStrategy::Kd)
+            .expect("valid bench input");
         let kf = KeywordsFirst::build(&ps.dataset);
         let sf = StructuredFirst::build(&ps.dataset);
         // x + y ≤ 10^6: cuts the data diagonally in half.
@@ -38,7 +40,7 @@ fn bench_lc(c: &mut Criterion) {
 fn bench_lc_3d(c: &mut Criterion) {
     let mut g = c.benchmark_group("lc_kw/3d_two_constraints");
     let ps = planted_spatial(40_000, 3, 2, 0, 1e6, 32);
-    let index = SpKwIndex::build(&ps.dataset, 2);
+    let index = SpKwIndex::try_build(&ps.dataset, 2).expect("valid bench input");
     let q = ConvexPolytope::new(vec![
         Halfspace::new(&[1.0, 1.0, 1.0], 1.5e6),
         Halfspace::new(&[-1.0, 0.0, 1.0], 2e5),

@@ -10,7 +10,7 @@ use skq_geom::Point;
 
 fn bench_linf(c: &mut Criterion) {
     let ps = planted_spatial(60_000, 2, 2, 6_000, 1e6, 21);
-    let index = LinfNnIndex::build(&ps.dataset, 2);
+    let index = LinfNnIndex::try_build(&ps.dataset, 2).expect("valid bench input");
     let kf = KeywordsFirst::build(&ps.dataset);
     let q = Point::new2(5e5, 5e5);
     let kws = ps.query_keywords.clone();
@@ -28,7 +28,7 @@ fn bench_linf(c: &mut Criterion) {
 
 fn bench_l2(c: &mut Criterion) {
     let ps = planted_spatial(60_000, 2, 2, 6_000, 1e6, 22);
-    let index = L2NnIndex::build(&ps.dataset, 2);
+    let index = L2NnIndex::try_build(&ps.dataset, 2).expect("valid bench input");
     let kf = KeywordsFirst::build(&ps.dataset);
     let q = Point::new2(5e5, 5e5);
     let kws = ps.query_keywords.clone();

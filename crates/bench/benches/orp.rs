@@ -12,7 +12,7 @@ fn bench_orp_vs_n(c: &mut Criterion) {
     let mut g = c.benchmark_group("orp_kw/out0_vs_n");
     for n in [20_000usize, 60_000] {
         let ps = planted_spatial(n, 2, 2, 0, 1e6, 42);
-        let index = OrpKwIndex::build(&ps.dataset, 2);
+        let index = OrpKwIndex::try_build(&ps.dataset, 2).expect("valid bench input");
         let kf = KeywordsFirst::build(&ps.dataset);
         let sf = StructuredFirst::build(&ps.dataset);
         let fs = FullScan::new(&ps.dataset);
@@ -38,7 +38,7 @@ fn bench_orp_vs_k(c: &mut Criterion) {
     let mut g = c.benchmark_group("orp_kw/out0_vs_k");
     for k in [2usize, 3, 4] {
         let ps = planted_spatial(40_000, 2, k, 0, 1e6, 43);
-        let index = OrpKwIndex::build(&ps.dataset, k);
+        let index = OrpKwIndex::try_build(&ps.dataset, k).expect("valid bench input");
         let q = Rect::full(2);
         let kws = ps.query_keywords.clone();
         g.bench_with_input(BenchmarkId::new("index", k), &k, |b, _| {
@@ -52,7 +52,7 @@ fn bench_orp_vs_out(c: &mut Criterion) {
     let mut g = c.benchmark_group("orp_kw/vs_out");
     for out in [0usize, 100, 10_000] {
         let ps = planted_spatial(60_000, 2, 2, out, 1e6, 44);
-        let index = OrpKwIndex::build(&ps.dataset, 2);
+        let index = OrpKwIndex::try_build(&ps.dataset, 2).expect("valid bench input");
         let q = Rect::full(2);
         let kws = ps.query_keywords.clone();
         g.bench_with_input(BenchmarkId::new("index", out), &out, |b, _| {
@@ -66,7 +66,7 @@ fn bench_orp_3d_dimred(c: &mut Criterion) {
     let mut g = c.benchmark_group("orp_kw/dimred_3d");
     for n in [20_000usize, 60_000] {
         let ps = planted_spatial(n, 3, 2, 0, 1e6, 45);
-        let index = OrpKwIndex::build(&ps.dataset, 2);
+        let index = OrpKwIndex::try_build(&ps.dataset, 2).expect("valid bench input");
         let q = Rect::full(3);
         let kws = ps.query_keywords.clone();
         g.bench_with_input(BenchmarkId::new("index", n), &n, |b, _| {

@@ -29,7 +29,7 @@ fn bench_rr(c: &mut Criterion) {
         let mut g = c.benchmark_group(format!("rr_kw/d{dim}"));
         for n in [20_000usize, 60_000] {
             let (rects, kws) = make_rects(n, dim, 7 + n as u64);
-            let index = RrKwIndex::build(&rects, 2);
+            let index = RrKwIndex::try_build(&rects, 2).expect("valid bench input");
             let q = Rect::new(&vec![4e5; dim], &vec![6e5; dim]);
             g.bench_with_input(BenchmarkId::new("index", n), &n, |b, _| {
                 b.iter(|| index.query(&q, &kws))

@@ -12,7 +12,7 @@ fn bench_srp(c: &mut Criterion) {
     let mut g = c.benchmark_group("srp_kw/ball");
     for n in [20_000usize, 60_000] {
         let ps = planted_spatial(n, 2, 2, 200, 1e6, 41);
-        let index = SrpKwIndex::build(&ps.dataset, 2);
+        let index = SrpKwIndex::try_build(&ps.dataset, 2).expect("valid bench input");
         let kf = KeywordsFirst::build(&ps.dataset);
         let fs = FullScan::new(&ps.dataset);
         let ball = Ball::new(Point::new2(5e5, 5e5), 2e5);
@@ -33,7 +33,7 @@ fn bench_srp(c: &mut Criterion) {
 fn bench_srp_radius(c: &mut Criterion) {
     let mut g = c.benchmark_group("srp_kw/vs_radius");
     let ps = planted_spatial(60_000, 2, 2, 2_000, 1e6, 42);
-    let index = SrpKwIndex::build(&ps.dataset, 2);
+    let index = SrpKwIndex::try_build(&ps.dataset, 2).expect("valid bench input");
     let kws = ps.query_keywords.clone();
     for r in [1e4, 1e5, 5e5] {
         let ball = Ball::new(Point::new2(5e5, 5e5), r);

@@ -31,13 +31,14 @@ use skq_core::query::KwQuery;
 use skq_core::rr::RrKwIndex;
 use skq_core::sp::{SpKwIndex, SpStrategy};
 use skq_core::srp::SrpKwIndex;
+use skq_core::SkqError;
 use skq_geom::{Ball, ConvexPolytope, Point, Rect};
 use skq_invidx::{InvertedIndex, Keyword};
 use skq_workload::queries::QueryGen;
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-type Experiment = (&'static str, fn(&Config));
+type Experiment = (&'static str, fn(&Config) -> Result<(), SkqError>);
 
 struct Config {
     quick: bool,
@@ -99,24 +100,26 @@ fn main() -> ExitCode {
         ("x2", x2),
         ("x3", x3),
     ];
-    match which {
-        "all" => {
-            for (name, f) in &all {
-                println!(
-                    "\n\n================ {} ================",
-                    name.to_uppercase()
-                );
-                f(&cfg);
-            }
-        }
+    let outcome = match which {
+        "all" => all.iter().try_for_each(|(name, f)| {
+            println!(
+                "\n\n================ {} ================",
+                name.to_uppercase()
+            );
+            f(&cfg)
+        }),
         name => {
             let f = all
                 .iter()
                 .find(|(n, _)| *n == name)
                 .unwrap_or_else(|| panic!("unknown experiment {name}"))
                 .1;
-            f(&cfg);
+            f(&cfg)
         }
+    };
+    if let Err(e) = outcome {
+        eprintln!("harness: {e}");
+        return ExitCode::from(2);
     }
 
     // Observability snapshot: everything the instrumented build/query
@@ -168,7 +171,7 @@ fn orp_query_time(index: &OrpKwIndex, q: &Rect, kws: &[Keyword], reps: usize) ->
 // ====================================================================
 // E1 — Table 1, rows 1–2: ORP-KW query time scaling.
 // ====================================================================
-fn e1(cfg: &Config) {
+fn e1(cfg: &Config) -> Result<(), SkqError> {
     println!("## E1 — ORP-KW (Theorems 1–2): time vs N at OUT = 0, and vs OUT\n");
     println!("### E1a-adaptive — frequent keywords, empty intersection");
     println!("The k query keywords are individually frequent (Θ(N) naive");
@@ -193,7 +196,7 @@ fn e1(cfg: &Config) {
             for &n in &cfg.sizes() {
                 let ps = planted_spatial(n, dim, k, 0, 1e6, 42 + n as u64);
                 let dataset = &ps.dataset;
-                let index = OrpKwIndex::build(dataset, k);
+                let index = OrpKwIndex::try_build(dataset, k)?;
                 let kf = KeywordsFirst::build(dataset);
                 let sf = StructuredFirst::build(dataset);
                 let fs = FullScan::new(dataset);
@@ -260,7 +263,7 @@ fn e1(cfg: &Config) {
         let mut ops = Vec::new();
         for &n in &cfg.sizes() {
             let ps = borderline_spatial(n * 8, 2, k, 0.8, 17 + n as u64);
-            let index = OrpKwIndex::build(&ps.dataset, k);
+            let index = OrpKwIndex::try_build(&ps.dataset, k)?;
             let kf = KeywordsFirst::build(&ps.dataset);
             let fs = FullScan::new(&ps.dataset);
             let q = Rect::full(2);
@@ -312,7 +315,7 @@ fn e1(cfg: &Config) {
         let mut ops = Vec::new();
         for planted in [10usize, 100, 1_000, 10_000] {
             let ps = planted_spatial(n, 2, k, planted, 1e6, 77);
-            let index = OrpKwIndex::build(&ps.dataset, k);
+            let index = OrpKwIndex::try_build(&ps.dataset, k)?;
             let kf = KeywordsFirst::build(&ps.dataset);
             let q = Rect::full(2);
             let (_, stats) = index
@@ -349,18 +352,19 @@ fn e1(cfg: &Config) {
     for sl in slopes {
         println!("{sl}");
     }
+    Ok(())
 }
 
 // ====================================================================
 // E2 — Table 1, row 3: ORP-KW through LC-KW (linear space, +log N).
 // ====================================================================
-fn e2(cfg: &Config) {
+fn e2(cfg: &Config) -> Result<(), SkqError> {
     println!("## E2 — ORP-KW via LC-KW (Theorem 5, d ≤ k): linear space, log N additive term\n");
     let mut t = Table::new(&["N", "orp words/N", "lc words/N", "orp µs", "lc-rect µs"]);
     for &n in &cfg.sizes() {
         let ps = planted_spatial(n, 2, 2, 100, 1e6, 3);
-        let orp = OrpKwIndex::build(&ps.dataset, 2);
-        let lc = LcKwIndex::build(&ps.dataset, 2);
+        let orp = OrpKwIndex::try_build(&ps.dataset, 2)?;
+        let lc = LcKwIndex::try_build(&ps.dataset, 2)?;
         let mut gen = QueryGen::new(&ps.dataset, 5);
         let q = gen.rect(0.25);
         let kws = &ps.query_keywords;
@@ -382,12 +386,13 @@ fn e2(cfg: &Config) {
         ]);
     }
     t.print();
+    Ok(())
 }
 
 // ====================================================================
 // E3 — Table 1, row 4: RR-KW (rectangle intersection reporting).
 // ====================================================================
-fn e3(cfg: &Config) {
+fn e3(cfg: &Config) -> Result<(), SkqError> {
     println!("## E3 — RR-KW (Corollary 3): d = 1 intervals and d = 2 boxes\n");
     println!("Worst-case (borderline-frequency) documents: the query pays the");
     println!("materialized-list scan of length ≈ N^(1−1/k).\n");
@@ -406,7 +411,7 @@ fn e3(cfg: &Config) {
                     (Rect::new(&lo, &hi), bl.dataset.doc(i).keywords().to_vec())
                 })
                 .collect();
-            let index = RrKwIndex::build(&rects, 2);
+            let index = RrKwIndex::try_build(&rects, 2)?;
             let q = {
                 let lo: Vec<f64> = (0..dim).map(|_| 4e5).collect();
                 let hi: Vec<f64> = (0..dim).map(|_| 6e5).collect();
@@ -441,16 +446,17 @@ fn e3(cfg: &Config) {
             fit_exponent(&ns, &ops)
         );
     }
+    Ok(())
 }
 
 // ====================================================================
 // E4 — Table 1, row 5: L∞NN-KW.
 // ====================================================================
-fn e4(cfg: &Config) {
+fn e4(cfg: &Config) -> Result<(), SkqError> {
     println!("## E4 — L∞NN-KW (Corollary 4): time vs t and vs N\n");
     let n = if cfg.quick { 40_000 } else { 120_000 };
     let ps = planted_spatial(n, 2, 2, 20_000, 1e6, 21);
-    let index = LinfNnIndex::build(&ps.dataset, 2);
+    let index = LinfNnIndex::try_build(&ps.dataset, 2)?;
     let kf = KeywordsFirst::build(&ps.dataset);
     let q = Point::new2(5e5, 5e5);
     let kws = &ps.query_keywords;
@@ -482,7 +488,7 @@ fn e4(cfg: &Config) {
     let mut times = Vec::new();
     for &n in &cfg.sizes() {
         let ps = planted_spatial(n, 2, 2, n / 10, 1e6, 22);
-        let index = LinfNnIndex::build(&ps.dataset, 2);
+        let index = LinfNnIndex::try_build(&ps.dataset, 2)?;
         let kf = KeywordsFirst::build(&ps.dataset);
         let ti = measure(cfg.reps(), || {
             let _ = std::hint::black_box(index.query(&q, 16, &ps.query_keywords));
@@ -502,12 +508,13 @@ fn e4(cfg: &Config) {
         "time vs N slope {:.2} (theory ≈ 1 − 1/k = 0.50, × log N)",
         fit_exponent(&ns, &times)
     );
+    Ok(())
 }
 
 // ====================================================================
 // E5 — Table 1, rows 6–7: LC-KW, with the Willard/kd ablation.
 // ====================================================================
-fn e5(cfg: &Config) {
+fn e5(cfg: &Config) -> Result<(), SkqError> {
     println!("## E5 — LC-KW (Theorem 5): halfplane + keywords, Willard vs kd cells\n");
     println!("Worst-case (borderline-frequency) keywords; 'examined' is the");
     println!("operation count, whose N-scaling is the crossing-sensitivity story.\n");
@@ -526,8 +533,8 @@ fn e5(cfg: &Config) {
     let mut tk_ = Vec::new();
     for &n in &cfg.sizes() {
         let ps = borderline_spatial(n * 2, 2, 2, 0.8, 31 + n as u64);
-        let willard = SpKwIndex::build_with_strategy(&ps.dataset, 2, SpStrategy::Willard);
-        let kdcells = SpKwIndex::build_with_strategy(&ps.dataset, 2, SpStrategy::Kd);
+        let willard = SpKwIndex::try_build_with_strategy(&ps.dataset, 2, SpStrategy::Willard)?;
+        let kdcells = SpKwIndex::try_build_with_strategy(&ps.dataset, 2, SpStrategy::Kd)?;
         let kf = KeywordsFirst::build(&ps.dataset);
         let sf = StructuredFirst::build(&ps.dataset);
         let fs = FullScan::new(&ps.dataset);
@@ -599,8 +606,8 @@ fn e5(cfg: &Config) {
     let mut vk = Vec::new();
     for &n in &cfg.sizes() {
         let ps = omnipresent_spatial(n, 2, 35 + n as u64);
-        let willard = SpKwIndex::build_with_strategy(&ps.dataset, 2, SpStrategy::Willard);
-        let kdcells = SpKwIndex::build_with_strategy(&ps.dataset, 2, SpStrategy::Kd);
+        let willard = SpKwIndex::try_build_with_strategy(&ps.dataset, 2, SpStrategy::Willard)?;
+        let kdcells = SpKwIndex::try_build_with_strategy(&ps.dataset, 2, SpStrategy::Kd)?;
         // Halfplanes of varied orientation through the data extent:
         // the crossing-node count (worst observed) is the structural
         // quantity the partition-tree analysis bounds — output size
@@ -655,19 +662,20 @@ fn e5(cfg: &Config) {
          arbitrary lines — the growth gap vs willard is the ablation signal)",
         fit_exponent(&ns, &vk)
     );
+    Ok(())
 }
 
 // ====================================================================
 // E6 — Table 1, rows 8–9: SRP-KW.
 // ====================================================================
-fn e6(cfg: &Config) {
+fn e6(cfg: &Config) -> Result<(), SkqError> {
     println!("## E6 — SRP-KW (Corollary 6): balls via lifting\n");
     let mut t = Table::new(&["N", "index µs", "kw-only µs", "scan µs", "OUT"]);
     let mut ns = Vec::new();
     let mut times = Vec::new();
     for &n in &cfg.sizes() {
         let ps = planted_spatial(n, 2, 2, 200, 1e6, 41);
-        let index = SrpKwIndex::build(&ps.dataset, 2);
+        let index = SrpKwIndex::try_build(&ps.dataset, 2)?;
         let kf = KeywordsFirst::build(&ps.dataset);
         let fs = FullScan::new(&ps.dataset);
         let ball = Ball::new(Point::new2(5e5, 5e5), 2e5);
@@ -701,16 +709,17 @@ fn e6(cfg: &Config) {
         "index time vs N slope {:.2} (theory: N^(1-1/(d+1)) = N^0.67 via kd cells on the lifted set)",
         fit_exponent(&ns, &times)
     );
+    Ok(())
 }
 
 // ====================================================================
 // E7 — Table 1, rows 10–11: L2NN-KW.
 // ====================================================================
-fn e7(cfg: &Config) {
+fn e7(cfg: &Config) -> Result<(), SkqError> {
     println!("## E7 — L2NN-KW (Corollary 7): time vs t\n");
     let n = if cfg.quick { 30_000 } else { 80_000 };
     let ps = planted_spatial(n, 2, 2, 10_000, 1e6, 51);
-    let index = L2NnIndex::build(&ps.dataset, 2);
+    let index = L2NnIndex::try_build(&ps.dataset, 2)?;
     let kf = KeywordsFirst::build(&ps.dataset);
     let q = Point::new2(5e5, 5e5);
     let kws = &ps.query_keywords;
@@ -735,12 +744,13 @@ fn e7(cfg: &Config) {
         "time vs t slope {:.2} (theory t^(1/k) = t^0.5 inside log-factor frames)",
         fit_exponent(&ts_axis, &times)
     );
+    Ok(())
 }
 
 // ====================================================================
 // E8 — Table 1, space column: measured words / N.
 // ====================================================================
-fn e8(cfg: &Config) {
+fn e8(cfg: &Config) -> Result<(), SkqError> {
     println!("## E8 — space: words per unit of N (flat ⇒ linear space)\n");
     let mut t = Table::new(&[
         "N",
@@ -756,8 +766,8 @@ fn e8(cfg: &Config) {
         let ps2 = planted_spatial(n, 2, 2, 100, 1e6, 61);
         let ps3 = planted_spatial(n, 3, 2, 100, 1e6, 62);
         let big_n = ps2.dataset.input_size() as f64;
-        let orp2 = OrpKwIndex::build(&ps2.dataset, 2);
-        let orp3 = OrpKwIndex::build(&ps3.dataset, 2);
+        let orp2 = OrpKwIndex::try_build(&ps2.dataset, 2)?;
+        let orp3 = OrpKwIndex::try_build(&ps3.dataset, 2)?;
         let rects: Vec<(Rect, Vec<Keyword>)> = (0..ps2.dataset.len())
             .map(|i| {
                 let x = ps2.dataset.point(i).get(0);
@@ -767,10 +777,10 @@ fn e8(cfg: &Config) {
                 )
             })
             .collect();
-        let rr = RrKwIndex::build(&rects, 2);
-        let sp = SpKwIndex::build_with_strategy(&ps2.dataset, 2, SpStrategy::Willard);
-        let srp = SrpKwIndex::build(&ps2.dataset, 2);
-        let ksi = KsiIndex::build(ps2.dataset.docs(), 2);
+        let rr = RrKwIndex::try_build(&rects, 2)?;
+        let sp = SpKwIndex::try_build_with_strategy(&ps2.dataset, 2, SpStrategy::Willard)?;
+        let srp = SrpKwIndex::try_build(&ps2.dataset, 2)?;
+        let ksi = KsiIndex::try_build(ps2.dataset.docs(), 2)?;
         let inv = InvertedIndex::build(ps2.dataset.docs());
         t.row(vec![
             format!("{}", big_n as u64),
@@ -788,12 +798,13 @@ fn e8(cfg: &Config) {
     }
     t.print();
     println!("\nexpect columns flat in N; orp-3d may grow like (log log N)^(d-2).");
+    Ok(())
 }
 
 // ====================================================================
 // E9 — §1.2 / bound (4): pure k-SI against the inverted index.
 // ====================================================================
-fn e9(cfg: &Config) {
+fn e9(cfg: &Config) -> Result<(), SkqError> {
     println!("## E9 — k-SI (§1.2): framework vs galloping merge, bound (4) shape\n");
     let n = if cfg.quick { 60_000 } else { 200_000 };
     for k in [2usize, 3] {
@@ -808,7 +819,7 @@ fn e9(cfg: &Config) {
         ]);
         for planted in [0usize, 10, 100, 1_000, 10_000] {
             let inst = shuffled_planted(n, 8, k, planted, 6, 71);
-            let ksi = KsiIndex::build(&inst.docs, k);
+            let ksi = KsiIndex::try_build(&inst.docs, k)?;
             let inv = InvertedIndex::build(&inst.docs);
             let (_, stats) = ksi.query_with_stats(&(), &inst.query).expect("valid query");
             let t1 = measure(cfg.reps(), || {
@@ -847,7 +858,7 @@ fn e9(cfg: &Config) {
     println!("\nworst-case N-term utilization (borderline-frequency keywords):");
     for k in [2usize, 3] {
         let bl = borderline_spatial(n, 1, k, 0.8, 73);
-        let ksi = KsiIndex::build(bl.dataset.docs(), k);
+        let ksi = KsiIndex::try_build(bl.dataset.docs(), k)?;
         let (hits, stats) = ksi
             .query_with_stats(&(), &bl.query_keywords)
             .expect("valid query");
@@ -860,19 +871,20 @@ fn e9(cfg: &Config) {
             stats.objects_examined() as f64 / bound
         );
     }
+    Ok(())
 }
 
 // ====================================================================
 // E10 — Lemma 8 flavour: where does each strategy win?
 // ====================================================================
-fn e10(cfg: &Config) {
+fn e10(cfg: &Config) -> Result<(), SkqError> {
     println!("## E10 — crossover analysis: index wins iff OUT = o(N)\n");
     let n = if cfg.quick { 60_000 } else { 150_000 };
     let mut t = Table::new(&["OUT/N", "OUT", "framework µs", "inverted µs", "winner"]);
     for frac_inv in [100_000usize, 10_000, 1_000, 100, 10, 4, 2] {
         let planted = (n / frac_inv).max(if frac_inv == 100_000 { 0 } else { 1 });
         let inst = shuffled_planted(n, 8, 2, planted, 6, 81);
-        let ksi = KsiIndex::build(&inst.docs, 2);
+        let ksi = KsiIndex::try_build(&inst.docs, 2)?;
         let inv = InvertedIndex::build(&inst.docs);
         let t1 = measure(cfg.reps(), || {
             let _ = std::hint::black_box(ksi.query(&(), &inst.query));
@@ -893,12 +905,13 @@ fn e10(cfg: &Config) {
     t.print();
     println!("\nexpected: framework wins until OUT approaches a constant fraction of N,");
     println!("where both must pay Θ(OUT) anyway (the Lemma 8 discussion).");
+    Ok(())
 }
 
 // ====================================================================
 // X1 — extension: the dynamic index (logarithmic method).
 // ====================================================================
-fn x1(cfg: &Config) {
+fn x1(cfg: &Config) -> Result<(), SkqError> {
     use skq_core::dynamic::DynamicOrpKw;
     println!("## X1 — dynamic ORP-KW (extension): update cost and query overhead\n");
     println!("Bentley–Saxe blocks over the static Theorem-1 index; queries touch");
@@ -917,12 +930,13 @@ fn x1(cfg: &Config) {
         let mut dynamic = DynamicOrpKw::new(2, 2);
         let mut handles = Vec::with_capacity(n);
         for i in 0..n {
-            handles
-                .push(dynamic.insert(*ps.dataset.point(i), ps.dataset.doc(i).keywords().to_vec()));
+            handles.push(
+                dynamic.try_insert(*ps.dataset.point(i), ps.dataset.doc(i).keywords().to_vec())?,
+            );
         }
         let per_op = t0.elapsed().as_secs_f64() * 1e6 / n as f64;
         // Static: one build.
-        let static_index = OrpKwIndex::build(&ps.dataset, 2);
+        let static_index = OrpKwIndex::try_build(&ps.dataset, 2)?;
         let mut gen = QueryGen::new(&ps.dataset, 112);
         let q = gen.rect(0.05);
         let kws = &ps.query_keywords;
@@ -955,12 +969,13 @@ fn x1(cfg: &Config) {
     t.print();
     println!("\nexpect: dyn query ≈ static × O(#blocks) in the worst case, much less in");
     println!("practice (most blocks are small); insert cost flat-ish (amortized log).");
+    Ok(())
 }
 
 // ====================================================================
 // X2 — extension: sink-based emission modes (collect / count / limit).
 // ====================================================================
-fn x2(cfg: &Config) {
+fn x2(cfg: &Config) -> Result<(), SkqError> {
     use skq_core::sink::{CountSink, LimitSink, ResultSink};
     use skq_core::stats::QueryStats;
     println!("## X2 — result emission modes: collect vs count vs limit-10\n");
@@ -971,7 +986,7 @@ fn x2(cfg: &Config) {
     let mut t = Table::new(&["N", "OUT", "collect µs", "count µs", "limit-10 µs"]);
     for &n in &cfg.sizes() {
         let ps = planted_spatial(n, 2, 2, n / 20, 1e6, 211);
-        let index = OrpKwIndex::build(&ps.dataset, 2);
+        let index = OrpKwIndex::try_build(&ps.dataset, 2)?;
         let q = Rect::full(2);
         let kws = &ps.query_keywords;
         let out_len = index.query(&q, kws).expect("valid query").len();
@@ -1005,12 +1020,13 @@ fn x2(cfg: &Config) {
     println!("\nexpect: count ≈ collect (same traversal; the saving is result");
     println!("memory, not time), and limit-10 far below both once OUT is");
     println!("large (the traversal stops at the 10th hit).");
+    Ok(())
 }
 
 // ====================================================================
 // X3 — extension: guarded-query overhead (deadline/cancel/budget).
 // ====================================================================
-fn x3(cfg: &Config) {
+fn x3(cfg: &Config) -> Result<(), SkqError> {
     use skq_core::guard::{CancelToken, GuardedSink, QueryGuard};
     use skq_core::sink::ResultSink;
     use skq_core::stats::QueryStats;
@@ -1029,7 +1045,7 @@ fn x3(cfg: &Config) {
     ]);
     for &n in &cfg.sizes() {
         let ps = planted_spatial(n, 2, 2, n / 20, 1e6, 223);
-        let index = OrpKwIndex::build(&ps.dataset, 2);
+        let index = OrpKwIndex::try_build(&ps.dataset, 2)?;
         let q = Rect::full(2);
         let kws = &ps.query_keywords;
         let out_len = index.query(&q, kws).expect("valid query").len();
@@ -1075,12 +1091,13 @@ fn x3(cfg: &Config) {
     println!("branch per emission); the armed guard adds an Instant::now()");
     println!("call per emission, a few percent on emission-dense queries and");
     println!("noise on traversal-dominated ones.");
+    Ok(())
 }
 
 // ====================================================================
 // F1 — Figure 1 / Lemmas 9–10: crossing analysis of the kd framework.
 // ====================================================================
-fn f1(cfg: &Config) {
+fn f1(cfg: &Config) -> Result<(), SkqError> {
     println!("## F1 — crossing sensitivity (Figure 1, Lemmas 9–10)\n");
     let mut t = Table::new(&[
         "N",
@@ -1095,7 +1112,7 @@ fn f1(cfg: &Config) {
         // Every object holds both query keywords: keyword pruning never
         // fires and the bare geometric crossing structure is exposed.
         let ps = omnipresent_spatial(n, 2, 91 + n as u64);
-        let index = OrpKwIndex::build(&ps.dataset, 2);
+        let index = OrpKwIndex::try_build(&ps.dataset, 2)?;
         let kws = &ps.query_keywords;
         let mut gen = QueryGen::new(&ps.dataset, 92);
         let mut max_cross_line = 0u64;
@@ -1136,7 +1153,7 @@ fn f1(cfg: &Config) {
     // depth after compaction; report one sample histogram and the
     // geometric-sum check Σ crossing(level)·2^(−level/2) = O(√N) scale.
     let ps = omnipresent_spatial(cfg.sizes()[cfg.sizes().len() - 1], 2, 93);
-    let index = OrpKwIndex::build(&ps.dataset, 2);
+    let index = OrpKwIndex::try_build(&ps.dataset, 2)?;
     let anchor_x = ps.dataset.point(ps.dataset.len() / 2).get(0);
     let line = Rect::new(&[anchor_x, f64::NEG_INFINITY], &[anchor_x, f64::INFINITY]);
     let (_, s) = index
@@ -1167,12 +1184,13 @@ fn f1(cfg: &Config) {
         "full-space query: crossing = {}, covered = {} (crossing must be ~0)",
         s.crossing_nodes, s.covered_nodes
     );
+    Ok(())
 }
 
 // ====================================================================
 // F2 — Figure 2 / Propositions 1–3: dimension-reduction structure.
 // ====================================================================
-fn f2(cfg: &Config) {
+fn f2(cfg: &Config) -> Result<(), SkqError> {
     println!("## F2 — dimension-reduction tree structure (Figure 2, Props 1–3)\n");
     let mut t = Table::new(&[
         "N",
@@ -1185,7 +1203,7 @@ fn f2(cfg: &Config) {
     for &n in &cfg.sizes() {
         let ps = planted_spatial(n, 3, 2, 200, 1e6, 95);
         let tree = skq_core::dimred::DimRedTree::build(&ps.dataset, 2);
-        let index = OrpKwIndex::build(&ps.dataset, 2);
+        let index = OrpKwIndex::try_build(&ps.dataset, 2)?;
         let mut gen = QueryGen::new(&ps.dataset, 96);
         let mut max_t2 = 0u64;
         let mut max_t1 = 0u64;
@@ -1209,4 +1227,5 @@ fn f2(cfg: &Config) {
     }
     t.print();
     println!("\nProposition 1: levels = O(log log N); §4 analysis: ≤ 2 type-2 nodes per level.");
+    Ok(())
 }

@@ -251,7 +251,7 @@ fn orp_problem(ctx: &Ctx, d: &Dataset) -> Json {
     let queries = rect_queries(d, ctx.opts.scale.queries());
     let (index, build) = ctx.build_record(
         d.len(),
-        || OrpKwIndex::build(d, BUILD_K),
+        || OrpKwIndex::try_build(d, BUILD_K).expect("valid workload"),
         OrpKwIndex::space_words,
     );
     let query = ctx.query_record("orp", queries.len(), |i| {
@@ -281,7 +281,7 @@ fn rr_problem(ctx: &Ctx, d: &Dataset) -> Json {
     let queries = rect_queries(d, ctx.opts.scale.queries());
     let (index, build) = ctx.build_record(
         d.len(),
-        || RrKwIndex::build(&boxes, BUILD_K),
+        || RrKwIndex::try_build(&boxes, BUILD_K).expect("valid workload"),
         RrKwIndex::space_words,
     );
     let query = ctx.query_record("rr", queries.len(), |i| {
@@ -307,7 +307,7 @@ fn lc_problem(ctx: &Ctx, d: &Dataset) -> Json {
         .collect();
     let (index, build) = ctx.build_record(
         d.len(),
-        || LcKwIndex::build(d, BUILD_K),
+        || LcKwIndex::try_build(d, BUILD_K).expect("valid workload"),
         LcKwIndex::space_words,
     );
     let query = ctx.query_record("lc", queries.len(), |i| {
@@ -333,7 +333,7 @@ fn sp_problem(ctx: &Ctx, d: &Dataset) -> Json {
         .collect();
     let (index, build) = ctx.build_record(
         d.len(),
-        || SpKwIndex::build(d, BUILD_K),
+        || SpKwIndex::try_build(d, BUILD_K).expect("valid workload"),
         SpKwIndex::space_words,
     );
     let query = ctx.query_record("sp", queries.len(), |i| {
@@ -359,7 +359,7 @@ fn srp_problem(ctx: &Ctx, d: &Dataset) -> Json {
         .collect();
     let (index, build) = ctx.build_record(
         d.len(),
-        || SrpKwIndex::build(d, BUILD_K),
+        || SrpKwIndex::try_build(d, BUILD_K).expect("valid workload"),
         SrpKwIndex::space_words,
     );
     let query = ctx.query_record("srp", queries.len(), |i| {
@@ -445,7 +445,7 @@ fn store_problem(ctx: &Ctx, d: &Dataset, snapshot: Option<&[u8]>) -> Json {
             suite
         }
         None => {
-            let suite = OrpKwSuite::build(d, SUITE_K_MAX);
+            let suite = OrpKwSuite::try_build(d, SUITE_K_MAX).expect("valid workload");
             out.set("mode", Json::Str("built".to_string()));
             suite
         }
@@ -472,7 +472,8 @@ fn store_problem(ctx: &Ctx, d: &Dataset, snapshot: Option<&[u8]>) -> Json {
 /// for `k ∈ 2..=3`, encoded with `skq_core::persist`.
 pub fn suite_snapshot(scale: Scale) -> Vec<u8> {
     let d = scenarios::city(scale.n(), SEED_DATA);
-    OrpKwSuite::build(&d, SUITE_K_MAX)
+    OrpKwSuite::try_build(&d, SUITE_K_MAX)
+        .expect("valid workload")
         .to_bytes()
         .expect("suite snapshot encoding")
 }
@@ -483,7 +484,7 @@ fn ksi_problem(ctx: &Ctx) -> Json {
     let input_size: usize = inst.docs.iter().map(|doc| doc.keywords().len()).sum();
     let (index, build) = ctx.build_record(
         n,
-        || KsiIndex::build(&inst.docs, BUILD_K),
+        || KsiIndex::try_build(&inst.docs, BUILD_K).expect("valid workload"),
         KsiIndex::space_words,
     );
     // One planted query repeated: k-SI query cost is a function of the
@@ -506,7 +507,11 @@ fn planner_problem(ctx: &Ctx, d: &Dataset) -> Json {
     // The planner does not expose a space accessor (it owns an engine
     // plus the two naive baselines); footprint is tracked through the
     // engines' own problems, so record 0 words here.
-    let (planner, build) = ctx.build_record(d.len(), || PlannedOrpKw::build(d, BUILD_K), |_| 0);
+    let (planner, build) = ctx.build_record(
+        d.len(),
+        || PlannedOrpKw::try_build(d, BUILD_K, None).expect("valid workload"),
+        |_| 0,
+    );
     let mut chosen = [0u64; 3];
     let query = ctx.query_record("planner", queries.len(), |i| {
         let (rect, kws) = &queries[i];
@@ -533,7 +538,8 @@ fn planner_problem(ctx: &Ctx, d: &Dataset) -> Json {
 }
 
 fn batch_problem(ctx: &Ctx, d: &Dataset, index: &OrpKwIndex) -> Json {
-    use skq_core::batch::{run_batch, BatchQuery};
+    use skq_core::batch::{run_batch_isolated, BatchQuery};
+    use skq_core::QueryGuard;
     let batch: Vec<BatchQuery> = rect_queries(d, ctx.opts.scale.queries())
         .into_iter()
         .map(|(rect, keywords)| BatchQuery { rect, keywords })
@@ -542,7 +548,12 @@ fn batch_problem(ctx: &Ctx, d: &Dataset, index: &OrpKwIndex) -> Json {
     problem_header(&mut out, "city", d.len(), d.input_size(), BUILD_K);
     out.set("batch_size", Json::Num(batch.len() as f64));
     out.set("threads", Json::Num(2.0));
-    let (results, alloc_bytes, allocs) = ctx.alloc_delta(|| run_batch(index, &batch, 2));
+    let run = || {
+        run_batch_isolated(index, &batch, 2, &QueryGuard::default())
+            .into_results()
+            .expect("no batch shard fails")
+    };
+    let (results, alloc_bytes, allocs) = ctx.alloc_delta(run);
     out.set(
         "results_total",
         Json::Num(results.iter().map(Vec::len).sum::<usize>() as f64),
@@ -551,7 +562,7 @@ fn batch_problem(ctx: &Ctx, d: &Dataset, index: &OrpKwIndex) -> Json {
     out.set("allocs", Json::Num(allocs as f64));
     if ctx.opts.timed {
         let m = measure(ctx.opts.build_reps, || {
-            std::hint::black_box(run_batch(index, &batch, 2));
+            std::hint::black_box(run());
         });
         out.set("wall_us", measurement_json(&m));
     }
@@ -591,14 +602,14 @@ pub fn run_with_snapshot(opts: BenchOptions, probe: AllocProbe, snapshot: Option
         let _ = sp_problem(&warm_ctx, &wd);
         let _ = srp_problem(&warm_ctx, &wd);
         let _ = nn_problem(&warm_ctx, &wd, "nn_linf", || {
-            NnEngine::Linf(LinfNnIndex::build(&wd, BUILD_K))
+            NnEngine::Linf(LinfNnIndex::try_build(&wd, BUILD_K).expect("valid workload"))
         });
         let _ = nn_problem(&warm_ctx, &wd, "nn_l2", || {
-            NnEngine::L2(L2NnIndex::build(&wd, BUILD_K))
+            NnEngine::L2(L2NnIndex::try_build(&wd, BUILD_K).expect("valid workload"))
         });
         let _ = ksi_problem(&warm_ctx);
         let _ = planner_problem(&warm_ctx, &wd);
-        let wi = OrpKwIndex::build(&wd, BUILD_K);
+        let wi = OrpKwIndex::try_build(&wd, BUILD_K).expect("valid workload");
         let _ = batch_problem(&warm_ctx, &wd, &wi);
         let _ = store_problem(&warm_ctx, &wd, None);
     }
@@ -615,18 +626,18 @@ pub fn run_with_snapshot(opts: BenchOptions, probe: AllocProbe, snapshot: Option
     problems.set(
         "nn_linf",
         nn_problem(&ctx, &d, "nn_linf", || {
-            NnEngine::Linf(LinfNnIndex::build(&d, BUILD_K))
+            NnEngine::Linf(LinfNnIndex::try_build(&d, BUILD_K).expect("valid workload"))
         }),
     );
     problems.set(
         "nn_l2",
         nn_problem(&ctx, &d, "nn_l2", || {
-            NnEngine::L2(L2NnIndex::build(&d, BUILD_K))
+            NnEngine::L2(L2NnIndex::try_build(&d, BUILD_K).expect("valid workload"))
         }),
     );
     problems.set("ksi", ksi_problem(&ctx));
     problems.set("planner", planner_problem(&ctx, &d));
-    let orp_index = OrpKwIndex::build(&d, BUILD_K);
+    let orp_index = OrpKwIndex::try_build(&d, BUILD_K).expect("valid workload");
     problems.set("batch", batch_problem(&ctx, &d, &orp_index));
     problems.set("store", store_problem(&ctx, &d, snapshot));
 

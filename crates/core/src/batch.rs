@@ -91,6 +91,10 @@ impl BatchReport {
     }
 }
 
+/// One shard's run: its per-query results and aggregated stats when it
+/// completed (possibly after a retry), `None` when it failed through.
+type ShardRun = (Option<(Vec<Vec<u32>>, QueryStats)>, ShardOutcome);
+
 /// Runs `queries` against `index` on up to `threads` OS threads,
 /// returning answers in input order (each sorted by object id).
 ///
@@ -102,28 +106,9 @@ impl BatchReport {
 /// interpretation is sequential) — the same clamp the `skq-serve`
 /// worker pool applies.
 ///
-/// # Panics
-///
-/// Panics if any query violates the index's keyword contract (exactly
-/// `k` distinct keywords), or if a shard fails through its retry (use
-/// [`run_batch_isolated`] to observe failures as values instead).
-// The panic is this wrapper's documented contract;
-// `run_batch_isolated` is the fallible surface.
-#[allow(clippy::disallowed_macros)]
-pub fn run_batch(index: &OrpKwIndex, queries: &[BatchQuery], threads: usize) -> Vec<Vec<u32>> {
-    let report = run_batch_isolated(index, queries, threads, &QueryGuard::default());
-    report
-        .into_results()
-        .unwrap_or_else(|e| panic!("worker panicked: {e}")) // skq-lint: allow(L01) documented panicking wrapper over run_batch_isolated
-}
-
-/// One shard's run: its per-query results and aggregated stats when it
-/// completed (possibly after a retry), `None` when it failed through.
-type ShardRun = (Option<(Vec<Vec<u32>>, QueryStats)>, ShardOutcome);
-
-/// Panic-isolated [`run_batch`]: each shard runs under `catch_unwind`
-/// with one bounded retry, and per-query emission is policed by
-/// `guard` (deadline, cancellation, result budget). A panicking shard
+/// Each shard runs under `catch_unwind` with one bounded retry, and
+/// per-query emission is policed by `guard` (deadline, cancellation,
+/// result budget). A panicking shard
 /// never takes down the batch — its queries come back as `None` and
 /// its [`ShardOutcome::Failed`] is recorded, while every other shard's
 /// results stand.
@@ -274,7 +259,7 @@ mod tests {
                 })
                 .collect(),
         );
-        let index = OrpKwIndex::build(&dataset, 2);
+        let index = OrpKwIndex::try_build(&dataset, 2).unwrap();
         let queries: Vec<BatchQuery> = (0..57)
             .map(|_| {
                 let x: f64 = rng.gen_range(0..100) as f64;
@@ -288,6 +273,13 @@ mod tests {
             })
             .collect();
         (index, queries, dataset)
+    }
+
+    /// The unguarded batch, failing the test on a failed shard.
+    fn run_batch(index: &OrpKwIndex, queries: &[BatchQuery], threads: usize) -> Vec<Vec<u32>> {
+        run_batch_isolated(index, queries, threads, &QueryGuard::default())
+            .into_results()
+            .unwrap()
     }
 
     #[test]

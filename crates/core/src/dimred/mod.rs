@@ -102,7 +102,8 @@ impl DimRedTree {
         // Secondary λ-dimensional index on the active set, x dropped.
         let (sub, local) = self.dataset.subset(&sorted);
         let sub = sub.map_points(|_, p| p.drop_first());
-        let secondary = OrpKwIndex::build(&sub, self.k);
+        let secondary =
+            OrpKwIndex::try_build(&sub, self.k).expect("the enclosing ORP-KW build validated k");
 
         self.nodes.push(DrNode {
             level,

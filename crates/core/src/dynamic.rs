@@ -30,7 +30,7 @@ use crate::sink::ResultSink;
 use crate::stats::{QueryStats, TruncatedReason};
 use crate::telemetry;
 
-/// Handle returned by [`DynamicOrpKw::insert`], used for deletion.
+/// Handle returned by [`DynamicOrpKw::try_insert`], used for deletion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectHandle(u64);
 
@@ -64,8 +64,8 @@ struct Block {
 /// use skq_geom::{Point, Rect};
 ///
 /// let mut index = DynamicOrpKw::new(2, 2);
-/// let a = index.insert(Point::new2(1.0, 1.0), vec![0, 1]);
-/// let _b = index.insert(Point::new2(9.0, 9.0), vec![0, 1]);
+/// let a = index.try_insert(Point::new2(1.0, 1.0), vec![0, 1])?;
+/// let _b = index.try_insert(Point::new2(9.0, 9.0), vec![0, 1])?;
 /// let q = Rect::new(&[0.0, 0.0], &[5.0, 5.0]);
 /// let (hits, _stats) = index.query(&q, &[0, 1], &QueryGuard::new())?;
 /// assert_eq!(hits, vec![a]);
@@ -119,21 +119,8 @@ impl DynamicOrpKw {
     }
 
     /// Inserts an object, returning its handle. Amortized cost is one
-    /// static rebuild of `O(log n)` blocks per `n` insertions.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch or an empty document.
-    // The panic is this wrapper's documented contract; `try_insert` is
-    // the fallible surface.
-    #[allow(clippy::disallowed_macros)]
-    pub fn insert(&mut self, point: Point, keywords: Vec<Keyword>) -> ObjectHandle {
-        self.try_insert(point, keywords)
-            .unwrap_or_else(|e| panic!("{e}")) // skq-lint: allow(L01) documented panicking wrapper over try_insert
-    }
-
-    /// Fallible [`insert`](Self::insert). If the amortized block
-    /// rebuild fails (e.g. an injected fail point), the insertion is
+    /// static rebuild of `O(log n)` blocks per `n` insertions. If the
+    /// amortized block rebuild fails (e.g. an injected fail point), the insertion is
     /// rolled back and the index is left exactly as it was — no block
     /// is lost and subsequent operations behave normally.
     ///
@@ -443,7 +430,7 @@ impl DynamicOrpKw {
     }
 
     /// The handle-allocation watermark: the id the next plain
-    /// [`insert`](Self::insert) would receive. Every id below it has
+    /// [`try_insert`](Self::try_insert) would receive. Every id below it has
     /// been allocated (or burned) already.
     pub fn next_id(&self) -> u64 {
         self.next_handle
@@ -856,7 +843,7 @@ mod tests {
             let doc: Vec<Keyword> = (0..rng.gen_range(1..4))
                 .map(|_| rng.gen_range(0..6))
                 .collect();
-            let h = idx.insert(p, doc.clone());
+            let h = idx.try_insert(p, doc.clone()).unwrap();
             mirror.objects.insert(h.0, (p, doc));
         }
         assert!(idx.num_blocks() >= 1);
@@ -887,7 +874,7 @@ mod tests {
                 let doc: Vec<Keyword> = (0..rng.gen_range(1..4))
                     .map(|_| rng.gen_range(0..5))
                     .collect();
-                let h = idx.insert(p, doc.clone());
+                let h = idx.try_insert(p, doc.clone()).unwrap();
                 mirror.objects.insert(h.0, (p, doc));
                 handles.push(h);
             } else if action < 9 {
@@ -916,7 +903,7 @@ mod tests {
         let mut handles = Vec::new();
         for _ in 0..600 {
             let p = Point::new2(rng.gen_range(0..30) as f64, rng.gen_range(0..30) as f64);
-            handles.push(idx.insert(p, vec![rng.gen_range(0..3), 3]));
+            handles.push(idx.try_insert(p, vec![rng.gen_range(0..3), 3]).unwrap());
         }
         // Delete some so the live filter is exercised under the limit.
         for h in handles.iter().step_by(5) {
@@ -939,7 +926,7 @@ mod tests {
     #[test]
     fn double_delete_is_noop() {
         let mut idx = DynamicOrpKw::new(1, 2);
-        let h = idx.insert(Point::new1(0.0), vec![0, 1]);
+        let h = idx.try_insert(Point::new1(0.0), vec![0, 1]).unwrap();
         assert!(idx.delete(h));
         assert!(!idx.delete(h));
         assert!(idx.is_empty());
@@ -968,7 +955,7 @@ mod tests {
             .try_insert_with_id(9, Point::new2(3.0, 3.0), vec![0, 1])
             .unwrap();
         assert_eq!(b, ObjectHandle(9));
-        let c = idx.insert(Point::new2(4.0, 4.0), vec![0, 1]);
+        let c = idx.try_insert(Point::new2(4.0, 4.0), vec![0, 1]).unwrap();
         assert_eq!(c, ObjectHandle(10));
     }
 
@@ -998,7 +985,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..500 {
             let p = Point::new2(rng.gen_range(0..30) as f64, rng.gen_range(0..30) as f64);
-            idx.insert(p, vec![rng.gen_range(0..3), 3]);
+            idx.try_insert(p, vec![rng.gen_range(0..3), 3]).unwrap();
         }
         let q = Rect::full(2);
         let full = hits(&idx, &q, &[0, 3]);
@@ -1028,7 +1015,8 @@ mod tests {
         let mut idx = DynamicOrpKw::new(2, 2);
         for i in 0..2_000u32 {
             let kws = if i % 40 == 0 { vec![0, 1] } else { vec![0, 2] };
-            idx.insert(Point::new2((i % 50) as f64, (i / 50) as f64), kws);
+            idx.try_insert(Point::new2((i % 50) as f64, (i / 50) as f64), kws)
+                .unwrap();
         }
         assert!(idx.num_blocks() >= 2);
         let q = Rect::full(2);
@@ -1045,7 +1033,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..5_000 {
             let p = Point::new2(rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0));
-            idx.insert(p, vec![rng.gen_range(0..8), 8]);
+            idx.try_insert(p, vec![rng.gen_range(0..8), 8]).unwrap();
         }
         // 5000 / 128 ≈ 39 base blocks → at most ~6 block slots occupied.
         assert!(idx.num_blocks() <= 7, "{} blocks", idx.num_blocks());
@@ -1058,7 +1046,7 @@ mod tests {
         let mut handles = Vec::new();
         for _ in 0..2_000 {
             let p = Point::new2(rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0));
-            handles.push(idx.insert(p, vec![rng.gen_range(0..4), 4]));
+            handles.push(idx.try_insert(p, vec![rng.gen_range(0..4), 4]).unwrap());
         }
         let before = idx.space_words();
         for h in handles.drain(..1900) {
@@ -1088,7 +1076,7 @@ mod tests {
         let mut handles = Vec::new();
         for _ in 0..700 {
             let p = Point::new2(rng.gen_range(0..50) as f64, rng.gen_range(0..50) as f64);
-            handles.push(idx.insert(p, vec![rng.gen_range(0..5), 5]));
+            handles.push(idx.try_insert(p, vec![rng.gen_range(0..5), 5]).unwrap());
         }
         // Delete a few (below the rebuild threshold) so dead objects
         // and the live-set round-trip too.
@@ -1114,7 +1102,9 @@ mod tests {
         // The loaded index keeps accepting writes where the old one
         // left off.
         let mut loaded = loaded;
-        let h = loaded.insert(Point::new2(1.0, 1.0), vec![0, 5]);
+        let h = loaded
+            .try_insert(Point::new2(1.0, 1.0), vec![0, 5])
+            .unwrap();
         assert_eq!(h.0, idx.next_id());
     }
 
@@ -1122,7 +1112,8 @@ mod tests {
     fn persist_rejects_tampered_bytes_typed() {
         let mut idx = DynamicOrpKw::new(2, 2);
         for i in 0..200 {
-            idx.insert(Point::new2(i as f64, i as f64), vec![i % 4, 4]);
+            idx.try_insert(Point::new2(i as f64, i as f64), vec![i % 4, 4])
+                .unwrap();
         }
         let bytes = idx.to_bytes().unwrap();
         for pos in (0..bytes.len()).step_by(101) {
@@ -1147,7 +1138,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(5);
             for _ in 0..400 {
                 let p = Point::new2(rng.gen_range(0.0..50.0), rng.gen_range(0.0..50.0));
-                idx.insert(p, vec![rng.gen_range(0..4), 4]);
+                idx.try_insert(p, vec![rng.gen_range(0..4), 4]).unwrap();
             }
             idx.validate().unwrap();
             idx

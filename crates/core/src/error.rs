@@ -19,15 +19,6 @@ pub enum SkqError {
     /// dimensionality, wrong number of distinct keywords, NaN
     /// coordinates, or an out-of-domain parameter.
     InvalidQuery(String),
-    /// An index build was rejected because it exceeded its space
-    /// budget (see `FrameworkConfig::max_space_words` and the
-    /// `try_build_with_budget` constructors).
-    BuildBudgetExceeded {
-        /// The configured budget, in words.
-        budget: usize,
-        /// The space the index would have occupied, in words.
-        needed: usize,
-    },
     /// A guarded query ran past its deadline; the sink holds the
     /// partial results emitted before the guard tripped.
     DeadlineExceeded,
@@ -78,7 +69,6 @@ impl SkqError {
         match self {
             SkqError::InvalidDataset(_) => "invalid_dataset",
             SkqError::InvalidQuery(_) => "invalid_query",
-            SkqError::BuildBudgetExceeded { .. } => "build_budget_exceeded",
             SkqError::DeadlineExceeded => "deadline_exceeded",
             SkqError::Cancelled => "cancelled",
             SkqError::ShardPanicked { .. } => "shard_panicked",
@@ -97,10 +87,6 @@ impl fmt::Display for SkqError {
             // `{self}` and existing callers match on these substrings.
             SkqError::InvalidDataset(msg) => f.write_str(msg),
             SkqError::InvalidQuery(msg) => f.write_str(msg),
-            SkqError::BuildBudgetExceeded { budget, needed } => write!(
-                f,
-                "index build exceeds its space budget: needs {needed} words, budget is {budget}"
-            ),
             SkqError::DeadlineExceeded => f.write_str("query deadline exceeded"),
             SkqError::Cancelled => f.write_str("query cancelled"),
             SkqError::ShardPanicked { shard } => {
@@ -278,16 +264,6 @@ mod tests {
         let e = SkqError::InvalidDataset("a dataset needs a non-empty set of objects".into());
         assert_eq!(format!("{e}"), "a dataset needs a non-empty set of objects");
         assert_eq!(e.kind(), "invalid_dataset");
-    }
-
-    #[test]
-    fn budget_display_mentions_both_sides() {
-        let e = SkqError::BuildBudgetExceeded {
-            budget: 10,
-            needed: 25,
-        };
-        let s = format!("{e}");
-        assert!(s.contains("10") && s.contains("25"), "{s}");
     }
 
     #[test]

@@ -278,23 +278,6 @@ impl<P: Partitioner> TransformedIndex<P> {
     /// matching coordinates. `N = Σ |docs[i]|` is the paper's input
     /// size.
     ///
-    /// # Panics
-    ///
-    /// Panics with the [`try_build`](Self::try_build) error message if
-    /// `ks` is empty or leaves `2..=16` (the paper fixes `k ≥ 2`) or
-    /// `docs` is empty.
-    pub fn build(
-        partitioner: P,
-        docs: Vec<Document>,
-        ks: RangeInclusive<usize>,
-        config: FrameworkConfig,
-    ) -> Self {
-        Self::try_build(partitioner, docs, ks, config).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`build`](Self::build): validates the parameters and
-    /// returns `Err` instead of panicking.
-    ///
     /// The tree is split once; each node then fills one keyword table
     /// per `k`, each from the candidates its own layer inherited, so
     /// every layer equals the single-`k` build of its `k`.
@@ -1192,12 +1175,13 @@ mod tests {
         let points: Vec<Point> = (0..docs.len()).map(|i| Point::new1(i as f64)).collect();
         let docs: Vec<Document> = docs.into_iter().map(Document::new).collect();
         let weights: Vec<u64> = docs.iter().map(|d| d.len() as u64).collect();
-        TransformedIndex::build(
+        TransformedIndex::try_build(
             KdPartitioner::new(points, weights),
             docs,
             ks,
             FrameworkConfig { leaf_weight },
         )
+        .unwrap()
     }
 
     fn run(tree: &TransformedIndex<KdPartitioner>, kws: &[Keyword], limit: usize) -> Vec<u32> {
@@ -1380,9 +1364,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "k >= 2")]
     fn k1_rejected() {
-        let _ = build_1d(vec![vec![0]], 1..=1, 4);
+        let built = TransformedIndex::try_build(
+            KdPartitioner::new(vec![Point::new1(0.0)], vec![1]),
+            vec![Document::new(vec![0])],
+            1..=1,
+            FrameworkConfig::default(),
+        );
+        assert!(matches!(
+            built,
+            Err(SkqError::InvalidQuery(m)) if m.contains("k >= 2")
+        ));
     }
 
     #[test]

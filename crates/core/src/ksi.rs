@@ -35,7 +35,7 @@ use crate::stats::QueryStats;
 /// use skq_core::query::KwQuery;
 ///
 /// // S0 = {0, 1}, S1 = {1, 2}: elements carry their set memberships.
-/// let index = KsiIndex::from_sets(&[vec![0, 1], vec![1, 2]], 3, 2);
+/// let index = KsiIndex::try_from_sets(&[vec![0, 1], vec![1, 2]], 3, 2)?;
 /// assert_eq!(index.query(&(), &[0, 1])?, vec![1]);
 /// assert!(index.count_at_least(&(), &[0, 1], 1)?); // non-empty
 /// # Ok::<(), skq_core::SkqError>(())
@@ -48,15 +48,6 @@ impl KsiIndex {
     /// Builds the index: element `i` belongs to set `w` iff
     /// `docs[i]` contains `w` (the inverted-view of `m` sets as
     /// per-element membership documents, per §1.2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `docs` is empty or `k < 2`.
-    pub fn build(docs: &[Document], k: usize) -> Self {
-        Self::try_build(docs, k).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`build`](Self::build).
     ///
     /// # Errors
     ///
@@ -85,19 +76,28 @@ impl KsiIndex {
     /// Builds from explicit sets `S₁, …, S_m` over elements `0..n` —
     /// the reverse reduction of §1.2 (`e.Doc := {i | e ∈ Sᵢ}`).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if some element belongs to no set (documents must be
-    /// non-empty), or on out-of-range elements.
-    pub fn from_sets(sets: &[Vec<u32>], n: usize, k: usize) -> Self {
+    /// `SkqError::InvalidDataset` if an element is out of range or
+    /// belongs to no set (documents must be non-empty); otherwise the
+    /// [`try_build`](Self::try_build) conditions.
+    pub fn try_from_sets(sets: &[Vec<u32>], n: usize, k: usize) -> Result<Self, SkqError> {
         let mut kws: Vec<Vec<Keyword>> = vec![Vec::new(); n];
         for (si, set) in sets.iter().enumerate() {
             for &e in set {
-                kws[e as usize].push(si as Keyword);
+                let doc = kws.get_mut(e as usize).ok_or_else(|| {
+                    SkqError::InvalidDataset(format!("element {e} is outside 0..{n}"))
+                })?;
+                doc.push(si as Keyword);
             }
         }
+        if let Some(e) = kws.iter().position(Vec::is_empty) {
+            return Err(SkqError::InvalidDataset(format!(
+                "element {e} belongs to no set"
+            )));
+        }
         let docs: Vec<Document> = kws.into_iter().map(Document::new).collect();
-        Self::build(&docs, k)
+        Self::try_build(&docs, k)
     }
 
     /// The number of query keywords `k`.
@@ -170,7 +170,7 @@ mod tests {
     #[test]
     fn matches_inverted_index_k2() {
         let docs = random_docs(400, 12, 1);
-        let ksi = KsiIndex::build(&docs, 2);
+        let ksi = KsiIndex::try_build(&docs, 2).unwrap();
         ksi.validate().unwrap();
         let inv = InvertedIndex::build(&docs);
         let mut rng = StdRng::seed_from_u64(2);
@@ -188,7 +188,7 @@ mod tests {
     #[test]
     fn matches_inverted_index_k4() {
         let docs = random_docs(300, 6, 11);
-        let ksi = KsiIndex::build(&docs, 4);
+        let ksi = KsiIndex::try_build(&docs, 4).unwrap();
         let inv = InvertedIndex::build(&docs);
         let mut rng = StdRng::seed_from_u64(12);
         for _ in 0..60 {
@@ -209,7 +209,7 @@ mod tests {
     fn from_sets_reduction() {
         // S0 = {0,1,2}, S1 = {1,2,3}, S2 = {2,3,4}.
         let sets = vec![vec![0, 1, 2], vec![1, 2, 3], vec![2, 3, 4]];
-        let ksi = KsiIndex::from_sets(&sets, 5, 2);
+        let ksi = KsiIndex::try_from_sets(&sets, 5, 2).unwrap();
         let mut got = ksi.query(&(), &[0, 1]).unwrap();
         got.sort_unstable();
         assert_eq!(got, vec![1, 2]);
@@ -218,6 +218,14 @@ mod tests {
         assert_eq!(got, vec![2, 3]);
         assert!(ksi.count_at_least(&(), &[0, 2], 1).unwrap());
         assert_eq!(ksi.query(&(), &[0, 2]).unwrap(), vec![2]);
+        assert!(matches!(
+            KsiIndex::try_from_sets(&sets, 6, 2),
+            Err(SkqError::InvalidDataset(m)) if m.contains("element 5 belongs to no set")
+        ));
+        assert!(matches!(
+            KsiIndex::try_from_sets(&sets, 4, 2),
+            Err(SkqError::InvalidDataset(m)) if m.contains("element 4 is outside 0..4")
+        ));
     }
 
     #[test]
@@ -241,7 +249,7 @@ mod tests {
     #[test]
     fn count_at_least_thresholds() {
         let docs = random_docs(200, 3, 21);
-        let ksi = KsiIndex::build(&docs, 2);
+        let ksi = KsiIndex::try_build(&docs, 2).unwrap();
         let inv = InvertedIndex::build(&docs);
         let truth = inv.intersect(&[0, 1]).len();
         assert!(ksi.count_at_least(&(), &[0, 1], truth).unwrap());

@@ -25,7 +25,7 @@ use crate::error::SkqError;
 use crate::failpoints;
 use crate::query::KwQuery;
 use crate::sink::ResultSink;
-use crate::sp::{SpKwIndex, SpStrategy};
+use crate::sp::SpKwIndex;
 use crate::stats::QueryStats;
 
 /// The LC-KW index.
@@ -35,11 +35,6 @@ pub struct LcKwIndex {
 
 impl LcKwIndex {
     /// Builds the index for exactly-`k`-keyword queries.
-    pub fn build(dataset: &Dataset, k: usize) -> Self {
-        Self::try_build(dataset, k).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`build`](Self::build).
     ///
     /// # Errors
     ///
@@ -49,32 +44,6 @@ impl LcKwIndex {
         Ok(Self {
             sp: SpKwIndex::try_build(dataset, k)?,
         })
-    }
-
-    /// Fallible [`build`](Self::build) with a space-admission budget
-    /// (see [`SpKwIndex::try_build_with_budget`]). The planner uses
-    /// this as the linear-space middle tier of its degradation ladder.
-    ///
-    /// # Errors
-    ///
-    /// `SkqError::BuildBudgetExceeded` when the finished index is over
-    /// budget; otherwise the [`try_build`](Self::try_build) conditions.
-    pub fn try_build_with_budget(
-        dataset: &Dataset,
-        k: usize,
-        max_space_words: Option<usize>,
-    ) -> Result<Self, SkqError> {
-        failpoints::check("lc::build")?;
-        Ok(Self {
-            sp: SpKwIndex::try_build_with_budget(dataset, k, max_space_words)?,
-        })
-    }
-
-    /// Builds with an explicit partition strategy.
-    pub fn build_with_strategy(dataset: &Dataset, k: usize, strategy: SpStrategy) -> Self {
-        Self {
-            sp: SpKwIndex::build_with_strategy(dataset, k, strategy),
-        }
     }
 
     /// The number of query keywords the index was built for.
@@ -137,7 +106,7 @@ mod tests {
             (Point::new2(120.0, 6.0), vec![POOL, PARKING, PETS]),
             (Point::new2(110.0, 8.5), vec![POOL]),
         ]);
-        let index = LcKwIndex::build(&hotels, 3);
+        let index = LcKwIndex::try_build(&hotels, 3).unwrap();
         // price + 50·(10 − rating) ≤ 200  ⇔  price − 50·rating ≤ −300.
         let c2 = Halfspace::new(&[1.0, -50.0], -300.0);
         let c2 = ConvexPolytope::new(vec![c2]);
@@ -163,8 +132,8 @@ mod tests {
                 })
                 .collect(),
         );
-        let lc = LcKwIndex::build(&dataset, 2);
-        let orp = OrpKwIndex::build(&dataset, 2);
+        let lc = LcKwIndex::try_build(&dataset, 2).unwrap();
+        let orp = OrpKwIndex::try_build(&dataset, 2).unwrap();
         for _ in 0..40 {
             let x0: f64 = rng.gen_range(-25.0..25.0);
             let x1: f64 = rng.gen_range(-25.0..25.0);
@@ -205,10 +174,6 @@ mod tests {
             index.query(&cs, &[0, 0]),
             Err(SkqError::InvalidQuery(_))
         ));
-        assert!(matches!(
-            LcKwIndex::try_build_with_budget(&dataset, 2, Some(1)),
-            Err(SkqError::BuildBudgetExceeded { .. })
-        ));
     }
 
     #[test]
@@ -225,7 +190,7 @@ mod tests {
                 })
                 .collect(),
         );
-        let index = LcKwIndex::build(&dataset, 2);
+        let index = LcKwIndex::try_build(&dataset, 2).unwrap();
         let cs = [
             Halfspace::new(&[1.0, 1.0, 1.0, 1.0], 5.0),
             Halfspace::new(&[-1.0, 0.5, 0.0, 0.0], 3.0),

@@ -29,7 +29,9 @@
 //! * [`dynamic`] — insertions/deletions via the logarithmic method
 //!   (ORP-KW is a decomposable search problem).
 //! * [`planner`] — a cost-based choice among the three strategies.
-//! * [`suite`] — one index per `k ∈ 2..=k_max`, routed automatically.
+//! * [`suite`] — one index serving every `k ∈ 2..=k_max` (one kd tree,
+//!   a keyword layer per `k`) plus an inverted-index fallback, routed
+//!   automatically.
 //! * [`query`] — the one query contract, [`KwQuery`]: a typed input
 //!   check plus a streaming traversal per index, with collect, count,
 //!   at-least and guarded queries written once over sinks.
@@ -48,7 +50,7 @@
 //!   persistence tier: the [`persist::Persist`] trait plus the
 //!   page-walk reader/writer with checksums and schema versioning.
 //! * [`error`] / [`guard`] / [`failpoints`] — the robustness layer
-//!   (DESIGN.md §11): typed errors for `try_build` and every query,
+//!   (DESIGN.md §11): typed errors for every build and every query,
 //!   deadline/cancellation/budget guards for queries, and chaos-test
 //!   fail-point injection.
 //! * [`invariants`] — the violation type of the single structural
@@ -85,8 +87,8 @@
 // The orchestration layers sit on every request path of the ROADMAP's
 // service story, so they must not abort on recoverable conditions:
 // clippy.toml bans `unwrap()`/`expect()` and the panic-family macros in
-// them (tests re-allow; documented panicking wrappers carry justified
-// allows audited by skq-lint).
+// them (tests re-allow; the batch runner's chaos-injection panic carries
+// a justified allow audited by skq-lint).
 #[warn(clippy::disallowed_methods, clippy::disallowed_macros)]
 pub mod batch;
 pub mod concurrency;

@@ -46,19 +46,10 @@ pub struct L2NnIndex {
 }
 
 impl L2NnIndex {
-    /// Builds the index for exactly-`k`-keyword queries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any coordinate is not an integer of magnitude at most
-    /// `2^25` — the bound under which all squared distances are exact in
-    /// `f64` (the paper's model: coordinates are `O(log N)`-bit
-    /// integers).
-    pub fn build(dataset: &Dataset, k: usize) -> Self {
-        Self::try_build(dataset, k).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`build`](Self::build).
+    /// Builds the index for exactly-`k`-keyword queries. Coordinates
+    /// must be integers of magnitude at most `2^25` — the bound under
+    /// which all squared distances are exact in `f64` (the paper's
+    /// model: coordinates are `O(log N)`-bit integers).
     ///
     /// # Errors
     ///
@@ -293,7 +284,7 @@ mod tests {
     #[test]
     fn matches_bruteforce_2d() {
         let dataset = integer_dataset(300, 2, 8, 1);
-        let index = L2NnIndex::build(&dataset, 2);
+        let index = L2NnIndex::try_build(&dataset, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..30 {
             let q = Point::new2(
@@ -314,7 +305,7 @@ mod tests {
     #[test]
     fn matches_bruteforce_3d() {
         let dataset = integer_dataset(200, 3, 6, 11);
-        let index = L2NnIndex::build(&dataset, 2);
+        let index = L2NnIndex::try_build(&dataset, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(12);
         for _ in 0..20 {
             let q = Point::new3(
@@ -339,7 +330,7 @@ mod tests {
             (Point::new2(-3.0, 4.0), vec![0, 1]), // dist 5
             (Point::new2(0.0, 6.0), vec![0, 1]),  // dist 6
         ]);
-        let index = L2NnIndex::build(&dataset, 2);
+        let index = L2NnIndex::try_build(&dataset, 2).unwrap();
         let q = Point::new2(0.0, 0.0);
         assert_eq!(index.query(&q, 1, &[0, 1]).unwrap().0, vec![0]);
         assert_eq!(index.query(&q, 2, &[0, 1]).unwrap().0, vec![0, 1]);
@@ -349,18 +340,11 @@ mod tests {
     #[test]
     fn t_exceeding_matches_returns_all_matches() {
         let dataset = integer_dataset(60, 2, 4, 21);
-        let index = L2NnIndex::build(&dataset, 2);
+        let index = L2NnIndex::try_build(&dataset, 2).unwrap();
         let q = Point::new2(0.0, 0.0);
         let (got, _) = index.query(&q, 1000, &[0, 1]).unwrap();
         let expected = brute(&dataset, &q, usize::MAX, &[0, 1]);
         assert_eq!(got, expected);
-    }
-
-    #[test]
-    #[should_panic(expected = "integer coordinates")]
-    fn non_integer_coordinates_rejected() {
-        let dataset = Dataset::from_parts(vec![(Point::new2(0.5, 0.0), vec![0, 1])]);
-        let _ = L2NnIndex::build(&dataset, 2);
     }
 
     #[test]

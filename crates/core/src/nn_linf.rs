@@ -104,11 +104,6 @@ pub struct LinfNnIndex {
 impl LinfNnIndex {
     /// Builds the index for exactly-`k`-keyword queries (ORP-KW
     /// threshold engine — Corollary 4 as stated).
-    pub fn build(dataset: &Dataset, k: usize) -> Self {
-        Self::try_build(dataset, k).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`build`](Self::build).
     ///
     /// # Errors
     ///
@@ -123,11 +118,6 @@ impl LinfNnIndex {
 
     /// The linear-space variant of footnote 3: LC-KW threshold engine,
     /// `O(N)` space in any dimension at the cost of a `log N` factor.
-    pub fn build_linear(dataset: &Dataset, k: usize) -> Self {
-        Self::try_build_linear(dataset, k).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`build_linear`](Self::build_linear).
     ///
     /// # Errors
     ///
@@ -511,7 +501,7 @@ mod tests {
     #[test]
     fn matches_bruteforce_2d() {
         let dataset = random_dataset(300, 2, 8, 1);
-        let index = LinfNnIndex::build(&dataset, 2);
+        let index = LinfNnIndex::try_build(&dataset, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..40 {
             let q = Point::new2(rng.gen_range(-60.0..60.0), rng.gen_range(-60.0..60.0));
@@ -533,8 +523,8 @@ mod tests {
         // linear space (the answer sets must be equal; space is smaller
         // by the dimension-reduction factor).
         let dataset = random_dataset(150, 3, 6, 51);
-        let a = LinfNnIndex::build(&dataset, 2);
-        let b = LinfNnIndex::build_linear(&dataset, 2);
+        let a = LinfNnIndex::try_build(&dataset, 2).unwrap();
+        let b = LinfNnIndex::try_build_linear(&dataset, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(52);
         for _ in 0..15 {
             let q = Point::new3(
@@ -556,7 +546,7 @@ mod tests {
     #[test]
     fn matches_bruteforce_3d() {
         let dataset = random_dataset(200, 3, 6, 11);
-        let index = LinfNnIndex::build(&dataset, 2);
+        let index = LinfNnIndex::try_build(&dataset, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(12);
         for _ in 0..25 {
             let q = Point::new3(
@@ -581,7 +571,7 @@ mod tests {
             (Point::new2(1.0, 0.0), vec![0, 1]),
             (Point::new2(5.0, 0.0), vec![0]),
         ]);
-        let index = LinfNnIndex::build(&dataset, 2);
+        let index = LinfNnIndex::try_build(&dataset, 2).unwrap();
         let (got, _) = index.query(&Point::new2(0.0, 0.0), 10, &[0, 1]).unwrap();
         assert_eq!(got, vec![0, 1]);
     }
@@ -617,7 +607,7 @@ mod tests {
             (Point::new2(-2.0, 0.0), vec![0, 1]),
             (Point::new2(0.0, 7.0), vec![0, 1]),
         ]);
-        let index = LinfNnIndex::build(&dataset, 2);
+        let index = LinfNnIndex::try_build(&dataset, 2).unwrap();
         let origin = Point::new2(0.0, 0.0);
         assert_eq!(index.query(&origin, 1, &[0, 1]).unwrap().0, vec![0]);
         assert_eq!(index.query(&origin, 2, &[0, 1]).unwrap().0, vec![0, 1]);
@@ -626,7 +616,7 @@ mod tests {
     #[test]
     fn scrambled_radius_column_names_sorted_coords() {
         let dataset = random_dataset(80, 2, 4, 71);
-        let mut index = LinfNnIndex::build(&dataset, 2);
+        let mut index = LinfNnIndex::try_build(&dataset, 2).unwrap();
         index.validate().unwrap();
         // Corrupt the rank structure: swap the extremes of one column.
         let last = index.sorted_coords[1].len() - 1;
@@ -638,7 +628,7 @@ mod tests {
     #[test]
     fn candidate_rank_selection_is_exact() {
         let dataset = random_dataset(60, 2, 4, 31);
-        let index = LinfNnIndex::build(&dataset, 2);
+        let index = LinfNnIndex::try_build(&dataset, 2).unwrap();
         let q = Point::new2(3.25, -7.5);
         // All candidate radii, brute force.
         let mut cands: Vec<f64> = Vec::new();

@@ -47,43 +47,23 @@ pub struct OrpKwIndex {
 impl OrpKwIndex {
     /// Builds the index for exactly-`k`-keyword queries.
     ///
-    /// # Panics
-    ///
-    /// Panics with the [`try_build`](Self::try_build) error message if
-    /// `k < 2` or `k > 16`.
-    pub fn build(dataset: &Dataset, k: usize) -> Self {
-        Self::try_build(dataset, k).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`build`](Self::build).
-    ///
     /// # Errors
     ///
     /// `SkqError::InvalidQuery` if `k` is outside `2..=16`.
     pub fn try_build(dataset: &Dataset, k: usize) -> Result<Self, SkqError> {
-        Self::try_build_with_budget(dataset, k..=k, None)
+        Self::try_build_ks(dataset, k..=k)
     }
 
-    /// Fallible build for every `k` in `ks`, with a space-admission
-    /// budget: if the finished index would occupy more than
-    /// `max_space_words` 64-bit words, it is discarded and
-    /// `SkqError::BuildBudgetExceeded` is returned. The planner's
-    /// degradation ladder uses this to fall back to the linear-space
-    /// engines (footnote 3) and finally the naive scan; the suite
-    /// passes `2..=k_max` and no budget.
-    ///
-    /// For `d ≤ 2` the range shares one rank space and one kd tree,
-    /// adding only a keyword layer per extra `k`.
+    /// Builds the index for every `k` in `ks` — the suite passes
+    /// `2..=k_max`. For `d ≤ 2` the range shares one rank space and one
+    /// kd tree, adding only a keyword layer per extra `k`.
     ///
     /// # Errors
     ///
-    /// `SkqError::InvalidQuery` if `ks` is empty or leaves `2..=16`;
-    /// `SkqError::BuildBudgetExceeded` if the finished index would
-    /// exceed `max_space_words`.
-    pub fn try_build_with_budget(
+    /// `SkqError::InvalidQuery` if `ks` is empty or leaves `2..=16`.
+    pub(crate) fn try_build_ks(
         dataset: &Dataset,
         ks: RangeInclusive<usize>,
-        max_space_words: Option<usize>,
     ) -> Result<Self, SkqError> {
         validate::build_ks(&ks)?;
         failpoints::check("orp::build")?;
@@ -92,9 +72,8 @@ impl OrpKwIndex {
         let dim = dataset.dim();
         let inner = if dim <= 2 {
             let rank = RankSpace::build(dataset.points());
-            let rank_points = (0..dataset.len()).map(|i| rank.point(i)).collect();
             let weights = (0..dataset.len()).map(|i| dataset.weight(i)).collect();
-            let partitioner = KdPartitioner::new(rank_points, weights);
+            let partitioner = KdPartitioner::new(rank.points(), weights);
             let tree = TransformedIndex::try_build(
                 partitioner,
                 dataset.docs().to_vec(),
@@ -106,12 +85,6 @@ impl OrpKwIndex {
             Inner::DimRed(ks.clone().map(|k| DimRedTree::build(dataset, k)).collect())
         };
         let index = Self { inner, dim, ks };
-        if let Some(budget) = max_space_words {
-            let needed = index.space_words();
-            if needed > budget {
-                return Err(SkqError::BuildBudgetExceeded { budget, needed });
-            }
-        }
         let (nodes, pivots) = match &index.inner {
             Inner::Kd { tree, .. } => (
                 tree.num_nodes() as u64,
@@ -191,16 +164,26 @@ impl OrpKwIndex {
         }
     }
 
-    /// Deep structural validation (DESIGN.md §12): delegates to the kd
-    /// framework (every layer) or each dimension-reduction tree, each
-    /// of which re-derives its invariants from the built structure.
+    /// Deep structural validation (DESIGN.md §12): checks that the kd
+    /// tree partitions exactly the rank space's images, then delegates
+    /// to the kd framework (every layer) or each dimension-reduction
+    /// tree, each of which re-derives its invariants from the built
+    /// structure.
     ///
     /// # Errors
     ///
     /// The first violated invariant, by name.
     pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
         match &self.inner {
-            Inner::Kd { tree, .. } => tree.validate(),
+            Inner::Kd { rank, tree } => {
+                if tree.partitioner().points() != rank.points() {
+                    return Err(crate::invariants::InvariantViolation::new(
+                        "orp::rank_points",
+                        "kd tree points differ from the rank-space images",
+                    ));
+                }
+                tree.validate()
+            }
             Inner::DimRed(trees) => trees.iter().try_for_each(DimRedTree::validate),
         }
     }
@@ -366,7 +349,7 @@ mod tests {
     #[test]
     fn matches_bruteforce_2d_k2() {
         let dataset = random_dataset(400, 2, 12, 11);
-        let index = OrpKwIndex::build(&dataset, 2);
+        let index = OrpKwIndex::try_build(&dataset, 2).unwrap();
         index.validate().unwrap();
         let mut rng = StdRng::seed_from_u64(12);
         for _ in 0..100 {
@@ -386,7 +369,7 @@ mod tests {
     #[test]
     fn matches_bruteforce_1d_k3() {
         let dataset = random_dataset(300, 1, 8, 21);
-        let index = OrpKwIndex::build(&dataset, 3);
+        let index = OrpKwIndex::try_build(&dataset, 3).unwrap();
         index.validate().unwrap();
         let mut rng = StdRng::seed_from_u64(22);
         for _ in 0..100 {
@@ -407,7 +390,7 @@ mod tests {
     #[test]
     fn matches_bruteforce_3d_dimred() {
         let dataset = random_dataset(350, 3, 10, 31);
-        let index = OrpKwIndex::build(&dataset, 2);
+        let index = OrpKwIndex::try_build(&dataset, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(32);
         for _ in 0..60 {
             let q = random_rect(&mut rng, 3);
@@ -422,7 +405,7 @@ mod tests {
     #[test]
     fn matches_bruteforce_4d_dimred() {
         let dataset = random_dataset(200, 4, 8, 41);
-        let index = OrpKwIndex::build(&dataset, 2);
+        let index = OrpKwIndex::try_build(&dataset, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(42);
         for _ in 0..40 {
             let q = random_rect(&mut rng, 4);
@@ -437,7 +420,7 @@ mod tests {
     #[test]
     fn full_space_query_equals_pure_keyword_search() {
         let dataset = random_dataset(250, 2, 6, 51);
-        let index = OrpKwIndex::build(&dataset, 2);
+        let index = OrpKwIndex::try_build(&dataset, 2).unwrap();
         let q = Rect::full(2);
         let mut got = index.query(&q, &[1, 4]).unwrap();
         got.sort_unstable();
@@ -447,7 +430,7 @@ mod tests {
     #[test]
     fn limited_query_stops_early() {
         let dataset = random_dataset(500, 2, 4, 61);
-        let index = OrpKwIndex::build(&dataset, 2);
+        let index = OrpKwIndex::try_build(&dataset, 2).unwrap();
         let q = Rect::full(2);
         let full = brute(&dataset, &q, &[0, 1]);
         assert!(full.len() > 5, "need enough matches for the test");
@@ -468,7 +451,7 @@ mod tests {
     #[test]
     fn count_matches_bruteforce_3d() {
         let dataset = random_dataset(200, 3, 8, 63);
-        let index = OrpKwIndex::build(&dataset, 2);
+        let index = OrpKwIndex::try_build(&dataset, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(64);
         for _ in 0..20 {
             let q = random_rect(&mut rng, 3);
@@ -484,7 +467,7 @@ mod tests {
     #[test]
     fn unknown_keyword_yields_empty() {
         let dataset = random_dataset(100, 2, 5, 71);
-        let index = OrpKwIndex::build(&dataset, 2);
+        let index = OrpKwIndex::try_build(&dataset, 2).unwrap();
         assert!(index.query(&Rect::full(2), &[0, 999]).unwrap().is_empty());
     }
 
@@ -515,22 +498,24 @@ mod tests {
     }
 
     #[test]
-    fn space_budget_is_enforced() {
-        let dataset = random_dataset(200, 2, 8, 103);
-        let err = OrpKwIndex::try_build_with_budget(&dataset, 2..=2, Some(10));
-        assert!(matches!(
-            err,
-            Err(SkqError::BuildBudgetExceeded { budget: 10, .. })
-        ));
-        let full = OrpKwIndex::try_build(&dataset, 2).unwrap();
-        let ok = OrpKwIndex::try_build_with_budget(&dataset, 2..=2, Some(full.space_words()));
-        assert!(ok.is_ok());
+    fn validate_catches_points_that_are_not_the_rank_images() {
+        let dataset = random_dataset(120, 2, 6, 104);
+        let mut index = OrpKwIndex::try_build(&dataset, 2).unwrap();
+        index.validate().unwrap();
+        // Same size, other coordinates: the images no longer match.
+        let other = random_dataset(120, 2, 6, 105);
+        let Inner::Kd { rank, .. } = &mut index.inner else {
+            unreachable!("2-d data builds the kd engine");
+        };
+        *rank = RankSpace::build(other.points());
+        let err = index.validate().unwrap_err();
+        assert_eq!(err.invariant(), "orp::rank_points");
     }
 
     #[test]
     fn space_is_linear_ish() {
         let dataset = random_dataset(2000, 2, 40, 91);
-        let index = OrpKwIndex::build(&dataset, 2);
+        let index = OrpKwIndex::try_build(&dataset, 2).unwrap();
         let words = index.space_words();
         let n = dataset.input_size();
         assert!(

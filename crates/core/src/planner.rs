@@ -67,8 +67,7 @@ impl From<Plan> for Route {
 
 /// Which engine tier the planner's "framework" slot was admitted at.
 ///
-/// Under a space budget (see
-/// [`try_build_with_budget`](PlannedOrpKw::try_build_with_budget)) the
+/// Under a space budget (see [`try_build`](PlannedOrpKw::try_build)) the
 /// planner degrades gracefully instead of failing the build: the
 /// super-linear ORP-KW index (Theorem 1) is tried first, then the
 /// linear-space LC-KW route (footnote 3), then no index at all — every
@@ -155,49 +154,26 @@ pub struct PlannedOrpKw {
 }
 
 impl PlannedOrpKw {
-    /// Builds all three engines plus the estimation sample.
-    ///
-    /// # Panics
-    ///
-    /// On an invalid dataset or `k`; see
-    /// [`try_build`](Self::try_build) for the fallible surface.
-    // The panic is this wrapper's documented contract; `try_build` is
-    // the fallible surface.
-    #[allow(clippy::disallowed_macros)]
-    pub fn build(dataset: &Dataset, k: usize) -> Self {
-        Self::try_build(dataset, k).unwrap_or_else(|e| panic!("{e}")) // skq-lint: allow(L01) documented panicking wrapper over try_build
-    }
-
-    /// Fallible build with no space budget (always admits the full
-    /// framework index).
-    ///
-    /// # Errors
-    ///
-    /// `SkqError::InvalidDataset` / `InvalidQuery` exactly as
-    /// [`OrpKwIndex::try_build`].
-    pub fn try_build(dataset: &Dataset, k: usize) -> Result<Self, SkqError> {
-        Self::try_build_with_budget(dataset, k, None)
-    }
-
-    /// Fallible build under an optional space budget (in 64-bit words),
-    /// degrading gracefully instead of failing:
+    /// Builds all three engines plus the estimation sample, under an
+    /// optional space budget (in 64-bit words) for the framework slot.
+    /// Over budget, the build degrades gracefully instead of failing:
     ///
     /// 1. the full ORP-KW index ([`BuildTier::Framework`]);
-    /// 2. on `BuildBudgetExceeded`, the linear-space LC-KW route
-    ///    ([`BuildTier::Linear`], footnote 3 of the paper);
+    /// 2. if its `space_words()` exceed the budget, the linear-space
+    ///    LC-KW route ([`BuildTier::Linear`], footnote 3 of the paper);
     /// 3. if even that exceeds the budget, no index at all
     ///    ([`BuildTier::Naive`]) — framework-plan queries are served by
     ///    the cheaper naive engine.
     ///
-    /// The admitted tier is recorded on the
-    /// `skq_planner_build_tier_total{tier=…}` counter and stamped into
-    /// every query-log record this planner writes.
+    /// `None` always admits the full framework index. The admitted tier
+    /// is recorded on the `skq_planner_build_tier_total{tier=…}` counter
+    /// and stamped into every query-log record this planner writes.
     ///
     /// # Errors
     ///
-    /// Validation errors propagate; `BuildBudgetExceeded` never
-    /// escapes (it triggers the next tier instead).
-    pub fn try_build_with_budget(
+    /// `SkqError::InvalidDataset` / `InvalidQuery` exactly as
+    /// [`OrpKwIndex::try_build`]; the budget never fails the build.
+    pub fn try_build(
         dataset: &Dataset,
         k: usize,
         max_space_words: Option<usize>,
@@ -214,17 +190,18 @@ impl PlannedOrpKw {
         let sample: Vec<u32> = (0..SAMPLE_SIZE)
             .map(|_| (next() % dataset.len().max(1) as u64) as u32)
             .collect();
-        let framework = OrpKwIndex::try_build_with_budget(dataset, k..=k, max_space_words);
-        let (engine, tier) = match framework {
-            Ok(index) => (Engine::Framework(index), BuildTier::Framework),
-            Err(SkqError::BuildBudgetExceeded { .. }) => {
-                match LcKwIndex::try_build_with_budget(dataset, k, max_space_words) {
-                    Ok(lc) => (Engine::Linear(lc), BuildTier::Linear),
-                    Err(SkqError::BuildBudgetExceeded { .. }) => (Engine::Naive, BuildTier::Naive),
-                    Err(e) => return Err(e),
-                }
+        let fits = |words: usize| max_space_words.is_none_or(|budget| words <= budget);
+        let orp = OrpKwIndex::try_build(dataset, k)?;
+        let (engine, tier) = if fits(orp.space_words()) {
+            (Engine::Framework(orp), BuildTier::Framework)
+        } else {
+            drop(orp); // freed before the next tier is built
+            let lc = LcKwIndex::try_build(dataset, k)?;
+            if fits(lc.space_words()) {
+                (Engine::Linear(lc), BuildTier::Linear)
+            } else {
+                (Engine::Naive, BuildTier::Naive)
             }
-            Err(e) => return Err(e),
         };
         skq_obs::global()
             .counter("skq_planner_build_tier_total", &[("tier", tier.label())])
@@ -497,7 +474,7 @@ mod tests {
     #[test]
     fn all_plans_agree() {
         let d = dataset();
-        let planner = PlannedOrpKw::build(&d, 2);
+        let planner = PlannedOrpKw::try_build(&d, 2, None).unwrap();
         let queries = [
             (Rect::full(2), vec![0u32, 1u32]),
             (Rect::new(&[100.0, 100.0], &[300.0, 300.0]), vec![0, 1]),
@@ -522,7 +499,7 @@ mod tests {
     fn sink_query_counts_and_limits() {
         use crate::sink::LimitSink;
         let d = dataset();
-        let planner = PlannedOrpKw::build(&d, 2);
+        let planner = PlannedOrpKw::try_build(&d, 2, None).unwrap();
         let q = Rect::new(&[100.0, 100.0], &[300.0, 300.0]);
         let full = planner
             .query_with_plan(&q, &[0, 1], Plan::Framework)
@@ -544,7 +521,7 @@ mod tests {
     #[test]
     fn rare_keyword_prefers_keywords_only() {
         let d = dataset();
-        let planner = PlannedOrpKw::build(&d, 2);
+        let planner = PlannedOrpKw::try_build(&d, 2, None).unwrap();
         let est = planner.estimate(&Rect::full(2), &[0, 2]);
         assert_eq!(est.best(), Plan::KeywordsOnly, "{est:?}");
     }
@@ -552,7 +529,7 @@ mod tests {
     #[test]
     fn tiny_rectangle_prefers_structured_only() {
         let d = dataset();
-        let planner = PlannedOrpKw::build(&d, 2);
+        let planner = PlannedOrpKw::try_build(&d, 2, None).unwrap();
         let q = Rect::new(&[500.0, 500.0], &[500.5, 500.5]);
         let est = planner.estimate(&q, &[0, 1]);
         assert_eq!(est.best(), Plan::StructuredOnly, "{est:?}");
@@ -561,7 +538,7 @@ mod tests {
     #[test]
     fn frequent_keywords_big_window_prefers_framework() {
         let d = dataset();
-        let planner = PlannedOrpKw::build(&d, 2);
+        let planner = PlannedOrpKw::try_build(&d, 2, None).unwrap();
         // Both keywords huge, window big: naive plans pay thousands,
         // framework pays ~√N·(1 + OUT^(1/2)).
         let q = Rect::new(&[0.0, 0.0], &[400.0, 400.0]);
@@ -588,20 +565,20 @@ mod tests {
         let q = Rect::new(&[100.0, 100.0], &[300.0, 300.0]);
         let kws = [0u32, 1u32];
 
-        let full = PlannedOrpKw::try_build_with_budget(&d, 2, None).unwrap();
+        let full = PlannedOrpKw::try_build(&d, 2, None).unwrap();
         assert_eq!(full.tier(), BuildTier::Framework);
         let expected = full.query_with_plan(&q, &kws, Plan::Framework).unwrap();
         assert!(!expected.is_empty());
 
         // A budget between the LC footprint and the ORP footprint must
         // admit the linear tier; a budget of one word admits nothing.
-        let orp_words = OrpKwIndex::build(&d, 2).space_words();
-        let lc_words = LcKwIndex::build(&d, 2).space_words();
+        let orp_words = OrpKwIndex::try_build(&d, 2).unwrap().space_words();
+        let lc_words = LcKwIndex::try_build(&d, 2).unwrap().space_words();
         assert!(lc_words < orp_words, "lc={lc_words} orp={orp_words}");
         let mid = (lc_words + orp_words) / 2;
 
         for (budget, tier) in [(Some(mid), BuildTier::Linear), (Some(1), BuildTier::Naive)] {
-            let planner = PlannedOrpKw::try_build_with_budget(&d, 2, budget).unwrap();
+            let planner = PlannedOrpKw::try_build(&d, 2, budget).unwrap();
             assert_eq!(planner.tier(), tier, "budget {budget:?}");
             let forced = planner.query_with_plan(&q, &kws, Plan::Framework);
             assert_eq!(forced.unwrap(), expected);
@@ -618,7 +595,7 @@ mod tests {
     fn guarded_query_truncates_with_reason() {
         use crate::stats::TruncatedReason;
         let d = dataset();
-        let planner = PlannedOrpKw::build(&d, 2);
+        let planner = PlannedOrpKw::try_build(&d, 2, None).unwrap();
         let q = Rect::new(&[100.0, 100.0], &[300.0, 300.0]);
         let full = planner
             .query_with_plan(&q, &[0, 1], Plan::Framework)
@@ -638,7 +615,7 @@ mod tests {
     #[test]
     fn estimates_are_sane() {
         let d = dataset();
-        let planner = PlannedOrpKw::build(&d, 2);
+        let planner = PlannedOrpKw::try_build(&d, 2, None).unwrap();
         let est = planner.estimate(&Rect::full(2), &[0, 1]);
         // Keyword 0 is in all 4000 docs, keyword 1 in 2000.
         assert_eq!(est.keywords_only, 2000.0);

@@ -55,17 +55,6 @@ pub struct RrKwIndex {
 impl RrKwIndex {
     /// Builds the index from `(rectangle, keywords)` pairs.
     ///
-    /// # Panics
-    ///
-    /// Panics if the input is empty, dimensions are inconsistent or
-    /// exceed 4 (the flattened points would exceed the supported 8
-    /// dimensions), or `k < 2`.
-    pub fn build(rects: &[(Rect, Vec<Keyword>)], k: usize) -> Self {
-        Self::try_build(rects, k).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`build`](Self::build).
-    ///
     /// # Errors
     ///
     /// `SkqError::InvalidDataset` on empty input, inconsistent or
@@ -196,16 +185,6 @@ pub struct RrKwLinear {
 
 impl RrKwLinear {
     /// Builds the linear-space index from `(rectangle, keywords)` pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics on empty input or unsupported dimensions (see
-    /// [`RrKwIndex::build`]).
-    pub fn build(rects: &[(Rect, Vec<Keyword>)], k: usize) -> Self {
-        Self::try_build(rects, k).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`build`](Self::build).
     ///
     /// # Errors
     ///
@@ -353,7 +332,7 @@ mod tests {
     fn intervals_1d_match_bruteforce() {
         // Temporal keyword search: document lifespans on a timeline.
         let rects = random_rects(300, 1, 8, 1);
-        let index = RrKwIndex::build(&rects, 2);
+        let index = RrKwIndex::try_build(&rects, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..80 {
             let a: f64 = rng.gen_range(-5.0..105.0);
@@ -370,7 +349,7 @@ mod tests {
     #[test]
     fn boxes_2d_match_bruteforce() {
         let rects = random_rects(250, 2, 8, 11);
-        let index = RrKwIndex::build(&rects, 2);
+        let index = RrKwIndex::try_build(&rects, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(12);
         for _ in 0..50 {
             let mut lo = Vec::new();
@@ -392,7 +371,7 @@ mod tests {
     #[test]
     fn limited_query_is_truncated_subset() {
         let rects = random_rects(250, 1, 4, 31);
-        let index = RrKwIndex::build(&rects, 2);
+        let index = RrKwIndex::try_build(&rects, 2).unwrap();
         let q = Rect::new(&[0.0], &[100.0]);
         let full = rr_bruteforce(&rects, &q, &[0, 1]);
         assert!(full.len() > 4, "need enough matches for the test");
@@ -415,7 +394,7 @@ mod tests {
             (Rect::new(&[1.0], &[2.0]), vec![0, 1]),
             (Rect::new(&[2.5], &[3.0]), vec![0, 1]),
         ];
-        let index = RrKwIndex::build(&rects, 2);
+        let index = RrKwIndex::try_build(&rects, 2).unwrap();
         let q = Rect::new(&[1.0], &[1.0]); // degenerate point query
         let mut got = index.query(&q, &[0, 1]).unwrap();
         got.sort_unstable();
@@ -428,8 +407,8 @@ mod tests {
         // space; here we check answer equality against the default
         // (dimension-reduction) route on 2D boxes (flattened to 4D).
         let rects = random_rects(200, 2, 8, 21);
-        let a = RrKwIndex::build(&rects, 2);
-        let b = RrKwLinear::build(&rects, 2);
+        let a = RrKwIndex::try_build(&rects, 2).unwrap();
+        let b = RrKwLinear::try_build(&rects, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(22);
         for _ in 0..40 {
             let mut lo = Vec::new();
@@ -480,7 +459,7 @@ mod tests {
             (Rect::new(&[0.0], &[10.0]), vec![0]),
             (Rect::new(&[0.0], &[10.0]), vec![0, 1]),
         ];
-        let index = RrKwIndex::build(&rects, 2);
+        let index = RrKwIndex::try_build(&rects, 2).unwrap();
         assert_eq!(
             index.query(&Rect::new(&[5.0], &[6.0]), &[0, 1]).unwrap(),
             vec![1]

@@ -73,31 +73,10 @@ pub struct SpKwIndex {
 
 impl SpKwIndex {
     /// Builds with the default strategy (Willard in 2D, kd otherwise).
-    pub fn build(dataset: &Dataset, k: usize) -> Self {
-        let strategy = if dataset.dim() == 2 {
-            SpStrategy::Willard
-        } else {
-            SpStrategy::Kd
-        };
-        Self::build_with_strategy(dataset, k, strategy)
-    }
-
-    /// Builds with an explicit strategy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `strategy` is `Willard` and the data is not 2D, or
-    /// `k < 2`.
-    pub fn build_with_strategy(dataset: &Dataset, k: usize, strategy: SpStrategy) -> Self {
-        Self::try_build_with_strategy(dataset, k, strategy).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`build`](Self::build) with the default strategy.
     ///
     /// # Errors
     ///
-    /// `SkqError::InvalidQuery` if `k` is outside `2..=16`;
-    /// `SkqError::InvalidDataset` if the strategy requires 2D data.
+    /// `SkqError::InvalidQuery` if `k` is outside `2..=16`.
     pub fn try_build(dataset: &Dataset, k: usize) -> Result<Self, SkqError> {
         let strategy = if dataset.dim() == 2 {
             SpStrategy::Willard
@@ -107,31 +86,7 @@ impl SpKwIndex {
         Self::try_build_with_strategy(dataset, k, strategy)
     }
 
-    /// Fallible [`build`](Self::build) with a space-admission budget:
-    /// the index is constructed, then rejected if it occupies more than
-    /// `max_space_words` 64-bit words. Used by the planner's graceful
-    /// degradation ladder.
-    ///
-    /// # Errors
-    ///
-    /// `SkqError::BuildBudgetExceeded` when the finished index is over
-    /// budget; otherwise the [`try_build`](Self::try_build) conditions.
-    pub fn try_build_with_budget(
-        dataset: &Dataset,
-        k: usize,
-        max_space_words: Option<usize>,
-    ) -> Result<Self, SkqError> {
-        let index = Self::try_build(dataset, k)?;
-        if let Some(budget) = max_space_words {
-            let needed = index.space_words();
-            if needed > budget {
-                return Err(SkqError::BuildBudgetExceeded { budget, needed });
-            }
-        }
-        Ok(index)
-    }
-
-    /// Fallible [`build_with_strategy`](Self::build_with_strategy).
+    /// Builds with an explicit strategy.
     ///
     /// # Errors
     ///
@@ -385,7 +340,7 @@ mod tests {
     #[test]
     fn willard_matches_bruteforce() {
         let dataset = random_dataset(400, 2, 10, 1);
-        let index = SpKwIndex::build(&dataset, 2);
+        let index = SpKwIndex::try_build(&dataset, 2).unwrap();
         assert_eq!(index.strategy(), SpStrategy::Willard);
         index.validate().unwrap();
         let mut rng = StdRng::seed_from_u64(2);
@@ -403,7 +358,7 @@ mod tests {
     #[test]
     fn kd_strategy_matches_bruteforce_2d() {
         let dataset = random_dataset(300, 2, 8, 11);
-        let index = SpKwIndex::build_with_strategy(&dataset, 2, SpStrategy::Kd);
+        let index = SpKwIndex::try_build_with_strategy(&dataset, 2, SpStrategy::Kd).unwrap();
         let mut rng = StdRng::seed_from_u64(12);
         for _ in 0..60 {
             let q = random_halfspaces(&mut rng, 2, 2);
@@ -418,7 +373,7 @@ mod tests {
     #[test]
     fn kd_strategy_3d_simplex() {
         let dataset = random_dataset(250, 3, 8, 21);
-        let index = SpKwIndex::build(&dataset, 2);
+        let index = SpKwIndex::try_build(&dataset, 2).unwrap();
         assert_eq!(index.strategy(), SpStrategy::Kd);
         let simplex = Simplex::new(vec![
             Point::new3(-30.0, -30.0, -30.0),
@@ -435,7 +390,7 @@ mod tests {
     #[test]
     fn triangle_query_2d() {
         let dataset = random_dataset(300, 2, 6, 31);
-        let index = SpKwIndex::build(&dataset, 2);
+        let index = SpKwIndex::try_build(&dataset, 2).unwrap();
         let tri = Simplex::new(vec![
             Point::new2(-15.0, -15.0),
             Point::new2(15.0, -10.0),
@@ -450,7 +405,7 @@ mod tests {
     #[test]
     fn unconstrained_query_is_pure_keyword_search() {
         let dataset = random_dataset(200, 2, 5, 41);
-        let index = SpKwIndex::build(&dataset, 2);
+        let index = SpKwIndex::try_build(&dataset, 2).unwrap();
         let q = ConvexPolytope::default();
         let mut got = index.query(&q, &[0, 2]).unwrap();
         got.sort_unstable();
@@ -476,16 +431,12 @@ mod tests {
             index.query(&nan, &[0, 1]),
             Err(SkqError::InvalidQuery(_))
         ));
-        assert!(matches!(
-            SpKwIndex::try_build_with_budget(&dataset, 2, Some(1)),
-            Err(SkqError::BuildBudgetExceeded { budget: 1, .. })
-        ));
     }
 
     #[test]
     fn k3_queries() {
         let dataset = random_dataset(350, 2, 6, 51);
-        let index = SpKwIndex::build(&dataset, 3);
+        let index = SpKwIndex::try_build(&dataset, 3).unwrap();
         let mut rng = StdRng::seed_from_u64(52);
         for _ in 0..40 {
             let q = random_halfspaces(&mut rng, 2, 2);

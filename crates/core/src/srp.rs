@@ -52,15 +52,6 @@ pub struct SrpKwIndex {
 impl SrpKwIndex {
     /// Builds the index for exactly-`k`-keyword queries.
     ///
-    /// # Panics
-    ///
-    /// Panics if `k < 2` or `d + 1` exceeds the supported 8 dimensions.
-    pub fn build(dataset: &Dataset, k: usize) -> Self {
-        Self::try_build(dataset, k).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`build`](Self::build).
-    ///
     /// # Errors
     ///
     /// `SkqError::InvalidQuery` if `k` is outside `2..=16`;
@@ -264,7 +255,7 @@ mod tests {
     #[test]
     fn matches_bruteforce_1d() {
         let dataset = integer_dataset(250, 1, 8, 1);
-        let index = SrpKwIndex::build(&dataset, 2);
+        let index = SrpKwIndex::try_build(&dataset, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..60 {
             let ball = Ball::new(
@@ -282,7 +273,7 @@ mod tests {
     #[test]
     fn matches_bruteforce_2d() {
         let dataset = integer_dataset(300, 2, 10, 11);
-        let index = SrpKwIndex::build(&dataset, 2);
+        let index = SrpKwIndex::try_build(&dataset, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(12);
         for _ in 0..60 {
             let ball = Ball::new(
@@ -300,7 +291,7 @@ mod tests {
     #[test]
     fn matches_bruteforce_3d_k3() {
         let dataset = integer_dataset(250, 3, 6, 21);
-        let index = SrpKwIndex::build(&dataset, 3);
+        let index = SrpKwIndex::try_build(&dataset, 3).unwrap();
         let mut rng = StdRng::seed_from_u64(22);
         for _ in 0..40 {
             let ball = Ball::new(
@@ -331,7 +322,7 @@ mod tests {
             (Point::new2(3.0, 5.0), vec![0, 1]),
             (Point::new2(0.0, 0.0), vec![0, 1]),
         ]);
-        let index = SrpKwIndex::build(&dataset, 2);
+        let index = SrpKwIndex::try_build(&dataset, 2).unwrap();
         let ball = Ball::new(Point::new2(0.0, 0.0), 5.0);
         let mut got = index.query(&ball, &[0, 1]).unwrap();
         got.sort_unstable();
@@ -373,7 +364,7 @@ mod tests {
             (Point::new2(1.0, 1.0), vec![0, 1]),
             (Point::new2(2.0, 2.0), vec![0, 1]),
         ]);
-        let index = SrpKwIndex::build(&dataset, 2);
+        let index = SrpKwIndex::try_build(&dataset, 2).unwrap();
         assert_eq!(
             index
                 .query(&Ball::new(Point::new2(1.0, 1.0), 0.0), &[0, 1])

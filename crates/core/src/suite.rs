@@ -59,23 +59,10 @@ pub struct OrpKwSuite {
 impl OrpKwSuite {
     /// Builds the index for every `k ∈ 2..=k_max`.
     ///
-    /// # Panics
-    ///
-    /// Panics if `k_max < 2` or the dataset is invalid; see
-    /// [`try_build`](Self::try_build) for the fallible surface.
-    // The panic is this wrapper's documented contract; `try_build` is
-    // the fallible surface.
-    #[allow(clippy::disallowed_macros)]
-    pub fn build(dataset: &Dataset, k_max: usize) -> Self {
-        Self::try_build(dataset, k_max).unwrap_or_else(|e| panic!("{e}")) // skq-lint: allow(L01) documented panicking wrapper over try_build
-    }
-
-    /// Fallible build.
-    ///
     /// # Errors
     ///
     /// `SkqError::InvalidQuery` if `k_max < 2`, plus everything
-    /// [`OrpKwIndex::try_build_with_budget`] rejects.
+    /// [`OrpKwIndex::try_build`] rejects.
     pub fn try_build(dataset: &Dataset, k_max: usize) -> Result<Self, SkqError> {
         if k_max < 2 {
             return Err(SkqError::InvalidQuery(
@@ -83,7 +70,7 @@ impl OrpKwSuite {
             ));
         }
         Ok(Self {
-            orp: OrpKwIndex::try_build_with_budget(dataset, 2..=k_max, None)?,
+            orp: OrpKwIndex::try_build_ks(dataset, 2..=k_max)?,
             inv: InvertedIndex::build(dataset.docs()),
         })
     }
@@ -383,7 +370,7 @@ mod tests {
     #[test]
     fn routes_each_k_correctly() {
         let d = dataset();
-        let suite = OrpKwSuite::build(&d, 4);
+        let suite = OrpKwSuite::try_build(&d, 4).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         for trial in 0..80 {
             let x: f64 = rng.gen_range(0..60) as f64;
@@ -406,7 +393,7 @@ mod tests {
     #[test]
     fn duplicates_in_query_are_deduped() {
         let d = dataset();
-        let suite = OrpKwSuite::build(&d, 3);
+        let suite = OrpKwSuite::try_build(&d, 3).unwrap();
         let q = Rect::full(2);
         let mut a = suite.query(&q, &[3, 3, 5, 5]).unwrap();
         a.sort_unstable();
@@ -416,7 +403,7 @@ mod tests {
     #[test]
     fn beyond_k_max_post_filters() {
         let d = dataset();
-        let suite = OrpKwSuite::build(&d, 2);
+        let suite = OrpKwSuite::try_build(&d, 2).unwrap();
         let q = Rect::full(2);
         let kws = [0u32, 1, 2, 3, 4];
         let mut got = suite.query(&q, &kws).unwrap();
@@ -428,7 +415,7 @@ mod tests {
     fn sink_routes_match_query() {
         use crate::sink::{CountSink, LimitSink};
         let d = dataset();
-        let suite = OrpKwSuite::build(&d, 3);
+        let suite = OrpKwSuite::try_build(&d, 3).unwrap();
         let q = Rect::new(&[10.0, 10.0], &[45.0, 45.0]);
         // One keyword set per route: range_scan, postings_filter,
         // framework, post_filter.
@@ -463,7 +450,7 @@ mod tests {
     fn guarded_query_caps_every_route() {
         use crate::stats::TruncatedReason;
         let d = dataset();
-        let suite = OrpKwSuite::build(&d, 3);
+        let suite = OrpKwSuite::try_build(&d, 3).unwrap();
         let q = Rect::new(&[10.0, 10.0], &[45.0, 45.0]);
         for (kws, route) in [
             (vec![], Route::RangeScan),
@@ -500,7 +487,7 @@ mod tests {
     #[test]
     fn zero_keywords_is_pure_range() {
         let d = dataset();
-        let suite = OrpKwSuite::build(&d, 2);
+        let suite = OrpKwSuite::try_build(&d, 2).unwrap();
         let q = Rect::new(&[0.0, 0.0], &[30.0, 30.0]);
         let mut got = suite.query(&q, &[]).unwrap();
         got.sort_unstable();

@@ -16,8 +16,6 @@ pub struct RankSpace {
     /// lexicographically. The rank of an object on a dimension is its
     /// position in this order.
     sorted: Vec<Vec<(f64, u32)>>,
-    /// `ranks[i]` is the rank-space point of object `i`.
-    ranks: Vec<Point>,
     dim: usize,
 }
 
@@ -37,23 +35,18 @@ impl RankSpace {
                 .all(|p| p.coords().iter().all(|c| !c.is_nan())),
             "NaN coordinates are not orderable"
         );
-        let mut sorted = Vec::with_capacity(dim);
-        let mut rank_coords = vec![vec![0.0f64; dim]; points.len()];
-        #[allow(clippy::needless_range_loop)] // `d` indexes per-point coord vectors, not one slice
-        for d in 0..dim {
-            let mut order: Vec<(f64, u32)> = points
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (p.get(d), i as u32))
-                .collect();
-            order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            for (rank, &(_, idx)) in order.iter().enumerate() {
-                rank_coords[idx as usize][d] = rank as f64;
-            }
-            sorted.push(order);
-        }
-        let ranks = rank_coords.iter().map(|c| Point::new(c)).collect();
-        Self { sorted, ranks, dim }
+        let sorted = (0..dim)
+            .map(|d| {
+                let mut order: Vec<(f64, u32)> = points
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| (p.get(d), i as u32))
+                    .collect();
+                order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                order
+            })
+            .collect();
+        Self { sorted, dim }
     }
 
     /// The dimensionality.
@@ -63,21 +56,28 @@ impl RankSpace {
 
     /// The number of objects.
     pub fn len(&self) -> usize {
-        self.ranks.len()
+        self.sorted[0].len()
     }
 
     /// Whether the mapping is over an empty set (never true; kept for API
     /// completeness).
     pub fn is_empty(&self) -> bool {
-        self.ranks.is_empty()
+        self.sorted[0].is_empty()
     }
 
-    /// The rank-space image of object `i`.
+    /// The rank-space images of every object, in object order, derived
+    /// from the columns (the mapping stores no copy of them).
     ///
     /// All images have pairwise-distinct coordinates on every dimension —
     /// the general-position property the kd framework needs.
-    pub fn point(&self, i: usize) -> Point {
-        self.ranks[i]
+    pub fn points(&self) -> Vec<Point> {
+        let mut coords = vec![[0.0f64; MAX_DIM]; self.len()];
+        for (d, col) in self.sorted.iter().enumerate() {
+            for (rank, &(_, idx)) in col.iter().enumerate() {
+                coords[idx as usize][d] = rank as f64;
+            }
+        }
+        coords.iter().map(|c| Point::new(&c[..self.dim])).collect()
     }
 
     /// The per-dimension sorted `(coordinate, object index)` columns —
@@ -88,8 +88,8 @@ impl RankSpace {
     }
 
     /// Reassembles a mapping from decoded columns, validating every
-    /// property [`RankSpace::build`] guarantees and re-deriving the
-    /// rank points — the snapshot-load counterpart of `build`.
+    /// property [`RankSpace::build`] guarantees — the snapshot-load
+    /// counterpart of `build`.
     ///
     /// # Errors
     ///
@@ -112,7 +112,6 @@ impl RankSpace {
         if n == 0 {
             return Err("rank space needs at least one object".into());
         }
-        let mut rank_coords = vec![vec![0.0f64; dim]; n];
         for (d, col) in sorted.iter().enumerate() {
             if col.len() != n {
                 return Err(format!(
@@ -146,11 +145,9 @@ impl RankSpace {
                         ));
                     }
                 }
-                rank_coords[i][d] = rank as f64;
             }
         }
-        let ranks = rank_coords.iter().map(|c| Point::new(c)).collect();
-        Ok(Self { sorted, ranks, dim })
+        Ok(Self { sorted, dim })
     }
 
     /// Converts an original-space query rectangle into rank space.
@@ -205,9 +202,9 @@ mod tests {
     #[test]
     fn ranks_are_distinct_despite_ties() {
         let points = pts(&[(1.0, 5.0), (1.0, 5.0), (2.0, 5.0), (1.0, 3.0)]);
-        let rs = RankSpace::build(&points);
+        let images = RankSpace::build(&points).points();
         for d in 0..2 {
-            let mut seen: Vec<f64> = (0..points.len()).map(|i| rs.point(i).get(d)).collect();
+            let mut seen: Vec<f64> = images.iter().map(|p| p.get(d)).collect();
             seen.sort_by(f64::total_cmp);
             for w in seen.windows(2) {
                 assert!(w[0] < w[1], "duplicate rank on dim {d}");
@@ -221,10 +218,10 @@ mod tests {
         let rs = RankSpace::build(&points);
         let q = Rect::new(&[1.0, 1.0], &[2.0, 2.0]);
         let rq = rs.rect(&q).expect("non-empty");
-        for (i, p) in points.iter().enumerate() {
+        for (i, (p, image)) in points.iter().zip(rs.points()).enumerate() {
             assert_eq!(
                 q.contains(p),
-                rq.contains(&rs.point(i)),
+                rq.contains(&image),
                 "object {i} disagreement"
             );
         }
@@ -237,9 +234,10 @@ mod tests {
         // Query whose endpoints coincide with data coordinates.
         let q = Rect::new(&[1.0, 0.0], &[2.0, 1.0]);
         let rq = rs.rect(&q).expect("non-empty");
-        assert!(!rq.contains(&rs.point(0)));
-        assert!(rq.contains(&rs.point(1)));
-        assert!(!rq.contains(&rs.point(2))); // y = 2 > 1
+        let images = rs.points();
+        assert!(!rq.contains(&images[0]));
+        assert!(rq.contains(&images[1]));
+        assert!(!rq.contains(&images[2])); // y = 2 > 1
     }
 
     #[test]
@@ -255,8 +253,8 @@ mod tests {
         let points = pts(&[(0.0, 0.0), (-5.0, 3.0), (7.0, -2.0)]);
         let rs = RankSpace::build(&points);
         let rq = rs.rect(&Rect::full(2)).expect("non-empty");
-        for i in 0..3 {
-            assert!(rq.contains(&rs.point(i)));
+        for image in rs.points() {
+            assert!(rq.contains(&image));
         }
     }
 
@@ -269,6 +267,7 @@ mod tests {
             .map(|_| Point::new2(rng.gen_range(0..5) as f64, rng.gen_range(0..5) as f64))
             .collect();
         let rs = RankSpace::build(&points);
+        let images = rs.points();
         for _ in 0..100 {
             let x0 = rng.gen_range(-1..6) as f64;
             let x1 = rng.gen_range(-1..6) as f64;
@@ -277,8 +276,8 @@ mod tests {
             let q = Rect::new(&[x0.min(x1), y0.min(y1)], &[x0.max(x1), y0.max(y1)]);
             match rs.rect(&q) {
                 Some(rq) => {
-                    for (i, p) in points.iter().enumerate() {
-                        assert_eq!(q.contains(p), rq.contains(&rs.point(i)));
+                    for (p, image) in points.iter().zip(&images) {
+                        assert_eq!(q.contains(p), rq.contains(image));
                     }
                 }
                 None => {

@@ -185,7 +185,7 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
 
     let dataset = build_dataset(opts, opts.seed)?;
     let k_max = opts.k.clamp(2, 8);
-    let suite = OrpKwSuite::build(&dataset, k_max);
+    let suite = OrpKwSuite::try_build(&dataset, k_max).map_err(|e| e.to_string())?;
     let server = Arc::new(Server::start(
         suite,
         ServerConfig {
@@ -229,7 +229,9 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
                 if stop_rotating.load(Ordering::Acquire) {
                     break;
                 }
-                server.publish(OrpKwSuite::build(&dataset, k_max));
+                let suite = OrpKwSuite::try_build(&dataset, k_max)
+                    .expect("the dataset built a suite before the replay");
+                server.publish(suite);
             }
         })
     });

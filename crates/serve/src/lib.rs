@@ -27,12 +27,11 @@
 //! use skq_geom::Rect;
 //!
 //! let dataset = skq_workload::scenarios::city(500, 7);
-//! let server = Server::start(OrpKwSuite::build(&dataset, 2), ServerConfig::default());
-//! let reply = server
-//!     .query(Request::new(Rect::full(2), vec![0, 1]))
-//!     .unwrap();
+//! let server = Server::start(OrpKwSuite::try_build(&dataset, 2)?, ServerConfig::default());
+//! let reply = server.query(Request::new(Rect::full(2), vec![0, 1]))?;
 //! assert_eq!(reply.generation, 1);
 //! server.shutdown();
+//! # Ok::<(), skq_core::SkqError>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -517,7 +517,7 @@ mod tests {
     fn small_server(workers: usize) -> Server {
         let dataset = scenarios::city(300, 11);
         Server::start(
-            OrpKwSuite::build(&dataset, 2),
+            OrpKwSuite::try_build(&dataset, 2).unwrap(),
             ServerConfig {
                 workers,
                 queue_capacity: 64,
@@ -529,7 +529,7 @@ mod tests {
     #[test]
     fn serves_a_query_and_matches_direct_execution() {
         let dataset = scenarios::city(300, 11);
-        let suite = OrpKwSuite::build(&dataset, 2);
+        let suite = OrpKwSuite::try_build(&dataset, 2).unwrap();
         // Replies are sorted (the guarded path sorts before returning);
         // the direct query emits in traversal order.
         let mut expected = suite.query(&Rect::full(2), &[0, 1]).unwrap();
@@ -575,13 +575,13 @@ mod tests {
     #[test]
     fn brownout_count_only_answers_with_a_count() {
         let dataset = scenarios::city(300, 11);
-        let suite = OrpKwSuite::build(&dataset, 2);
+        let suite = OrpKwSuite::try_build(&dataset, 2).unwrap();
         let mut expected = suite.query(&Rect::full(2), &[0, 1]).unwrap();
         expected.sort_unstable();
         // Depth thresholds of 0 put every request on the deepest rung,
         // making the ladder deterministic under test.
         let server = Server::start(
-            OrpKwSuite::build(&dataset, 2),
+            OrpKwSuite::try_build(&dataset, 2).unwrap(),
             ServerConfig {
                 brownout: Some(BrownoutConfig {
                     limited_depth: 0.0,
@@ -603,7 +603,7 @@ mod tests {
     fn brownout_limited_clamps_the_result_budget() {
         let dataset = scenarios::city(300, 11);
         let server = Server::start(
-            OrpKwSuite::build(&dataset, 2),
+            OrpKwSuite::try_build(&dataset, 2).unwrap(),
             ServerConfig {
                 brownout: Some(BrownoutConfig {
                     limited_depth: 0.0,
@@ -623,8 +623,14 @@ mod tests {
     #[test]
     fn publish_bumps_the_served_generation() {
         let dataset = scenarios::city(300, 11);
-        let server = Server::start(OrpKwSuite::build(&dataset, 2), ServerConfig::default());
-        assert_eq!(server.publish(OrpKwSuite::build(&dataset, 2)), 2);
+        let server = Server::start(
+            OrpKwSuite::try_build(&dataset, 2).unwrap(),
+            ServerConfig::default(),
+        );
+        assert_eq!(
+            server.publish(OrpKwSuite::try_build(&dataset, 2).unwrap()),
+            2
+        );
         let reply = server
             .query(Request::new(Rect::full(2), vec![0, 1]))
             .unwrap();

@@ -180,7 +180,10 @@ mod tests {
         let mut sup = RecoverySupervisor::open(&dir, 2, 2, config).expect("recover");
         assert_eq!(sup.report().skipped, 0);
         let dataset = skq_workload::scenarios::city(50, 5);
-        let server = Server::start(OrpKwSuite::build(&dataset, 2), ServerConfig::default());
+        let server = Server::start(
+            OrpKwSuite::try_build(&dataset, 2).unwrap(),
+            ServerConfig::default(),
+        );
         let (generation, ids) = sup.publish_to(&server).expect("publish");
         assert_eq!(generation, 2);
         assert_eq!(ids.len(), 118);
@@ -205,7 +208,10 @@ mod tests {
         let mut sup =
             RecoverySupervisor::open(&dir, 2, 2, DurabilityConfig::fast(8)).expect("open");
         let dataset = skq_workload::scenarios::city(50, 5);
-        let server = Server::start(OrpKwSuite::build(&dataset, 2), ServerConfig::default());
+        let server = Server::start(
+            OrpKwSuite::try_build(&dataset, 2).unwrap(),
+            ServerConfig::default(),
+        );
         let err = sup.publish_to(&server).expect_err("empty must not publish");
         assert!(matches!(err, SkqError::InvalidDataset(_)), "{err:?}");
         assert_eq!(server.epoch(), 1, "failed publish must not rotate");

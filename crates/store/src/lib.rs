@@ -37,11 +37,12 @@
 //!     (Point::new2(1.0, 1.0), vec![0, 1]),
 //!     (Point::new2(2.0, 2.0), vec![0]),
 //! ]);
-//! let suite = OrpKwSuite::build(&data, 2);
+//! let suite = OrpKwSuite::try_build(&data, 2)?;
 //! let store = MemBackend::new();
-//! store.save("demo", &suite).unwrap();
-//! let loaded: OrpKwSuite = store.load("demo").unwrap();
-//! assert_eq!(loaded.count(&Rect::full(2), &[0, 1]).unwrap(), 1);
+//! store.save("demo", &suite)?;
+//! let loaded: OrpKwSuite = store.load("demo")?;
+//! assert_eq!(loaded.count(&Rect::full(2), &[0, 1])?, 1);
+//! # Ok::<(), skq_core::SkqError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -376,7 +377,7 @@ mod tests {
                 })
                 .collect(),
         );
-        OrpKwSuite::build(&data, 3)
+        OrpKwSuite::try_build(&data, 3).unwrap()
     }
 
     fn temp_dir(tag: &str) -> PathBuf {

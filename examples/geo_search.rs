@@ -37,9 +37,9 @@ fn main() -> Result<(), SkqError> {
 
     let k = 2;
     let t0 = Instant::now();
-    let orp = OrpKwIndex::build(&city, k);
-    let srp = SrpKwIndex::build(&city, k);
-    let nn = L2NnIndex::build(&city, k);
+    let orp = OrpKwIndex::try_build(&city, k)?;
+    let srp = SrpKwIndex::try_build(&city, k)?;
+    let nn = L2NnIndex::try_build(&city, k)?;
     println!("indexes built in {:.2?}\n", t0.elapsed());
 
     let keywords_first = KeywordsFirst::build(&city);

@@ -41,7 +41,7 @@ fn main() -> Result<(), SkqError> {
         let doc: Vec<Keyword> = (0..n_amenities)
             .map(|_| amenities[rng.gen_range(0..amenities.len())])
             .collect();
-        active.push(index.insert(p, doc));
+        active.push(index.try_insert(p, doc)?);
     }
     println!(
         "40k inserts in {:.2?} ({} live, {} static blocks)",
@@ -65,7 +65,7 @@ fn main() -> Result<(), SkqError> {
                 let doc: Vec<Keyword> = (0..rng.gen_range(1..5))
                     .map(|_| amenities[rng.gen_range(0..amenities.len())])
                     .collect();
-                active.push(index.insert(p, doc));
+                active.push(index.try_insert(p, doc)?);
             }
             4..=6 => {
                 if !active.is_empty() {

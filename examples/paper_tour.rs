@@ -23,7 +23,7 @@ fn main() -> Result<(), SkqError> {
         city.len(),
         city.input_size()
     );
-    let index = OrpKwIndex::build(&city, k);
+    let index = OrpKwIndex::try_build(&city, k)?;
     let summaries = index
         .kd_node_summaries(index.k())
         .expect("2D uses the kd framework");
@@ -83,7 +83,7 @@ fn main() -> Result<(), SkqError> {
     println!("================================================================\n");
 
     let net = scenarios::sensor_net(50_000, 3);
-    let index3 = OrpKwIndex::build(&net, 2);
+    let index3 = OrpKwIndex::try_build(&net, 2)?;
     let mut gen3 = QueryGen::new(&net, 4);
     let kws3 = gen3.top_keywords(2).unwrap();
     let q3 = gen3.rect(0.2);

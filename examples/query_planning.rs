@@ -51,7 +51,7 @@ fn main() -> Result<(), SkqError> {
     );
 
     let t0 = Instant::now();
-    let planner = PlannedOrpKw::build(&city, 2);
+    let planner = PlannedOrpKw::try_build(&city, 2, None)?;
     println!("all three engines built in {:.2?}\n", t0.elapsed());
 
     let gen = QueryGen::new(&city, 1);

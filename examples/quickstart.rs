@@ -45,7 +45,7 @@ fn main() -> Result<(), SkqError> {
     let wanted = [pool, parking, pets];
 
     // --- C1: orthogonal range + keywords (ORP-KW, Theorem 1). -----
-    let orp = OrpKwIndex::build(&hotels, wanted.len());
+    let orp = OrpKwIndex::try_build(&hotels, wanted.len())?;
     let c1 = Rect::new(&[100.0, 8.0], &[200.0, 10.0]);
     let mut hits = orp.query(&c1, &wanted)?;
     hits.sort_unstable();
@@ -62,7 +62,7 @@ fn main() -> Result<(), SkqError> {
 
     // --- C2: linear constraint + keywords (LC-KW, Theorem 5). -----
     // price + 40·(10 − rating) ≤ 240  ⇔  price − 40·rating ≤ −160.
-    let lc = LcKwIndex::build(&hotels, wanted.len());
+    let lc = LcKwIndex::try_build(&hotels, wanted.len())?;
     let c2 = Halfspace::new(&[1.0, -40.0], -160.0);
     let mut hits = lc.query(&ConvexPolytope::new(vec![c2]), &wanted)?;
     hits.sort_unstable();
@@ -78,7 +78,7 @@ fn main() -> Result<(), SkqError> {
     }
 
     // --- Nearest by value profile (L∞NN-KW, Corollary 4). ---------
-    let nn = LinfNnIndex::build(&hotels, wanted.len());
+    let nn = LinfNnIndex::try_build(&hotels, wanted.len())?;
     let target = Point::new2(150.0, 9.0);
     let (best, _) = nn.query(&target, 2, &wanted)?;
     println!("\n2 hotels with all keywords closest to (price 150, rating 9) under L∞:");

@@ -38,7 +38,7 @@ fn main() -> Result<(), SkqError> {
         .collect();
 
     let k = 3;
-    let index = RrKwIndex::build(&versions, k);
+    let index = RrKwIndex::try_build(&versions, k)?;
     println!(
         "indexed {} versions (N = {}), space ≈ {} words",
         versions.len(),

@@ -88,7 +88,7 @@ fn main() -> Result<(), SkqError> {
         dataset.input_size()
     );
 
-    let index = OrpKwIndex::build(&dataset, 2);
+    let index = OrpKwIndex::try_build(&dataset, 2)?;
 
     // "Articles about indexing keywords, 2015-2021, at most 12 minutes."
     let window = Rect::new(&[2015.0, 0.0], &[2021.0, 12.0]);

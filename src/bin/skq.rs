@@ -165,7 +165,8 @@ fn run(args: &[String]) -> Result<(), CliError> {
                         ));
                     }
                     let q = Rect::new(&lo, &hi);
-                    let index = OrpKwIndex::build(&loaded.dataset, k);
+                    let index = OrpKwIndex::try_build(&loaded.dataset, k)
+                        .map_err(|e| CliError::BadArg(e.to_string()))?;
                     sink_query(&index, &q, &tag_ids, &guard, limit, count_only)?
                 }
                 "ball" => {
@@ -182,7 +183,8 @@ fn run(args: &[String]) -> Result<(), CliError> {
                             "--radius must be finite and non-negative".to_string(),
                         ));
                     }
-                    let index = SrpKwIndex::build(&loaded.dataset, k);
+                    let index = SrpKwIndex::try_build(&loaded.dataset, k)
+                        .map_err(|e| CliError::BadArg(e.to_string()))?;
                     let ball = Ball::new(center, radius);
                     sink_query(&index, &ball, &tag_ids, &guard, limit, count_only)?
                 }
@@ -195,7 +197,8 @@ fn run(args: &[String]) -> Result<(), CliError> {
                         .require("t")?
                         .parse()
                         .map_err(|_| CliError::BadArg("--t must be an integer".to_string()))?;
-                    let index = LinfNnIndex::build(&loaded.dataset, k);
+                    let index = LinfNnIndex::try_build(&loaded.dataset, k)
+                        .map_err(|e| CliError::BadArg(e.to_string()))?;
                     let (hits, stats) = index
                         .query(&at, t, &tag_ids)
                         .map_err(|e| CliError::BadArg(e.to_string()))?;
@@ -697,7 +700,7 @@ mod tests {
     fn end_to_end_count_only() {
         let loaded = parse_csv(&demo_csv()).unwrap();
         let tags = resolve_tags(&loaded, "pool,pet-friendly").unwrap();
-        let index = OrpKwIndex::build(&loaded.dataset, tags.len());
+        let index = OrpKwIndex::try_build(&loaded.dataset, tags.len()).unwrap();
         let q = Rect::new(&[100.0, 8.0], &[200.0, 10.0]);
         let guard = QueryGuard::new();
         let (hits, stats) = sink_query(&index, &q, &tags, &guard, usize::MAX, true).unwrap();
@@ -820,11 +823,45 @@ mod tests {
         assert!(snapshot.contains("skq_query_total"));
     }
 
+    /// Writes `csv` to a fresh file for one test and returns its path.
+    fn write_csv(test: &str, csv: &str) -> String {
+        let dir = std::env::temp_dir().join(format!("skq_cli_{test}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let data = dir.join("data.csv");
+        std::fs::write(&data, csv).unwrap();
+        data.to_str().unwrap().to_string()
+    }
+
+    #[test]
+    fn too_many_tags_is_a_bad_arg_not_a_panic() {
+        let tags: Vec<String> = (0..17).map(|i| format!("t{i}")).collect();
+        let tags = tags.join(",");
+        let d = write_csv("too_many_tags", &format!("1.0; 2.0; {tags}\n"));
+        let args = string_args(&["rect", &d, "--lo", "0,0", "--hi", "5,5", "--tags", &tags]);
+        let Err(CliError::BadArg(msg)) = run(&args) else {
+            panic!("17 tags must be a bad argument");
+        };
+        assert!(msg.contains("k > 16 keywords is unsupported"), "{msg}");
+    }
+
+    #[test]
+    fn ball_on_8d_data_is_a_bad_arg_not_a_panic() {
+        let d = write_csv("ball_8d", "1;2;3;4;5;6;7;8; a,b\n");
+        let center = "1,2,3,4,5,6,7,8";
+        let args = string_args(&[
+            "ball", &d, "--center", center, "--radius", "1", "--tags", "a,b",
+        ]);
+        let Err(CliError::BadArg(msg)) = run(&args) else {
+            panic!("a ball query on 8-d data must be a bad argument");
+        };
+        assert!(msg.contains("lifted dimension 9 exceeds"), "{msg}");
+    }
+
     #[test]
     fn guard_flags_wire_through() {
         let loaded = parse_csv(&demo_csv()).unwrap();
         let tags = resolve_tags(&loaded, "pool,pet-friendly").unwrap();
-        let index = OrpKwIndex::build(&loaded.dataset, tags.len());
+        let index = OrpKwIndex::try_build(&loaded.dataset, tags.len()).unwrap();
         let q = Rect::new(&[0.0, 0.0], &[300.0, 10.0]);
         let opts = parse_flags(&string_args(&["--max-results", "2"])).unwrap();
         let guard = build_guard(&opts).unwrap();
@@ -837,7 +874,7 @@ mod tests {
     fn end_to_end_rect_query() {
         let loaded = parse_csv(&demo_csv()).unwrap();
         let tags = resolve_tags(&loaded, "pool,pet-friendly").unwrap();
-        let index = OrpKwIndex::build(&loaded.dataset, tags.len());
+        let index = OrpKwIndex::try_build(&loaded.dataset, tags.len()).unwrap();
         let q = Rect::new(&[100.0, 8.0], &[200.0, 10.0]);
         let mut hits = index.query(&q, &tags).unwrap();
         hits.sort_unstable();

@@ -59,7 +59,8 @@ fn summary_digest(
 fn dynamic(d: &Dataset) -> DynamicOrpKw {
     let mut dy = DynamicOrpKw::new(d.dim(), 2);
     for i in 0..d.len() {
-        dy.insert(*d.point(i), d.doc(i).keywords().to_vec());
+        dy.try_insert(*d.point(i), d.doc(i).keywords().to_vec())
+            .unwrap();
     }
     for id in (0..d.len() as u64).step_by(5) {
         assert!(dy.delete_by_id(id));
@@ -74,17 +75,18 @@ fn ksi_summaries(d: &Dataset) -> Vec<(u32, u64, usize, usize)> {
     let docs = d.docs().to_vec();
     let points: Vec<Point> = (0..docs.len()).map(|i| Point::new1(i as f64)).collect();
     let weights: Vec<u64> = docs.iter().map(|doc| doc.len() as u64).collect();
-    let tree = TransformedIndex::build(
+    let tree = TransformedIndex::try_build(
         KdPartitioner::new(points, weights),
         docs,
         2..=2,
         FrameworkConfig::default(),
-    );
+    )
+    .unwrap();
     tree.node_summaries(2).collect()
 }
 
 fn ksi_digest(d: &Dataset) -> u64 {
-    let space = KsiIndex::build(d.docs(), 2).space_words();
+    let space = KsiIndex::try_build(d.docs(), 2).unwrap().space_words();
     summary_digest(ksi_summaries(d), space)
 }
 
@@ -92,19 +94,28 @@ fn digests() -> Vec<(String, u64)> {
     let mut out = Vec::new();
     for (name, d) in datasets() {
         let mut push = |what: &str, digest: u64| out.push((format!("{name}/{what}"), digest));
-        push("orp_k2", bytes_digest(&OrpKwIndex::build(&d, 2)));
-        push("orp_k3", bytes_digest(&OrpKwIndex::build(&d, 3)));
-        push("suite_kmax4", bytes_digest(&OrpKwSuite::build(&d, 4)));
+        push(
+            "orp_k2",
+            bytes_digest(&OrpKwIndex::try_build(&d, 2).unwrap()),
+        );
+        push(
+            "orp_k3",
+            bytes_digest(&OrpKwIndex::try_build(&d, 3).unwrap()),
+        );
+        push(
+            "suite_kmax4",
+            bytes_digest(&OrpKwSuite::try_build(&d, 4).unwrap()),
+        );
         push(
             "sp_kd",
-            bytes_digest(&SpKwIndex::build_with_strategy(&d, 2, SpStrategy::Kd)),
+            bytes_digest(&SpKwIndex::try_build_with_strategy(&d, 2, SpStrategy::Kd).unwrap()),
         );
-        let willard = SpKwIndex::build_with_strategy(&d, 2, SpStrategy::Willard);
+        let willard = SpKwIndex::try_build_with_strategy(&d, 2, SpStrategy::Willard).unwrap();
         push(
             "sp_willard",
             summary_digest(willard.node_summaries(), willard.space_words()),
         );
-        push("srp", bytes_digest(&SrpKwIndex::build(&d, 2)));
+        push("srp", bytes_digest(&SrpKwIndex::try_build(&d, 2).unwrap()));
         push("dynamic", bytes_digest(&dynamic(&d)));
         push("ksi", ksi_digest(&d));
     }
@@ -154,10 +165,10 @@ fn built_structures_match_the_golden_digests() {
 fn suite_layers_equal_the_single_k_indexes() {
     use structured_keyword_search::workload::queries::QueryGen;
     for (name, d) in datasets() {
-        let suite = OrpKwSuite::build(&d, 4);
+        let suite = OrpKwSuite::try_build(&d, 4).unwrap();
         let mut gen = QueryGen::new(&d, 17);
         for k in 2..=4 {
-            let single = OrpKwIndex::build(&d, k);
+            let single = OrpKwIndex::try_build(&d, k).unwrap();
             assert_eq!(
                 suite.index().kd_node_summaries(k),
                 single.kd_node_summaries(k),
@@ -251,8 +262,8 @@ proptest! {
             &[f64::from(x + w), f64::from(y + h)],
         );
         for k in 2..=3usize {
-            let dense_ix = OrpKwIndex::build(&d, k);
-            let sparse_ix = OrpKwIndex::build(&sparse, k);
+            let dense_ix = OrpKwIndex::try_build(&d, k).unwrap();
+            let sparse_ix = OrpKwIndex::try_build(&sparse, k).unwrap();
             prop_assert_eq!(dense_ix.kd_node_summaries(k), sparse_ix.kd_node_summaries(k));
             prop_assert_eq!(dense_ix.space_words(), sparse_ix.space_words());
             // Distinct query keywords, padded from the vocabulary.

@@ -78,7 +78,7 @@ fn drive(site: &str, d: &Dataset) -> Result<(), SkqError> {
             Ok(())
         }
         "batch::shard" => {
-            let index = OrpKwIndex::build(d, 2);
+            let index = OrpKwIndex::try_build(d, 2).unwrap();
             let queries = vec![
                 BatchQuery {
                     rect: Rect::full(2),
@@ -123,13 +123,13 @@ fn drive(site: &str, d: &Dataset) -> Result<(), SkqError> {
             // The site fires in the page-walk decoder: encode a small
             // suite, then load it back through the armed reader.
             use structured_keyword_search::store::Persist;
-            let suite = OrpKwSuite::build(d, 2);
+            let suite = OrpKwSuite::try_build(d, 2).unwrap();
             let bytes = suite.to_bytes()?;
             OrpKwSuite::try_load(&bytes).map(|_| ())
         }
         "serve::request" | "serve::worker" => {
             let server = Server::start(
-                OrpKwSuite::build(d, 2),
+                OrpKwSuite::try_build(d, 2).unwrap(),
                 ServerConfig {
                     workers: 1,
                     queue_capacity: 8,
@@ -189,7 +189,9 @@ fn injected_failure_does_not_poison_a_dynamic_index() {
     let mut dynamic = DynamicOrpKw::new(2, 2);
     let mut expected = Vec::new();
     for i in 0..127u32 {
-        let h = dynamic.insert(Point::new2((i % 16) as f64, (i / 16) as f64), vec![0, 1]);
+        let h = dynamic
+            .try_insert(Point::new2((i % 16) as f64, (i / 16) as f64), vec![0, 1])
+            .unwrap();
         expected.push(h);
     }
     // The 128th insert triggers the first block build — inject there.
@@ -226,7 +228,7 @@ fn injected_failure_does_not_poison_a_dynamic_index() {
 fn batch_shards_retry_and_isolate_injected_panics() {
     let _serial = failpoints::exclusive();
     let d = dataset();
-    let index = OrpKwIndex::build(&d, 2);
+    let index = OrpKwIndex::try_build(&d, 2).unwrap();
     let queries = vec![
         BatchQuery {
             rect: Rect::full(2),

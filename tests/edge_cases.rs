@@ -16,7 +16,7 @@ fn all_objects_identical_point() {
             .map(|i| (Point::new2(7.0, 7.0), vec![(i % 5) as Keyword, 5]))
             .collect(),
     );
-    let orp = OrpKwIndex::build(&dataset, 2);
+    let orp = OrpKwIndex::try_build(&dataset, 2).unwrap();
     let got = sorted(
         orp.query(&Rect::new(&[7.0, 7.0], &[7.0, 7.0]), &[0, 5])
             .unwrap(),
@@ -28,7 +28,7 @@ fn all_objects_identical_point() {
         .unwrap()
         .is_empty());
 
-    let sp = SpKwIndex::build(&dataset, 2);
+    let sp = SpKwIndex::try_build(&dataset, 2).unwrap();
     let got = sorted(
         sp.query(
             &ConvexPolytope::from_halfspace(Halfspace::new(&[1.0, 0.0], 10.0)),
@@ -43,10 +43,10 @@ fn all_objects_identical_point() {
 #[test]
 fn singleton_dataset() {
     let dataset = Dataset::from_parts(vec![(Point::new2(1.0, 2.0), vec![3, 4])]);
-    let orp = OrpKwIndex::build(&dataset, 2);
+    let orp = OrpKwIndex::try_build(&dataset, 2).unwrap();
     assert_eq!(orp.query(&Rect::full(2), &[3, 4]).unwrap(), vec![0]);
     assert!(orp.query(&Rect::full(2), &[3, 5]).unwrap().is_empty());
-    let nn = LinfNnIndex::build(&dataset, 2);
+    let nn = LinfNnIndex::try_build(&dataset, 2).unwrap();
     let (nearest, _) = nn.query(&Point::new2(100.0, 100.0), 3, &[3, 4]).unwrap();
     assert_eq!(nearest, vec![0]);
 }
@@ -62,7 +62,7 @@ fn identical_large_documents() {
             .collect(),
     );
     for k in [2usize, 3, 4] {
-        let orp = OrpKwIndex::build(&dataset, k);
+        let orp = OrpKwIndex::try_build(&dataset, k).unwrap();
         orp.validate().unwrap();
         let kws: Vec<Keyword> = (0..k as u32).collect();
         let q = Rect::new(&[50.0, 0.0], &[150.0, 300.0]);
@@ -80,7 +80,7 @@ fn degenerate_queries() {
             .map(|i| (Point::new2((i % 10) as f64, (i / 10) as f64), vec![0, 1]))
             .collect(),
     );
-    let orp = OrpKwIndex::build(&dataset, 2);
+    let orp = OrpKwIndex::try_build(&dataset, 2).unwrap();
     // A query that is a single point.
     let got = orp
         .query(&Rect::new(&[3.0, 4.0], &[3.0, 4.0]), &[0, 1])
@@ -93,7 +93,7 @@ fn degenerate_queries() {
     );
     assert_eq!(got, (0..10).map(|r| r * 10 + 3).collect::<Vec<u32>>());
 
-    let srp = SrpKwIndex::build(&dataset, 2);
+    let srp = SrpKwIndex::try_build(&dataset, 2).unwrap();
     let got = srp
         .query(&Ball::new(Point::new2(3.0, 4.0), 0.0), &[0, 1])
         .unwrap();
@@ -110,7 +110,7 @@ fn extreme_coordinates() {
         (Point::new2(0.0, 0.0), vec![0, 1]),
         (Point::new2(1e15, -1e15), vec![0, 1]),
     ]);
-    let orp = OrpKwIndex::build(&dataset, 2);
+    let orp = OrpKwIndex::try_build(&dataset, 2).unwrap();
     let got = sorted(
         orp.query(&Rect::new(&[-1e16, -1e16], &[1e16, 1e16]), &[0, 1])
             .unwrap(),
@@ -136,7 +136,7 @@ fn max_dimension_queries() {
             })
             .collect(),
     );
-    let orp = OrpKwIndex::build(&dataset, 2);
+    let orp = OrpKwIndex::try_build(&dataset, 2).unwrap();
     let oracle = FullScan::new(&dataset);
     for _ in 0..20 {
         let lo: Vec<f64> = (0..8).map(|_| rng.gen_range(0..8) as f64).collect();
@@ -165,7 +165,7 @@ fn wide_documents() {
             })
             .collect(),
     );
-    let orp = OrpKwIndex::build(&dataset, 3);
+    let orp = OrpKwIndex::try_build(&dataset, 3).unwrap();
     orp.validate().unwrap();
     let oracle = FullScan::new(&dataset);
     for _ in 0..30 {
@@ -203,7 +203,7 @@ fn concurrent_queries_are_safe() {
             })
             .collect(),
     );
-    let orp = OrpKwIndex::build(&dataset, 2);
+    let orp = OrpKwIndex::try_build(&dataset, 2).unwrap();
     let oracle = FullScan::new(&dataset);
     std::thread::scope(|s| {
         for thread in 0..4 {
@@ -244,9 +244,9 @@ fn full_space_equals_pure_keyword_search() {
             .collect(),
     );
     let inv = InvertedIndex::build(dataset.docs());
-    let orp = OrpKwIndex::build(&dataset, 2);
-    let lc = LcKwIndex::build(&dataset, 2);
-    let srp = SrpKwIndex::build(&dataset, 2);
+    let orp = OrpKwIndex::try_build(&dataset, 2).unwrap();
+    let lc = LcKwIndex::try_build(&dataset, 2).unwrap();
+    let srp = SrpKwIndex::try_build(&dataset, 2).unwrap();
     for (w1, w2) in [(0u32, 1u32), (2, 4), (3, 5)] {
         let expected = inv.intersect(&[w1, w2]);
         assert_eq!(

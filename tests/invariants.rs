@@ -21,7 +21,7 @@ fn workload(n: usize, seed: u64) -> Dataset {
 fn framework_invariants_hold_on_zipf_workload() {
     for k in [2, 3] {
         let dataset = workload(5_000, 1);
-        let index = OrpKwIndex::build(&dataset, k);
+        let index = OrpKwIndex::try_build(&dataset, k).unwrap();
         index.validate().unwrap_or_else(|e| panic!("k={k}: {e}"));
     }
 }
@@ -31,7 +31,7 @@ fn framework_invariants_hold_on_zipf_workload() {
 #[test]
 fn kd_tree_height_is_logarithmic() {
     let dataset = workload(8_000, 2);
-    let index = OrpKwIndex::build(&dataset, 2);
+    let index = OrpKwIndex::try_build(&dataset, 2).unwrap();
     let summaries = index
         .kd_node_summaries(index.k())
         .expect("2D uses the kd framework");
@@ -90,7 +90,7 @@ fn dimred_type2_nodes_at_most_two_per_level() {
         ..Default::default()
     }
     .generate(4);
-    let index = OrpKwIndex::build(&dataset, 2);
+    let index = OrpKwIndex::try_build(&dataset, 2).unwrap();
     let mut gen = QueryGen::new(&dataset, 5);
     for _ in 0..50 {
         let q = gen.rect(0.2);
@@ -109,7 +109,7 @@ fn orp_space_scales_linearly() {
     let mut per_n: Vec<f64> = Vec::new();
     for (n, seed) in [(2_000, 10), (8_000, 11), (32_000, 12)] {
         let dataset = workload(n, seed);
-        let index = OrpKwIndex::build(&dataset, 2);
+        let index = OrpKwIndex::try_build(&dataset, 2).unwrap();
         per_n.push(index.space_words() as f64 / dataset.input_size() as f64);
     }
     let first = per_n[0];
@@ -125,7 +125,7 @@ fn orp_space_scales_linearly() {
 #[test]
 fn vertical_line_crossing_nodes_are_sqrt() {
     let dataset = workload(20_000, 13);
-    let index = OrpKwIndex::build(&dataset, 2);
+    let index = OrpKwIndex::try_build(&dataset, 2).unwrap();
     let mut gen = QueryGen::new(&dataset, 14);
     let kws = gen.top_keywords(2).unwrap();
     let n = dataset.input_size() as f64;
@@ -156,11 +156,11 @@ fn all_solutions_agree_end_to_end() {
         ..Default::default()
     }
     .generate(21);
-    let orp = OrpKwIndex::build(&dataset, 2);
-    let lc = LcKwIndex::build(&dataset, 2);
-    let srp = SrpKwIndex::build(&dataset, 2);
-    let nn_inf = LinfNnIndex::build(&dataset, 2);
-    let nn_2 = L2NnIndex::build(&dataset, 2);
+    let orp = OrpKwIndex::try_build(&dataset, 2).unwrap();
+    let lc = LcKwIndex::try_build(&dataset, 2).unwrap();
+    let srp = SrpKwIndex::try_build(&dataset, 2).unwrap();
+    let nn_inf = LinfNnIndex::try_build(&dataset, 2).unwrap();
+    let nn_2 = L2NnIndex::try_build(&dataset, 2).unwrap();
     let kf = KeywordsFirst::build(&dataset);
     let sf = StructuredFirst::build(&dataset);
     let oracle = FullScan::new(&dataset);

@@ -33,7 +33,7 @@ fn dataset() -> Dataset {
 #[test]
 fn planned_query_increments_chosen_plan_counter() {
     let d = dataset();
-    let planner = PlannedOrpKw::build(&d, 2);
+    let planner = PlannedOrpKw::try_build(&d, 2, None).unwrap();
     let q = Rect::full(2);
 
     let chosen_before = |plan: Plan| {
@@ -66,7 +66,7 @@ fn planned_query_increments_chosen_plan_counter() {
 #[test]
 fn planned_query_logs_predicted_and_actual_cost() {
     let d = dataset();
-    let planner = PlannedOrpKw::build(&d, 2);
+    let planner = PlannedOrpKw::try_build(&d, 2, None).unwrap();
     let (hits, stats) = planner
         .query_with_stats(&Rect::new(&[0.0, 0.0], &[10.0, 10.0]), &[0, 1])
         .unwrap();
@@ -93,7 +93,7 @@ fn index_build_populates_build_series() {
     let before = reg
         .counter_value("skq_build_total", &[("index", "orp_kw")])
         .unwrap_or(0);
-    let _index = OrpKwIndex::build(&d, 2);
+    let _index = OrpKwIndex::try_build(&d, 2).unwrap();
     let after = reg
         .counter_value("skq_build_total", &[("index", "orp_kw")])
         .unwrap_or(0);
@@ -108,7 +108,7 @@ fn index_build_populates_build_series() {
 #[test]
 fn suite_query_routes_appear_in_query_log() {
     let d = dataset();
-    let suite = structured_keyword_search::core::suite::OrpKwSuite::build(&d, 2);
+    let suite = structured_keyword_search::core::suite::OrpKwSuite::try_build(&d, 2).unwrap();
     // The serving entry records one query-log entry per request.
     let guard = QueryGuard::new();
     let (hits, stats) = suite
@@ -131,7 +131,7 @@ fn traced_query_bumps_span_counter_and_logs_trace_pointer() {
     let reg = obs::global();
     let before = reg.counter_value("skq_trace_spans_total", &[]).unwrap_or(0);
     obs::trace::enable();
-    let planner = PlannedOrpKw::build(&d, 2);
+    let planner = PlannedOrpKw::try_build(&d, 2, None).unwrap();
     let hits = planner
         .query(&Rect::new(&[0.0, 0.0], &[5.0, 5.0]), &[0, 1])
         .unwrap();

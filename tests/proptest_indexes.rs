@@ -71,7 +71,7 @@ proptest! {
         q in rect_strategy(2),
         kws in two_keywords(),
     ) {
-        let index = OrpKwIndex::build(&dataset, 2);
+        let index = OrpKwIndex::try_build(&dataset, 2).unwrap();
         deep_validate!(index);
         let oracle = FullScan::new(&dataset);
         prop_assert_eq!(sorted(index.query(&q, &kws).unwrap()), oracle.query_rect(&q, &kws));
@@ -83,7 +83,7 @@ proptest! {
         q in rect_strategy(1),
         kws in two_keywords(),
     ) {
-        let index = OrpKwIndex::build(&dataset, 2);
+        let index = OrpKwIndex::try_build(&dataset, 2).unwrap();
         deep_validate!(index);
         let oracle = FullScan::new(&dataset);
         prop_assert_eq!(sorted(index.query(&q, &kws).unwrap()), oracle.query_rect(&q, &kws));
@@ -95,7 +95,7 @@ proptest! {
         q in rect_strategy(3),
         kws in two_keywords(),
     ) {
-        let index = OrpKwIndex::build(&dataset, 2);
+        let index = OrpKwIndex::try_build(&dataset, 2).unwrap();
         deep_validate!(index);
         let oracle = FullScan::new(&dataset);
         prop_assert_eq!(sorted(index.query(&q, &kws).unwrap()), oracle.query_rect(&q, &kws));
@@ -113,7 +113,7 @@ proptest! {
         if c == b { c = (c + 1) % VOCAB; }
         if c == a { c = (c + 1) % VOCAB; }
         let kws = vec![a, b, c];
-        let index = OrpKwIndex::build(&dataset, 3);
+        let index = OrpKwIndex::try_build(&dataset, 3).unwrap();
         deep_validate!(index);
         let oracle = FullScan::new(&dataset);
         prop_assert_eq!(sorted(index.query(&q, &kws).unwrap()), oracle.query_rect(&q, &kws));
@@ -131,7 +131,7 @@ proptest! {
                 .map(|(a, b, c)| Halfspace::new(&[f64::from(a), f64::from(b)], f64::from(c)))
                 .collect(),
         );
-        let index = SpKwIndex::build_with_strategy(&dataset, 2, SpStrategy::Willard);
+        let index = SpKwIndex::try_build_with_strategy(&dataset, 2, SpStrategy::Willard).unwrap();
         deep_validate!(index);
         let oracle = FullScan::new(&dataset);
         prop_assert_eq!(sorted(index.query(&q, &kws).unwrap()), oracle.query_polytope(&q, &kws));
@@ -151,7 +151,7 @@ proptest! {
                 })
                 .collect(),
         );
-        let index = SpKwIndex::build_with_strategy(&dataset, 2, SpStrategy::Kd);
+        let index = SpKwIndex::try_build_with_strategy(&dataset, 2, SpStrategy::Kd).unwrap();
         deep_validate!(index);
         let oracle = FullScan::new(&dataset);
         prop_assert_eq!(sorted(index.query(&q, &kws).unwrap()), oracle.query_polytope(&q, &kws));
@@ -164,7 +164,7 @@ proptest! {
         kws in two_keywords(),
     ) {
         let ball = Ball::new(Point::new2(f64::from(cx), f64::from(cy)), f64::from(r));
-        let index = SrpKwIndex::build(&dataset, 2);
+        let index = SrpKwIndex::try_build(&dataset, 2).unwrap();
         deep_validate!(index);
         let oracle = FullScan::new(&dataset);
         prop_assert_eq!(sorted(index.query(&ball, &kws).unwrap()), oracle.query_ball(&ball, &kws));
@@ -177,7 +177,7 @@ proptest! {
         kws in two_keywords(),
     ) {
         let q = Point::new2(f64::from(qx), f64::from(qy));
-        let index = LinfNnIndex::build(&dataset, 2);
+        let index = LinfNnIndex::try_build(&dataset, 2).unwrap();
         deep_validate!(index);
         let oracle = FullScan::new(&dataset);
         match index.query(&q, t, &kws) {
@@ -193,7 +193,7 @@ proptest! {
         kws in two_keywords(),
     ) {
         let q = Point::new2(f64::from(qx), f64::from(qy));
-        let index = L2NnIndex::build(&dataset, 2);
+        let index = L2NnIndex::try_build(&dataset, 2).unwrap();
         deep_validate!(index);
         let oracle = FullScan::new(&dataset);
         match index.query(&q, t, &kws) {
@@ -208,7 +208,7 @@ proptest! {
         kws in two_keywords(),
     ) {
         let docs: Vec<Document> = docs.into_iter().map(Document::new).collect();
-        let ksi = KsiIndex::build(&docs, 2);
+        let ksi = KsiIndex::try_build(&docs, 2).unwrap();
         deep_validate!(ksi);
         let inv = InvertedIndex::build(&docs);
         prop_assert_eq!(sorted(ksi.query(&(), &kws).unwrap()), inv.intersect(&kws));
@@ -223,7 +223,7 @@ proptest! {
         kws in two_keywords(),
         limit in 0usize..10,
     ) {
-        let index = OrpKwIndex::build(&dataset, 2);
+        let index = OrpKwIndex::try_build(&dataset, 2).unwrap();
         deep_validate!(index);
         let oracle = FullScan::new(&dataset);
         let full = oracle.query_rect(&q, &kws);

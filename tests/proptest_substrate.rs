@@ -82,8 +82,8 @@ proptest! {
         );
         match rs.rect(&rect) {
             Some(rq) => {
-                for (i, p) in points.iter().enumerate() {
-                    prop_assert_eq!(rect.contains(p), rq.contains(&rs.point(i)));
+                for (p, image) in points.iter().zip(rs.points()) {
+                    prop_assert_eq!(rect.contains(p), rq.contains(&image));
                 }
             }
             None => {
@@ -141,7 +141,7 @@ proptest! {
             let p = Point::new2(f64::from(x), f64::from(y));
             match op {
                 0 => {
-                    let h = idx.insert(p, kws.clone());
+                    let h = idx.try_insert(p, kws.clone()).unwrap();
                     mirror.push((Some(()), p, kws, h));
                     // Every insert may trigger a carry/rebuild; the
                     // logarithmic-method bookkeeping must survive all
@@ -198,7 +198,7 @@ proptest! {
                 .map(|((x, y), kws)| (Point::new2(f64::from(x), f64::from(y)), kws))
                 .collect(),
         );
-        let planner = PlannedOrpKw::build(&dataset, 2);
+        let planner = PlannedOrpKw::try_build(&dataset, 2, None).unwrap();
         let rect = Rect::new(
             &[f64::from(q.0 .0), f64::from(q.1 .0)],
             &[f64::from(q.0 .0 + q.0 .1), f64::from(q.1 .0 + q.1 .1)],
@@ -223,7 +223,7 @@ proptest! {
                 .map(|((x, y), doc)| (Point::new2(f64::from(x), f64::from(y)), doc))
                 .collect(),
         );
-        let suite = OrpKwSuite::build(&dataset, 3);
+        let suite = OrpKwSuite::try_build(&dataset, 3).unwrap();
         deep_validate!(suite);
         let q = Rect::new(&[5.0, 5.0], &[20.0, 20.0]);
         let got = sorted(suite.query(&q, &kws).unwrap());

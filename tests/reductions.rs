@@ -48,7 +48,7 @@ fn ksi_solved_by_orp_kw_with_full_rectangle() {
     }
     let dataset = Dataset::from_parts(parts);
 
-    let index = OrpKwIndex::build(&dataset, 2);
+    let index = OrpKwIndex::try_build(&dataset, 2).unwrap();
     for _ in 0..30 {
         let a = rng.gen_range(0..m as u32);
         let b = (a + 1 + rng.gen_range(0..m as u32 - 1)) % m as u32;
@@ -84,7 +84,7 @@ fn ksi_reporting_via_linf_nn_doubling() {
             })
             .collect(),
     );
-    let nn = LinfNnIndex::build(&dataset, 2);
+    let nn = LinfNnIndex::try_build(&dataset, 2).unwrap();
     let oracle = FullScan::new(&dataset);
 
     for (w1, w2) in [(0u32, 1u32), (2, 3), (4, 5), (0, 5)] {
@@ -148,10 +148,10 @@ fn srp_equals_lc_on_lifted_points() {
             })
             .collect(),
     );
-    let srp = SrpKwIndex::build(&dataset, 2);
+    let srp = SrpKwIndex::try_build(&dataset, 2).unwrap();
     // Manually lifted dataset + LC index.
     let lifted = dataset.map_points(|_, p| structured_keyword_search::geom::lift_point(p));
-    let lc = LcKwIndex::build(&lifted, 2);
+    let lc = LcKwIndex::try_build(&lifted, 2).unwrap();
 
     for _ in 0..40 {
         let ball = Ball::new(

@@ -41,7 +41,7 @@ fn counter(name: &'static str) -> u64 {
 #[test]
 fn deadline_returns_partial_results_with_reason() {
     let d = grid_dataset(4000);
-    let index = OrpKwIndex::build(&d, 2);
+    let index = OrpKwIndex::try_build(&d, 2).unwrap();
     let q = Rect::full(2);
     let full = index.query(&q, &[0, 1]).unwrap();
     assert_eq!(full.len(), 4000);
@@ -77,7 +77,7 @@ fn deadline_returns_partial_results_with_reason() {
 #[test]
 fn cancellation_stops_the_query_and_counts() {
     let d = grid_dataset(2000);
-    let index = OrpKwIndex::build(&d, 2);
+    let index = OrpKwIndex::try_build(&d, 2).unwrap();
     let before = counter("skq_query_cancelled");
     let token = CancelToken::new();
     token.cancel();
@@ -96,7 +96,7 @@ fn result_budget_caps_suite_and_dynamic_paths() {
     let d = grid_dataset(3000);
     let guard = QueryGuard::new().with_max_results(7);
 
-    let suite = OrpKwSuite::build(&d, 2);
+    let suite = OrpKwSuite::try_build(&d, 2).unwrap();
     let (got, stats) = suite
         .try_query_guarded(&Rect::full(2), &[0, 1], &guard)
         .unwrap();
@@ -105,7 +105,9 @@ fn result_budget_caps_suite_and_dynamic_paths() {
 
     let mut dynamic = DynamicOrpKw::new(2, 2);
     for i in 0..1000u32 {
-        dynamic.insert(Point::new2((i % 50) as f64, (i / 50) as f64), vec![0, 1]);
+        dynamic
+            .try_insert(Point::new2((i % 50) as f64, (i / 50) as f64), vec![0, 1])
+            .unwrap();
     }
     let (got, stats) = dynamic.query(&Rect::full(2), &[0, 1], &guard).unwrap();
     assert_eq!(got.len(), 7);
@@ -118,22 +120,22 @@ fn tiny_budget_degrades_builds_but_not_answers() {
     let q = Rect::new(&[3.0, 3.0], &[40.0, 20.0]);
     let kws = [0u32, 1u32];
 
-    let full = PlannedOrpKw::try_build(&d, 2).unwrap();
+    let full = PlannedOrpKw::try_build(&d, 2, None).unwrap();
     assert_eq!(full.tier(), BuildTier::Framework);
     let expected = full.query_with_plan(&q, &kws, Plan::Framework).unwrap();
     assert!(!expected.is_empty());
 
     // Between the LC and ORP footprints → the linear tier; one word →
     // nothing is admitted and the naive engines serve.
-    let orp_words = OrpKwIndex::build(&d, 2).space_words();
-    let lc_words = LcKwIndex::build(&d, 2).space_words();
+    let orp_words = OrpKwIndex::try_build(&d, 2).unwrap().space_words();
+    let lc_words = LcKwIndex::try_build(&d, 2).unwrap().space_words();
     assert!(lc_words < orp_words, "lc={lc_words} orp={orp_words}");
     let mid = (lc_words + orp_words) / 2;
     for (budget, tier) in [(mid, BuildTier::Linear), (1, BuildTier::Naive)] {
         let before = structured_keyword_search::obs::global()
             .counter("skq_planner_build_tier_total", &[("tier", tier.label())])
             .get();
-        let planner = PlannedOrpKw::try_build_with_budget(&d, 2, Some(budget)).unwrap();
+        let planner = PlannedOrpKw::try_build(&d, 2, Some(budget)).unwrap();
         assert_eq!(planner.tier(), tier);
         assert_eq!(
             structured_keyword_search::obs::global()
@@ -152,7 +154,7 @@ fn tiny_budget_degrades_builds_but_not_answers() {
 
     // The degraded tier is stamped into the query log's plan label
     // whenever the framework plan runs on a fallback engine.
-    let planner = PlannedOrpKw::try_build_with_budget(&d, 2, Some(mid)).unwrap();
+    let planner = PlannedOrpKw::try_build(&d, 2, Some(mid)).unwrap();
     // Full-space + omnipresent keywords: the framework plan wins.
     let (_, stats) = planner.query_with_stats(&Rect::full(2), &kws).unwrap();
     if stats.route == Some(Route::Framework) {
@@ -193,16 +195,6 @@ fn every_error_variant_is_reachable_from_public_api() {
     let index = OrpKwIndex::try_build(&d, 2).unwrap();
     let err = index.query(&Rect::full(2), &[0, 0]).unwrap_err();
     assert!(matches!(err, SkqError::InvalidQuery(_)), "{err}");
-
-    // BuildBudgetExceeded — a one-word space budget.
-    let err = match OrpKwIndex::try_build_with_budget(&d, 2..=2, Some(1)) {
-        Err(e) => e,
-        Ok(_) => panic!("a one-word budget must not admit the index"),
-    };
-    assert!(
-        matches!(err, SkqError::BuildBudgetExceeded { budget: 1, .. }),
-        "{err}"
-    );
 
     // DeadlineExceeded / Cancelled — guard checks.
     let guard = QueryGuard::new().with_deadline(Duration::ZERO);
@@ -375,7 +367,7 @@ fn every_query_entry_rejects_malformed_input_typed() {
     let served = suite.try_query_guarded(&Rect::full(1), &[0, 1], &guard);
     assert_invalid("suite", "served 1-D rectangle", served);
 
-    let planner = PlannedOrpKw::try_build(&d, 2).unwrap();
+    let planner = PlannedOrpKw::try_build(&d, 2, None).unwrap();
     assert_rejected(
         "planner",
         "3-D rectangle",
@@ -409,7 +401,9 @@ fn every_query_entry_rejects_malformed_input_typed() {
 
     let mut dynamic = DynamicOrpKw::new(2, 2);
     for i in 0..d.len() {
-        dynamic.insert(*d.point(i), d.doc(i).keywords().to_vec());
+        dynamic
+            .try_insert(*d.point(i), d.doc(i).keywords().to_vec())
+            .unwrap();
     }
     let guard = QueryGuard::new();
     assert_invalid(
@@ -465,12 +459,16 @@ fn every_query_entry_agrees_with_brute_force() {
     let srp = SrpKwIndex::try_build(&d, 2).unwrap();
     let ksi = KsiIndex::try_build(d.docs(), 2).unwrap();
     let suite = OrpKwSuite::try_build(&d, 3).unwrap();
-    let planner = PlannedOrpKw::try_build(&d, 2).unwrap();
+    let planner = PlannedOrpKw::try_build(&d, 2, None).unwrap();
     let linf = LinfNnIndex::try_build(&d, 2).unwrap();
     let l2 = L2NnIndex::try_build(&d, 2).unwrap();
     let mut dynamic = DynamicOrpKw::new(2, 2);
     let handles: Vec<_> = (0..d.len())
-        .map(|i| dynamic.insert(*d.point(i), d.doc(i).keywords().to_vec()))
+        .map(|i| {
+            dynamic
+                .try_insert(*d.point(i), d.doc(i).keywords().to_vec())
+                .unwrap()
+        })
         .collect();
 
     for (kws, (lo, hi)) in [

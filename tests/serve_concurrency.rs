@@ -40,7 +40,7 @@ fn fingerprint_suite(n: usize) -> OrpKwSuite {
             })
             .collect(),
     );
-    OrpKwSuite::build(&dataset, 2)
+    OrpKwSuite::try_build(&dataset, 2).unwrap()
 }
 
 /// Full-range guarded query against a snapshot; returns the hit count.

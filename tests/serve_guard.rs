@@ -31,7 +31,7 @@ fn suite(n: usize) -> OrpKwSuite {
             })
             .collect(),
     );
-    OrpKwSuite::build(&dataset, 2)
+    OrpKwSuite::try_build(&dataset, 2).unwrap()
 }
 
 fn counter(name: &str) -> u64 {

@@ -66,7 +66,7 @@ fn counting_and_threshold_queries_do_not_materialize_results() {
             })
             .collect(),
     );
-    let index = OrpKwIndex::build(&dataset, 2);
+    let index = OrpKwIndex::try_build(&dataset, 2).unwrap();
     let q = Rect::full(2);
 
     // Warm up lazily initialized global state (metrics series, log
@@ -121,7 +121,7 @@ fn counting_and_threshold_queries_do_not_materialize_results() {
     // End-to-end: the L∞-NN binary search runs ~log N threshold probes;
     // none of them may materialize candidates. Only the two final
     // collection passes (a handful of near neighbours here) allocate.
-    let nn = LinfNnIndex::build(&dataset, 2);
+    let nn = LinfNnIndex::try_build(&dataset, 2).unwrap();
     let _ = nn.query(&Point::new2(0.0, 0.0), 5, &[0, 1]); // warm-up
     let nn_bytes = bytes_allocated_by(|| {
         let (nearest, _) = nn.query(&Point::new2(0.0, 0.0), 5, &[0, 1]).unwrap();

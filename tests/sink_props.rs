@@ -102,7 +102,7 @@ proptest! {
         q in rect_strategy(2),
         kws in two_keywords(),
     ) {
-        let index = OrpKwIndex::build(&dataset, 2);
+        let index = OrpKwIndex::try_build(&dataset, 2).unwrap();
         let legacy = sorted(index.query(&q, &kws).unwrap());
         let mut collected = CollectSink::new();
         let mut stats = QueryStats::new();
@@ -117,7 +117,7 @@ proptest! {
         q in rect_strategy(2),
         kws in two_keywords(),
     ) {
-        let index = OrpKwIndex::build(&dataset, 2);
+        let index = OrpKwIndex::try_build(&dataset, 2).unwrap();
         let full = index.query(&q, &kws).unwrap();
         let mut count = CountSink::new();
         let mut stats = QueryStats::new();
@@ -133,7 +133,7 @@ proptest! {
         kws in two_keywords(),
         t in 0usize..12,
     ) {
-        let index = OrpKwIndex::build(&dataset, 2);
+        let index = OrpKwIndex::try_build(&dataset, 2).unwrap();
         let full = index.query(&q, &kws).unwrap();
         let mut sink = LimitSink::new(Vec::new(), t);
         let mut stats = QueryStats::new();
@@ -157,7 +157,7 @@ proptest! {
         kws in two_keywords(),
         t in 0usize..8,
     ) {
-        let index = RrKwIndex::build(&rects, 2);
+        let index = RrKwIndex::try_build(&rects, 2).unwrap();
         let full = index.query(&q, &kws).unwrap();
         let mut count = CountSink::new();
         let mut stats = QueryStats::new();
@@ -178,7 +178,7 @@ proptest! {
         kws in two_keywords(),
         t in 1usize..8,
     ) {
-        let index = LinfNnIndex::build(&dataset, 2);
+        let index = LinfNnIndex::try_build(&dataset, 2).unwrap();
         let q = Point::new2(f64::from(at[0]), f64::from(at[1]));
         let (all, _) = index.query(&q, usize::MAX, &kws).unwrap();
         let (got, _) = index.query(&q, t, &kws).unwrap();

@@ -22,7 +22,8 @@ fn dataset() -> Dataset {
 }
 
 fn snapshot() -> Vec<u8> {
-    OrpKwSuite::build(&dataset(), 3)
+    OrpKwSuite::try_build(&dataset(), 3)
+        .unwrap()
         .to_bytes()
         .expect("encoding a valid suite")
 }

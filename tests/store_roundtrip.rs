@@ -74,7 +74,7 @@ proptest! {
         q in rect_strategy(2),
         kws in two_keywords(),
     ) {
-        let built = OrpKwIndex::build(&d, 2);
+        let built = OrpKwIndex::try_build(&d, 2).unwrap();
         let loaded = reload(&built);
         prop_assert_eq!(
             sorted(built.query(&q, &kws).unwrap()),
@@ -104,7 +104,7 @@ proptest! {
                 (Rect::new(&[lo], &[lo + 1.5]), d.doc(i).keywords().to_vec())
             })
             .collect();
-        let built = RrKwIndex::build(&rects, 2);
+        let built = RrKwIndex::try_build(&rects, 2).unwrap();
         let loaded = reload(&built);
         prop_assert_eq!(
             sorted(built.query(&q, &kws).unwrap()),
@@ -121,7 +121,7 @@ proptest! {
     ) {
         // 2D data lifts to a 3D Kd-strategy SP-KW inside SRP-KW — the
         // persistable configuration.
-        let built = SrpKwIndex::build(&d, 2);
+        let built = SrpKwIndex::try_build(&d, 2).unwrap();
         let loaded = reload(&built);
         let c: Vec<f64> = center.into_iter().map(f64::from).collect();
         let ball = Ball::new(Point::new(&c), f64::from(radius));
@@ -138,7 +138,7 @@ proptest! {
         t in 1usize..6,
         kws in two_keywords(),
     ) {
-        let built = LinfNnIndex::build(&d, 2);
+        let built = LinfNnIndex::try_build(&d, 2).unwrap();
         let loaded = reload(&built);
         let p: Vec<f64> = at.into_iter().map(f64::from).collect();
         let p = Point::new(&p);
@@ -151,7 +151,7 @@ proptest! {
         q in rect_strategy(2),
         kws in prop::collection::vec(0u32..VOCAB, 0..5),
     ) {
-        let built = OrpKwSuite::build(&d, 3);
+        let built = OrpKwSuite::try_build(&d, 3).unwrap();
         let bytes = built.to_bytes().expect("save");
         prop_assert_eq!(&bytes, &built.to_bytes().expect("save twice"));
         let loaded = OrpKwSuite::try_load(&bytes).expect("load");
@@ -177,7 +177,7 @@ fn unsupported_engines_save_as_typed_store_errors() {
             .collect(),
     );
     // d >= 3 selects the dimension-reduction ORP engine: no encoding.
-    let orp3 = OrpKwIndex::build(&d3, 2);
+    let orp3 = OrpKwIndex::try_build(&d3, 2).unwrap();
     match orp3.to_bytes() {
         Err(SkqError::Store { backend, .. }) => assert_eq!(backend, "save"),
         other => panic!("expected Store error, got {:?}", other.map(|b| b.len())),
@@ -192,7 +192,7 @@ fn unsupported_engines_save_as_typed_store_errors() {
             })
             .collect(),
     );
-    let sp = SpKwIndex::build_with_strategy(&d2, 2, SpStrategy::Willard);
+    let sp = SpKwIndex::try_build_with_strategy(&d2, 2, SpStrategy::Willard).unwrap();
     match sp.to_bytes() {
         Err(SkqError::Store { backend, .. }) => assert_eq!(backend, "save"),
         other => panic!("expected Store error, got {:?}", other.map(|b| b.len())),

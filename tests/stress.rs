@@ -16,10 +16,10 @@ fn sorted(mut v: Vec<u32>) -> Vec<u32> {
 fn city_200k_all_indexes_agree_with_baselines() {
     let city = scenarios::city(200_000, 42);
     let k = 2;
-    let orp = OrpKwIndex::build(&city, k);
-    let lc = LcKwIndex::build(&city, k);
-    let srp = SrpKwIndex::build(&city, k);
-    let nn = LinfNnIndex::build(&city, k);
+    let orp = OrpKwIndex::try_build(&city, k).unwrap();
+    let lc = LcKwIndex::try_build(&city, k).unwrap();
+    let srp = SrpKwIndex::try_build(&city, k).unwrap();
+    let nn = LinfNnIndex::try_build(&city, k).unwrap();
     let kf = KeywordsFirst::build(&city);
 
     let mut gen = QueryGen::new(&city, 43);
@@ -64,7 +64,7 @@ fn city_200k_all_indexes_agree_with_baselines() {
 #[ignore = "large-scale run; invoke explicitly with --ignored"]
 fn sensor_net_100k_dimred_agrees() {
     let net = scenarios::sensor_net(100_000, 7);
-    let orp = OrpKwIndex::build(&net, 2);
+    let orp = OrpKwIndex::try_build(&net, 2).unwrap();
     let kf = KeywordsFirst::build(&net);
     let mut gen = QueryGen::new(&net, 8);
     for trial in 0..60 {
@@ -94,7 +94,7 @@ fn dynamic_churn_500k_operations() {
             0..=5 => {
                 let p = Point::new2(rng.gen_range(0..1000) as f64, rng.gen_range(0..1000) as f64);
                 let doc = vec![rng.gen_range(0..12), 12 + rng.gen_range(0..4)];
-                live.push(idx.insert(p, doc));
+                live.push(idx.try_insert(p, doc).unwrap());
             }
             6..=8 => {
                 if !live.is_empty() {

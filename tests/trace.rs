@@ -62,7 +62,7 @@ fn run_traced_query() {
     }
     let dataset = Dataset::from_parts(parts);
     let root = Span::enter("orp.suite_query");
-    let index = OrpKwIndex::build(&dataset, 2);
+    let index = OrpKwIndex::try_build(&dataset, 2).unwrap();
     let mut sink = CountSink::new();
     let mut stats = QueryStats::new();
     let q = Rect::new(&[0.0, 0.0], &[40.0, 7.0]);
