@@ -14,11 +14,12 @@
 //!   counters are identical.
 //! * `diff BASELINE CANDIDATE [--threshold PCT]` — compare two BENCH
 //!   files; exits 3 when any metric regressed past the threshold
-//!   (default 10%).
+//!   (default 10%) or a baseline problem or metric is missing from the
+//!   candidate.
 //! * `validate FILE` — schema-check a BENCH file.
 //!
 //! Exit codes: 0 success, 1 usage error, 2 I/O or parse error,
-//! 3 regressions found.
+//! 3 regressions or removals found.
 
 // The counting wrapper must implement the inherently-unsafe
 // `GlobalAlloc` trait; this is the same sanctioned exception to the
@@ -271,13 +272,17 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     for name in &report.incomparable {
         println!("note: problem {name:?} skipped (workload context differs)");
     }
+    for name in &report.removed {
+        println!("REMOVED: {name} is in the baseline but not the candidate");
+    }
     println!(
-        "{} regressions, {} improvements past {threshold}% over {} metrics",
+        "{} regressions, {} removed, {} improvements past {threshold}% over {} metrics",
         report.regressions,
+        report.removed.len(),
         report.improvements,
         report.lines.len()
     );
-    if report.regressions > 0 {
+    if !report.passes() {
         return Ok(ExitCode::from(3));
     }
     Ok(ExitCode::SUCCESS)

@@ -28,7 +28,6 @@ use skq_core::nn_l2::L2NnIndex;
 use skq_core::nn_linf::LinfNnIndex;
 use skq_core::orp::OrpKwIndex;
 use skq_core::persist::Persist;
-use skq_core::planner::{Plan, PlannedOrpKw};
 use skq_core::query::KwQuery;
 use skq_core::rr::RrKwIndex;
 use skq_core::sink::CountSink;
@@ -502,41 +501,6 @@ fn ksi_problem(ctx: &Ctx) -> Json {
     out
 }
 
-fn planner_problem(ctx: &Ctx, d: &Dataset) -> Json {
-    let queries = rect_queries(d, ctx.opts.scale.queries());
-    // The planner does not expose a space accessor (it owns an engine
-    // plus the two naive baselines); footprint is tracked through the
-    // engines' own problems, so record 0 words here.
-    let (planner, build) = ctx.build_record(
-        d.len(),
-        || PlannedOrpKw::try_build(d, BUILD_K, None).expect("valid workload"),
-        |_| 0,
-    );
-    let mut chosen = [0u64; 3];
-    let query = ctx.query_record("planner", queries.len(), |i| {
-        let (rect, kws) = &queries[i];
-        let mut sink = CountSink::new();
-        let mut stats = QueryStats::new();
-        let _ = planner.query_sink(rect, kws, &mut sink, &mut stats);
-        let plans = [Plan::KeywordsOnly, Plan::StructuredOnly, Plan::Framework];
-        if let Some(slot) = plans.iter().position(|&p| stats.route == Some(p.into())) {
-            chosen[slot] += 1;
-        }
-        stats
-    });
-    let mut plans = Json::obj();
-    plans.set("keywords_only", Json::Num(chosen[0] as f64));
-    plans.set("structured_only", Json::Num(chosen[1] as f64));
-    plans.set("framework", Json::Num(chosen[2] as f64));
-    let mut out = Json::obj();
-    problem_header(&mut out, "city", d.len(), d.input_size(), BUILD_K);
-    out.set("tier", Json::Str(planner.tier().label().to_string()));
-    out.set("build", build);
-    out.set("query", query);
-    out.set("plans", plans);
-    out
-}
-
 fn batch_problem(ctx: &Ctx, d: &Dataset, index: &OrpKwIndex) -> Json {
     use skq_core::batch::{run_batch_isolated, BatchQuery};
     use skq_core::QueryGuard;
@@ -608,7 +572,6 @@ pub fn run_with_snapshot(opts: BenchOptions, probe: AllocProbe, snapshot: Option
             NnEngine::L2(L2NnIndex::try_build(&wd, BUILD_K).expect("valid workload"))
         });
         let _ = ksi_problem(&warm_ctx);
-        let _ = planner_problem(&warm_ctx, &wd);
         let wi = OrpKwIndex::try_build(&wd, BUILD_K).expect("valid workload");
         let _ = batch_problem(&warm_ctx, &wd, &wi);
         let _ = store_problem(&warm_ctx, &wd, None);
@@ -636,7 +599,6 @@ pub fn run_with_snapshot(opts: BenchOptions, probe: AllocProbe, snapshot: Option
         }),
     );
     problems.set("ksi", ksi_problem(&ctx));
-    problems.set("planner", planner_problem(&ctx, &d));
     let orp_index = OrpKwIndex::try_build(&d, BUILD_K).expect("valid workload");
     problems.set("batch", batch_problem(&ctx, &d, &orp_index));
     problems.set("store", store_problem(&ctx, &d, snapshot));
@@ -759,10 +721,23 @@ pub struct DiffReport {
     /// Problems skipped because their workload context (scenario, `n`,
     /// `k`, query count) differs between the two documents.
     pub incomparable: Vec<String>,
+    /// Baseline problems (`"batch"`) and metrics
+    /// (`"orp.query.nodes_visited"`) missing from the candidate. A
+    /// vanished row or counter fails the gate like a regression: it can
+    /// no longer be compared at any threshold.
+    pub removed: Vec<String>,
     /// Number of [`Verdict::Regressed`] lines.
     pub regressions: usize,
     /// Number of [`Verdict::Improved`] lines.
     pub improvements: usize,
+}
+
+impl DiffReport {
+    /// Whether the candidate passes the gate: nothing regressed past
+    /// the threshold and nothing the baseline measured was removed.
+    pub fn passes(&self) -> bool {
+        self.regressions == 0 && self.removed.is_empty()
+    }
 }
 
 /// Keys describing the workload rather than its cost: compared for
@@ -811,7 +786,10 @@ fn context_matches(a: &Json, b: &Json) -> bool {
 }
 
 /// Compares candidate `b` against baseline `a`: every numeric metric
-/// present in both documents, rated against `threshold_pct`.
+/// of the baseline, rated against `threshold_pct`. A baseline problem or
+/// metric the candidate lacks is [`removed`](DiffReport::removed); a
+/// problem whose workload context differs is
+/// [`incomparable`](DiffReport::incomparable).
 ///
 /// # Errors
 ///
@@ -823,7 +801,7 @@ pub fn diff(a: &Json, b: &Json, threshold_pct: f64) -> Result<DiffReport, String
     let mut report = DiffReport::default();
     for (name, prob_a) in pa {
         let Some(prob_b) = b.get("problems").and_then(|p| p.get(name)) else {
-            report.incomparable.push(name.clone());
+            report.removed.push(name.clone());
             continue;
         };
         if !context_matches(prob_a, prob_b) {
@@ -836,6 +814,7 @@ pub fn diff(a: &Json, b: &Json, threshold_pct: f64) -> Result<DiffReport, String
         flatten("", prob_b, &mut metrics_b);
         for (path, va) in metrics_a {
             let Some((_, vb)) = metrics_b.iter().find(|(p, _)| *p == path) else {
+                report.removed.push(format!("{name}.{path}"));
                 continue;
             };
             let change_pct = if va == 0.0 {
@@ -936,6 +915,41 @@ mod tests {
         assert!(line.change_pct > 100.0);
         assert_eq!(report.incomparable, vec!["rr".to_string()]);
         assert!(report.lines.iter().all(|l| l.problem != "rr"));
+        assert!(report.removed.is_empty());
+        assert!(!report.passes());
+    }
+
+    #[test]
+    fn diff_fails_when_a_problem_is_dropped() {
+        let doc = smoke_doc();
+        let mut fewer = doc.clone();
+        if let Some(Json::Obj(problems)) = fewer.get_mut("problems") {
+            problems.retain(|(name, _)| name != "ksi");
+        }
+        let report = diff(&doc, &fewer, 0.0).unwrap();
+        assert_eq!(report.regressions, 0);
+        assert!(report.incomparable.is_empty());
+        assert_eq!(report.removed, vec!["ksi".to_string()]);
+        assert!(!report.passes(), "a vanished row must fail the gate");
+        // The reverse direction only adds a row: nothing is removed.
+        assert!(diff(&fewer, &doc, 0.0).unwrap().passes());
+    }
+
+    #[test]
+    fn diff_fails_when_a_metric_is_dropped() {
+        let doc = smoke_doc();
+        let mut fewer = doc.clone();
+        if let Some(Json::Obj(query)) = fewer
+            .get_mut("problems")
+            .and_then(|p| p.get_mut("orp"))
+            .and_then(|p| p.get_mut("query"))
+        {
+            query.retain(|(key, _)| key != "alloc_bytes");
+        }
+        let report = diff(&doc, &fewer, 0.0).unwrap();
+        assert_eq!(report.regressions, 0);
+        assert_eq!(report.removed, vec!["orp.query.alloc_bytes".to_string()]);
+        assert!(!report.passes(), "a vanished counter must fail the gate");
     }
 
     #[test]

@@ -229,7 +229,7 @@ pub fn run_batch_isolated(
             None => results.extend(shard.iter().map(|_| None)),
         }
     }
-    telemetry::record_query("orp_batch", index.k(), &stats, span.elapsed());
+    telemetry::record_query("orp_batch", index.k(), None, &stats, span.elapsed());
     BatchReport {
         results,
         outcomes,

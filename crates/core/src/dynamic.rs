@@ -393,7 +393,7 @@ impl DynamicOrpKw {
         stats.emitted = out.len() as u64;
         stats.truncated |= reason.is_some();
         stats.truncated_reason = reason;
-        telemetry::record_query("orp_dynamic", self.k, &stats, span.elapsed());
+        telemetry::record_query("orp_dynamic", self.k, None, &stats, span.elapsed());
         match reason {
             Some(TruncatedReason::DeadlineExceeded) => Err(SkqError::DeadlineExceeded),
             Some(TruncatedReason::Cancelled) => Err(SkqError::Cancelled),

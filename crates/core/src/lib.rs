@@ -28,21 +28,20 @@
 //!   problem.
 //! * [`dynamic`] — insertions/deletions via the logarithmic method
 //!   (ORP-KW is a decomposable search problem).
-//! * [`planner`] — a cost-based choice among the three strategies.
-//! * [`suite`] — one index serving every `k ∈ 2..=k_max` (one kd tree,
-//!   a keyword layer per `k`) plus an inverted-index fallback, routed
-//!   automatically.
+//! * [`suite`] — the rectangle front door: one index serving every
+//!   `k ∈ 2..=k_max` (one kd tree, a keyword layer per `k`) plus an
+//!   inverted-index fallback, routed by the query's keyword count.
 //! * [`query`] — the one query contract, [`KwQuery`]: a typed input
 //!   check plus a streaming traversal per index, with collect, count,
 //!   at-least and guarded queries written once over sinks.
 //! * [`sink`] — streaming result emission: every traversal reports
 //!   through a [`sink::ResultSink`], so collecting, counting,
-//!   limit-`t`, dedup, and tee behaviours compose without re-walking
+//!   limit-`t`, dedup, and filter behaviours compose without re-walking
 //!   (or even materializing) result vectors.
 //! * [`stats`] — query-execution statistics used by the experiment
 //!   harness to measure the quantities in the paper's analysis
 //!   (covered/crossing nodes of §3.3, type-1/type-2 nodes of §4).
-//! * [`telemetry`] — export hooks feeding build/query/planner series
+//! * [`telemetry`] — export hooks feeding build/query series
 //!   into the process-wide `skq-obs` metrics registry and query log.
 //! * [`concurrency`] — shared thread-count clamping used by [`batch`]
 //!   and the `skq-serve` worker pool.
@@ -109,8 +108,6 @@ pub mod nn_l2;
 pub mod nn_linf;
 pub mod orp;
 pub mod persist;
-#[warn(clippy::disallowed_methods, clippy::disallowed_macros)]
-pub mod planner;
 pub mod query;
 pub mod rr;
 pub mod sink;

@@ -13,19 +13,16 @@
 //! intersection; a real kd-tree) for the comparison experiments, plus a
 //! [`FullScan`] that doubles as the correctness oracle.
 
-use std::ops::ControlFlow;
-
 use skq_geom::{Ball, ConvexPolytope, KdTree, Point, Rect};
 use skq_invidx::{InvertedIndex, Keyword};
 
 use crate::dataset::Dataset;
-use crate::sink::ResultSink;
 
 /// The one brute-force ORP-KW oracle: scans the whole dataset and
 /// reports, in ascending id order, every object inside `q` whose
 /// document contains all `keywords`. Shared by the correctness tests of
-/// every rectangle-answering module and by the planner's cost-model
-/// grounding, so there is exactly one definition of "the right answer".
+/// every rectangle-answering module, so there is exactly one definition
+/// of "the right answer".
 pub fn brute_rect(dataset: &Dataset, q: &Rect, keywords: &[Keyword]) -> Vec<u32> {
     (0..dataset.len() as u32)
         .filter(|&i| {
@@ -62,23 +59,6 @@ impl KeywordsFirst {
             .into_iter()
             .filter(|&i| q.contains(self.dataset.point(i as usize)))
             .collect()
-    }
-
-    /// ORP-KW query, streaming survivors into `sink` (the postings
-    /// intersection is still materialized — that is the strategy — but
-    /// the reporting side honours limits and counting).
-    pub fn query_rect_sink<S: ResultSink>(
-        &self,
-        q: &Rect,
-        keywords: &[Keyword],
-        sink: &mut S,
-    ) -> ControlFlow<()> {
-        for i in self.inv.intersect(keywords) {
-            if q.contains(self.dataset.point(i as usize)) {
-                sink.emit(i)?;
-            }
-        }
-        ControlFlow::Continue(())
     }
 
     /// LC-KW / SP-KW query.
@@ -164,21 +144,6 @@ impl StructuredFirst {
     /// ORP-KW query.
     pub fn query_rect(&self, q: &Rect, keywords: &[Keyword]) -> Vec<u32> {
         self.filter_keywords(self.tree.range_report(q), keywords)
-    }
-
-    /// ORP-KW query, streaming survivors into `sink`.
-    pub fn query_rect_sink<S: ResultSink>(
-        &self,
-        q: &Rect,
-        keywords: &[Keyword],
-        sink: &mut S,
-    ) -> ControlFlow<()> {
-        for i in self.tree.range_report(q) {
-            if self.dataset.doc(i).contains_all(keywords) {
-                sink.emit(i as u32)?;
-            }
-        }
-        ControlFlow::Continue(())
     }
 
     /// LC-KW / SP-KW query.

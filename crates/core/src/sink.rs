@@ -4,7 +4,7 @@
 //! (Table 1) — which means the reporting phase is a stream: the
 //! traversal hands over one matching object at a time and may be told
 //! to stop. Materializing a `Vec<u32>` at every layer (framework →
-//! problem module → suite → planner → batch) hides that structure: the
+//! problem module → suite → batch) hides that structure: the
 //! L∞NN-KW radius search (Corollary 4) only needs "are there ≥ t hits?"
 //! per probe, emptiness queries (§1.2 footnote 4) only need the first
 //! hit, and counting needs no ids at all.
@@ -18,8 +18,6 @@
 //!   queries), recording truncation;
 //! * [`DedupSink`] — bitset-backed duplicate suppression (guards
 //!   reductions such as RR-KW's `2d`-dimensional flattening);
-//! * [`TeeSink`] — feed two sinks in one pass (e.g. results plus an
-//!   observability counter);
 //! * [`MapSink`] / [`FilterSink`] — id remapping and post-filtering
 //!   (dimension-reduction local→global ids, suite post-filtering).
 //!
@@ -79,7 +77,7 @@ impl<S: ResultSink + ?Sized> ResultSink for &mut S {
 /// This is what keeps the pre-sink `query(..) -> Vec<u32>` methods
 /// zero-cost wrappers. `emitted` counts the vector's length, including
 /// anything present before the query (callers needing exact per-query
-/// accounting wrap in [`LimitSink`] or tee into a [`CountSink`]).
+/// accounting wrap in [`LimitSink`] or use a [`CountSink`]).
 impl ResultSink for Vec<u32> {
     fn emit(&mut self, id: u32) -> ControlFlow<()> {
         self.push(id);
@@ -271,55 +269,6 @@ impl<S: ResultSink> ResultSink for DedupSink<S> {
     }
 }
 
-/// Feeds every result to two sinks in a single pass — e.g. the caller's
-/// collector plus a [`CountSink`] whose total lands in the
-/// observability layer without re-walking the results. Stops when
-/// either side stops.
-#[derive(Debug)]
-pub struct TeeSink<A, B> {
-    a: A,
-    b: B,
-}
-
-impl<A: ResultSink, B: ResultSink> TeeSink<A, B> {
-    /// Tees emissions into `a` (the primary, whose `emitted` is
-    /// reported) and `b` (the secondary).
-    pub fn new(a: A, b: B) -> Self {
-        Self { a, b }
-    }
-
-    /// The secondary sink.
-    pub fn secondary(&self) -> &B {
-        &self.b
-    }
-
-    /// Consumes the tee, returning both sinks.
-    pub fn into_inner(self) -> (A, B) {
-        (self.a, self.b)
-    }
-}
-
-impl<A: ResultSink, B: ResultSink> ResultSink for TeeSink<A, B> {
-    fn emit(&mut self, id: u32) -> ControlFlow<()> {
-        let fa = self.a.emit(id);
-        let fb = self.b.emit(id);
-        if fa.is_break() || fb.is_break() {
-            ControlFlow::Break(())
-        } else {
-            ControlFlow::Continue(())
-        }
-    }
-    fn emitted(&self) -> u64 {
-        self.a.emitted()
-    }
-    fn truncated(&self) -> bool {
-        self.a.truncated() || self.b.truncated()
-    }
-    fn is_full(&self) -> bool {
-        self.a.is_full() || self.b.is_full()
-    }
-}
-
 /// Rewrites each id through a function before forwarding — the
 /// dimension-reduction tree streams secondary-index hits through a
 /// local→global id map this way, with no intermediate vector.
@@ -489,25 +438,6 @@ mod tests {
         let mut s = LimitSink::new(DedupSink::new(10, Vec::new()), 2);
         feed(&mut s, &[1, 1, 1, 2, 3]);
         assert_eq!(s.into_inner().into_inner(), vec![1, 2]);
-    }
-
-    #[test]
-    fn tee_feeds_both_sides() {
-        let mut s = TeeSink::new(Vec::new(), CountSink::new());
-        feed(&mut s, &[4, 5, 6]);
-        assert_eq!(s.emitted(), 3);
-        assert_eq!(s.secondary().count(), 3);
-        let (a, b) = s.into_inner();
-        assert_eq!(a, vec![4, 5, 6]);
-        assert_eq!(b.count(), 3);
-    }
-
-    #[test]
-    fn tee_stops_when_either_side_stops() {
-        let mut s = TeeSink::new(LimitSink::new(Vec::new(), 1), CountSink::new());
-        assert_eq!(feed(&mut s, &[1, 2, 3]), 1);
-        assert!(s.truncated());
-        assert!(s.is_full());
     }
 
     #[test]

@@ -37,15 +37,10 @@ impl TruncatedReason {
 }
 
 /// Which execution path answered a query ([`QueryStats::route`]): the
-/// query planner's chosen plan, or the multi-`k` suite's route for the
-/// query's keyword count.
+/// multi-`k` suite's route for the query's keyword count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Route {
-    /// Intersect postings lists, then filter geometrically (planner).
-    KeywordsOnly,
-    /// Geometric index, then filter by keywords (planner).
-    StructuredOnly,
-    /// The paper's framework index (planner; suite, `2 ≤ k ≤ k_max`).
+    /// Suite, `2 ≤ k ≤ k_max`: the paper's framework index.
     Framework,
     /// Suite, `k = 0`: a pure range scan.
     RangeScan,
@@ -60,8 +55,6 @@ impl Route {
     /// Stable label used for metric series and query-log records.
     pub fn label(self) -> &'static str {
         match self {
-            Route::KeywordsOnly => "keywords_only",
-            Route::StructuredOnly => "structured_only",
             Route::Framework => "framework",
             Route::RangeScan => "range_scan",
             Route::PostingsFilter => "postings_filter",
@@ -104,9 +97,8 @@ pub struct QueryStats {
     /// Why the query was cut short, when a guarded wrapper knows
     /// (`None` for plain `ControlFlow::Break` sinks).
     pub truncated_reason: Option<TruncatedReason>,
-    /// Which execution path answered the query: the planner's chosen
-    /// plan or the multi-`k` suite's route. `None` for indexes with a
-    /// single execution path.
+    /// Which execution path answered the query: the multi-`k` suite's
+    /// route. `None` for indexes with a single execution path.
     pub route: Option<Route>,
     /// Histogram of crossing nodes by tree level (for Lemma 10 /
     /// Figure 1: `Σ_z (1/2)^{level(z)/2}` must stay `O(1)` per query

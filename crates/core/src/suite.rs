@@ -155,14 +155,12 @@ impl OrpKwSuite {
         let outcome = self.run(q, keywords, guard, &mut ids, &mut stats);
         // A route ran unless the input check refused the query.
         if let Some(route) = stats.route {
-            telemetry::record_query_planned(
+            telemetry::record_query(
                 "orp_suite",
                 validate::count_distinct(keywords),
                 Some(route.label()),
                 &stats,
                 span.elapsed(),
-                None,
-                None,
             );
         }
         let _ = outcome?;

@@ -8,7 +8,7 @@
 //! The counters are relaxed atomics; the only lock is the registry
 //! handle lookup, so instrumented paths stay cheap. Series follow the
 //! `skq_<subsystem>_<quantity>_<unit>` naming scheme with the variable
-//! parts (index/problem kind, plan) as labels.
+//! parts (index/problem kind) as labels.
 
 use std::time::Duration;
 
@@ -44,22 +44,16 @@ pub fn record_build(index: &'static str, duration: Duration, nodes: u64, pivots:
     }
 }
 
-/// Records one query execution without planner involvement.
-pub fn record_query(kind: &'static str, k: usize, stats: &QueryStats, duration: Duration) {
-    record_query_planned(kind, k, None, stats, duration, None, None);
-}
-
-/// Records one query execution, optionally with the plan chosen by a
-/// planner and its predicted/actual costs (in the planner's abstract
-/// cost units).
-pub fn record_query_planned(
+/// Records one query execution: the `skq_query_*` series, the open
+/// span's trace attributes, and one query-log record. `route` is the
+/// execution path taken ([`Route::label`](crate::stats::Route::label))
+/// for entries that route between several, `None` otherwise.
+pub fn record_query(
     kind: &'static str,
     k: usize,
-    plan: Option<&'static str>,
+    route: Option<&'static str>,
     stats: &QueryStats,
     duration: Duration,
-    predicted_cost: Option<f64>,
-    actual_cost: Option<f64>,
 ) {
     let reg = global();
     let labels = [("kind", kind)];
@@ -89,25 +83,17 @@ pub fn record_query_planned(
         trace::attach_u64("pivot_scans", stats.pivot_scans);
         trace::attach_u64("sink_emissions", stats.emitted);
         trace::attach_u64("reported", stats.reported);
-        if let Some(p) = plan {
-            trace::attach_str("plan", p);
-        }
-        if let Some(c) = predicted_cost {
-            trace::attach_f64("predicted_cost", c);
-        }
-        if let Some(c) = actual_cost {
-            trace::attach_f64("actual_cost", c);
+        if let Some(r) = route {
+            trace::attach_str("plan", r);
         }
     }
     query_log().push(QueryRecord {
         kind,
         k,
-        plan,
+        plan: route,
         nodes_visited: stats.nodes_visited,
         objects_examined: stats.objects_examined(),
         reported: stats.reported,
-        predicted_cost,
-        actual_cost,
         duration,
         trace_id,
     });
@@ -141,7 +127,7 @@ mod tests {
                 &[("kind", "telemetry_test")],
             )
             .unwrap_or(0);
-        record_query("telemetry_test", 2, &stats, Duration::from_micros(40));
+        record_query("telemetry_test", 2, None, &stats, Duration::from_micros(40));
         assert_eq!(
             global().counter_value(
                 "skq_query_objects_examined_total",

@@ -107,7 +107,6 @@ pub const RULES: &[(&str, &str, RuleFn)] = &[
 const REQUEST_PATH: &[&str] = &[
     "crates/core/src/batch.rs",
     "crates/core/src/dynamic.rs",
-    "crates/core/src/planner.rs",
     "crates/core/src/suite.rs",
 ];
 

@@ -27,9 +27,9 @@
 //! Exported series follow Prometheus conventions with the `skq_`
 //! prefix: `skq_<subsystem>_<quantity>_<unit>` for histograms and
 //! gauges and `skq_<subsystem>_<thing>_total` for counters, with the
-//! variable part (index kind, plan, span name) carried in labels — e.g.
-//! `skq_build_duration_microseconds{index="orp_kw"}`,
-//! `skq_planner_chosen_total{plan="framework"}`,
+//! variable part (index kind, query kind, span name) carried in labels —
+//! e.g. `skq_build_duration_microseconds{index="orp_kw"}`,
+//! `skq_query_total{kind="orp_suite"}`,
 //! `skq_span_duration_microseconds{span="orp.query"}`.
 //!
 //! # Global vs. local

@@ -1,8 +1,8 @@
 //! A fixed-capacity ring buffer of recent query records.
 //!
 //! Metrics aggregate; the query log keeps the last few hundred
-//! individual executions — problem kind, `k`, the plan chosen, the
-//! execution counters, predicted vs. actual cost, and wall time — for
+//! individual executions — problem kind, `k`, the route taken, the
+//! execution counters, and wall time — for
 //! post-hoc debugging ("what did the slow queries have in common?").
 
 use std::collections::VecDeque;
@@ -12,11 +12,12 @@ use std::time::Duration;
 /// One recorded query execution.
 #[derive(Clone, Debug, Default)]
 pub struct QueryRecord {
-    /// Problem kind (`"orp"`, `"srp"`, `"nn_linf"`, `"planned_orp"`, …).
+    /// Problem kind (`"orp_suite"`, `"orp_dynamic"`, `"cli_rect"`, …).
     pub kind: &'static str,
     /// Number of query keywords.
     pub k: usize,
-    /// Plan chosen, when a planner was involved.
+    /// Route taken, for entries that route between several (the
+    /// suite's `Route::label`).
     pub plan: Option<&'static str>,
     /// Tree nodes visited.
     pub nodes_visited: u64,
@@ -24,10 +25,6 @@ pub struct QueryRecord {
     pub objects_examined: u64,
     /// Objects reported.
     pub reported: u64,
-    /// Planner's predicted cost for the chosen plan, if planned.
-    pub predicted_cost: Option<f64>,
-    /// Post-hoc actual cost in the same units, if known.
-    pub actual_cost: Option<f64>,
     /// Wall time of the execution.
     pub duration: Duration,
     /// Root-span id in the [trace buffer](crate::trace) when the query
@@ -137,9 +134,6 @@ impl QueryLog {
                 r.reported,
                 r.duration.as_micros()
             );
-            if let (Some(p), Some(a)) = (r.predicted_cost, r.actual_cost) {
-                let _ = write!(out, " predicted={p:.0} actual={a:.0}");
-            }
             if let Some(t) = r.trace_id {
                 let _ = write!(out, " trace={t}");
             }
@@ -232,18 +226,15 @@ mod tests {
     }
 
     #[test]
-    fn report_includes_costs() {
+    fn report_includes_route() {
         let log = QueryLog::new(4);
         log.push(QueryRecord {
-            kind: "planned_orp",
+            kind: "orp_suite",
             k: 2,
             plan: Some("framework"),
-            predicted_cost: Some(120.0),
-            actual_cost: Some(97.0),
             ..Default::default()
         });
         let r = log.report(4);
-        assert!(r.contains("plan=framework"), "{r}");
-        assert!(r.contains("predicted=120 actual=97"), "{r}");
+        assert!(r.contains("orp_suite k=2 plan=framework"), "{r}");
     }
 }

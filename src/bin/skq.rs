@@ -246,6 +246,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                     _ => "cli_nn",
                 },
                 k,
+                None,
                 &stats,
                 elapsed,
             );

@@ -98,7 +98,7 @@ pub mod prelude {
     pub use skq_core::query::KwQuery;
     pub use skq_core::rr::{RrKwIndex, RrKwLinear};
     pub use skq_core::sink::{
-        CollectSink, CountSink, DedupSink, FilterSink, LimitSink, MapSink, ResultSink, TeeSink,
+        CollectSink, CountSink, DedupSink, FilterSink, LimitSink, MapSink, ResultSink,
     };
     pub use skq_core::sp::{SpKwIndex, SpStrategy};
     pub use skq_core::srp::SrpKwIndex;

@@ -1,19 +1,18 @@
-//! Integration tests for the observability wiring: planner telemetry,
-//! query-log records, and the Prometheus snapshot.
+//! Integration tests for the observability wiring: build and query
+//! telemetry, query-log records, and the Prometheus snapshot.
 //!
 //! The metrics registry is process-global and the test harness runs
 //! tests in parallel, so every assertion here is on *deltas* of
 //! counters with labels no other test uses, or on records this test
 //! pushed itself.
 
-use structured_keyword_search::core::planner::{Plan, PlannedOrpKw};
+use structured_keyword_search::core::suite::OrpKwSuite;
 use structured_keyword_search::obs;
 use structured_keyword_search::prelude::*;
 
 fn dataset() -> Dataset {
-    // Keyword 0 in every doc, keyword 1 in ~half: frequent enough that
-    // a full-space query drives the planner to a real choice, and
-    // deterministic so the test is stable.
+    // Keyword 0 in every doc, keyword 1 in ~half, deterministic so the
+    // test is stable.
     Dataset::from_parts(
         (0..600)
             .map(|i| {
@@ -28,62 +27,6 @@ fn dataset() -> Dataset {
             })
             .collect(),
     )
-}
-
-#[test]
-fn planned_query_increments_chosen_plan_counter() {
-    let d = dataset();
-    let planner = PlannedOrpKw::try_build(&d, 2, None).unwrap();
-    let q = Rect::full(2);
-
-    let chosen_before = |plan: Plan| {
-        obs::global()
-            .counter_value("skq_planner_chosen_total", &[("plan", plan.label())])
-            .unwrap_or(0)
-    };
-    let before: Vec<u64> = [Plan::KeywordsOnly, Plan::StructuredOnly, Plan::Framework]
-        .iter()
-        .map(|&p| chosen_before(p))
-        .collect();
-
-    let (hits, stats) = planner.query_with_stats(&q, &[0, 1]).unwrap();
-    assert_eq!(hits.len(), 300);
-
-    let plans = [Plan::KeywordsOnly, Plan::StructuredOnly, Plan::Framework];
-    let after: Vec<u64> = plans.iter().map(|&p| chosen_before(p)).collect();
-    let idx = plans
-        .iter()
-        .position(|&p| stats.route == Some(p.into()))
-        .expect("the chosen plan is recorded in the stats");
-    assert_eq!(
-        after[idx],
-        before[idx] + 1,
-        "chosen-plan counter for {:?} must increment",
-        plans[idx]
-    );
-}
-
-#[test]
-fn planned_query_logs_predicted_and_actual_cost() {
-    let d = dataset();
-    let planner = PlannedOrpKw::try_build(&d, 2, None).unwrap();
-    let (hits, stats) = planner
-        .query_with_stats(&Rect::new(&[0.0, 0.0], &[10.0, 10.0]), &[0, 1])
-        .unwrap();
-
-    // The query log is global; scan recent records for ours.
-    let records = obs::query_log().recent(obs::QUERY_LOG_CAPACITY);
-    let record = records
-        .iter()
-        .rev()
-        .find(|r| r.kind == "orp_planned" && r.reported == hits.len() as u64)
-        .expect("planned query must appear in the query log");
-    assert_eq!(record.k, 2);
-    assert_eq!(record.plan, stats.route.map(Route::label));
-    let predicted = record.predicted_cost.expect("predicted cost recorded");
-    let actual = record.actual_cost.expect("actual cost recorded");
-    assert!(predicted > 0.0 && predicted.is_finite());
-    assert!(actual > 0.0 && actual.is_finite());
 }
 
 #[test]
@@ -108,7 +51,7 @@ fn index_build_populates_build_series() {
 #[test]
 fn suite_query_routes_appear_in_query_log() {
     let d = dataset();
-    let suite = structured_keyword_search::core::suite::OrpKwSuite::try_build(&d, 2).unwrap();
+    let suite = OrpKwSuite::try_build(&d, 2).unwrap();
     // The serving entry records one query-log entry per request.
     let guard = QueryGuard::new();
     let (hits, stats) = suite
@@ -131,11 +74,16 @@ fn traced_query_bumps_span_counter_and_logs_trace_pointer() {
     let reg = obs::global();
     let before = reg.counter_value("skq_trace_spans_total", &[]).unwrap_or(0);
     obs::trace::enable();
-    let planner = PlannedOrpKw::try_build(&d, 2, None).unwrap();
-    let hits = planner
-        .query(&Rect::new(&[0.0, 0.0], &[5.0, 5.0]), &[0, 1])
+    let suite = OrpKwSuite::try_build(&d, 2).unwrap();
+    let (hits, stats) = suite
+        .try_query_guarded(
+            &Rect::new(&[0.0, 0.0], &[5.0, 5.0]),
+            &[0, 1],
+            &QueryGuard::new(),
+        )
         .unwrap();
     obs::trace::disable();
+    assert_eq!(stats.route, Some(Route::Framework));
     let after = reg.counter_value("skq_trace_spans_total", &[]).unwrap_or(0);
     assert!(after > before, "enabled tracing must count recorded spans");
 
@@ -145,10 +93,9 @@ fn traced_query_bumps_span_counter_and_logs_trace_pointer() {
     let record = records
         .iter()
         .rev()
-        .find(|r| {
-            r.kind == "orp_planned" && r.reported == hits.len() as u64 && r.trace_id.is_some()
-        })
-        .expect("traced planned query must log its trace_id");
+        .find(|r| r.kind == "orp_suite" && r.reported == hits.len() as u64 && r.trace_id.is_some())
+        .expect("traced suite query must log its trace_id");
+    assert_eq!(record.plan, Some("framework"));
     assert!(record.trace_id.unwrap_or(0) >= 1, "trace ids start at 1");
     assert!(obs::query_log().slowest().is_some());
 }

@@ -1,10 +1,9 @@
 //! Property tests for the substrate layers: geometric primitives,
 //! inverted-index machinery, and the extension modules (dynamic index,
-//! planner, suite).
+//! suite).
 
 use proptest::prelude::*;
 use structured_keyword_search::core::dynamic::DynamicOrpKw;
-use structured_keyword_search::core::planner::{Plan, PlannedOrpKw};
 use structured_keyword_search::core::suite::OrpKwSuite;
 use structured_keyword_search::prelude::*;
 
@@ -186,9 +185,10 @@ proptest! {
         }
     }
 
-    /// Every plan the planner can choose returns identical results.
+    /// Both naive strategies of the paper's introduction and the suite's
+    /// framework route return identical results.
     #[test]
-    fn planner_plans_agree(
+    fn naive_engines_agree_with_suite(
         raw in prop::collection::vec(((0i32..30, 0i32..30), prop::collection::vec(0u32..6, 1..4)), 2..60),
         q in ((0i32..30, 0i32..12), (0i32..30, 0i32..12)),
         (w1, d) in (0u32..6, 1u32..6),
@@ -198,18 +198,18 @@ proptest! {
                 .map(|((x, y), kws)| (Point::new2(f64::from(x), f64::from(y)), kws))
                 .collect(),
         );
-        let planner = PlannedOrpKw::try_build(&dataset, 2, None).unwrap();
         let rect = Rect::new(
             &[f64::from(q.0 .0), f64::from(q.1 .0)],
             &[f64::from(q.0 .0 + q.0 .1), f64::from(q.1 .0 + q.1 .1)],
         );
         let kws = [w1, (w1 + d) % 6];
-        let a = planner.query_with_plan(&rect, &kws, Plan::KeywordsOnly).unwrap();
-        let b = planner.query_with_plan(&rect, &kws, Plan::StructuredOnly).unwrap();
-        let c = planner.query_with_plan(&rect, &kws, Plan::Framework).unwrap();
+        let a = sorted(KeywordsFirst::build(&dataset).query_rect(&rect, &kws));
+        let b = sorted(StructuredFirst::build(&dataset).query_rect(&rect, &kws));
+        let suite = OrpKwSuite::try_build(&dataset, 2).unwrap();
+        let (c, stats) = suite.query_with_stats(&rect, &kws).unwrap();
+        prop_assert_eq!(stats.route, Some(Route::Framework));
         prop_assert_eq!(&a, &b);
-        prop_assert_eq!(&b, &c);
-        prop_assert_eq!(sorted(planner.query(&rect, &kws).unwrap()), c);
+        prop_assert_eq!(b, sorted(c));
     }
 
     /// The multi-k suite answers any keyword count correctly.

@@ -1,10 +1,10 @@
 //! Robustness-layer acceptance tests: deadlines, cancellation, result
-//! budgets, graceful build degradation, duplicate-id rejection, the
-//! constructibility of every [`SkqError`] variant from a public entry
-//! point, and one table over every query entry — each [`KwQuery`]
-//! implementor, both nearest-neighbour indexes, and the dynamic index —
-//! proving malformed input comes back as a typed error and valid input
-//! agrees with the brute-force oracles. (The `Internal` variant only
+//! budgets, duplicate-id rejection, the constructibility of every
+//! [`SkqError`] variant from a public entry point, and one table over
+//! every query entry — each [`KwQuery`] implementor, both
+//! nearest-neighbour indexes, and the dynamic index — proving malformed
+//! input comes back as a typed error and valid input agrees with the
+//! brute-force oracles. (The `Internal` variant only
 //! arises from injected fail points; `tests/chaos.rs` covers it under
 //! `--features failpoints`.)
 
@@ -13,7 +13,6 @@ use std::time::Duration;
 use structured_keyword_search::core::batch::{run_batch_isolated, BatchQuery, ShardOutcome};
 use structured_keyword_search::core::dynamic::DynamicOrpKw;
 use structured_keyword_search::core::naive::brute_rect;
-use structured_keyword_search::core::planner::{BuildTier, Plan, PlannedOrpKw};
 use structured_keyword_search::core::rr::rr_bruteforce;
 use structured_keyword_search::core::suite::OrpKwSuite;
 use structured_keyword_search::prelude::*;
@@ -112,55 +111,6 @@ fn result_budget_caps_suite_and_dynamic_paths() {
     let (got, stats) = dynamic.query(&Rect::full(2), &[0, 1], &guard).unwrap();
     assert_eq!(got.len(), 7);
     assert_eq!(stats.truncated_reason, Some(TruncatedReason::Limit));
-}
-
-#[test]
-fn tiny_budget_degrades_builds_but_not_answers() {
-    let d = grid_dataset(2000);
-    let q = Rect::new(&[3.0, 3.0], &[40.0, 20.0]);
-    let kws = [0u32, 1u32];
-
-    let full = PlannedOrpKw::try_build(&d, 2, None).unwrap();
-    assert_eq!(full.tier(), BuildTier::Framework);
-    let expected = full.query_with_plan(&q, &kws, Plan::Framework).unwrap();
-    assert!(!expected.is_empty());
-
-    // Between the LC and ORP footprints → the linear tier; one word →
-    // nothing is admitted and the naive engines serve.
-    let orp_words = OrpKwIndex::try_build(&d, 2).unwrap().space_words();
-    let lc_words = LcKwIndex::try_build(&d, 2).unwrap().space_words();
-    assert!(lc_words < orp_words, "lc={lc_words} orp={orp_words}");
-    let mid = (lc_words + orp_words) / 2;
-    for (budget, tier) in [(mid, BuildTier::Linear), (1, BuildTier::Naive)] {
-        let before = structured_keyword_search::obs::global()
-            .counter("skq_planner_build_tier_total", &[("tier", tier.label())])
-            .get();
-        let planner = PlannedOrpKw::try_build(&d, 2, Some(budget)).unwrap();
-        assert_eq!(planner.tier(), tier);
-        assert_eq!(
-            structured_keyword_search::obs::global()
-                .counter("skq_planner_build_tier_total", &[("tier", tier.label())])
-                .get(),
-            before + 1,
-            "build tier must be visible in telemetry"
-        );
-        let forced = planner.query_with_plan(&q, &kws, Plan::Framework);
-        assert_eq!(forced.unwrap(), expected);
-        let (mut got, stats) = planner.query_with_stats(&q, &kws).unwrap();
-        got.sort_unstable();
-        assert_eq!(got, expected);
-        assert_eq!(stats.truncated_reason, None);
-    }
-
-    // The degraded tier is stamped into the query log's plan label
-    // whenever the framework plan runs on a fallback engine.
-    let planner = PlannedOrpKw::try_build(&d, 2, Some(mid)).unwrap();
-    // Full-space + omnipresent keywords: the framework plan wins.
-    let (_, stats) = planner.query_with_stats(&Rect::full(2), &kws).unwrap();
-    if stats.route == Some(Route::Framework) {
-        let recent = structured_keyword_search::obs::query_log().recent(1);
-        assert_eq!(recent[0].plan, Some("framework@linear"));
-    }
 }
 
 #[test]
@@ -367,18 +317,6 @@ fn every_query_entry_rejects_malformed_input_typed() {
     let served = suite.try_query_guarded(&Rect::full(1), &[0, 1], &guard);
     assert_invalid("suite", "served 1-D rectangle", served);
 
-    let planner = PlannedOrpKw::try_build(&d, 2, None).unwrap();
-    assert_rejected(
-        "planner",
-        "3-D rectangle",
-        &planner,
-        &Rect::full(3),
-        &[0, 1],
-    );
-    assert_keyword_contract("planner", &planner, &rect);
-    let forced = planner.query_with_plan(&rect, &[2, 2], Plan::KeywordsOnly);
-    assert_invalid("planner", "forced plan, one keyword", forced);
-
     // The ranked and handle-emitting entries: one validated method each.
     let linf = LinfNnIndex::try_build(&d, 2).unwrap();
     let l2 = L2NnIndex::try_build(&d, 2).unwrap();
@@ -459,7 +397,6 @@ fn every_query_entry_agrees_with_brute_force() {
     let srp = SrpKwIndex::try_build(&d, 2).unwrap();
     let ksi = KsiIndex::try_build(d.docs(), 2).unwrap();
     let suite = OrpKwSuite::try_build(&d, 3).unwrap();
-    let planner = PlannedOrpKw::try_build(&d, 2, None).unwrap();
     let linf = LinfNnIndex::try_build(&d, 2).unwrap();
     let l2 = L2NnIndex::try_build(&d, 2).unwrap();
     let mut dynamic = DynamicOrpKw::new(2, 2);
@@ -481,7 +418,6 @@ fn every_query_entry_agrees_with_brute_force() {
         let want = brute_rect(&d, &rect, &kws);
         assert_agrees("orp", &orp, &rect, &kws, &want);
         assert_agrees("suite", &suite, &rect, &kws, &want);
-        assert_agrees("planner", &planner, &rect, &kws, &want);
         assert_agrees("rr", &rr, &rect, &kws, &rr_bruteforce(&rects, &rect, &kws));
         assert_agrees(
             "rr_linear",

@@ -70,6 +70,7 @@ fn run_traced_query() {
     skq_core::telemetry::record_query(
         "trace_itest",
         2,
+        None,
         &stats,
         std::time::Duration::from_micros(5),
     );
