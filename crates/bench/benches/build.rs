@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use skq_bench::planted_spatial;
-use skq_core::framework::{FrameworkConfig, KdPartitioner, TransformedIndex};
+use skq_core::framework::{doc_weights, FrameworkConfig, KdPartitioner, TransformedIndex};
 use skq_core::ksi::KsiIndex;
 use skq_core::orp::OrpKwIndex;
 use skq_core::sp::{SpKwIndex, SpStrategy};
@@ -50,15 +50,13 @@ fn bench_leaf_weight(c: &mut Criterion) {
     use skq_geom::{RankSpace, Rect, Region};
     let ps = planted_spatial(30_000, 2, 2, 300, 1e6, 63);
     let rank = RankSpace::build(ps.dataset.points());
-    let rank_points = rank.points();
-    let weights: Vec<u64> = (0..ps.dataset.len())
-        .map(|i| ps.dataset.weight(i))
-        .collect();
+    let rank_coords = rank.coords();
+    let weights = doc_weights(ps.dataset.docs());
     let mut g = c.benchmark_group("ablation/leaf_weight");
     g.sample_size(15);
     for leaf in [8u64, 24, 96, 384] {
         let tree = TransformedIndex::try_build(
-            KdPartitioner::new(rank_points.clone(), weights.clone()),
+            KdPartitioner::new(2, rank_coords.clone(), weights.clone()),
             ps.dataset.docs().to_vec(),
             2..=2,
             FrameworkConfig { leaf_weight: leaf },

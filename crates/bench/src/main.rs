@@ -31,15 +31,20 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use skq_bench::json::Json;
-use skq_bench::trajectory::{self, BenchOptions, Scale, Verdict};
+use skq_bench::trajectory::{self, AllocCounters, BenchOptions, Scale, Verdict};
 use skq_bench::Table;
 
 /// Delegates to [`System`], counting bytes and allocation calls so the
-/// trajectory can record allocator traffic per build / query sweep.
+/// trajectory can record allocator traffic per build / query sweep,
+/// and tracking the bytes currently allocated so a build row can record
+/// what the built index keeps resident.
 struct CountingAlloc;
 
 static BYTES: AtomicU64 = AtomicU64::new(0);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes currently allocated. Frees subtract, so this can move both
+/// ways; readers take differences with wrapping arithmetic.
+static LIVE: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: delegates verbatim to `System`; the only addition is relaxed
 // counter bookkeeping, which cannot violate allocator invariants.
@@ -49,24 +54,37 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // SeqCst loads run after the measured phase has quiesced
         BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         ALLOCS.fetch_add(1, Ordering::Relaxed); // relaxed: see above
+        LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed); // relaxed: see above
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed); // relaxed: see alloc()
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // relaxed: allocator-path telemetry counters; see alloc()
         BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         ALLOCS.fetch_add(1, Ordering::Relaxed); // relaxed: see above
-        System.realloc(ptr, layout, new_size)
+        let new_ptr = System.realloc(ptr, layout, new_size);
+        // A failed realloc leaves the old block allocated.
+        if !new_ptr.is_null() {
+            // Wrapping, so a shrink subtracts.
+            let grown = (new_size as u64).wrapping_sub(layout.size() as u64);
+            LIVE.fetch_add(grown, Ordering::Relaxed); // relaxed: see alloc()
+        }
+        new_ptr
     }
 }
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-fn read_alloc_counters() -> (u64, u64) {
-    (BYTES.load(Ordering::SeqCst), ALLOCS.load(Ordering::SeqCst))
+fn read_alloc_counters() -> AllocCounters {
+    AllocCounters {
+        bytes: BYTES.load(Ordering::SeqCst),
+        allocs: ALLOCS.load(Ordering::SeqCst),
+        live: LIVE.load(Ordering::SeqCst),
+    }
 }
 
 const USAGE: &str = "usage: skq-bench <command>

@@ -53,12 +53,25 @@ pub const FORMAT: &str = "skq-bench-trajectory";
 /// problem.
 pub const LATENCY_METRIC: &str = "skq_bench_query_latency_microseconds";
 
-/// Reads cumulative allocation counters `(bytes, allocations)`.
+/// A reading of the allocator counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AllocCounters {
+    /// Bytes requested so far (allocations plus realloc targets).
+    pub bytes: u64,
+    /// Allocation and realloc calls so far.
+    pub allocs: u64,
+    /// Bytes currently allocated, modulo 2⁶⁴: frees subtract, so only
+    /// differences between two readings are meaningful.
+    pub live: u64,
+}
+
+/// Reads the allocator counters.
 ///
 /// The bench binary installs a counting `#[global_allocator]` and
 /// passes a probe reading it; callers without one (unit tests, the
-/// harness library) pass `&|| (0, 0)` and the alloc fields record 0.
-pub type AllocProbe<'a> = &'a dyn Fn() -> (u64, u64);
+/// harness library) pass `&AllocCounters::default` and the alloc
+/// fields record 0.
+pub type AllocProbe<'a> = &'a dyn Fn() -> AllocCounters;
 
 /// Problem-size preset for a trajectory run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -133,12 +146,20 @@ struct Ctx<'a> {
 }
 
 impl Ctx<'_> {
-    /// Allocation delta `(bytes, allocations)` across `f`.
-    fn alloc_delta<T>(&self, f: impl FnOnce() -> T) -> (T, u64, u64) {
-        let (b0, a0) = (self.probe)();
+    /// Allocation delta across `f`: bytes requested, allocation calls,
+    /// and the net bytes still allocated when `f` returns (its result
+    /// included; zero if `f` freed more than it kept).
+    fn alloc_delta<T>(&self, f: impl FnOnce() -> T) -> (T, AllocCounters) {
+        let before = (self.probe)();
         let value = f();
-        let (b1, a1) = (self.probe)();
-        (value, b1.saturating_sub(b0), a1.saturating_sub(a0))
+        let after = (self.probe)();
+        let live = after.live.wrapping_sub(before.live) as i64;
+        let delta = AllocCounters {
+            bytes: after.bytes.saturating_sub(before.bytes),
+            allocs: after.allocs.saturating_sub(before.allocs),
+            live: live.max(0) as u64,
+        };
+        (value, delta)
     }
 
     /// Builds once under the allocation probe, recording footprint and
@@ -149,7 +170,7 @@ impl Ctx<'_> {
         build: impl Fn() -> T,
         space_words: impl Fn(&T) -> usize,
     ) -> (T, Json) {
-        let (index, alloc_bytes, allocs) = self.alloc_delta(&build);
+        let (index, alloc) = self.alloc_delta(&build);
         let words = space_words(&index);
         let mut out = Json::obj();
         out.set("space_words", Json::Num(words as f64));
@@ -157,8 +178,9 @@ impl Ctx<'_> {
             "bytes_per_point",
             Json::Num(round3(words as f64 * 8.0 / n as f64)),
         );
-        out.set("alloc_bytes", Json::Num(alloc_bytes as f64));
-        out.set("allocs", Json::Num(allocs as f64));
+        out.set("alloc_bytes", Json::Num(alloc.bytes as f64));
+        out.set("allocs", Json::Num(alloc.allocs as f64));
+        out.set("live_bytes", Json::Num(alloc.live as f64));
         if self.opts.timed {
             let m = measure(self.opts.build_reps, || {
                 std::hint::black_box(build());
@@ -179,7 +201,7 @@ impl Ctx<'_> {
     ) -> Json {
         let hist = skq_obs::global().histogram(LATENCY_METRIC, &[("problem", problem)]);
         let mut total = QueryStats::new();
-        let (_, alloc_bytes, allocs) = self.alloc_delta(|| {
+        let (_, alloc) = self.alloc_delta(|| {
             for i in 0..queries {
                 let t = Instant::now();
                 let stats = run_one(i);
@@ -198,8 +220,8 @@ impl Ctx<'_> {
         );
         out.set("postings_scanned", Json::Num(total.list_scans as f64));
         out.set("reported", Json::Num(total.reported as f64));
-        out.set("alloc_bytes", Json::Num(alloc_bytes as f64));
-        out.set("allocs", Json::Num(allocs as f64));
+        out.set("alloc_bytes", Json::Num(alloc.bytes as f64));
+        out.set("allocs", Json::Num(alloc.allocs as f64));
         if self.opts.timed {
             let mut lat = Json::obj();
             lat.set("p50", Json::Num(hist.p50() as f64));
@@ -517,13 +539,13 @@ fn batch_problem(ctx: &Ctx, d: &Dataset, index: &OrpKwIndex) -> Json {
             .into_results()
             .expect("no batch shard fails")
     };
-    let (results, alloc_bytes, allocs) = ctx.alloc_delta(run);
+    let (results, alloc) = ctx.alloc_delta(run);
     out.set(
         "results_total",
         Json::Num(results.iter().map(Vec::len).sum::<usize>() as f64),
     );
-    out.set("alloc_bytes", Json::Num(alloc_bytes as f64));
-    out.set("allocs", Json::Num(allocs as f64));
+    out.set("alloc_bytes", Json::Num(alloc.bytes as f64));
+    out.set("allocs", Json::Num(alloc.allocs as f64));
     if ctx.opts.timed {
         let m = measure(ctx.opts.build_reps, || {
             std::hint::black_box(run());
@@ -550,14 +572,13 @@ pub fn run_with_snapshot(opts: BenchOptions, probe: AllocProbe, snapshot: Option
     // log, keyword tables) on a tiny instance of every problem so those
     // one-time allocations are not charged to the measured sections.
     {
-        let zero_probe = || (0u64, 0u64);
         let warm_ctx = Ctx {
             opts: BenchOptions {
                 scale: Scale::Smoke,
                 timed: false,
                 build_reps: 1,
             },
-            probe: &zero_probe,
+            probe: &AllocCounters::default,
         };
         let wd = scenarios::city(400, SEED_DATA);
         let _ = orp_problem(&warm_ctx, &wd);
@@ -859,7 +880,7 @@ mod tests {
                 timed: false,
                 build_reps: 1,
             },
-            &|| (0, 0),
+            &AllocCounters::default,
         )
     }
 

@@ -10,45 +10,41 @@
 //! tuples are populated and probed.
 
 /// A dense `L^k`-bit table addressed by sorted `k`-tuples of local
-/// large-keyword ids in `0..L`.
-#[derive(Clone, Debug)]
-pub struct ComboTable {
+/// large-keyword ids in `0..L`, over bit words it borrows (`&[u64]`
+/// to probe, `&mut [u64]` to fill): a built tree keeps every node's
+/// tables in one word pool per keyword layer and views them in place.
+#[derive(Clone, Copy, Debug)]
+pub struct ComboTable<B> {
     l: usize,
-    k: usize,
-    bits: Vec<u64>,
+    bits: B,
 }
 
-impl ComboTable {
-    /// Creates an all-empty table for `l` large keywords and tuple size
-    /// `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l < k` (no `k`-subset of fewer than `k` keywords
-    /// exists), or on absurd sizes, which the large-keyword bound
-    /// `L ≤ N_u^{1/k}` rules out for valid inputs.
-    pub fn new(l: usize, k: usize) -> Self {
-        assert!(k >= 1 && l >= k, "need at least k large keywords");
-        let cells = (l as u128).pow(k as u32);
-        assert!(
-            cells <= 1 << 40,
-            "combo table of {cells} cells exceeds the L ≤ N^(1/k) budget"
-        );
-        let words = (cells as usize).div_ceil(64);
-        Self {
-            l,
-            k,
-            bits: vec![0; words],
-        }
+/// The number of 64-bit words of an `L^k`-bit table.
+///
+/// # Errors
+///
+/// When `l < k` (no `k`-subset of fewer than `k` keywords exists) or
+/// `k == 0`, or on absurd sizes, which the large-keyword bound
+/// `L ≤ N_u^{1/k}` rules out for valid inputs.
+pub fn table_words(l: usize, k: usize) -> Result<usize, String> {
+    if k < 1 || l < k {
+        return Err(format!("combo table needs 1 <= k <= l, got l={l} k={k}"));
     }
+    let cells = (l as u128)
+        .checked_pow(k as u32)
+        .filter(|&c| c <= 1 << 40)
+        .ok_or_else(|| format!("combo table of l={l} k={k} exceeds the cell budget"))?;
+    Ok((cells as usize).div_ceil(64))
+}
 
-    /// The number of large keywords `L`.
-    pub fn num_large(&self) -> usize {
-        self.l
+impl<B> ComboTable<B> {
+    /// Views `bits` (of [`table_words`]`(l, k)` words) as the table for
+    /// `l` large keywords.
+    pub fn new(l: usize, bits: B) -> Self {
+        Self { l, bits }
     }
 
     fn index(&self, sorted_ids: &[u32]) -> usize {
-        debug_assert_eq!(sorted_ids.len(), self.k);
         debug_assert!(
             sorted_ids.windows(2).all(|w| w[0] < w[1]),
             "ids must be strictly sorted"
@@ -60,50 +56,21 @@ impl ComboTable {
         }
         idx
     }
+}
 
-    /// Marks the combination as non-empty.
-    pub fn set(&mut self, sorted_ids: &[u32]) {
-        let i = self.index(sorted_ids);
-        self.bits[i / 64] |= 1 << (i % 64);
-    }
-
+impl<B: AsRef<[u64]>> ComboTable<B> {
     /// Whether the combination was marked non-empty.
     pub fn get(&self, sorted_ids: &[u32]) -> bool {
         let i = self.index(sorted_ids);
-        self.bits[i / 64] >> (i % 64) & 1 == 1
+        self.bits.as_ref()[i / 64] >> (i % 64) & 1 == 1
     }
+}
 
-    /// Space in 64-bit words (for the experiment harness's space
-    /// accounting).
-    pub fn space_words(&self) -> usize {
-        self.bits.len() + 2
-    }
-
-    /// Decomposes the table into `(l, k, bit words)` for the snapshot
-    /// encoder.
-    pub(crate) fn parts(&self) -> (usize, usize, &[u64]) {
-        (self.l, self.k, &self.bits)
-    }
-
-    /// Reassembles a table from decoded parts, re-validating every
-    /// precondition [`ComboTable::new`] asserts — the snapshot-load
-    /// counterpart of `new`, which must not panic on bad bytes.
-    pub(crate) fn from_parts(l: usize, k: usize, bits: Vec<u64>) -> Result<Self, String> {
-        if k < 1 || l < k {
-            return Err(format!("combo table needs 1 <= k <= l, got l={l} k={k}"));
-        }
-        let cells = (l as u128)
-            .checked_pow(k as u32)
-            .filter(|&c| c <= 1 << 40)
-            .ok_or_else(|| format!("combo table of l={l} k={k} exceeds the cell budget"))?;
-        let words = (cells as usize).div_ceil(64);
-        if bits.len() != words {
-            return Err(format!(
-                "combo table has {} bit words, expected {words}",
-                bits.len()
-            ));
-        }
-        Ok(Self { l, k, bits })
+impl<B: AsMut<[u64]>> ComboTable<B> {
+    /// Marks the combination as non-empty.
+    pub fn set(&mut self, sorted_ids: &[u32]) {
+        let i = self.index(sorted_ids);
+        self.bits.as_mut()[i / 64] |= 1 << (i % 64);
     }
 }
 
@@ -146,9 +113,13 @@ fn subsets_rec(
 mod tests {
     use super::*;
 
+    fn empty(l: usize, k: usize) -> ComboTable<Vec<u64>> {
+        ComboTable::new(l, vec![0; table_words(l, k).unwrap()])
+    }
+
     #[test]
     fn set_get_roundtrip() {
-        let mut t = ComboTable::new(5, 2);
+        let mut t = empty(5, 2);
         t.set(&[1, 3]);
         t.set(&[0, 4]);
         assert!(t.get(&[1, 3]));
@@ -161,7 +132,7 @@ mod tests {
     fn distinct_tuples_distinct_cells() {
         let l = 6;
         let k = 3;
-        let mut t = ComboTable::new(l, k);
+        let mut t = empty(l, k);
         let mut all: Vec<Vec<u32>> = Vec::new();
         let ids: Vec<u32> = (0..l as u32).collect();
         for_each_k_subset(&ids, k, &mut |s| all.push(s.to_vec()));
@@ -177,7 +148,7 @@ mod tests {
 
     #[test]
     fn k_equals_one() {
-        let mut t = ComboTable::new(3, 1);
+        let mut t = empty(3, 1);
         t.set(&[2]);
         assert!(t.get(&[2]));
         assert!(!t.get(&[0]));
@@ -201,8 +172,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least k")]
     fn too_few_large_rejected() {
-        let _ = ComboTable::new(1, 2);
+        assert!(table_words(1, 2).unwrap_err().contains("1 <= k <= l"));
+        assert!(table_words(1 << 20, 3).unwrap_err().contains("budget"));
+        assert_eq!(table_words(8, 2), Ok(1));
+        assert_eq!(table_words(9, 2), Ok(2));
     }
 }

@@ -1,20 +1,25 @@
 //! The transformed index (Steps 2–3 of the framework, §3.2–§3.3).
+//!
+//! A built tree lives in a few flat arrays (DESIGN.md §17): a node
+//! arena whose children and pivots are ranges of two shared id pools,
+//! the partitioner's cell store, and per keyword layer a table slot per
+//! node over pools of large keywords, emptiness-table words, list
+//! entries and list ids. No node owns an allocation.
 
-use std::ops::{ControlFlow, RangeInclusive};
+use std::ops::{ControlFlow, Range, RangeInclusive};
 
-use skq_geom::{Rect, Region};
+use skq_geom::Region;
 use skq_invidx::{Document, Keyword};
 
 use crate::error::{validate, SkqError};
 use crate::failpoints;
-use crate::fastmap::FxHashMap;
 use crate::persist::{self, Persist, SCHEMA_VERSION};
 use crate::sink::ResultSink;
 use crate::stats::QueryStats;
 
-use super::combo::{for_each_k_subset, ComboTable};
-use super::kd::KdPartitioner;
-use super::partitioner::{Partitioner, SplitOutcome};
+use super::combo::{for_each_k_subset, table_words, ComboTable};
+use super::kd::{KdPartitioner, PackedRects};
+use super::partitioner::{CellStore, Partitioner, SplitOutcome};
 
 /// The largest supported `k` (`validate::build_k`'s upper bound).
 const MAX_K: usize = 16;
@@ -39,41 +44,232 @@ impl Default for FrameworkConfig {
     }
 }
 
-/// A tree node's geometry: everything that does not depend on `k`.
-struct Node<C> {
-    cell: C,
-    level: u32,
+/// A pool offset. Every pool stays below 2³² entries: object ids and
+/// list ids are bounded by the 2³¹ keyword occurrences a build accepts,
+/// and the keyword and bit-word pools by the tree's linear space.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("framework pools stay below 2^32 entries")
+}
+
+/// Item `i`'s range of a pool filled in item order: from its own start
+/// to the next item's start, or to the pool's end for the last item.
+fn span<T>(items: &[T], i: usize, start: impl Fn(&T) -> u32, pool_len: usize) -> Range<usize> {
+    let end = items
+        .get(i + 1)
+        .map_or(pool_len, |next| start(next) as usize);
+    start(&items[i]) as usize..end
+}
+
+/// One arena node: everything about it that does not depend on `k`.
+#[derive(Clone, Copy, Debug)]
+struct Node {
     weight: u64,
+    level: u32,
+    /// Start of the node's children in [`Arena::children`].
+    children: u32,
+    /// Start of the node's pivots in [`Arena::pivots`]: boundary
+    /// objects for internal nodes, the whole active set for leaves.
+    pivots: u32,
+}
+
+/// The tree's geometry, in preorder. A node's children and pivots are
+/// ranges of the two shared pools, ending where the next node's begin.
+struct Arena<S> {
+    nodes: Vec<Node>,
+    cells: S,
     children: Vec<u32>,
-    /// Objects stored at this node (boundary objects for internal
-    /// nodes; the whole active set for leaves).
     pivots: Vec<u32>,
 }
 
-/// One node's keyword tables for one `k` (§3.2).
-#[derive(Default)]
-struct NodeTable {
-    /// Large keywords at this node → local id in `0..L` (ids follow
-    /// ascending keyword order).
-    large: FxHashMap<Keyword, u32>,
-    /// One emptiness table per child (parallel to the node's
-    /// `children`); empty when `L < k` (then no `k` distinct keywords
-    /// can all be large).
-    combos: Vec<ComboTable>,
-    /// Materialized `D_u^act(w)` for keywords small at this node but
-    /// large at all proper ancestors. Lists exclude this node's pivots
-    /// (those are reported by the visit itself), so reporting never
-    /// duplicates. A keyword that qualifies but has an empty list is
-    /// simply absent.
-    materialized: FxHashMap<Keyword, Vec<u32>>,
+impl<S> Arena<S> {
+    fn shrink_to_fit<C: Clone>(&mut self)
+    where
+        S: CellStore<C>,
+    {
+        self.nodes.shrink_to_fit();
+        self.cells.shrink_to_fit();
+        self.children.shrink_to_fit();
+        self.pivots.shrink_to_fit();
+    }
+
+    fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    fn children(&self, i: usize) -> &[u32] {
+        &self.children[span(&self.nodes, i, |n| n.children, self.children.len())]
+    }
+
+    fn pivots(&self, i: usize) -> &[u32] {
+        &self.pivots[span(&self.nodes, i, |n| n.pivots, self.pivots.len())]
+    }
 }
 
-/// The keyword layer for one `k`: a table per tree node, parallel to
-/// the node arena. Only the large/small threshold `N_u^{1−1/k}` and
-/// what follows from it depend on `k`; the tree is shared.
+/// A materialized `D_u^act(w)`: `len` ids of its layer's id pool from
+/// `start`.
+#[derive(Clone, Copy, Debug)]
+struct List {
+    keyword: Keyword,
+    start: u32,
+    len: u32,
+}
+
+/// Where one node's table starts in each pool of its layer; it ends
+/// where the next table starts.
+#[derive(Clone, Copy, Debug)]
+struct TableStart {
+    large: u32,
+    combo: u32,
+    lists: u32,
+}
+
+/// [`Layer::table_of`] of a node whose table is empty.
+const NO_TABLE: u32 = u32::MAX;
+
+/// A query keyword's slot in `visit` when the keyword is not large at
+/// the node (local ids are below `L`).
+const SMALL_HERE: u32 = u32::MAX;
+
+/// The keyword layer for one `k` (§3.2). Only the large/small threshold
+/// `N_u^{1−1/k}` and what follows from it depend on `k`; the tree is
+/// shared.
 struct Layer {
     k: usize,
-    tables: Vec<NodeTable>,
+    /// Per node, its table's index in `tables`, or [`NO_TABLE`] (every
+    /// leaf, and every node below a point where all keywords went
+    /// small).
+    table_of: Vec<u32>,
+    tables: Vec<TableStart>,
+    /// Per table, its large keywords, ascending: a keyword's position
+    /// is its local id.
+    large: Vec<Keyword>,
+    /// Per table, one emptiness table of `table_words(L, k)` words per
+    /// child, in child order — none when `L < k` (then no `k` distinct
+    /// keywords can all be large).
+    combo: Vec<u64>,
+    /// Per table, the materialized `D_u^act(w)` for keywords small at
+    /// the node but large at all proper ancestors, ascending by
+    /// keyword. Lists exclude the node's pivots (those are reported by
+    /// the visit itself), so reporting never duplicates. A keyword that
+    /// qualifies but has an empty list is simply absent.
+    lists: Vec<List>,
+    /// The lists' object ids.
+    ids: Vec<u32>,
+}
+
+/// One node's table in one layer, borrowed from the layer's pools.
+#[derive(Clone, Copy, Default)]
+struct Table<'a> {
+    large: &'a [Keyword],
+    combo: &'a [u64],
+    lists: &'a [List],
+}
+
+impl<'a> Table<'a> {
+    // Both lookups are binary searches written as `partition_point`,
+    // whose loop has no early exit and compiles without a branch per
+    // step.
+
+    /// `w`'s local id, if `w` is large at the node.
+    fn local_id(&self, w: Keyword) -> Option<u32> {
+        let i = self.large.partition_point(|&x| x < w);
+        (self.large.get(i) == Some(&w)).then_some(i as u32)
+    }
+
+    /// `w`'s materialized list, if the node has one.
+    fn list(&self, w: Keyword) -> Option<&'a List> {
+        let i = self.lists.partition_point(|l| l.keyword < w);
+        self.lists.get(i).filter(|l| l.keyword == w)
+    }
+
+    /// The number of emptiness tables: one per child, or none.
+    fn num_combos(&self, num_children: usize) -> usize {
+        if self.combo.is_empty() {
+            0
+        } else {
+            num_children
+        }
+    }
+
+    /// Child `ci`'s emptiness table (of `num_children` > 0).
+    fn combo(&self, ci: usize, num_children: usize) -> ComboTable<&'a [u64]> {
+        let words = self.combo.len() / num_children;
+        ComboTable::new(self.large.len(), &self.combo[ci * words..][..words])
+    }
+}
+
+impl Layer {
+    fn new(k: usize) -> Self {
+        Self {
+            k,
+            table_of: Vec::new(),
+            tables: Vec::new(),
+            large: Vec::new(),
+            combo: Vec::new(),
+            lists: Vec::new(),
+            ids: Vec::new(),
+        }
+    }
+
+    /// Node `node`'s table (empty for [`NO_TABLE`]).
+    fn table(&self, node: usize) -> Table<'_> {
+        let t = self.table_of[node];
+        if t == NO_TABLE {
+            return Table::default();
+        }
+        let t = t as usize;
+        Table {
+            large: &self.large[span(&self.tables, t, |s| s.large, self.large.len())],
+            combo: &self.combo[span(&self.tables, t, |s| s.combo, self.combo.len())],
+            lists: &self.lists[span(&self.tables, t, |s| s.lists, self.lists.len())],
+        }
+    }
+
+    fn ids(&self, list: &List) -> &[u32] {
+        &self.ids[list.start as usize..][..list.len as usize]
+    }
+
+    /// The pools' current ends: where the next table starts.
+    fn ends(&self) -> TableStart {
+        TableStart {
+            large: offset(self.large.len()),
+            combo: offset(self.combo.len()),
+            lists: offset(self.lists.len()),
+        }
+    }
+
+    /// Gives `node` the table appended to the pools since `start`, if
+    /// anything was.
+    fn close_table(&mut self, node: u32, start: TableStart) {
+        let end = self.ends();
+        if end.large > start.large || end.combo > start.combo || end.lists > start.lists {
+            self.table_of[node as usize] = offset(self.tables.len());
+            self.tables.push(start);
+        }
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.table_of.shrink_to_fit();
+        self.tables.shrink_to_fit();
+        self.large.shrink_to_fit();
+        self.combo.shrink_to_fit();
+        self.lists.shrink_to_fit();
+        self.ids.shrink_to_fit();
+    }
+
+    /// Index space in 64-bit words, as the per-node tables are charged:
+    /// two words per large keyword, the bit words plus two per
+    /// emptiness table, and each list's ids plus two.
+    fn space_words<S>(&self, arena: &Arena<S>) -> usize {
+        let combo_tables: usize = (0..arena.len())
+            .map(|i| self.table(i).num_combos(arena.children(i).len()))
+            .sum();
+        self.large.len() * 2
+            + self.combo.len()
+            + 2 * combo_tables
+            + self.ids.len()
+            + 2 * self.lists.len()
+    }
 }
 
 /// Build-time keyword state, shared by every node and layer of one
@@ -92,7 +288,7 @@ struct DenseKeywords {
     /// Per dense id, zero outside the node being built. While a node
     /// counts, a candidate holds `1 + |D_u^act(w)|`; once classified, a
     /// large keyword holds `1 + local id`, a small one `SMALL | list
-    /// index`, and an absent one 0.
+    /// index` (relative to the node's first list), and an absent one 0.
     state: Vec<u32>,
     /// A document's large-keyword local ids.
     local: Vec<u32>,
@@ -108,6 +304,7 @@ impl DenseKeywords {
         words.extend(docs.iter().flat_map(|d| d.keywords().iter().copied()));
         words.sort_unstable();
         words.dedup();
+        words.shrink_to_fit();
         let mut off = Vec::with_capacity(docs.len() + 1);
         let mut ids = Vec::with_capacity(total);
         off.push(0);
@@ -129,14 +326,15 @@ impl DenseKeywords {
         }
     }
 
-    /// Fills an internal node's layer-`k` table — large keywords,
-    /// emptiness tables and materialized lists (§3.2) — from its
-    /// `weight`, `pivots` and `children`; returns the large keywords'
-    /// dense ids, ascending — the children's candidates in this layer.
+    /// Appends internal node `node`'s layer-`k` table — large keywords,
+    /// emptiness tables and materialized lists (§3.2) — to `layer`'s
+    /// pools, from its `weight`, `pivots` and `children`; returns the
+    /// large keywords' dense ids, ascending — the children's candidates
+    /// in this layer.
     fn fill_node<C>(
         &mut self,
-        table: &mut NodeTable,
-        k: usize,
+        layer: &mut Layer,
+        node: u32,
         weight: u64,
         pivots: &[u32],
         children: &[(C, Vec<u32>)],
@@ -150,6 +348,16 @@ impl DenseKeywords {
             local,
         } = self;
         let doc = |o: u32| &ids[off[o as usize] as usize..off[o as usize + 1] as usize];
+        let start = layer.ends();
+        let k = layer.k;
+        let Layer {
+            large,
+            combo,
+            lists,
+            ids: list_ids,
+            ..
+        } = layer;
+        let (first_list, first_id) = (lists.len(), list_ids.len());
 
         // --- Large/small classification at this node (§3.2). ---
         // Count |D_u^act(w)| for the materialization candidates (keywords
@@ -166,9 +374,11 @@ impl DenseKeywords {
                 *s += u32::from(*s != 0);
             }
         }
-        // Candidates ascend, so local ids follow ascending keyword order.
+        // Candidates ascend, so local ids and lists follow ascending
+        // keyword order. A small keyword's list gets `count` id slots —
+        // its pivot occurrences among them, squeezed out below.
         let mut large_list: Vec<u32> = Vec::new();
-        let mut small_lists: Vec<(Keyword, Vec<u32>)> = Vec::new();
+        let mut reserved = first_id;
         for &w in candidates {
             let s = &mut state[w as usize];
             let count = *s - 1;
@@ -178,14 +388,20 @@ impl DenseKeywords {
                 large_list.push(w);
                 large_list.len() as u32
             } else {
-                small_lists.push((words[w as usize], Vec::with_capacity(count as usize)));
-                SMALL | (small_lists.len() - 1) as u32
+                lists.push(List {
+                    keyword: words[w as usize],
+                    start: offset(reserved),
+                    len: 0,
+                });
+                reserved += count as usize;
+                SMALL | (lists.len() - 1 - first_list) as u32
             };
         }
         debug_assert!(
             (large_list.len() as f64) <= (weight as f64).powf(1.0 / k as f64) + 1.0,
             "more than N_u^(1/k) large keywords"
         );
+        large.extend(large_list.iter().map(|&w| words[w as usize]));
 
         // --- One pass over the children's active sets fills both the
         // materialized lists (small here, large at all ancestors) and the
@@ -193,40 +409,63 @@ impl DenseKeywords {
         // are excluded: every visit scans them anyway, so listing them
         // would double-report.
         let l = large_list.len();
-        let mut combos: Vec<ComboTable> = Vec::new();
-        if l >= k || !small_lists.is_empty() {
-            for (_, child_objs) in children {
-                let mut combo = (l >= k).then(|| ComboTable::new(l, k));
+        if l >= k || lists.len() > first_list {
+            let words_per_child = if l >= k {
+                table_words(l, k).expect("L <= N_u^(1/k) keeps the emptiness table in budget")
+            } else {
+                0
+            };
+            let first_word = combo.len();
+            combo.resize(first_word + words_per_child * children.len(), 0);
+            list_ids.resize(reserved, 0);
+            for (ci, (_, child_objs)) in children.iter().enumerate() {
+                let bits = &mut combo[first_word + ci * words_per_child..][..words_per_child];
+                let mut table = ComboTable::new(l, bits);
                 for &o in child_objs {
                     local.clear();
                     for &w in doc(o) {
                         match state[w as usize] {
                             0 => {}
-                            s if s & SMALL != 0 => small_lists[(s & !SMALL) as usize].1.push(o),
+                            s if s & SMALL != 0 => {
+                                let list = &mut lists[first_list + (s & !SMALL) as usize];
+                                list_ids[(list.start + list.len) as usize] = o;
+                                list.len += 1;
+                            }
                             s => local.push(s - 1),
                         }
                     }
-                    if let Some(combo) = &mut combo {
+                    if l >= k {
                         // Dense ids ascend within a document, so the
                         // local ids do too.
-                        for_each_k_subset(local, k, &mut |subset| combo.set(subset));
+                        for_each_k_subset(local, k, &mut |subset| table.set(subset));
                     }
                 }
-                combos.extend(combo);
             }
         }
         for &w in candidates {
             state[w as usize] = 0;
         }
 
-        table.large = large_list
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| (words[w as usize], i as u32))
-            .collect();
-        table.combos = combos;
-        small_lists.retain(|(_, list)| !list.is_empty());
-        table.materialized = small_lists.into_iter().collect();
+        // Close the gaps the pivots left and drop the lists that only
+        // pivots filled.
+        let (mut kept, mut next_id) = (first_list, first_id);
+        for i in first_list..lists.len() {
+            let list = lists[i];
+            if list.len == 0 {
+                continue;
+            }
+            let from = list.start as usize;
+            list_ids.copy_within(from..from + list.len as usize, next_id);
+            lists[kept] = List {
+                start: offset(next_id),
+                ..list
+            };
+            kept += 1;
+            next_id += list.len as usize;
+        }
+        lists.truncate(kept);
+        list_ids.truncate(next_id);
+        layer.close_table(node, start);
         large_list
     }
 }
@@ -263,7 +502,8 @@ fn distinct_sorted(keywords: &[Keyword], buf: &mut [Keyword; MAX_K]) -> Option<u
 pub struct TransformedIndex<P: Partitioner> {
     partitioner: P,
     docs: Vec<Document>,
-    nodes: Vec<Node<P::Cell>>,
+    /// Boxed, so engines holding an index inline stay small.
+    tree: Box<Arena<P::Cells>>,
     /// One layer per served `k`, ascending and consecutive.
     layers: Vec<Layer>,
     config: FrameworkConfig,
@@ -320,14 +560,15 @@ impl<P: Partitioner> TransformedIndex<P> {
         };
         let mut index = Self {
             partitioner,
+            tree: Box::new(Arena {
+                nodes: Vec::new(),
+                cells: P::Cells::default(),
+                children: Vec::new(),
+                // Every object is some node's pivot, exactly once.
+                pivots: Vec::with_capacity(docs.len()),
+            }),
             docs,
-            nodes: Vec::new(),
-            layers: ks
-                .map(|k| Layer {
-                    k,
-                    tables: Vec::new(),
-                })
-                .collect(),
+            layers: ks.map(Layer::new).collect(),
             config,
             total_weight,
         };
@@ -339,12 +580,19 @@ impl<P: Partitioner> TransformedIndex<P> {
             *c = (0..dense.words.len() as u32).collect();
         }
         index.build_node(&mut dense, root_cell, all, 0, &candidates);
+        drop(dense);
+        index.tree.shrink_to_fit();
+        for layer in &mut index.layers {
+            layer.shrink_to_fit();
+        }
         Ok(index)
     }
 
     /// Recursively builds the subtree over `objects`; returns the node
-    /// id. Nodes are numbered in preorder. `candidates[i]` are the
-    /// dense ids of the keywords large at every proper ancestor in
+    /// id. Nodes are numbered in preorder, and each appends its pivots,
+    /// child slots and tables to the pools as it is created, so every
+    /// range starts where the previous node's ends. `candidates[i]` are
+    /// the dense ids of the keywords large at every proper ancestor in
     /// layer `i`, ascending.
     fn build_node(
         &mut self,
@@ -355,9 +603,9 @@ impl<P: Partitioner> TransformedIndex<P> {
         candidates: &PerLayer,
     ) -> u32 {
         let weight = self.partitioner.total_weight(&objects);
-        let id = self.nodes.len() as u32;
+        let id = offset(self.tree.len());
         for layer in &mut self.layers {
-            layer.tables.push(NodeTable::default());
+            layer.table_of.push(NO_TABLE);
         }
 
         // Leaf: store the whole active set as pivots; a visit scans them
@@ -380,26 +628,29 @@ impl<P: Partitioner> TransformedIndex<P> {
         if !children.is_empty() {
             for ((layer, cands), large) in self.layers.iter_mut().zip(candidates).zip(&mut larges) {
                 if !cands.is_empty() {
-                    let table = &mut layer.tables[id as usize];
-                    *large = dense.fill_node(table, layer.k, weight, &pivots, &children, cands);
+                    *large = dense.fill_node(layer, id, weight, &pivots, &children, cands);
                 }
             }
         }
-        self.nodes.push(Node {
-            cell,
-            level,
+        let tree = &mut self.tree;
+        let first_child = tree.children.len();
+        tree.nodes.push(Node {
             weight,
-            children: Vec::new(),
-            pivots,
+            level,
+            children: offset(first_child),
+            pivots: offset(tree.pivots.len()),
         });
+        tree.cells.push(cell);
+        tree.pivots.extend_from_slice(&pivots);
+        drop(pivots);
+        tree.children.resize(first_child + children.len(), 0);
 
         // --- Recurse; children inherit each layer's large keywords as
         // that layer's candidates.
-        let child_ids: Vec<u32> = children
-            .into_iter()
-            .map(|(ccell, cobjs)| self.build_node(dense, ccell, cobjs, level + 1, &larges))
-            .collect();
-        self.nodes[id as usize].children = child_ids;
+        for (ci, (ccell, cobjs)) in children.into_iter().enumerate() {
+            let child = self.build_node(dense, ccell, cobjs, level + 1, &larges);
+            self.tree.children[first_child + ci] = child;
+        }
         id
     }
 
@@ -421,12 +672,12 @@ impl<P: Partitioner> TransformedIndex<P> {
 
     /// The number of tree nodes.
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.tree.len()
     }
 
     /// The tree height (max level).
     pub fn height(&self) -> usize {
-        self.nodes.iter().map(|n| n.level).max().unwrap_or(0) as usize
+        self.tree.nodes.iter().map(|n| n.level).max().unwrap_or(0) as usize
     }
 
     /// Total verbose weight `N`.
@@ -448,19 +699,20 @@ impl<P: Partitioner> TransformedIndex<P> {
     /// then per layer the large tables, emptiness bit arrays, and
     /// materialized lists. Cells are charged a constant via
     /// `cell_words`.
+    ///
+    /// This is the §3.2 space model, not the resident size: it charges
+    /// six words of fixed fields per node and two per large keyword,
+    /// emptiness table and list, and nothing for the per-layer table
+    /// slots or the partitioner's coordinates.
     pub fn space_words(&self, cell_words: usize) -> usize {
-        let mut total = 0usize;
-        for n in &self.nodes {
-            total += 6 + cell_words; // fixed per-node fields
-            total += n.children.len();
-            total += n.pivots.len();
-        }
-        for t in self.layers.iter().flat_map(|l| &l.tables) {
-            total += t.large.len() * 2;
-            total += t.combos.iter().map(ComboTable::space_words).sum::<usize>();
-            total += t.materialized.values().map(|v| v.len() + 2).sum::<usize>();
-        }
-        total
+        let tree = &self.tree;
+        let skeleton = tree.len() * (6 + cell_words) + tree.children.len() + tree.pivots.len();
+        skeleton
+            + self
+                .layers
+                .iter()
+                .map(|l| l.space_words(tree))
+                .sum::<usize>()
     }
 
     /// Answers a query of `k` distinct keywords, for a `k` the index
@@ -497,20 +749,11 @@ impl<P: Partitioner> TransformedIndex<P> {
         if sink.is_full() {
             return ControlFlow::Break(());
         }
-        let root_region = classify(&self.nodes[0].cell);
+        let root_region = classify(&self.tree.cells.cell(0));
         if root_region == Region::Disjoint {
             return ControlFlow::Continue(());
         }
-        self.visit(
-            &layer.tables,
-            0,
-            root_region,
-            kws,
-            classify,
-            accept,
-            sink,
-            stats,
-        )
+        self.visit(layer, 0, root_region, kws, classify, accept, sink, stats)
     }
 
     // The recursion threads every traversal input (layer, region,
@@ -519,7 +762,7 @@ impl<P: Partitioner> TransformedIndex<P> {
     #[allow(clippy::too_many_arguments)]
     fn visit<S: ResultSink>(
         &self,
-        tables: &[NodeTable],
+        layer: &Layer,
         node_id: u32,
         region: Region,
         kws: &[Keyword],
@@ -528,61 +771,60 @@ impl<P: Partitioner> TransformedIndex<P> {
         sink: &mut S,
         stats: &mut QueryStats,
     ) -> ControlFlow<()> {
-        let node = &self.nodes[node_id as usize];
-        let table = &tables[node_id as usize];
+        let i = node_id as usize;
+        let tree = &self.tree;
         stats.nodes_visited += 1;
         match region {
             Region::Covered => stats.covered_nodes += 1,
             Region::Crossing => {
                 stats.crossing_nodes += 1;
-                QueryStats::bump(&mut stats.crossing_by_level, node.level as usize);
+                QueryStats::bump(&mut stats.crossing_by_level, tree.nodes[i].level as usize);
             }
             Region::Disjoint => unreachable!("disjoint nodes are never visited"),
         }
 
         // Scan the pivot set (every visit does; §3.3 "to visit a node").
-        for &e in &node.pivots {
+        for &e in tree.pivots(i) {
             stats.pivot_scans += 1;
             if self.docs[e as usize].contains_all(kws) && accept(e) {
                 stats.reported += 1;
                 sink.emit(e)?;
             }
         }
-        if node.children.is_empty() {
+        let children = tree.children(i);
+        if children.is_empty() {
             return ControlFlow::Continue(());
         }
 
-        // Are all k keywords large at this node?
+        // Are all k keywords large at this node? Each keyword's local
+        // id, or `SMALL_HERE`.
+        let table = layer.table(i);
         let mut local = [0u32; MAX_K];
         let mut all_large = true;
         for (slot, &w) in local.iter_mut().zip(kws) {
-            match table.large.get(&w) {
-                Some(&lid) => *slot = lid,
-                None => {
-                    all_large = false;
-                    break;
-                }
-            }
+            *slot = table.local_id(w).unwrap_or(SMALL_HERE);
+            all_large &= *slot != SMALL_HERE;
         }
 
         if all_large {
-            let ids = &mut local[..kws.len()];
-            ids.sort_unstable();
+            // Local ids follow ascending keyword order, and `kws`
+            // ascends, so the ids are already the sorted tuple.
+            let ids = &local[..kws.len()];
             debug_assert!(
-                !table.combos.is_empty(),
+                !table.combo.is_empty(),
                 "k distinct large keywords imply L >= k"
             );
-            for (ci, &child) in node.children.iter().enumerate() {
-                if !table.combos[ci].get(ids) {
+            for (ci, &child) in children.iter().enumerate() {
+                if !table.combo(ci, children.len()).get(ids) {
                     continue; // ⋂ D_v^act(w_i) = ∅ — skip the subtree
                 }
                 let child_region = match region {
                     Region::Covered => Region::Covered,
-                    _ => classify(&self.nodes[child as usize].cell),
+                    _ => classify(&tree.cells.cell(child as usize)),
                 };
                 if child_region != Region::Disjoint {
                     self.visit(
-                        tables,
+                        layer,
                         child,
                         child_region,
                         kws,
@@ -600,8 +842,9 @@ impl<P: Partitioner> TransformedIndex<P> {
             stats.small_path_nodes += 1;
             let list: &[u32] = kws
                 .iter()
-                .filter(|w| !table.large.contains_key(w))
-                .map(|w| table.materialized.get(w).map(Vec::as_slice).unwrap_or(&[]))
+                .zip(&local)
+                .filter(|&(_, &lid)| lid == SMALL_HERE)
+                .map(|(&w, _)| table.list(w).map_or(&[][..], |l| layer.ids(l)))
                 .min_by_key(|l| l.len())
                 .unwrap_or(&[]);
             for &e in list {
@@ -626,10 +869,16 @@ impl<P: Partitioner> TransformedIndex<P> {
         let layer = self
             .layer(k)
             .unwrap_or_else(|| panic!("the index has no layer k = {k}"));
-        self.nodes
-            .iter()
-            .zip(&layer.tables)
-            .map(|(n, t)| (n.level, n.weight, n.pivots.len(), t.large.len()))
+        let tree = &self.tree;
+        (0..tree.len()).map(move |i| {
+            let n = &tree.nodes[i];
+            (
+                n.level,
+                n.weight,
+                tree.pivots(i).len(),
+                layer.table(i).large.len(),
+            )
+        })
     }
 
     /// Deep structural validation (DESIGN.md §12): re-derives the §3
@@ -641,16 +890,17 @@ impl<P: Partitioner> TransformedIndex<P> {
     /// The first violated invariant, by name.
     pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
         use crate::invariants::InvariantViolation as V;
+        let tree = &self.tree;
         // The §3.2 arithmetic invariants: large-keyword cap L ≤ N_u^(1/k),
         // materialized lists < τ, child weight ≤ half, combo parallelism.
         let section3 = |detail: String| V::new("framework::section3", detail);
-        for (i, n) in self.nodes.iter().enumerate() {
+        for (i, n) in tree.nodes.iter().enumerate() {
             // Children carry at most half the weight.
             // (Out-of-range children are reported by the shape check.)
-            for cw in n
-                .children
+            for cw in tree
+                .children(i)
                 .iter()
-                .filter_map(|&c| self.nodes.get(c as usize))
+                .filter_map(|&c| tree.nodes.get(c as usize))
             {
                 let cw = cw.weight;
                 if cw * 2 > n.weight {
@@ -664,14 +914,24 @@ impl<P: Partitioner> TransformedIndex<P> {
         let n = self.docs.len();
         for (li, layer) in self.layers.iter().enumerate() {
             let k = layer.k;
-            if k != self.k() + li || layer.tables.len() != self.nodes.len() {
+            if k != self.k() + li || layer.table_of.len() != tree.len() {
                 return Err(section3(format!(
-                    "layer {li} serves k = {k} with {} tables for {} nodes",
-                    layer.tables.len(),
-                    self.nodes.len()
+                    "layer {li} serves k = {k} with {} table slots for {} nodes",
+                    layer.table_of.len(),
+                    tree.len()
                 )));
             }
-            for (i, (node, t)) in self.nodes.iter().zip(&layer.tables).enumerate() {
+            if let Some(i) = layer
+                .table_of
+                .iter()
+                .position(|&t| t != NO_TABLE && t as usize >= layer.tables.len())
+            {
+                return Err(section3(format!(
+                    "layer k = {k}, node {i}: table slot out of range"
+                )));
+            }
+            for (i, node) in tree.nodes.iter().enumerate() {
+                let t = layer.table(i);
                 // Large-keyword bound L ≤ N_u^(1/k) (+1 for float rounding).
                 let cap = (node.weight as f64).powf(1.0 / k as f64) + 1.0;
                 if t.large.len() as f64 > cap {
@@ -681,7 +941,9 @@ impl<P: Partitioner> TransformedIndex<P> {
                     )));
                 }
                 // Combo tables parallel children when present.
-                if !t.combos.is_empty() && t.combos.len() != node.children.len() {
+                let num_children = tree.children(i).len();
+                let words = table_words(t.large.len(), k).unwrap_or(0);
+                if !t.combo.is_empty() && t.combo.len() != num_children * words {
                     return Err(section3(format!(
                         "layer k = {k}, node {i}: combo/children length mismatch"
                     )));
@@ -690,7 +952,9 @@ impl<P: Partitioner> TransformedIndex<P> {
                 // in-range, duplicate-free ids whose documents actually
                 // contain the listed keyword.
                 let tau = (node.weight as f64).powf(1.0 - 1.0 / k as f64);
-                for (&w, list) in &t.materialized {
+                for entry in t.lists {
+                    let w = entry.keyword;
+                    let list = layer.ids(entry);
                     let fail = |name, what: String| {
                         V::new(
                             name,
@@ -701,7 +965,7 @@ impl<P: Partitioner> TransformedIndex<P> {
                         let what = format!("{} ≥ τ = {tau}", list.len());
                         return Err(fail("framework::section3", what));
                     }
-                    let mut sorted = list.clone();
+                    let mut sorted = list.to_vec();
                     sorted.sort_unstable();
                     if sorted.windows(2).any(|p| p[0] == p[1]) {
                         return Err(fail("framework::materialized", "duplicate id".into()));
@@ -725,11 +989,11 @@ impl<P: Partitioner> TransformedIndex<P> {
         // Tree shape: child ids in range, every non-root node the child
         // of exactly one parent, levels increasing by one, child cells
         // nested in their parent's (when the cell type can answer).
-        let mut child_of = vec![false; self.nodes.len()];
-        for (i, node) in self.nodes.iter().enumerate() {
-            for &c in &node.children {
+        let mut child_of = vec![false; tree.len()];
+        for (i, node) in tree.nodes.iter().enumerate() {
+            for &c in tree.children(i) {
                 let c = c as usize;
-                if c >= self.nodes.len() {
+                if c >= tree.len() {
                     return Err(V::new(
                         "framework::tree_shape",
                         format!("node {i} references child {c}, out of range"),
@@ -741,16 +1005,16 @@ impl<P: Partitioner> TransformedIndex<P> {
                         format!("node {c} has two parents"),
                     ));
                 }
-                if self.nodes[c].level != node.level + 1 {
+                if tree.nodes[c].level != node.level + 1 {
                     return Err(V::new(
                         "framework::tree_shape",
                         format!(
                             "child {c} at level {} under parent {i} at level {}",
-                            self.nodes[c].level, node.level
+                            tree.nodes[c].level, node.level
                         ),
                     ));
                 }
-                if let Some(false) = P::cell_nested(&node.cell, &self.nodes[c].cell) {
+                if let Some(false) = P::cell_nested(&tree.cells.cell(i), &tree.cells.cell(c)) {
                     return Err(V::new(
                         "framework::cell_nesting",
                         format!("cell of node {c} escapes its parent node {i}"),
@@ -769,8 +1033,8 @@ impl<P: Partitioner> TransformedIndex<P> {
         // node — boundary objects at internal nodes, the whole active
         // set at leaves.
         let mut owner: Vec<u32> = vec![u32::MAX; n];
-        for (i, node) in self.nodes.iter().enumerate() {
-            for &e in &node.pivots {
+        for i in 0..tree.len() {
+            for &e in tree.pivots(i) {
                 if e as usize >= n {
                     return Err(V::new(
                         "framework::pivot_partition",
@@ -802,49 +1066,51 @@ impl<P: Partitioner> TransformedIndex<P> {
 /// geometry followed by its lowest-`k` table — so a single-`k` index
 /// writes exactly the single-layer format. Every further layer follows
 /// as one `TREE_LAYER` section: a head page (`k`, node count) and then
-/// the node tables, 256 per page, in the same codec.
+/// the node tables, 256 per page, in the same codec. The decoder fills
+/// the flat arena and layer pools directly.
 impl Persist for TransformedIndex<KdPartitioner> {
     fn to_pages(&self, w: &mut persist::PageWriter) -> Result<(), SkqError> {
-        let points = self.partitioner.points();
+        let tree = &self.tree;
         let dim = self.partitioner.dim();
-        let n = points.len();
+        let n = self.partitioner.len();
         let mut head = Vec::new();
         persist::put_uv(&mut head, self.k() as u64);
         persist::put_uv(&mut head, self.config.leaf_weight);
         persist::put_uv(&mut head, self.total_weight);
         persist::put_uv(&mut head, n as u64);
         persist::put_uv(&mut head, dim as u64);
-        persist::put_uv(&mut head, self.nodes.len() as u64);
+        persist::put_uv(&mut head, tree.len() as u64);
         w.page(persist::kind::TREE_HEAD, SCHEMA_VERSION, head);
-        persist::put_point_pages(w, persist::kind::TREE_POINTS, points, dim);
+        persist::put_point_pages(
+            w,
+            persist::kind::TREE_POINTS,
+            self.partitioner.coords(),
+            dim,
+        );
         let mut weights = Vec::with_capacity(n);
         for &wt in self.partitioner.weights() {
-            persist::put_uv(&mut weights, wt);
+            persist::put_uv(&mut weights, u64::from(wt));
         }
         w.page(persist::kind::TREE_WEIGHTS, SCHEMA_VERSION, weights);
         persist::put_doc_pages(w, persist::kind::TREE_DOCS, &self.docs);
-        let first = &self.layers[0].tables;
-        for (nodes, tables) in self
-            .nodes
-            .chunks(NODES_PER_PAGE)
-            .zip(first.chunks(NODES_PER_PAGE))
-        {
+        let first = &self.layers[0];
+        for page in (0..tree.len()).step_by(NODES_PER_PAGE) {
             let mut buf = Vec::new();
-            for (node, table) in nodes.iter().zip(tables) {
-                encode_node(&mut buf, node, dim);
-                encode_table(&mut buf, table);
+            for i in page..(page + NODES_PER_PAGE).min(tree.len()) {
+                encode_node(&mut buf, tree, i);
+                encode_table(&mut buf, first, i, tree.children(i).len());
             }
             w.page(persist::kind::TREE_NODES, SCHEMA_VERSION, buf);
         }
         for layer in &self.layers[1..] {
             let mut head = Vec::new();
             persist::put_uv(&mut head, layer.k as u64);
-            persist::put_uv(&mut head, layer.tables.len() as u64);
+            persist::put_uv(&mut head, tree.len() as u64);
             w.page(persist::kind::TREE_LAYER, SCHEMA_VERSION, head);
-            for tables in layer.tables.chunks(NODES_PER_PAGE) {
+            for page in (0..tree.len()).step_by(NODES_PER_PAGE) {
                 let mut buf = Vec::new();
-                for table in tables {
-                    encode_table(&mut buf, table);
+                for i in page..(page + NODES_PER_PAGE).min(tree.len()) {
+                    encode_table(&mut buf, layer, i, tree.children(i).len());
                 }
                 w.page(persist::kind::TREE_LAYER, SCHEMA_VERSION, buf);
             }
@@ -871,13 +1137,10 @@ impl Persist for TransformedIndex<KdPartitioner> {
         if node_count == 0 {
             return Err(corrupt("tree has zero nodes".into()));
         }
-        let points = persist::read_point_pages(r, persist::kind::TREE_POINTS, section, n, dim)?;
-        for (i, p) in points.iter().enumerate() {
-            for d in 0..dim {
-                if !p.get(d).is_finite() {
-                    return Err(corrupt(format!("point {i} has a non-finite coordinate")));
-                }
-            }
+        let coords = persist::read_point_pages(r, persist::kind::TREE_POINTS, section, n, dim)?;
+        if let Some(i) = coords.iter().position(|c| !c.is_finite()) {
+            let i = i / dim;
+            return Err(corrupt(format!("point {i} has a non-finite coordinate")));
         }
         let mut wdec = r.page(persist::kind::TREE_WEIGHTS, SCHEMA_VERSION, section)?;
         let mut weights = Vec::with_capacity(n);
@@ -886,26 +1149,30 @@ impl Persist for TransformedIndex<KdPartitioner> {
             if wt == 0 {
                 return Err(corrupt(format!("object {i} has zero weight")));
             }
+            let wt = u32::try_from(wt)
+                .map_err(|_| corrupt(format!("object {i} has weight {wt}, past 2^32")))?;
             weights.push(wt);
         }
         wdec.end()?;
         let docs = persist::read_doc_pages(r, persist::kind::TREE_DOCS, section, n)?;
-        let mut nodes = Vec::with_capacity(node_count.min(1 << 20));
-        let mut tables = Vec::with_capacity(node_count.min(1 << 20));
-        let mut remaining = node_count;
-        while remaining > 0 {
+        let mut tree = Box::new(Arena {
+            nodes: Vec::with_capacity(node_count.min(1 << 20)),
+            cells: PackedRects::default(),
+            children: Vec::new(),
+            // `n` is sane: `n` points and documents have been decoded.
+            pivots: Vec::with_capacity(n),
+        });
+        let mut layers = vec![Layer::new(k)];
+        while tree.len() < node_count {
             let mut d = r.page(persist::kind::TREE_NODES, SCHEMA_VERSION, section)?;
-            let in_page = remaining.min(NODES_PER_PAGE);
+            let in_page = (node_count - tree.len()).min(NODES_PER_PAGE);
             for _ in 0..in_page {
-                let id = nodes.len();
-                let node = decode_node(&mut d, id, dim, n, node_count)?;
-                tables.push(decode_table(&mut d, id, k, n, node.children.len())?);
-                nodes.push(node);
+                let id = tree.len();
+                let num_children = decode_node(&mut d, &mut tree, dim, n, node_count)?;
+                decode_table(&mut d, &mut layers[0], id, n, num_children)?;
             }
             d.end()?;
-            remaining -= in_page;
         }
-        let mut layers = vec![Layer { k, tables }];
         while r.peek_kind() == Some(persist::kind::TREE_LAYER) {
             let mut head = r.page(persist::kind::TREE_LAYER, SCHEMA_VERSION, section)?;
             let lk = head.usizev()?;
@@ -922,26 +1189,30 @@ impl Persist for TransformedIndex<KdPartitioner> {
                     "layer k = {lk} covers {count} nodes, the tree has {node_count}"
                 )));
             }
-            let mut tables = Vec::with_capacity(node_count.min(1 << 20));
-            while tables.len() < node_count {
+            let mut layer = Layer::new(lk);
+            while layer.table_of.len() < node_count {
                 let mut d = r.page(persist::kind::TREE_LAYER, SCHEMA_VERSION, section)?;
-                let in_page = (node_count - tables.len()).min(NODES_PER_PAGE);
+                let in_page = (node_count - layer.table_of.len()).min(NODES_PER_PAGE);
                 for _ in 0..in_page {
-                    let id = tables.len();
-                    let children = nodes[id].children.len();
-                    tables.push(decode_table(&mut d, id, lk, n, children)?);
+                    let id = layer.table_of.len();
+                    let children = tree.children(id).len();
+                    decode_table(&mut d, &mut layer, id, n, children)?;
                 }
                 d.end()?;
             }
-            layers.push(Layer { k: lk, tables });
+            layers.push(layer);
         }
-        // `new` cannot panic here: points are non-empty with consistent
-        // dimensionality by decoding, and every weight is positive.
-        let partitioner = KdPartitioner::new(points, weights);
+        tree.shrink_to_fit();
+        for layer in &mut layers {
+            layer.shrink_to_fit();
+        }
+        // `new` cannot panic here: the coordinates are non-empty,
+        // `dim` per object by decoding, and every weight is positive.
+        let partitioner = KdPartitioner::new(dim, coords, weights);
         Ok(Self {
             partitioner,
             docs,
-            nodes,
+            tree,
             layers,
             config: FrameworkConfig { leaf_weight },
             total_weight,
@@ -952,54 +1223,46 @@ impl Persist for TransformedIndex<KdPartitioner> {
 /// Nodes per `TREE_NODES` page, and node tables per `TREE_LAYER` page.
 const NODES_PER_PAGE: usize = 256;
 
-/// Appends one arena node's geometry to a `TREE_NODES` payload.
-fn encode_node(buf: &mut Vec<u8>, node: &Node<Rect>, dim: usize) {
-    for i in 0..dim {
-        persist::put_f64(buf, node.cell.lo(i));
+/// Appends node `i`'s geometry to a `TREE_NODES` payload.
+fn encode_node(buf: &mut Vec<u8>, tree: &Arena<PackedRects>, i: usize) {
+    for &bound in tree.cells.bounds(i) {
+        persist::put_f64(buf, bound);
     }
-    for i in 0..dim {
-        persist::put_f64(buf, node.cell.hi(i));
-    }
+    let node = &tree.nodes[i];
     persist::put_uv(buf, u64::from(node.level));
     persist::put_uv(buf, node.weight);
-    persist::put_uv(buf, node.children.len() as u64);
-    for &c in &node.children {
-        persist::put_uv(buf, u64::from(c));
-    }
-    persist::put_uv(buf, node.pivots.len() as u64);
-    for &p in &node.pivots {
-        persist::put_uv(buf, u64::from(p));
+    for ids in [tree.children(i), tree.pivots(i)] {
+        persist::put_uv(buf, ids.len() as u64);
+        for &id in ids {
+            persist::put_uv(buf, u64::from(id));
+        }
     }
 }
 
-/// Appends one node's keyword table to a `TREE_NODES` or `TREE_LAYER`
-/// payload. The `large` map is stored as its ascending keyword list
-/// alone: local ids are assigned by ascending-keyword enumeration at
-/// build time, so the position in the list *is* the id.
-fn encode_table(buf: &mut Vec<u8>, table: &NodeTable) {
-    let mut large: Vec<(Keyword, u32)> = table.large.iter().map(|(&w, &id)| (w, id)).collect();
-    large.sort_unstable();
-    persist::put_uv(buf, large.len() as u64);
-    for &(w, _) in &large {
+/// Appends node `i`'s table in `layer` to a `TREE_NODES` or `TREE_LAYER`
+/// payload. The large keywords are stored as their ascending list
+/// alone: a keyword's position in the list *is* its local id.
+fn encode_table(buf: &mut Vec<u8>, layer: &Layer, i: usize, num_children: usize) {
+    let table = layer.table(i);
+    persist::put_uv(buf, table.large.len() as u64);
+    for &w in table.large {
         persist::put_uv(buf, u64::from(w));
     }
-    persist::put_uv(buf, table.combos.len() as u64);
-    for combo in &table.combos {
-        let (l, k, bits) = combo.parts();
-        persist::put_uv(buf, l as u64);
-        persist::put_uv(buf, k as u64);
-        for &word in bits {
+    let num_combos = table.num_combos(num_children);
+    persist::put_uv(buf, num_combos as u64);
+    for ci in 0..num_combos {
+        persist::put_uv(buf, table.large.len() as u64);
+        persist::put_uv(buf, layer.k as u64);
+        let words = table.combo.len() / num_children;
+        for &word in &table.combo[ci * words..][..words] {
             buf.extend_from_slice(&word.to_le_bytes());
         }
     }
-    let mut mat: Vec<(Keyword, &Vec<u32>)> =
-        table.materialized.iter().map(|(&w, v)| (w, v)).collect();
-    mat.sort_unstable_by_key(|&(w, _)| w);
-    persist::put_uv(buf, mat.len() as u64);
-    for (w, list) in mat {
-        persist::put_uv(buf, u64::from(w));
-        persist::put_uv(buf, list.len() as u64);
-        for &e in list {
+    persist::put_uv(buf, table.lists.len() as u64);
+    for list in table.lists {
+        persist::put_uv(buf, u64::from(list.keyword));
+        persist::put_uv(buf, u64::from(list.len));
+        for &e in layer.ids(list) {
             persist::put_uv(buf, u64::from(e));
         }
     }
@@ -1012,27 +1275,26 @@ fn corrupt(detail: String) -> SkqError {
     }
 }
 
-/// Decodes one arena node's geometry, validating every field against
-/// the tree's scalars so a checksum-passing but inconsistent file
-/// cannot put the query path in a panicking state: cells are NaN-free
-/// with ordered bounds, child ids point strictly forward (the arena is
-/// built parent-before-child, which also rules out cycles), and object
-/// ids are in range.
+/// Decodes the next arena node's geometry into `tree`, validating every
+/// field against the tree's scalars so a checksum-passing but
+/// inconsistent file cannot put the query path in a panicking state:
+/// cells are NaN-free with ordered bounds, child ids point strictly
+/// forward (the arena is built parent-before-child, which also rules
+/// out cycles), and object ids are in range. Returns the node's number
+/// of children.
 fn decode_node(
     d: &mut persist::Dec<'_>,
-    id: usize,
+    tree: &mut Arena<PackedRects>,
     dim: usize,
     n: usize,
     node_count: usize,
-) -> Result<Node<Rect>, SkqError> {
-    let mut lo = [0.0f64; skq_geom::MAX_DIM];
-    let mut hi = [0.0f64; skq_geom::MAX_DIM];
-    for c in lo.iter_mut().take(dim) {
+) -> Result<usize, SkqError> {
+    let id = tree.len();
+    let mut bounds = [0.0f64; 2 * skq_geom::MAX_DIM];
+    for c in bounds.iter_mut().take(2 * dim) {
         *c = d.f64()?;
     }
-    for c in hi.iter_mut().take(dim) {
-        *c = d.f64()?;
-    }
+    let (lo, hi) = bounds[..2 * dim].split_at(dim);
     for i in 0..dim {
         if lo[i].is_nan() || hi[i].is_nan() || lo[i] > hi[i] {
             return Err(corrupt(format!(
@@ -1040,11 +1302,10 @@ fn decode_node(
             )));
         }
     }
-    let cell = Rect::new(&lo[..dim], &hi[..dim]);
     let level = d.u32v()?;
     let weight = d.uv()?;
     let num_children = d.len(1)?;
-    let mut children = Vec::with_capacity(num_children);
+    let first_child = tree.children.len();
     for _ in 0..num_children {
         let c = d.u32v()?;
         if c as usize >= node_count || c as usize <= id {
@@ -1052,40 +1313,45 @@ fn decode_node(
                 "node {id}: child id {c} not strictly forward"
             )));
         }
-        children.push(c);
+        tree.children.push(c);
     }
     let num_pivots = d.len(1)?;
-    let mut pivots = Vec::with_capacity(num_pivots);
+    let first_pivot = tree.pivots.len();
     for _ in 0..num_pivots {
         let p = d.u32v()?;
         if p as usize >= n {
             return Err(corrupt(format!("node {id}: pivot {p} out of range")));
         }
-        pivots.push(p);
+        tree.pivots.push(p);
     }
-    Ok(Node {
-        cell,
-        level,
+    tree.cells.push_bounds(&bounds[..2 * dim]);
+    tree.nodes.push(Node {
         weight,
-        children,
-        pivots,
-    })
+        level,
+        children: offset(first_child),
+        pivots: offset(first_pivot),
+    });
+    Ok(num_children)
 }
 
-/// Decodes node `id`'s layer-`k` table: ascending keywords, combo
-/// tables parallel to the node's `num_children` children and matching
-/// the large-keyword count and `k`, and in-range list ids.
+/// Decodes node `id`'s table into `layer`'s pools: ascending keywords,
+/// combo tables parallel to the node's `num_children` children and
+/// matching the large-keyword count and the layer's `k` (present
+/// whenever `k` large keywords could steer a descent), and in-range
+/// list ids.
 fn decode_table(
     d: &mut persist::Dec<'_>,
+    layer: &mut Layer,
     id: usize,
-    k: usize,
     n: usize,
     num_children: usize,
-) -> Result<NodeTable, SkqError> {
+) -> Result<(), SkqError> {
+    let k = layer.k;
+    let start = layer.ends();
+    layer.table_of.push(NO_TABLE);
     let num_large = d.len(1)?;
-    let mut large = FxHashMap::default();
     let mut prev: Option<Keyword> = None;
-    for lid in 0..num_large {
+    for _ in 0..num_large {
         let w = d.u32v()?;
         if prev.is_some_and(|p| p >= w) {
             return Err(corrupt(format!(
@@ -1093,7 +1359,7 @@ fn decode_table(
             )));
         }
         prev = Some(w);
-        large.insert(w, lid as u32);
+        layer.large.push(w);
     }
     let num_combos = d.len(1)?;
     if num_combos != 0 && num_combos != num_children {
@@ -1101,7 +1367,11 @@ fn decode_table(
             "node {id}: {num_combos} combo tables for {num_children} children"
         )));
     }
-    let mut combos = Vec::with_capacity(num_combos);
+    if num_combos == 0 && num_children > 0 && num_large >= k {
+        return Err(corrupt(format!(
+            "node {id}: {num_large} large keywords for k = {k} but no combo tables"
+        )));
+    }
     for _ in 0..num_combos {
         let l = d.usizev()?;
         let tk = d.usizev()?;
@@ -1110,25 +1380,15 @@ fn decode_table(
                 "node {id}: combo table over l={l} k={tk}, node has L={num_large} k={k}"
             )));
         }
-        // `tk == k` is in 2..=16 here, so the cell count fits u128.
-        let cells = (l as u128)
-            .checked_pow(tk as u32)
-            .filter(|&c| c <= 1 << 40)
-            .ok_or_else(|| corrupt(format!("node {id}: combo table size overflows")))?;
-        let words = (cells as usize).div_ceil(64);
+        let words = table_words(l, tk).map_err(|e| corrupt(format!("node {id}: {e}")))?;
         if d.remaining() < words * 8 {
             return Err(corrupt(format!("node {id}: combo table truncated")));
         }
-        let mut bits = Vec::with_capacity(words);
         for _ in 0..words {
-            bits.push(d.u64_raw()?);
+            layer.combo.push(d.u64_raw()?);
         }
-        let combo =
-            ComboTable::from_parts(l, tk, bits).map_err(|e| corrupt(format!("node {id}: {e}")))?;
-        combos.push(combo);
     }
     let num_mat = d.len(1)?;
-    let mut materialized = FxHashMap::default();
     let mut prev_w: Option<Keyword> = None;
     for _ in 0..num_mat {
         let w = d.u32v()?;
@@ -1139,7 +1399,7 @@ fn decode_table(
         }
         prev_w = Some(w);
         let len = d.len(1)?;
-        let mut list = Vec::with_capacity(len);
+        let first = layer.ids.len();
         for _ in 0..len {
             let e = d.u32v()?;
             if e as usize >= n {
@@ -1147,23 +1407,23 @@ fn decode_table(
                     "node {id}: materialized id {e} out of range for keyword {w}"
                 )));
             }
-            list.push(e);
+            layer.ids.push(e);
         }
-        materialized.insert(w, list);
+        layer.lists.push(List {
+            keyword: w,
+            start: offset(first),
+            len: offset(len),
+        });
     }
-    Ok(NodeTable {
-        large,
-        combos,
-        materialized,
-    })
+    layer.close_table(offset(id), start);
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::KdPartitioner;
+    use crate::framework::{doc_weights, KdPartitioner};
     use crate::sink::LimitSink;
-    use skq_geom::Point;
 
     /// A 1D framework index over object ids — the minimal harness for
     /// exercising the large/small machinery directly.
@@ -1172,11 +1432,10 @@ mod tests {
         ks: RangeInclusive<usize>,
         leaf_weight: u64,
     ) -> TransformedIndex<KdPartitioner> {
-        let points: Vec<Point> = (0..docs.len()).map(|i| Point::new1(i as f64)).collect();
+        let coords = (0..docs.len()).map(|i| i as f64).collect();
         let docs: Vec<Document> = docs.into_iter().map(Document::new).collect();
-        let weights: Vec<u64> = docs.iter().map(|d| d.len() as u64).collect();
         TransformedIndex::try_build(
-            KdPartitioner::new(points, weights),
+            KdPartitioner::new(1, coords, doc_weights(&docs)),
             docs,
             ks,
             FrameworkConfig { leaf_weight },
@@ -1248,16 +1507,32 @@ mod tests {
         let docs: Vec<Vec<Keyword>> = (0..256).map(|i| vec![i]).collect();
         let tree = build_1d(docs, 2..=2, 4);
         assert!(tree.num_nodes() > 10);
-        let tables = &tree.layers[0].tables;
-        assert!(tables[0].large.is_empty());
-        assert_eq!(
-            tables[0].materialized.len(),
-            256 - tree.nodes[0].pivots.len()
-        );
-        for t in &tables[1..] {
-            assert!(t.large.is_empty() && t.combos.is_empty() && t.materialized.is_empty());
-        }
+        let layer = &tree.layers[0];
+        let root = layer.table(0);
+        assert!(root.large.is_empty() && root.combo.is_empty());
+        assert_eq!(root.lists.len(), 256 - tree.tree.pivots(0).len());
+        assert!(layer.table_of[1..].iter().all(|&t| t == NO_TABLE));
+        assert_eq!(layer.tables.len(), 1);
         assert_eq!(run(&tree, &[3, 4], usize::MAX), Vec::<u32>::new());
+    }
+
+    #[test]
+    fn pools_are_the_concatenated_node_ranges() {
+        let docs: Vec<Vec<Keyword>> = (0..300)
+            .map(|i| vec![i % 3, 3 + i % 5, 8 + i % 7])
+            .collect();
+        let tree = build_1d(docs, 2..=3, 4);
+        let arena = &tree.tree;
+        let pivots: usize = (0..arena.len()).map(|i| arena.pivots(i).len()).sum();
+        let children: usize = (0..arena.len()).map(|i| arena.children(i).len()).sum();
+        assert_eq!((pivots, children), (300, arena.len() - 1));
+        for layer in &tree.layers {
+            let lists: usize = (0..arena.len()).map(|i| layer.table(i).lists.len()).sum();
+            let ids: usize = layer.lists.iter().map(|l| l.len as usize).sum();
+            assert_eq!((lists, ids), (layer.lists.len(), layer.ids.len()));
+            assert!(layer.lists.iter().all(|l| l.len > 0));
+        }
+        tree.validate().unwrap();
     }
 
     #[test]
@@ -1366,7 +1641,7 @@ mod tests {
     #[test]
     fn k1_rejected() {
         let built = TransformedIndex::try_build(
-            KdPartitioner::new(vec![Point::new1(0.0)], vec![1]),
+            KdPartitioner::new(1, vec![0.0], vec![1]),
             vec![Document::new(vec![0])],
             1..=1,
             FrameworkConfig::default(),
@@ -1391,7 +1666,6 @@ mod tests {
     /// broken invariant (acceptance criterion of DESIGN.md §12).
     mod corruption {
         use super::*;
-        use skq_geom::Rect;
 
         fn tree() -> TransformedIndex<KdPartitioner> {
             let docs: Vec<Vec<Keyword>> = (0..96).map(|i| vec![i % 4, 4 + (i % 3)]).collect();
@@ -1403,9 +1677,9 @@ mod tests {
         #[test]
         fn duplicated_pivot_names_pivot_partition() {
             let mut t = tree();
-            let donor = t.nodes.iter().position(|n| !n.pivots.is_empty()).unwrap();
-            let dup = t.nodes[donor].pivots[0];
-            t.nodes.last_mut().unwrap().pivots.push(dup);
+            // The last node's pivots run to the pool's end.
+            let dup = t.tree.pivots[0];
+            t.tree.pivots.push(dup);
             let v = t.validate().unwrap_err();
             assert_eq!(v.invariant(), "framework::pivot_partition");
             assert!(v.to_string().contains(&format!("object {dup}")), "{v}");
@@ -1414,9 +1688,11 @@ mod tests {
         #[test]
         fn skipped_level_names_tree_shape() {
             let mut t = tree();
-            let parent = t.nodes.iter().position(|n| !n.children.is_empty()).unwrap();
-            let child = t.nodes[parent].children[0] as usize;
-            t.nodes[child].level += 1;
+            let parent = (0..t.num_nodes())
+                .position(|i| !t.tree.children(i).is_empty())
+                .unwrap();
+            let child = t.tree.children(parent)[0] as usize;
+            t.tree.nodes[child].level += 1;
             assert_eq!(
                 t.validate().unwrap_err().invariant(),
                 "framework::tree_shape"
@@ -1428,13 +1704,12 @@ mod tests {
             let mut t = tree();
             // A level-1 node's cell is bounded on one side, so blowing
             // its child's cell up to the full space breaks nesting.
-            let parent = t
-                .nodes
-                .iter()
-                .position(|n| n.level == 1 && !n.children.is_empty())
+            let parent = (0..t.num_nodes())
+                .position(|i| t.tree.nodes[i].level == 1 && !t.tree.children(i).is_empty())
                 .unwrap();
-            let child = t.nodes[parent].children[0] as usize;
-            t.nodes[child].cell = Rect::full(1);
+            let child = t.tree.children(parent)[0] as usize;
+            let full = [f64::NEG_INFINITY, f64::INFINITY];
+            t.tree.cells.bounds_mut(child).copy_from_slice(&full);
             assert_eq!(
                 t.validate().unwrap_err().invariant(),
                 "framework::cell_nesting"
@@ -1444,22 +1719,16 @@ mod tests {
         #[test]
         fn foreign_id_in_list_names_materialized() {
             let mut t = tree();
-            let (node, w) = t.layers[0]
-                .tables
-                .iter()
-                .enumerate()
-                .find_map(|(i, n)| n.materialized.keys().next().map(|&w| (i, w)))
+            let list = *t.layers[0]
+                .lists
+                .first()
                 .expect("this workload materializes at least one list");
-            // Object 0's document is {0, 4}: listing it under any other
-            // keyword contradicts the list's definition.
+            // Listing an object whose document lacks the keyword
+            // contradicts the list's definition.
             let foreign = (0..96u32)
-                .find(|&e| !t.docs[e as usize].contains_all(&[w]))
+                .find(|&e| !t.docs[e as usize].contains_all(&[list.keyword]))
                 .unwrap();
-            t.layers[0].tables[node]
-                .materialized
-                .get_mut(&w)
-                .unwrap()
-                .push(foreign);
+            t.layers[0].ids[list.start as usize] = foreign;
             assert_eq!(
                 t.validate().unwrap_err().invariant(),
                 "framework::materialized"

@@ -8,47 +8,69 @@
 //! median selection are broken lexicographically by object id, the
 //! implementation counterpart of the paper's rank-space Step 4.
 
-use skq_geom::{Point, Rect};
+use std::borrow::Cow;
 
-use super::partitioner::{Partitioner, SplitOutcome};
+use skq_geom::Rect;
+use skq_invidx::Document;
+
+use super::partitioner::{CellStore, Partitioner, SplitOutcome};
 
 /// Weighted kd-tree splits with rectangle cells.
+///
+/// Coordinates are one packed array, object `i`'s `dim` values at
+/// `coords[i·dim..(i+1)·dim]`, and weights are narrowed to `u32` (a
+/// weight is a document length, and the framework indexes fewer than
+/// 2³¹ keyword occurrences).
 #[derive(Debug)]
 pub struct KdPartitioner {
-    points: Vec<Point>,
-    weights: Vec<u64>,
+    coords: Vec<f64>,
+    weights: Vec<u32>,
     dim: usize,
 }
 
 impl KdPartitioner {
-    /// Creates a partitioner over `points` with verbose weights
-    /// (`weights[i] = |docs[i]|`).
+    /// Creates a partitioner over packed `coords` (object `i`'s `dim`
+    /// values at `coords[i·dim..(i+1)·dim]`) with verbose weights
+    /// (`weights[i] = |docs[i]|`, see [`doc_weights`]).
     ///
     /// # Panics
     ///
-    /// Panics on empty input, mismatched lengths, inconsistent
-    /// dimensions, or zero weights.
-    pub fn new(points: Vec<Point>, weights: Vec<u64>) -> Self {
-        assert!(!points.is_empty(), "kd partitioner needs points");
-        assert_eq!(points.len(), weights.len());
-        let dim = points[0].dim();
-        assert!(points.iter().all(|p| p.dim() == dim));
+    /// Panics on empty input, a `dim` outside `1..=MAX_DIM`, a
+    /// coordinate count that is not `dim` per weight, or zero weights.
+    pub fn new(dim: usize, coords: Vec<f64>, weights: Vec<u32>) -> Self {
+        assert!(!weights.is_empty(), "kd partitioner needs points");
+        assert!(
+            (1..=skq_geom::MAX_DIM).contains(&dim),
+            "unsupported dimension {dim}"
+        );
+        assert_eq!(coords.len(), weights.len() * dim);
         assert!(weights.iter().all(|&w| w > 0), "documents are non-empty");
         Self {
-            points,
+            coords,
             weights,
             dim,
         }
     }
 
-    /// The indexed points.
-    pub fn points(&self) -> &[Point] {
-        &self.points
+    /// The number of indexed objects.
+    pub fn len(&self) -> usize {
+        self.weights.len()
     }
 
-    /// The point of object `i`.
-    pub fn point(&self, i: u32) -> &Point {
-        &self.points[i as usize]
+    /// Whether no object is indexed (never true: construction rejects
+    /// empty input).
+    pub fn is_empty(&self) -> bool {
+        self.weights.is_empty()
+    }
+
+    /// The packed coordinates of every object, in object order.
+    pub fn coords(&self) -> &[f64] {
+        &self.coords
+    }
+
+    /// Object `i`'s coordinates.
+    pub fn point_coords(&self, i: u32) -> &[f64] {
+        &self.coords[i as usize * self.dim..][..self.dim]
     }
 
     /// The dimensionality.
@@ -57,13 +79,68 @@ impl KdPartitioner {
     }
 
     /// The per-object weights (exposed for the snapshot encoder).
-    pub fn weights(&self) -> &[u64] {
+    pub fn weights(&self) -> &[u32] {
         &self.weights
+    }
+}
+
+/// The verbose weights `|docs[i]|`, narrowed to `u32`. A length past
+/// `u32` saturates, and the framework then rejects the input's
+/// keyword-occurrence total.
+pub fn doc_weights(docs: &[Document]) -> Vec<u32> {
+    docs.iter()
+        .map(|d| u32::try_from(d.len()).unwrap_or(u32::MAX))
+        .collect()
+}
+
+/// A kd tree's cells, packed: node `i`'s `dim` lower bounds then its
+/// `dim` upper bounds at `bounds[2·dim·i..2·dim·(i+1)]`.
+#[derive(Debug, Default)]
+pub struct PackedRects {
+    dim: usize,
+    bounds: Vec<f64>,
+}
+
+impl PackedRects {
+    /// Node `i`'s `2·dim` bounds, lower bounds first.
+    pub(crate) fn bounds(&self, i: usize) -> &[f64] {
+        &self.bounds[2 * self.dim * i..][..2 * self.dim]
+    }
+
+    /// Node `i`'s bounds, for the deep validator's corruption tests.
+    #[cfg(test)]
+    pub(crate) fn bounds_mut(&mut self, i: usize) -> &mut [f64] {
+        &mut self.bounds[2 * self.dim * i..][..2 * self.dim]
+    }
+
+    /// Appends a cell of `dim = bounds.len() / 2` given as lower bounds
+    /// then upper bounds, which the caller has checked to be ordered.
+    pub(crate) fn push_bounds(&mut self, bounds: &[f64]) {
+        self.dim = bounds.len() / 2;
+        self.bounds.extend_from_slice(bounds);
+    }
+}
+
+impl CellStore<Rect> for PackedRects {
+    fn push(&mut self, cell: Rect) {
+        self.dim = cell.dim();
+        self.bounds.extend((0..self.dim).map(|i| cell.lo(i)));
+        self.bounds.extend((0..self.dim).map(|i| cell.hi(i)));
+    }
+
+    fn cell(&self, i: usize) -> Cow<'_, Rect> {
+        let (lo, hi) = self.bounds(i).split_at(self.dim);
+        Cow::Owned(Rect::new(lo, hi))
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.bounds.shrink_to_fit();
     }
 }
 
 impl Partitioner for KdPartitioner {
     type Cell = Rect;
+    type Cells = PackedRects;
 
     fn root_cell(&self) -> Rect {
         Rect::full(self.dim)
@@ -80,7 +157,7 @@ impl Partitioner for KdPartitioner {
     }
 
     fn weight(&self, obj: u32) -> u64 {
-        self.weights[obj as usize]
+        u64::from(self.weights[obj as usize])
     }
 
     fn cell_nested(parent: &Rect, child: &Rect) -> Option<bool> {
@@ -98,17 +175,17 @@ impl KdPartitioner {
         // to the object id, and the comparator reads no point.
         let mut keyed: Vec<(f64, u32)> = objects
             .iter()
-            .map(|&o| (self.points[o as usize].get(axis), o))
+            .map(|&o| (self.coords[o as usize * self.dim + axis], o))
             .collect();
         keyed.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
         // Weighted median: the minimal prefix reaching half the weight.
-        let total: u64 = objects.iter().map(|&o| self.weights[o as usize]).sum();
+        let total: u64 = objects.iter().map(|&o| self.weight(o)).sum();
         let mut cum = 0u64;
         let median_pos = keyed
             .iter()
             .position(|&(_, o)| {
-                cum += self.weights[o as usize];
+                cum += self.weight(o);
                 2 * cum >= total
             })
             .unwrap_or(0);
@@ -151,15 +228,16 @@ impl KdPartitioner {
 mod tests {
     use super::*;
 
-    fn pts(raw: &[(f64, f64)]) -> Vec<Point> {
-        raw.iter().map(|&(x, y)| Point::new2(x, y)).collect()
+    /// A 2-D partitioner over `raw` points with `weights`.
+    fn part(raw: &[(f64, f64)], weights: Vec<u32>) -> KdPartitioner {
+        let coords = raw.iter().flat_map(|&(x, y)| [x, y]).collect();
+        KdPartitioner::new(2, coords, weights)
     }
 
     #[test]
     fn split_balances_weight() {
-        let points = pts(&[(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0)]);
-        let weights = vec![1, 1, 1, 1, 1];
-        let p = KdPartitioner::new(points, weights);
+        let points = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0)];
+        let p = part(&points, vec![1; 5]);
         let out = p
             .split(&p.root_cell(), &[0, 1, 2, 3, 4], 0)
             .expect("splittable");
@@ -177,13 +255,13 @@ mod tests {
     fn heavy_object_respects_weighted_median() {
         // Object 3 carries most of the verbose weight; the median must
         // land on or before it so no child exceeds half the weight.
-        let points = pts(&[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]);
+        let points = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)];
         let weights = vec![1, 1, 1, 10];
-        let p = KdPartitioner::new(points.clone(), weights.clone());
+        let p = part(&points, weights.clone());
         let out = p.split(&p.root_cell(), &[0, 1, 2, 3], 0).unwrap();
-        let total: u64 = weights.iter().sum();
+        let total: u32 = weights.iter().sum();
         for (_, objs) in &out.children {
-            let w: u64 = objs.iter().map(|&o| weights[o as usize]).sum();
+            let w: u32 = objs.iter().map(|&o| weights[o as usize]).sum();
             assert!(2 * w <= total, "child weight {w} of {total}");
         }
     }
@@ -194,7 +272,7 @@ mod tests {
         // 5; x = 3 by 4 and 6. The weighted median lands on the heavy
         // object, the whole x = 2 run becomes the pivot set, and every
         // run lists its objects by ascending id whatever the input order.
-        let points = pts(&[
+        let points = [
             (1.0, 4.0),
             (2.0, 5.0),
             (2.0, 1.0),
@@ -202,8 +280,8 @@ mod tests {
             (3.0, 0.0),
             (1.0, 7.0),
             (3.0, 3.0),
-        ]);
-        let p = KdPartitioner::new(points, vec![1, 1, 9, 1, 1, 1, 1]);
+        ];
+        let p = part(&points, vec![1, 1, 9, 1, 1, 1, 1]);
         let out = p.split(&p.root_cell(), &[6, 5, 4, 3, 2, 1, 0], 0).unwrap();
         assert_eq!(out.pivots, vec![1, 2, 3]);
         assert_eq!(out.children.len(), 2);
@@ -214,8 +292,8 @@ mod tests {
 
     #[test]
     fn duplicate_axis_coordinates_become_pivots() {
-        let points = pts(&[(1.0, 0.0), (1.0, 1.0), (1.0, 2.0), (2.0, 3.0)]);
-        let p = KdPartitioner::new(points, vec![1; 4]);
+        let points = [(1.0, 0.0), (1.0, 1.0), (1.0, 2.0), (2.0, 3.0)];
+        let p = part(&points, vec![1; 4]);
         let out = p.split(&p.root_cell(), &[0, 1, 2, 3], 0).unwrap();
         // Median x = 1 → the three x=1 objects are boundary pivots.
         assert_eq!(out.pivots, vec![0, 1, 2]);
@@ -226,23 +304,23 @@ mod tests {
     #[test]
     fn fully_duplicated_points_fall_back_to_other_axis() {
         // All x equal; the y axis still separates.
-        let points = pts(&[(1.0, 0.0), (1.0, 1.0), (1.0, 2.0)]);
-        let p = KdPartitioner::new(points, vec![1; 3]);
+        let points = [(1.0, 0.0), (1.0, 1.0), (1.0, 2.0)];
+        let p = part(&points, vec![1; 3]);
         let out = p.split(&p.root_cell(), &[0, 1, 2], 0).unwrap();
         assert!(!out.children.is_empty());
     }
 
     #[test]
     fn identical_points_unsplittable() {
-        let points = pts(&[(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)]);
-        let p = KdPartitioner::new(points, vec![1; 3]);
+        let points = [(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)];
+        let p = part(&points, vec![1; 3]);
         assert!(p.split(&p.root_cell(), &[0, 1, 2], 0).is_none());
     }
 
     #[test]
     fn alternating_axes() {
-        let points = pts(&[(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]);
-        let p = KdPartitioner::new(points, vec![1; 3]);
+        let points = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)];
+        let p = part(&points, vec![1; 3]);
         let out = p.split(&p.root_cell(), &[0, 1, 2], 1).unwrap();
         // Depth 1 splits on y.
         assert_eq!(out.children[0].0.hi(1), 1.0);

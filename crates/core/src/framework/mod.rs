@@ -13,10 +13,13 @@
 //!    the tree over the *verbose set* (each object weighted by
 //!    `|e.Doc|`), maintains *active* and *pivot* sets, classifies
 //!    keywords as *large*/*small* per node against the threshold
-//!    `N_u^{1−1/k}`, stores a per-node secondary structure (hash table
-//!    over large keywords plus a `k`-dimensional emptiness bit array per
+//!    `N_u^{1−1/k}`, stores a per-node secondary structure (a sorted
+//!    large-keyword table plus a `k`-dimensional emptiness bit array per
 //!    child, see [`ComboTable`]), and materializes `D_u^act(w)` exactly
-//!    when `w` is small at `u` but large at all proper ancestors.
+//!    when `w` is small at `u` but large at all proper ancestors. The
+//!    built tree is a few flat arrays: a node arena over shared id
+//!    pools, and per keyword layer a table slot per node over shared
+//!    keyword, bit-word and list pools.
 //! 3. **Bound the crossing sensitivity** — the query algorithm records
 //!    covered/crossing classifications in
 //!    [`QueryStats`](crate::QueryStats) so the harness can measure the
@@ -31,8 +34,8 @@ mod kd;
 mod partitioner;
 mod willard;
 
-pub use combo::{for_each_k_subset, ComboTable};
+pub use combo::{for_each_k_subset, table_words, ComboTable};
 pub use index::{FrameworkConfig, TransformedIndex};
-pub use kd::KdPartitioner;
-pub use partitioner::{Partitioner, SplitOutcome};
+pub use kd::{doc_weights, KdPartitioner, PackedRects};
+pub use partitioner::{CellStore, Partitioner, SplitOutcome};
 pub use willard::WillardPartitioner;

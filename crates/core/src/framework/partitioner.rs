@@ -8,6 +8,8 @@
 //! rule that splits a node's *active* objects into child cells plus the
 //! boundary objects that become the node's *pivot set* (§3.2).
 
+use std::borrow::Cow;
+
 /// The result of splitting one node.
 #[derive(Debug)]
 pub struct SplitOutcome<C> {
@@ -32,6 +34,9 @@ pub trait Partitioner {
     /// The cell type `Δ_u` (a rectangle for kd-trees, a convex polygon
     /// for the 2D partition tree).
     type Cell: Clone;
+
+    /// How a built tree stores its cells, one per node in node order.
+    type Cells: CellStore<Self::Cell>;
 
     /// The root cell — covers the entire space.
     fn root_cell(&self) -> Self::Cell;
@@ -72,5 +77,40 @@ pub trait Partitioner {
     /// Total weight of a set of objects.
     fn total_weight(&self, objects: &[u32]) -> u64 {
         objects.iter().map(|&o| self.weight(o)).sum()
+    }
+}
+
+/// A built tree's cells, one per node in node order.
+///
+/// A store may keep cells whole ([`Vec`]) or packed (the kd tree keeps
+/// `2·dim` bounds per node and materializes a rectangle only when a
+/// query classifies that node).
+pub trait CellStore<C: Clone>: Default {
+    /// Appends the next node's cell.
+    fn push(&mut self, cell: C);
+
+    /// Node `i`'s cell: borrowed when stored whole, materialized when
+    /// stored packed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below the number of pushed cells.
+    fn cell(&self, i: usize) -> Cow<'_, C>;
+
+    /// Releases spare capacity once the tree is complete.
+    fn shrink_to_fit(&mut self);
+}
+
+impl<C: Clone> CellStore<C> for Vec<C> {
+    fn push(&mut self, cell: C) {
+        Vec::push(self, cell);
+    }
+
+    fn cell(&self, i: usize) -> Cow<'_, C> {
+        Cow::Borrowed(&self[i])
+    }
+
+    fn shrink_to_fit(&mut self) {
+        Vec::shrink_to_fit(self);
     }
 }

@@ -155,6 +155,7 @@ impl WillardPartitioner {
 
 impl Partitioner for WillardPartitioner {
     type Cell = Polygon;
+    type Cells = Vec<Polygon>;
 
     fn root_cell(&self) -> Polygon {
         let (x0, y0, x1, y1) = self.bbox;

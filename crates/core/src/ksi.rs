@@ -16,12 +16,12 @@
 
 use std::ops::ControlFlow;
 
-use skq_geom::{Point, Region};
+use skq_geom::Region;
 use skq_invidx::{Document, Keyword};
 
 use crate::error::{validate, SkqError};
 use crate::failpoints;
-use crate::framework::{FrameworkConfig, KdPartitioner, TransformedIndex};
+use crate::framework::{doc_weights, FrameworkConfig, KdPartitioner, TransformedIndex};
 use crate::query::KwQuery;
 use crate::sink::ResultSink;
 use crate::stats::QueryStats;
@@ -61,9 +61,8 @@ impl KsiIndex {
                 "cannot index an empty set family".into(),
             ));
         }
-        let points: Vec<Point> = (0..docs.len()).map(|i| Point::new1(i as f64)).collect();
-        let weights: Vec<u64> = docs.iter().map(|d| d.len() as u64).collect();
-        let partitioner = KdPartitioner::new(points, weights);
+        let coords = (0..docs.len()).map(|i| i as f64).collect();
+        let partitioner = KdPartitioner::new(1, coords, doc_weights(docs));
         let tree = TransformedIndex::try_build(
             partitioner,
             docs.to_vec(),

@@ -396,7 +396,13 @@ impl Persist for LinfNnIndex {
                 // The sorted candidate-radius columns are derived data:
                 // the loader re-sorts them from the points, so only the
                 // points travel.
-                persist::put_point_pages(w, persist::kind::NN_POINTS, &self.points, self.dim);
+                let coords: Vec<f64> = self
+                    .points
+                    .iter()
+                    .flat_map(|p| p.coords())
+                    .copied()
+                    .collect();
+                persist::put_point_pages(w, persist::kind::NN_POINTS, &coords, self.dim);
                 orp.to_pages(w)
             }
             RectEngine::Lc(_) => Err(SkqError::Store {
@@ -424,14 +430,12 @@ impl Persist for LinfNnIndex {
         if n == 0 {
             return Err(fail("index stores zero points".into()));
         }
-        let points = persist::read_point_pages(r, persist::kind::NN_POINTS, "nn_linf", n, dim)?;
-        for (i, p) in points.iter().enumerate() {
-            for d in 0..dim {
-                if !p.get(d).is_finite() {
-                    return Err(fail(format!("point {i} has a non-finite coordinate")));
-                }
-            }
+        let coords = persist::read_point_pages(r, persist::kind::NN_POINTS, "nn_linf", n, dim)?;
+        if let Some(i) = coords.iter().position(|c| !c.is_finite()) {
+            let i = i / dim;
+            return Err(fail(format!("point {i} has a non-finite coordinate")));
         }
+        let points: Vec<Point> = coords.chunks(dim).map(Point::new).collect();
         let orp = OrpKwIndex::from_pages(r)?;
         if orp.dim() != dim {
             return Err(fail(format!(

@@ -17,7 +17,7 @@ use crate::dataset::Dataset;
 use crate::dimred::DimRedTree;
 use crate::error::{validate, SkqError};
 use crate::failpoints;
-use crate::framework::{FrameworkConfig, KdPartitioner, TransformedIndex};
+use crate::framework::{doc_weights, FrameworkConfig, KdPartitioner, TransformedIndex};
 use crate::persist::{self, Persist, SCHEMA_VERSION};
 use crate::query::KwQuery;
 use crate::sink::ResultSink;
@@ -72,8 +72,8 @@ impl OrpKwIndex {
         let dim = dataset.dim();
         let inner = if dim <= 2 {
             let rank = RankSpace::build(dataset.points());
-            let weights = (0..dataset.len()).map(|i| dataset.weight(i)).collect();
-            let partitioner = KdPartitioner::new(rank.points(), weights);
+            let weights = doc_weights(dataset.docs());
+            let partitioner = KdPartitioner::new(dim, rank.coords(), weights);
             let tree = TransformedIndex::try_build(
                 partitioner,
                 dataset.docs().to_vec(),
@@ -142,13 +142,15 @@ impl OrpKwIndex {
     /// `q` selects), the dimension-reduction engine its point.
     pub(crate) fn contains_fn<'a>(&'a self, q: &Rect) -> impl Fn(u32) -> bool + 'a {
         // `None`: `q` hits no data coordinate.
-        let (points, rq) = match &self.inner {
-            Inner::Kd { rank, tree } => (tree.partitioner().points(), rank.rect(q)),
-            Inner::DimRed(trees) => (trees[0].dataset().points(), Some(*q)),
+        let rq = match &self.inner {
+            Inner::Kd { rank, .. } => rank.rect(q),
+            Inner::DimRed(_) => Some(*q),
         };
         move |o| {
-            rq.as_ref()
-                .is_some_and(|rq| rq.contains(&points[o as usize]))
+            rq.as_ref().is_some_and(|rq| match &self.inner {
+                Inner::Kd { tree, .. } => rq.contains_coords(tree.partitioner().point_coords(o)),
+                Inner::DimRed(trees) => rq.contains(trees[0].dataset().point(o as usize)),
+            })
         }
     }
 
@@ -176,7 +178,7 @@ impl OrpKwIndex {
     pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
         match &self.inner {
             Inner::Kd { rank, tree } => {
-                if tree.partitioner().points() != rank.points() {
+                if tree.partitioner().coords() != rank.coords() {
                     return Err(crate::invariants::InvariantViolation::new(
                         "orp::rank_points",
                         "kd tree points differ from the rank-space images",
@@ -213,7 +215,7 @@ impl KwQuery for OrpKwIndex {
                 tree.query_sink(
                     keywords,
                     &|cell| rq.classify(cell),
-                    &|o| rq.contains(tree.partitioner().point(o)),
+                    &|o| rq.contains_coords(tree.partitioner().point_coords(o)),
                     sink,
                     stats,
                 )
@@ -298,11 +300,11 @@ impl Persist for OrpKwIndex {
         if tree.k() != k {
             return Err(fail(format!("head k = {k}, tree k = {}", tree.k())));
         }
-        if rank.len() != tree.partitioner().points().len() {
+        if rank.len() != tree.partitioner().len() {
             return Err(fail(format!(
                 "rank space covers {} objects, tree {}",
                 rank.len(),
-                tree.partitioner().points().len()
+                tree.partitioner().len()
             )));
         }
         Ok(Self {

@@ -667,35 +667,29 @@ pub(crate) const DOCS_PER_PAGE: usize = 4096;
 /// Target payload bytes per `POSTINGS_CHUNK` page.
 const POSTINGS_PAGE_BYTES: usize = 48 * 1024;
 
-/// Encodes `points[chunk]` (all of dimension `dim`) into page payloads
-/// of the given kind.
-pub(crate) fn put_point_pages(
-    w: &mut PageWriter,
-    kind: u16,
-    points: &[skq_geom::Point],
-    dim: usize,
-) {
-    for chunk in points.chunks(POINTS_PER_PAGE.max(1)) {
-        let mut buf = Vec::with_capacity(chunk.len() * dim * 8);
-        for p in chunk {
-            for i in 0..dim {
-                put_f64(&mut buf, p.get(i));
-            }
+/// Encodes packed points (`dim` coordinates each, object-major) into
+/// page payloads of the given kind, [`POINTS_PER_PAGE`] points a page.
+pub(crate) fn put_point_pages(w: &mut PageWriter, kind: u16, coords: &[f64], dim: usize) {
+    for chunk in coords.chunks((POINTS_PER_PAGE * dim).max(1)) {
+        let mut buf = Vec::with_capacity(chunk.len() * 8);
+        for &c in chunk {
+            put_f64(&mut buf, c);
         }
         w.page(kind, SCHEMA_VERSION, buf);
     }
 }
 
 /// Decodes `n` points of dimension `dim` written by
-/// [`put_point_pages`], without constraining coordinate values (the
-/// caller validates finiteness where its invariants require it).
+/// [`put_point_pages`] into one packed array, without constraining
+/// coordinate values (the caller validates finiteness where its
+/// invariants require it).
 pub(crate) fn read_point_pages(
     r: &mut PageReader<'_>,
     kind: u16,
     section: &'static str,
     n: usize,
     dim: usize,
-) -> Result<Vec<skq_geom::Point>, SkqError> {
+) -> Result<Vec<f64>, SkqError> {
     if !(1..=skq_geom::MAX_DIM).contains(&dim) {
         return Err(corrupt(
             section,
@@ -705,22 +699,18 @@ pub(crate) fn read_point_pages(
             ),
         ));
     }
-    let mut points = Vec::with_capacity(n.min(1 << 20));
-    let mut coords = [0.0f64; skq_geom::MAX_DIM];
+    let mut coords = Vec::with_capacity(n.min(1 << 20) * dim);
     let mut remaining = n;
     while remaining > 0 {
         let mut d = r.page(kind, SCHEMA_VERSION, section)?;
         let in_page = remaining.min(POINTS_PER_PAGE);
-        for _ in 0..in_page {
-            for c in coords.iter_mut().take(dim) {
-                *c = d.f64()?;
-            }
-            points.push(skq_geom::Point::new(&coords[..dim]));
+        for _ in 0..in_page * dim {
+            coords.push(d.f64()?);
         }
         d.end()?;
         remaining -= in_page;
     }
-    Ok(points)
+    Ok(coords)
 }
 
 /// Encodes `docs` into document pages of the given kind.

@@ -18,7 +18,9 @@ use skq_invidx::Keyword;
 use crate::dataset::Dataset;
 use crate::error::{validate, SkqError};
 use crate::failpoints;
-use crate::framework::{FrameworkConfig, KdPartitioner, TransformedIndex, WillardPartitioner};
+use crate::framework::{
+    doc_weights, FrameworkConfig, KdPartitioner, TransformedIndex, WillardPartitioner,
+};
 use crate::persist::{self, Persist, SCHEMA_VERSION};
 use crate::query::KwQuery;
 use crate::sink::ResultSink;
@@ -115,7 +117,8 @@ impl SpKwIndex {
                 Inner::Willard(TransformedIndex::try_build(p, docs, k..=k, config)?)
             }
             SpStrategy::Kd => {
-                let p = KdPartitioner::new(points.clone(), weights);
+                let coords = points.iter().flat_map(|p| p.coords()).copied().collect();
+                let p = KdPartitioner::new(dataset.dim(), coords, doc_weights(&docs));
                 Inner::Kd(TransformedIndex::try_build(p, docs, k..=k, config)?)
             }
         };
@@ -289,7 +292,12 @@ impl Persist for SpKwIndex {
         if tree.k() != k {
             return Err(fail(format!("head k = {k}, tree k = {}", tree.k())));
         }
-        let points = tree.partitioner().points().to_vec();
+        let points = tree
+            .partitioner()
+            .coords()
+            .chunks(dim)
+            .map(Point::new)
+            .collect();
         Ok(Self {
             inner: Inner::Kd(tree),
             points,

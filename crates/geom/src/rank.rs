@@ -71,13 +71,19 @@ impl RankSpace {
     /// All images have pairwise-distinct coordinates on every dimension —
     /// the general-position property the kd framework needs.
     pub fn points(&self) -> Vec<Point> {
-        let mut coords = vec![[0.0f64; MAX_DIM]; self.len()];
+        self.coords().chunks(self.dim).map(Point::new).collect()
+    }
+
+    /// The rank-space images packed into one array: object `i`'s `dim`
+    /// ranks at `[i·dim..(i+1)·dim]`.
+    pub fn coords(&self) -> Vec<f64> {
+        let mut coords = vec![0.0f64; self.len() * self.dim];
         for (d, col) in self.sorted.iter().enumerate() {
             for (rank, &(_, idx)) in col.iter().enumerate() {
-                coords[idx as usize][d] = rank as f64;
+                coords[idx as usize * self.dim + d] = rank as f64;
             }
         }
-        coords.iter().map(|c| Point::new(&c[..self.dim])).collect()
+        coords
     }
 
     /// The per-dimension sorted `(coordinate, object index)` columns —

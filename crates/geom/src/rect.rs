@@ -87,8 +87,21 @@ impl Rect {
 
     /// Whether the rectangle contains `p` (boundary inclusive).
     pub fn contains(&self, p: &Point) -> bool {
-        assert_eq!(self.dim(), p.dim(), "rect/point dimension mismatch");
-        (0..self.dim()).all(|i| self.lo[i] <= p.get(i) && p.get(i) <= self.hi[i])
+        self.contains_coords(p.coords())
+    }
+
+    /// Whether the rectangle contains the point with coordinates
+    /// `coords` (boundary inclusive).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coords` does not have the rectangle's dimension.
+    pub fn contains_coords(&self, coords: &[f64]) -> bool {
+        assert_eq!(self.dim(), coords.len(), "rect/point dimension mismatch");
+        coords
+            .iter()
+            .enumerate()
+            .all(|(i, &c)| self.lo[i] <= c && c <= self.hi[i])
     }
 
     /// Whether the rectangle intersects `other` (boundary inclusive).

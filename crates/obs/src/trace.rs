@@ -227,11 +227,6 @@ pub fn attach_u64(key: &str, value: u64) {
     attach(key, AttrValue::U64(value));
 }
 
-/// Attaches a float attribute (see [`attach`]).
-pub fn attach_f64(key: &str, value: f64) {
-    attach(key, AttrValue::F64(value));
-}
-
 /// Attaches a string attribute (see [`attach`]).
 pub fn attach_str(key: &str, value: &str) {
     attach(key, AttrValue::Str(value.to_string()));
@@ -431,7 +426,7 @@ mod tests {
         {
             let _s = Span::enter("trace.test.export");
             attach_str("plan", "framework");
-            attach_f64("cost", 12.5);
+            attach("cost", AttrValue::F64(12.5));
             attach(
                 "quoted\"name",
                 AttrValue::Str("line\nbreak\\slash".to_string()),

@@ -193,7 +193,6 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
             // Closed-loop replay: size the queue so pacing, not
             // admission control, is the only throttle.
             queue_capacity: opts.requests.max(64),
-            queue_stripes: 0,
             default_deadline: (opts.deadline_ms > 0)
                 .then(|| Duration::from_millis(opts.deadline_ms)),
             default_max_results: None,

@@ -6,8 +6,9 @@
 //! * [`snapshot`] — epoch-based snapshot rotation: a rebuild publishes
 //!   a fresh [`skq_core::suite::OrpKwSuite`] without blocking in-flight
 //!   readers, who keep their `Arc` to the generation they started on.
-//! * [`queue`] — a mutex-sharded, work-stealing job queue with a hard
-//!   capacity, so admission control has a well-defined "full" signal.
+//! * [`queue`] — a bounded job queue (one mutex, one condvar, untimed
+//!   waits that cannot miss a wake-up) with a hard capacity, so
+//!   admission control has a well-defined "full" signal.
 //! * [`pool`] — the worker pool itself: N threads pull jobs, run them
 //!   against the current snapshot under a [`skq_core::QueryGuard`]
 //!   (deadline / cancellation / result budget), and survive per-request
@@ -43,6 +44,6 @@ pub mod recover;
 pub mod snapshot;
 
 pub use pool::{BrownoutConfig, Pending, Reply, Request, Server, ServerConfig};
-pub use queue::ShardedQueue;
+pub use queue::JobQueue;
 pub use recover::RecoverySupervisor;
 pub use snapshot::{SnapshotCell, Versioned};

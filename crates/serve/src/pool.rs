@@ -2,7 +2,7 @@
 //! current snapshot, panic isolation, and supervised respawn.
 //!
 //! A [`Server`] owns a [`SnapshotCell`] of the suite, a
-//! [`ShardedQueue`] of jobs, and N worker threads. The request path is
+//! [`JobQueue`] of jobs, and N worker threads. The request path is
 //! (DESIGN.md §14):
 //!
 //! 1. [`Server::submit`] builds a [`skq_core::QueryGuard`] at arrival
@@ -38,7 +38,7 @@ use skq_core::{CancelToken, QueryGuard, QueryStats, SkqError};
 use skq_geom::Rect;
 use skq_invidx::Keyword;
 
-use crate::queue::ShardedQueue;
+use crate::queue::JobQueue;
 use crate::snapshot::{SnapshotCell, Versioned};
 
 /// The brownout ladder: graceful degradation levels entered *before*
@@ -82,8 +82,6 @@ pub struct ServerConfig {
     /// Job-queue capacity; a full queue sheds new requests with
     /// [`SkqError::Overloaded`]. 0 rejects every request.
     pub queue_capacity: usize,
-    /// Queue stripes; 0 means one per worker.
-    pub queue_stripes: usize,
     /// Deadline applied to requests that don't carry their own.
     pub default_deadline: Option<Duration>,
     /// Result budget applied to requests that don't carry their own.
@@ -98,7 +96,6 @@ impl Default for ServerConfig {
         Self {
             workers: available_threads(),
             queue_capacity: 1024,
-            queue_stripes: 0,
             default_deadline: None,
             default_max_results: None,
             brownout: None,
@@ -188,7 +185,7 @@ struct Job {
 
 struct Shared {
     snapshots: SnapshotCell<OrpKwSuite>,
-    queue: ShardedQueue<Job>,
+    queue: JobQueue<Job>,
     shutdown: AtomicBool,
     config: ServerConfig,
 }
@@ -207,21 +204,16 @@ impl Server {
     /// as generation 1.
     pub fn start(suite: OrpKwSuite, config: ServerConfig) -> Self {
         let worker_count = effective_threads(config.workers);
-        let stripes = if config.queue_stripes == 0 {
-            worker_count
-        } else {
-            config.queue_stripes
-        };
         let shared = Arc::new(Shared {
             snapshots: SnapshotCell::new(suite),
-            queue: ShardedQueue::new(stripes, config.queue_capacity),
+            queue: JobQueue::new(config.queue_capacity),
             shutdown: AtomicBool::new(false),
             config,
         });
         let workers = (0..worker_count)
-            .map(|worker| {
+            .map(|_| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || supervisor(&shared, worker))
+                std::thread::spawn(move || supervisor(&shared))
             })
             .collect();
         Self {
@@ -385,9 +377,9 @@ impl Drop for Server {
 /// Keeps one worker slot alive: re-enters the serve loop whenever a
 /// panic escapes the per-request isolation, so the pool's width is
 /// invariant under poisonous jobs.
-fn supervisor(shared: &Shared, worker: usize) {
+fn supervisor(shared: &Shared) {
     loop {
-        if catch_unwind(AssertUnwindSafe(|| serve_loop(shared, worker))).is_ok() {
+        if catch_unwind(AssertUnwindSafe(|| serve_loop(shared))).is_ok() {
             // Clean exit: the queue is closed and drained.
             return;
         }
@@ -400,8 +392,8 @@ fn supervisor(shared: &Shared, worker: usize) {
     }
 }
 
-fn serve_loop(shared: &Shared, worker: usize) {
-    while let Some(job) = shared.queue.pop(worker) {
+fn serve_loop(shared: &Shared) {
+    while let Some(job) = shared.queue.pop() {
         skq_obs::global()
             .gauge("skq_serve_queue_depth", &[])
             .set(shared.queue.len() as f64);

@@ -1,131 +1,108 @@
-//! A mutex-sharded, work-stealing job queue with a hard capacity.
+//! A bounded job queue whose wake-ups cannot be lost.
 //!
-//! One global `Mutex<VecDeque>` serializes every producer against every
-//! consumer; sharding the queue into stripes (one per worker, by
-//! default) turns that into mostly-uncontended locks. Producers push
-//! round-robin; a consumer drains its own stripe first and steals from
-//! the others when it runs dry, so an unlucky round-robin placement
-//! never strands a job behind an idle worker.
+//! One `Mutex<VecDeque>` holds the jobs and the count of parked
+//! consumers; one `Condvar` wakes consumers. The closed flag is set
+//! and checked under the same lock (an atomic only so that
+//! [`JobQueue::is_closed`] can read it without locking). A consumer
+//! re-checks "a job is queued, or the queue is closed" under the lock
+//! before every wait, and registers as parked in the same critical
+//! section; the wait releases the lock atomically, so a push can never
+//! slip between the check and the park. A push that finds a parked
+//! consumer notifies one after it enqueues (a busy queue, whose
+//! consumers never park, skips the wake-up call). Idle workers
+//! therefore sleep untimed and wake exactly when work arrives.
 //!
-//! Capacity is enforced with an atomic reservation
-//! (`fetch_update`), so the queue never holds more than `capacity`
-//! jobs — the precondition the serving layer's admission control
-//! ([`SkqError::Overloaded`](skq_core::SkqError)) relies on.
+//! Capacity is checked under the same lock, so the queue never holds
+//! more than `capacity` jobs — the precondition the serving layer's
+//! admission control ([`SkqError::Overloaded`](skq_core::SkqError))
+//! relies on.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-/// How long an idle consumer parks on its stripe's condvar before
-/// re-scanning every stripe for stealable work. Bounds the latency of
-/// a push that landed on another stripe while this consumer slept.
-const IDLE_PARK: Duration = Duration::from_millis(2);
+struct State<T> {
+    jobs: VecDeque<T>,
+    /// Consumers inside `pop`'s wait.
+    parked: usize,
+}
 
-struct Stripe<T> {
-    jobs: Mutex<VecDeque<T>>,
+/// A bounded multi-producer multi-consumer FIFO queue. See the module
+/// docs for the design.
+pub struct JobQueue<T> {
+    state: Mutex<State<T>>,
     available: Condvar,
-}
-
-/// A bounded multi-producer multi-consumer queue sharded over striped
-/// mutexes. See the module docs for the design.
-pub struct ShardedQueue<T> {
-    stripes: Vec<Stripe<T>>,
+    /// The queued-job count, mirrored out of the lock for the depth
+    /// readers (brownout admission, the queue-depth gauge).
     len: AtomicUsize,
-    next: AtomicUsize,
-    capacity: usize,
+    /// Stored only while holding `state`'s lock.
     closed: AtomicBool,
+    capacity: usize,
 }
 
-impl<T> ShardedQueue<T> {
-    /// A queue with `stripes` shards (clamped to at least 1) holding at
-    /// most `capacity` jobs in total. A capacity of 0 is legal and
-    /// rejects every push — useful for forcing the overload path in
-    /// tests.
-    pub fn new(stripes: usize, capacity: usize) -> Self {
-        let stripes = skq_core::concurrency::effective_threads(stripes);
+impl<T> JobQueue<T> {
+    /// A queue holding at most `capacity` jobs. A capacity of 0 is
+    /// legal and rejects every push — useful for forcing the overload
+    /// path in tests.
+    pub fn new(capacity: usize) -> Self {
         Self {
-            stripes: (0..stripes)
-                .map(|_| Stripe {
-                    jobs: Mutex::new(VecDeque::new()),
-                    available: Condvar::new(),
-                })
-                .collect(),
+            state: Mutex::new(State {
+                jobs: VecDeque::new(),
+                parked: 0,
+            }),
+            available: Condvar::new(),
             len: AtomicUsize::new(0),
-            next: AtomicUsize::new(0),
-            capacity,
             closed: AtomicBool::new(false),
+            capacity,
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Enqueues `item`, or hands it back if the queue is full or
-    /// closed. Never blocks.
+    /// closed. Never blocks beyond the queue lock.
     ///
     /// # Errors
     ///
     /// Returns `Err(item)` when the queue already holds `capacity`
     /// jobs, or after [`close`](Self::close).
     pub fn try_push(&self, item: T) -> Result<(), T> {
-        if self.closed.load(Ordering::Acquire) {
-            return Err(item);
+        let wake = {
+            let mut state = self.lock();
+            if self.closed.load(Ordering::Acquire) || state.jobs.len() >= self.capacity {
+                return Err(item);
+            }
+            state.jobs.push_back(item);
+            self.len.store(state.jobs.len(), Ordering::Release);
+            state.parked > 0
+        };
+        if wake {
+            self.available.notify_one();
         }
-        // Reserve a slot first: the length can therefore never
-        // overshoot the capacity, even with concurrent producers.
-        if self
-            .len
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
-                (n < self.capacity).then_some(n + 1)
-            })
-            .is_err()
-        {
-            return Err(item);
-        }
-        // relaxed: round-robin placement hint only — no payload is
-        // published through this counter; the stripe mutex below
-        // orders the actual job handoff
-        let idx = self.next.fetch_add(1, Ordering::Relaxed) % self.stripes.len();
-        let stripe = &self.stripes[idx];
-        {
-            let mut jobs = stripe.jobs.lock().unwrap_or_else(PoisonError::into_inner);
-            jobs.push_back(item);
-        }
-        stripe.available.notify_one();
         Ok(())
     }
 
-    /// Dequeues the next job for `worker` (its stripe first, then
-    /// stealing), blocking while the queue is open but empty. Returns
-    /// `None` once the queue is closed **and** drained — the worker's
-    /// signal to exit.
-    pub fn pop(&self, worker: usize) -> Option<T> {
-        let n = self.stripes.len();
-        let home = worker % n;
+    /// Dequeues the oldest job, blocking while the queue is open but
+    /// empty. Returns `None` once the queue is closed **and** drained —
+    /// the worker's signal to exit.
+    pub fn pop(&self) -> Option<T> {
+        let mut state = self.lock();
         loop {
-            for offset in 0..n {
-                let stripe = &self.stripes[(home + offset) % n];
-                let mut jobs = stripe.jobs.lock().unwrap_or_else(PoisonError::into_inner);
-                if let Some(item) = jobs.pop_front() {
-                    self.len.fetch_sub(1, Ordering::AcqRel);
-                    return Some(item);
-                }
+            if let Some(item) = state.jobs.pop_front() {
+                self.len.store(state.jobs.len(), Ordering::Release);
+                return Some(item);
             }
-            if self.closed.load(Ordering::Acquire) && self.len.load(Ordering::Acquire) == 0 {
+            if self.closed.load(Ordering::Acquire) {
                 return None;
             }
-            let stripe = &self.stripes[home];
-            let jobs = stripe.jobs.lock().unwrap_or_else(PoisonError::into_inner);
-            if jobs.is_empty() && !self.closed.load(Ordering::Acquire) {
-                // Timed park: a notify can land on a stripe whose
-                // worker is mid-steal elsewhere, so waiters must
-                // re-scan on their own schedule rather than trust
-                // wake-ups alone.
-                drop(
-                    stripe
-                        .available
-                        .wait_timeout(jobs, IDLE_PARK)
-                        .unwrap_or_else(PoisonError::into_inner),
-                );
-            }
+            state.parked += 1;
+            state = self
+                .available
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+            state.parked -= 1;
         }
     }
 
@@ -147,10 +124,13 @@ impl<T> ShardedQueue<T> {
     /// Closes the queue: future pushes fail, and consumers drain the
     /// backlog then observe `None`. Idempotent.
     pub fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-        for stripe in &self.stripes {
-            stripe.available.notify_all();
+        {
+            // Under the lock: a consumer between its check and its wait
+            // cannot miss the flag.
+            let _state = self.lock();
+            self.closed.store(true, Ordering::Release);
         }
+        self.available.notify_all();
     }
 
     /// Whether [`close`](Self::close) has been called.
@@ -163,66 +143,102 @@ impl<T> ShardedQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     #[test]
-    fn fifo_within_a_single_stripe() {
-        let q = ShardedQueue::new(1, 16);
+    fn fifo_order() {
+        let q = JobQueue::new(16);
         for i in 0..5 {
             q.try_push(i).unwrap();
         }
         for i in 0..5 {
-            assert_eq!(q.pop(0), Some(i));
+            assert_eq!(q.pop(), Some(i));
         }
         assert!(q.is_empty());
     }
 
     #[test]
     fn capacity_is_a_hard_limit() {
-        let q = ShardedQueue::new(4, 3);
+        let q = JobQueue::new(3);
         assert!(q.try_push(1).is_ok());
         assert!(q.try_push(2).is_ok());
         assert!(q.try_push(3).is_ok());
         assert_eq!(q.try_push(4), Err(4));
         assert_eq!(q.len(), 3);
-        let _ = q.pop(0);
+        let _ = q.pop();
         assert!(q.try_push(4).is_ok());
     }
 
     #[test]
     fn zero_capacity_rejects_everything() {
-        let q = ShardedQueue::new(2, 0);
+        let q = JobQueue::new(0);
         assert_eq!(q.try_push(9), Err(9));
     }
 
     #[test]
     fn close_drains_then_signals_exit() {
-        let q = ShardedQueue::new(2, 8);
+        let q = JobQueue::new(8);
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
         q.close();
+        assert!(q.is_closed());
         assert_eq!(q.try_push(3), Err(3));
-        let mut drained = vec![q.pop(0).unwrap(), q.pop(1).unwrap()];
-        drained.sort_unstable();
-        assert_eq!(drained, vec![1, 2]);
-        assert_eq!(q.pop(0), None);
+        assert_eq!((q.pop(), q.pop()), (Some(1), Some(2)));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
-    fn stealing_finds_jobs_on_foreign_stripes() {
-        // 4 stripes, round-robin pushes: worker 3 must steal to see
-        // jobs pushed to stripes 0..=2.
-        let q = ShardedQueue::new(4, 8);
-        for i in 0..3 {
-            q.try_push(i).unwrap();
+    fn close_wakes_every_parked_consumer() {
+        let q = Arc::new(JobQueue::<u32>::new(8));
+        let consumers: Vec<_> = (0..4)
+            .map(|_| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || q.pop())
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(20));
+        q.close();
+        for c in consumers {
+            assert_eq!(c.join().unwrap(), None);
         }
-        let mut got = vec![q.pop(3).unwrap(), q.pop(3).unwrap(), q.pop(3).unwrap()];
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2]);
+    }
+
+    /// Each trip parks the consumer on an empty queue before the push
+    /// that wakes it. A queue that could lose the wake-up would need a
+    /// timed re-scan to recover (a 2 ms park costs 2 s over the 1 000
+    /// trips); an untimed wait must finish far below.
+    #[test]
+    fn ping_pong_handoffs_never_wait_for_a_timeout() {
+        const TRIPS: u32 = 1_000;
+        let ping = Arc::new(JobQueue::new(1));
+        let pong = Arc::new(JobQueue::new(1));
+        let echo = {
+            let (ping, pong) = (Arc::clone(&ping), Arc::clone(&pong));
+            std::thread::spawn(move || {
+                while let Some(i) = ping.pop() {
+                    pong.try_push(i).unwrap();
+                }
+            })
+        };
+        let start = Instant::now();
+        for i in 0..TRIPS {
+            // Give the echo thread time to park on the empty queue.
+            std::thread::sleep(Duration::from_micros(50));
+            ping.try_push(i).unwrap();
+            assert_eq!(pong.pop(), Some(i));
+        }
+        let elapsed = start.elapsed();
+        ping.close();
+        echo.join().unwrap();
+        assert!(
+            elapsed < Duration::from_millis(1_500),
+            "{TRIPS} hand-offs took {elapsed:?}"
+        );
     }
 
     #[test]
     fn concurrent_producers_and_consumers_preserve_every_job() {
-        let q = Arc::new(ShardedQueue::new(4, 1024));
+        let q = Arc::new(JobQueue::new(1024));
         let total = 1000u32;
         let producers: Vec<_> = (0..4)
             .map(|p| {
@@ -241,11 +257,11 @@ mod tests {
             })
             .collect();
         let consumers: Vec<_> = (0..4)
-            .map(|w| {
+            .map(|_| {
                 let q = Arc::clone(&q);
                 std::thread::spawn(move || {
                     let mut seen = Vec::new();
-                    while let Some(item) = q.pop(w) {
+                    while let Some(item) = q.pop() {
                         seen.push(item);
                     }
                     seen

@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 use structured_keyword_search::core::dynamic::DynamicOrpKw;
 use structured_keyword_search::core::framework::{
-    FrameworkConfig, KdPartitioner, TransformedIndex,
+    doc_weights, FrameworkConfig, KdPartitioner, TransformedIndex,
 };
 use structured_keyword_search::core::naive;
 use structured_keyword_search::core::persist::fnv1a64;
@@ -68,21 +68,23 @@ fn dynamic(d: &Dataset) -> DynamicOrpKw {
     dy
 }
 
-/// The KSI tree's `(level, weight, pivots, large)` per node: the 1-D
-/// framework over object ids, built exactly as `KsiIndex::try_build`
-/// builds it.
-fn ksi_summaries(d: &Dataset) -> Vec<(u32, u64, usize, usize)> {
+/// The KSI tree: the 1-D framework over object ids, built exactly as
+/// `KsiIndex::try_build` builds it.
+fn ksi_tree(d: &Dataset) -> TransformedIndex<KdPartitioner> {
     let docs = d.docs().to_vec();
-    let points: Vec<Point> = (0..docs.len()).map(|i| Point::new1(i as f64)).collect();
-    let weights: Vec<u64> = docs.iter().map(|doc| doc.len() as u64).collect();
-    let tree = TransformedIndex::try_build(
-        KdPartitioner::new(points, weights),
+    let coords = (0..docs.len()).map(|i| i as f64).collect();
+    TransformedIndex::try_build(
+        KdPartitioner::new(1, coords, doc_weights(&docs)),
         docs,
         2..=2,
         FrameworkConfig::default(),
     )
-    .unwrap();
-    tree.node_summaries(2).collect()
+    .unwrap()
+}
+
+/// The KSI tree's `(level, weight, pivots, large)` per node.
+fn ksi_summaries(d: &Dataset) -> Vec<(u32, u64, usize, usize)> {
+    ksi_tree(d).node_summaries(2).collect()
 }
 
 fn ksi_digest(d: &Dataset) -> u64 {
@@ -155,6 +157,50 @@ fn built_structures_match_the_golden_digests() {
         .collect();
     let want: Vec<(String, u64)> = GOLDEN.iter().map(|&(n, h)| (n.to_string(), h)).collect();
     assert_eq!(got, want, "digests now:\n{}", rendered.join("\n"));
+}
+
+/// The golden digests cover the build path; this covers the load path.
+/// For every engine above, decoding its snapshot (which fills the flat
+/// node arena and layer pools directly) and encoding the result again
+/// must give back the same bytes. The Willard partition tree has no
+/// snapshot encoding; the KSI index is checked through its tree.
+#[test]
+fn decoded_snapshots_reencode_byte_identically() {
+    fn roundtrip<T: Persist>(what: &str, index: &T) {
+        let bytes = index.to_bytes().expect("the index persists");
+        let decoded = T::try_from_bytes(&bytes).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let again = decoded.to_bytes().expect("a decoded index persists");
+        assert!(
+            again == bytes,
+            "{what}: re-encoding the decoded snapshot differs"
+        );
+    }
+    for (name, d) in datasets() {
+        roundtrip(
+            &format!("{name}/orp_k2"),
+            &OrpKwIndex::try_build(&d, 2).unwrap(),
+        );
+        roundtrip(
+            &format!("{name}/orp_k3"),
+            &OrpKwIndex::try_build(&d, 3).unwrap(),
+        );
+        roundtrip(
+            &format!("{name}/suite_kmax4"),
+            &OrpKwSuite::try_build(&d, 4).unwrap(),
+        );
+        roundtrip(
+            &format!("{name}/sp_kd"),
+            &SpKwIndex::try_build_with_strategy(&d, 2, SpStrategy::Kd).unwrap(),
+        );
+        let willard = SpKwIndex::try_build_with_strategy(&d, 2, SpStrategy::Willard).unwrap();
+        assert!(willard.to_bytes().is_err(), "{name}: sp_willard persists");
+        roundtrip(
+            &format!("{name}/srp"),
+            &SrpKwIndex::try_build(&d, 2).unwrap(),
+        );
+        roundtrip(&format!("{name}/dynamic"), &dynamic(&d));
+        roundtrip(&format!("{name}/ksi"), &ksi_tree(&d));
+    }
 }
 
 /// The suite builds one tree and a keyword layer per `k`; each layer must

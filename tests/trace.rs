@@ -8,7 +8,7 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use skq_bench::json::Json;
-use skq_bench::trajectory::{self, BenchOptions, Scale};
+use skq_bench::trajectory::{self, AllocCounters, BenchOptions, Scale};
 use skq_obs::{trace, Span};
 use structured_keyword_search::prelude::*;
 
@@ -136,7 +136,7 @@ fn attributes_round_trip_through_export() {
     {
         let _span = Span::enter("orp.suite_query");
         trace::attach_u64("answer", 42);
-        trace::attach_f64("ratio", 1.5);
+        trace::attach("ratio", trace::AttrValue::F64(1.5));
         trace::attach_str("label", "planted \"quote\"");
         trace::attach("flag", trace::AttrValue::Bool(true));
     }
@@ -168,7 +168,7 @@ fn disabled_tracer_records_nothing() {
 #[test]
 fn bench_smoke_produces_schema_valid_document() {
     let _guard = tracer_lock();
-    let zero_probe = || (0u64, 0u64);
+    let zero_probe = AllocCounters::default;
     let opts = BenchOptions {
         scale: Scale::Smoke,
         ..BenchOptions::default()
