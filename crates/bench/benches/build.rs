@@ -57,7 +57,7 @@ fn bench_leaf_weight(c: &mut Criterion) {
     for leaf in [8u64, 24, 96, 384] {
         let tree = TransformedIndex::try_build(
             KdPartitioner::new(2, rank_coords.clone(), weights.clone()),
-            ps.dataset.docs().to_vec(),
+            std::sync::Arc::clone(ps.dataset.shared_docs()),
             2..=2,
             FrameworkConfig { leaf_weight: leaf },
         )

@@ -13,7 +13,7 @@ fn bench_reporting(c: &mut Criterion) {
     let n = 100_000;
     for out in [0usize, 100, 10_000] {
         let inst = planted_instance(n, 8, 3, out, 6, 71);
-        let ksi = KsiIndex::try_build(&inst.docs, 3).expect("valid bench input");
+        let ksi = KsiIndex::try_build(inst.docs.as_slice(), 3).expect("valid bench input");
         let inv = InvertedIndex::build(&inst.docs);
         g.bench_with_input(BenchmarkId::new("framework", out), &out, |b, _| {
             b.iter(|| ksi.query(&(), &inst.query))
@@ -29,7 +29,7 @@ fn bench_emptiness(c: &mut Criterion) {
     let mut g = c.benchmark_group("ksi/emptiness");
     for n in [30_000usize, 100_000] {
         let inst = planted_instance(n, 8, 3, 0, 6, 72);
-        let ksi = KsiIndex::try_build(&inst.docs, 3).expect("valid bench input");
+        let ksi = KsiIndex::try_build(inst.docs.as_slice(), 3).expect("valid bench input");
         let inv = InvertedIndex::build(&inst.docs);
         g.bench_with_input(BenchmarkId::new("framework", n), &n, |b, _| {
             b.iter(|| ksi.count_at_least(&(), &inst.query, 1))

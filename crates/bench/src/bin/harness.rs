@@ -15,6 +15,7 @@
 
 use std::env;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
 
 use skq_bench::{
@@ -780,7 +781,7 @@ fn e8(cfg: &Config) -> Result<(), SkqError> {
         let rr = RrKwIndex::try_build(&rects, 2)?;
         let sp = SpKwIndex::try_build_with_strategy(&ps2.dataset, 2, SpStrategy::Willard)?;
         let srp = SrpKwIndex::try_build(&ps2.dataset, 2)?;
-        let ksi = KsiIndex::try_build(ps2.dataset.docs(), 2)?;
+        let ksi = KsiIndex::try_build(Arc::clone(ps2.dataset.shared_docs()), 2)?;
         let inv = InvertedIndex::build(ps2.dataset.docs());
         t.row(vec![
             format!("{}", big_n as u64),
@@ -819,7 +820,7 @@ fn e9(cfg: &Config) -> Result<(), SkqError> {
         ]);
         for planted in [0usize, 10, 100, 1_000, 10_000] {
             let inst = shuffled_planted(n, 8, k, planted, 6, 71);
-            let ksi = KsiIndex::try_build(&inst.docs, k)?;
+            let ksi = KsiIndex::try_build(Arc::clone(&inst.docs), k)?;
             let inv = InvertedIndex::build(&inst.docs);
             let (_, stats) = ksi.query_with_stats(&(), &inst.query).expect("valid query");
             let t1 = measure(cfg.reps(), || {
@@ -858,7 +859,7 @@ fn e9(cfg: &Config) -> Result<(), SkqError> {
     println!("\nworst-case N-term utilization (borderline-frequency keywords):");
     for k in [2usize, 3] {
         let bl = borderline_spatial(n, 1, k, 0.8, 73);
-        let ksi = KsiIndex::try_build(bl.dataset.docs(), k)?;
+        let ksi = KsiIndex::try_build(Arc::clone(bl.dataset.shared_docs()), k)?;
         let (hits, stats) = ksi
             .query_with_stats(&(), &bl.query_keywords)
             .expect("valid query");
@@ -884,7 +885,7 @@ fn e10(cfg: &Config) -> Result<(), SkqError> {
     for frac_inv in [100_000usize, 10_000, 1_000, 100, 10, 4, 2] {
         let planted = (n / frac_inv).max(if frac_inv == 100_000 { 0 } else { 1 });
         let inst = shuffled_planted(n, 8, 2, planted, 6, 81);
-        let ksi = KsiIndex::try_build(&inst.docs, 2)?;
+        let ksi = KsiIndex::try_build(Arc::clone(&inst.docs), 2)?;
         let inv = InvertedIndex::build(&inst.docs);
         let t1 = measure(cfg.reps(), || {
             let _ = std::hint::black_box(ksi.query(&(), &inst.query));

@@ -12,6 +12,7 @@
 pub mod json;
 pub mod trajectory;
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -180,8 +181,8 @@ pub fn planted_spatial(
 /// uniformly, the honest (and worst-case) layout for measuring query
 /// cost.
 pub struct ShuffledKsi {
-    /// Per-element membership documents.
-    pub docs: Vec<skq_invidx::Document>,
+    /// Per-element membership documents, shareable with an index.
+    pub docs: Arc<[skq_invidx::Document]>,
     /// The designated query sets.
     pub query: Vec<Keyword>,
     /// The (sorted) intersection of the designated sets.
@@ -266,7 +267,9 @@ pub fn borderline_spatial(n: usize, dim: usize, k: usize, frac: f64, seed: u64) 
         .collect();
     let dataset = Dataset::new(
         points,
-        docs.into_iter().map(skq_invidx::Document::new).collect(),
+        docs.into_iter()
+            .map(skq_invidx::Document::new)
+            .collect::<Arc<[_]>>(),
     );
     PlantedSpatial {
         dataset,

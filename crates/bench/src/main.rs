@@ -2,10 +2,11 @@
 //!
 //! Subcommands:
 //!
-//! * `bench [--out PATH] [--timed] [--smoke|--full] [--trace PATH]` —
-//!   run the pinned scenarios (see `skq_bench::trajectory`) and write a
-//!   schema-versioned `BENCH_*.json`. Default capture is deterministic
-//!   (byte-stable across runs); `--timed` adds wall-clock fields.
+//! * `bench [--out PATH] [--smoke|--full] [--trace PATH]` — run the
+//!   pinned scenarios (see `skq_bench::trajectory`) and write a
+//!   schema-versioned `BENCH_*.json`. The capture is deterministic
+//!   (byte-stable across runs); wall-clock numbers come from
+//!   `perfbench/`.
 //! * `save-suite SNAP [--smoke|--full]` — write the default bench
 //!   suite's `skq-store` snapshot; `bench --load-suite SNAP` then
 //!   answers the pinned queries from the snapshot (recording
@@ -31,7 +32,7 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use skq_bench::json::Json;
-use skq_bench::trajectory::{self, AllocCounters, BenchOptions, Scale, Verdict};
+use skq_bench::trajectory::{self, AllocCounters, Scale, Verdict};
 use skq_bench::Table;
 
 /// Delegates to [`System`], counting bytes and allocation calls so the
@@ -88,7 +89,7 @@ fn read_alloc_counters() -> AllocCounters {
 }
 
 const USAGE: &str = "usage: skq-bench <command>
-  bench [--out PATH] [--timed] [--smoke|--full] [--trace PATH] [--load-suite SNAP]
+  bench [--out PATH] [--smoke|--full] [--trace PATH] [--load-suite SNAP]
   save-suite SNAP [--smoke|--full]
   diff BASELINE CANDIDATE [--threshold PCT]
   validate FILE";
@@ -144,15 +145,12 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
 }
 
 fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
-    let mut opts = BenchOptions::default();
-    if args.iter().any(|a| a == "--timed") {
-        opts.timed = true;
-    }
+    let mut scale = Scale::Default;
     if args.iter().any(|a| a == "--smoke") {
-        opts.scale = Scale::Smoke;
+        scale = Scale::Smoke;
     }
     if args.iter().any(|a| a == "--full") {
-        opts.scale = Scale::Full;
+        scale = Scale::Full;
     }
     let out_path = flag_value(args, "--out");
     let trace_path = flag_value(args, "--trace");
@@ -172,7 +170,7 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
     if trace_path.is_some() {
         skq_obs::trace::enable();
     }
-    let doc = trajectory::run_with_snapshot(opts, &read_alloc_counters, snapshot.as_deref());
+    let doc = trajectory::run_with_snapshot(scale, &read_alloc_counters, snapshot.as_deref());
     if let Some(path) = trace_path {
         skq_obs::trace::disable();
         write_file(path, &skq_obs::trace::export_chrome())?;
@@ -187,13 +185,8 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
         Some(path) => {
             write_file(path, &text)?;
             eprintln!(
-                "wrote {path} ({} scale, {})",
+                "wrote {path} ({} scale, deterministic)",
                 doc.get("scale").and_then(Json::as_str).unwrap_or("?"),
-                if opts.timed {
-                    "timed — machine-dependent numbers"
-                } else {
-                    "deterministic"
-                }
             );
         }
         None => print!("{text}"),

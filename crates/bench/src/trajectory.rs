@@ -9,16 +9,12 @@
 //! so a hot-path PR can prove it bent the curve — and CI can flag one
 //! that bent it the wrong way.
 //!
-//! Two capture modes:
-//!
-//! * **deterministic** (the checked-in baseline): only quantities that
-//!   are pure functions of the pinned seeds — structural counters,
-//!   space, allocation totals. Regenerating the file reproduces it
-//!   byte-for-byte on any machine.
-//! * **timed** (`--timed`): additionally records build wall-time
-//!   medians and per-query latency percentiles. Numbers are
-//!   machine-dependent; diff them only against the same box.
+//! The document holds only quantities that are pure functions of the
+//! pinned seeds — structural counters, space, allocation totals — so
+//! regenerating the file reproduces it byte-for-byte on any machine.
+//! Wall-clock measurement belongs to `perfbench/`.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use skq_core::dataset::Dataset;
@@ -41,17 +37,13 @@ use skq_workload::queries::QueryGen;
 use skq_workload::scenarios;
 
 use crate::json::Json;
-use crate::{measure, shuffled_planted};
+use crate::shuffled_planted;
 
 /// Version stamp of the BENCH document layout.
 pub const SCHEMA_VERSION: u64 = 1;
 
 /// The `format` marker written into every BENCH document.
 pub const FORMAT: &str = "skq-bench-trajectory";
-
-/// Histogram receiving per-query latencies in timed mode, labelled by
-/// problem.
-pub const LATENCY_METRIC: &str = "skq_bench_query_latency_microseconds";
 
 /// A reading of the allocator counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -111,28 +103,6 @@ impl Scale {
     }
 }
 
-/// Capture options for [`run`].
-#[derive(Clone, Copy, Debug)]
-pub struct BenchOptions {
-    /// Problem-size preset.
-    pub scale: Scale,
-    /// When false, omit all wall-clock fields so the output is
-    /// byte-stable across runs and machines.
-    pub timed: bool,
-    /// Build repetitions for the wall-time median in timed mode.
-    pub build_reps: usize,
-}
-
-impl Default for BenchOptions {
-    fn default() -> Self {
-        Self {
-            scale: Scale::Default,
-            timed: false,
-            build_reps: 3,
-        }
-    }
-}
-
 const BUILD_K: usize = 2;
 /// `k_max` of the default bench suite (the `store` problem and
 /// `skq-bench save-suite`).
@@ -141,7 +111,7 @@ const SEED_DATA: u64 = 62023; // the paper's PODS edition, pinned
 const SEED_QUERIES: u64 = 0x5eed_0001;
 
 struct Ctx<'a> {
-    opts: BenchOptions,
+    scale: Scale,
     probe: AllocProbe<'a>,
 }
 
@@ -162,15 +132,14 @@ impl Ctx<'_> {
         (value, delta)
     }
 
-    /// Builds once under the allocation probe, recording footprint and
-    /// (in timed mode) the wall-time spread of `build_reps` rebuilds.
+    /// Builds once under the allocation probe, recording footprint.
     fn build_record<T>(
         &self,
         n: usize,
-        build: impl Fn() -> T,
+        build: impl FnOnce() -> T,
         space_words: impl Fn(&T) -> usize,
     ) -> (T, Json) {
-        let (index, alloc) = self.alloc_delta(&build);
+        let (index, alloc) = self.alloc_delta(build);
         let words = space_words(&index);
         let mut out = Json::obj();
         out.set("space_words", Json::Num(words as f64));
@@ -181,34 +150,15 @@ impl Ctx<'_> {
         out.set("alloc_bytes", Json::Num(alloc.bytes as f64));
         out.set("allocs", Json::Num(alloc.allocs as f64));
         out.set("live_bytes", Json::Num(alloc.live as f64));
-        if self.opts.timed {
-            let m = measure(self.opts.build_reps, || {
-                std::hint::black_box(build());
-            });
-            out.set("wall_us", measurement_json(&m));
-        }
         (index, out)
     }
 
-    /// Runs the query sweep, accumulating structural counters and (in
-    /// timed mode) per-query latencies into the `skq-obs` histogram for
-    /// `problem`.
-    fn query_record(
-        &self,
-        problem: &'static str,
-        queries: usize,
-        mut run_one: impl FnMut(usize) -> QueryStats,
-    ) -> Json {
-        let hist = skq_obs::global().histogram(LATENCY_METRIC, &[("problem", problem)]);
+    /// Runs the query sweep, accumulating structural counters.
+    fn query_record(&self, queries: usize, mut run_one: impl FnMut(usize) -> QueryStats) -> Json {
         let mut total = QueryStats::new();
         let (_, alloc) = self.alloc_delta(|| {
             for i in 0..queries {
-                let t = Instant::now();
-                let stats = run_one(i);
-                if self.opts.timed {
-                    hist.observe(t.elapsed().as_micros() as u64);
-                }
-                total.absorb(&stats);
+                total.absorb(&run_one(i));
             }
         });
         let mut out = Json::obj();
@@ -222,29 +172,12 @@ impl Ctx<'_> {
         out.set("reported", Json::Num(total.reported as f64));
         out.set("alloc_bytes", Json::Num(alloc.bytes as f64));
         out.set("allocs", Json::Num(alloc.allocs as f64));
-        if self.opts.timed {
-            let mut lat = Json::obj();
-            lat.set("p50", Json::Num(hist.p50() as f64));
-            lat.set("p90", Json::Num(hist.quantile(0.90) as f64));
-            lat.set("p99", Json::Num(hist.p99() as f64));
-            lat.set("count", Json::Num(hist.count() as f64));
-            out.set("latency_us", lat);
-        }
         out
     }
 }
 
 fn round3(x: f64) -> f64 {
     (x * 1000.0).round() / 1000.0
-}
-
-fn measurement_json(m: &crate::Measurement) -> Json {
-    let mut out = Json::obj();
-    out.set("min", Json::Num(m.min.as_micros() as f64));
-    out.set("median", Json::Num(m.median.as_micros() as f64));
-    out.set("p90", Json::Num(m.p90.as_micros() as f64));
-    out.set("reps", Json::Num(m.reps as f64));
-    out
 }
 
 fn problem_header(out: &mut Json, scenario: &str, n: usize, input_size: usize, k: usize) {
@@ -269,13 +202,13 @@ fn rect_queries(d: &Dataset, count: usize) -> Vec<(Rect, Vec<Keyword>)> {
 }
 
 fn orp_problem(ctx: &Ctx, d: &Dataset) -> Json {
-    let queries = rect_queries(d, ctx.opts.scale.queries());
+    let queries = rect_queries(d, ctx.scale.queries());
     let (index, build) = ctx.build_record(
         d.len(),
         || OrpKwIndex::try_build(d, BUILD_K).expect("valid workload"),
         OrpKwIndex::space_words,
     );
-    let query = ctx.query_record("orp", queries.len(), |i| {
+    let query = ctx.query_record(queries.len(), |i| {
         let (rect, kws) = &queries[i];
         index.query_with_stats(rect, kws).expect("valid query").1
     });
@@ -299,13 +232,13 @@ fn rr_problem(ctx: &Ctx, d: &Dataset) -> Json {
         })
         .collect();
     let input_size: usize = boxes.iter().map(|(_, kws)| 1 + kws.len()).sum();
-    let queries = rect_queries(d, ctx.opts.scale.queries());
+    let queries = rect_queries(d, ctx.scale.queries());
     let (index, build) = ctx.build_record(
         d.len(),
         || RrKwIndex::try_build(&boxes, BUILD_K).expect("valid workload"),
         RrKwIndex::space_words,
     );
-    let query = ctx.query_record("rr", queries.len(), |i| {
+    let query = ctx.query_record(queries.len(), |i| {
         let (rect, kws) = &queries[i];
         index.query_with_stats(rect, kws).expect("valid query").1
     });
@@ -317,7 +250,7 @@ fn rr_problem(ctx: &Ctx, d: &Dataset) -> Json {
 }
 
 fn lc_problem(ctx: &Ctx, d: &Dataset) -> Json {
-    let count = ctx.opts.scale.queries();
+    let count = ctx.scale.queries();
     let mut gen = QueryGen::new(d, SEED_QUERIES);
     let queries: Vec<_> = (0..count)
         .map(|_| {
@@ -331,7 +264,7 @@ fn lc_problem(ctx: &Ctx, d: &Dataset) -> Json {
         || LcKwIndex::try_build(d, BUILD_K).expect("valid workload"),
         LcKwIndex::space_words,
     );
-    let query = ctx.query_record("lc", queries.len(), |i| {
+    let query = ctx.query_record(queries.len(), |i| {
         let (poly, kws) = &queries[i];
         index.query_with_stats(poly, kws).expect("valid query").1
     });
@@ -343,7 +276,7 @@ fn lc_problem(ctx: &Ctx, d: &Dataset) -> Json {
 }
 
 fn sp_problem(ctx: &Ctx, d: &Dataset) -> Json {
-    let count = ctx.opts.scale.queries();
+    let count = ctx.scale.queries();
     let mut gen = QueryGen::new(d, SEED_QUERIES);
     let queries: Vec<_> = (0..count)
         .map(|_| {
@@ -357,7 +290,7 @@ fn sp_problem(ctx: &Ctx, d: &Dataset) -> Json {
         || SpKwIndex::try_build(d, BUILD_K).expect("valid workload"),
         SpKwIndex::space_words,
     );
-    let query = ctx.query_record("sp", queries.len(), |i| {
+    let query = ctx.query_record(queries.len(), |i| {
         let (poly, kws) = &queries[i];
         index.query_with_stats(poly, kws).expect("valid query").1
     });
@@ -369,7 +302,7 @@ fn sp_problem(ctx: &Ctx, d: &Dataset) -> Json {
 }
 
 fn srp_problem(ctx: &Ctx, d: &Dataset) -> Json {
-    let count = ctx.opts.scale.queries();
+    let count = ctx.scale.queries();
     let mut gen = QueryGen::new(d, SEED_QUERIES);
     let queries: Vec<_> = (0..count)
         .map(|_| {
@@ -383,7 +316,7 @@ fn srp_problem(ctx: &Ctx, d: &Dataset) -> Json {
         || SrpKwIndex::try_build(d, BUILD_K).expect("valid workload"),
         SrpKwIndex::space_words,
     );
-    let query = ctx.query_record("srp", queries.len(), |i| {
+    let query = ctx.query_record(queries.len(), |i| {
         let (ball, kws) = &queries[i];
         index.query_with_stats(ball, kws).expect("valid query").1
     });
@@ -394,13 +327,8 @@ fn srp_problem(ctx: &Ctx, d: &Dataset) -> Json {
     out
 }
 
-fn nn_problem(
-    ctx: &Ctx,
-    d: &Dataset,
-    problem: &'static str,
-    build_index: impl Fn() -> NnEngine,
-) -> Json {
-    let count = ctx.opts.scale.queries();
+fn nn_problem(ctx: &Ctx, d: &Dataset, build_index: impl FnOnce() -> NnEngine) -> Json {
+    let count = ctx.scale.queries();
     let mut gen = QueryGen::new(d, SEED_QUERIES);
     let queries: Vec<_> = (0..count)
         .map(|_| {
@@ -409,8 +337,8 @@ fn nn_problem(
             (p, kws)
         })
         .collect();
-    let (index, build) = ctx.build_record(d.len(), &build_index, NnEngine::space_words);
-    let query = ctx.query_record(problem, queries.len(), |i| {
+    let (index, build) = ctx.build_record(d.len(), build_index, NnEngine::space_words);
+    let query = ctx.query_record(queries.len(), |i| {
         let (p, kws) = &queries[i];
         index.query(p, 8, kws)
     });
@@ -454,7 +382,7 @@ impl NnEngine {
 /// the in-memory build. `load_micros` (wall clock) is recorded only in
 /// loaded runs, keeping the baseline deterministic.
 fn store_problem(ctx: &Ctx, d: &Dataset, snapshot: Option<&[u8]>) -> Json {
-    let queries = rect_queries(d, ctx.opts.scale.queries());
+    let queries = rect_queries(d, ctx.scale.queries());
     let mut out = Json::obj();
     problem_header(&mut out, "city", d.len(), d.input_size(), SUITE_K_MAX);
     let suite = match snapshot {
@@ -477,7 +405,7 @@ fn store_problem(ctx: &Ctx, d: &Dataset, snapshot: Option<&[u8]>) -> Json {
     let bytes = suite.to_bytes().expect("suite snapshot encoding");
     out.set("snapshot_bytes", Json::Num(bytes.len() as f64));
     out.set("space_words", Json::Num(suite.space_words() as f64));
-    let query = ctx.query_record("store", queries.len(), |i| {
+    let query = ctx.query_record(queries.len(), |i| {
         let (rect, kws) = &queries[i];
         let mut sink = CountSink::new();
         let mut stats = QueryStats::new();
@@ -500,17 +428,17 @@ pub fn suite_snapshot(scale: Scale) -> Vec<u8> {
 }
 
 fn ksi_problem(ctx: &Ctx) -> Json {
-    let n = ctx.opts.scale.n();
+    let n = ctx.scale.n();
     let inst = shuffled_planted(n, 8, BUILD_K, (n / 100).max(4), 6, SEED_DATA);
     let input_size: usize = inst.docs.iter().map(|doc| doc.keywords().len()).sum();
     let (index, build) = ctx.build_record(
         n,
-        || KsiIndex::try_build(&inst.docs, BUILD_K).expect("valid workload"),
+        || KsiIndex::try_build(Arc::clone(&inst.docs), BUILD_K).expect("valid workload"),
         KsiIndex::space_words,
     );
     // One planted query repeated: k-SI query cost is a function of the
     // sets, so the sweep exercises the steady-state path.
-    let query = ctx.query_record("ksi", ctx.opts.scale.queries(), |_| {
+    let query = ctx.query_record(ctx.scale.queries(), |_| {
         index
             .query_with_stats(&(), &inst.query)
             .expect("valid query")
@@ -526,7 +454,7 @@ fn ksi_problem(ctx: &Ctx) -> Json {
 fn batch_problem(ctx: &Ctx, d: &Dataset, index: &OrpKwIndex) -> Json {
     use skq_core::batch::{run_batch_isolated, BatchQuery};
     use skq_core::QueryGuard;
-    let batch: Vec<BatchQuery> = rect_queries(d, ctx.opts.scale.queries())
+    let batch: Vec<BatchQuery> = rect_queries(d, ctx.scale.queries())
         .into_iter()
         .map(|(rect, keywords)| BatchQuery { rect, keywords })
         .collect();
@@ -546,38 +474,28 @@ fn batch_problem(ctx: &Ctx, d: &Dataset, index: &OrpKwIndex) -> Json {
     );
     out.set("alloc_bytes", Json::Num(alloc.bytes as f64));
     out.set("allocs", Json::Num(alloc.allocs as f64));
-    if ctx.opts.timed {
-        let m = measure(ctx.opts.build_reps, || {
-            std::hint::black_box(run());
-        });
-        out.set("wall_us", measurement_json(&m));
-    }
     out
 }
 
 /// Runs the full trajectory capture and returns the BENCH document.
 ///
 /// `probe` reads cumulative allocation counters; see [`AllocProbe`].
-pub fn run(opts: BenchOptions, probe: AllocProbe) -> Json {
-    run_with_snapshot(opts, probe, None)
+pub fn run(scale: Scale, probe: AllocProbe) -> Json {
+    run_with_snapshot(scale, probe, None)
 }
 
 /// Like [`run`], but when `snapshot` is given the `store` problem
 /// loads its suite from those bytes (recording `load_micros`) instead
 /// of building it — the fresh-process half of the CI store-smoke
 /// check.
-pub fn run_with_snapshot(opts: BenchOptions, probe: AllocProbe, snapshot: Option<&[u8]>) -> Json {
-    let ctx = Ctx { opts, probe };
+pub fn run_with_snapshot(scale: Scale, probe: AllocProbe, snapshot: Option<&[u8]>) -> Json {
+    let ctx = Ctx { scale, probe };
     // Warm up lazily-initialized global state (metric series, the query
     // log, keyword tables) on a tiny instance of every problem so those
     // one-time allocations are not charged to the measured sections.
     {
         let warm_ctx = Ctx {
-            opts: BenchOptions {
-                scale: Scale::Smoke,
-                timed: false,
-                build_reps: 1,
-            },
+            scale: Scale::Smoke,
             probe: &AllocCounters::default,
         };
         let wd = scenarios::city(400, SEED_DATA);
@@ -586,10 +504,10 @@ pub fn run_with_snapshot(opts: BenchOptions, probe: AllocProbe, snapshot: Option
         let _ = lc_problem(&warm_ctx, &wd);
         let _ = sp_problem(&warm_ctx, &wd);
         let _ = srp_problem(&warm_ctx, &wd);
-        let _ = nn_problem(&warm_ctx, &wd, "nn_linf", || {
+        let _ = nn_problem(&warm_ctx, &wd, || {
             NnEngine::Linf(LinfNnIndex::try_build(&wd, BUILD_K).expect("valid workload"))
         });
-        let _ = nn_problem(&warm_ctx, &wd, "nn_l2", || {
+        let _ = nn_problem(&warm_ctx, &wd, || {
             NnEngine::L2(L2NnIndex::try_build(&wd, BUILD_K).expect("valid workload"))
         });
         let _ = ksi_problem(&warm_ctx);
@@ -598,7 +516,7 @@ pub fn run_with_snapshot(opts: BenchOptions, probe: AllocProbe, snapshot: Option
         let _ = store_problem(&warm_ctx, &wd, None);
     }
 
-    let n = opts.scale.n();
+    let n = scale.n();
     let d = scenarios::city(n, SEED_DATA);
 
     let mut problems = Json::obj();
@@ -609,13 +527,13 @@ pub fn run_with_snapshot(opts: BenchOptions, probe: AllocProbe, snapshot: Option
     problems.set("srp", srp_problem(&ctx, &d));
     problems.set(
         "nn_linf",
-        nn_problem(&ctx, &d, "nn_linf", || {
+        nn_problem(&ctx, &d, || {
             NnEngine::Linf(LinfNnIndex::try_build(&d, BUILD_K).expect("valid workload"))
         }),
     );
     problems.set(
         "nn_l2",
-        nn_problem(&ctx, &d, "nn_l2", || {
+        nn_problem(&ctx, &d, || {
             NnEngine::L2(L2NnIndex::try_build(&d, BUILD_K).expect("valid workload"))
         }),
     );
@@ -627,8 +545,8 @@ pub fn run_with_snapshot(opts: BenchOptions, probe: AllocProbe, snapshot: Option
     let mut doc = Json::obj();
     doc.set("format", Json::Str(FORMAT.to_string()));
     doc.set("schema_version", Json::Num(SCHEMA_VERSION as f64));
-    doc.set("scale", Json::Str(opts.scale.label().to_string()));
-    doc.set("deterministic", Json::Bool(!opts.timed));
+    doc.set("scale", Json::Str(scale.label().to_string()));
+    doc.set("deterministic", Json::Bool(true));
     doc.set("seed_data", Json::Num(SEED_DATA as f64));
     doc.set("seed_queries", Json::Num(SEED_QUERIES as f64));
     doc.set("problems", problems);
@@ -874,14 +792,7 @@ mod tests {
     use super::*;
 
     fn smoke_doc() -> Json {
-        run(
-            BenchOptions {
-                scale: Scale::Smoke,
-                timed: false,
-                build_reps: 1,
-            },
-            &AllocCounters::default,
-        )
+        run(Scale::Smoke, &AllocCounters::default)
     }
 
     #[test]

@@ -5,17 +5,22 @@
 //! input size is `N := Σ_{e∈D} |e.Doc|`, and all bounds are stated in
 //! terms of `N`.
 
+use std::sync::Arc;
+
 use crate::error::SkqError;
 use skq_geom::Point;
 use skq_invidx::{Document, Keyword};
 
 /// An immutable dataset of objects, each a point with a document.
 ///
-/// Object ids are their positions (`0..len`).
+/// Object ids are their positions (`0..len`). The documents live in one
+/// shared allocation: cloning the dataset, deriving one with
+/// [`map_points`](Self::map_points), or building an index over it
+/// shares them rather than copying them.
 #[derive(Clone, Debug)]
 pub struct Dataset {
     points: Vec<Point>,
-    docs: Vec<Document>,
+    docs: Arc<[Document]>,
     input_size: usize,
     num_keywords: usize,
     dim: usize,
@@ -46,24 +51,21 @@ impl Dataset {
             return Err(SkqError::InvalidDataset("dataset must be non-empty".into()));
         }
         let dim = parts[0].0.dim();
-        let mut points = Vec::with_capacity(parts.len());
-        let mut docs = Vec::with_capacity(parts.len());
-        for (id, (p, kws)) in parts.into_iter().enumerate() {
-            if p.dim() != dim {
-                return Err(SkqError::InvalidDataset(format!(
-                    "inconsistent point dimensions: object {id} is {}-dimensional, object 0 is {dim}-dimensional",
-                    p.dim()
-                )));
-            }
+        for (id, (p, kws)) in parts.iter().enumerate() {
+            Self::check_dim(id, p, dim)?;
             if kws.is_empty() {
                 return Err(SkqError::InvalidDataset(format!(
                     "documents must be non-empty: object {id} has no keywords"
                 )));
             }
-            Self::check_finite(id, &p)?;
-            points.push(p);
-            docs.push(Document::new(kws));
+            Self::check_finite(id, p)?;
         }
+        let points = parts.iter().map(|(p, _)| *p).collect();
+        // An exact-size iterator fills the shared slice in place.
+        let docs = parts
+            .into_iter()
+            .map(|(_, kws)| Document::new(kws))
+            .collect();
         Ok(Self::assemble(points, docs))
     }
 
@@ -74,7 +76,7 @@ impl Dataset {
     /// Panics with the [`try_new`](Self::try_new) error message on
     /// empty input, length mismatch, inconsistent dimensions, or
     /// NaN/infinite coordinates.
-    pub fn new(points: Vec<Point>, docs: Vec<Document>) -> Self {
+    pub fn new(points: Vec<Point>, docs: impl Into<Arc<[Document]>>) -> Self {
         Self::try_new(points, docs).unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -85,8 +87,10 @@ impl Dataset {
     ///
     /// `SkqError::InvalidDataset` on empty input, a points/docs length
     /// mismatch, inconsistent dimensions, or NaN/infinite coordinates.
-    /// (Documents are non-empty by `Document` construction.)
-    pub fn try_new(points: Vec<Point>, docs: Vec<Document>) -> Result<Self, SkqError> {
+    /// (Documents are non-empty by `Document` construction.) An
+    /// `Arc<[Document]>` is taken as is, so the dataset shares it.
+    pub fn try_new(points: Vec<Point>, docs: impl Into<Arc<[Document]>>) -> Result<Self, SkqError> {
+        let docs = docs.into();
         if points.is_empty() {
             return Err(SkqError::InvalidDataset("dataset must be non-empty".into()));
         }
@@ -99,15 +103,20 @@ impl Dataset {
         }
         let dim = points[0].dim();
         for (id, p) in points.iter().enumerate() {
-            if p.dim() != dim {
-                return Err(SkqError::InvalidDataset(format!(
-                    "inconsistent point dimensions: object {id} is {}-dimensional, object 0 is {dim}-dimensional",
-                    p.dim()
-                )));
-            }
+            Self::check_dim(id, p, dim)?;
             Self::check_finite(id, p)?;
         }
         Ok(Self::assemble(points, docs))
+    }
+
+    fn check_dim(id: usize, p: &Point, dim: usize) -> Result<(), SkqError> {
+        if p.dim() != dim {
+            return Err(SkqError::InvalidDataset(format!(
+                "inconsistent point dimensions: object {id} is {}-dimensional, object 0 is {dim}-dimensional",
+                p.dim()
+            )));
+        }
+        Ok(())
     }
 
     fn check_finite(id: usize, p: &Point) -> Result<(), SkqError> {
@@ -126,7 +135,7 @@ impl Dataset {
     /// constructor for the derived-dataset transforms (`map_points`,
     /// `subset`), which operate on already-validated data and must not
     /// re-pay full validation on every reduction.
-    fn assemble(points: Vec<Point>, docs: Vec<Document>) -> Self {
+    fn assemble(points: Vec<Point>, docs: Arc<[Document]>) -> Self {
         let dim = points[0].dim();
         debug_assert!(points.iter().all(|p| p.dim() == dim));
         let input_size = docs.iter().map(Document::len).sum();
@@ -193,6 +202,12 @@ impl Dataset {
         &self.docs
     }
 
+    /// The documents' shared allocation: an index built over the
+    /// dataset clones this handle instead of copying the documents.
+    pub fn shared_docs(&self) -> &Arc<[Document]> {
+        &self.docs
+    }
+
     /// The weight `|e.Doc|` of object `id` — the number of its copies in
     /// the *verbose set* `P` of §3.2.
     #[inline]
@@ -200,9 +215,9 @@ impl Dataset {
         self.docs[id].len() as u64
     }
 
-    /// A derived dataset with the same documents but transformed points
-    /// (used by the reductions: rank space, lifting, rectangle
-    /// flattening).
+    /// A derived dataset with the same documents — shared, not copied —
+    /// but transformed points (used by the reductions: rank space,
+    /// lifting, rectangle flattening).
     ///
     /// # Panics
     ///
@@ -219,7 +234,7 @@ impl Dataset {
             points.iter().all(|p| p.dim() == dim),
             "inconsistent point dimensions"
         );
-        Dataset::assemble(points, self.docs.clone())
+        Dataset::assemble(points, Arc::clone(&self.docs))
     }
 
     /// A derived dataset restricted to the given object ids, together
@@ -232,7 +247,7 @@ impl Dataset {
     pub fn subset(&self, ids: &[u32]) -> (Dataset, Vec<u32>) {
         assert!(!ids.is_empty(), "subset must be non-empty");
         let points: Vec<Point> = ids.iter().map(|&i| self.points[i as usize]).collect();
-        let docs: Vec<Document> = ids.iter().map(|&i| self.docs[i as usize].clone()).collect();
+        let docs = ids.iter().map(|&i| self.docs[i as usize].clone()).collect();
         (Dataset::assemble(points, docs), ids.to_vec())
     }
 }
@@ -266,6 +281,9 @@ mod tests {
         assert_eq!(lifted.dim(), 3);
         assert_eq!(lifted.doc(1), d.doc(1));
         assert_eq!(lifted.point(0).get(2), 5.0);
+        for i in 0..d.len() {
+            assert!(std::ptr::eq(lifted.doc(i), d.doc(i)), "doc {i} was copied");
+        }
     }
 
     #[test]

@@ -75,6 +75,7 @@ impl DimRedTree {
                 .then(a.cmp(&b))
         });
         tree.build_node(all, 0);
+        tree.nodes.shrink_to_fit();
         tree
     }
 

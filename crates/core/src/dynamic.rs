@@ -15,9 +15,10 @@
 //! reported object.
 
 use std::ops::ControlFlow;
+use std::sync::Arc;
 
 use skq_geom::{Point, Rect};
-use skq_invidx::Keyword;
+use skq_invidx::{Document, Keyword};
 
 use crate::dataset::Dataset;
 use crate::error::{validate, SkqError};
@@ -46,12 +47,33 @@ impl ObjectHandle {
 /// Objects buffered before the first block is formed.
 const BASE_BLOCK: usize = 128;
 
+/// A stored object: its point, document and handle.
+type Entry = (Point, Document, ObjectHandle);
+
+/// A stored object read in place: the document stays where it lives.
+type EntryRef<'a> = (Point, &'a Document, ObjectHandle);
+
+/// One static block. Its index is the only copy of the block's objects:
+/// a merge reads each one back — the document from the index's shared
+/// documents, the point from its rank-space columns.
 struct Block {
     index: OrpKwIndex,
     /// Block-local id → handle.
     handles: Vec<ObjectHandle>,
-    /// Retained source data, needed when the block is merged upward.
-    source: Vec<(Point, Vec<Keyword>, ObjectHandle)>,
+}
+
+impl Block {
+    fn len(&self) -> usize {
+        self.handles.len()
+    }
+
+    /// The block's objects in block-local id order.
+    fn objects(&self) -> impl Iterator<Item = EntryRef<'_>> {
+        self.handles
+            .iter()
+            .enumerate()
+            .map(|(i, &h)| (self.index.point(i), self.index.doc(i), h))
+    }
 }
 
 /// A dynamic ORP-KW index (insertions and lazy deletions).
@@ -79,7 +101,7 @@ pub struct DynamicOrpKw {
     /// `blocks[i]` holds up to `BASE_BLOCK · 2^i` objects.
     blocks: Vec<Option<Block>>,
     /// Insertion buffer, scanned linearly by queries (≤ `BASE_BLOCK`).
-    buffer: Vec<(Point, Vec<Keyword>, ObjectHandle)>,
+    buffer: Vec<Entry>,
     /// The set of live handles: deletion removes from it, queries
     /// filter against it. `O(live)` space, and — unlike a tombstone
     /// set cleared on rebuild — re-deleting a long-dead handle stays a
@@ -118,7 +140,8 @@ impl DynamicOrpKw {
         self.live_set.is_empty()
     }
 
-    /// Inserts an object, returning its handle. Amortized cost is one
+    /// Inserts an object, returning its handle. The keywords are kept as
+    /// a [`Document`]: sorted, without duplicates. Amortized cost is one
     /// static rebuild of `O(log n)` blocks per `n` insertions. If the
     /// amortized block rebuild fails (e.g. an injected fail point), the insertion is
     /// rolled back and the index is left exactly as it was — no block
@@ -157,7 +180,7 @@ impl DynamicOrpKw {
         let handle = ObjectHandle(self.next_handle);
         self.next_handle += 1;
         self.live_set.insert(handle.0, ());
-        self.buffer.push((point, keywords, handle));
+        self.buffer.push((point, Document::new(keywords), handle));
         if self.buffer.len() >= BASE_BLOCK {
             if let Err(e) = self.try_carry() {
                 // Roll back this insertion: the carry left all state
@@ -227,31 +250,40 @@ impl DynamicOrpKw {
     }
 
     fn stored_count(&self) -> usize {
-        self.buffer.len()
-            + self
-                .blocks
-                .iter()
-                .flatten()
-                .map(|b| b.source.len())
-                .sum::<usize>()
+        self.buffer.len() + self.blocks.iter().flatten().map(Block::len).sum::<usize>()
+    }
+
+    /// The buffered objects, in buffer order.
+    fn buffered(&self) -> impl Iterator<Item = EntryRef<'_>> {
+        self.buffer.iter().map(|(p, doc, h)| (*p, doc, *h))
+    }
+
+    /// Every stored object, live or dead: the buffer, then each block in
+    /// slot order.
+    fn stored(&self) -> impl Iterator<Item = EntryRef<'_>> {
+        self.buffered()
+            .chain(self.blocks.iter().flatten().flat_map(Block::objects))
     }
 
     /// Binary-counter carry: merge the buffer with the maximal run of
-    /// occupied low blocks into the first free slot. The merge pool is
-    /// assembled by clone and the new block built *before* any state is
-    /// modified, so a build failure leaves the index untouched.
+    /// occupied low blocks into the first free slot. The new block is
+    /// built from the objects in place *before* any state is modified,
+    /// so a build failure leaves the index untouched.
     fn try_carry(&mut self) -> Result<(), SkqError> {
-        let mut pool: Vec<(Point, Vec<Keyword>, ObjectHandle)> = self.buffer.clone();
-        let mut slot = 0usize;
-        while slot < self.blocks.len() {
-            match &self.blocks[slot] {
-                None => break,
-                Some(b) => {
-                    pool.extend(b.source.iter().cloned());
-                    slot += 1;
-                }
-            }
-        }
+        let slot = self
+            .blocks
+            .iter()
+            .position(Option::is_none)
+            .unwrap_or(self.blocks.len());
+        let pool: Vec<EntryRef<'_>> = self
+            .buffered()
+            .chain(
+                self.blocks[..slot]
+                    .iter()
+                    .flatten()
+                    .flat_map(Block::objects),
+            )
+            .collect();
         let block = Self::try_build_block(&pool, self.k)?;
         // Commit: only after the build succeeded.
         self.buffer.clear();
@@ -271,44 +303,44 @@ impl DynamicOrpKw {
     /// linear scan, staying correct in a degraded (un-indexed) mode
     /// until the next successful carry re-indexes them.
     fn rebuild(&mut self) {
-        let mut pool: Vec<(Point, Vec<Keyword>, ObjectHandle)> = std::mem::take(&mut self.buffer);
-        for b in self.blocks.iter_mut() {
-            if let Some(b) = b.take() {
-                pool.extend(b.source);
-            }
-        }
-        pool.retain(|(_, _, h)| self.live_set.contains_key(&h.0));
-        self.blocks.clear();
-        if pool.len() < BASE_BLOCK {
-            self.buffer = pool;
-            return;
-        }
-        // Place everything in the appropriate single block.
+        let pool: Vec<EntryRef<'_>> = self
+            .stored()
+            .filter(|(_, _, h)| self.live_set.contains_key(&h.0))
+            .collect();
+        // Place everything in the appropriate single block, or park it
+        // in the buffer if it is too small for one or the build fails.
         let slot = pool
             .len()
             .div_ceil(BASE_BLOCK)
             .next_power_of_two()
             .trailing_zeros() as usize;
-        match Self::try_build_block(&pool, self.k) {
-            Ok(block) => {
-                self.blocks.resize_with(slot + 1, || None);
-                self.blocks[slot] = Some(block);
-            }
-            Err(_) => self.buffer = pool,
+        let built = if pool.len() < BASE_BLOCK {
+            None
+        } else {
+            Self::try_build_block(&pool, self.k).ok()
+        };
+        self.buffer = match built {
+            Some(_) => Vec::new(),
+            None => pool
+                .iter()
+                .map(|&(p, doc, h)| (p, doc.clone(), h))
+                .collect(),
+        };
+        self.blocks.clear();
+        if let Some(block) = built {
+            self.blocks.resize_with(slot + 1, || None);
+            self.blocks[slot] = Some(block);
         }
     }
 
-    fn try_build_block(
-        pool: &[(Point, Vec<Keyword>, ObjectHandle)],
-        k: usize,
-    ) -> Result<Block, SkqError> {
+    fn try_build_block(pool: &[EntryRef<'_>], k: usize) -> Result<Block, SkqError> {
         failpoints::check("dynamic::build_block")?;
-        let dataset =
-            Dataset::try_from_parts(pool.iter().map(|(p, kws, _)| (*p, kws.clone())).collect())?;
+        let points = pool.iter().map(|&(p, _, _)| p).collect();
+        let docs: Arc<[Document]> = pool.iter().map(|&(_, doc, _)| doc.clone()).collect();
+        let dataset = Dataset::try_new(points, docs)?;
         Ok(Block {
             index: OrpKwIndex::try_build(&dataset, k)?,
             handles: pool.iter().map(|&(_, _, h)| h).collect(),
-            source: pool.to_vec(),
         })
     }
 
@@ -373,11 +405,11 @@ impl DynamicOrpKw {
                 Err(e) => reason = Some(Self::trip(&e)),
                 Ok(()) => {
                     let budget = guard.max_results().unwrap_or(u64::MAX);
-                    for (p, doc_kws, h) in &self.buffer {
+                    for (p, doc, h) in &self.buffer {
                         stats.pivot_scans += 1;
                         if self.live_set.contains_key(&h.0)
                             && q.contains(p)
-                            && kws.iter().all(|w| doc_kws.contains(w))
+                            && doc.contains_all(&kws)
                         {
                             if out.len() as u64 >= budget {
                                 reason = Some(TruncatedReason::Limit);
@@ -441,19 +473,39 @@ impl DynamicOrpKw {
         self.live_set.contains_key(&id)
     }
 
-    /// Every live object as `(id, point, keywords)`, sorted by id —
-    /// the deterministic export the recovery supervisor builds a
-    /// static suite from.
+    /// Every live object as `(id, point, keywords)`, sorted by id, with
+    /// each document's keywords ascending and distinct.
     pub fn live_objects(&self) -> Vec<(u64, Point, Vec<Keyword>)> {
-        let mut out: Vec<(u64, Point, Vec<Keyword>)> = self
-            .buffer
-            .iter()
-            .chain(self.blocks.iter().flatten().flat_map(|b| b.source.iter()))
+        self.live_sorted()
+            .into_iter()
+            .map(|(p, doc, h)| (h.0, p, doc.keywords().to_vec()))
+            .collect()
+    }
+
+    /// Every live object as one dataset, sorted by id, plus the id of
+    /// each dataset position — the deterministic export the recovery
+    /// supervisor builds a static suite from. Points and documents go
+    /// straight into the dataset's columns.
+    ///
+    /// # Errors
+    ///
+    /// `SkqError::InvalidDataset` when no object is live.
+    pub fn live_dataset(&self) -> Result<(Dataset, Vec<u64>), SkqError> {
+        let live = self.live_sorted();
+        let ids = live.iter().map(|&(_, _, h)| h.0).collect();
+        let points = live.iter().map(|&(p, _, _)| p).collect();
+        let docs: Arc<[Document]> = live.iter().map(|&(_, doc, _)| doc.clone()).collect();
+        Ok((Dataset::try_new(points, docs)?, ids))
+    }
+
+    /// The live objects in place, sorted by id.
+    fn live_sorted(&self) -> Vec<EntryRef<'_>> {
+        let mut live: Vec<EntryRef<'_>> = self
+            .stored()
             .filter(|(_, _, h)| self.live_set.contains_key(&h.0))
-            .map(|(p, kws, h)| (h.0, *p, kws.clone()))
             .collect();
-        out.sort_by_key(|&(id, _, _)| id);
-        out
+        live.sort_unstable_by_key(|&(_, _, h)| h);
+        live
     }
 
     /// Number of static blocks currently alive (the `O(log n)` factor).
@@ -461,20 +513,21 @@ impl DynamicOrpKw {
         self.blocks.iter().flatten().count()
     }
 
-    /// Approximate space in 64-bit words.
+    /// Approximate space in 64-bit words: each block's index plus one
+    /// handle per object, and each buffered object in full.
     pub fn space_words(&self) -> usize {
         let blocks: usize = self
             .blocks
             .iter()
             .flatten()
-            .map(|b| b.index.space_words() + b.source.len() * (self.dim + 4))
+            .map(|b| b.index.space_words() + b.len())
             .sum();
         blocks + self.buffer.len() * (self.dim + 4) + self.live_set.len() * 2
     }
 
     /// Deep structural validation (DESIGN.md §12): re-derives the
     /// logarithmic-method bookkeeping — buffer and block
-    /// capacities, handle/source alignment per block, global handle
+    /// capacities, handle/index alignment per block, global handle
     /// uniqueness, and that every live handle is actually stored — then
     /// validates each block's static ORP-KW index.
     ///
@@ -511,25 +564,20 @@ impl DynamicOrpKw {
         for (slot, block) in self.blocks.iter().enumerate() {
             let Some(block) = block else { continue };
             let cap = BASE_BLOCK << slot;
-            if block.source.len() > cap {
+            if block.len() > cap {
                 return Err(V::new(
                     "dynamic::carry_bound",
-                    format!(
-                        "block {slot} holds {} objects, capacity {cap}",
-                        block.source.len()
-                    ),
+                    format!("block {slot} holds {} objects, capacity {cap}", block.len()),
                 ));
             }
-            if block.handles.len() != block.source.len()
-                || block
-                    .handles
-                    .iter()
-                    .zip(&block.source)
-                    .any(|(&h, &(_, _, sh))| h != sh)
-            {
+            if block.len() != block.index.len() {
                 return Err(V::new(
                     "dynamic::handle_alignment",
-                    format!("block {slot}: id→handle map disagrees with retained source"),
+                    format!(
+                        "block {slot}: id→handle map has {} entries, the index {} objects",
+                        block.len(),
+                        block.index.len()
+                    ),
                 ));
             }
             for &h in &block.handles {
@@ -584,31 +632,41 @@ fn dyn_corrupt(detail: impl Into<String>) -> SkqError {
 }
 
 /// Encodes `entries` (with their live flags) into `DYN_OBJECTS` pages.
-fn put_object_pages(
+fn put_object_pages<'a>(
     w: &mut persist::PageWriter,
-    entries: &[(Point, Vec<Keyword>, ObjectHandle)],
+    entries: impl Iterator<Item = EntryRef<'a>>,
     live: &FxHashMap<u64, ()>,
     dim: usize,
 ) {
-    for chunk in entries.chunks(DYN_OBJECTS_PER_PAGE) {
-        let mut buf = Vec::new();
-        for (p, kws, h) in chunk {
-            persist::put_uv(&mut buf, h.0);
-            persist::put_uv(&mut buf, u64::from(live.contains_key(&h.0)));
-            for i in 0..dim {
-                persist::put_f64(&mut buf, p.get(i));
-            }
-            persist::put_uv(&mut buf, kws.len() as u64);
-            for &kw in kws {
-                persist::put_uv(&mut buf, u64::from(kw));
-            }
+    let mut buf = Vec::new();
+    let mut in_page = 0;
+    for (p, doc, h) in entries {
+        persist::put_uv(&mut buf, h.0);
+        persist::put_uv(&mut buf, u64::from(live.contains_key(&h.0)));
+        for i in 0..dim {
+            persist::put_f64(&mut buf, p.get(i));
         }
+        persist::put_uv(&mut buf, doc.len() as u64);
+        for &kw in doc.keywords() {
+            persist::put_uv(&mut buf, u64::from(kw));
+        }
+        in_page += 1;
+        if in_page == DYN_OBJECTS_PER_PAGE {
+            w.page(
+                persist::kind::DYN_OBJECTS,
+                SCHEMA_VERSION,
+                std::mem::take(&mut buf),
+            );
+            in_page = 0;
+        }
+    }
+    if in_page > 0 {
         w.page(persist::kind::DYN_OBJECTS, SCHEMA_VERSION, buf);
     }
 }
 
 /// One decoded snapshot object: geometry, document, handle, live flag.
-type SnapshotObject = (Point, Vec<Keyword>, ObjectHandle, bool);
+type SnapshotObject = (Point, Document, ObjectHandle, bool);
 
 /// Decodes `n` objects written by [`put_object_pages`], returning each
 /// with its live flag. Geometry and document contracts are re-checked
@@ -645,7 +703,8 @@ fn read_object_pages(
             for _ in 0..kw_count {
                 kws.push(d.u32v()?);
             }
-            out.push((Point::new(&coords[..dim]), kws, ObjectHandle(id), live));
+            let doc = Document::new(kws);
+            out.push((Point::new(&coords[..dim]), doc, ObjectHandle(id), live));
         }
         d.end()?;
         remaining -= in_page;
@@ -655,10 +714,12 @@ fn read_object_pages(
 
 /// Snapshot layout (DESIGN.md §15/§16): one `DYN_HEAD` page (`k`,
 /// `dim`, handle watermark, buffer length, slot occupancy with
-/// per-occupied-slot source lengths), `DYN_OBJECTS` pages for the
+/// per-occupied-slot object counts), `DYN_OBJECTS` pages for the
 /// insertion buffer, then — per occupied slot, ascending — that
 /// block's `DYN_OBJECTS` pages followed by its static
-/// [`OrpKwIndex`] pages. Dead objects persist with a cleared live
+/// [`OrpKwIndex`] pages. A block's objects are read back from its
+/// index to be written, and on load must agree with the decoded
+/// index object for object. Dead objects persist with a cleared live
 /// flag, so the lazy-deletion state round-trips exactly: a loaded
 /// index resumes with the same blocks, the same tombstones, and the
 /// same rebuild trigger point as the one that was saved.
@@ -675,14 +736,14 @@ impl Persist for DynamicOrpKw {
                 None => persist::put_uv(&mut head, 0),
                 Some(b) => {
                     persist::put_uv(&mut head, 1);
-                    persist::put_uv(&mut head, b.source.len() as u64);
+                    persist::put_uv(&mut head, b.len() as u64);
                 }
             }
         }
         w.page(persist::kind::DYN_HEAD, SCHEMA_VERSION, head);
-        put_object_pages(w, &self.buffer, &self.live_set, self.dim);
+        put_object_pages(w, self.buffered(), &self.live_set, self.dim);
         for block in self.blocks.iter().flatten() {
-            put_object_pages(w, &block.source, &self.live_set, self.dim);
+            put_object_pages(w, block.objects(), &self.live_set, self.dim);
             block.index.to_pages(w)?;
         }
         Ok(())
@@ -728,24 +789,23 @@ impl Persist for DynamicOrpKw {
 
         let mut live_set: FxHashMap<u64, ()> = FxHashMap::default();
         let mut seen: FxHashMap<u64, ()> = FxHashMap::default();
-        let mut admit =
-            |entries: &[(Point, Vec<Keyword>, ObjectHandle, bool)]| -> Result<(), SkqError> {
-                for &(_, _, h, live) in entries {
-                    if h.0 >= next_handle {
-                        return Err(dyn_corrupt(format!(
-                            "handle {} at or above the watermark {next_handle}",
-                            h.0
-                        )));
-                    }
-                    if seen.insert(h.0, ()).is_some() {
-                        return Err(dyn_corrupt(format!("handle {} stored twice", h.0)));
-                    }
-                    if live {
-                        live_set.insert(h.0, ());
-                    }
+        let mut admit = |entries: &[SnapshotObject]| -> Result<(), SkqError> {
+            for &(_, _, h, live) in entries {
+                if h.0 >= next_handle {
+                    return Err(dyn_corrupt(format!(
+                        "handle {} at or above the watermark {next_handle}",
+                        h.0
+                    )));
                 }
-                Ok(())
-            };
+                if seen.insert(h.0, ()).is_some() {
+                    return Err(dyn_corrupt(format!("handle {} stored twice", h.0)));
+                }
+                if live {
+                    live_set.insert(h.0, ());
+                }
+            }
+            Ok(())
+        };
 
         let buffer_entries = read_object_pages(r, buffer_len, dim)?;
         admit(&buffer_entries)?;
@@ -772,18 +832,22 @@ impl Persist for DynamicOrpKw {
             }
             if index.len() != *len {
                 return Err(dyn_corrupt(format!(
-                    "block {slot} index covers {:?} objects, source holds {len}",
+                    "block {slot} index covers {:?} objects, the head declares {len}",
                     index.len()
                 )));
             }
-            let source: Vec<(Point, Vec<Keyword>, ObjectHandle)> = entries
-                .into_iter()
-                .map(|(p, kws, h, _)| (p, kws, h))
-                .collect();
+            if let Some(i) = entries
+                .iter()
+                .enumerate()
+                .position(|(i, (p, doc, _, _))| index.point(i) != *p || index.doc(i) != doc)
+            {
+                return Err(dyn_corrupt(format!(
+                    "block {slot} object {i} differs from its index"
+                )));
+            }
             blocks.push(Some(Block {
                 index,
-                handles: source.iter().map(|&(_, _, h)| h).collect(),
-                source,
+                handles: entries.iter().map(|&(_, _, h, _)| h).collect(),
             }));
         }
         Ok(Self {
@@ -792,7 +856,7 @@ impl Persist for DynamicOrpKw {
             blocks,
             buffer: buffer_entries
                 .into_iter()
-                .map(|(p, kws, h, _)| (p, kws, h))
+                .map(|(p, doc, h, _)| (p, doc, h))
                 .collect(),
             live_set,
             next_handle,
@@ -806,7 +870,7 @@ mod tests {
 
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
-    use std::collections::HashMap;
+    use std::collections::{BTreeMap, HashMap};
 
     /// An unguarded query's handles.
     fn hits(idx: &DynamicOrpKw, q: &Rect, kws: &[Keyword]) -> Vec<ObjectHandle> {
@@ -894,6 +958,66 @@ mod tests {
             }
             assert_eq!(idx.len(), mirror.objects.len());
         }
+    }
+
+    #[test]
+    fn live_objects_match_a_mirror_through_carries_and_rebuild() {
+        let mut idx = DynamicOrpKw::new(2, 2);
+        let mut rng = StdRng::seed_from_u64(12);
+        // id → (point, keywords ascending and distinct).
+        let mut mirror: BTreeMap<u64, (Point, Vec<Keyword>)> = BTreeMap::new();
+        let insert = |idx: &mut DynamicOrpKw, rng: &mut StdRng, mirror: &mut BTreeMap<_, _>| {
+            // Signed zeros and repeated coordinates must read back exactly.
+            let zero = if rng.gen_range(0..2) == 0 { -0.0 } else { 0.0 };
+            let p = Point::new2(zero, rng.gen_range(-20.0..20.0f64).round() / 4.0);
+            // Unsorted, with duplicates: the index keeps a set.
+            let kws: Vec<Keyword> = (0..rng.gen_range(1..5))
+                .map(|_| rng.gen_range(0..6))
+                .collect();
+            let h = idx.try_insert(p, kws.clone()).unwrap();
+            let mut canonical = kws;
+            canonical.sort_unstable();
+            canonical.dedup();
+            mirror.insert(h.0, (p, canonical));
+        };
+        let check = |idx: &DynamicOrpKw, mirror: &BTreeMap<u64, (Point, Vec<Keyword>)>| {
+            let want: Vec<(u64, Point, Vec<Keyword>)> = mirror
+                .iter()
+                .map(|(&id, (p, kws))| (id, *p, kws.clone()))
+                .collect();
+            let got = idx.live_objects();
+            assert_eq!(got, want);
+            let bits = |p: &Point| p.coords().iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            for ((_, gp, _), (_, wp, _)) in got.iter().zip(&want) {
+                assert_eq!(bits(gp), bits(wp));
+            }
+            let (dataset, ids) = idx.live_dataset().unwrap();
+            assert_eq!(ids, mirror.keys().copied().collect::<Vec<_>>());
+            for (i, (_, p, kws)) in want.iter().enumerate() {
+                assert_eq!(bits(dataset.point(i)), bits(p));
+                assert_eq!(dataset.doc(i).keywords(), kws.as_slice());
+            }
+        };
+        for _ in 0..1_500 {
+            insert(&mut idx, &mut rng, &mut mirror);
+        }
+        assert!(idx.num_blocks() >= 2, "several carries formed blocks");
+        check(&idx, &mirror);
+        // Delete past half of the stored objects: that triggers a rebuild.
+        let stored_before = idx.stored_count();
+        let ids: Vec<u64> = mirror.keys().copied().collect();
+        for id in ids.into_iter().filter(|id| id % 3 != 0) {
+            assert!(idx.delete_by_id(id));
+            mirror.remove(&id);
+        }
+        assert!(idx.stored_count() < stored_before, "no rebuild happened");
+        check(&idx, &mirror);
+        // Carries after the rebuild merge the rebuilt block back in.
+        for _ in 0..700 {
+            insert(&mut idx, &mut rng, &mut mirror);
+        }
+        idx.validate().unwrap();
+        check(&idx, &mirror);
     }
 
     #[test]
@@ -1176,7 +1300,8 @@ mod tests {
                 .next()
                 .expect("at least one block")
                 .handles[0];
-            idx.buffer.push((Point::new2(1.0, 1.0), vec![0, 4], dup));
+            idx.buffer
+                .push((Point::new2(1.0, 1.0), Document::new(vec![0, 4]), dup));
             let err = idx.validate().unwrap_err();
             assert_eq!(err.invariant(), "dynamic::handle_unique");
         }

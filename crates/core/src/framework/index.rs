@@ -7,6 +7,7 @@
 //! entries and list ids. No node owns an allocation.
 
 use std::ops::{ControlFlow, Range, RangeInclusive};
+use std::sync::Arc;
 
 use skq_geom::Region;
 use skq_invidx::{Document, Keyword};
@@ -501,7 +502,8 @@ fn distinct_sorted(keywords: &[Keyword], buf: &mut [Keyword; MAX_K]) -> Option<u
 /// halfspace conjunctions, simplices, or lifted balls.
 pub struct TransformedIndex<P: Partitioner> {
     partitioner: P,
-    docs: Vec<Document>,
+    /// Shared with the dataset the index was built from.
+    docs: Arc<[Document]>,
     /// Boxed, so engines holding an index inline stay small.
     tree: Box<Arena<P::Cells>>,
     /// One layer per served `k`, ascending and consecutive.
@@ -516,7 +518,8 @@ impl<P: Partitioner> TransformedIndex<P> {
     ///
     /// `docs[i]` is the document of object `i`; the partitioner owns the
     /// matching coordinates. `N = Σ |docs[i]|` is the paper's input
-    /// size.
+    /// size. The index keeps `docs` as given, so a dataset's shared
+    /// documents are stored once.
     ///
     /// The tree is split once; each node then fills one keyword table
     /// per `k`, each from the candidates its own layer inherited, so
@@ -531,7 +534,7 @@ impl<P: Partitioner> TransformedIndex<P> {
     /// fails here.)
     pub fn try_build(
         partitioner: P,
-        docs: Vec<Document>,
+        docs: Arc<[Document]>,
         ks: RangeInclusive<usize>,
         config: FrameworkConfig,
     ) -> Result<Self, SkqError> {
@@ -1433,7 +1436,7 @@ mod tests {
         leaf_weight: u64,
     ) -> TransformedIndex<KdPartitioner> {
         let coords = (0..docs.len()).map(|i| i as f64).collect();
-        let docs: Vec<Document> = docs.into_iter().map(Document::new).collect();
+        let docs: Arc<[Document]> = docs.into_iter().map(Document::new).collect();
         TransformedIndex::try_build(
             KdPartitioner::new(1, coords, doc_weights(&docs)),
             docs,
@@ -1642,7 +1645,7 @@ mod tests {
     fn k1_rejected() {
         let built = TransformedIndex::try_build(
             KdPartitioner::new(1, vec![0.0], vec![1]),
-            vec![Document::new(vec![0])],
+            vec![Document::new(vec![0])].into(),
             1..=1,
             FrameworkConfig::default(),
         );

@@ -15,6 +15,7 @@
 //! is present.
 
 use std::ops::ControlFlow;
+use std::sync::Arc;
 
 use skq_geom::Region;
 use skq_invidx::{Document, Keyword};
@@ -47,13 +48,16 @@ pub struct KsiIndex {
 impl KsiIndex {
     /// Builds the index: element `i` belongs to set `w` iff
     /// `docs[i]` contains `w` (the inverted-view of `m` sets as
-    /// per-element membership documents, per §1.2).
+    /// per-element membership documents, per §1.2). The index keeps
+    /// `docs`, so passing a dataset's
+    /// [`shared_docs`](crate::Dataset::shared_docs) stores them once.
     ///
     /// # Errors
     ///
     /// `SkqError::InvalidDataset` if `docs` is empty;
     /// `SkqError::InvalidQuery` if `k` is outside `2..=16`.
-    pub fn try_build(docs: &[Document], k: usize) -> Result<Self, SkqError> {
+    pub fn try_build(docs: impl Into<Arc<[Document]>>, k: usize) -> Result<Self, SkqError> {
+        let docs = docs.into();
         validate::build_k(k)?;
         failpoints::check("ksi::build")?;
         if docs.is_empty() {
@@ -62,13 +66,9 @@ impl KsiIndex {
             ));
         }
         let coords = (0..docs.len()).map(|i| i as f64).collect();
-        let partitioner = KdPartitioner::new(1, coords, doc_weights(docs));
-        let tree = TransformedIndex::try_build(
-            partitioner,
-            docs.to_vec(),
-            k..=k,
-            FrameworkConfig::default(),
-        )?;
+        let partitioner = KdPartitioner::new(1, coords, doc_weights(&docs));
+        let tree =
+            TransformedIndex::try_build(partitioner, docs, k..=k, FrameworkConfig::default())?;
         Ok(Self { tree })
     }
 
@@ -95,8 +95,8 @@ impl KsiIndex {
                 "element {e} belongs to no set"
             )));
         }
-        let docs: Vec<Document> = kws.into_iter().map(Document::new).collect();
-        Self::try_build(&docs, k)
+        let docs: Arc<[Document]> = kws.into_iter().map(Document::new).collect();
+        Self::try_build(docs, k)
     }
 
     /// The number of query keywords `k`.
@@ -169,7 +169,7 @@ mod tests {
     #[test]
     fn matches_inverted_index_k2() {
         let docs = random_docs(400, 12, 1);
-        let ksi = KsiIndex::try_build(&docs, 2).unwrap();
+        let ksi = KsiIndex::try_build(docs.as_slice(), 2).unwrap();
         ksi.validate().unwrap();
         let inv = InvertedIndex::build(&docs);
         let mut rng = StdRng::seed_from_u64(2);
@@ -187,7 +187,7 @@ mod tests {
     #[test]
     fn matches_inverted_index_k4() {
         let docs = random_docs(300, 6, 11);
-        let ksi = KsiIndex::try_build(&docs, 4).unwrap();
+        let ksi = KsiIndex::try_build(docs.as_slice(), 4).unwrap();
         let inv = InvertedIndex::build(&docs);
         let mut rng = StdRng::seed_from_u64(12);
         for _ in 0..60 {
@@ -230,13 +230,13 @@ mod tests {
     #[test]
     fn invalid_input_is_a_typed_error() {
         let docs = random_docs(200, 8, 41);
-        let ksi = KsiIndex::try_build(&docs, 2).unwrap();
+        let ksi = KsiIndex::try_build(docs.as_slice(), 2).unwrap();
         assert!(matches!(
-            KsiIndex::try_build(&[], 2),
+            KsiIndex::try_build(Vec::new(), 2),
             Err(SkqError::InvalidDataset(_))
         ));
         assert!(matches!(
-            KsiIndex::try_build(&docs, 1),
+            KsiIndex::try_build(docs.as_slice(), 1),
             Err(SkqError::InvalidQuery(_))
         ));
         assert!(matches!(
@@ -248,7 +248,7 @@ mod tests {
     #[test]
     fn count_at_least_thresholds() {
         let docs = random_docs(200, 3, 21);
-        let ksi = KsiIndex::try_build(&docs, 2).unwrap();
+        let ksi = KsiIndex::try_build(docs.as_slice(), 2).unwrap();
         let inv = InvertedIndex::build(&docs);
         let truth = inv.intersect(&[0, 1]).len();
         assert!(ksi.count_at_least(&(), &[0, 1], truth).unwrap());

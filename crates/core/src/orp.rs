@@ -9,8 +9,9 @@
 //! (Theorem 2).
 
 use std::ops::{ControlFlow, RangeInclusive};
+use std::sync::Arc;
 
-use skq_geom::{RankSpace, Rect};
+use skq_geom::{Point, RankSpace, Rect};
 use skq_invidx::{Document, Keyword};
 
 use crate::dataset::Dataset;
@@ -76,7 +77,7 @@ impl OrpKwIndex {
             let partitioner = KdPartitioner::new(dim, rank.coords(), weights);
             let tree = TransformedIndex::try_build(
                 partitioner,
-                dataset.docs().to_vec(),
+                Arc::clone(dataset.shared_docs()),
                 ks.clone(),
                 FrameworkConfig::default(),
             )?;
@@ -133,6 +134,16 @@ impl OrpKwIndex {
         match &self.inner {
             Inner::Kd { tree, .. } => tree.doc(i),
             Inner::DimRed(trees) => trees[0].dataset().doc(i),
+        }
+    }
+
+    /// Object `i`'s point, exactly as built: the kd engine looks its
+    /// ranks up in the rank space's columns, the dimension-reduction
+    /// engine reads its dataset.
+    pub(crate) fn point(&self, i: usize) -> Point {
+        match &self.inner {
+            Inner::Kd { rank, tree } => rank.point_at(tree.partitioner().point_coords(i as u32)),
+            Inner::DimRed(trees) => *trees[0].dataset().point(i),
         }
     }
 
@@ -346,6 +357,40 @@ mod tests {
             hi.push(a.max(b));
         }
         Rect::new(&lo, &hi)
+    }
+
+    #[test]
+    fn shares_the_dataset_documents() {
+        for dim in [2, 3] {
+            let dataset = random_dataset(300, dim, 8, 51);
+            let index = OrpKwIndex::try_build(&dataset, 2).unwrap();
+            for i in 0..dataset.len() {
+                assert!(
+                    std::ptr::eq(index.doc(i), dataset.doc(i)),
+                    "{dim}D: doc {i} was copied"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn reads_each_point_back_exactly() {
+        for dim in [2, 3] {
+            let mut dataset = random_dataset(300, dim, 8, 52);
+            // Signed zeros and repeated coordinates must round-trip bit
+            // for bit.
+            let zeros = [-0.0, 0.0, 0.0, -0.0];
+            dataset = dataset.map_points(|i, p| match zeros.get(i) {
+                Some(&z) => Point::new(&vec![z; dim]),
+                None => *p,
+            });
+            let index = OrpKwIndex::try_build(&dataset, 2).unwrap();
+            for i in 0..dataset.len() {
+                let (got, want) = (index.point(i), *dataset.point(i));
+                let bits = |p: &Point| p.coords().iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{dim}D: point {i}");
+            }
+        }
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! twice yields identical bytes.
 
 use std::io::{Read, Write};
+use std::sync::Arc;
 
 use skq_geom::RankSpace;
 use skq_invidx::{Document, InvertedIndex, Keyword, ObjectId};
@@ -724,13 +725,15 @@ pub(crate) fn put_doc_pages(w: &mut PageWriter, kind: u16, docs: &[Document]) {
     }
 }
 
-/// Decodes `n` documents written by [`put_doc_pages`].
+/// Decodes `n` documents written by [`put_doc_pages`] into one shared
+/// slice. They are gathered in a vector first, whose capacity is capped
+/// until the pages prove `n`, so the slice's headers are copied once.
 pub(crate) fn read_doc_pages(
     r: &mut PageReader<'_>,
     kind: u16,
     section: &'static str,
     n: usize,
-) -> Result<Vec<Document>, SkqError> {
+) -> Result<Arc<[Document]>, SkqError> {
     let mut docs = Vec::with_capacity(n.min(1 << 20));
     let mut remaining = n;
     while remaining > 0 {
@@ -742,7 +745,7 @@ pub(crate) fn read_doc_pages(
         d.end()?;
         remaining -= in_page;
     }
-    Ok(docs)
+    Ok(docs.into())
 }
 
 impl Persist for InvertedIndex {

@@ -11,6 +11,7 @@
 //! there).
 
 use std::ops::ControlFlow;
+use std::sync::Arc;
 
 use skq_geom::{ConvexPolytope, Point};
 use skq_invidx::Keyword;
@@ -104,7 +105,7 @@ impl SpKwIndex {
         failpoints::check("sp::build")?;
         let points = dataset.points().to_vec();
         let weights: Vec<u64> = (0..dataset.len()).map(|i| dataset.weight(i)).collect();
-        let docs = dataset.docs().to_vec();
+        let docs = Arc::clone(dataset.shared_docs());
         let config = FrameworkConfig::default();
         let inner = match strategy {
             SpStrategy::Willard => {
@@ -343,6 +344,24 @@ mod tests {
             })
             .collect();
         ConvexPolytope::new(hs)
+    }
+
+    #[test]
+    fn both_strategies_share_the_dataset_documents() {
+        let dataset = random_dataset(300, 2, 8, 61);
+        for strategy in [SpStrategy::Willard, SpStrategy::Kd] {
+            let index = SpKwIndex::try_build_with_strategy(&dataset, 2, strategy).unwrap();
+            for i in 0..dataset.len() {
+                let doc = match &index.inner {
+                    Inner::Willard(t) => t.doc(i),
+                    Inner::Kd(t) => t.doc(i),
+                };
+                assert!(
+                    std::ptr::eq(doc, dataset.doc(i)),
+                    "{strategy:?}: doc {i} was copied"
+                );
+            }
+        }
     }
 
     #[test]

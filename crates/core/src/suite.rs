@@ -366,6 +366,18 @@ mod tests {
     use crate::naive::brute_rect as brute;
 
     #[test]
+    fn shares_the_dataset_documents() {
+        let d = dataset();
+        let suite = OrpKwSuite::try_build(&d, 3).unwrap();
+        for i in 0..d.len() {
+            assert!(
+                std::ptr::eq(suite.index().doc(i), d.doc(i)),
+                "doc {i} was copied"
+            );
+        }
+    }
+
+    #[test]
     fn routes_each_k_correctly() {
         let d = dataset();
         let suite = OrpKwSuite::try_build(&d, 4).unwrap();

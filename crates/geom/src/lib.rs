@@ -12,9 +12,7 @@
 //! * [`lift`] — the lifting map reducing spherical queries to halfspaces;
 //! * [`RankSpace`] — the rank-space normalization of §3.4 of the paper;
 //! * [`KdTree`] — a classical (keyword-oblivious) kd-tree used as the
-//!   "structured-only" baseline of the paper's introduction;
-//! * [`RangeTree2D`] — the classical `O(log² n + out)` 2D range tree,
-//!   an alternative structured-only baseline.
+//!   "structured-only" baseline of the paper's introduction.
 //!
 //! All predicates that the indexes use for *descending* a tree may be
 //! conservative (they may report "crossing" when the truth is "disjoint")
@@ -29,7 +27,6 @@ pub mod kdtree;
 pub mod lift;
 pub mod point;
 pub mod polygon;
-pub mod range_tree;
 pub mod rank;
 pub mod rect;
 pub mod region;
@@ -40,7 +37,6 @@ pub use kdtree::KdTree;
 pub use lift::{lift_ball, lift_point, Ball};
 pub use point::{Point, MAX_DIM};
 pub use polygon::Polygon;
-pub use range_tree::RangeTree2D;
 pub use rank::RankSpace;
 pub use rect::Rect;
 pub use region::Region;

@@ -86,6 +86,22 @@ impl RankSpace {
         coords
     }
 
+    /// The original point whose rank-space image is `ranks` (one rank
+    /// per dimension, as [`coords`](Self::coords) gives them): each
+    /// coordinate is read back bit for bit from its column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ranks` has the wrong length or a rank is out of range.
+    pub fn point_at(&self, ranks: &[f64]) -> Point {
+        assert_eq!(ranks.len(), self.dim, "rank dimension mismatch");
+        let mut coords = [0.0; MAX_DIM];
+        for (d, &r) in ranks.iter().enumerate() {
+            coords[d] = self.sorted[d][r as usize].0;
+        }
+        Point::new(&coords[..self.dim])
+    }
+
     /// The per-dimension sorted `(coordinate, object index)` columns —
     /// the complete ground truth of the mapping (ranks are derived),
     /// exposed for the snapshot encoder.

@@ -17,9 +17,9 @@ use std::path::{Path, PathBuf};
 
 use skq_core::dynamic::ObjectHandle;
 use skq_core::suite::OrpKwSuite;
-use skq_core::{Dataset, SkqError};
+use skq_core::SkqError;
 use skq_geom::Point;
-use skq_invidx::{Document, Keyword};
+use skq_invidx::Keyword;
 use skq_store::{DurabilityConfig, DurableDynamic, RecoveryReport};
 
 use crate::pool::Server;
@@ -102,16 +102,7 @@ impl RecoverySupervisor {
     /// needs at least one object); otherwise whatever
     /// [`OrpKwSuite::try_build`] rejects.
     pub fn suite(&self) -> Result<(OrpKwSuite, Vec<u64>), SkqError> {
-        let live = self.durable.index().live_objects();
-        let mut ids = Vec::with_capacity(live.len());
-        let mut points = Vec::with_capacity(live.len());
-        let mut docs = Vec::with_capacity(live.len());
-        for (id, point, keywords) in live {
-            ids.push(id);
-            points.push(point);
-            docs.push(Document::new(keywords));
-        }
-        let dataset = Dataset::try_new(points, docs)?;
+        let (dataset, ids) = self.durable.index().live_dataset()?;
         let suite = OrpKwSuite::try_build(&dataset, self.k)?;
         Ok((suite, ids))
     }

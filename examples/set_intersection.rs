@@ -24,7 +24,7 @@ fn main() -> Result<(), SkqError> {
 
     for planted in [0usize, 10, 100, 1_000, 10_000] {
         let inst = planted_instance(n, 8, k, planted, 6, 99);
-        let ksi = KsiIndex::try_build(&inst.docs, k)?;
+        let ksi = KsiIndex::try_build(inst.docs.as_slice(), k)?;
         let inv = InvertedIndex::build(&inst.docs);
 
         // Warm up + verify both agree with the planted truth.
@@ -60,7 +60,7 @@ fn main() -> Result<(), SkqError> {
 
     // Emptiness queries (the strong k-set-disjointness side).
     let inst = planted_instance(n, 8, k, 0, 6, 7);
-    let ksi = KsiIndex::try_build(&inst.docs, k)?;
+    let ksi = KsiIndex::try_build(inst.docs.as_slice(), k)?;
     let inv = InvertedIndex::build(&inst.docs);
     let t = Instant::now();
     let reps = 50;

@@ -104,8 +104,7 @@ pub mod prelude {
     pub use skq_core::srp::SrpKwIndex;
     pub use skq_core::stats::{QueryStats, Route, TruncatedReason};
     pub use skq_geom::{
-        Ball, ConvexPolytope, Halfspace, KdTree, Point, Polygon, RangeTree2D, RankSpace, Rect,
-        Region, Simplex,
+        Ball, ConvexPolytope, Halfspace, KdTree, Point, Polygon, RankSpace, Rect, Region, Simplex,
     };
     pub use skq_invidx::{Dictionary, Document, InvertedIndex, Keyword, ObjectId};
     pub use skq_serve::{Pending, Reply, Request, Server, ServerConfig, SnapshotCell};

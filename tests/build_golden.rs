@@ -14,6 +14,8 @@
 //! their values — relabelling through a strictly increasing map into
 //! sparse `u32` values (0 and `u32::MAX` included) changes nothing.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use structured_keyword_search::core::dynamic::DynamicOrpKw;
 use structured_keyword_search::core::framework::{
@@ -71,7 +73,7 @@ fn dynamic(d: &Dataset) -> DynamicOrpKw {
 /// The KSI tree: the 1-D framework over object ids, built exactly as
 /// `KsiIndex::try_build` builds it.
 fn ksi_tree(d: &Dataset) -> TransformedIndex<KdPartitioner> {
-    let docs = d.docs().to_vec();
+    let docs = Arc::clone(d.shared_docs());
     let coords = (0..docs.len()).map(|i| i as f64).collect();
     TransformedIndex::try_build(
         KdPartitioner::new(1, coords, doc_weights(&docs)),

@@ -67,7 +67,7 @@ fn drive(site: &str, d: &Dataset) -> Result<(), SkqError> {
         "lc::build" => LcKwIndex::try_build(d, 2).map(|_| ()),
         "sp::build" => SpKwIndex::try_build(d, 2).map(|_| ()),
         "srp::build" => SrpKwIndex::try_build(d, 2).map(|_| ()),
-        "ksi::build" => KsiIndex::try_build(&docs, 2).map(|_| ()),
+        "ksi::build" => KsiIndex::try_build(docs.as_slice(), 2).map(|_| ()),
         "dynamic::build_block" => {
             let mut dynamic = DynamicOrpKw::new(2, 2);
             // 128 inserts fill the buffer; the 128th triggers the first

@@ -208,7 +208,7 @@ proptest! {
         kws in two_keywords(),
     ) {
         let docs: Vec<Document> = docs.into_iter().map(Document::new).collect();
-        let ksi = KsiIndex::try_build(&docs, 2).unwrap();
+        let ksi = KsiIndex::try_build(docs.as_slice(), 2).unwrap();
         deep_validate!(ksi);
         let inv = InvertedIndex::build(&docs);
         prop_assert_eq!(sorted(ksi.query(&(), &kws).unwrap()), inv.intersect(&kws));

@@ -93,29 +93,6 @@ proptest! {
         }
     }
 
-    /// The 2D range tree agrees with the kd-tree on every query.
-    #[test]
-    fn range_tree_equals_kd_tree(
-        raw in prop::collection::vec((-10i32..10, -10i32..10), 1..100),
-        q in ((-12i32..12, 0i32..10), (-12i32..12, 0i32..10)),
-    ) {
-        let points: Vec<Point> = raw
-            .iter()
-            .map(|&(x, y)| Point::new2(f64::from(x), f64::from(y)))
-            .collect();
-        let rt = RangeTree2D::build(points.clone());
-        let kd = KdTree::build(points);
-        let rect = Rect::new(
-            &[f64::from(q.0 .0), f64::from(q.1 .0)],
-            &[f64::from(q.0 .0 + q.0 .1), f64::from(q.1 .0 + q.1 .1)],
-        );
-        let mut a = rt.range_report(&rect);
-        let mut b = kd.range_report(&rect);
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
-    }
-
     /// Dynamic index under arbitrary operation sequences ≡ a mirror map.
     #[test]
     fn dynamic_index_equals_mirror(

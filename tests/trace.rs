@@ -8,7 +8,7 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use skq_bench::json::Json;
-use skq_bench::trajectory::{self, AllocCounters, BenchOptions, Scale};
+use skq_bench::trajectory::{self, AllocCounters, Scale};
 use skq_obs::{trace, Span};
 use structured_keyword_search::prelude::*;
 
@@ -169,11 +169,7 @@ fn disabled_tracer_records_nothing() {
 fn bench_smoke_produces_schema_valid_document() {
     let _guard = tracer_lock();
     let zero_probe = AllocCounters::default;
-    let opts = BenchOptions {
-        scale: Scale::Smoke,
-        ..BenchOptions::default()
-    };
-    let doc = trajectory::run(opts, &zero_probe);
+    let doc = trajectory::run(Scale::Smoke, &zero_probe);
     trajectory::validate(&doc).expect("smoke document must satisfy its own schema");
     assert_eq!(
         doc.get("format").and_then(Json::as_str),
@@ -181,13 +177,7 @@ fn bench_smoke_produces_schema_valid_document() {
     );
     assert_eq!(doc.get("deterministic"), Some(&Json::Bool(true)));
     // Deterministic documents must render identically across runs.
-    let again = trajectory::run(
-        BenchOptions {
-            scale: Scale::Smoke,
-            ..BenchOptions::default()
-        },
-        &zero_probe,
-    );
+    let again = trajectory::run(Scale::Smoke, &zero_probe);
     assert_eq!(doc.render_pretty(2), again.render_pretty(2));
     // And self-diff reports no movement at all.
     let report = trajectory::diff(&doc, &again, 10.0).expect("diff");
