@@ -47,7 +47,7 @@ fn bench_build(c: &mut Criterion) {
 /// slower builds) but less per-leaf scanning; the default 24 sits at
 /// the flat part of the query-time curve.
 fn bench_leaf_weight(c: &mut Criterion) {
-    use skq_geom::{RankSpace, Rect, Region};
+    use skq_geom::{RankSpace, Region};
     let ps = planted_spatial(30_000, 2, 2, 300, 1e6, 63);
     let rank = RankSpace::build(ps.dataset.points());
     let rank_coords = rank.coords();
@@ -62,7 +62,6 @@ fn bench_leaf_weight(c: &mut Criterion) {
             FrameworkConfig { leaf_weight: leaf },
         )
         .expect("valid bench input");
-        let _rq = rank.rect(&Rect::full(2)).expect("non-empty");
         let kws = ps.query_keywords.clone();
         g.bench_with_input(BenchmarkId::new("query", leaf), &leaf, |b, _| {
             b.iter(|| {

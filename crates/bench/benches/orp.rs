@@ -1,5 +1,6 @@
 //! Criterion bench for Table 1 rows 1–3: ORP-KW query time, index vs
-//! both naive baselines, across N, k, d, and OUT.
+//! both naive baselines, across N, k, d, OUT, and a selective finite
+//! rectangle.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use skq_bench::planted_spatial;
@@ -62,6 +63,25 @@ fn bench_orp_vs_out(c: &mut Criterion) {
     g.finish();
 }
 
+/// A finite rectangle covering 5% of the extent: unlike `Rect::full`,
+/// whose infinite sides skip the rank-space search, every bound is
+/// converted, and most candidates fail the geometry test.
+fn bench_orp_selective(c: &mut Criterion) {
+    let mut g = c.benchmark_group("orp_kw/sel_0.05");
+    for n in [20_000usize, 200_000] {
+        let ps = planted_spatial(n, 2, 2, n / 10, 1e6, 46);
+        let index = OrpKwIndex::try_build(&ps.dataset, 2).expect("valid bench input");
+        let side = 0.05f64.sqrt() * 1e6;
+        let lo = 0.5e6 - side / 2.0;
+        let q = Rect::new(&[lo, lo], &[lo + side, lo + side]);
+        let kws = ps.query_keywords.clone();
+        g.bench_with_input(BenchmarkId::new("index", n), &n, |b, _| {
+            b.iter(|| index.query(&q, &kws))
+        });
+    }
+    g.finish();
+}
+
 fn bench_orp_3d_dimred(c: &mut Criterion) {
     let mut g = c.benchmark_group("orp_kw/dimred_3d");
     for n in [20_000usize, 60_000] {
@@ -79,6 +99,6 @@ fn bench_orp_3d_dimred(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_orp_vs_n, bench_orp_vs_k, bench_orp_vs_out, bench_orp_3d_dimred
+    targets = bench_orp_vs_n, bench_orp_vs_k, bench_orp_vs_out, bench_orp_selective, bench_orp_3d_dimred
 }
 criterion_main!(benches);

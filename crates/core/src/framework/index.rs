@@ -787,9 +787,14 @@ impl<P: Partitioner> TransformedIndex<P> {
         }
 
         // Scan the pivot set (every visit does; §3.3 "to visit a node").
+        // Here and on the small path, geometry is tested first: `accept`
+        // reads the candidate's packed coordinates and rejects most
+        // candidates of a selective query, while the keyword test costs
+        // two dependent loads (the document, then its keyword block).
+        // Both are pure, so the order changes no answer or counter.
         for &e in tree.pivots(i) {
             stats.pivot_scans += 1;
-            if self.docs[e as usize].contains_all(kws) && accept(e) {
+            if accept(e) && self.docs[e as usize].contains_all(kws) {
                 stats.reported += 1;
                 sink.emit(e)?;
             }
@@ -852,7 +857,7 @@ impl<P: Partitioner> TransformedIndex<P> {
                 .unwrap_or(&[]);
             for &e in list {
                 stats.list_scans += 1;
-                if self.docs[e as usize].contains_all(kws) && accept(e) {
+                if accept(e) && self.docs[e as usize].contains_all(kws) {
                     stats.reported += 1;
                     sink.emit(e)?;
                 }
@@ -1501,6 +1506,34 @@ mod tests {
         assert_eq!(out, vec![100, 200]); // 10 % 4 != 0, so only 100 and 200
         assert_eq!(stats.small_path_nodes, 1, "must stop at the root");
         assert!(stats.list_scans <= 3);
+    }
+
+    #[test]
+    fn geometry_is_tested_for_every_scanned_candidate() {
+        // Pivots and list entries that fail the keyword test must still
+        // reach `accept` first: one call per scanned candidate.
+        let mut docs: Vec<Vec<Keyword>> = (0..256).map(|i| vec![i % 4, 4 + i % 3]).collect();
+        for i in [10usize, 100, 200] {
+            docs[i].push(9);
+        }
+        let tree = build_1d(docs, 2..=2, 4);
+        for kws in [[0, 9], [0, 4]] {
+            let calls = std::cell::Cell::new(0u64);
+            let mut out = Vec::new();
+            let mut stats = QueryStats::new();
+            let _ = tree.query_sink(
+                &kws,
+                &|_| Region::Crossing,
+                &|o| {
+                    calls.set(calls.get() + 1);
+                    o < 128
+                },
+                &mut out,
+                &mut stats,
+            );
+            assert!(stats.pivot_scans + stats.list_scans > stats.reported);
+            assert_eq!(calls.get(), stats.pivot_scans + stats.list_scans, "{kws:?}");
+        }
     }
 
     #[test]

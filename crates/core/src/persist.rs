@@ -67,7 +67,8 @@ pub mod kind {
     pub const POSTINGS_CHUNK: u16 = 5;
     /// `RankSpace` scalars: dimensionality and length.
     pub const RANK_HEAD: u16 = 6;
-    /// One sorted `RankSpace` column: `(coordinate, object id)` pairs.
+    /// One sorted `RankSpace` column: `(coordinate, object id)` pairs,
+    /// interleaved from the flat coordinate and id arrays.
     pub const RANK_COLUMN: u16 = 7;
     /// Framework-tree scalars: `k`, config, totals, chunk counts.
     pub const TREE_HEAD: u16 = 8;
@@ -848,9 +849,10 @@ impl Persist for RankSpace {
         put_uv(&mut head, self.dim() as u64);
         put_uv(&mut head, self.len() as u64);
         w.page(kind::RANK_HEAD, SCHEMA_VERSION, head);
-        for col in self.columns() {
-            let mut buf = Vec::with_capacity(col.len() * 12);
-            for &(coord, id) in col {
+        for d in 0..self.dim() {
+            let (coords, ids) = self.column(d);
+            let mut buf = Vec::with_capacity(coords.len() * 12);
+            for (&coord, &id) in coords.iter().zip(ids) {
                 put_f64(&mut buf, coord);
                 put_uv(&mut buf, u64::from(id));
             }
@@ -873,8 +875,8 @@ impl Persist for RankSpace {
                 ),
             ));
         }
-        let mut columns = Vec::with_capacity(dim);
-        for _ in 0..dim {
+        let (mut sorted, mut ids) = (Vec::new(), Vec::new());
+        for col in 0..dim {
             let mut d = r.page(kind::RANK_COLUMN, SCHEMA_VERSION, "rank")?;
             if n > d.remaining() / 9 {
                 return Err(corrupt(
@@ -882,18 +884,20 @@ impl Persist for RankSpace {
                     format!("column page too short for {n} entries"),
                 ));
             }
-            let mut col = Vec::with_capacity(n);
+            if col == 0 {
+                // `n` is now bounded by the first page's length.
+                sorted.reserve_exact(dim * n);
+                ids.reserve_exact(dim * n);
+            }
             for _ in 0..n {
-                let coord = d.f64()?;
-                let id = d.u32v()?;
-                col.push((coord, id));
+                sorted.push(d.f64()?);
+                ids.push(d.u32v()?);
             }
             d.end()?;
-            columns.push(col);
         }
         // `try_from_columns` re-validates the sort order, the id
-        // permutation, and NaN-freeness, then rebuilds the rank points.
-        RankSpace::try_from_columns(columns).map_err(|e| corrupt("rank", e))
+        // permutation, and NaN-freeness, then samples the fences.
+        RankSpace::try_from_columns(dim, sorted, ids).map_err(|e| corrupt("rank", e))
     }
 }
 

@@ -64,10 +64,12 @@ proptest! {
         }
     }
 
-    /// Rank space preserves rectangle-query semantics on tie-heavy data.
+    /// Rank space preserves rectangle-query semantics on tie-heavy data,
+    /// with up to a few hundred points so columns span several fence
+    /// blocks.
     #[test]
     fn rank_space_roundtrip(
-        raw in prop::collection::vec((-4i32..4, -4i32..4), 1..80),
+        raw in prop::collection::vec((-4i32..4, -4i32..4), 1..400),
         q in ((-5i32..5, 0i32..6), (-5i32..5, 0i32..6)),
     ) {
         let points: Vec<Point> = raw
