@@ -451,32 +451,6 @@ fn ksi_problem(ctx: &Ctx) -> Json {
     out
 }
 
-fn batch_problem(ctx: &Ctx, d: &Dataset, index: &OrpKwIndex) -> Json {
-    use skq_core::batch::{run_batch_isolated, BatchQuery};
-    use skq_core::QueryGuard;
-    let batch: Vec<BatchQuery> = rect_queries(d, ctx.scale.queries())
-        .into_iter()
-        .map(|(rect, keywords)| BatchQuery { rect, keywords })
-        .collect();
-    let mut out = Json::obj();
-    problem_header(&mut out, "city", d.len(), d.input_size(), BUILD_K);
-    out.set("batch_size", Json::Num(batch.len() as f64));
-    out.set("threads", Json::Num(2.0));
-    let run = || {
-        run_batch_isolated(index, &batch, 2, &QueryGuard::default())
-            .into_results()
-            .expect("no batch shard fails")
-    };
-    let (results, alloc) = ctx.alloc_delta(run);
-    out.set(
-        "results_total",
-        Json::Num(results.iter().map(Vec::len).sum::<usize>() as f64),
-    );
-    out.set("alloc_bytes", Json::Num(alloc.bytes as f64));
-    out.set("allocs", Json::Num(alloc.allocs as f64));
-    out
-}
-
 /// Runs the full trajectory capture and returns the BENCH document.
 ///
 /// `probe` reads cumulative allocation counters; see [`AllocProbe`].
@@ -511,8 +485,6 @@ pub fn run_with_snapshot(scale: Scale, probe: AllocProbe, snapshot: Option<&[u8]
             NnEngine::L2(L2NnIndex::try_build(&wd, BUILD_K).expect("valid workload"))
         });
         let _ = ksi_problem(&warm_ctx);
-        let wi = OrpKwIndex::try_build(&wd, BUILD_K).expect("valid workload");
-        let _ = batch_problem(&warm_ctx, &wd, &wi);
         let _ = store_problem(&warm_ctx, &wd, None);
     }
 
@@ -538,8 +510,6 @@ pub fn run_with_snapshot(scale: Scale, probe: AllocProbe, snapshot: Option<&[u8]
         }),
     );
     problems.set("ksi", ksi_problem(&ctx));
-    let orp_index = OrpKwIndex::try_build(&d, BUILD_K).expect("valid workload");
-    problems.set("batch", batch_problem(&ctx, &d, &orp_index));
     problems.set("store", store_problem(&ctx, &d, snapshot));
 
     let mut doc = Json::obj();
@@ -584,12 +554,6 @@ pub fn validate(doc: &Json) -> Result<(), String> {
                 return Err(format!("problem {name:?} lacks {key:?}"));
             }
         }
-        if name == "batch" {
-            if p.get("results_total").and_then(Json::as_f64).is_none() {
-                return Err("problem \"batch\" lacks results_total".to_string());
-            }
-            continue;
-        }
         if name == "store" {
             // The store problem has no build record — its suite either
             // came off a snapshot or the build is covered by `orp`.
@@ -627,7 +591,7 @@ pub fn validate(doc: &Json) -> Result<(), String> {
 /// One compared metric in a [`DiffReport`].
 #[derive(Clone, Debug)]
 pub struct DiffLine {
-    /// Problem name (`"orp"`, `"batch"`, …).
+    /// Problem name (`"orp"`, `"store"`, …).
     pub problem: String,
     /// Dotted metric path within the problem (`"build.space_words"`).
     pub metric: String,
@@ -660,7 +624,7 @@ pub struct DiffReport {
     /// Problems skipped because their workload context (scenario, `n`,
     /// `k`, query count) differs between the two documents.
     pub incomparable: Vec<String>,
-    /// Baseline problems (`"batch"`) and metrics
+    /// Baseline problems (`"ksi"`) and metrics
     /// (`"orp.query.nodes_visited"`) missing from the candidate. A
     /// vanished row or counter fails the gate like a regression: it can
     /// no longer be compared at any threshold.
@@ -681,17 +645,7 @@ impl DiffReport {
 
 /// Keys describing the workload rather than its cost: compared for
 /// equality (a mismatch makes the problem incomparable), never rated.
-const CONTEXT_KEYS: &[&str] = &[
-    "scenario",
-    "n",
-    "input_size",
-    "k",
-    "queries",
-    "reps",
-    "count",
-    "batch_size",
-    "threads",
-];
+const CONTEXT_KEYS: &[&str] = &["scenario", "n", "input_size", "k", "queries"];
 
 fn flatten(prefix: &str, v: &Json, out: &mut Vec<(String, f64)>) {
     match v {

@@ -1,19 +1,15 @@
 //! Shared concurrency plumbing.
 //!
-//! Every parallel surface in the workspace — [`crate::batch`]'s sharded
-//! execution and `skq-serve`'s worker pool — needs the same two small
-//! decisions made the same way: what a thread count of zero means, and
-//! what to default to when the caller expresses no preference. This
-//! module is the single home for both, so the clamping semantics cannot
-//! drift between layers.
+//! `skq-serve`'s worker pool needs two small decisions made once: what
+//! a thread count of zero means, and what to default to when the caller
+//! expresses no preference. This module is the single home for both.
 
 /// Clamps a requested thread count to something that makes progress.
 ///
-/// A zero-width pool (or zero-shard batch) would never complete any
-/// work, so the nearest meaningful interpretation of `0` is sequential
-/// execution on one thread. Every other request is taken at face value
-/// — oversubscription is the caller's informed choice (the batch tests
-/// deliberately run 64 shards on small machines).
+/// A zero-width pool would never complete any work, so the nearest
+/// meaningful interpretation of `0` is sequential execution on one
+/// thread. Every other request is taken at face value —
+/// oversubscription is the caller's informed choice.
 #[inline]
 #[must_use]
 pub fn effective_threads(requested: usize) -> usize {

@@ -1,10 +1,10 @@
 //! Typed errors for the fallible construction and query surfaces.
 //!
 //! Every `try_build` entry point and every query (the
-//! [`KwQuery`](crate::query::KwQuery) contract) returns [`SkqError`].
-//! The panicking `build` wrappers panic with the error's `Display`
-//! text, so both build surfaces agree on *what* is invalid — the only
-//! difference is how the violation is delivered.
+//! [`KwQuery`](crate::query::KwQuery) contract) returns [`SkqError`],
+//! as do the snapshot codec and the serving layer. The one panicking
+//! surface left, `Dataset::new`/`from_parts`, panics with the error's
+//! `Display` text of its `try_` twin.
 
 use std::fmt;
 
@@ -25,11 +25,6 @@ pub enum SkqError {
     /// A guarded query observed its `CancelToken` in the cancelled
     /// state; the sink holds the partial results.
     Cancelled,
-    /// A batch shard panicked and its bounded retry panicked again.
-    ShardPanicked {
-        /// Zero-based index of the failed shard.
-        shard: usize,
-    },
     /// The serving layer's admission control rejected the request:
     /// the job queue was at capacity, so accepting more work would only
     /// grow latency past every deadline.
@@ -71,7 +66,6 @@ impl SkqError {
             SkqError::InvalidQuery(_) => "invalid_query",
             SkqError::DeadlineExceeded => "deadline_exceeded",
             SkqError::Cancelled => "cancelled",
-            SkqError::ShardPanicked { .. } => "shard_panicked",
             SkqError::Overloaded { .. } => "overloaded",
             SkqError::Store { .. } => "store",
             SkqError::Corrupted { .. } => "corrupted",
@@ -83,15 +77,12 @@ impl SkqError {
 impl fmt::Display for SkqError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            // The message alone: the infallible wrappers panic with
+            // The message alone: `Dataset::new`/`from_parts` panic with
             // `{self}` and existing callers match on these substrings.
             SkqError::InvalidDataset(msg) => f.write_str(msg),
             SkqError::InvalidQuery(msg) => f.write_str(msg),
             SkqError::DeadlineExceeded => f.write_str("query deadline exceeded"),
             SkqError::Cancelled => f.write_str("query cancelled"),
-            SkqError::ShardPanicked { shard } => {
-                write!(f, "batch shard {shard} panicked (retry also failed)")
-            }
             SkqError::Overloaded { queue_depth } => {
                 write!(
                     f,

@@ -1,7 +1,7 @@
 //! Fail-point injection for chaos testing (cargo feature `failpoints`).
 //!
-//! A fail point is a named site on a build or batch path where a test
-//! can inject a failure. With the feature disabled (the default) every
+//! A fail point is a named site on a build, serve or store path where
+//! a test can inject a failure. With the feature disabled (the default) every
 //! [`check`] compiles to `Ok(())` and the registry does not exist, so
 //! production builds pay nothing. The registry is a tiny std-only map
 //! — no external crate, consistent with the workspace's zero-dep
@@ -27,8 +27,8 @@ use crate::error::SkqError;
 
 /// Every registered injection site, for exhaustive chaos sweeps.
 ///
-/// Each site sits on exactly one build (or shard) path; the chaos test
-/// drives the matching public entry point for each name.
+/// Each site sits on exactly one build, serve or store path; the chaos
+/// test drives the matching public entry point for each name.
 pub const SITES: &[&str] = &[
     "orp::build",
     "rr::build",
@@ -40,7 +40,6 @@ pub const SITES: &[&str] = &[
     "ksi::build",
     "framework::build",
     "dynamic::build_block",
-    "batch::shard",
     "serve::request",
     "serve::worker",
     "store::read_page",
@@ -55,7 +54,8 @@ pub enum FailAction {
     /// Return `Err(SkqError::Internal("fail point <site> triggered"))`.
     Err,
     /// Panic with `"fail point <site> triggered"` — exercises the
-    /// panic-isolation machinery (batch shards).
+    /// panic isolation of the serving layer (`serve::worker`: the pool
+    /// respawns the worker and the caller gets a typed error).
     Panic,
     /// Abort the whole process (`std::process::abort`) — simulates a
     /// hard crash (power loss, OOM-kill) for the WAL/recovery

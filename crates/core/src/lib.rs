@@ -43,8 +43,8 @@
 //!   (covered/crossing nodes of §3.3, type-1/type-2 nodes of §4).
 //! * [`telemetry`] — export hooks feeding build/query series
 //!   into the process-wide `skq-obs` metrics registry and query log.
-//! * [`concurrency`] — shared thread-count clamping used by [`batch`]
-//!   and the `skq-serve` worker pool.
+//! * [`concurrency`] — shared thread-count clamping used by the
+//!   `skq-serve` worker pool.
 //! * [`persist`] — the paged snapshot codec behind the `skq-store`
 //!   persistence tier: the [`persist::Persist`] trait plus the
 //!   page-walk reader/writer with checksums and schema versioning.
@@ -83,13 +83,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-// The orchestration layers sit on every request path of the ROADMAP's
-// service story, so they must not abort on recoverable conditions:
-// clippy.toml bans `unwrap()`/`expect()` and the panic-family macros in
-// them (tests re-allow; the batch runner's chaos-injection panic carries
-// a justified allow audited by skq-lint).
-#[warn(clippy::disallowed_methods, clippy::disallowed_macros)]
-pub mod batch;
+// The orchestration layers sit on the request path, so they must not
+// abort on recoverable conditions: clippy.toml bans `unwrap()`/`expect()`
+// and the panic-family macros in `dynamic` and `suite` here and in
+// `skq-serve`'s `pool`, `queue`, `recover` and `snapshot` (tests
+// re-allow; the worker's chaos-injection panic carries a justified allow
+// audited by skq-lint).
 pub mod concurrency;
 pub mod dataset;
 pub mod dimred;

@@ -9,15 +9,12 @@
 //! differences `|q[i] − e[i]|`, one of which must be the `t`-th NN
 //! distance — takes `O(log N)` such tests.
 
-use std::ops::ControlFlow;
-
 use skq_geom::{Point, Rect};
 use skq_invidx::Keyword;
 
 use crate::dataset::Dataset;
 use crate::error::{validate, SkqError};
 use crate::failpoints;
-use crate::lc::LcKwIndex;
 use crate::orp::OrpKwIndex;
 use crate::persist::{self, Persist, SCHEMA_VERSION};
 use crate::query::KwQuery;
@@ -35,40 +32,6 @@ fn outward_ball(q: &Point, r: f64) -> Rect {
     let lo: Vec<f64> = q.coords().iter().map(|c| (c - r).next_down()).collect();
     let hi: Vec<f64> = q.coords().iter().map(|c| (c + r).next_up()).collect();
     Rect::new(&lo, &hi)
-}
-
-/// The rectangle engine behind the threshold queries: the default
-/// ORP-KW route (Theorems 1–2) or footnote 3's linear-space LC-KW
-/// route (pays an extra `log N` term, saves the `(log log N)^{d−2}`
-/// space factor for `d ≥ 3`).
-enum RectEngine {
-    Orp(OrpKwIndex),
-    Lc(LcKwIndex),
-}
-
-impl RectEngine {
-    fn query_sink<S: ResultSink>(
-        &self,
-        q: &Rect,
-        keywords: &[skq_invidx::Keyword],
-        sink: &mut S,
-        stats: &mut QueryStats,
-    ) -> ControlFlow<()> {
-        match self {
-            RectEngine::Orp(i) => i.query_sink(q, keywords, sink, stats),
-            RectEngine::Lc(i) => {
-                let poly = skq_geom::ConvexPolytope::from_rect(q);
-                i.query_sink(&poly, keywords, sink, stats)
-            }
-        }
-    }
-
-    fn space_words(&self) -> usize {
-        match self {
-            RectEngine::Orp(i) => i.space_words(),
-            RectEngine::Lc(i) => i.space_words(),
-        }
-    }
 }
 
 /// The L∞NN-KW index.
@@ -92,7 +55,8 @@ impl RectEngine {
 /// # Ok::<(), skq_core::SkqError>(())
 /// ```
 pub struct LinfNnIndex {
-    engine: RectEngine,
+    /// The ORP-KW engine behind the threshold queries (Theorems 1–2).
+    orp: OrpKwIndex,
     /// Per-dimension sorted coordinates — the paper's "d binary search
     /// trees, each created on the coordinates of a different dimension",
     /// used to select candidate radii by rank.
@@ -110,27 +74,7 @@ impl LinfNnIndex {
     /// `SkqError::InvalidQuery` if `k` is outside `2..=16`.
     pub fn try_build(dataset: &Dataset, k: usize) -> Result<Self, SkqError> {
         failpoints::check("nn_linf::build")?;
-        Ok(Self::build_inner(
-            dataset,
-            RectEngine::Orp(OrpKwIndex::try_build(dataset, k)?),
-        ))
-    }
-
-    /// The linear-space variant of footnote 3: LC-KW threshold engine,
-    /// `O(N)` space in any dimension at the cost of a `log N` factor.
-    ///
-    /// # Errors
-    ///
-    /// `SkqError::InvalidQuery` if `k` is outside `2..=16`.
-    pub fn try_build_linear(dataset: &Dataset, k: usize) -> Result<Self, SkqError> {
-        failpoints::check("nn_linf::build")?;
-        Ok(Self::build_inner(
-            dataset,
-            RectEngine::Lc(LcKwIndex::try_build(dataset, k)?),
-        ))
-    }
-
-    fn build_inner(dataset: &Dataset, engine: RectEngine) -> Self {
+        let orp = OrpKwIndex::try_build(dataset, k)?;
         let _span = skq_obs::Span::enter("nn_linf.build");
         let start = std::time::Instant::now();
         let dim = dataset.dim();
@@ -141,20 +85,18 @@ impl LinfNnIndex {
             sorted_coords.push(col);
         }
         let index = Self {
-            engine,
+            orp,
             sorted_coords,
             points: dataset.points().to_vec(),
             dim,
         };
-        let (nodes, pivots) = match &index.engine {
-            RectEngine::Orp(orp) => orp
-                .kd_node_summaries(orp.k())
-                .map(|s| (s.len() as u64, s.iter().map(|&(_, _, p, _)| p as u64).sum()))
-                .unwrap_or((0, 0)),
-            RectEngine::Lc(_) => (0, 0),
-        };
+        let (nodes, pivots) = index
+            .orp
+            .kd_node_summaries(index.orp.k())
+            .map(|s| (s.len() as u64, s.iter().map(|&(_, _, p, _)| p as u64).sum()))
+            .unwrap_or((0, 0));
         // Engine plus the candidate-radius columns and the point copies.
-        let words = index.engine.space_words() + 2 * index.dim * index.points.len();
+        let words = index.orp.space_words() + 2 * index.dim * index.points.len();
         telemetry::record_build(
             "nn_linf",
             start.elapsed(),
@@ -162,15 +104,12 @@ impl LinfNnIndex {
             pivots,
             (words * 8) as u64,
         );
-        index
+        Ok(index)
     }
 
     /// The number of query keywords the index was built for.
     pub fn k(&self) -> usize {
-        match &self.engine {
-            RectEngine::Orp(i) => i.k(),
-            RectEngine::Lc(i) => i.k(),
-        }
+        self.orp.k()
     }
 
     /// Returns up to `t ≥ 1` matching objects nearest to `q` under
@@ -203,9 +142,7 @@ impl LinfNnIndex {
             // Fewer than t matches exist: return all of them.
             let ball = outward_ball(q, r_max);
             let mut all = Vec::new();
-            let _ = self
-                .engine
-                .query_sink(&ball, keywords, &mut all, &mut stats);
+            let _ = self.orp.query_sink(&ball, keywords, &mut all, &mut stats);
             let ranked = self.rank_by_distance(q, all, usize::MAX);
             stats.emitted = ranked.len() as u64;
             return Ok((ranked, stats));
@@ -229,9 +166,7 @@ impl LinfNnIndex {
         // Collect everything within r* and rank by true distance.
         let ball = outward_ball(q, r_star);
         let mut hits = Vec::new();
-        let _ = self
-            .engine
-            .query_sink(&ball, keywords, &mut hits, &mut stats);
+        let _ = self.orp.query_sink(&ball, keywords, &mut hits, &mut stats);
         let ranked = self.rank_by_distance(q, hits, t);
 
         // Closure pass: re-collect at the t-th hit's actual distance
@@ -241,9 +176,7 @@ impl LinfNnIndex {
         let d_t = self.points[*ranked.last().expect("t >= 1 hits") as usize].linf(q);
         let ball = outward_ball(q, f64::from_bits(d_t.to_bits() + 4));
         let mut hits = Vec::new();
-        let _ = self
-            .engine
-            .query_sink(&ball, keywords, &mut hits, &mut stats);
+        let _ = self.orp.query_sink(&ball, keywords, &mut hits, &mut stats);
         let out = self.rank_by_distance(q, hits, t);
         stats.emitted = out.len() as u64;
         Ok((out, stats))
@@ -262,7 +195,7 @@ impl LinfNnIndex {
     ) -> bool {
         let ball = outward_ball(q, r);
         let mut probe = LimitSink::new(CountSink::new(), t);
-        let _ = self.engine.query_sink(&ball, keywords, &mut probe, stats);
+        let _ = self.orp.query_sink(&ball, keywords, &mut probe, stats);
         probe.emitted() >= t as u64
     }
 
@@ -318,7 +251,7 @@ impl LinfNnIndex {
 
     /// Index space in 64-bit words.
     pub fn space_words(&self) -> usize {
-        self.engine.space_words() + self.dim * self.points.len()
+        self.orp.space_words() + self.dim * self.points.len()
     }
 
     /// Deep structural validation (DESIGN.md §12): the candidate-radius
@@ -372,46 +305,32 @@ impl LinfNnIndex {
                 ));
             }
         }
-        match &self.engine {
-            RectEngine::Orp(i) => i.validate(),
-            RectEngine::Lc(i) => i.validate(),
-        }
+        self.orp.validate()
     }
 }
 
 /// Engine tag written in the `NN_HEAD` page: the ORP-KW threshold
-/// engine. The linear-space LC-KW engine has no snapshot encoding;
-/// saving it returns [`SkqError::Store`].
+/// engine, the only one there is. The loader rejects any other tag.
 const NN_ENGINE_ORP: u64 = 0;
 
 impl Persist for LinfNnIndex {
     fn to_pages(&self, w: &mut persist::PageWriter) -> Result<(), SkqError> {
-        match &self.engine {
-            RectEngine::Orp(orp) => {
-                let mut head = Vec::new();
-                persist::put_uv(&mut head, NN_ENGINE_ORP);
-                persist::put_uv(&mut head, self.dim as u64);
-                persist::put_uv(&mut head, self.points.len() as u64);
-                w.page(persist::kind::NN_HEAD, SCHEMA_VERSION, head);
-                // The sorted candidate-radius columns are derived data:
-                // the loader re-sorts them from the points, so only the
-                // points travel.
-                let coords: Vec<f64> = self
-                    .points
-                    .iter()
-                    .flat_map(|p| p.coords())
-                    .copied()
-                    .collect();
-                persist::put_point_pages(w, persist::kind::NN_POINTS, &coords, self.dim);
-                orp.to_pages(w)
-            }
-            RectEngine::Lc(_) => Err(SkqError::Store {
-                backend: "save".into(),
-                message: "the linear-space LC-KW engine has no snapshot encoding; rebuild it \
-                          from the dataset"
-                    .into(),
-            }),
-        }
+        let mut head = Vec::new();
+        persist::put_uv(&mut head, NN_ENGINE_ORP);
+        persist::put_uv(&mut head, self.dim as u64);
+        persist::put_uv(&mut head, self.points.len() as u64);
+        w.page(persist::kind::NN_HEAD, SCHEMA_VERSION, head);
+        // The sorted candidate-radius columns are derived data: the
+        // loader re-sorts them from the points, so only the points
+        // travel.
+        let coords: Vec<f64> = self
+            .points
+            .iter()
+            .flat_map(|p| p.coords())
+            .copied()
+            .collect();
+        persist::put_point_pages(w, persist::kind::NN_POINTS, &coords, self.dim);
+        self.orp.to_pages(w)
     }
 
     fn from_pages(r: &mut persist::PageReader<'_>) -> Result<Self, SkqError> {
@@ -450,7 +369,7 @@ impl Persist for LinfNnIndex {
             )));
         }
         // Rebuild the per-dimension candidate-radius columns exactly as
-        // `build_inner` does — deterministic total-order sorts.
+        // `try_build` does — deterministic total-order sorts.
         let mut sorted_coords = Vec::with_capacity(dim);
         for d in 0..dim {
             let mut col: Vec<f64> = points.iter().map(|p| p.get(d)).collect();
@@ -458,7 +377,7 @@ impl Persist for LinfNnIndex {
             sorted_coords.push(col);
         }
         Ok(Self {
-            engine: RectEngine::Orp(orp),
+            orp,
             sorted_coords,
             points,
             dim,
@@ -522,32 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn linear_variant_matches_default_3d() {
-        // Footnote 3: the LC-route engine answers identically with
-        // linear space (the answer sets must be equal; space is smaller
-        // by the dimension-reduction factor).
-        let dataset = random_dataset(150, 3, 6, 51);
-        let a = LinfNnIndex::try_build(&dataset, 2).unwrap();
-        let b = LinfNnIndex::try_build_linear(&dataset, 2).unwrap();
-        let mut rng = StdRng::seed_from_u64(52);
-        for _ in 0..15 {
-            let q = Point::new3(
-                rng.gen_range(-60.0..60.0),
-                rng.gen_range(-60.0..60.0),
-                rng.gen_range(-60.0..60.0),
-            );
-            let t = rng.gen_range(1..5);
-            let w1 = rng.gen_range(0..6);
-            let w2 = (w1 + 1 + rng.gen_range(0..5)) % 6;
-            let kws = [w1, w2];
-            assert_eq!(
-                a.query(&q, t, &kws).unwrap().0,
-                b.query(&q, t, &kws).unwrap().0
-            );
-        }
-    }
-
-    #[test]
     fn matches_bruteforce_3d() {
         let dataset = random_dataset(200, 3, 6, 11);
         let index = LinfNnIndex::try_build(&dataset, 2).unwrap();
@@ -600,7 +493,6 @@ mod tests {
             LinfNnIndex::try_build(&dataset, 17),
             Err(SkqError::InvalidQuery(_))
         ));
-        assert!(LinfNnIndex::try_build_linear(&dataset, 2).is_ok());
     }
 
     #[test]

@@ -12,13 +12,12 @@
 
 use std::ops::ControlFlow;
 
-use skq_geom::{ConvexPolytope, Point, Rect};
+use skq_geom::{Point, Rect};
 use skq_invidx::{Document, Keyword};
 
 use crate::dataset::Dataset;
 use crate::error::{validate, SkqError};
 use crate::failpoints;
-use crate::lc::LcKwIndex;
 use crate::orp::OrpKwIndex;
 use crate::persist::{self, Persist, SCHEMA_VERSION};
 use crate::query::KwQuery;
@@ -171,68 +170,6 @@ impl Persist for RrKwIndex {
             )));
         }
         Ok(Self { orp, dim, len })
-    }
-}
-
-/// The linear-space RR-KW variant of the paper's footnote 3: route the
-/// flattened `2d`-dimensional points through LC-KW (Theorem 5) instead
-/// of the dimension-reduction tree, trading a `log N` additive query
-/// term for `O(N)` space at any `d ≤ k/2`.
-pub struct RrKwLinear {
-    lc: LcKwIndex,
-    dim: usize,
-}
-
-impl RrKwLinear {
-    /// Builds the linear-space index from `(rectangle, keywords)` pairs.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`RrKwIndex::try_build`].
-    pub fn try_build(rects: &[(Rect, Vec<Keyword>)], k: usize) -> Result<Self, SkqError> {
-        validate::build_k(k)?;
-        failpoints::check("rr::build")?;
-        let dataset = flatten_rects(rects)?;
-        Ok(Self {
-            lc: LcKwIndex::try_build(&dataset, k)?,
-            dim: rects[0].0.dim(),
-        })
-    }
-
-    /// Index space in 64-bit words (linear in `N`).
-    pub fn space_words(&self) -> usize {
-        self.lc.space_words()
-    }
-
-    /// Deep structural validation (DESIGN.md §12): delegates to the
-    /// inner LC-KW index.
-    ///
-    /// # Errors
-    ///
-    /// The first violated invariant, by name.
-    pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
-        self.lc.validate()
-    }
-}
-
-impl KwQuery for RrKwLinear {
-    type Shape = Rect;
-
-    fn check(&self, q: &Rect, keywords: &[Keyword]) -> Result<(), SkqError> {
-        validate::rect_query(q, self.dim)?;
-        validate::distinct_keywords(keywords, self.lc.k())
-    }
-
-    fn query_sink<S: ResultSink>(
-        &self,
-        q: &Rect,
-        keywords: &[Keyword],
-        sink: &mut S,
-        stats: &mut QueryStats,
-    ) -> ControlFlow<()> {
-        assert_eq!(q.dim(), self.dim, "query dimension mismatch");
-        let lifted = ConvexPolytope::from_rect(&lift_query(q));
-        self.lc.query_sink(&lifted, keywords, sink, stats)
     }
 }
 
@@ -402,34 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn linear_variant_matches_dimred_variant() {
-        // Footnote 3: the LC route answers the same queries in O(N)
-        // space; here we check answer equality against the default
-        // (dimension-reduction) route on 2D boxes (flattened to 4D).
-        let rects = random_rects(200, 2, 8, 21);
-        let a = RrKwIndex::try_build(&rects, 2).unwrap();
-        let b = RrKwLinear::try_build(&rects, 2).unwrap();
-        let mut rng = StdRng::seed_from_u64(22);
-        for _ in 0..40 {
-            let mut lo = Vec::new();
-            let mut hi = Vec::new();
-            for _ in 0..2 {
-                let s: f64 = rng.gen_range(-5.0..105.0);
-                lo.push(s);
-                hi.push(s + rng.gen_range(0.0..40.0));
-            }
-            let q = Rect::new(&lo, &hi);
-            let w1 = rng.gen_range(0..8);
-            let w2 = (w1 + 1 + rng.gen_range(0..7)) % 8;
-            let mut x = a.query(&q, &[w1, w2]).unwrap();
-            let mut y = b.query(&q, &[w1, w2]).unwrap();
-            x.sort_unstable();
-            y.sort_unstable();
-            assert_eq!(x, y);
-        }
-    }
-
-    #[test]
     fn invalid_input_is_a_typed_error() {
         assert!(matches!(
             RrKwIndex::try_build(&[], 2),
@@ -447,10 +356,6 @@ mod tests {
         // Wrong dimensionality.
         let wrong_dim = index.query(&Rect::new(&[0.0, 0.0], &[1.0, 1.0]), &[0, 1]);
         assert!(matches!(wrong_dim, Err(SkqError::InvalidQuery(_))));
-        // Linear variant shares the validation path.
-        let linear = RrKwLinear::try_build(&rects, 2).unwrap();
-        let wrong = linear.query(&Rect::full(2), &[0, 1]);
-        assert!(matches!(wrong, Err(SkqError::InvalidQuery(_))));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! (Table 1) — which means the reporting phase is a stream: the
 //! traversal hands over one matching object at a time and may be told
 //! to stop. Materializing a `Vec<u32>` at every layer (framework →
-//! problem module → suite → batch) hides that structure: the
+//! problem module → suite → server) hides that structure: the
 //! L∞NN-KW radius search (Corollary 4) only needs "are there ≥ t hits?"
 //! per probe, emptiness queries (§1.2 footnote 4) only need the first
 //! hit, and counting needs no ids at all.

@@ -103,11 +103,15 @@ pub const RULES: &[(&str, &str, RuleFn)] = &[
 
 /// Modules on the request path: panics here would take down a serving
 /// process instead of failing one query. Mirrors the per-module
-/// `#[warn(clippy::disallowed_methods)]` opt-ins in `skq-core`'s root.
+/// `#[warn(clippy::disallowed_methods)]` opt-ins in the roots of
+/// `skq-core` and `skq-serve`.
 const REQUEST_PATH: &[&str] = &[
-    "crates/core/src/batch.rs",
     "crates/core/src/dynamic.rs",
     "crates/core/src/suite.rs",
+    "crates/serve/src/pool.rs",
+    "crates/serve/src/queue.rs",
+    "crates/serve/src/recover.rs",
+    "crates/serve/src/snapshot.rs",
 ];
 
 fn push(out: &mut Vec<Finding>, rule: &'static str, file: &SourceFile, offset: usize, msg: String) {

@@ -26,8 +26,8 @@ fn assert_one(findings: &[skq_lint::Finding], rule: &str, path: &str, line: usiz
 #[test]
 fn l01_flags_panics_in_request_path() {
     let src = "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
-    let findings = lint(&[("crates/core/src/batch.rs", src)]);
-    assert_one(&findings, "L01", "crates/core/src/batch.rs", 2, 6);
+    let findings = lint(&[("crates/core/src/dynamic.rs", src)]);
+    assert_one(&findings, "L01", "crates/core/src/dynamic.rs", 2, 6);
 }
 
 #[test]
@@ -35,7 +35,7 @@ fn l01_skips_test_regions_strings_and_other_modules() {
     let test_mod = "#[cfg(test)]\nmod tests {\n    fn f() { None::<u32>.unwrap(); }\n}\n";
     let string_only = "pub fn f() -> &'static str {\n    \"don't .unwrap() me\"\n}\n";
     let findings = lint(&[
-        ("crates/core/src/batch.rs", test_mod),
+        ("crates/core/src/dynamic.rs", test_mod),
         ("crates/core/src/suite.rs", string_only),
         // Same token outside the request path: not L01's business.
         (
@@ -271,10 +271,10 @@ fn l14_requires_documented_failpoint_sites() {
 #[test]
 fn inline_suppression_needs_justification() {
     let justified = "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap() // skq-lint: allow(L01) fixture: reason given\n}\n";
-    assert!(lint(&[("crates/core/src/batch.rs", justified)]).is_empty());
+    assert!(lint(&[("crates/core/src/dynamic.rs", justified)]).is_empty());
 
     let bare = "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap() // skq-lint: allow(L01)\n}\n";
-    let findings = lint(&[("crates/core/src/batch.rs", bare)]);
+    let findings = lint(&[("crates/core/src/dynamic.rs", bare)]);
     assert_eq!(
         findings.len(),
         1,

@@ -38,9 +38,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+// Every module here sits on the request path, so clippy.toml bans
+// `unwrap()`/`expect()` and the panic-family macros in them (tests
+// re-allow; the worker's chaos-injection panic carries a justified allow
+// audited by skq-lint).
+#[warn(clippy::disallowed_methods, clippy::disallowed_macros)]
 pub mod pool;
+#[warn(clippy::disallowed_methods, clippy::disallowed_macros)]
 pub mod queue;
+#[warn(clippy::disallowed_methods, clippy::disallowed_macros)]
 pub mod recover;
+#[warn(clippy::disallowed_methods, clippy::disallowed_macros)]
 pub mod snapshot;
 
 pub use pool::{BrownoutConfig, Pending, Reply, Request, Server, ServerConfig};

@@ -403,7 +403,7 @@ fn serve_loop(shared: &Shared) {
         // worker crash between pop and reply).
         #[allow(clippy::disallowed_macros)]
         if let Err(e) = failpoints::check("serve::worker") {
-            panic!("{e}");
+            panic!("{e}"); // skq-lint: allow(L01) chaos injection; caught by the worker supervisor
         }
         process(shared, job);
     }
@@ -503,6 +503,8 @@ fn execute_count_only(snap: &Versioned<OrpKwSuite>, job: &Job) -> Result<Reply, 
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods)]
+
     use super::*;
     use skq_workload::scenarios;
 

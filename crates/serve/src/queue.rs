@@ -141,6 +141,8 @@ impl<T> JobQueue<T> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods)]
+
     use super::*;
     use std::sync::Arc;
     use std::time::{Duration, Instant};

@@ -141,6 +141,8 @@ impl RecoverySupervisor {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods)]
+
     use super::*;
     use crate::pool::{Request, ServerConfig};
     use skq_geom::Rect;

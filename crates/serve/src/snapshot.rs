@@ -159,6 +159,8 @@ impl<T> SnapshotCell<T> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods)]
+
     use super::*;
 
     #[test]

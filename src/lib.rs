@@ -96,7 +96,7 @@ pub mod prelude {
     pub use skq_core::nn_linf::LinfNnIndex;
     pub use skq_core::orp::OrpKwIndex;
     pub use skq_core::query::KwQuery;
-    pub use skq_core::rr::{RrKwIndex, RrKwLinear};
+    pub use skq_core::rr::RrKwIndex;
     pub use skq_core::sink::{
         CollectSink, CountSink, DedupSink, FilterSink, LimitSink, MapSink, ResultSink,
     };

@@ -1,7 +1,7 @@
 //! Chaos tests (`cargo test --features failpoints`): every registered
-//! fail point, when armed, must surface as a typed `Err` (or an
-//! isolated shard failure) — never an uncaught panic — and disarming it
-//! must leave every index able to build and answer correctly.
+//! fail point, when armed, must surface as a typed `Err` — never an
+//! uncaught panic — and disarming it must leave every index able to
+//! build and answer correctly.
 //!
 //! The fail-point registry is process-global, so every test holds the
 //! exclusive fail-point lock and arms sites through guards that disarm
@@ -11,7 +11,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use structured_keyword_search::core::batch::{run_batch_isolated, BatchQuery, ShardOutcome};
 use structured_keyword_search::core::dynamic::DynamicOrpKw;
 use structured_keyword_search::core::failpoints::{self, FailAction};
 use structured_keyword_search::core::guard::QueryGuard;
@@ -76,19 +75,6 @@ fn drive(site: &str, d: &Dataset) -> Result<(), SkqError> {
                 dynamic.try_insert(Point::new2((i % 16) as f64, (i / 16) as f64), vec![0, 1])?;
             }
             Ok(())
-        }
-        "batch::shard" => {
-            let index = OrpKwIndex::try_build(d, 2).unwrap();
-            let queries = vec![
-                BatchQuery {
-                    rect: Rect::full(2),
-                    keywords: vec![0, 1],
-                };
-                4
-            ];
-            run_batch_isolated(&index, &queries, 2, &QueryGuard::new())
-                .into_results()
-                .map(|_| ())
         }
         "store::wal_append" | "store::fsync" | "store::checkpoint" => {
             // The durability sites fire inside a `DurableDynamic`'s op
@@ -156,15 +142,8 @@ fn every_site_surfaces_as_typed_error_and_recovers() {
             Err(e) => e,
             Ok(()) => panic!("site {site}: armed fail point did not surface"),
         };
-        // Build sites return the injected Internal error verbatim; the
-        // batch site funnels the shard panic into ShardPanicked.
+        // Build sites return the injected Internal error verbatim.
         match site {
-            "batch::shard" => {
-                assert!(
-                    matches!(err, SkqError::ShardPanicked { .. }),
-                    "{site}: {err}"
-                )
-            }
             // The worker-level fail point becomes a panic between pop
             // and reply: the job dies with the unwind (the supervisor
             // respawns the worker), so the caller sees the
@@ -222,47 +201,4 @@ fn injected_failure_does_not_poison_a_dynamic_index() {
         .0;
     got.sort();
     assert_eq!(got, expected);
-}
-
-#[test]
-fn batch_shards_retry_and_isolate_injected_panics() {
-    let _serial = failpoints::exclusive();
-    let d = dataset();
-    let index = OrpKwIndex::try_build(&d, 2).unwrap();
-    let queries = vec![
-        BatchQuery {
-            rect: Rect::full(2),
-            keywords: vec![0, 1],
-        };
-        8
-    ];
-    let expected = index.count(&Rect::full(2), &[0, 1]).unwrap() as usize;
-
-    // One injected panic: the first shard attempt dies, the bounded
-    // retry succeeds, and the batch completes.
-    let armed = failpoints::inject("batch::shard", FailAction::Panic, Some(1));
-    let report = run_batch_isolated(&index, &queries, 2, &QueryGuard::new());
-    assert!(report.is_complete());
-    assert!(report.outcomes.contains(&ShardOutcome::Retried));
-    for r in report.into_results().unwrap() {
-        assert_eq!(r.len(), expected);
-    }
-
-    // A persistent panic exhausts the retry: the shard fails but the
-    // others still complete, and nothing escapes as a panic.
-    drop(armed);
-    let armed = failpoints::inject("batch::shard", FailAction::Panic, None);
-    let report = run_batch_isolated(&index, &queries, 2, &QueryGuard::new());
-    assert!(!report.is_complete());
-    assert!(report.outcomes.iter().all(|o| *o == ShardOutcome::Failed));
-
-    // Disarmed, the same index and queries run clean — the injected
-    // panics poisoned nothing, structurally included.
-    drop(armed);
-    deep_validate!(index);
-    let report = run_batch_isolated(&index, &queries, 2, &QueryGuard::new());
-    assert!(report.is_complete());
-    for r in report.into_results().unwrap() {
-        assert_eq!(r.len(), expected);
-    }
 }

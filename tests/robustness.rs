@@ -10,7 +10,6 @@
 
 use std::time::Duration;
 
-use structured_keyword_search::core::batch::{run_batch_isolated, BatchQuery, ShardOutcome};
 use structured_keyword_search::core::dynamic::DynamicOrpKw;
 use structured_keyword_search::core::naive::brute_rect;
 use structured_keyword_search::core::rr::rr_bruteforce;
@@ -155,26 +154,6 @@ fn every_error_variant_is_reachable_from_public_api() {
     let guard = QueryGuard::new().with_cancel(token);
     assert_eq!(guard.check(), Err(SkqError::Cancelled));
 
-    // ShardPanicked — a malformed per-shard query (wrong keyword arity
-    // panics inside the worker) survives isolation as a Failed shard
-    // and surfaces as a typed error from into_results().
-    let queries: Vec<BatchQuery> = (0..8)
-        .map(|_| BatchQuery {
-            rect: Rect::full(2),
-            keywords: vec![0, 1],
-        })
-        .chain(std::iter::once(BatchQuery {
-            rect: Rect::full(2),
-            keywords: vec![0, 1, 2], // arity 3 against a k=2 index
-        }))
-        .collect();
-    let report = run_batch_isolated(&index, &queries, 3, &QueryGuard::new());
-    assert!(!report.is_complete());
-    assert!(report.outcomes.contains(&ShardOutcome::Failed));
-    let err = report.into_results().unwrap_err();
-    assert!(matches!(err, SkqError::ShardPanicked { .. }), "{err}");
-    assert_eq!(err.kind(), "shard_panicked");
-
     // Internal — only constructible via fail-point injection; covered
     // by tests/chaos.rs under `--features failpoints`.
 }
@@ -269,16 +248,6 @@ fn every_query_entry_rejects_malformed_input_typed() {
     let rr = RrKwIndex::try_build(&boxes(&d), 2).unwrap();
     assert_rejected("rr", "1-D rectangle", &rr, &Rect::full(1), &[0, 1]);
     assert_keyword_contract("rr", &rr, &rect);
-
-    let rr_linear = RrKwLinear::try_build(&boxes(&d), 2).unwrap();
-    assert_rejected(
-        "rr_linear",
-        "3-D rectangle",
-        &rr_linear,
-        &Rect::full(3),
-        &[0, 1],
-    );
-    assert_keyword_contract("rr_linear", &rr_linear, &rect);
 
     let box_2d = ConvexPolytope::from_rect(&rect);
     for (entry, index) in [
@@ -391,7 +360,6 @@ fn every_query_entry_agrees_with_brute_force() {
     let rects = boxes(&d);
     let orp = OrpKwIndex::try_build(&d, 2).unwrap();
     let rr = RrKwIndex::try_build(&rects, 2).unwrap();
-    let rr_linear = RrKwLinear::try_build(&rects, 2).unwrap();
     let sp = SpKwIndex::try_build(&d, 2).unwrap();
     let lc = LcKwIndex::try_build(&d, 2).unwrap();
     let srp = SrpKwIndex::try_build(&d, 2).unwrap();
@@ -419,13 +387,6 @@ fn every_query_entry_agrees_with_brute_force() {
         assert_agrees("orp", &orp, &rect, &kws, &want);
         assert_agrees("suite", &suite, &rect, &kws, &want);
         assert_agrees("rr", &rr, &rect, &kws, &rr_bruteforce(&rects, &rect, &kws));
-        assert_agrees(
-            "rr_linear",
-            &rr_linear,
-            &rect,
-            &kws,
-            &rr_bruteforce(&rects, &rect, &kws),
-        );
         let poly = ConvexPolytope::new(vec![
             Halfspace::new(&[1.0, 1.0], hi[0] + hi[1] - 10.0),
             Halfspace::new(&[-1.0, 0.0], -lo[0]),
