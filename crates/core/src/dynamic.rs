@@ -13,7 +13,13 @@
 //! structure is rebuilt from live objects whenever at least half of it
 //! is dead, so space stays `O(N_live)` and filtering stays `O(1)` per
 //! reported object.
+//!
+//! [`ObjectTable`] is the durable tier's store: the live objects by id
+//! and the id watermark, with no index. It is what the write-ahead log
+//! replays into and what a checkpoint saves; a served suite is built
+//! from its [`live_dataset`](ObjectTable::live_dataset) export.
 
+use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -31,17 +37,44 @@ use crate::sink::ResultSink;
 use crate::stats::{QueryStats, TruncatedReason};
 use crate::telemetry;
 
-/// Handle returned by [`DynamicOrpKw::try_insert`], used for deletion.
+/// Handle returned by [`DynamicOrpKw::try_insert`] and
+/// [`ObjectTable::try_insert`], used for deletion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectHandle(u64);
 
 impl ObjectHandle {
     /// The handle's stable numeric id — the value persisted in WAL
     /// records and snapshots, re-playable via
-    /// [`DynamicOrpKw::try_insert_with_id`].
+    /// [`ObjectTable::try_insert_with_id`].
     pub fn id(self) -> u64 {
         self.0
     }
+}
+
+/// The insert contract shared by [`DynamicOrpKw`] and [`ObjectTable`]:
+/// a `dim`-dimensional point with finite coordinates and a non-empty
+/// document.
+fn check_object(point: &Point, keywords: &[Keyword], dim: usize) -> Result<(), SkqError> {
+    if point.dim() != dim {
+        return Err(SkqError::InvalidDataset(format!(
+            "point dimension mismatch: point is {}-dimensional, index is {dim}-dimensional",
+            point.dim()
+        )));
+    }
+    if keywords.is_empty() {
+        return Err(SkqError::InvalidDataset(
+            "documents must be non-empty".into(),
+        ));
+    }
+    for i in 0..point.dim() {
+        if !point.get(i).is_finite() {
+            return Err(SkqError::InvalidDataset(format!(
+                "coordinates must be finite: inserted point has {} in dimension {i}",
+                point.get(i)
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Objects buffered before the first block is formed.
@@ -157,26 +190,7 @@ impl DynamicOrpKw {
         point: Point,
         keywords: Vec<Keyword>,
     ) -> Result<ObjectHandle, SkqError> {
-        if point.dim() != self.dim {
-            return Err(SkqError::InvalidDataset(format!(
-                "point dimension mismatch: point is {}-dimensional, index is {}-dimensional",
-                point.dim(),
-                self.dim
-            )));
-        }
-        if keywords.is_empty() {
-            return Err(SkqError::InvalidDataset(
-                "documents must be non-empty".into(),
-            ));
-        }
-        for i in 0..point.dim() {
-            if !point.get(i).is_finite() {
-                return Err(SkqError::InvalidDataset(format!(
-                    "coordinates must be finite: inserted point has {} in dimension {i}",
-                    point.get(i)
-                )));
-            }
-        }
+        check_object(&point, &keywords, self.dim)?;
         let handle = ObjectHandle(self.next_handle);
         self.next_handle += 1;
         self.live_set.insert(handle.0, ());
@@ -195,43 +209,11 @@ impl DynamicOrpKw {
         Ok(handle)
     }
 
-    /// Inserts an object under a caller-chosen id. Ids must be fresh:
-    /// inserting under an id that was ever allocated (by either insert
-    /// surface) is rejected, because the handle may still be referenced
-    /// by the live-set or by a deleted-object tombstone check.
-    ///
-    /// # Errors
-    ///
-    /// `SkqError::InvalidQuery` if `id` duplicates an already-allocated
-    /// handle; otherwise the [`try_insert`](Self::try_insert) errors.
-    pub fn try_insert_with_id(
-        &mut self,
-        id: u64,
-        point: Point,
-        keywords: Vec<Keyword>,
-    ) -> Result<ObjectHandle, SkqError> {
-        if id < self.next_handle {
-            return Err(SkqError::InvalidQuery(format!(
-                "duplicate object id {id}: ids up to {} are already allocated",
-                self.next_handle - 1
-            )));
-        }
-        let saved = self.next_handle;
-        self.next_handle = id;
-        match self.try_insert(point, keywords) {
-            Ok(h) => Ok(h),
-            Err(e) => {
-                self.next_handle = saved;
-                Err(e)
-            }
-        }
-    }
-
     /// Deletes an object by numeric id — the by-id twin of
     /// [`delete`](Self::delete), used when the caller holds a
-    /// persisted id (WAL replay, crash-recovery rollback) rather than
-    /// a live [`ObjectHandle`]. Returns whether the object was live;
-    /// deleting an unknown or already-dead id is a `false` no-op.
+    /// persisted id rather than a live [`ObjectHandle`]. Returns
+    /// whether the object was live; deleting an unknown or
+    /// already-dead id is a `false` no-op.
     pub fn delete_by_id(&mut self, id: u64) -> bool {
         self.delete(ObjectHandle(id))
     }
@@ -451,63 +433,6 @@ impl DynamicOrpKw {
         }
     }
 
-    /// The dimensionality this index was created with.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// The exact keyword count (`k`) this index answers.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The handle-allocation watermark: the id the next plain
-    /// [`try_insert`](Self::try_insert) would receive. Every id below it has
-    /// been allocated (or burned) already.
-    pub fn next_id(&self) -> u64 {
-        self.next_handle
-    }
-
-    /// Whether the object with this id is currently live.
-    pub fn contains(&self, id: u64) -> bool {
-        self.live_set.contains_key(&id)
-    }
-
-    /// Every live object as `(id, point, keywords)`, sorted by id, with
-    /// each document's keywords ascending and distinct.
-    pub fn live_objects(&self) -> Vec<(u64, Point, Vec<Keyword>)> {
-        self.live_sorted()
-            .into_iter()
-            .map(|(p, doc, h)| (h.0, p, doc.keywords().to_vec()))
-            .collect()
-    }
-
-    /// Every live object as one dataset, sorted by id, plus the id of
-    /// each dataset position — the deterministic export the recovery
-    /// supervisor builds a static suite from. Points and documents go
-    /// straight into the dataset's columns.
-    ///
-    /// # Errors
-    ///
-    /// `SkqError::InvalidDataset` when no object is live.
-    pub fn live_dataset(&self) -> Result<(Dataset, Vec<u64>), SkqError> {
-        let live = self.live_sorted();
-        let ids = live.iter().map(|&(_, _, h)| h.0).collect();
-        let points = live.iter().map(|&(p, _, _)| p).collect();
-        let docs: Arc<[Document]> = live.iter().map(|&(_, doc, _)| doc.clone()).collect();
-        Ok((Dataset::try_new(points, docs)?, ids))
-    }
-
-    /// The live objects in place, sorted by id.
-    fn live_sorted(&self) -> Vec<EntryRef<'_>> {
-        let mut live: Vec<EntryRef<'_>> = self
-            .stored()
-            .filter(|(_, _, h)| self.live_set.contains_key(&h.0))
-            .collect();
-        live.sort_unstable_by_key(|&(_, _, h)| h);
-        live
-    }
-
     /// Number of static blocks currently alive (the `O(log n)` factor).
     pub fn num_blocks(&self) -> usize {
         self.blocks.iter().flatten().count()
@@ -617,6 +542,157 @@ impl ResultSink for HandleSink<'_> {
     }
 }
 
+// ------------------------------------------------------- object table
+
+/// The live objects of the durable tier by id, plus the id watermark.
+/// It answers no queries (a served suite is built from
+/// [`live_dataset`](Self::live_dataset)), so a write never builds a
+/// block. The watermark only rises and a checkpoint saves it, so an id
+/// is never reused, even one freed at the top of the range.
+///
+/// # Example
+///
+/// ```
+/// use skq_core::dynamic::ObjectTable;
+/// use skq_geom::Point;
+///
+/// let mut table = ObjectTable::try_new(2)?;
+/// let a = table.try_insert(Point::new2(1.0, 1.0), vec![0, 1])?;
+/// let b = table.try_insert(Point::new2(2.0, 2.0), vec![3, 1, 3])?;
+/// assert!(table.delete(b.id()));
+/// assert_eq!(table.next_id(), 2, "a deleted id is not reused");
+/// let (dataset, ids) = table.live_dataset()?;
+/// assert_eq!(ids, vec![a.id()]);
+/// assert_eq!(dataset.doc(0).keywords(), &[0, 1]);
+/// # Ok::<(), skq_core::SkqError>(())
+/// ```
+#[derive(Clone, Debug, PartialEq)]
+pub struct ObjectTable {
+    dim: usize,
+    objects: BTreeMap<u64, (Point, Document)>,
+    /// Every id below it has been allocated (or burned) already.
+    next_id: u64,
+}
+
+impl ObjectTable {
+    /// An empty table for `dim`-dimensional points.
+    ///
+    /// # Errors
+    ///
+    /// `SkqError::InvalidDataset` if `dim` is outside
+    /// `1..=MAX_DIM`.
+    pub fn try_new(dim: usize) -> Result<Self, SkqError> {
+        if !(1..=skq_geom::MAX_DIM).contains(&dim) {
+            return Err(SkqError::InvalidDataset(format!(
+                "dimensionality {dim} outside 1..={}",
+                skq_geom::MAX_DIM
+            )));
+        }
+        Ok(Self {
+            dim,
+            objects: BTreeMap::new(),
+            next_id: 0,
+        })
+    }
+
+    /// The dimensionality of the stored points.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// The number of live objects.
+    pub fn len(&self) -> usize {
+        self.objects.len()
+    }
+
+    /// Whether no object is live.
+    pub fn is_empty(&self) -> bool {
+        self.objects.is_empty()
+    }
+
+    /// The id watermark: the id the next
+    /// [`try_insert`](Self::try_insert) receives.
+    pub fn next_id(&self) -> u64 {
+        self.next_id
+    }
+
+    /// Whether the object with this id is live.
+    pub fn contains(&self, id: u64) -> bool {
+        self.objects.contains_key(&id)
+    }
+
+    /// The live objects as `(id, point, document)`, ascending by id.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &Point, &Document)> {
+        self.objects.iter().map(|(&id, (p, doc))| (id, p, doc))
+    }
+
+    /// Inserts an object under the next id. The keywords are kept as a
+    /// [`Document`]: sorted, without duplicates.
+    ///
+    /// # Errors
+    ///
+    /// As [`try_insert_with_id`](Self::try_insert_with_id).
+    pub fn try_insert(
+        &mut self,
+        point: Point,
+        keywords: Vec<Keyword>,
+    ) -> Result<ObjectHandle, SkqError> {
+        self.try_insert_with_id(self.next_id, point, keywords)
+    }
+
+    /// Inserts an object under a caller-chosen id, as WAL replay does.
+    /// The id must be at or above the watermark, which then moves past
+    /// it; the ids skipped over are burned. A rejected insert leaves
+    /// the table unchanged.
+    ///
+    /// # Errors
+    ///
+    /// `SkqError::InvalidQuery` if `id` is below the watermark (a
+    /// duplicate) or is `u64::MAX`; `SkqError::InvalidDataset` on a
+    /// dimension mismatch, an empty document, or non-finite
+    /// coordinates.
+    pub fn try_insert_with_id(
+        &mut self,
+        id: u64,
+        point: Point,
+        keywords: Vec<Keyword>,
+    ) -> Result<ObjectHandle, SkqError> {
+        if id < self.next_id {
+            return Err(SkqError::InvalidQuery(format!(
+                "duplicate object id {id}: ids up to {} are already allocated",
+                self.next_id - 1
+            )));
+        }
+        let next_id = id.checked_add(1).ok_or_else(|| {
+            SkqError::InvalidQuery(format!("object id {id} leaves no id above it"))
+        })?;
+        check_object(&point, &keywords, self.dim)?;
+        self.next_id = next_id;
+        self.objects.insert(id, (point, Document::new(keywords)));
+        Ok(ObjectHandle(id))
+    }
+
+    /// Deletes the object with this id. Returns whether it was live;
+    /// deleting an unknown or already-dead id is a `false` no-op.
+    pub fn delete(&mut self, id: u64) -> bool {
+        self.objects.remove(&id).is_some()
+    }
+
+    /// Every live object as one dataset, in id order, plus the id of
+    /// each dataset position: the deterministic export the recovery
+    /// supervisor builds a static suite from.
+    ///
+    /// # Errors
+    ///
+    /// `SkqError::InvalidDataset` when no object is live.
+    pub fn live_dataset(&self) -> Result<(Dataset, Vec<u64>), SkqError> {
+        let ids = self.objects.keys().copied().collect();
+        let points = self.objects.values().map(|(p, _)| *p).collect();
+        let docs: Arc<[Document]> = self.objects.values().map(|(_, doc)| doc.clone()).collect();
+        Ok((Dataset::try_new(points, docs)?, ids))
+    }
+}
+
 // ------------------------------------------------------------ persist
 
 use crate::persist::{self, Persist, SCHEMA_VERSION};
@@ -631,18 +707,19 @@ fn dyn_corrupt(detail: impl Into<String>) -> SkqError {
     }
 }
 
-/// Encodes `entries` (with their live flags) into `DYN_OBJECTS` pages.
+/// Encodes `entries`, each with its live flag, into `DYN_OBJECTS`
+/// pages: the object record codec of both the [`DynamicOrpKw`]
+/// snapshot and the [`ObjectTable`] checkpoint.
 fn put_object_pages<'a>(
     w: &mut persist::PageWriter,
-    entries: impl Iterator<Item = EntryRef<'a>>,
-    live: &FxHashMap<u64, ()>,
+    entries: impl Iterator<Item = (EntryRef<'a>, bool)>,
     dim: usize,
 ) {
     let mut buf = Vec::new();
     let mut in_page = 0;
-    for (p, doc, h) in entries {
+    for ((p, doc, h), live) in entries {
         persist::put_uv(&mut buf, h.0);
-        persist::put_uv(&mut buf, u64::from(live.contains_key(&h.0)));
+        persist::put_uv(&mut buf, u64::from(live));
         for i in 0..dim {
             persist::put_f64(&mut buf, p.get(i));
         }
@@ -670,7 +747,7 @@ type SnapshotObject = (Point, Document, ObjectHandle, bool);
 
 /// Decodes `n` objects written by [`put_object_pages`], returning each
 /// with its live flag. Geometry and document contracts are re-checked
-/// exactly as [`DynamicOrpKw::try_insert`] enforces them.
+/// exactly as [`check_object`] enforces them on insert.
 fn read_object_pages(
     r: &mut persist::PageReader<'_>,
     n: usize,
@@ -741,9 +818,10 @@ impl Persist for DynamicOrpKw {
             }
         }
         w.page(persist::kind::DYN_HEAD, SCHEMA_VERSION, head);
-        put_object_pages(w, self.buffered(), &self.live_set, self.dim);
+        let live = |h: ObjectHandle| self.live_set.contains_key(&h.0);
+        put_object_pages(w, self.buffered().map(|e| (e, live(e.2))), self.dim);
         for block in self.blocks.iter().flatten() {
-            put_object_pages(w, block.objects(), &self.live_set, self.dim);
+            put_object_pages(w, block.objects().map(|e| (e, live(e.2))), self.dim);
             block.index.to_pages(w)?;
         }
         Ok(())
@@ -864,6 +942,60 @@ impl Persist for DynamicOrpKw {
     }
 }
 
+/// Checkpoint layout (DESIGN.md §15.2/§16.2): one `OBJECTS_HEAD` page
+/// (`dim`, id watermark, object count), then the objects in id order as
+/// `DYN_OBJECTS` pages, every one flagged live.
+impl Persist for ObjectTable {
+    fn to_pages(&self, w: &mut persist::PageWriter) -> Result<(), SkqError> {
+        let mut head = Vec::new();
+        persist::put_uv(&mut head, self.dim as u64);
+        persist::put_uv(&mut head, self.next_id);
+        persist::put_uv(&mut head, self.objects.len() as u64);
+        w.page(persist::kind::OBJECTS_HEAD, SCHEMA_VERSION, head);
+        let live = self
+            .objects
+            .iter()
+            .map(|(&id, (p, doc))| ((*p, doc, ObjectHandle(id)), true));
+        put_object_pages(w, live, self.dim);
+        Ok(())
+    }
+
+    /// # Errors
+    ///
+    /// `SkqError::Store` naming the format when the snapshot is a
+    /// [`DynamicOrpKw`] (first page `DYN_HEAD`), the checkpoint format
+    /// before the table; `SkqError::Corrupted` on malformed input.
+    fn from_pages(r: &mut persist::PageReader<'_>) -> Result<Self, SkqError> {
+        if r.peek_kind() == Some(persist::kind::DYN_HEAD) {
+            return Err(SkqError::Store {
+                backend: "checkpoint".into(),
+                message: "a DynamicOrpKw snapshot (first page DYN_HEAD), the checkpoint format \
+                          before the object table (first page OBJECTS_HEAD)"
+                    .into(),
+            });
+        }
+        let mut head = r.page(persist::kind::OBJECTS_HEAD, SCHEMA_VERSION, "objects")?;
+        let dim = head.usizev()?;
+        let next_id = head.uv()?;
+        let n = head.usizev()?;
+        head.end()?;
+        let mut table = Self::try_new(dim).map_err(|e| dyn_corrupt(e.to_string()))?;
+        for (p, doc, h, live) in read_object_pages(r, n, dim)? {
+            if !live {
+                return Err(dyn_corrupt(format!("object {} is flagged dead", h.0)));
+            }
+            if h.0 >= next_id || table.objects.insert(h.0, (p, doc)).is_some() {
+                return Err(dyn_corrupt(format!(
+                    "object id {} is a duplicate or at or above the watermark {next_id}",
+                    h.0
+                )));
+            }
+        }
+        table.next_id = next_id;
+        Ok(table)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     #![allow(clippy::disallowed_methods)]
@@ -875,6 +1007,18 @@ mod tests {
     /// An unguarded query's handles.
     fn hits(idx: &DynamicOrpKw, q: &Rect, kws: &[Keyword]) -> Vec<ObjectHandle> {
         idx.query(q, kws, &QueryGuard::new()).unwrap().0
+    }
+
+    /// Every live object as `(id, point, keywords)`, sorted by id, read
+    /// back from the buffer and the blocks' indexes.
+    fn live_objects(idx: &DynamicOrpKw) -> Vec<(u64, Point, Vec<Keyword>)> {
+        let mut live: Vec<(u64, Point, Vec<Keyword>)> = idx
+            .stored()
+            .filter(|(_, _, h)| idx.live_set.contains_key(&h.0))
+            .map(|(p, doc, h)| (h.0, p, doc.keywords().to_vec()))
+            .collect();
+        live.sort_unstable_by_key(|&(id, _, _)| id);
+        live
     }
 
     /// Naive mirror for differential testing.
@@ -985,17 +1129,11 @@ mod tests {
                 .iter()
                 .map(|(&id, (p, kws))| (id, *p, kws.clone()))
                 .collect();
-            let got = idx.live_objects();
+            let got = live_objects(idx);
             assert_eq!(got, want);
             let bits = |p: &Point| p.coords().iter().map(|c| c.to_bits()).collect::<Vec<_>>();
             for ((_, gp, _), (_, wp, _)) in got.iter().zip(&want) {
                 assert_eq!(bits(gp), bits(wp));
-            }
-            let (dataset, ids) = idx.live_dataset().unwrap();
-            assert_eq!(ids, mirror.keys().copied().collect::<Vec<_>>());
-            for (i, (_, p, kws)) in want.iter().enumerate() {
-                assert_eq!(bits(dataset.point(i)), bits(p));
-                assert_eq!(dataset.doc(i).keywords(), kws.as_slice());
             }
         };
         for _ in 0..1_500 {
@@ -1059,28 +1197,146 @@ mod tests {
 
     #[test]
     fn duplicate_id_insertion_rejected() {
-        let mut idx = DynamicOrpKw::new(2, 2);
-        let a = idx
+        let mut table = ObjectTable::try_new(2).unwrap();
+        let a = table
             .try_insert_with_id(5, Point::new2(1.0, 1.0), vec![0, 1])
             .unwrap();
         assert_eq!(a, ObjectHandle(5));
+        let before = table.clone();
         // Any id at or below the allocation watermark is a duplicate.
         for dup in [0, 4, 5] {
             assert!(matches!(
-                idx.try_insert_with_id(dup, Point::new2(2.0, 2.0), vec![0, 1]),
+                table.try_insert_with_id(dup, Point::new2(2.0, 2.0), vec![0, 1]),
                 Err(SkqError::InvalidQuery(_))
             ));
         }
         // The failed inserts left no trace.
-        assert_eq!(idx.len(), 1);
-        assert_eq!(hits(&idx, &Rect::full(2), &[0, 1]), vec![a]);
+        assert_eq!(table, before);
         // Fresh ids still work, and plain inserts continue above them.
-        let b = idx
+        let b = table
             .try_insert_with_id(9, Point::new2(3.0, 3.0), vec![0, 1])
             .unwrap();
         assert_eq!(b, ObjectHandle(9));
-        let c = idx.try_insert(Point::new2(4.0, 4.0), vec![0, 1]).unwrap();
+        let c = table.try_insert(Point::new2(4.0, 4.0), vec![0, 1]).unwrap();
         assert_eq!(c, ObjectHandle(10));
+        // The last id has no successor for the watermark to move to.
+        assert!(matches!(
+            table.try_insert_with_id(u64::MAX, Point::new2(5.0, 5.0), vec![0, 1]),
+            Err(SkqError::InvalidQuery(_))
+        ));
+        assert_eq!(table.len(), 3);
+    }
+
+    #[test]
+    fn table_validates_input_and_exports_in_id_order() {
+        assert!(ObjectTable::try_new(0).is_err());
+        assert!(ObjectTable::try_new(skq_geom::MAX_DIM + 1).is_err());
+        let mut table = ObjectTable::try_new(2).unwrap();
+        for (p, kws) in [
+            (Point::new1(0.0), vec![0]),
+            (Point::new2(0.0, 0.0), vec![]),
+            (Point::new2(f64::NAN, 0.0), vec![0]),
+        ] {
+            assert!(matches!(
+                table.try_insert(p, kws),
+                Err(SkqError::InvalidDataset(_))
+            ));
+        }
+        assert!(table.is_empty());
+        assert_eq!(table.next_id(), 0, "a rejected insert burns no id");
+        assert!(matches!(
+            table.live_dataset(),
+            Err(SkqError::InvalidDataset(_))
+        ));
+        for i in 0..10u32 {
+            let p = Point::new2(-0.0, f64::from(i));
+            table.try_insert(p, vec![i % 3, 7, i % 3]).unwrap();
+        }
+        for id in [0, 4, 9] {
+            assert!(table.delete(id));
+            assert!(!table.delete(id));
+            assert!(!table.contains(id));
+        }
+        assert_eq!(table.next_id(), 10);
+        let (dataset, ids) = table.live_dataset().unwrap();
+        assert_eq!(ids, vec![1, 2, 3, 5, 6, 7, 8]);
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(dataset.point(i).get(0).to_bits(), (-0.0f64).to_bits());
+            assert_eq!(dataset.point(i).get(1), id as f64);
+            let mut want = vec![id as u32 % 3, 7];
+            want.sort_unstable();
+            assert_eq!(dataset.doc(i).keywords(), want.as_slice());
+        }
+        let listed: Vec<u64> = table.iter().map(|(id, _, _)| id).collect();
+        assert_eq!(listed, ids);
+    }
+
+    #[test]
+    fn table_persist_round_trips_with_its_watermark() {
+        let mut table = ObjectTable::try_new(3).unwrap();
+        let mut rng = StdRng::seed_from_u64(13);
+        for _ in 0..5_000 {
+            let p = Point::new3(rng.gen_range(-9.0..9.0), -0.0, rng.gen_range(0..4) as f64);
+            let kws = (0..rng.gen_range(1..5))
+                .map(|_| rng.gen_range(0..9))
+                .collect();
+            table.try_insert(p, kws).unwrap();
+        }
+        for id in (0..5_000).step_by(7).chain([4_999]) {
+            table.delete(id);
+        }
+        let bytes = table.to_bytes().unwrap();
+        assert_eq!(
+            bytes,
+            table.to_bytes().unwrap(),
+            "encoding not deterministic"
+        );
+        let loaded = ObjectTable::try_from_bytes(&bytes).unwrap();
+        assert_eq!(loaded, table);
+        // The top id was deleted, and the watermark still covers it.
+        assert_eq!(loaded.next_id(), 5_000);
+        let mut empty = ObjectTable::try_new(1).unwrap();
+        empty.try_insert(Point::new1(1.0), vec![1]).unwrap();
+        empty.delete(0);
+        let loaded = ObjectTable::try_from_bytes(&empty.to_bytes().unwrap()).unwrap();
+        assert!(loaded.is_empty());
+        assert_eq!(loaded.next_id(), 1);
+    }
+
+    #[test]
+    fn table_decoder_rejects_the_dynamic_format_and_damage_typed() {
+        let mut idx = DynamicOrpKw::new(2, 2);
+        idx.try_insert(Point::new2(1.0, 1.0), vec![0, 1]).unwrap();
+        let err = ObjectTable::try_from_bytes(&idx.to_bytes().unwrap()).unwrap_err();
+        assert!(matches!(err, SkqError::Store { .. }), "{err}");
+        assert!(err.to_string().contains("DYN_HEAD"), "{err}");
+
+        // A dead flag, a repeated id or an id at the watermark are
+        // corrupt: the encoder writes none of them.
+        let doc = Document::new(vec![1]);
+        let decode = |entries: &[(u64, bool)]| {
+            let mut w = persist::PageWriter::new();
+            let mut head = Vec::new();
+            for v in [2, 9, entries.len() as u64] {
+                persist::put_uv(&mut head, v);
+            }
+            w.page(persist::kind::OBJECTS_HEAD, SCHEMA_VERSION, head);
+            let objects = entries
+                .iter()
+                .map(|&(id, live)| ((Point::new2(0.0, 0.0), &doc, ObjectHandle(id)), live));
+            put_object_pages(&mut w, objects, 2);
+            ObjectTable::try_from_bytes(&w.into_bytes().unwrap())
+        };
+        assert_eq!(decode(&[(3, true), (8, true)]).unwrap().len(), 2);
+        for (entries, what) in [
+            (&[(3, false)][..], "flagged dead"),
+            (&[(3, true), (3, true)][..], "duplicate"),
+            (&[(9, true)][..], "watermark 9"),
+        ] {
+            let err = decode(entries).unwrap_err();
+            assert!(matches!(err, SkqError::Corrupted { .. }), "{err}");
+            assert!(err.to_string().contains(what), "{err}");
+        }
     }
 
     #[test]
@@ -1211,9 +1467,9 @@ mod tests {
         assert_eq!(bytes, idx.to_bytes().unwrap(), "encoding not deterministic");
         let loaded = DynamicOrpKw::try_from_bytes(&bytes).unwrap();
         assert_eq!(loaded.len(), idx.len());
-        assert_eq!(loaded.next_id(), idx.next_id());
+        assert_eq!(loaded.next_handle, idx.next_handle);
         assert_eq!(loaded.num_blocks(), idx.num_blocks());
-        assert_eq!(loaded.live_objects(), idx.live_objects());
+        assert_eq!(live_objects(&loaded), live_objects(&idx));
         for w1 in 0..5u32 {
             let q = Rect::new(&[5.0, 5.0], &[40.0, 40.0]);
             let mut a = hits(&idx, &q, &[w1, 5]);
@@ -1229,7 +1485,7 @@ mod tests {
         let h = loaded
             .try_insert(Point::new2(1.0, 1.0), vec![0, 5])
             .unwrap();
-        assert_eq!(h.0, idx.next_id());
+        assert_eq!(h.0, idx.next_handle);
     }
 
     #[test]

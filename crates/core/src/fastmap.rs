@@ -1,10 +1,12 @@
 //! A fast hash map for small integer keys.
 //!
-//! The query algorithm performs `k` large-keyword lookups at *every*
-//! visited node; with the standard library's SipHash that dominates the
-//! per-node constant. Keys here are `u32` keyword ids, so a
-//! multiply-rotate hash (the FxHash construction used across rustc) is
-//! collision-adequate and several times faster.
+//! Its one user is [`DynamicOrpKw`](crate::dynamic::DynamicOrpKw)'s
+//! live-handle set, which a query consults once per reported object of
+//! every block. The keys are `u64` handle ids, so a multiply-rotate
+//! hash (the FxHash construction used across rustc) is
+//! collision-adequate and several times faster than the standard
+//! library's SipHash. (The framework tree's per-node keyword lookups
+//! binary-search sorted tables instead; DESIGN §17.)
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

@@ -11,8 +11,8 @@
 //!
 //! The checkers are `O(index size)` per call (some are
 //! `O(size · log size)` from re-sorting) and compile in every build.
-//! The `debug-invariants` cargo feature only makes the load, insert
-//! and publish paths call them automatically.
+//! The `debug-invariants` cargo feature only makes the suite snapshot
+//! load path (`OrpKwSuite::try_load`) call them automatically.
 
 use std::fmt;
 

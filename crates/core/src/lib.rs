@@ -43,8 +43,6 @@
 //!   (covered/crossing nodes of §3.3, type-1/type-2 nodes of §4).
 //! * [`telemetry`] — export hooks feeding build/query series
 //!   into the process-wide `skq-obs` metrics registry and query log.
-//! * [`concurrency`] — shared thread-count clamping used by the
-//!   `skq-serve` worker pool.
 //! * [`persist`] — the paged snapshot codec behind the `skq-store`
 //!   persistence tier: the [`persist::Persist`] trait plus the
 //!   page-walk reader/writer with checksums and schema versioning.
@@ -89,7 +87,6 @@
 // `skq-serve`'s `pool`, `queue`, `recover` and `snapshot` (tests
 // re-allow; the worker's chaos-injection panic carries a justified allow
 // audited by skq-lint).
-pub mod concurrency;
 pub mod dataset;
 pub mod dimred;
 #[warn(clippy::disallowed_methods, clippy::disallowed_macros)]

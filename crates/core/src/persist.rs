@@ -98,15 +98,18 @@ pub mod kind {
     /// `DynamicOrpKw` head: `k`, `dim`, handle watermark, buffer
     /// length, and the logarithmic-method slot occupancy.
     pub const DYN_HEAD: u16 = 20;
-    /// A chunk of `DynamicOrpKw` objects: `(handle, live flag, point,
-    /// keywords)` tuples — used for both the insertion buffer and each
-    /// block's retained source.
+    /// A chunk of objects: `(handle, live flag, point, keywords)`
+    /// tuples — a `DynamicOrpKw`'s insertion buffer and each block's
+    /// objects, or an `ObjectTable`'s live objects.
     pub const DYN_OBJECTS: u16 = 21;
     /// One further keyword layer of a multi-`k` framework tree: a head
     /// page (`k`, node count) followed by pages of per-node tables in
     /// the `TREE_NODES` table codec. Zero or more layers follow the
     /// `TREE_NODES` pages, each serving the previous layer's `k + 1`.
     pub const TREE_LAYER: u16 = 22;
+    /// `ObjectTable` head (a durable checkpoint): `dim`, id watermark,
+    /// object count. The objects follow as `DYN_OBJECTS` pages.
+    pub const OBJECTS_HEAD: u16 = 23;
 }
 
 /// FNV-1a, 64-bit — the per-section checksum of DESIGN.md §15.

@@ -12,7 +12,7 @@
 //! [`ResultSink`] is the one reporting interface every traversal in
 //! this crate emits into. The canonical sinks compose:
 //!
-//! * [`CollectSink`] / plain `Vec<u32>` — materialize (today's API);
+//! * plain `Vec<u32>` — materialize (today's API);
 //! * [`CountSink`] — count without storing;
 //! * [`LimitSink`] — stop after `t` accepted results (threshold
 //!   queries), recording truncation;
@@ -85,40 +85,6 @@ impl ResultSink for Vec<u32> {
     }
     fn emitted(&self) -> u64 {
         self.len() as u64
-    }
-}
-
-/// Owns a result vector. Equivalent to emitting into a `Vec<u32>`;
-/// exists so call sites can name the collecting behaviour explicitly.
-#[derive(Debug, Default)]
-pub struct CollectSink {
-    out: Vec<u32>,
-}
-
-impl CollectSink {
-    /// An empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The collected ids, in emission order.
-    pub fn as_slice(&self) -> &[u32] {
-        &self.out
-    }
-
-    /// Consumes the sink, returning the collected ids.
-    pub fn into_vec(self) -> Vec<u32> {
-        self.out
-    }
-}
-
-impl ResultSink for CollectSink {
-    fn emit(&mut self, id: u32) -> ControlFlow<()> {
-        self.out.push(id);
-        ControlFlow::Continue(())
-    }
-    fn emitted(&self) -> u64 {
-        self.out.len() as u64
     }
 }
 
@@ -367,15 +333,6 @@ mod tests {
         assert_eq!(out.emitted(), 3);
         assert!(!out.truncated());
         assert!(!out.is_full());
-    }
-
-    #[test]
-    fn collect_sink_matches_vec() {
-        let mut c = CollectSink::new();
-        feed(&mut c, &[5, 4]);
-        assert_eq!(c.as_slice(), &[5, 4]);
-        assert_eq!(c.emitted(), 2);
-        assert_eq!(c.into_vec(), vec![5, 4]);
     }
 
     #[test]

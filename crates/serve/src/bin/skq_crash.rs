@@ -24,9 +24,8 @@ use skq_core::nn_linf::LinfNnIndex;
 use skq_core::query::KwQuery;
 use skq_core::srp::SrpKwIndex;
 use skq_core::suite::OrpKwSuite;
-use skq_core::Dataset;
 use skq_geom::{Ball, Point, Rect};
-use skq_invidx::{Document, Keyword};
+use skq_invidx::Keyword;
 use skq_store::{DurabilityConfig, DurableDynamic};
 
 /// Keyword vocabulary: every object gets 2 distinct keywords from
@@ -60,8 +59,8 @@ enum Op {
     Delete(usize),
 }
 
-/// The in-memory oracle: the exact state the durable index must have
-/// after a prefix of the stream. Ids mirror `DynamicOrpKw`'s handle
+/// The in-memory oracle: the exact state the durable store must have
+/// after a prefix of the stream. Ids mirror `ObjectTable`'s id
 /// allocation (dense, in insert order).
 struct Oracle {
     live: Vec<(u64, Point, Vec<Keyword>)>,
@@ -187,7 +186,7 @@ fn arm_abort(site: &str) -> Result<skq_core::failpoints::FailPoint, String> {
 
 fn cmd_run(a: &Args) -> Result<(), String> {
     let (mut durable, _) =
-        DurableDynamic::open(&a.dir, 2, 2, config(a.ckpt_ops)).map_err(|e| format!("open: {e}"))?;
+        DurableDynamic::open(&a.dir, 2, config(a.ckpt_ops)).map_err(|e| format!("open: {e}"))?;
     let mut rng = Rng::new(a.seed);
     let mut oracle = Oracle::new();
     let mut handles: Vec<ObjectHandle> = Vec::new();
@@ -238,7 +237,7 @@ fn cmd_verify(a: &Args) -> Result<(), ExitCode> {
         eprintln!("skq-crash: {msg}");
         ExitCode::from(3)
     };
-    let (durable, report) = DurableDynamic::open(&a.dir, 2, 2, config(a.ckpt_ops))
+    let (durable, report) = DurableDynamic::open(&a.dir, 2, config(a.ckpt_ops))
         .map_err(|e| fail(format!("recovery failed: {e}")))?;
     if report.skipped != 0 {
         return Err(fail(format!("{} poisoned records skipped", report.skipped)));
@@ -271,8 +270,11 @@ fn cmd_verify(a: &Args) -> Result<(), ExitCode> {
     }
     let mut expect = oracle.live.clone();
     expect.sort_by_key(|(id, _, _)| *id);
-    let mut got = durable.index().live_objects();
-    got.sort_by_key(|(id, _, _)| *id);
+    let got: Vec<(u64, Point, Vec<Keyword>)> = durable
+        .index()
+        .iter()
+        .map(|(id, p, doc)| (id, *p, doc.keywords().to_vec()))
+        .collect();
     if got.len() != expect.len() {
         return Err(fail(format!(
             "recovered {} live objects, oracle has {}",
@@ -293,14 +295,13 @@ fn cmd_verify(a: &Args) -> Result<(), ExitCode> {
         return Ok(());
     }
 
-    // Build the full query surface from the recovered objects and
-    // cross-check rect / ball / NN answers against brute force.
-    let points: Vec<Point> = got.iter().map(|(_, p, _)| *p).collect();
-    let docs: Vec<Document> = got
-        .iter()
-        .map(|(_, _, kw)| Document::new(kw.clone()))
-        .collect();
-    let dataset = Dataset::try_new(points, docs).map_err(|e| fail(format!("dataset: {e}")))?;
+    // Build the full query surface from the recovered objects, through
+    // the export a publish uses, and cross-check rect / ball / NN
+    // answers against brute force.
+    let (dataset, _) = durable
+        .index()
+        .live_dataset()
+        .map_err(|e| fail(format!("dataset: {e}")))?;
     let suite =
         OrpKwSuite::try_build(&dataset, 2).map_err(|e| fail(format!("suite build: {e}")))?;
     let srp = SrpKwIndex::try_build(&dataset, 2).map_err(|e| fail(format!("srp build: {e}")))?;

@@ -29,7 +29,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use skq_core::concurrency::{available_threads, effective_threads};
 use skq_core::failpoints;
 use skq_core::query::KwQuery;
 use skq_core::sink::CountSink;
@@ -76,8 +75,8 @@ impl Default for BrownoutConfig {
 /// Sizing and default-limit knobs for a [`Server`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Worker threads (0 is clamped to 1 by
-    /// [`effective_threads`]).
+    /// Worker threads. 0 is clamped to 1: a pool with no worker would
+    /// never answer.
     pub workers: usize,
     /// Job-queue capacity; a full queue sheds new requests with
     /// [`SkqError::Overloaded`]. 0 rejects every request.
@@ -94,7 +93,9 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            workers: available_threads(),
+            // The machine's parallelism, or 1 where the platform
+            // cannot report it.
+            workers: std::thread::available_parallelism().map_or(1, usize::from),
             queue_capacity: 1024,
             default_deadline: None,
             default_max_results: None,
@@ -203,7 +204,7 @@ impl Server {
     /// Builds the pool and starts its worker threads, serving `suite`
     /// as generation 1.
     pub fn start(suite: OrpKwSuite, config: ServerConfig) -> Self {
-        let worker_count = effective_threads(config.workers);
+        let worker_count = config.workers.max(1);
         let shared = Arc::new(Shared {
             snapshots: SnapshotCell::new(suite),
             queue: JobQueue::new(config.queue_capacity),

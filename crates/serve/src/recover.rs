@@ -1,5 +1,5 @@
 //! Crash recovery for the serving layer: a supervisor that owns the
-//! durable dynamic index and keeps a [`Server`] publishing consistent
+//! durable object store and keeps a [`Server`] publishing consistent
 //! suites built from it.
 //!
 //! [`RecoverySupervisor::open`] runs the DESIGN §16 recovery state
@@ -30,13 +30,16 @@ pub struct RecoverySupervisor {
     durable: DurableDynamic,
     dir: PathBuf,
     dim: usize,
+    /// The published suites' `k_max`.
     k: usize,
     report: RecoveryReport,
 }
 
 impl RecoverySupervisor {
-    /// Opens (or crash-recovers) the durable index in `dir`; see
-    /// [`DurableDynamic::open`] for the recovery semantics.
+    /// Opens (or crash-recovers) the durable store in `dir`; see
+    /// [`DurableDynamic::open`] for the recovery semantics. Published
+    /// suites serve queries of up to `k` keywords through the framework
+    /// tree (`k_max`, as in [`OrpKwSuite::try_build`]).
     ///
     /// # Errors
     ///
@@ -47,7 +50,7 @@ impl RecoverySupervisor {
         k: usize,
         config: DurabilityConfig,
     ) -> Result<Self, SkqError> {
-        let (durable, report) = DurableDynamic::open(dir, dim, k, config)?;
+        let (durable, report) = DurableDynamic::open(dir, dim, config)?;
         Ok(Self {
             durable,
             dir: dir.to_path_buf(),
@@ -62,8 +65,8 @@ impl RecoverySupervisor {
         &self.report
     }
 
-    /// The underlying durable index (for queries against the live,
-    /// unpublished state).
+    /// The underlying durable store (for the live, unpublished
+    /// objects).
     pub fn durable(&self) -> &DurableDynamic {
         &self.durable
     }
@@ -93,8 +96,8 @@ impl RecoverySupervisor {
     /// Freezes the live object set into a static suite.
     ///
     /// Returns the suite plus the id map: the suite answers with dense
-    /// `u32` object ids in insertion order, and `ids[i]` is the durable
-    /// handle id that position corresponds to.
+    /// `u32` object ids in id order, and `ids[i]` is the durable handle
+    /// id that position corresponds to.
     ///
     /// # Errors
     ///
@@ -129,7 +132,7 @@ impl RecoverySupervisor {
                     .counter("skq_recover_total", &[("outcome", "republish")])
                     .inc();
                 let (durable, report) =
-                    DurableDynamic::open(&self.dir, self.dim, self.k, *self.durable.config())?;
+                    DurableDynamic::open(&self.dir, self.dim, *self.durable.config())?;
                 self.durable = durable;
                 self.report = report;
                 self.suite()?
@@ -146,6 +149,7 @@ mod tests {
     use super::*;
     use crate::pool::{Request, ServerConfig};
     use skq_geom::Rect;
+    use skq_store::{CheckpointPolicy, SyncPolicy, WalConfig};
     use std::fs;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -155,10 +159,24 @@ mod tests {
         dir
     }
 
+    /// No fsync, tiny segments, a checkpoint every `every_ops` ops.
+    fn fast(every_ops: u64) -> DurabilityConfig {
+        DurabilityConfig {
+            wal: WalConfig {
+                sync: SyncPolicy::Never,
+                segment_bytes: 4096,
+            },
+            checkpoint: CheckpointPolicy {
+                every_ops,
+                every_bytes: u64::MAX,
+            },
+        }
+    }
+
     #[test]
     fn recovers_and_publishes_the_acknowledged_state() {
         let dir = tmpdir("publish");
-        let config = DurabilityConfig::fast(32);
+        let config = fast(32);
         {
             let mut sup = RecoverySupervisor::open(&dir, 2, 2, config).expect("open");
             let mut handles = Vec::new();
@@ -198,8 +216,7 @@ mod tests {
     #[test]
     fn empty_live_set_is_a_typed_publish_error() {
         let dir = tmpdir("empty");
-        let mut sup =
-            RecoverySupervisor::open(&dir, 2, 2, DurabilityConfig::fast(8)).expect("open");
+        let mut sup = RecoverySupervisor::open(&dir, 2, 2, fast(8)).expect("open");
         let dataset = skq_workload::scenarios::city(50, 5);
         let server = Server::start(
             OrpKwSuite::try_build(&dataset, 2).unwrap(),

@@ -1,26 +1,26 @@
-//! Crash-safe wrapper around [`DynamicOrpKw`]: WAL + checkpoints +
+//! Crash-safe store of the live objects: WAL + checkpoints +
 //! recovery.
 //!
-//! [`DurableDynamic`] owns a live dynamic index, a [`Wal`], and an
-//! [`IndexBackend`] holding checkpoints. Every acknowledged mutation
-//! is durable in the WAL before (deletes) or atomically with (inserts)
-//! the acknowledgement; a [`CheckpointPolicy`] periodically snapshots
-//! the whole index through the paged [`Persist`](crate::Persist) codec and truncates
-//! the log. [`DurableDynamic::open`] is the recovery state machine:
-//! newest valid checkpoint, then WAL replay of the tail — see DESIGN
-//! §16 for the normative description.
-//!
-//! [`DynamicOrpKw`]: skq_core::dynamic::DynamicOrpKw
+//! [`DurableDynamic`] owns an [`ObjectTable`] (the live objects by id
+//! and the id watermark), a [`Wal`], and an [`IndexBackend`] holding
+//! checkpoints. Every acknowledged mutation is durable in the WAL
+//! before (deletes) or atomically with (inserts) the acknowledgement;
+//! a [`CheckpointPolicy`] periodically saves the table through the
+//! paged [`Persist`](crate::Persist) codec and truncates the log.
+//! Nothing here builds an index: a server builds its suite from
+//! [`ObjectTable::live_dataset`]. [`DurableDynamic::open`] is the
+//! recovery state machine: newest valid checkpoint, then WAL replay
+//! of the tail — see DESIGN §16 for the normative description.
 
 use std::path::Path;
 
-use skq_core::dynamic::{DynamicOrpKw, ObjectHandle};
+use skq_core::dynamic::{ObjectHandle, ObjectTable};
 use skq_core::error::SkqError;
 use skq_core::failpoints;
 use skq_geom::Point;
 use skq_invidx::Keyword;
 
-use crate::wal::{SyncPolicy, Wal, WalConfig, WalOp};
+use crate::wal::{Wal, WalConfig, WalOp};
 use crate::{FileBackend, IndexBackend};
 
 /// Checkpoint name for the snapshot covering lsns ≤ `lsn`.
@@ -69,29 +69,12 @@ pub struct DurabilityConfig {
     pub checkpoint: CheckpointPolicy,
 }
 
-impl DurabilityConfig {
-    /// A configuration for tests: no fsync, tiny segments, checkpoint
-    /// every `every_ops` ops.
-    pub fn fast(every_ops: u64) -> Self {
-        DurabilityConfig {
-            wal: WalConfig {
-                sync: SyncPolicy::Never,
-                segment_bytes: 4096,
-            },
-            checkpoint: CheckpointPolicy {
-                every_ops,
-                every_bytes: u64::MAX,
-            },
-        }
-    }
-}
-
 /// What [`DurableDynamic::open`] did to reach a published state.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RecoveryReport {
     /// Lsn covered by the checkpoint that seeded the state (0 = none).
     pub checkpoint_lsn: u64,
-    /// Highest lsn seen anywhere (checkpoint or WAL); the index state
+    /// Highest lsn seen anywhere (checkpoint or WAL); the table
     /// reflects exactly the acknowledged ops `1..=last_lsn`.
     pub last_lsn: u64,
     /// WAL records replayed on top of the checkpoint.
@@ -105,10 +88,10 @@ pub struct RecoveryReport {
     pub checkpoints_discarded: u64,
 }
 
-/// A crash-safe [`DynamicOrpKw`]: write-ahead logged, periodically
+/// A crash-safe [`ObjectTable`]: write-ahead logged, periodically
 /// checkpointed, recoverable via [`open`](DurableDynamic::open).
 pub struct DurableDynamic {
-    index: DynamicOrpKw,
+    table: ObjectTable,
     wal: Wal,
     backend: FileBackend,
     config: DurabilityConfig,
@@ -121,30 +104,30 @@ pub struct DurableDynamic {
 }
 
 impl DurableDynamic {
-    /// Creates a fresh durable index in `dir` (`dim`, `k` as in
-    /// [`DynamicOrpKw::new`]) or recovers the one already there.
+    /// Creates a fresh durable store of `dim`-dimensional objects in
+    /// `dir`, or recovers the one already there.
     ///
-    /// Recovery: load the newest checkpoint whose snapshot validates
-    /// (corrupt ones are discarded and counted, falling back to older
-    /// checkpoints and finally to an empty index), then replay every
-    /// WAL record with lsn beyond the checkpoint. Poisoned records are
-    /// skipped with a typed reason rather than aborting recovery —
-    /// the WAL's per-record checksums make a decode-level tear stop
-    /// the scan instead (see [`Wal::open`]). With `debug-invariants`
-    /// the recovered index is deep-validated before being returned.
+    /// Recovery: load the newest checkpoint that decodes (corrupt ones
+    /// are discarded and counted, falling back to older checkpoints
+    /// and finally to an empty table), then replay every WAL record
+    /// with lsn beyond the checkpoint. Poisoned records are skipped
+    /// with a typed reason rather than aborting recovery — the WAL's
+    /// per-record checksums make a decode-level tear stop the scan
+    /// instead (see [`Wal::open`]).
     ///
     /// # Errors
     ///
-    /// `SkqError::Store` if the directory or WAL is unusable, or if
-    /// `dim`/`k` conflict with a recovered checkpoint.
+    /// `SkqError::Store` if the directory or WAL is unusable, a
+    /// checkpoint is unreadable or in the pre-table `DYN_HEAD` format,
+    /// or `dim` conflicts with the checkpoint;
+    /// `SkqError::InvalidDataset` if `dim` is outside `1..=MAX_DIM`.
     pub fn open(
         dir: &Path,
         dim: usize,
-        k: usize,
         config: DurabilityConfig,
     ) -> Result<(Self, RecoveryReport), SkqError> {
         let _span = skq_obs::Span::enter("recover.replay");
-        let result = Self::open_inner(dir, dim, k, config);
+        let result = Self::open_inner(dir, dim, config);
         let outcome = match &result {
             Ok(_) => "ok",
             Err(_) => "error",
@@ -158,28 +141,35 @@ impl DurableDynamic {
     fn open_inner(
         dir: &Path,
         dim: usize,
-        k: usize,
         config: DurabilityConfig,
     ) -> Result<(Self, RecoveryReport), SkqError> {
         let backend = FileBackend::new(dir)?;
         let mut report = RecoveryReport::default();
 
-        // Newest-valid-checkpoint-wins: try each snapshot from newest
-        // to oldest, discarding (and counting) any that fail the typed
-        // load path.
+        // Newest-valid-checkpoint-wins: try each from newest to oldest,
+        // discarding (and counting) any that fail to decode. A `Store`
+        // error (unreadable, or a format this build does not read) stops
+        // recovery: skipping it could silently open an older state.
         let mut ckpts: Vec<u64> = backend
             .list()?
             .iter()
             .filter_map(|n| checkpoint_lsn(n))
             .collect();
         ckpts.sort_unstable_by(|a, b| b.cmp(a));
-        let mut index: Option<DynamicOrpKw> = None;
+        let mut table: Option<ObjectTable> = None;
         for &lsn in &ckpts {
-            match backend.load::<DynamicOrpKw>(&checkpoint_name(lsn)) {
-                Ok(ix) => {
-                    index = Some(ix);
+            let name = checkpoint_name(lsn);
+            match backend.load::<ObjectTable>(&name) {
+                Ok(t) => {
+                    table = Some(t);
                     report.checkpoint_lsn = lsn;
                     break;
+                }
+                Err(SkqError::Store { backend, message }) => {
+                    return Err(SkqError::Store {
+                        backend,
+                        message: format!("checkpoint {name}: {message}"),
+                    });
                 }
                 Err(_) => {
                     report.checkpoints_discarded += 1;
@@ -189,14 +179,16 @@ impl DurableDynamic {
                 }
             }
         }
-        let mut index = index.unwrap_or_else(|| DynamicOrpKw::new(dim, k));
-        if index.dim() != dim || index.k() != k {
+        let mut table = match table {
+            Some(t) => t,
+            None => ObjectTable::try_new(dim)?,
+        };
+        if table.dim() != dim {
             return Err(SkqError::Store {
                 backend: "file".to_string(),
                 message: format!(
-                    "recovered checkpoint has dim {}, k {} but dim {dim}, k {k} was requested",
-                    index.dim(),
-                    index.k()
+                    "recovered checkpoint has dim {} but dim {dim} was requested",
+                    table.dim()
                 ),
             });
         }
@@ -216,13 +208,13 @@ impl DurableDynamic {
                     id,
                     point,
                     keywords,
-                } => index
+                } => table
                     .try_insert_with_id(*id, *point, keywords.clone())
                     .map(|_| ()),
                 WalOp::Delete { id } => {
                     // Deleting a dead or unknown id is an idempotent
                     // no-op, exactly what partially-truncated logs need.
-                    index.delete_by_id(*id);
+                    table.delete(*id);
                     Ok(())
                 }
             };
@@ -242,15 +234,9 @@ impl DurableDynamic {
             }
         }
 
-        #[cfg(feature = "debug-invariants")]
-        index.validate().map_err(|v| SkqError::Corrupted {
-            section: "recovered_index".to_string(),
-            detail: v.to_string(),
-        })?;
-
         let bytes_mark = wal.bytes_appended();
         let mut durable = DurableDynamic {
-            index,
+            table,
             wal,
             backend,
             config,
@@ -265,9 +251,9 @@ impl DurableDynamic {
         Ok((durable, report))
     }
 
-    /// The live index, for queries.
-    pub fn index(&self) -> &DynamicOrpKw {
-        &self.index
+    /// The live-object table.
+    pub fn index(&self) -> &ObjectTable {
+        &self.table
     }
 
     /// The checkpoint/WAL cadence in force.
@@ -275,32 +261,33 @@ impl DurableDynamic {
         &self.config
     }
 
-    /// Inserts an object durably: applied to the live index, then
-    /// logged; only a logged insert is acknowledged.
+    /// Inserts an object durably: applied to the table, then logged;
+    /// only a logged insert is acknowledged.
     ///
-    /// Apply-then-log keeps handle allocation and the WAL in lockstep:
-    /// if the log append fails the freshly applied object is rolled
-    /// back by deletion, and — because the consumed id is recorded
-    /// nowhere — the explicit-id replay path tolerates the gap.
+    /// Apply-then-log keeps id allocation and the WAL in lockstep: if
+    /// the log append fails the freshly applied object is rolled back
+    /// by deletion, and its id stays burned, so a later insert never
+    /// shares it with a half-rolled-back record. The explicit-id
+    /// replay path tolerates the gap.
     ///
     /// # Errors
     ///
-    /// Whatever [`DynamicOrpKw::try_insert`] rejects, or
-    /// `SkqError::Store` if the WAL append failed (the index is left
-    /// as if the insert never happened).
+    /// Whatever [`ObjectTable::try_insert`] rejects, or
+    /// `SkqError::Store` if the WAL append failed (the object is not
+    /// live).
     pub fn insert(
         &mut self,
         point: Point,
         keywords: Vec<Keyword>,
     ) -> Result<ObjectHandle, SkqError> {
-        let handle = self.index.try_insert(point, keywords.clone())?;
+        let handle = self.table.try_insert(point, keywords.clone())?;
         let op = WalOp::Insert {
             id: handle.id(),
             point,
             keywords,
         };
         if let Err(e) = self.wal.append(&op) {
-            self.index.delete_by_id(handle.id());
+            self.table.delete(handle.id());
             return Err(e);
         }
         self.after_op();
@@ -319,11 +306,11 @@ impl DurableDynamic {
     /// `SkqError::Store` if the WAL append failed (the object stays
     /// live).
     pub fn delete(&mut self, handle: ObjectHandle) -> Result<bool, SkqError> {
-        if !self.index.contains(handle.id()) {
+        if !self.table.contains(handle.id()) {
             return Ok(false);
         }
         self.wal.append(&WalOp::Delete { id: handle.id() })?;
-        let was_live = self.index.delete(handle);
+        let was_live = self.table.delete(handle.id());
         self.after_op();
         Ok(was_live)
     }
@@ -350,14 +337,14 @@ impl DurableDynamic {
             .inc();
     }
 
-    /// Snapshots the live index covering every op logged so far, then
-    /// truncates the WAL and prunes old checkpoints (the latest two
-    /// are kept — the newest plus one fallback).
+    /// Saves the table covering every op logged so far, then truncates
+    /// the WAL and prunes old checkpoints (the latest two are kept —
+    /// the newest plus one fallback).
     ///
     /// # Errors
     ///
-    /// `SkqError::Store` on snapshot or I/O failure — the index and
-    /// WAL are unchanged, so nothing acknowledged is at risk.
+    /// `SkqError::Store` on I/O failure — the table and WAL are
+    /// unchanged, so nothing acknowledged is at risk.
     pub fn checkpoint(&mut self) -> Result<(), SkqError> {
         let _span = skq_obs::Span::enter("store.checkpoint");
         failpoints::check("store::checkpoint")?;
@@ -365,7 +352,7 @@ impl DurableDynamic {
         if covered == self.ckpt_lsn {
             return Ok(());
         }
-        self.backend.save(&checkpoint_name(covered), &self.index)?;
+        self.backend.save(&checkpoint_name(covered), &self.table)?;
         let previous = self.ckpt_lsn;
         self.ckpt_lsn = covered;
         self.ops_since = 0;
@@ -397,6 +384,10 @@ impl DurableDynamic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::SyncPolicy;
+    use skq_core::persist::kind;
+    use skq_core::query::KwQuery;
+    use skq_core::suite::OrpKwSuite;
     use skq_geom::Rect;
     use std::fs;
     use std::path::PathBuf;
@@ -416,13 +407,34 @@ mod tests {
         vec![(i % 5) as Keyword, 100 + (i % 3) as Keyword]
     }
 
+    /// No fsync, tiny segments, a checkpoint every `every_ops` ops.
+    fn fast(every_ops: u64) -> DurabilityConfig {
+        DurabilityConfig {
+            wal: WalConfig {
+                sync: SyncPolicy::Never,
+                segment_bytes: 4096,
+            },
+            checkpoint: CheckpointPolicy {
+                every_ops,
+                every_bytes: u64::MAX,
+            },
+        }
+    }
+
+    /// The table's objects as `(id, point, keywords)`, ascending by id.
+    fn live(d: &DurableDynamic) -> Vec<(u64, Point, Vec<Keyword>)> {
+        d.index()
+            .iter()
+            .map(|(id, p, doc)| (id, *p, doc.keywords().to_vec()))
+            .collect()
+    }
+
     #[test]
     fn recovers_exactly_the_acknowledged_ops() {
         let dir = tmpdir("ack");
         let mut acked: Vec<(u64, Point, Vec<Keyword>)> = Vec::new();
         {
-            let (mut d, report) =
-                DurableDynamic::open(&dir, 2, 2, DurabilityConfig::fast(64)).expect("open");
+            let (mut d, report) = DurableDynamic::open(&dir, 2, fast(64)).expect("open");
             assert_eq!(report.last_lsn, 0);
             for i in 0..300u64 {
                 let h = d.insert(pt(i), kws(i)).expect("insert");
@@ -437,31 +449,27 @@ mod tests {
             // — SyncPolicy::Never still leaves bytes in the fs cache of
             // the same running OS, so a drop models a process kill.
         }
-        let (d, report) =
-            DurableDynamic::open(&dir, 2, 2, DurabilityConfig::fast(64)).expect("recover");
+        let (d, report) = DurableDynamic::open(&dir, 2, fast(64)).expect("recover");
         assert_eq!(report.skipped, 0);
         assert!(
             report.replayed <= 64 + 1,
             "replay {} > budget",
             report.replayed
         );
-        let mut live = d.index().live_objects();
-        live.sort_by_key(|(id, _, _)| *id);
         acked.sort_by_key(|(id, _, _)| *id);
-        assert_eq!(live.len(), acked.len());
-        for ((lid, lp, lkw), (aid, ap, akw)) in live.iter().zip(&acked) {
+        let got = live(&d);
+        assert_eq!(got.len(), acked.len());
+        for ((lid, lp, lkw), (aid, ap, akw)) in got.iter().zip(&acked) {
             assert_eq!(lid, aid);
             assert_eq!(lp.coords(), ap.coords());
             assert_eq!(lkw, akw);
         }
-        // And the recovered index answers queries.
-        let (hits, _) = d
-            .index()
-            .query(
-                &Rect::new(&[0.0, 0.0], &[100.0, 100.0]),
-                &[0, 100],
-                &skq_core::QueryGuard::new(),
-            )
+        // And a suite built from the recovered table answers queries.
+        let (dataset, ids) = d.index().live_dataset().unwrap();
+        assert_eq!(ids, acked.iter().map(|(id, _, _)| *id).collect::<Vec<_>>());
+        let suite = OrpKwSuite::try_build(&dataset, 2).unwrap();
+        let hits = suite
+            .query(&Rect::new(&[0.0, 0.0], &[100.0, 100.0]), &[0, 100])
             .unwrap();
         let expect = acked
             .iter()
@@ -472,17 +480,11 @@ mod tests {
     }
 
     impl DurableDynamic {
+        /// Deletes by id, as `delete` does for a handle.
         fn delete_id_for_test(&mut self, id: u64) {
-            // Round-trip through the public surface.
-            let h = self
-                .index
-                .live_objects()
-                .iter()
-                .find(|(a, _, _)| *a == id)
-                .map(|_| id)
-                .expect("live id");
-            let _ = self.wal.append(&WalOp::Delete { id: h });
-            self.index.delete_by_id(h);
+            assert!(self.table.contains(id), "live id");
+            let _ = self.wal.append(&WalOp::Delete { id });
+            self.table.delete(id);
             self.after_op();
         }
     }
@@ -491,8 +493,7 @@ mod tests {
     fn corrupt_newest_checkpoint_falls_back_to_older() {
         let dir = tmpdir("fallback");
         {
-            let (mut d, _) =
-                DurableDynamic::open(&dir, 2, 2, DurabilityConfig::fast(16)).expect("open");
+            let (mut d, _) = DurableDynamic::open(&dir, 2, fast(16)).expect("open");
             for i in 0..80u64 {
                 d.insert(pt(i), kws(i)).expect("insert");
             }
@@ -515,36 +516,32 @@ mod tests {
         bytes[mid] ^= 0xff;
         fs::write(&path, &bytes).expect("write");
 
-        let (d, report) =
-            DurableDynamic::open(&dir, 2, 2, DurabilityConfig::fast(16)).expect("recover");
+        let (d, report) = DurableDynamic::open(&dir, 2, fast(16)).expect("recover");
         assert!(report.checkpoints_discarded >= 1);
-        assert_eq!(d.index().live_objects().len(), 80);
+        assert_eq!(d.index().len(), 80);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn checkpoint_failure_is_tolerated_and_wal_covers() {
         let dir = tmpdir("ckptfail");
+        // A directory squatting on every checkpoint's temp-file name
+        // makes each checkpoint write fail with a real I/O error.
+        for lsn in 1..=201u64 {
+            fs::create_dir(dir.join(format!(".{}.skq.tmp", checkpoint_name(lsn)))).expect("squat");
+        }
         {
-            let (mut d, _) =
-                DurableDynamic::open(&dir, 3, 2, DurabilityConfig::fast(8)).expect("open");
-            // dim 3 routes block builds through the dim-reduction
-            // engine whose index cannot snapshot yet: once a block
-            // exists (past the 128-object buffer) checkpoints fail
-            // typed, and the ops stay WAL-covered.
+            let (mut d, _) = DurableDynamic::open(&dir, 3, fast(8)).expect("open");
             for i in 0..200u64 {
                 d.insert(Point::new3(i as f64, 1.0, 2.0), kws(i))
                     .expect("insert");
             }
             assert!(matches!(d.checkpoint(), Err(SkqError::Store { .. })));
         }
-        let (d, report) =
-            DurableDynamic::open(&dir, 3, 2, DurabilityConfig::fast(8)).expect("recover");
-        // Buffer-only checkpoints (≤ 128 objects) may have succeeded;
-        // everything after the first block build is replayed.
-        assert!(report.checkpoint_lsn <= 128);
-        assert_eq!(report.replayed, 200 - report.checkpoint_lsn);
-        assert_eq!(d.index().live_objects().len(), 200);
+        let (d, report) = DurableDynamic::open(&dir, 3, fast(8)).expect("recover");
+        assert_eq!(report.checkpoint_lsn, 0);
+        assert_eq!(report.replayed, 200);
+        assert_eq!(d.index().len(), 200);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -552,16 +549,98 @@ mod tests {
     fn dim_mismatch_with_checkpoint_is_typed() {
         let dir = tmpdir("mismatch");
         {
-            let (mut d, _) =
-                DurableDynamic::open(&dir, 2, 2, DurabilityConfig::fast(4)).expect("open");
+            let (mut d, _) = DurableDynamic::open(&dir, 2, fast(4)).expect("open");
             for i in 0..16u64 {
                 d.insert(pt(i), kws(i)).expect("insert");
             }
         }
-        let err = DurableDynamic::open(&dir, 2, 3, DurabilityConfig::fast(4))
+        let err = DurableDynamic::open(&dir, 3, fast(4))
             .err()
             .expect("mismatch must fail");
         assert!(matches!(err, SkqError::Store { .. }), "got {err:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The kind of every page of a snapshot, in file order.
+    fn page_kinds(bytes: &[u8]) -> Vec<u16> {
+        let mut kinds = Vec::new();
+        let mut pos = skq_core::persist::FILE_HEADER_BYTES;
+        while pos < bytes.len() {
+            kinds.push(u16::from_le_bytes([bytes[pos + 4], bytes[pos + 5]]));
+            let len = u32::from_le_bytes(bytes[pos + 8..pos + 12].try_into().unwrap());
+            pos += skq_core::persist::PAGE_HEADER_BYTES + len as usize;
+        }
+        kinds
+    }
+
+    #[test]
+    fn a_checkpoint_holds_only_the_table_head_and_object_pages() {
+        let dir = tmpdir("pages");
+        let (mut d, _) = DurableDynamic::open(&dir, 2, fast(u64::MAX)).expect("open");
+        // More objects than one object page holds (4096).
+        for i in 0..5_000u64 {
+            d.insert(pt(i), kws(i)).expect("insert");
+        }
+        d.checkpoint().expect("checkpoint");
+        let bytes = fs::read(d.backend.path_of(&checkpoint_name(5_000)).unwrap()).unwrap();
+        assert_eq!(
+            page_kinds(&bytes),
+            vec![kind::OBJECTS_HEAD, kind::DYN_OBJECTS, kind::DYN_OBJECTS]
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_deleted_top_id_is_not_reused_after_checkpoint_and_reopen() {
+        let dir = tmpdir("topid");
+        let config = fast(u64::MAX);
+        {
+            let (mut d, _) = DurableDynamic::open(&dir, 2, config).expect("open");
+            let handles: Vec<ObjectHandle> = (0..10u64)
+                .map(|i| d.insert(pt(i), kws(i)).expect("insert"))
+                .collect();
+            assert!(d.delete(handles[9]).expect("delete"));
+            d.checkpoint().expect("checkpoint");
+        }
+        let (mut d, report) = DurableDynamic::open(&dir, 2, config).expect("reopen");
+        assert_eq!(report.checkpoint_lsn, 11);
+        assert_eq!(report.replayed, 0, "the checkpoint alone seeds the table");
+        assert_eq!(d.index().len(), 9);
+        assert_eq!(d.index().next_id(), 10);
+        let h = d.insert(pt(10), kws(10)).expect("insert");
+        assert_eq!(h.id(), 10, "id 9 was deleted, not freed for reuse");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_checkpoint_in_the_retired_dynamic_format_fails_open_typed() {
+        let dir = tmpdir("retired");
+        {
+            let (mut d, _) = DurableDynamic::open(&dir, 2, fast(u64::MAX)).expect("open");
+            for i in 0..4u64 {
+                d.insert(pt(i), kws(i)).expect("insert");
+            }
+            d.checkpoint().expect("checkpoint");
+        }
+        // A newer checkpoint written by the pre-table format: a whole
+        // `DynamicOrpKw` snapshot.
+        let mut old = skq_core::dynamic::DynamicOrpKw::new(2, 2);
+        for i in 0..4u64 {
+            old.try_insert(pt(i), kws(i)).expect("insert");
+        }
+        FileBackend::new(&dir)
+            .unwrap()
+            .save(&checkpoint_name(9), &old)
+            .unwrap();
+        let err = DurableDynamic::open(&dir, 2, fast(u64::MAX))
+            .err()
+            .expect("the retired format must not open, nor fall back");
+        assert!(matches!(err, SkqError::Store { .. }), "{err:?}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("DYN_HEAD") && msg.contains(&checkpoint_name(9)),
+            "{msg}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -15,8 +15,6 @@
 //!   `store.load`; counters `skq_store_bytes_written_total`,
 //!   `skq_store_bytes_read_total`, `skq_store_load_total`,
 //!   `skq_store_corruption_total`);
-//! * [`MemBackend`] — a process-local map, the default for tests and
-//!   single-process serving;
 //! * [`FileBackend`] — one `<name>.skq` file per snapshot under a
 //!   directory, written atomically (temp file + rename).
 //!
@@ -31,14 +29,14 @@
 //! use skq_core::query::KwQuery;
 //! use skq_core::suite::OrpKwSuite;
 //! use skq_geom::{Point, Rect};
-//! use skq_store::{IndexBackend, MemBackend};
+//! use skq_store::{FileBackend, IndexBackend};
 //!
 //! let data = Dataset::from_parts(vec![
 //!     (Point::new2(1.0, 1.0), vec![0, 1]),
 //!     (Point::new2(2.0, 2.0), vec![0]),
 //! ]);
 //! let suite = OrpKwSuite::try_build(&data, 2)?;
-//! let store = MemBackend::new();
+//! let store = FileBackend::new(std::env::temp_dir().join("skq-store-doc"))?;
 //! store.save("demo", &suite)?;
 //! let loaded: OrpKwSuite = store.load("demo")?;
 //! assert_eq!(loaded.count(&Rect::full(2), &[0, 1])?, 1);
@@ -48,11 +46,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 use skq_core::error::SkqError;
 use skq_core::failpoints;
@@ -96,8 +92,8 @@ fn store_err(backend: &str, message: String) -> SkqError {
 }
 
 /// Checks that `name` is safe to embed in a file name: non-empty
-/// ASCII alphanumerics plus `-`, `_`, `.`, and not a dotfile. Shared
-/// by every backend so snapshot names stay portable between them.
+/// ASCII alphanumerics plus `-`, `_`, `.`, and not a dotfile, so
+/// snapshot names stay portable.
 ///
 /// # Errors
 ///
@@ -128,8 +124,7 @@ pub fn validate_name(name: &str) -> Result<(), SkqError> {
 /// codec, schema check, and observability on top, so every backend
 /// reports the same metrics and errors the same way.
 pub trait IndexBackend {
-    /// A short label for metrics and error messages (`"mem"`,
-    /// `"file"`).
+    /// A short label for metrics and error messages (`"file"`).
     fn backend_name(&self) -> &'static str;
 
     /// Stores `bytes` under `name`, replacing any previous snapshot of
@@ -209,61 +204,6 @@ pub trait IndexBackend {
     }
 }
 
-/// An in-process snapshot store: a mutex-guarded name → bytes map.
-///
-/// The default backend — zero configuration, no filesystem footprint —
-/// for tests and for serving setups that only need snapshot *rotation*
-/// (publish bytes once, hand them to many readers) rather than
-/// durability.
-#[derive(Default)]
-pub struct MemBackend {
-    map: Mutex<HashMap<String, Vec<u8>>>,
-}
-
-impl MemBackend {
-    /// An empty in-memory store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl IndexBackend for MemBackend {
-    fn backend_name(&self) -> &'static str {
-        "mem"
-    }
-
-    fn put(&self, name: &str, bytes: &[u8]) -> Result<(), SkqError> {
-        validate_name(name)?;
-        let mut map = self
-            .map
-            .lock()
-            .map_err(|_| store_err("mem", "snapshot map mutex poisoned".to_string()))?;
-        map.insert(name.to_string(), bytes.to_vec());
-        Ok(())
-    }
-
-    fn get(&self, name: &str) -> Result<Vec<u8>, SkqError> {
-        validate_name(name)?;
-        let map = self
-            .map
-            .lock()
-            .map_err(|_| store_err("mem", "snapshot map mutex poisoned".to_string()))?;
-        map.get(name)
-            .cloned()
-            .ok_or_else(|| store_err("mem", format!("no snapshot named {name:?}")))
-    }
-
-    fn list(&self) -> Result<Vec<String>, SkqError> {
-        let map = self
-            .map
-            .lock()
-            .map_err(|_| store_err("mem", "snapshot map mutex poisoned".to_string()))?;
-        let mut names: Vec<String> = map.keys().cloned().collect();
-        names.sort();
-        Ok(names)
-    }
-}
-
 /// A directory of `<name>.skq` files, one per snapshot.
 ///
 /// Writes are atomic: bytes land in a `.<name>.skq.tmp` sibling first
@@ -285,11 +225,6 @@ impl FileBackend {
         fs::create_dir_all(&dir)
             .map_err(|e| store_err("file", format!("creating {}: {e}", dir.display())))?;
         Ok(Self { dir })
-    }
-
-    /// The directory snapshots are stored in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The path a snapshot of `name` is (or would be) stored at.
@@ -384,28 +319,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("skq-store-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
-    }
-
-    #[test]
-    fn mem_backend_round_trips() {
-        let store = MemBackend::new();
-        let s = suite();
-        let written = store.save("a", &s).unwrap();
-        assert!(written > 0);
-        let loaded: OrpKwSuite = store.load("a").unwrap();
-        let q = Rect::full(2);
-        assert_eq!(
-            loaded.query(&q, &[0, 1]).unwrap(),
-            s.query(&q, &[0, 1]).unwrap()
-        );
-        assert_eq!(store.list().unwrap(), vec!["a".to_string()]);
-    }
-
-    #[test]
-    fn mem_backend_missing_name_is_store_error() {
-        let store = MemBackend::new();
-        let err = store.load::<OrpKwSuite>("absent").err().unwrap();
-        assert!(matches!(err, SkqError::Store { .. }), "{err}");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Write-ahead log for [`DynamicOrpKw`] mutations.
+//! Write-ahead log for the durable store's mutations.
 //!
 //! Every acknowledged insert/delete is first made durable here so a
 //! crash between checkpoints loses nothing: recovery loads the newest
@@ -31,8 +31,6 @@
 //! checkpointing deletes whole segments whose records are all covered
 //! (see [`Wal::truncate_through`]) — truncation is never a byte-level
 //! rewrite of a live file.
-//!
-//! [`DynamicOrpKw`]: skq_core::dynamic::DynamicOrpKw
 
 use std::fs;
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
@@ -75,10 +73,10 @@ fn wal_corrupt(detail: String) -> SkqError {
 /// One logged mutation, the unit of replay.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WalOp {
-    /// An object insertion, carrying the id the live index assigned so
-    /// replay reconstructs the identical handle.
+    /// An object insertion, carrying the id the object table assigned
+    /// so replay reconstructs the identical handle.
     Insert {
-        /// Handle id assigned by `DynamicOrpKw`.
+        /// Handle id assigned by `ObjectTable`.
         id: u64,
         /// The object's point.
         point: Point,
@@ -117,9 +115,6 @@ pub enum SyncPolicy {
     /// crash. The default, and the only policy under which the
     /// recovered-equals-acknowledged property is exact.
     Always,
-    /// Fsync after every `n` appends — bounded loss window, higher
-    /// throughput. `EveryN(1)` is equivalent to `Always`.
-    EveryN(u64),
     /// Never fsync from the WAL (the OS flushes when it pleases).
     /// For tests and throwaway indexes only.
     Never,
@@ -363,8 +358,6 @@ pub struct Wal {
     /// Highest lsn of each closed segment, parallel to `closed`.
     closed_last: Vec<u64>,
     next_lsn: u64,
-    /// Appends since the last fsync (for [`SyncPolicy::EveryN`]).
-    unsynced: u64,
     /// Total bytes appended since open (checkpoint pacing input).
     appended: u64,
 }
@@ -501,7 +494,6 @@ impl Wal {
                 closed,
                 closed_last,
                 next_lsn,
-                unsynced: 0,
                 appended: 0,
             },
             WalScan {
@@ -549,16 +541,8 @@ impl Wal {
             self.file
                 .write_all(&bytes)
                 .map_err(|e| wal_err(format!("appending to {}: {e}", path.display())))?;
-            match self.config.sync {
-                SyncPolicy::Always => sync_file(&self.file, &path)?,
-                SyncPolicy::EveryN(n) => {
-                    self.unsynced += 1;
-                    if self.unsynced >= n.max(1) {
-                        sync_file(&self.file, &path)?;
-                        self.unsynced = 0;
-                    }
-                }
-                SyncPolicy::Never => {}
+            if self.config.sync == SyncPolicy::Always {
+                sync_file(&self.file, &path)?;
             }
             Ok(())
         })();
@@ -586,11 +570,9 @@ impl Wal {
     /// # Errors
     ///
     /// `SkqError::Store` on I/O failure.
-    pub fn sync(&mut self) -> Result<(), SkqError> {
+    pub fn sync(&self) -> Result<(), SkqError> {
         let path = self.dir.join(segment_name(self.seg_start));
-        sync_file(&self.file, &path)?;
-        self.unsynced = 0;
-        Ok(())
+        sync_file(&self.file, &path)
     }
 
     /// Closes the active segment and starts a fresh one at `next_lsn`.

@@ -88,7 +88,7 @@ const USAGE: &str = "usage:
   skq nn   <data.csv> --at a,b,… --t N --tags t1,t2[,…] [--stats] [--metrics out.prom] [--trace out.json]
   skq save <data.csv> <snapshot.skq> [--k-max K]
   skq load <snapshot.skq> [--lo a,b,… --hi a,b,… --tag-ids i,j[,…]]
-  skq recover <data-dir> [--dim D] [--k K]";
+  skq recover <data-dir> [--dim D]";
 
 fn run(args: &[String]) -> Result<(), CliError> {
     let cmd = args.first().ok_or("missing command")?.as_str();
@@ -341,17 +341,10 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 })?,
                 None => 2,
             };
-            let k: usize = match opts.get("k") {
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| CliError::BadArg(format!("--k must be an integer, got {v:?}")))?,
-                None => 2,
-            };
             let started = std::time::Instant::now();
             let (durable, report) = skq_store::DurableDynamic::open(
                 std::path::Path::new(dir),
                 dim,
-                k,
                 skq_store::DurabilityConfig::default(),
             )
             .map_err(|e| CliError::BadArg(e.to_string()))?;

@@ -97,9 +97,7 @@ pub mod prelude {
     pub use skq_core::orp::OrpKwIndex;
     pub use skq_core::query::KwQuery;
     pub use skq_core::rr::RrKwIndex;
-    pub use skq_core::sink::{
-        CollectSink, CountSink, DedupSink, FilterSink, LimitSink, MapSink, ResultSink,
-    };
+    pub use skq_core::sink::{CountSink, DedupSink, FilterSink, LimitSink, MapSink, ResultSink};
     pub use skq_core::sp::{SpKwIndex, SpStrategy};
     pub use skq_core::srp::SrpKwIndex;
     pub use skq_core::stats::{QueryStats, Route, TruncatedReason};
@@ -108,7 +106,7 @@ pub mod prelude {
     };
     pub use skq_invidx::{Dictionary, Document, InvertedIndex, Keyword, ObjectId};
     pub use skq_serve::{Pending, Reply, Request, Server, ServerConfig, SnapshotCell};
-    pub use skq_store::{FileBackend, IndexBackend, MemBackend, Persist, SCHEMA_VERSION};
+    pub use skq_store::{FileBackend, IndexBackend, Persist, SCHEMA_VERSION};
     pub use skq_workload::queries::QueryGen;
     pub use skq_workload::{KeywordModel, SpatialKeywordConfig, SpatialModel};
 }

@@ -96,7 +96,7 @@ fn drive(site: &str, d: &Dataset) -> Result<(), SkqError> {
                 ..DurabilityConfig::default()
             };
             let result = (|| {
-                let (mut durable, _report) = DurableDynamic::open(&dir, 2, 2, config)?;
+                let (mut durable, _report) = DurableDynamic::open(&dir, 2, config)?;
                 for i in 0..4u32 {
                     durable.insert(Point::new2(i as f64, 0.0), vec![0, 1])?;
                 }

@@ -131,8 +131,11 @@ fn drive(
 fn assert_recovered_equals(acked: &Live, durable: &DurableDynamic) {
     let mut want = acked.to_vec();
     want.sort_by_key(|(id, _, _)| *id);
-    let mut got = durable.index().live_objects();
-    got.sort_by_key(|(id, _, _)| *id);
+    let got: Live = durable
+        .index()
+        .iter()
+        .map(|(id, p, doc)| (id, *p, doc.keywords().to_vec()))
+        .collect();
     assert_eq!(
         got.len(),
         want.len(),
@@ -225,12 +228,12 @@ fn injected_failures_at_every_durability_site_never_lose_acked_ops() {
     {
         let dir = tmpdir(&format!("site{i}"));
         let acked = {
-            let (mut durable, _) = DurableDynamic::open(&dir, 2, 2, config(32)).expect("open");
+            let (mut durable, _) = DurableDynamic::open(&dir, 2, config(32)).expect("open");
             drive(&mut durable, 0x5eed + i as u64, 300, Some(site), 9)
             // Unclean shutdown: dropped mid-stream with a live WAL
             // tail, no final checkpoint.
         };
-        let (durable, report) = DurableDynamic::open(&dir, 2, 2, config(32)).expect("recover");
+        let (durable, report) = DurableDynamic::open(&dir, 2, config(32)).expect("recover");
         assert_eq!(report.skipped, 0, "{site}: no record is poisoned");
         assert!(
             report.replayed <= 2 * 32,
@@ -248,12 +251,12 @@ fn persistent_checkpoint_failure_costs_replay_not_data() {
     let _serial = failpoints::exclusive();
     let dir = tmpdir("ckpt-down");
     let acked = {
-        let (mut durable, _) = DurableDynamic::open(&dir, 2, 2, config(16)).expect("open");
+        let (mut durable, _) = DurableDynamic::open(&dir, 2, config(16)).expect("open");
         // Every checkpoint attempt fails for the whole run.
         let _armed = failpoints::inject("store::checkpoint", FailAction::Err, None);
         drive(&mut durable, 0xabcd, 200, None, u64::MAX)
     };
-    let (durable, report) = DurableDynamic::open(&dir, 2, 2, config(16)).expect("recover");
+    let (durable, report) = DurableDynamic::open(&dir, 2, config(16)).expect("recover");
     // No checkpoint ever landed: recovery replays the whole log —
     // slow, but not lossy. (The end-of-open checkpoint then repairs
     // the cadence for next time.)
@@ -261,7 +264,7 @@ fn persistent_checkpoint_failure_costs_replay_not_data() {
     assert_eq!(report.replayed, 200);
     assert_recovered_equals(&acked, &durable);
     drop(durable);
-    let (durable, report) = DurableDynamic::open(&dir, 2, 2, config(16)).expect("re-recover");
+    let (durable, report) = DurableDynamic::open(&dir, 2, config(16)).expect("re-recover");
     assert!(
         report.replayed <= 2 * 16,
         "after a healthy open, replay is back under budget (got {})",
@@ -276,7 +279,7 @@ fn torn_wal_tail_after_injected_failures_recovers_a_valid_prefix() {
     let _serial = failpoints::exclusive();
     let dir = tmpdir("torn");
     let acked = {
-        let (mut durable, _) = DurableDynamic::open(&dir, 2, 2, config(64)).expect("open");
+        let (mut durable, _) = DurableDynamic::open(&dir, 2, config(64)).expect("open");
         drive(&mut durable, 0x7777, 150, Some("store::wal_append"), 13)
     };
     // Tear a few bytes off the newest WAL segment — the on-disk state a
@@ -293,13 +296,13 @@ fn torn_wal_tail_after_injected_failures_recovers_a_valid_prefix() {
     assert!(bytes.len() > 5, "active segment must hold records");
     std::fs::write(last, &bytes[..bytes.len() - 5]).expect("tear");
 
-    let (durable, report) = DurableDynamic::open(&dir, 2, 2, config(64)).expect("recover");
+    let (durable, report) = DurableDynamic::open(&dir, 2, config(64)).expect("recover");
     assert!(report.torn_tail, "the tear must be detected");
     assert_eq!(report.skipped, 0);
     // Exactly one record (an insert or a delete) was lost with the
     // tear, so the recovered live set differs from the fully-acked
     // oracle by at most one object — and is still internally valid.
-    let survived = durable.index().live_objects().len() as i64;
+    let survived = durable.index().len() as i64;
     assert!(
         (survived - acked.len() as i64).abs() <= 1,
         "tear lost more than the final record: {survived} live vs {} acked",

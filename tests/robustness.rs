@@ -10,7 +10,7 @@
 
 use std::time::Duration;
 
-use structured_keyword_search::core::dynamic::DynamicOrpKw;
+use structured_keyword_search::core::dynamic::{DynamicOrpKw, ObjectTable};
 use structured_keyword_search::core::naive::brute_rect;
 use structured_keyword_search::core::rr::rr_bruteforce;
 use structured_keyword_search::core::suite::OrpKwSuite;
@@ -114,22 +114,22 @@ fn result_budget_caps_suite_and_dynamic_paths() {
 
 #[test]
 fn duplicate_id_insertion_is_rejected() {
-    let mut idx = DynamicOrpKw::new(2, 2);
-    let a = idx
+    let mut table = ObjectTable::try_new(2).unwrap();
+    let a = table
         .try_insert_with_id(3, Point::new2(1.0, 1.0), vec![0, 1])
         .unwrap();
-    let err = idx
+    let before = table.clone();
+    let err = table
         .try_insert_with_id(3, Point::new2(2.0, 2.0), vec![0, 1])
         .unwrap_err();
     assert!(matches!(err, SkqError::InvalidQuery(_)), "{err}");
     assert!(err.to_string().contains("duplicate object id 3"), "{err}");
-    // The failed insert is a no-op: the index still holds exactly one
-    // object and answers correctly.
-    assert_eq!(idx.len(), 1);
-    let (hits, _) = idx
-        .query(&Rect::full(2), &[0, 1], &QueryGuard::new())
-        .unwrap();
-    assert_eq!(hits, vec![a]);
+    // The failed insert is a no-op: the table still holds exactly one
+    // object, the first one inserted under id 3.
+    assert_eq!(table, before);
+    assert_eq!(table.len(), 1);
+    let ids: Vec<u64> = table.iter().map(|(id, _, _)| id).collect();
+    assert_eq!(ids, vec![a.id()]);
 }
 
 #[test]

@@ -104,11 +104,11 @@ proptest! {
     ) {
         let index = OrpKwIndex::try_build(&dataset, 2).unwrap();
         let legacy = sorted(index.query(&q, &kws).unwrap());
-        let mut collected = CollectSink::new();
+        let mut collected: Vec<u32> = Vec::new();
         let mut stats = QueryStats::new();
         let _ = index.query_sink(&q, &kws, &mut collected, &mut stats);
         prop_assert_eq!(stats.reported, legacy.len() as u64);
-        prop_assert_eq!(sorted(collected.into_vec()), legacy);
+        prop_assert_eq!(sorted(collected), legacy);
     }
 
     #[test]

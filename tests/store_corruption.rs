@@ -4,6 +4,7 @@
 //! a structurally broken index. When `debug-invariants` is on, every
 //! *successful* load is additionally deep-validated.
 
+use structured_keyword_search::core::dynamic::ObjectTable;
 use structured_keyword_search::core::persist::kind;
 use structured_keyword_search::core::suite::OrpKwSuite;
 use structured_keyword_search::prelude::*;
@@ -28,55 +29,90 @@ fn snapshot() -> Vec<u8> {
         .expect("encoding a valid suite")
 }
 
-/// Loads possibly-mangled bytes; panics (failing the test) only if the
-/// decoder itself panics or a load succeeds with a broken structure.
-fn try_load_mangled(bytes: &[u8], what: &str) {
-    match OrpKwSuite::try_load(bytes) {
-        Err(SkqError::Corrupted { .. }) | Err(SkqError::Store { .. }) => {}
-        Err(other) => panic!("{what}: unexpected error kind: {other}"),
-        Ok(suite) => {
+/// A durable checkpoint: the object table of the same objects, with
+/// every fifth one deleted.
+fn checkpoint() -> Vec<u8> {
+    let d = dataset();
+    let mut table = ObjectTable::try_new(2).unwrap();
+    for i in 0..d.len() {
+        let h = table
+            .try_insert(*d.point(i), d.doc(i).keywords().to_vec())
+            .unwrap();
+        if i % 5 == 0 {
+            table.delete(h.id());
+        }
+    }
+    table.to_bytes().expect("encoding a valid table")
+}
+
+/// Decodes snapshot bytes and exercises the result.
+type Loader = fn(&[u8]) -> Result<(), SkqError>;
+
+/// The batteries' inputs: each snapshot with the loader that reads it.
+fn inputs() -> [(&'static str, Vec<u8>, Loader); 2] {
+    [
+        ("suite", snapshot(), |bytes| {
             // A mangled snapshot may still decode if the damage hit
             // dead bytes; the result must then behave like a real
             // index (try_load already deep-validated it under
             // debug-invariants). Exercise a query to be sure.
+            let suite = OrpKwSuite::try_load(bytes)?;
             let _ = suite.query(&Rect::full(2), &[0, 1]).unwrap();
-        }
+            Ok(())
+        }),
+        ("checkpoint", checkpoint(), |bytes| {
+            let table = ObjectTable::try_from_bytes(bytes)?;
+            let _ = table.live_dataset();
+            Ok(())
+        }),
+    ]
+}
+
+/// Loads possibly-mangled bytes; panics (failing the test) only if the
+/// decoder itself panics or a load succeeds with a broken structure.
+fn try_load_mangled(load: Loader, bytes: &[u8], what: &str) {
+    match load(bytes) {
+        Ok(()) | Err(SkqError::Corrupted { .. }) | Err(SkqError::Store { .. }) => {}
+        Err(other) => panic!("{what}: unexpected error kind: {other}"),
     }
 }
 
 #[test]
 fn truncation_at_every_length_is_a_typed_error() {
-    let bytes = snapshot();
-    // Every prefix below the file header, then a spread of longer ones
-    // (all strictly shorter than the full file): each must fail with a
-    // typed error — short data can never decode into something valid.
-    let mut cuts: Vec<usize> = (0..32.min(bytes.len())).collect();
-    let step = (bytes.len() / 61).max(1);
-    cuts.extend((32..bytes.len()).step_by(step));
-    cuts.push(bytes.len() - 1);
-    for cut in cuts {
-        let err = OrpKwSuite::try_load(&bytes[..cut])
-            .err()
-            .unwrap_or_else(|| panic!("truncated at {cut}: load succeeded"));
-        assert!(
-            matches!(err, SkqError::Corrupted { .. } | SkqError::Store { .. }),
-            "truncated at {cut}: {err}"
-        );
+    for (name, bytes, load) in inputs() {
+        // Every prefix below the file header, then a spread of longer
+        // ones (all strictly shorter than the full file): each must
+        // fail with a typed error — short data can never decode into
+        // something valid.
+        let mut cuts: Vec<usize> = (0..32.min(bytes.len())).collect();
+        let step = (bytes.len() / 61).max(1);
+        cuts.extend((32..bytes.len()).step_by(step));
+        cuts.push(bytes.len() - 1);
+        for cut in cuts {
+            let err = load(&bytes[..cut])
+                .err()
+                .unwrap_or_else(|| panic!("{name} truncated at {cut}: load succeeded"));
+            assert!(
+                matches!(err, SkqError::Corrupted { .. } | SkqError::Store { .. }),
+                "{name} truncated at {cut}: {err}"
+            );
+        }
     }
 }
 
 #[test]
 fn any_flipped_bit_never_panics() {
-    let bytes = snapshot();
-    // Flip one bit per stride position across the whole file (every
-    // byte would take minutes in debug builds; a prime stride hits all
-    // sections — headers, payloads, checksums).
-    let stride = 97;
-    for pos in (0..bytes.len()).step_by(stride) {
-        for bit in [0u8, 3, 7] {
-            let mut mangled = bytes.clone();
-            mangled[pos] ^= 1 << bit;
-            try_load_mangled(&mangled, &format!("bit {bit} of byte {pos}"));
+    for (name, bytes, load) in inputs() {
+        // Flip one bit per stride position across the whole file
+        // (every byte would take minutes in debug builds; a prime
+        // stride hits all sections — headers, payloads, checksums).
+        let stride = 97;
+        for pos in (0..bytes.len()).step_by(stride) {
+            for bit in [0u8, 3, 7] {
+                let mut mangled = bytes.clone();
+                mangled[pos] ^= 1 << bit;
+                try_load_mangled(load, &mangled, &format!("{name}: bit {bit} of byte {pos}"));
+            }
         }
     }
 }
