@@ -1,9 +1,7 @@
-//! Criterion bench for index construction: every index type across N,
-//! plus the leaf-capacity ablation of the framework.
+//! Criterion bench for index construction: every index type across N.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use skq_bench::planted_spatial;
-use skq_core::framework::{doc_weights, FrameworkConfig, KdPartitioner, TransformedIndex};
 use skq_core::ksi::KsiIndex;
 use skq_core::orp::OrpKwIndex;
 use skq_core::sp::{SpKwIndex, SpStrategy};
@@ -43,50 +41,9 @@ fn bench_build(c: &mut Criterion) {
     g.finish();
 }
 
-/// Leaf-capacity ablation: smaller leaves mean more nodes (more space,
-/// slower builds) but less per-leaf scanning; the default 24 sits at
-/// the flat part of the query-time curve.
-fn bench_leaf_weight(c: &mut Criterion) {
-    use skq_geom::{RankSpace, Region};
-    let ps = planted_spatial(30_000, 2, 2, 300, 1e6, 63);
-    let rank = RankSpace::build(ps.dataset.points());
-    let rank_coords = rank.coords();
-    let weights = doc_weights(ps.dataset.docs());
-    let mut g = c.benchmark_group("ablation/leaf_weight");
-    g.sample_size(15);
-    for leaf in [8u64, 24, 96, 384] {
-        let tree = TransformedIndex::try_build(
-            KdPartitioner::new(2, rank_coords.clone(), weights.clone()),
-            std::sync::Arc::clone(ps.dataset.shared_docs()),
-            2..=2,
-            FrameworkConfig { leaf_weight: leaf },
-        )
-        .expect("valid bench input");
-        let kws = ps.query_keywords.clone();
-        g.bench_with_input(BenchmarkId::new("query", leaf), &leaf, |b, _| {
-            b.iter(|| {
-                let mut out = Vec::new();
-                let mut stats = skq_core::stats::QueryStats::new();
-                let _ = tree.query_sink(
-                    &kws,
-                    &|cell| {
-                        let _ = cell;
-                        Region::Covered
-                    },
-                    &|_| true,
-                    &mut out,
-                    &mut stats,
-                );
-                out
-            })
-        });
-    }
-    g.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_build, bench_leaf_weight
+    targets = bench_build
 }
 criterion_main!(benches);

@@ -104,8 +104,7 @@ impl std::error::Error for SkqError {}
 
 /// Shared query-validation helpers behind every
 /// [`KwQuery::check`](crate::query::KwQuery::check) (public so service
-/// layers can pre-validate before cheaper unvalidated sink paths —
-/// e.g. the brownout count-only rung).
+/// layers can pre-validate a query before running it).
 pub mod validate {
     use std::ops::RangeInclusive;
 

@@ -29,21 +29,12 @@ const MAX_K: usize = 16;
 /// `k ∈ 2..=MAX_K`.
 type PerLayer = [Vec<u32>; MAX_K - 1];
 
-/// Build-time knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct FrameworkConfig {
-    /// Nodes whose verbose weight `N_u` is at most this become leaves
-    /// whose pivot set is their whole active set. The paper recurses to
-    /// single points; a small constant cap only changes constants while
-    /// keeping node counts (and build time) reasonable.
-    pub leaf_weight: u64,
-}
-
-impl Default for FrameworkConfig {
-    fn default() -> Self {
-        Self { leaf_weight: 24 }
-    }
-}
+/// Nodes whose verbose weight `N_u` is at most this become leaves
+/// whose pivot set is their whole active set. The paper recurses to
+/// single points; a small constant cap only changes constants while
+/// keeping node counts (and build time) reasonable. Every golden digest
+/// and benchmark baseline was captured with this value.
+const LEAF_WEIGHT: u64 = 24;
 
 /// A pool offset. Every pool stays below 2³² entries: object ids and
 /// list ids are bounded by the 2³¹ keyword occurrences a build accepts,
@@ -508,7 +499,8 @@ pub struct TransformedIndex<P: Partitioner> {
     tree: Box<Arena<P::Cells>>,
     /// One layer per served `k`, ascending and consecutive.
     layers: Vec<Layer>,
-    config: FrameworkConfig,
+    /// [`LEAF_WEIGHT`], except in the tree-shape unit tests.
+    leaf_weight: u64,
     total_weight: u64,
 }
 
@@ -536,7 +528,17 @@ impl<P: Partitioner> TransformedIndex<P> {
         partitioner: P,
         docs: Arc<[Document]>,
         ks: RangeInclusive<usize>,
-        config: FrameworkConfig,
+    ) -> Result<Self, SkqError> {
+        Self::try_build_with_leaf_weight(partitioner, docs, ks, LEAF_WEIGHT)
+    }
+
+    /// [`try_build`](Self::try_build) with leaves of at most
+    /// `leaf_weight`.
+    fn try_build_with_leaf_weight(
+        partitioner: P,
+        docs: Arc<[Document]>,
+        ks: RangeInclusive<usize>,
+        leaf_weight: u64,
     ) -> Result<Self, SkqError> {
         validate::build_ks(&ks)?;
         if docs.is_empty() {
@@ -556,7 +558,7 @@ impl<P: Partitioner> TransformedIndex<P> {
         let all: Vec<u32> = (0..docs.len() as u32).collect();
         let total_weight = partitioner.total_weight(&all);
         // A root that is a leaf does no keyword work, so it needs no remap.
-        let mut dense = if total_weight > config.leaf_weight {
+        let mut dense = if total_weight > leaf_weight {
             DenseKeywords::new(&docs)
         } else {
             DenseKeywords::default()
@@ -572,7 +574,7 @@ impl<P: Partitioner> TransformedIndex<P> {
             }),
             docs,
             layers: ks.map(Layer::new).collect(),
-            config,
+            leaf_weight,
             total_weight,
         };
         let root_cell = index.partitioner.root_cell();
@@ -613,7 +615,7 @@ impl<P: Partitioner> TransformedIndex<P> {
 
         // Leaf: store the whole active set as pivots; a visit scans them
         // all, so no keyword machinery is needed.
-        let outcome = if weight <= self.config.leaf_weight {
+        let outcome = if weight <= self.leaf_weight {
             None
         } else {
             self.partitioner.split(&cell, &objects, level as usize)
@@ -1083,7 +1085,7 @@ impl Persist for TransformedIndex<KdPartitioner> {
         let n = self.partitioner.len();
         let mut head = Vec::new();
         persist::put_uv(&mut head, self.k() as u64);
-        persist::put_uv(&mut head, self.config.leaf_weight);
+        persist::put_uv(&mut head, self.leaf_weight);
         persist::put_uv(&mut head, self.total_weight);
         persist::put_uv(&mut head, n as u64);
         persist::put_uv(&mut head, dim as u64);
@@ -1222,7 +1224,7 @@ impl Persist for TransformedIndex<KdPartitioner> {
             docs,
             tree,
             layers,
-            config: FrameworkConfig { leaf_weight },
+            leaf_weight,
             total_weight,
         })
     }
@@ -1442,11 +1444,11 @@ mod tests {
     ) -> TransformedIndex<KdPartitioner> {
         let coords = (0..docs.len()).map(|i| i as f64).collect();
         let docs: Arc<[Document]> = docs.into_iter().map(Document::new).collect();
-        TransformedIndex::try_build(
+        TransformedIndex::try_build_with_leaf_weight(
             KdPartitioner::new(1, coords, doc_weights(&docs)),
             docs,
             ks,
-            FrameworkConfig { leaf_weight },
+            leaf_weight,
         )
         .unwrap()
     }
@@ -1680,7 +1682,6 @@ mod tests {
             KdPartitioner::new(1, vec![0.0], vec![1]),
             vec![Document::new(vec![0])].into(),
             1..=1,
-            FrameworkConfig::default(),
         );
         assert!(matches!(
             built,

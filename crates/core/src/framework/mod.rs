@@ -35,7 +35,7 @@ mod partitioner;
 mod willard;
 
 pub use combo::{for_each_k_subset, table_words, ComboTable};
-pub use index::{FrameworkConfig, TransformedIndex};
+pub use index::TransformedIndex;
 pub use kd::{doc_weights, KdPartitioner, PackedRects};
 pub use partitioner::{CellStore, Partitioner, SplitOutcome};
 pub use willard::WillardPartitioner;

@@ -22,7 +22,7 @@ use skq_invidx::{Document, Keyword};
 
 use crate::error::{validate, SkqError};
 use crate::failpoints;
-use crate::framework::{doc_weights, FrameworkConfig, KdPartitioner, TransformedIndex};
+use crate::framework::{doc_weights, KdPartitioner, TransformedIndex};
 use crate::query::KwQuery;
 use crate::sink::ResultSink;
 use crate::stats::QueryStats;
@@ -67,8 +67,7 @@ impl KsiIndex {
         }
         let coords = (0..docs.len()).map(|i| i as f64).collect();
         let partitioner = KdPartitioner::new(1, coords, doc_weights(&docs));
-        let tree =
-            TransformedIndex::try_build(partitioner, docs, k..=k, FrameworkConfig::default())?;
+        let tree = TransformedIndex::try_build(partitioner, docs, k..=k)?;
         Ok(Self { tree })
     }
 

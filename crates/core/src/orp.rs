@@ -18,7 +18,7 @@ use crate::dataset::Dataset;
 use crate::dimred::DimRedTree;
 use crate::error::{validate, SkqError};
 use crate::failpoints;
-use crate::framework::{doc_weights, FrameworkConfig, KdPartitioner, TransformedIndex};
+use crate::framework::{doc_weights, KdPartitioner, TransformedIndex};
 use crate::persist::{self, Persist, SCHEMA_VERSION};
 use crate::query::KwQuery;
 use crate::sink::ResultSink;
@@ -79,7 +79,6 @@ impl OrpKwIndex {
                 partitioner,
                 Arc::clone(dataset.shared_docs()),
                 ks.clone(),
-                FrameworkConfig::default(),
             )?;
             Inner::Kd { rank, tree }
         } else {

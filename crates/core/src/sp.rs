@@ -19,9 +19,7 @@ use skq_invidx::Keyword;
 use crate::dataset::Dataset;
 use crate::error::{validate, SkqError};
 use crate::failpoints;
-use crate::framework::{
-    doc_weights, FrameworkConfig, KdPartitioner, TransformedIndex, WillardPartitioner,
-};
+use crate::framework::{doc_weights, KdPartitioner, TransformedIndex, WillardPartitioner};
 use crate::persist::{self, Persist, SCHEMA_VERSION};
 use crate::query::KwQuery;
 use crate::sink::ResultSink;
@@ -106,7 +104,6 @@ impl SpKwIndex {
         let points = dataset.points().to_vec();
         let weights: Vec<u64> = (0..dataset.len()).map(|i| dataset.weight(i)).collect();
         let docs = Arc::clone(dataset.shared_docs());
-        let config = FrameworkConfig::default();
         let inner = match strategy {
             SpStrategy::Willard => {
                 if dataset.dim() != 2 {
@@ -115,12 +112,12 @@ impl SpKwIndex {
                     ));
                 }
                 let p = WillardPartitioner::new(points.clone(), weights);
-                Inner::Willard(TransformedIndex::try_build(p, docs, k..=k, config)?)
+                Inner::Willard(TransformedIndex::try_build(p, docs, k..=k)?)
             }
             SpStrategy::Kd => {
                 let coords = points.iter().flat_map(|p| p.coords()).copied().collect();
                 let p = KdPartitioner::new(dataset.dim(), coords, doc_weights(&docs));
-                Inner::Kd(TransformedIndex::try_build(p, docs, k..=k, config)?)
+                Inner::Kd(TransformedIndex::try_build(p, docs, k..=k)?)
             }
         };
         Ok(Self {

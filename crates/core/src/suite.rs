@@ -250,9 +250,8 @@ impl OrpKwSuite {
     /// checksum-valid but structurally inconsistent snapshot is refused
     /// rather than served.
     ///
-    /// This is the load path behind `skq-store` backends and
-    /// `skq-serve`'s `publish_loaded`: a page walk plus cheap
-    /// cross-checks, never a rebuild.
+    /// This is the load path behind `skq-bench bench --load-suite`: a
+    /// page walk plus cheap cross-checks, never a rebuild.
     ///
     /// # Errors
     ///

@@ -9,11 +9,12 @@
 //! skq-load [--scenario city|web|sensors] [--n OBJECTS] [--seed S]
 //!          [--requests R] [--qps Q] [--threads W] [--k K]
 //!          [--deadline-ms MS] [--rotate-ms MS] [--chaos]
-//!          [--retries N] [--backoff-us B] [--brownout]
 //!          [--json PATH] [--trace PATH]
 //! ```
 //!
 //! * `--qps 0` (the default) submits as fast as the queue admits.
+//! * `--deadline-ms MS` gives every request a deadline of `MS`
+//!   milliseconds from submission (0, the default, sets none).
 //! * `--rotate-ms MS` runs a publisher thread rebuilding and
 //!   publishing the suite every `MS` milliseconds — the rotation path
 //!   under live traffic.
@@ -21,12 +22,6 @@
 //!   `serve::request` fail point for 1 in 10 requests and verifies the
 //!   injected failures come back as typed errors, nothing panics, and
 //!   everything else succeeds.
-//! * `--retries N` re-submits a request shed with `Overloaded` up to
-//!   `N` times, sleeping a jittered exponential backoff starting at
-//!   `--backoff-us B` (default 500µs) between attempts.
-//! * `--brownout` enables the server's degradation ladder
-//!   ([`skq_serve::BrownoutConfig`]): deep queues serve clamped or
-//!   count-only answers before admission control sheds.
 //! * `--trace PATH` writes a chrome://tracing file of the run.
 //!
 //! Exit codes: 0 success, 2 usage error, 4 dropped/failed requests
@@ -40,14 +35,13 @@ use std::time::{Duration, Instant};
 use skq_bench::json::Json;
 use skq_core::suite::OrpKwSuite;
 use skq_core::SkqError;
-use skq_serve::{BrownoutConfig, Request, Server, ServerConfig};
+use skq_serve::{Request, Server, ServerConfig};
 use skq_workload::queries::QueryGen;
 use skq_workload::scenarios;
 
 const USAGE: &str = "usage: skq-load [--scenario city|web|sensors] [--n OBJECTS] [--seed S]
   [--requests R] [--qps Q] [--threads W] [--k K] [--deadline-ms MS]
-  [--rotate-ms MS] [--chaos] [--retries N] [--backoff-us B] [--brownout]
-  [--json PATH] [--trace PATH]";
+  [--rotate-ms MS] [--chaos] [--json PATH] [--trace PATH]";
 
 struct Options {
     scenario: String,
@@ -60,9 +54,6 @@ struct Options {
     deadline_ms: u64,
     rotate_ms: u64,
     chaos: bool,
-    retries: u32,
-    backoff_us: u64,
-    brownout: bool,
     json: Option<String>,
     trace: Option<String>,
 }
@@ -80,9 +71,6 @@ impl Default for Options {
             deadline_ms: 0,
             rotate_ms: 0,
             chaos: false,
-            retries: 0,
-            backoff_us: 500,
-            brownout: false,
             json: None,
             trace: None,
         }
@@ -111,9 +99,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--rotate-ms" => opts.rotate_ms = parse_num(&value("--rotate-ms")?, "--rotate-ms")?,
             "--chaos" => opts.chaos = true,
-            "--retries" => opts.retries = parse_num(&value("--retries")?, "--retries")?,
-            "--backoff-us" => opts.backoff_us = parse_num(&value("--backoff-us")?, "--backoff-us")?,
-            "--brownout" => opts.brownout = true,
             "--json" => opts.json = Some(value("--json")?),
             "--trace" => opts.trace = Some(value("--trace")?),
             other => return Err(format!("unknown flag {other}")),
@@ -193,16 +178,13 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
             // Closed-loop replay: size the queue so pacing, not
             // admission control, is the only throttle.
             queue_capacity: opts.requests.max(64),
-            default_deadline: (opts.deadline_ms > 0)
-                .then(|| Duration::from_millis(opts.deadline_ms)),
-            default_max_results: None,
-            brownout: opts.brownout.then(BrownoutConfig::default),
         },
     ));
 
     // Pregenerate the whole request mix so pacing measures the server,
     // not the generator.
     let mut gen = QueryGen::new(&dataset, opts.seed);
+    let deadline = (opts.deadline_ms > 0).then(|| Duration::from_millis(opts.deadline_ms));
     let mut requests = Vec::with_capacity(opts.requests);
     for _ in 0..opts.requests {
         let rect = gen.rect(0.05);
@@ -210,7 +192,9 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
             .keywords(opts.k, 0.5)
             .or_else(|| gen.top_keywords(opts.k))
             .ok_or_else(|| format!("scenario has fewer than {} keywords", opts.k))?;
-        requests.push(Request::new(rect, keywords));
+        let mut req = Request::new(rect, keywords);
+        req.deadline = deadline;
+        requests.push(req);
     }
 
     // Optional concurrent rotation: a publisher thread rebuilds the
@@ -242,10 +226,6 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
 
     let mut pendings = Vec::with_capacity(opts.requests);
     let mut dropped = 0usize;
-    let mut retried = 0usize;
-    // Deterministic jitter source for the backoff (xorshift64*), so
-    // replays with the same seed sleep the same schedule.
-    let mut jitter = opts.seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
     for (i, req) in requests.into_iter().enumerate() {
         if let Some(interval) = interval {
             let due = started + interval * (i as u32);
@@ -254,31 +234,9 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
                 std::thread::sleep(due - now);
             }
         }
-        // Retry budget on Overloaded: jittered exponential backoff —
-        // each attempt doubles the base delay, and the ±50% jitter
-        // decorrelates clients that shed together.
-        let mut attempt = 0u32;
-        loop {
-            match server.submit(req.clone()) {
-                Ok(pending) => {
-                    pendings.push(pending);
-                    break;
-                }
-                Err(SkqError::Overloaded { .. }) if attempt < opts.retries => {
-                    attempt += 1;
-                    retried += 1;
-                    jitter ^= jitter << 13;
-                    jitter ^= jitter >> 7;
-                    jitter ^= jitter << 17;
-                    let base = opts.backoff_us.saturating_mul(1 << attempt.min(16));
-                    let delay = base / 2 + jitter % base.max(1);
-                    std::thread::sleep(Duration::from_micros(delay));
-                }
-                Err(_) => {
-                    dropped += 1;
-                    break;
-                }
-            }
+        match server.submit(req) {
+            Ok(pending) => pendings.push(pending),
+            Err(_) => dropped += 1,
         }
     }
 
@@ -319,7 +277,7 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
         achieved_qps,
     );
     println!(
-        "  ok={ok} injected={injected}/{chaos_budget} failed={} dropped={dropped} retried={retried}",
+        "  ok={ok} injected={injected}/{chaos_budget} failed={} dropped={dropped}",
         failed.len(),
     );
     println!(
@@ -353,7 +311,6 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
         report.set("injected", Json::Num(injected as f64));
         report.set("failed", Json::Num(failed.len() as f64));
         report.set("dropped", Json::Num(dropped as f64));
-        report.set("retried", Json::Num(retried as f64));
         report.set("elapsed_seconds", Json::Num(elapsed.as_secs_f64()));
         report.set("achieved_qps", Json::Num(achieved_qps));
         let mut lat = Json::obj();

@@ -15,7 +15,7 @@
 //!   panics via a catch-unwind supervisor that respawns the loop.
 //!
 //! Everything is std-only and `#![forbid(unsafe_code)]`: rotation is
-//! striped reader-writer locks plus an atomic epoch, not an
+//! one reader-writer lock plus an atomic epoch, not an
 //! arc-swap-style atomic pointer (which would need `unsafe`).
 //!
 //! The companion binary `skq-load` replays `skq-workload` scenarios
@@ -51,7 +51,7 @@ pub mod recover;
 #[warn(clippy::disallowed_methods, clippy::disallowed_macros)]
 pub mod snapshot;
 
-pub use pool::{BrownoutConfig, Pending, Reply, Request, Server, ServerConfig};
+pub use pool::{Pending, Reply, Request, Server, ServerConfig};
 pub use queue::JobQueue;
 pub use recover::RecoverySupervisor;
 pub use snapshot::{SnapshotCell, Versioned};

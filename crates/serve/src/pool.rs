@@ -30,8 +30,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use skq_core::failpoints;
-use skq_core::query::KwQuery;
-use skq_core::sink::CountSink;
 use skq_core::suite::OrpKwSuite;
 use skq_core::{CancelToken, QueryGuard, QueryStats, SkqError};
 use skq_geom::Rect;
@@ -40,39 +38,7 @@ use skq_invidx::Keyword;
 use crate::queue::JobQueue;
 use crate::snapshot::{SnapshotCell, Versioned};
 
-/// The brownout ladder: graceful degradation levels entered *before*
-/// admission control starts shedding with [`SkqError::Overloaded`].
-///
-/// As the queue fills past `limited_depth` of capacity, new requests
-/// get their result budget clamped to `limited_results` ("limited");
-/// past `count_only_depth` they are answered with a count and no
-/// result ids at all ("count_only") — the cheapest honest answer the
-/// suite can produce. Each reply says which rung served it via
-/// [`Reply::degraded`], so clients can distinguish a short answer
-/// from a small one.
-#[derive(Clone, Copy, Debug)]
-pub struct BrownoutConfig {
-    /// Queue-depth fraction (of capacity) past which requests run with
-    /// a clamped result budget.
-    pub limited_depth: f64,
-    /// Queue-depth fraction past which requests are answered
-    /// count-only.
-    pub count_only_depth: f64,
-    /// The clamped result budget at the "limited" rung.
-    pub limited_results: usize,
-}
-
-impl Default for BrownoutConfig {
-    fn default() -> Self {
-        Self {
-            limited_depth: 0.5,
-            count_only_depth: 0.85,
-            limited_results: 128,
-        }
-    }
-}
-
-/// Sizing and default-limit knobs for a [`Server`].
+/// Sizing knobs for a [`Server`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Worker threads. 0 is clamped to 1: a pool with no worker would
@@ -81,13 +47,6 @@ pub struct ServerConfig {
     /// Job-queue capacity; a full queue sheds new requests with
     /// [`SkqError::Overloaded`]. 0 rejects every request.
     pub queue_capacity: usize,
-    /// Deadline applied to requests that don't carry their own.
-    pub default_deadline: Option<Duration>,
-    /// Result budget applied to requests that don't carry their own.
-    pub default_max_results: Option<usize>,
-    /// Graceful-degradation ladder; `None` (the default) goes straight
-    /// from full service to shedding.
-    pub brownout: Option<BrownoutConfig>,
 }
 
 impl Default for ServerConfig {
@@ -97,25 +56,21 @@ impl Default for ServerConfig {
             // cannot report it.
             workers: std::thread::available_parallelism().map_or(1, usize::from),
             queue_capacity: 1024,
-            default_deadline: None,
-            default_max_results: None,
-            brownout: None,
         }
     }
 }
 
 /// One query request: a rectangle, keywords, and optional per-request
-/// limits overriding the server defaults.
+/// limits.
 #[derive(Clone)]
 pub struct Request {
     /// The geometric predicate.
     pub rect: Rect,
     /// The keyword conjunction (any count the suite routes).
     pub keywords: Vec<Keyword>,
-    /// Deadline measured from submission; `None` uses the server
-    /// default.
+    /// Deadline measured from submission; `None` runs unbounded.
     pub deadline: Option<Duration>,
-    /// Result budget; `None` uses the server default.
+    /// Result budget; `None` returns every match.
     pub max_results: Option<usize>,
     /// Cooperative cancellation (keep a clone to trip it mid-flight).
     pub cancel: Option<CancelToken>,
@@ -144,11 +99,6 @@ pub struct Reply {
     /// The snapshot generation that served this request — lets a
     /// client correlate answers with rotations.
     pub generation: u64,
-    /// Which brownout rung served this request: `None` for full
-    /// service, `Some("limited")` for a clamped result budget,
-    /// `Some("count_only")` for a count with no ids (`stats.emitted`
-    /// carries the count).
-    pub degraded: Option<&'static str>,
 }
 
 /// A submitted request's handle; redeem it with
@@ -178,8 +128,6 @@ struct Job {
     rect: Rect,
     keywords: Vec<Keyword>,
     guard: QueryGuard,
-    /// Brownout rung assigned at admission (see [`BrownoutConfig`]).
-    degraded: Option<&'static str>,
     enqueued: Instant,
     respond: SyncSender<Result<Reply, SkqError>>,
 }
@@ -188,7 +136,6 @@ struct Shared {
     snapshots: SnapshotCell<OrpKwSuite>,
     queue: JobQueue<Job>,
     shutdown: AtomicBool,
-    config: ServerConfig,
 }
 
 /// A running worker pool serving guarded queries against a rotating
@@ -209,7 +156,6 @@ impl Server {
             snapshots: SnapshotCell::new(suite),
             queue: JobQueue::new(config.queue_capacity),
             shutdown: AtomicBool::new(false),
-            config,
         });
         let workers = (0..worker_count)
             .map(|_| {
@@ -236,40 +182,13 @@ impl Server {
         if self.shared.queue.is_closed() {
             return Err(SkqError::Internal("server is shut down".into()));
         }
-        // Brownout: pick the degradation rung from the queue depth
-        // observed at admission, before shedding would kick in.
-        let degraded = self.shared.config.brownout.as_ref().and_then(|b| {
-            let frac =
-                self.shared.queue.len() as f64 / (self.shared.config.queue_capacity.max(1)) as f64;
-            if frac >= b.count_only_depth {
-                Some("count_only")
-            } else if frac >= b.limited_depth {
-                Some("limited")
-            } else {
-                None
-            }
-        });
-        if let Some(level) = degraded {
-            skq_obs::global()
-                .counter("skq_serve_brownout_total", &[("level", level)])
-                .inc();
-        }
         // Build the guard now: its deadline clock starts at arrival,
         // so time spent queued counts against the budget.
         let mut guard = QueryGuard::new();
-        if let Some(d) = req.deadline.or(self.shared.config.default_deadline) {
+        if let Some(d) = req.deadline {
             guard = guard.with_deadline(d);
         }
-        let mut max_results = req.max_results.or(self.shared.config.default_max_results);
-        if degraded == Some("limited") {
-            let clamp = self
-                .shared
-                .config
-                .brownout
-                .map_or(usize::MAX, |b| b.limited_results);
-            max_results = Some(max_results.map_or(clamp, |n| n.min(clamp)));
-        }
-        if let Some(n) = max_results {
+        if let Some(n) = req.max_results {
             guard = guard.with_max_results(n);
         }
         if let Some(token) = req.cancel {
@@ -280,25 +199,27 @@ impl Server {
             rect: req.rect,
             keywords: req.keywords,
             guard,
-            degraded,
             enqueued: Instant::now(),
             respond: tx,
         };
         let registry = skq_obs::global();
-        if self.shared.queue.try_push(job).is_err() {
-            let queue_depth = self.shared.queue.len();
-            registry
-                .counter("skq_serve_shed_total", &[("reason", "overloaded")])
-                .inc();
-            registry
-                .counter("skq_serve_requests_total", &[("status", "overloaded")])
-                .inc();
-            return Err(SkqError::Overloaded { queue_depth });
+        match self.shared.queue.try_push(job) {
+            Ok(depth) => {
+                registry
+                    .gauge("skq_serve_queue_depth", &[])
+                    .set(depth as f64);
+                Ok(Pending { rx })
+            }
+            Err((_, queue_depth)) => {
+                registry
+                    .counter("skq_serve_shed_total", &[("reason", "overloaded")])
+                    .inc();
+                registry
+                    .counter("skq_serve_requests_total", &[("status", "overloaded")])
+                    .inc();
+                Err(SkqError::Overloaded { queue_depth })
+            }
         }
-        registry
-            .gauge("skq_serve_queue_depth", &[])
-            .set(self.shared.queue.len() as f64);
-        Ok(Pending { rx })
     }
 
     /// Submits and waits: the blocking convenience wrapper over
@@ -319,23 +240,6 @@ impl Server {
         self.shared.snapshots.publish(suite)
     }
 
-    /// Decodes a persisted snapshot (the `skq-store` paged format,
-    /// DESIGN.md §15) and publishes it as the next generation — a warm
-    /// restart: a saved suite rotates in without a rebuild and without
-    /// the server holding both the bytes and the decode result for
-    /// longer than the load itself.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`OrpKwSuite::try_load`] can return —
-    /// [`SkqError::Corrupted`] on malformed bytes, [`SkqError::Store`]
-    /// on an incompatible writer. On error nothing is published; the
-    /// current generation keeps serving.
-    pub fn publish_loaded(&self, bytes: &[u8]) -> Result<u64, SkqError> {
-        let suite = OrpKwSuite::try_load(bytes)?;
-        Ok(self.publish(suite))
-    }
-
     /// The latest fully published snapshot generation.
     pub fn epoch(&self) -> u64 {
         self.shared.snapshots.epoch()
@@ -345,11 +249,6 @@ impl Server {
     /// the rotation tests to validate what's being served).
     pub fn snapshot(&self) -> Arc<Versioned<OrpKwSuite>> {
         self.shared.snapshots.current()
-    }
-
-    /// Jobs currently queued (racy by nature).
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queue.len()
     }
 
     /// Number of worker threads in the pool.
@@ -394,10 +293,10 @@ fn supervisor(shared: &Shared) {
 }
 
 fn serve_loop(shared: &Shared) {
-    while let Some(job) = shared.queue.pop() {
+    while let Some((job, depth)) = shared.queue.pop() {
         skq_obs::global()
             .gauge("skq_serve_queue_depth", &[])
-            .set(shared.queue.len() as f64);
+            .set(depth as f64);
         // Chaos-only: an armed worker-level fail point must become a
         // real panic so the supervisor's respawn path is the thing
         // tested (the popped job dies with the unwind, exactly like a
@@ -467,9 +366,6 @@ fn run_request(shared: &Shared, job: &Job) -> Result<Reply, SkqError> {
 
 fn execute(snap: &Versioned<OrpKwSuite>, job: &Job) -> Result<Reply, SkqError> {
     failpoints::check("serve::request")?;
-    if job.degraded == Some("count_only") {
-        return execute_count_only(snap, job);
-    }
     let (ids, stats) = snap
         .value
         .try_query_guarded(&job.rect, &job.keywords, &job.guard)?;
@@ -477,28 +373,6 @@ fn execute(snap: &Versioned<OrpKwSuite>, job: &Job) -> Result<Reply, SkqError> {
         ids,
         stats,
         generation: snap.generation,
-        degraded: job.degraded,
-    })
-}
-
-/// The deepest brownout rung: answer with a guarded count and no
-/// result ids. `stats.emitted` carries the count; deadline and
-/// cancellation still produce their typed errors so a browned-out
-/// request is cheap, not unbounded.
-fn execute_count_only(snap: &Versioned<OrpKwSuite>, job: &Job) -> Result<Reply, SkqError> {
-    let mut stats = QueryStats::default();
-    let _ = snap.value.run(
-        &job.rect,
-        &job.keywords,
-        &job.guard,
-        &mut CountSink::new(),
-        &mut stats,
-    )?;
-    Ok(Reply {
-        ids: Vec::new(),
-        stats,
-        generation: snap.generation,
-        degraded: job.degraded,
     })
 }
 
@@ -507,6 +381,7 @@ mod tests {
     #![allow(clippy::disallowed_methods)]
 
     use super::*;
+    use skq_core::query::KwQuery;
     use skq_workload::scenarios;
 
     fn small_server(workers: usize) -> Server {
@@ -516,7 +391,6 @@ mod tests {
             ServerConfig {
                 workers,
                 queue_capacity: 64,
-                ..ServerConfig::default()
             },
         )
     }
@@ -565,54 +439,6 @@ mod tests {
             .query(Request::new(Rect::full(2), vec![0, 1]))
             .unwrap();
         assert_eq!(reply.generation, 1);
-    }
-
-    #[test]
-    fn brownout_count_only_answers_with_a_count() {
-        let dataset = scenarios::city(300, 11);
-        let suite = OrpKwSuite::try_build(&dataset, 2).unwrap();
-        let mut expected = suite.query(&Rect::full(2), &[0, 1]).unwrap();
-        expected.sort_unstable();
-        // Depth thresholds of 0 put every request on the deepest rung,
-        // making the ladder deterministic under test.
-        let server = Server::start(
-            OrpKwSuite::try_build(&dataset, 2).unwrap(),
-            ServerConfig {
-                brownout: Some(BrownoutConfig {
-                    limited_depth: 0.0,
-                    count_only_depth: 0.0,
-                    limited_results: 8,
-                }),
-                ..ServerConfig::default()
-            },
-        );
-        let reply = server
-            .query(Request::new(Rect::full(2), vec![0, 1]))
-            .unwrap();
-        assert_eq!(reply.degraded, Some("count_only"));
-        assert!(reply.ids.is_empty());
-        assert_eq!(reply.stats.emitted, expected.len() as u64);
-    }
-
-    #[test]
-    fn brownout_limited_clamps_the_result_budget() {
-        let dataset = scenarios::city(300, 11);
-        let server = Server::start(
-            OrpKwSuite::try_build(&dataset, 2).unwrap(),
-            ServerConfig {
-                brownout: Some(BrownoutConfig {
-                    limited_depth: 0.0,
-                    count_only_depth: 2.0,
-                    limited_results: 3,
-                }),
-                ..ServerConfig::default()
-            },
-        );
-        let reply = server
-            .query(Request::new(Rect::full(2), vec![0, 1]))
-            .unwrap();
-        assert_eq!(reply.degraded, Some("limited"));
-        assert!(reply.ids.len() <= 3);
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //! Capacity is checked under the same lock, so the queue never holds
 //! more than `capacity` jobs — the precondition the serving layer's
 //! admission control ([`SkqError::Overloaded`](skq_core::SkqError))
-//! relies on.
+//! relies on. [`JobQueue::try_push`] and [`JobQueue::pop`] report the
+//! depth they saw under that lock, so no depth counter lives outside it.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 struct State<T> {
@@ -32,9 +33,6 @@ struct State<T> {
 pub struct JobQueue<T> {
     state: Mutex<State<T>>,
     available: Condvar,
-    /// The queued-job count, mirrored out of the lock for the depth
-    /// readers (brownout admission, the queue-depth gauge).
-    len: AtomicUsize,
     /// Stored only while holding `state`'s lock.
     closed: AtomicBool,
     capacity: usize,
@@ -51,7 +49,6 @@ impl<T> JobQueue<T> {
                 parked: 0,
             }),
             available: Condvar::new(),
-            len: AtomicUsize::new(0),
             closed: AtomicBool::new(false),
             capacity,
         }
@@ -61,38 +58,38 @@ impl<T> JobQueue<T> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Enqueues `item`, or hands it back if the queue is full or
-    /// closed. Never blocks beyond the queue lock.
+    /// Enqueues `item` and returns the queue depth after the push, or
+    /// hands it back if the queue is full or closed. Never blocks
+    /// beyond the queue lock.
     ///
     /// # Errors
     ///
-    /// Returns `Err(item)` when the queue already holds `capacity`
-    /// jobs, or after [`close`](Self::close).
-    pub fn try_push(&self, item: T) -> Result<(), T> {
-        let wake = {
+    /// Returns `Err((item, depth))` when the queue already holds
+    /// `capacity` jobs, or after [`close`](Self::close).
+    pub fn try_push(&self, item: T) -> Result<usize, (T, usize)> {
+        let (depth, wake) = {
             let mut state = self.lock();
-            if self.closed.load(Ordering::Acquire) || state.jobs.len() >= self.capacity {
-                return Err(item);
+            let depth = state.jobs.len();
+            if self.closed.load(Ordering::Acquire) || depth >= self.capacity {
+                return Err((item, depth));
             }
             state.jobs.push_back(item);
-            self.len.store(state.jobs.len(), Ordering::Release);
-            state.parked > 0
+            (depth + 1, state.parked > 0)
         };
         if wake {
             self.available.notify_one();
         }
-        Ok(())
+        Ok(depth)
     }
 
-    /// Dequeues the oldest job, blocking while the queue is open but
-    /// empty. Returns `None` once the queue is closed **and** drained —
-    /// the worker's signal to exit.
-    pub fn pop(&self) -> Option<T> {
+    /// Dequeues the oldest job with the depth left behind it, blocking
+    /// while the queue is open but empty. Returns `None` once the queue
+    /// is closed **and** drained — the worker's signal to exit.
+    pub fn pop(&self) -> Option<(T, usize)> {
         let mut state = self.lock();
         loop {
             if let Some(item) = state.jobs.pop_front() {
-                self.len.store(state.jobs.len(), Ordering::Release);
-                return Some(item);
+                return Some((item, state.jobs.len()));
             }
             if self.closed.load(Ordering::Acquire) {
                 return None;
@@ -104,21 +101,6 @@ impl<T> JobQueue<T> {
                 .unwrap_or_else(PoisonError::into_inner);
             state.parked -= 1;
         }
-    }
-
-    /// Number of queued jobs (racy by nature; exact at quiescence).
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
-    }
-
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Closes the queue: future pushes fail, and consumers drain the
@@ -151,12 +133,11 @@ mod tests {
     fn fifo_order() {
         let q = JobQueue::new(16);
         for i in 0..5 {
-            q.try_push(i).unwrap();
+            assert_eq!(q.try_push(i), Ok(i + 1));
         }
         for i in 0..5 {
-            assert_eq!(q.pop(), Some(i));
+            assert_eq!(q.pop(), Some((i, 4 - i)));
         }
-        assert!(q.is_empty());
     }
 
     #[test]
@@ -165,16 +146,15 @@ mod tests {
         assert!(q.try_push(1).is_ok());
         assert!(q.try_push(2).is_ok());
         assert!(q.try_push(3).is_ok());
-        assert_eq!(q.try_push(4), Err(4));
-        assert_eq!(q.len(), 3);
+        assert_eq!(q.try_push(4), Err((4, 3)));
         let _ = q.pop();
-        assert!(q.try_push(4).is_ok());
+        assert_eq!(q.try_push(4), Ok(3));
     }
 
     #[test]
     fn zero_capacity_rejects_everything() {
         let q = JobQueue::new(0);
-        assert_eq!(q.try_push(9), Err(9));
+        assert_eq!(q.try_push(9), Err((9, 0)));
     }
 
     #[test]
@@ -184,8 +164,8 @@ mod tests {
         q.try_push(2).unwrap();
         q.close();
         assert!(q.is_closed());
-        assert_eq!(q.try_push(3), Err(3));
-        assert_eq!((q.pop(), q.pop()), (Some(1), Some(2)));
+        assert_eq!(q.try_push(3), Err((3, 2)));
+        assert_eq!((q.pop(), q.pop()), (Some((1, 1)), Some((2, 0))));
         assert_eq!(q.pop(), None);
     }
 
@@ -217,7 +197,7 @@ mod tests {
         let echo = {
             let (ping, pong) = (Arc::clone(&ping), Arc::clone(&pong));
             std::thread::spawn(move || {
-                while let Some(i) = ping.pop() {
+                while let Some((i, _)) = ping.pop() {
                     pong.try_push(i).unwrap();
                 }
             })
@@ -227,7 +207,7 @@ mod tests {
             // Give the echo thread time to park on the empty queue.
             std::thread::sleep(Duration::from_micros(50));
             ping.try_push(i).unwrap();
-            assert_eq!(pong.pop(), Some(i));
+            assert_eq!(pong.pop(), Some((i, 0)));
         }
         let elapsed = start.elapsed();
         ping.close();
@@ -250,8 +230,8 @@ mod tests {
                         let mut item = p * (total / 4) + i;
                         loop {
                             match q.try_push(item) {
-                                Ok(()) => break,
-                                Err(back) => item = back,
+                                Ok(_) => break,
+                                Err((back, _)) => item = back,
                             }
                         }
                     }
@@ -263,7 +243,7 @@ mod tests {
                 let q = Arc::clone(&q);
                 std::thread::spawn(move || {
                     let mut seen = Vec::new();
-                    while let Some(item) = q.pop() {
+                    while let Some((item, _)) = q.pop() {
                         seen.push(item);
                     }
                     seen

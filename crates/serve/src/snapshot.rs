@@ -6,15 +6,12 @@
 //! this workspace forbids unsafe code (lint L09 / workspace `deny`).
 //! [`SnapshotCell`] gets the same observable behaviour from safe parts:
 //!
-//! * a small fixed number of **stripes**, each an
-//!   `RwLock<Arc<Versioned<T>>>`. A reader picks a stripe by a
-//!   thread-local index, holds the read lock just long enough to clone
-//!   the `Arc`, and then works lock-free on its private snapshot. With
-//!   one stripe per worker thread (or more), readers almost never
-//!   contend with each other.
+//! * one **slot**, an `RwLock<Arc<Versioned<T>>>`. A reader holds the
+//!   read lock just long enough to clone the `Arc`, and then works
+//!   lock-free on its private snapshot.
 //! * an `AtomicU64` **epoch**, bumped with `Release` ordering *after*
-//!   every stripe holds the new snapshot. A publisher takes a mutex so
-//!   rotations serialize, writes all stripes, then bumps the epoch.
+//!   the slot holds the new snapshot. Publishers serialize on the
+//!   slot's write lock, so generations are consecutive.
 //!
 //! The resulting freshness contract, relied on by the concurrency
 //! stress tests:
@@ -24,31 +21,14 @@
 //! 2. **Bounded staleness** — a read that *starts* after [`epoch`]
 //!    returned `e` observes `generation >= e`, and any observed
 //!    generation is at most one ahead of a subsequently loaded epoch
-//!    (the publisher writes stripes before bumping).
+//!    (the publisher swaps the slot before bumping).
 //! 3. **Old generations stay valid** — an in-flight request keeps its
 //!    `Arc` alive; rotation never invalidates it.
 //!
 //! [`epoch`]: SnapshotCell::epoch
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
-
-/// Number of reader stripes. More stripes mean less reader/reader
-/// contention and proportionally more publisher work; 8 covers the
-/// worker counts this workspace targets (publishing is rare).
-const STRIPES: usize = 8;
-
-thread_local! {
-    /// Per-thread stripe assignment: threads are numbered in creation
-    /// order and spread round-robin over the stripes, so a worker pool
-    /// of `STRIPES` threads gets one stripe each.
-    static STRIPE: usize = {
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        // relaxed: thread-numbering counter; uniqueness is all that
-        // matters, no ordering with other memory is implied
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    };
-}
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// A snapshot payload tagged with the rotation generation (1-based)
 /// that published it.
@@ -70,26 +50,19 @@ pub struct Versioned<T> {
 /// the freshness contract.
 #[derive(Debug)]
 pub struct SnapshotCell<T> {
-    stripes: Vec<RwLock<Arc<Versioned<T>>>>,
+    slot: RwLock<Arc<Versioned<T>>>,
     epoch: AtomicU64,
-    /// Serializes publishers so generations are consecutive and stripe
-    /// writes from two rotations never interleave.
-    publish_lock: Mutex<()>,
 }
 
 impl<T> SnapshotCell<T> {
     /// A cell initialized with generation 1 holding `initial`.
     pub fn new(initial: T) -> Self {
-        let first = Arc::new(Versioned {
-            value: initial,
-            generation: 1,
-        });
         Self {
-            stripes: (0..STRIPES)
-                .map(|_| RwLock::new(Arc::clone(&first)))
-                .collect(),
+            slot: RwLock::new(Arc::new(Versioned {
+                value: initial,
+                generation: 1,
+            })),
             epoch: AtomicU64::new(1),
-            publish_lock: Mutex::new(()),
         }
     }
 
@@ -99,45 +72,32 @@ impl<T> SnapshotCell<T> {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Clones the current snapshot out of this thread's stripe. The
-    /// read lock is held only for the `Arc` clone — never across query
-    /// execution — so a concurrent [`publish`](Self::publish) blocks
-    /// for nanoseconds per stripe, not for a request duration.
+    /// Clones the current snapshot. The read lock is held only for the
+    /// `Arc` clone — never across query execution — so a concurrent
+    /// [`publish`](Self::publish) waits nanoseconds, not a request
+    /// duration.
     pub fn current(&self) -> Arc<Versioned<T>> {
-        let stripe = STRIPE.with(|s| *s) % self.stripes.len();
-        let slot = self.stripes[stripe]
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(&slot)
+        Arc::clone(&self.slot.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Publishes `value` as the next generation and returns that
     /// generation. Readers that already hold an `Arc` keep the old
-    /// snapshot; new [`current`](Self::current) calls see the new one
-    /// as their stripe is written. The epoch is bumped (Release) only
-    /// after every stripe holds the new snapshot. The replaced `Arc`s
-    /// are released after every lock is, so freeing the previous
-    /// snapshot never stalls a reader.
+    /// snapshot; new [`current`](Self::current) calls see the new one.
+    /// The epoch is bumped (Release) only after the slot holds the new
+    /// snapshot. The replaced `Arc` is released after the lock is, so
+    /// freeing the previous snapshot never stalls a reader.
     pub fn publish(&self, value: T) -> u64 {
         let span = skq_obs::Span::enter("serve.publish");
-        let guard = self
-            .publish_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        // relaxed: epoch writes are serialized by publish_lock (held
-        // here), so this read cannot race another writer; cross-thread
-        // visibility is carried by the Release store below, paired
-        // with the Acquire load in epoch() (L16 pairing table,
-        // DESIGN.md §12)
+        let mut slot = self.slot.write().unwrap_or_else(PoisonError::into_inner);
+        // relaxed: epoch writes happen only under the slot's write
+        // lock (held here), so this read cannot race another writer;
+        // cross-thread visibility is carried by the Release store
+        // below, paired with the Acquire load in epoch() (L16 pairing
+        // table, DESIGN.md §12)
         let generation = self.epoch.load(Ordering::Relaxed) + 1;
-        let next = Arc::new(Versioned { value, generation });
-        let mut replaced = Vec::with_capacity(self.stripes.len());
-        for stripe in &self.stripes {
-            let mut slot = stripe.write().unwrap_or_else(PoisonError::into_inner);
-            replaced.push(std::mem::replace(&mut *slot, Arc::clone(&next)));
-        }
+        let replaced = std::mem::replace(&mut *slot, Arc::new(Versioned { value, generation }));
         self.epoch.store(generation, Ordering::Release);
-        drop(guard);
+        drop(slot);
         drop(replaced);
         let registry = skq_obs::global();
         registry
@@ -148,12 +108,6 @@ impl<T> SnapshotCell<T> {
             .set(generation as f64);
         drop(span);
         generation
-    }
-
-    /// Number of reader stripes (exposed for the stress tests, which
-    /// want at least one reader thread per stripe).
-    pub fn stripe_count(&self) -> usize {
-        self.stripes.len()
     }
 }
 
@@ -194,9 +148,9 @@ mod tests {
 
     #[test]
     fn old_snapshot_is_freed_outside_every_lock() {
-        use std::sync::{OnceLock, Weak};
+        use std::sync::{Mutex, OnceLock, Weak};
 
-        /// On drop, records which stripes a reader could lock right now.
+        /// On drop, records whether a reader could lock the slot now.
         struct Probe {
             cell: Arc<OnceLock<Weak<SnapshotCell<Probe>>>>,
             readable: Arc<Mutex<Vec<bool>>>,
@@ -204,8 +158,8 @@ mod tests {
         impl Drop for Probe {
             fn drop(&mut self) {
                 if let Some(cell) = self.cell.get().and_then(Weak::upgrade) {
-                    let free = cell.stripes.iter().map(|s| s.try_read().is_ok());
-                    self.readable.lock().unwrap().extend(free);
+                    let free = cell.slot.try_read().is_ok();
+                    self.readable.lock().unwrap().push(free);
                 }
             }
         }
@@ -219,7 +173,7 @@ mod tests {
         let cell = Arc::new(SnapshotCell::new(probe()));
         assert!(slot.set(Arc::downgrade(&cell)).is_ok());
         cell.publish(probe());
-        assert_eq!(*readable.lock().unwrap(), vec![true; cell.stripe_count()]);
+        assert_eq!(*readable.lock().unwrap(), vec![true]);
     }
 
     #[test]

@@ -119,7 +119,9 @@ impl DurableDynamic {
     ///
     /// `SkqError::Store` if the directory or WAL is unusable, a
     /// checkpoint is unreadable or in the pre-table `DYN_HEAD` format,
-    /// or `dim` conflicts with the checkpoint;
+    /// `dim` conflicts with the checkpoint, or the WAL was truncated
+    /// past the newest checkpoint that decodes (the ops in between are
+    /// gone, so opening would silently lose them);
     /// `SkqError::InvalidDataset` if `dim` is outside `1..=MAX_DIM`.
     pub fn open(
         dir: &Path,
@@ -194,6 +196,18 @@ impl DurableDynamic {
         }
 
         let (wal, scan) = Wal::open(&dir.join("wal"), config.wal)?;
+        if let Some(first) = scan.records.first() {
+            if first.lsn > report.checkpoint_lsn + 1 {
+                return Err(SkqError::Store {
+                    backend: "file".to_string(),
+                    message: format!(
+                        "lsns {}..={} are in no readable checkpoint and no longer in the WAL",
+                        report.checkpoint_lsn + 1,
+                        first.lsn - 1
+                    ),
+                });
+            }
+        }
         report.torn_tail = scan.torn_tail;
         report.last_lsn = report.checkpoint_lsn;
         for rec in &scan.records {
@@ -519,6 +533,65 @@ mod tests {
         let (d, report) = DurableDynamic::open(&dir, 2, fast(16)).expect("recover");
         assert!(report.checkpoints_discarded >= 1);
         assert_eq!(d.index().len(), 80);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Flips a byte in the middle of every checkpoint in `dir`.
+    fn corrupt_every_checkpoint(dir: &Path) {
+        let backend = FileBackend::new(dir).expect("backend");
+        let names = backend.list().expect("list");
+        let mut corrupted = 0;
+        for name in names.iter().filter(|n| n.starts_with("ckpt-")) {
+            let path = backend.path_of(name).expect("path");
+            let mut bytes = fs::read(&path).expect("read");
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0xff;
+            fs::write(&path, &bytes).expect("write");
+            corrupted += 1;
+        }
+        assert!(corrupted > 0, "no checkpoint to corrupt");
+    }
+
+    #[test]
+    fn every_checkpoint_corrupt_after_truncation_fails_open_typed() {
+        let dir = tmpdir("allcorrupt-truncated");
+        {
+            let (mut d, _) = DurableDynamic::open(&dir, 2, fast(16)).expect("open");
+            for i in 0..200u64 {
+                d.insert(pt(i), kws(i)).expect("insert");
+            }
+        }
+        corrupt_every_checkpoint(&dir);
+        let err = DurableDynamic::open(&dir, 2, fast(16))
+            .err()
+            .expect("a truncated WAL without a checkpoint must not open");
+        let SkqError::Store { message, .. } = &err else {
+            panic!("expected a Store error, got {err:?}");
+        };
+        assert!(message.starts_with("lsns 1..="), "{message}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_checkpoint_corrupt_with_the_whole_wal_opens_the_full_state() {
+        let dir = tmpdir("allcorrupt-whole");
+        {
+            // Segments that never fill up: truncation deletes only
+            // whole segments at or below the older kept checkpoint,
+            // and the first one runs past it, so lsn 1 stays logged.
+            let mut config = fast(16);
+            config.wal.segment_bytes = u64::MAX;
+            let (mut d, _) = DurableDynamic::open(&dir, 2, config).expect("open");
+            for i in 0..40u64 {
+                d.insert(pt(i), kws(i)).expect("insert");
+            }
+        }
+        corrupt_every_checkpoint(&dir);
+        let (d, report) = DurableDynamic::open(&dir, 2, fast(16)).expect("recover");
+        assert!(report.checkpoints_discarded >= 1);
+        assert_eq!(report.checkpoint_lsn, 0);
+        assert_eq!(report.replayed, 40);
+        assert_eq!(d.index().len(), 40);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -27,13 +27,12 @@
 //! `chrome://tracing`; spans carry the paper's execution counters as
 //! arguments). `rect` and `ball` additionally accept `--count-only` (stream the hits into a
 //! counter — no result set is materialized), `--limit <t>` (stop
-//! after `t` hits, the paper's threshold-query primitive),
-//! `--deadline-ms <ms>` (abandon the query at a wall-clock deadline,
-//! keeping the partial answer) and `--max-results <m>` (a guarded
-//! result budget).
+//! after `t` hits, the paper's threshold-query primitive, enforced by
+//! the query guard) and `--deadline-ms <ms>` (abandon the query at a
+//! wall-clock deadline, keeping the partial answer).
 //!
 //! Exit codes: `0` success, `1` usage errors (unknown command, missing
-//! flags), `2` a malformed flag value (e.g. a non-numeric coordinate in
+//! or unknown flags), `2` a malformed flag value (e.g. a non-numeric coordinate in
 //! `--lo/--hi/--center/--at`) — reported as a single line without the
 //! usage dump, for scripting.
 
@@ -83,8 +82,8 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   skq demo <out.csv>
   skq stats <data.csv>
-  skq rect <data.csv> --lo a,b,… --hi a,b,… --tags t1,t2[,…] [--count-only] [--limit t] [--deadline-ms ms] [--max-results m] [--stats] [--metrics out.prom] [--trace out.json]
-  skq ball <data.csv> --center a,b,… --radius r --tags t1,t2[,…] [--count-only] [--limit t] [--deadline-ms ms] [--max-results m] [--stats] [--metrics out.prom] [--trace out.json]
+  skq rect <data.csv> --lo a,b,… --hi a,b,… --tags t1,t2[,…] [--count-only] [--limit t] [--deadline-ms ms] [--stats] [--metrics out.prom] [--trace out.json]
+  skq ball <data.csv> --center a,b,… --radius r --tags t1,t2[,…] [--count-only] [--limit t] [--deadline-ms ms] [--stats] [--metrics out.prom] [--trace out.json]
   skq nn   <data.csv> --at a,b,… --t N --tags t1,t2[,…] [--stats] [--metrics out.prom] [--trace out.json]
   skq save <data.csv> <snapshot.skq> [--k-max K]
   skq load <snapshot.skq> [--lo a,b,… --hi a,b,… --tag-ids i,j[,…]]
@@ -114,7 +113,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         "rect" | "ball" | "nn" => {
             let path = args.get(1).ok_or("missing data file")?;
             let loaded = load(path)?;
-            let opts = parse_flags(&args[2..])?;
+            let opts = parse_flags(cmd, &args[2..])?;
             let tags = opts.require("tags")?;
             let tag_ids = resolve_tags(&loaded, tags)?;
             let k = tag_ids.len();
@@ -123,20 +122,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
             }
             let dim = loaded.dataset.dim();
             let count_only = opts.has("count-only");
-            let limit: usize = match opts.get("limit") {
-                Some(v) => v.parse().map_err(|_| {
-                    CliError::BadArg(format!("--limit must be an integer, got {v:?}"))
-                })?,
-                None => usize::MAX,
-            };
             let guard = build_guard(&opts)?;
-            let guarded = opts.has("deadline-ms") || opts.has("max-results");
-            if cmd == "nn" && (count_only || limit != usize::MAX || guarded) {
-                return Err(
-                    "--count-only/--limit/--deadline-ms/--max-results apply to rect and ball queries"
-                        .into(),
-                );
-            }
             if opts.has("trace") {
                 obs::trace::enable();
             }
@@ -167,7 +153,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                     let q = Rect::new(&lo, &hi);
                     let index = OrpKwIndex::try_build(&loaded.dataset, k)
                         .map_err(|e| CliError::BadArg(e.to_string()))?;
-                    sink_query(&index, &q, &tag_ids, &guard, limit, count_only)?
+                    sink_query(&index, &q, &tag_ids, &guard, count_only)?
                 }
                 "ball" => {
                     let center = Point::new(
@@ -186,7 +172,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                     let index = SrpKwIndex::try_build(&loaded.dataset, k)
                         .map_err(|e| CliError::BadArg(e.to_string()))?;
                     let ball = Ball::new(center, radius);
-                    sink_query(&index, &ball, &tag_ids, &guard, limit, count_only)?
+                    sink_query(&index, &ball, &tag_ids, &guard, count_only)?
                 }
                 _ => {
                     let at = Point::new(
@@ -209,8 +195,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
             let truncation_note = match stats.truncated_reason {
                 Some(TruncatedReason::DeadlineExceeded) => " (stopped: deadline exceeded)",
                 Some(TruncatedReason::Cancelled) => " (stopped: cancelled)",
-                Some(TruncatedReason::Limit) => " (stopped at --max-results)",
-                None if stats.truncated => " (stopped at --limit)",
+                Some(TruncatedReason::Limit) => " (stopped at --limit)",
                 None => "",
             };
             match hits {
@@ -271,7 +256,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         "save" => {
             let data = args.get(1).ok_or("save needs a data file")?;
             let out = args.get(2).ok_or("save needs a snapshot path")?;
-            let opts = parse_flags(&args[3..])?;
+            let opts = parse_flags(cmd, &args[3..])?;
             let k_max: usize = match opts.get("k-max") {
                 Some(v) => v.parse().map_err(|_| {
                     CliError::BadArg(format!("--k-max must be an integer, got {v:?}"))
@@ -293,7 +278,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         }
         "load" => {
             let snap = args.get(1).ok_or("load needs a snapshot path")?;
-            let opts = parse_flags(&args[2..])?;
+            let opts = parse_flags(cmd, &args[2..])?;
             let (backend, name) = snapshot_backend(snap)?;
             let started = std::time::Instant::now();
             let suite: skq_core::suite::OrpKwSuite = backend
@@ -334,7 +319,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         }
         "recover" => {
             let dir = args.get(1).ok_or("recover needs a data directory")?;
-            let opts = parse_flags(&args[2..])?;
+            let opts = parse_flags(cmd, &args[2..])?;
             let dim: usize = match opts.get("dim") {
                 Some(v) => v.parse().map_err(|_| {
                     CliError::BadArg(format!("--dim must be an integer, got {v:?}"))
@@ -496,7 +481,7 @@ fn parse_coords_dim(s: &str, dim: usize, flag: &str) -> Result<Vec<f64>, String>
     Ok(coords)
 }
 
-/// Builds the query guard from `--deadline-ms` / `--max-results`.
+/// Builds the query guard from `--deadline-ms` / `--limit`.
 fn build_guard(opts: &Flags) -> Result<QueryGuard, CliError> {
     let mut guard = QueryGuard::new();
     if let Some(v) = opts.get("deadline-ms") {
@@ -505,42 +490,37 @@ fn build_guard(opts: &Flags) -> Result<QueryGuard, CliError> {
         })?;
         guard = guard.with_deadline(Duration::from_millis(ms));
     }
-    if let Some(v) = opts.get("max-results") {
-        let m: usize = v.parse().map_err(|_| {
-            CliError::BadArg(format!("--max-results must be an integer, got {v:?}"))
-        })?;
+    if let Some(v) = opts.get("limit") {
+        let m: usize = v
+            .parse()
+            .map_err(|_| CliError::BadArg(format!("--limit must be an integer, got {v:?}")))?;
         guard = guard.with_max_results(m);
     }
     Ok(guard)
 }
 
-/// Folds a guarded sink's accounting into the query stats.
-/// Runs a rect or ball query under `guard`, stopping after `limit`
-/// matches: counted only, or collected for printing. A deadline or
-/// cancellation keeps the partial answer; `stats.truncated_reason` says
-/// which limit stopped it.
+/// Runs a rect or ball query under `guard`: counted only, or collected
+/// for printing. A deadline or cancellation keeps the partial answer;
+/// `stats.truncated_reason` says which limit stopped it.
 fn sink_query<I: KwQuery>(
     index: &I,
     shape: &I::Shape,
     tags: &[Keyword],
     guard: &QueryGuard,
-    limit: usize,
     count_only: bool,
 ) -> Result<(Option<Vec<u32>>, QueryStats), CliError> {
     let mut stats = QueryStats::new();
-    let mut count = LimitSink::new(CountSink::new(), limit);
-    let mut collect = LimitSink::new(Vec::new(), limit);
+    let mut hits = Vec::new();
     let outcome = if count_only {
-        index.run(shape, tags, guard, &mut count, &mut stats)
+        index.run(shape, tags, guard, &mut CountSink::new(), &mut stats)
     } else {
-        index.run(shape, tags, guard, &mut collect, &mut stats)
+        index.run(shape, tags, guard, &mut hits, &mut stats)
     };
     match outcome {
         Ok(_) | Err(SkqError::DeadlineExceeded | SkqError::Cancelled) => {}
         Err(e) => return Err(CliError::BadArg(e.to_string())),
     }
-    let hits = (!count_only).then(|| collect.into_inner());
-    Ok((hits, stats))
+    Ok(((!count_only).then_some(hits), stats))
 }
 
 fn resolve_tags(loaded: &Loaded, tags: &str) -> Result<Vec<Keyword>, String> {
@@ -563,6 +543,20 @@ struct Flags(Vec<(String, String)>);
 /// Flags that take no value.
 const BOOL_FLAGS: &[&str] = &["stats", "count-only"];
 
+/// The flags each command accepts, space-separated; any other `--name`
+/// is a usage error.
+fn accepted_flags(cmd: &str) -> &'static str {
+    match cmd {
+        "rect" => "lo hi tags count-only limit deadline-ms stats metrics trace",
+        "ball" => "center radius tags count-only limit deadline-ms stats metrics trace",
+        "nn" => "at t tags stats metrics trace",
+        "save" => "k-max",
+        "load" => "lo hi tag-ids",
+        "recover" => "dim",
+        _ => "",
+    }
+}
+
 impl Flags {
     fn require(&self, name: &str) -> Result<&str, String> {
         self.get(name).ok_or_else(|| format!("missing --{name}"))
@@ -580,13 +574,16 @@ impl Flags {
     }
 }
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+fn parse_flags(cmd: &str, args: &[String]) -> Result<Flags, String> {
     let mut out = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let name = a
             .strip_prefix("--")
             .ok_or_else(|| format!("expected a --flag, got {a:?}"))?;
+        if !accepted_flags(cmd).split(' ').any(|f| f == name) {
+            return Err(format!("unknown flag --{name} for {cmd}"));
+        }
         if BOOL_FLAGS.contains(&name) {
             out.push((name.to_string(), String::new()));
             continue;
@@ -645,10 +642,10 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let f = parse_flags(&args).unwrap();
+        let f = parse_flags("rect", &args).unwrap();
         assert_eq!(f.require("lo").unwrap(), "1,2");
         assert!(f.require("tags").is_err());
-        assert!(parse_flags(&["oops".to_string()]).is_err());
+        assert!(parse_flags("rect", &["oops".to_string()]).is_err());
     }
 
     #[test]
@@ -657,7 +654,7 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let f = parse_flags(&args).unwrap();
+        let f = parse_flags("rect", &args).unwrap();
         assert!(f.has("stats"));
         assert_eq!(f.get("metrics"), Some("out.prom"));
         assert_eq!(f.require("tags").unwrap(), "a,b");
@@ -685,7 +682,7 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let f = parse_flags(&args).unwrap();
+        let f = parse_flags("rect", &args).unwrap();
         assert!(f.has("count-only"));
         assert_eq!(f.get("limit"), Some("5"));
     }
@@ -697,7 +694,7 @@ mod tests {
         let index = OrpKwIndex::try_build(&loaded.dataset, tags.len()).unwrap();
         let q = Rect::new(&[100.0, 8.0], &[200.0, 10.0]);
         let guard = QueryGuard::new();
-        let (hits, stats) = sink_query(&index, &q, &tags, &guard, usize::MAX, true).unwrap();
+        let (hits, stats) = sink_query(&index, &q, &tags, &guard, true).unwrap();
         assert!(hits.is_none());
         assert_eq!(stats.emitted, 3);
         assert_eq!(stats.reported, 3);
@@ -745,16 +742,7 @@ mod tests {
                 "soon",
             ],
             vec![
-                "rect",
-                d,
-                "--lo",
-                "1,8",
-                "--hi",
-                "200,10",
-                "--tags",
-                "pool,spa",
-                "--max-results",
-                "-3",
+                "rect", d, "--lo", "1,8", "--hi", "200,10", "--tags", "pool,spa", "--limit", "-3",
             ],
         ];
         for args in bad {
@@ -857,11 +845,36 @@ mod tests {
         let tags = resolve_tags(&loaded, "pool,pet-friendly").unwrap();
         let index = OrpKwIndex::try_build(&loaded.dataset, tags.len()).unwrap();
         let q = Rect::new(&[0.0, 0.0], &[300.0, 10.0]);
-        let opts = parse_flags(&string_args(&["--max-results", "2"])).unwrap();
+        let opts = parse_flags("rect", &string_args(&["--limit", "2"])).unwrap();
         let guard = build_guard(&opts).unwrap();
-        let (hits, stats) = sink_query(&index, &q, &tags, &guard, usize::MAX, false).unwrap();
+        let (hits, stats) = sink_query(&index, &q, &tags, &guard, false).unwrap();
         assert_eq!(hits.unwrap().len(), 2);
         assert_eq!(stats.truncated_reason, Some(TruncatedReason::Limit));
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors() {
+        let d = write_csv("unknown_flags", &demo_csv());
+        let dir = std::env::temp_dir().join("skq_cli_unknown_flags_recover");
+        let dir = dir.to_str().unwrap();
+        let cases = [
+            vec!["recover", dir, "--k", "9"],
+            vec![
+                "rect", &d, "--lo", "100,8", "--hi", "200,10", "--tags", "pool,spa", "--bogus", "1",
+            ],
+            vec![
+                "nn", &d, "--at", "150,9", "--t", "3", "--tags", "pool,spa", "--limit", "2",
+            ],
+        ];
+        for args in cases {
+            let Err(CliError::Usage(msg)) = run(&string_args(&args)) else {
+                panic!("{args:?} must be a usage error");
+            };
+            assert!(
+                msg.contains(&format!("unknown flag {}", args[args.len() - 2])),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

@@ -18,9 +18,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use structured_keyword_search::core::dynamic::DynamicOrpKw;
-use structured_keyword_search::core::framework::{
-    doc_weights, FrameworkConfig, KdPartitioner, TransformedIndex,
-};
+use structured_keyword_search::core::framework::{doc_weights, KdPartitioner, TransformedIndex};
 use structured_keyword_search::core::naive;
 use structured_keyword_search::core::persist::fnv1a64;
 use structured_keyword_search::core::suite::OrpKwSuite;
@@ -79,7 +77,6 @@ fn ksi_tree(d: &Dataset) -> TransformedIndex<KdPartitioner> {
         KdPartitioner::new(1, coords, doc_weights(&docs)),
         docs,
         2..=2,
-        FrameworkConfig::default(),
     )
     .unwrap()
 }

@@ -119,7 +119,6 @@ fn drive(site: &str, d: &Dataset) -> Result<(), SkqError> {
                 ServerConfig {
                     workers: 1,
                     queue_capacity: 8,
-                    ..ServerConfig::default()
                 },
             );
             let result = server

@@ -189,7 +189,6 @@ fn server_rotation_under_live_queries() {
         ServerConfig {
             workers: 4,
             queue_capacity: 256,
-            ..ServerConfig::default()
         },
     ));
 

@@ -77,28 +77,6 @@ fn lapsed_deadline_is_shed_with_typed_error() {
     server.shutdown();
 }
 
-/// A server-wide default deadline applies to requests that carry none.
-#[test]
-fn default_deadline_applies_to_bare_requests() {
-    let _fp = isolated();
-    let server = Server::start(
-        suite(100),
-        ServerConfig {
-            default_deadline: Some(Duration::ZERO),
-            ..ServerConfig::default()
-        },
-    );
-    let err = server
-        .query(Request::new(Rect::full(2), vec![0, 1]))
-        .unwrap_err();
-    assert!(matches!(err, SkqError::DeadlineExceeded), "{err}");
-    // A per-request deadline overrides the hopeless default.
-    let mut req = Request::new(Rect::full(2), vec![0, 1]);
-    req.deadline = Some(Duration::from_secs(30));
-    assert_eq!(server.query(req).unwrap().ids.len(), 100);
-    server.shutdown();
-}
-
 /// A pre-cancelled token sheds deterministically with `Cancelled`.
 #[test]
 fn cancelled_token_sheds_with_typed_error() {
@@ -139,7 +117,6 @@ fn saturated_queue_sheds_with_overloaded() {
         ServerConfig {
             workers: 1,
             queue_capacity: 0,
-            ..ServerConfig::default()
         },
     );
     let shed = skq_obs::global().counter("skq_serve_shed_total", &[("reason", "overloaded")]);
@@ -168,7 +145,6 @@ fn pool_saturation_resolves_every_request() {
         ServerConfig {
             workers: 2,
             queue_capacity: 16,
-            ..ServerConfig::default()
         },
     ));
     let resolved = Arc::new(AtomicUsize::new(0));
@@ -244,7 +220,6 @@ mod failpoint_battery {
             ServerConfig {
                 workers: 2,
                 queue_capacity: 32,
-                ..ServerConfig::default()
             },
         );
         let respawns_before = counter("skq_serve_worker_respawns_total");
@@ -298,7 +273,6 @@ mod failpoint_battery {
             ServerConfig {
                 workers: 1,
                 queue_capacity: 32,
-                ..ServerConfig::default()
             },
         );
         let respawns_before = counter("skq_serve_worker_respawns_total");
@@ -336,7 +310,6 @@ mod failpoint_battery {
             ServerConfig {
                 workers: 1,
                 queue_capacity: 32,
-                ..ServerConfig::default()
             },
         );
         let panics_before = counter("skq_serve_worker_panics_total");
