@@ -16,7 +16,6 @@ use crate::dataset::Dataset;
 use crate::error::{validate, SkqError};
 use crate::failpoints;
 use crate::orp::OrpKwIndex;
-use crate::persist::{self, Persist, SCHEMA_VERSION};
 use crate::query::KwQuery;
 use crate::sink::{CountSink, LimitSink, ResultSink};
 use crate::stats::QueryStats;
@@ -306,82 +305,6 @@ impl LinfNnIndex {
             }
         }
         self.orp.validate()
-    }
-}
-
-/// Engine tag written in the `NN_HEAD` page: the ORP-KW threshold
-/// engine, the only one there is. The loader rejects any other tag.
-const NN_ENGINE_ORP: u64 = 0;
-
-impl Persist for LinfNnIndex {
-    fn to_pages(&self, w: &mut persist::PageWriter) -> Result<(), SkqError> {
-        let mut head = Vec::new();
-        persist::put_uv(&mut head, NN_ENGINE_ORP);
-        persist::put_uv(&mut head, self.dim as u64);
-        persist::put_uv(&mut head, self.points.len() as u64);
-        w.page(persist::kind::NN_HEAD, SCHEMA_VERSION, head);
-        // The sorted candidate-radius columns are derived data: the
-        // loader re-sorts them from the points, so only the points
-        // travel.
-        let coords: Vec<f64> = self
-            .points
-            .iter()
-            .flat_map(|p| p.coords())
-            .copied()
-            .collect();
-        persist::put_point_pages(w, persist::kind::NN_POINTS, &coords, self.dim);
-        self.orp.to_pages(w)
-    }
-
-    fn from_pages(r: &mut persist::PageReader<'_>) -> Result<Self, SkqError> {
-        let fail = |detail: String| SkqError::Corrupted {
-            section: "nn_linf".into(),
-            detail,
-        };
-        let mut head = r.page(persist::kind::NN_HEAD, SCHEMA_VERSION, "nn_linf")?;
-        let engine = head.uv()?;
-        let dim = head.usizev()?;
-        let n = head.usizev()?;
-        head.end()?;
-        if engine != NN_ENGINE_ORP {
-            return Err(fail(format!("unknown nn_linf engine tag {engine}")));
-        }
-        if n == 0 {
-            return Err(fail("index stores zero points".into()));
-        }
-        let coords = persist::read_point_pages(r, persist::kind::NN_POINTS, "nn_linf", n, dim)?;
-        if let Some(i) = coords.iter().position(|c| !c.is_finite()) {
-            let i = i / dim;
-            return Err(fail(format!("point {i} has a non-finite coordinate")));
-        }
-        let points: Vec<Point> = coords.chunks(dim).map(Point::new).collect();
-        let orp = OrpKwIndex::from_pages(r)?;
-        if orp.dim() != dim {
-            return Err(fail(format!(
-                "head declares {dim}D, inner index is {}D",
-                orp.dim()
-            )));
-        }
-        if orp.len() != n {
-            return Err(fail(format!(
-                "head declares {n} points, inner index holds {:?}",
-                orp.len()
-            )));
-        }
-        // Rebuild the per-dimension candidate-radius columns exactly as
-        // `try_build` does — deterministic total-order sorts.
-        let mut sorted_coords = Vec::with_capacity(dim);
-        for d in 0..dim {
-            let mut col: Vec<f64> = points.iter().map(|p| p.get(d)).collect();
-            col.sort_by(f64::total_cmp);
-            sorted_coords.push(col);
-        }
-        Ok(Self {
-            orp,
-            sorted_coords,
-            points,
-            dim,
-        })
     }
 }
 

@@ -11,10 +11,9 @@
 //!
 //! Types opt in by implementing [`Persist`]: `to_pages` appends pages
 //! to a [`PageWriter`], `from_pages` consumes them from a
-//! [`PageReader`] in the same order. The provided
-//! `to_bytes`/`to_writer`/`try_from_bytes`/`try_from_reader` methods
-//! handle the file header and the end-of-file check. The on-disk
-//! format is specified normatively in DESIGN.md §15.
+//! [`PageReader`] in the same order. The provided `to_bytes` and
+//! `try_from_bytes` methods handle the file header and the end-of-file
+//! check. The on-disk format is specified normatively in DESIGN.md §15.
 //!
 //! Integers are LEB128 varints; `f64` coordinates are the 8 raw
 //! little-endian bytes of [`f64::to_bits`] (±∞ round-trips; rank-space
@@ -22,7 +21,6 @@
 //! sections are written in sorted key order — so saving the same index
 //! twice yields identical bytes.
 
-use std::io::{Read, Write};
 use std::sync::Arc;
 
 use skq_geom::RankSpace;
@@ -58,8 +56,10 @@ pub const PAGE_HEADER_BYTES: usize = 24;
 /// reordered or misassembled file fails loudly instead of decoding
 /// into the wrong structure.
 ///
-/// Kinds 1–3 (the retired `Dataset` head, points and documents, once
-/// a suite's own copy of its input) are never reused.
+/// Retired kinds are never reused: 1–3 (the `Dataset` head, points and
+/// documents, once a suite's own copy of its input) and 15–19 (the
+/// RR-KW, SP-KW, SRP-KW and L∞-NN heads and the L∞-NN points, formats
+/// no program loaded).
 pub mod kind {
     /// `InvertedIndex` scalars: object count, list count, chunk count.
     pub const POSTINGS_HEAD: u16 = 4;
@@ -85,16 +85,6 @@ pub mod kind {
     pub const ORP_HEAD: u16 = 13;
     /// `OrpKwSuite` head: `k_max`.
     pub const SUITE_HEAD: u16 = 14;
-    /// `RrKwIndex` head: rectangle dimensionality and count.
-    pub const RR_HEAD: u16 = 15;
-    /// `SpKwIndex` head: strategy tag, dimensionality, `k`.
-    pub const SP_HEAD: u16 = 16;
-    /// `SrpKwIndex` head: simplex dimensionality.
-    pub const SRP_HEAD: u16 = 17;
-    /// `LinfNnIndex` head: engine tag, dimensionality, length.
-    pub const NN_HEAD: u16 = 18;
-    /// A chunk of `LinfNnIndex` points.
-    pub const NN_POINTS: u16 = 19;
     /// `DynamicOrpKw` head: `k`, `dim`, handle watermark, buffer
     /// length, and the logarithmic-method slot occupancy.
     pub const DYN_HEAD: u16 = 20;
@@ -621,20 +611,6 @@ pub trait Persist: Sized {
         w.into_bytes()
     }
 
-    /// Serializes to a complete snapshot and writes it to `out`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Persist::to_pages`]; I/O failures surface as
-    /// [`SkqError::Store`] with backend `io`.
-    fn to_writer(&self, out: &mut dyn Write) -> Result<(), SkqError> {
-        let bytes = self.to_bytes()?;
-        out.write_all(&bytes).map_err(|e| SkqError::Store {
-            backend: "io".into(),
-            message: e.to_string(),
-        })
-    }
-
     /// Deserializes from complete snapshot bytes, requiring every page
     /// to be consumed.
     ///
@@ -648,24 +624,9 @@ pub trait Persist: Sized {
         r.finish()?;
         Ok(value)
     }
-
-    /// Reads `input` to its end and deserializes a snapshot from it.
-    ///
-    /// # Errors
-    ///
-    /// As [`Persist::try_from_bytes`]; I/O failures surface as
-    /// [`SkqError::Store`] with backend `io`.
-    fn try_from_reader(input: &mut dyn Read) -> Result<Self, SkqError> {
-        let mut bytes = Vec::new();
-        input.read_to_end(&mut bytes).map_err(|e| SkqError::Store {
-            backend: "io".into(),
-            message: e.to_string(),
-        })?;
-        Self::try_from_bytes(&bytes)
-    }
 }
 
-/// Points per `TREE_POINTS`/`NN_POINTS` page.
+/// Points per `TREE_POINTS` page.
 pub(crate) const POINTS_PER_PAGE: usize = 4096;
 /// Documents per `TREE_DOCS` page.
 pub(crate) const DOCS_PER_PAGE: usize = 4096;

@@ -19,7 +19,6 @@ use crate::dataset::Dataset;
 use crate::error::{validate, SkqError};
 use crate::failpoints;
 use crate::orp::OrpKwIndex;
-use crate::persist::{self, Persist, SCHEMA_VERSION};
 use crate::query::KwQuery;
 use crate::sink::{DedupSink, ResultSink};
 use crate::stats::QueryStats;
@@ -132,44 +131,6 @@ impl KwQuery for RrKwIndex {
         let mut dedup = DedupSink::new(self.len, &mut *sink);
         self.orp
             .query_sink(&lift_query(q), keywords, &mut dedup, stats)
-    }
-}
-
-impl Persist for RrKwIndex {
-    fn to_pages(&self, w: &mut persist::PageWriter) -> Result<(), SkqError> {
-        let mut head = Vec::new();
-        persist::put_uv(&mut head, self.dim as u64);
-        persist::put_uv(&mut head, self.len as u64);
-        w.page(persist::kind::RR_HEAD, SCHEMA_VERSION, head);
-        self.orp.to_pages(w)
-    }
-
-    fn from_pages(r: &mut persist::PageReader<'_>) -> Result<Self, SkqError> {
-        let fail = |detail: String| SkqError::Corrupted {
-            section: "rr".into(),
-            detail,
-        };
-        let mut head = r.page(persist::kind::RR_HEAD, SCHEMA_VERSION, "rr")?;
-        let dim = head.usizev()?;
-        let len = head.usizev()?;
-        head.end()?;
-        let orp = OrpKwIndex::from_pages(r)?;
-        if orp.dim() != 2 * dim {
-            return Err(fail(format!(
-                "inner index is {}D, expected {} for {dim}D rectangles",
-                orp.dim(),
-                2 * dim
-            )));
-        }
-        // The flattening maps each rectangle to one point, so the inner
-        // object count is the id universe the dedup bitset is sized by.
-        if orp.len() != len {
-            return Err(fail(format!(
-                "head declares {len} rectangles, inner index holds {:?}",
-                orp.len()
-            )));
-        }
-        Ok(Self { orp, dim, len })
     }
 }
 

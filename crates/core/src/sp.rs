@@ -20,7 +20,6 @@ use crate::dataset::Dataset;
 use crate::error::{validate, SkqError};
 use crate::failpoints;
 use crate::framework::{doc_weights, KdPartitioner, TransformedIndex, WillardPartitioner};
-use crate::persist::{self, Persist, SCHEMA_VERSION};
 use crate::query::KwQuery;
 use crate::sink::ResultSink;
 use crate::stats::QueryStats;
@@ -234,74 +233,6 @@ impl KwQuery for SpKwIndex {
                 stats,
             ),
         }
-    }
-}
-
-/// Strategy tag written in the `SP_HEAD` page: the kd strategy — the
-/// only one the paged format encodes (Willard polygons have no node
-/// codec yet; saving them returns [`SkqError::Store`]).
-const SP_STRATEGY_KD: u64 = 1;
-
-impl Persist for SpKwIndex {
-    fn to_pages(&self, w: &mut persist::PageWriter) -> Result<(), SkqError> {
-        match &self.inner {
-            Inner::Kd(tree) => {
-                let mut head = Vec::new();
-                persist::put_uv(&mut head, SP_STRATEGY_KD);
-                persist::put_uv(&mut head, self.dim as u64);
-                persist::put_uv(&mut head, self.k as u64);
-                w.page(persist::kind::SP_HEAD, SCHEMA_VERSION, head);
-                // `points` is the same vector the kd partitioner holds
-                // (see `try_build_with_strategy`), so the tree section
-                // already carries it — no separate point pages.
-                tree.to_pages(w)
-            }
-            Inner::Willard(_) => Err(SkqError::Store {
-                backend: "save".into(),
-                message: format!(
-                    "the {:?} partition tree has no snapshot encoding; build with SpStrategy::Kd \
-                     (or rebuild from the dataset) to persist",
-                    self.strategy()
-                ),
-            }),
-        }
-    }
-
-    fn from_pages(r: &mut persist::PageReader<'_>) -> Result<Self, SkqError> {
-        let fail = |detail: String| SkqError::Corrupted {
-            section: "sp".into(),
-            detail,
-        };
-        let mut head = r.page(persist::kind::SP_HEAD, SCHEMA_VERSION, "sp")?;
-        let strategy = head.uv()?;
-        let dim = head.usizev()?;
-        let k = head.usizev()?;
-        head.end()?;
-        if strategy != SP_STRATEGY_KD {
-            return Err(fail(format!("unknown sp strategy tag {strategy}")));
-        }
-        let tree = TransformedIndex::<KdPartitioner>::from_pages(r)?;
-        if tree.partitioner().dim() != dim {
-            return Err(fail(format!(
-                "head declares {dim}D, tree is {}D",
-                tree.partitioner().dim()
-            )));
-        }
-        if tree.k() != k {
-            return Err(fail(format!("head k = {k}, tree k = {}", tree.k())));
-        }
-        let points = tree
-            .partitioner()
-            .coords()
-            .chunks(dim)
-            .map(Point::new)
-            .collect();
-        Ok(Self {
-            inner: Inner::Kd(tree),
-            points,
-            dim,
-            k,
-        })
     }
 }
 

@@ -14,7 +14,6 @@ use skq_invidx::Keyword;
 use crate::dataset::Dataset;
 use crate::error::{validate, SkqError};
 use crate::failpoints;
-use crate::persist::{self, Persist, SCHEMA_VERSION};
 use crate::query::KwQuery;
 use crate::sink::ResultSink;
 use crate::sp::SpKwIndex;
@@ -75,7 +74,7 @@ impl SrpKwIndex {
             sp: SpKwIndex::try_build(&lifted, k)?,
             dim,
         };
-        let summaries = index.sp.node_summaries();
+        let summaries = index.node_summaries();
         telemetry::record_build(
             "srp_kw",
             start.elapsed(),
@@ -118,6 +117,12 @@ impl SrpKwIndex {
     /// Index space in 64-bit words.
     pub fn space_words(&self) -> usize {
         self.sp.space_words()
+    }
+
+    /// `(level, weight, pivots, large)` per node of the lifted
+    /// partition tree.
+    pub fn node_summaries(&self) -> Vec<(u32, u64, usize, usize)> {
+        self.sp.node_summaries()
     }
 
     /// Deep structural validation (DESIGN.md §12): re-derives the
@@ -178,33 +183,6 @@ impl KwQuery for SrpKwIndex {
     ) -> ControlFlow<()> {
         let radius_sq = ball.radius() * ball.radius();
         self.query_sq_sink(ball.center(), radius_sq, keywords, sink, stats)
-    }
-}
-
-impl Persist for SrpKwIndex {
-    fn to_pages(&self, w: &mut persist::PageWriter) -> Result<(), SkqError> {
-        let mut head = Vec::new();
-        persist::put_uv(&mut head, self.dim as u64);
-        w.page(persist::kind::SRP_HEAD, SCHEMA_VERSION, head);
-        self.sp.to_pages(w)
-    }
-
-    fn from_pages(r: &mut persist::PageReader<'_>) -> Result<Self, SkqError> {
-        let mut head = r.page(persist::kind::SRP_HEAD, SCHEMA_VERSION, "srp")?;
-        let dim = head.usizev()?;
-        head.end()?;
-        let sp = SpKwIndex::from_pages(r)?;
-        if sp.dim() != dim + 1 {
-            return Err(SkqError::Corrupted {
-                section: "srp".into(),
-                detail: format!(
-                    "inner index is {}D, expected {} for {dim}D data",
-                    sp.dim(),
-                    dim + 1
-                ),
-            });
-        }
-        Ok(Self { sp, dim })
     }
 }
 

@@ -122,7 +122,8 @@ impl DurableDynamic {
     /// `dim` conflicts with the checkpoint, or the WAL was truncated
     /// past the newest checkpoint that decodes (the ops in between are
     /// gone, so opening would silently lose them);
-    /// `SkqError::InvalidDataset` if `dim` is outside `1..=MAX_DIM`.
+    /// `SkqError::InvalidDataset` if `dim` is outside `1..=MAX_DIM`
+    /// (checked before `dir` is created).
     pub fn open(
         dir: &Path,
         dim: usize,
@@ -145,6 +146,9 @@ impl DurableDynamic {
         dim: usize,
         config: DurabilityConfig,
     ) -> Result<(Self, RecoveryReport), SkqError> {
+        // Checked before anything is created: an invalid `dim` leaves
+        // no directory behind.
+        let empty = ObjectTable::try_new(dim)?;
         let backend = FileBackend::new(dir)?;
         let mut report = RecoveryReport::default();
 
@@ -181,10 +185,7 @@ impl DurableDynamic {
                 }
             }
         }
-        let mut table = match table {
-            Some(t) => t,
-            None => ObjectTable::try_new(dim)?,
-        };
+        let mut table = table.unwrap_or(empty);
         if table.dim() != dim {
             return Err(SkqError::Store {
                 backend: "file".to_string(),
@@ -632,6 +633,19 @@ mod tests {
             .expect("mismatch must fail");
         assert!(matches!(err, SkqError::Store { .. }), "got {err:?}");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_invalid_dim_creates_no_directory() {
+        let dir = tmpdir("bad-dim").join("fresh");
+        for dim in [0, skq_geom::MAX_DIM + 1] {
+            let err = DurableDynamic::open(&dir, dim, fast(4))
+                .err()
+                .expect("an invalid dim must fail");
+            assert!(matches!(err, SkqError::InvalidDataset(_)), "got {err:?}");
+            assert!(!dir.exists(), "dim {dim} created {}", dir.display());
+        }
+        let _ = fs::remove_dir_all(dir.parent().unwrap());
     }
 
     /// The kind of every page of a snapshot, in file order.

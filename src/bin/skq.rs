@@ -17,6 +17,9 @@
 //! skq rect data.csv --lo 100,8 --hi 200,10 --tags pool,pet-friendly
 //! skq ball data.csv --center 150,9 --radius 1.5 --tags pool,pet-friendly
 //! skq nn   data.csv --at 150,9 --t 3 --tags pool,pet-friendly
+//! skq save data.csv data.skq --k-max 3   # build the suite, write a snapshot
+//! skq load data.skq --lo 100,8 --hi 200,10 --tag-ids 0,1
+//! skq recover data-dir            # reopen an existing durable store
 //! ```
 //!
 //! Every query command also accepts `--stats` (print the execution
@@ -87,7 +90,7 @@ const USAGE: &str = "usage:
   skq nn   <data.csv> --at a,b,… --t N --tags t1,t2[,…] [--stats] [--metrics out.prom] [--trace out.json]
   skq save <data.csv> <snapshot.skq> [--k-max K]
   skq load <snapshot.skq> [--lo a,b,… --hi a,b,… --tag-ids i,j[,…]]
-  skq recover <data-dir> [--dim D]";
+  skq recover <existing-data-dir> [--dim D]";
 
 fn run(args: &[String]) -> Result<(), CliError> {
     let cmd = args.first().ok_or("missing command")?.as_str();
@@ -141,16 +144,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
             // a counter and no result vector exists to print.
             let (hits, stats): (Option<Vec<u32>>, QueryStats) = match cmd {
                 "rect" => {
-                    let lo = parse_coords_dim(opts.require("lo")?, dim, "lo")
-                        .map_err(CliError::BadArg)?;
-                    let hi = parse_coords_dim(opts.require("hi")?, dim, "hi")
-                        .map_err(CliError::BadArg)?;
-                    if lo.iter().zip(&hi).any(|(a, b)| a > b) {
-                        return Err(CliError::BadArg(
-                            "--lo must be coordinate-wise at most --hi".to_string(),
-                        ));
-                    }
-                    let q = Rect::new(&lo, &hi);
+                    let q = parse_rect(&opts, dim)?;
                     let index = OrpKwIndex::try_build(&loaded.dataset, k)
                         .map_err(|e| CliError::BadArg(e.to_string()))?;
                     sink_query(&index, &q, &tag_ids, &guard, count_only)?
@@ -291,16 +285,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 suite.k_max()
             );
             if let Some(ids) = opts.get("tag-ids") {
-                let dim = suite.dim();
-                let lo =
-                    parse_coords_dim(opts.require("lo")?, dim, "lo").map_err(CliError::BadArg)?;
-                let hi =
-                    parse_coords_dim(opts.require("hi")?, dim, "hi").map_err(CliError::BadArg)?;
-                if lo.iter().zip(&hi).any(|(a, b)| a > b) {
-                    return Err(CliError::BadArg(
-                        "--lo must be coordinate-wise at most --hi".to_string(),
-                    ));
-                }
+                let q = parse_rect(&opts, suite.dim())?;
                 let tag_ids: Vec<Keyword> = ids
                     .split(',')
                     .map(|t| {
@@ -310,7 +295,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                     })
                     .collect::<Result<_, _>>()?;
                 let mut hits = suite
-                    .query(&Rect::new(&lo, &hi), &tag_ids)
+                    .query(&q, &tag_ids)
                     .map_err(|e| CliError::BadArg(e.to_string()))?;
                 hits.sort_unstable();
                 println!("{} matches: {hits:?}", hits.len());
@@ -326,6 +311,13 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 })?,
                 None => 2,
             };
+            // Recovery opens what is there; a mistyped path must not
+            // come back as a fresh, empty store.
+            if !std::path::Path::new(dir).is_dir() {
+                return Err(CliError::BadArg(format!(
+                    "{dir} is not an existing data directory"
+                )));
+            }
             let started = std::time::Instant::now();
             let (durable, report) = skq_store::DurableDynamic::open(
                 std::path::Path::new(dir),
@@ -420,11 +412,21 @@ fn parse_csv(text: &str) -> Result<Loaded, String> {
             return Err(format!("line {}: need coordinates and tags", lineno + 1));
         }
         let (coord_cols, tag_col) = cols.split_at(cols.len() - 1);
+        if coord_cols.len() > skq_geom::MAX_DIM {
+            return Err(format!(
+                "line {}: {} coordinates, at most {} are supported",
+                lineno + 1,
+                coord_cols.len(),
+                skq_geom::MAX_DIM
+            ));
+        }
         let coords: Vec<f64> = coord_cols
             .iter()
             .map(|c| {
                 c.parse::<f64>()
-                    .map_err(|_| format!("line {}: bad coordinate {c:?}", lineno + 1))
+                    .ok()
+                    .filter(|v| v.is_finite())
+                    .ok_or_else(|| format!("line {}: bad coordinate {c:?}", lineno + 1))
             })
             .collect::<Result<_, _>>()?;
         match dim {
@@ -452,7 +454,7 @@ fn parse_csv(text: &str) -> Result<Loaded, String> {
         return Err("no objects in file".into());
     }
     Ok(Loaded {
-        dataset: Dataset::from_parts(parts),
+        dataset: Dataset::try_from_parts(parts).map_err(|e| e.to_string())?,
         dict,
     })
 }
@@ -479,6 +481,22 @@ fn parse_coords_dim(s: &str, dim: usize, flag: &str) -> Result<Vec<f64>, String>
         ));
     }
     Ok(coords)
+}
+
+/// Parses `--lo`/`--hi` into the query rectangle. A NaN bound or an
+/// inverted interval is a malformed value; ±∞ stays a valid open side.
+fn parse_rect(opts: &Flags, dim: usize) -> Result<Rect, CliError> {
+    let lo = parse_coords_dim(opts.require("lo")?, dim, "lo").map_err(CliError::BadArg)?;
+    let hi = parse_coords_dim(opts.require("hi")?, dim, "hi").map_err(CliError::BadArg)?;
+    if lo.iter().chain(&hi).any(|c| c.is_nan()) {
+        return Err(CliError::BadArg("--lo/--hi must not be NaN".to_string()));
+    }
+    if lo.iter().zip(&hi).any(|(a, b)| a > b) {
+        return Err(CliError::BadArg(
+            "--lo must be coordinate-wise at most --hi".to_string(),
+        ));
+    }
+    Ok(Rect::new(&lo, &hi))
 }
 
 /// Builds the query guard from `--deadline-ms` / `--limit`.
@@ -626,6 +644,15 @@ mod tests {
         assert!(parse_csv("1.0; 2.0; a\n3.0; b\n").is_err()); // inconsistent dims
         assert!(parse_csv("1.0; 2.0; \n").is_err()); // empty tags
         assert!(parse_csv("").is_err()); // empty file
+
+        // Non-finite coordinates and more than MAX_DIM columns are
+        // rejected by line number, like a non-numeric coordinate.
+        for bad in ["nan; 2.0; a", "1.0; inf; a", "1;2;3;4;5;6;7;8;9; a"] {
+            let Err(e) = parse_csv(&format!("# header\n{bad}\n")) else {
+                panic!("{bad:?} parsed");
+            };
+            assert!(e.starts_with("line 2:"), "{e}");
+        }
     }
 
     #[test]
@@ -711,6 +738,9 @@ mod tests {
         let data = dir.join("demo.csv");
         std::fs::write(&data, demo_csv()).unwrap();
         let d = data.to_str().unwrap();
+        let snap = dir.join("demo.skq");
+        let snap = snap.to_str().unwrap();
+        run(&string_args(&["save", d, snap])).unwrap();
         // A non-numeric coordinate in --lo is a malformed value (exit 2).
         let bad = [
             vec![
@@ -743,6 +773,28 @@ mod tests {
             ],
             vec![
                 "rect", d, "--lo", "1,8", "--hi", "200,10", "--tags", "pool,spa", "--limit", "-3",
+            ],
+            // A NaN bound compares false both ways; it must not reach
+            // `Rect::new`.
+            vec![
+                "rect",
+                d,
+                "--lo",
+                "nan,9",
+                "--hi",
+                "500,10",
+                "--tags",
+                "pool,pet-friendly",
+            ],
+            vec![
+                "load",
+                snap,
+                "--lo",
+                "nan,0",
+                "--hi",
+                "5,5",
+                "--tag-ids",
+                "0",
             ],
         ];
         for args in bad {
@@ -875,6 +927,68 @@ mod tests {
                 "{msg}"
             );
         }
+    }
+
+    #[test]
+    fn recover_refuses_a_missing_directory() {
+        let dir = std::env::temp_dir().join("skq_cli_recover_missing");
+        let _ = std::fs::remove_dir_all(&dir);
+        let d = dir.to_str().unwrap();
+        for args in [vec!["recover", d], vec!["recover", d, "--dim", "0"]] {
+            let Err(CliError::BadArg(msg)) = run(&string_args(&args)) else {
+                panic!("{args:?} must be a bad argument");
+            };
+            assert!(msg.contains("not an existing data directory"), "{msg}");
+            assert!(!dir.exists(), "{args:?} created {d}");
+        }
+        // An existing directory with an invalid --dim gains no WAL.
+        std::fs::create_dir_all(&dir).unwrap();
+        let args = string_args(&["recover", d, "--dim", "0"]);
+        assert!(matches!(run(&args), Err(CliError::BadArg(_))));
+        assert!(!dir.join("wal").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn save_then_load_answers_like_rect() {
+        let d = write_csv("save_load", &demo_csv());
+        let snap = d.replace("data.csv", "demo.skq");
+        run(&string_args(&["save", &d, &snap])).unwrap();
+        let loaded = parse_csv(&demo_csv()).unwrap();
+        let built = skq_core::suite::OrpKwSuite::try_build(&loaded.dataset, 3).unwrap();
+        let bytes = std::fs::read(&snap).unwrap();
+        let saved = skq_core::suite::OrpKwSuite::try_load(&bytes).unwrap();
+        let q = Rect::new(&[100.0, 8.0], &[200.0, 10.0]);
+        for tags in [
+            "pool",
+            "pool,pet-friendly",
+            "pool,free-parking,pet-friendly",
+        ] {
+            let ids = resolve_tags(&loaded, tags).unwrap();
+            let mut want = built.query(&q, &ids).unwrap();
+            let mut got = saved.query(&q, &ids).unwrap();
+            want.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, want, "{tags}");
+        }
+        let args = [
+            "load",
+            &snap,
+            "--lo",
+            "100,8",
+            "--hi",
+            "200,10",
+            "--tag-ids",
+            "0,2",
+        ];
+        run(&string_args(&args)).unwrap();
+        // The d >= 3 engine has no snapshot encoding: a typed refusal.
+        let d3 = write_csv("save_3d", "1;2;3; a,b\n4;5;6; a\n");
+        let args = string_args(&["save", &d3, &d3.replace("data.csv", "d3.skq")]);
+        let Err(CliError::BadArg(msg)) = run(&args) else {
+            panic!("saving 3-d data must be a bad argument");
+        };
+        assert!(msg.contains("d >= 3"), "{msg}");
     }
 
     #[test]

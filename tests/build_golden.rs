@@ -4,7 +4,9 @@
 //! the same structure, byte for byte, as the recorded reference. The
 //! digests are FNV-1a over the snapshot encoding (`to_bytes()`) where
 //! the index persists, and over the per-node summaries plus the space
-//! accounting where it does not (KSI, the Willard partition tree). A
+//! accounting where it does not (KSI, both SP-KW strategies, SRP-KW);
+//! the kd-based SP-KW and SRP-KW digests also fold in the traversal of
+//! a seeded query set, which pins the order of each node's lists. A
 //! build-path optimisation must leave every digest unchanged; a
 //! deliberate change to the built structure (which would also need a
 //! `SCHEMA_VERSION` decision) must re-record them and say why.
@@ -23,6 +25,7 @@ use structured_keyword_search::core::naive;
 use structured_keyword_search::core::persist::fnv1a64;
 use structured_keyword_search::core::suite::OrpKwSuite;
 use structured_keyword_search::prelude::*;
+use structured_keyword_search::workload::queries::QueryGen;
 use structured_keyword_search::workload::scenarios;
 
 /// The two seeded datasets every digest is taken over.
@@ -51,6 +54,34 @@ fn summary_digest(
         buf.extend_from_slice(&(large as u64).to_le_bytes());
     }
     buf.extend_from_slice(&(space_words as u64).to_le_bytes());
+    fnv1a64(&buf)
+}
+
+/// Folds a seeded query set's traversal into `digest`: per query, the
+/// counters and the answers in the order the tree emits them. Node
+/// summaries hold each node's list lengths, not the lists' order; the
+/// emission order pins that too (the kd split's id tie-break among
+/// equal coordinates decides it). The keywords are drawn from the most
+/// frequent, so the queries read long materialized lists.
+fn traversal_digest<S>(
+    digest: u64,
+    d: &Dataset,
+    mut shape: impl FnMut(&mut QueryGen, usize) -> S,
+    mut run: impl FnMut(&S, &[Keyword]) -> (Vec<u32>, QueryStats),
+) -> u64 {
+    let mut gen = QueryGen::new(d, 17);
+    let mut buf = digest.to_le_bytes().to_vec();
+    for i in 0..60 {
+        let q = shape(&mut gen, i);
+        let kws = gen.keywords(2, [0.0, 0.0, 0.1][i % 3]).unwrap();
+        let (hits, s) = run(&q, &kws);
+        for c in [s.nodes_visited, s.pivot_scans, s.list_scans, s.reported] {
+            buf.extend_from_slice(&c.to_le_bytes());
+        }
+        for id in hits {
+            buf.extend_from_slice(&id.to_le_bytes());
+        }
+    }
     fnv1a64(&buf)
 }
 
@@ -107,16 +138,31 @@ fn digests() -> Vec<(String, u64)> {
             "suite_kmax4",
             bytes_digest(&OrpKwSuite::try_build(&d, 4).unwrap()),
         );
+        let kd = SpKwIndex::try_build_with_strategy(&d, 2, SpStrategy::Kd).unwrap();
         push(
             "sp_kd",
-            bytes_digest(&SpKwIndex::try_build_with_strategy(&d, 2, SpStrategy::Kd).unwrap()),
+            traversal_digest(
+                summary_digest(kd.node_summaries(), kd.space_words()),
+                &d,
+                |gen, _| gen.halfspaces(2),
+                |q, kws| kd.query_with_stats(q, kws).unwrap(),
+            ),
         );
         let willard = SpKwIndex::try_build_with_strategy(&d, 2, SpStrategy::Willard).unwrap();
         push(
             "sp_willard",
             summary_digest(willard.node_summaries(), willard.space_words()),
         );
-        push("srp", bytes_digest(&SrpKwIndex::try_build(&d, 2).unwrap()));
+        let srp = SrpKwIndex::try_build(&d, 2).unwrap();
+        push(
+            "srp",
+            traversal_digest(
+                summary_digest(srp.node_summaries(), srp.space_words()),
+                &d,
+                |gen, i| gen.ball([0.05, 0.2, 0.5][i % 3]),
+                |q, kws| srp.query_with_stats(q, kws).unwrap(),
+            ),
+        );
         push("dynamic", bytes_digest(&dynamic(&d)));
         push("ksi", ksi_digest(&d));
     }
@@ -127,22 +173,26 @@ fn digests() -> Vec<(String, u64)> {
 /// The `suite_kmax4` digests were re-recorded when the suite moved from
 /// one index per `k` (plus its own dataset copy) to one tree with a
 /// keyword layer per `k`: the page layout changed, the layers did not
-/// (see `suite_layers_equal_the_single_k_indexes`).
+/// (see `suite_layers_equal_the_single_k_indexes`). The `sp_kd` and
+/// `srp` digests were re-recorded when those indexes lost their snapshot
+/// format: they now hash the node summaries, the space accounting and a
+/// seeded query set's traversal instead of `to_bytes()`; the built
+/// structures did not change.
 const GOLDEN: &[(&str, u64)] = &[
     ("city/orp_k2", 0xc84ed58e7d4ddd61),
     ("city/orp_k3", 0xc198c7f9a6ec597b),
     ("city/suite_kmax4", 0x1333d95dc7f223be),
-    ("city/sp_kd", 0x5f0abc214d1c9073),
+    ("city/sp_kd", 0x166c6901b2b79963),
     ("city/sp_willard", 0x57fc07c6a14f0300),
-    ("city/srp", 0x3c3a2423b5fd2c1c),
+    ("city/srp", 0x9658ebef8528fbb7),
     ("city/dynamic", 0x3ab6e0aacf467a00),
     ("city/ksi", 0xd6b3b94943d732b5),
     ("web_docs/orp_k2", 0xd1fc64381c9c7893),
     ("web_docs/orp_k3", 0x562f3f46fc3f2abd),
     ("web_docs/suite_kmax4", 0xb58af8dce19badb4),
-    ("web_docs/sp_kd", 0x7db39aa1dca3b5cc),
+    ("web_docs/sp_kd", 0xe78f721b6f11939a),
     ("web_docs/sp_willard", 0xe38bb0464d4f34b6),
-    ("web_docs/srp", 0xadf0502cd40942cc),
+    ("web_docs/srp", 0x42db666afc8ef46f),
     ("web_docs/dynamic", 0x8eef16e9b13b339f),
     ("web_docs/ksi", 0x8e2798316315ad91),
 ];
@@ -161,8 +211,8 @@ fn built_structures_match_the_golden_digests() {
 /// The golden digests cover the build path; this covers the load path.
 /// For every engine above, decoding its snapshot (which fills the flat
 /// node arena and layer pools directly) and encoding the result again
-/// must give back the same bytes. The Willard partition tree has no
-/// snapshot encoding; the KSI index is checked through its tree.
+/// must give back the same bytes. SP-KW and SRP-KW have no snapshot
+/// encoding; the KSI index is checked through its tree.
 #[test]
 fn decoded_snapshots_reencode_byte_identically() {
     fn roundtrip<T: Persist>(what: &str, index: &T) {
@@ -187,16 +237,6 @@ fn decoded_snapshots_reencode_byte_identically() {
             &format!("{name}/suite_kmax4"),
             &OrpKwSuite::try_build(&d, 4).unwrap(),
         );
-        roundtrip(
-            &format!("{name}/sp_kd"),
-            &SpKwIndex::try_build_with_strategy(&d, 2, SpStrategy::Kd).unwrap(),
-        );
-        let willard = SpKwIndex::try_build_with_strategy(&d, 2, SpStrategy::Willard).unwrap();
-        assert!(willard.to_bytes().is_err(), "{name}: sp_willard persists");
-        roundtrip(
-            &format!("{name}/srp"),
-            &SrpKwIndex::try_build(&d, 2).unwrap(),
-        );
         roundtrip(&format!("{name}/dynamic"), &dynamic(&d));
         roundtrip(&format!("{name}/ksi"), &ksi_tree(&d));
     }
@@ -208,7 +248,6 @@ fn decoded_snapshots_reencode_byte_identically() {
 /// every query of a seeded rectangle set.
 #[test]
 fn suite_layers_equal_the_single_k_indexes() {
-    use structured_keyword_search::workload::queries::QueryGen;
     for (name, d) in datasets() {
         let suite = OrpKwSuite::try_build(&d, 4).unwrap();
         let mut gen = QueryGen::new(&d, 17);

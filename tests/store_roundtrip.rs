@@ -89,63 +89,6 @@ proptest! {
     }
 
     #[test]
-    fn rr_roundtrip_answers_identically(
-        d in dataset_strategy(1, 12..60),
-        q in rect_strategy(1),
-        kws in two_keywords(),
-    ) {
-        // 1D intervals flatten to 2D points inside RR-KW, keeping the
-        // inner ORP on the persistable Kd engine (2D boxes would lift
-        // to 4D and select dimension reduction, which has no
-        // encoding — covered by the unsupported-engine test below).
-        let rects: Vec<(Rect, Vec<Keyword>)> = (0..d.len())
-            .map(|i| {
-                let lo = d.point(i).get(0);
-                (Rect::new(&[lo], &[lo + 1.5]), d.doc(i).keywords().to_vec())
-            })
-            .collect();
-        let built = RrKwIndex::try_build(&rects, 2).unwrap();
-        let loaded = reload(&built);
-        prop_assert_eq!(
-            sorted(built.query(&q, &kws).unwrap()),
-            sorted(loaded.query(&q, &kws).unwrap())
-        );
-    }
-
-    #[test]
-    fn srp_roundtrip_answers_identically(
-        d in dataset_strategy(2, 12..60),
-        center in prop::collection::vec(-8i32..8, 2),
-        radius in 1u32..8,
-        kws in two_keywords(),
-    ) {
-        // 2D data lifts to a 3D Kd-strategy SP-KW inside SRP-KW — the
-        // persistable configuration.
-        let built = SrpKwIndex::try_build(&d, 2).unwrap();
-        let loaded = reload(&built);
-        let c: Vec<f64> = center.into_iter().map(f64::from).collect();
-        let ball = Ball::new(Point::new(&c), f64::from(radius));
-        prop_assert_eq!(
-            sorted(built.query(&ball, &kws).unwrap()),
-            sorted(loaded.query(&ball, &kws).unwrap())
-        );
-    }
-
-    #[test]
-    fn nn_linf_roundtrip_answers_identically(
-        d in dataset_strategy(2, 12..60),
-        at in prop::collection::vec(-8i32..8, 2),
-        t in 1usize..6,
-        kws in two_keywords(),
-    ) {
-        let built = LinfNnIndex::try_build(&d, 2).unwrap();
-        let loaded = reload(&built);
-        let p: Vec<f64> = at.into_iter().map(f64::from).collect();
-        let p = Point::new(&p);
-        prop_assert_eq!(built.query(&p, t, &kws).unwrap().0, loaded.query(&p, t, &kws).unwrap().0);
-    }
-
-    #[test]
     fn suite_roundtrip_every_route(
         d in dataset_strategy(2, 12..60),
         q in rect_strategy(2),
@@ -179,21 +122,6 @@ fn unsupported_engines_save_as_typed_store_errors() {
     // d >= 3 selects the dimension-reduction ORP engine: no encoding.
     let orp3 = OrpKwIndex::try_build(&d3, 2).unwrap();
     match orp3.to_bytes() {
-        Err(SkqError::Store { backend, .. }) => assert_eq!(backend, "save"),
-        other => panic!("expected Store error, got {:?}", other.map(|b| b.len())),
-    }
-    // The Willard SP-KW strategy has no encoding either.
-    let d2 = Dataset::from_parts(
-        (0..40)
-            .map(|i| {
-                let x = f64::from(i % 8);
-                let y = f64::from(i / 8);
-                (Point::new2(x, y), vec![0u32, 1 + (i % 3)])
-            })
-            .collect(),
-    );
-    let sp = SpKwIndex::try_build_with_strategy(&d2, 2, SpStrategy::Willard).unwrap();
-    match sp.to_bytes() {
         Err(SkqError::Store { backend, .. }) => assert_eq!(backend, "save"),
         other => panic!("expected Store error, got {:?}", other.map(|b| b.len())),
     }
