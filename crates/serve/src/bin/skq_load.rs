@@ -2,8 +2,13 @@
 //!
 //! Replays an `skq-workload` scenario against an in-process
 //! [`skq_serve::Server`] at a target QPS, optionally rotating snapshots
-//! concurrently, and reports latency percentiles from the `skq-obs`
-//! histograms the request path records into.
+//! concurrently. A second thread collects the replies in send order and
+//! times each request from its due instant (its slot in the `--qps`
+//! schedule, or the moment before its submit with `--qps 0`), so a late
+//! send counts against the request. The reported p50/p90/p99 are
+//! nearest-rank percentiles of those raw samples; the `skq-obs`
+//! histogram the request path records into (timed from `submit`) is
+//! printed beside them as log₂ bucket edges.
 //!
 //! ```text
 //! skq-load [--scenario city|web|sensors] [--n OBJECTS] [--seed S]
@@ -29,13 +34,13 @@
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use skq_bench::json::Json;
 use skq_core::suite::OrpKwSuite;
 use skq_core::SkqError;
-use skq_serve::{Request, Server, ServerConfig};
+use skq_serve::{Pending, Request, Server, ServerConfig};
 use skq_workload::queries::QueryGen;
 use skq_workload::scenarios;
 
@@ -224,34 +229,40 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
     let started = Instant::now();
     let interval = (opts.qps > 0).then(|| Duration::from_nanos(1_000_000_000 / opts.qps.max(1)));
 
-    let mut pendings = Vec::with_capacity(opts.requests);
+    let (sent_tx, sent_rx) = mpsc::channel::<(Instant, Pending)>();
+    let collector = std::thread::spawn(move || collect(sent_rx));
     let mut dropped = 0usize;
     for (i, req) in requests.into_iter().enumerate() {
-        if let Some(interval) = interval {
-            let due = started + interval * (i as u32);
-            let now = Instant::now();
-            if due > now {
-                std::thread::sleep(due - now);
+        let due = match interval {
+            Some(interval) => {
+                let due = started + interval * (i as u32);
+                let now = Instant::now();
+                if due > now {
+                    std::thread::sleep(due - now);
+                }
+                due
             }
-        }
+            None => Instant::now(),
+        };
         match server.submit(req) {
-            Ok(pending) => pendings.push(pending),
+            // A send fails only if the collector died; its join below
+            // reports that.
+            Ok(pending) => {
+                let _ = sent_tx.send((due, pending));
+            }
             Err(_) => dropped += 1,
         }
     }
-
-    let mut ok = 0usize;
-    let mut injected = 0usize;
-    let mut failed: Vec<String> = Vec::new();
-    for pending in pendings {
-        match pending.wait() {
-            Ok(_) => ok += 1,
-            Err(SkqError::Internal(msg)) if msg.contains("fail point serve::request") => {
-                injected += 1;
-            }
-            Err(e) => failed.push(e.kind().to_string()),
-        }
-    }
+    drop(sent_tx);
+    let Replies {
+        mut latency_us,
+        injected,
+        failed,
+    } = collector
+        .join()
+        .map_err(|_| "the reply collector panicked".to_string())?;
+    let ok = latency_us.len();
+    latency_us.sort_by(f64::total_cmp);
     let elapsed = span.elapsed();
     drop(span);
     stop_rotating.store(true, Ordering::Release);
@@ -280,8 +291,12 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
         "  ok={ok} injected={injected}/{chaos_budget} failed={} dropped={dropped}",
         failed.len(),
     );
+    let [p50, p90, p99, max] = [0.5, 0.9, 0.99, 1.0].map(|q| nearest_rank(&latency_us, q));
     println!(
-        "  latency_us: p50={} p90={} p99={} mean={:.0} max<={}",
+        "  latency_us (from due, raw samples): p50={p50:.1} p90={p90:.1} p99={p99:.1} max={max:.1}"
+    );
+    println!(
+        "  latency_us (from submit, log2 bucket edges): p50<={} p90<={} p99<={} mean={:.0} max<={}",
         latency.p50(),
         latency.p90(),
         latency.p99(),
@@ -314,11 +329,17 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
         report.set("elapsed_seconds", Json::Num(elapsed.as_secs_f64()));
         report.set("achieved_qps", Json::Num(achieved_qps));
         let mut lat = Json::obj();
-        lat.set("p50_us", Json::Num(latency.p50() as f64));
-        lat.set("p90_us", Json::Num(latency.p90() as f64));
-        lat.set("p99_us", Json::Num(latency.p99() as f64));
-        lat.set("mean_us", Json::Num(latency.mean()));
+        lat.set("p50_us", Json::Num(p50));
+        lat.set("p90_us", Json::Num(p90));
+        lat.set("p99_us", Json::Num(p99));
+        lat.set("max_us", Json::Num(max));
         report.set("latency", lat);
+        let mut edges = Json::obj();
+        edges.set("p50_us", Json::Num(latency.p50() as f64));
+        edges.set("p90_us", Json::Num(latency.p90() as f64));
+        edges.set("p99_us", Json::Num(latency.p99() as f64));
+        edges.set("mean_us", Json::Num(latency.mean()));
+        report.set("latency_bucket_edges", edges);
         report.set("epoch_before", Json::Num(epoch_before as f64));
         report.set("epoch_after", Json::Num(epoch_after as f64));
         std::fs::write(path, report.render_pretty(2))
@@ -334,4 +355,59 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
         return Ok(ExitCode::from(4));
     }
     Ok(ExitCode::SUCCESS)
+}
+
+/// What the reply collector saw.
+struct Replies {
+    /// Due instant to reply, in microseconds, one per answered request.
+    latency_us: Vec<f64>,
+    /// Failures the `--chaos` fail point injected.
+    injected: usize,
+    /// Every other failure, by error kind.
+    failed: Vec<String>,
+}
+
+/// Waits for each reply in send order and times it from its due
+/// instant.
+fn collect(sent: mpsc::Receiver<(Instant, Pending)>) -> Replies {
+    let mut replies = Replies {
+        latency_us: Vec::new(),
+        injected: 0,
+        failed: Vec::new(),
+    };
+    for (due, pending) in sent {
+        match pending.wait() {
+            Ok(_) => replies.latency_us.push(due.elapsed().as_secs_f64() * 1e6),
+            Err(SkqError::Internal(msg)) if msg.contains("fail point serve::request") => {
+                replies.injected += 1;
+            }
+            Err(e) => replies.failed.push(e.kind().to_string()),
+        }
+    }
+    replies
+}
+
+/// The nearest-rank `q`-quantile of ascending `sorted`, or 0 when it is
+/// empty.
+fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::nearest_rank;
+
+    #[test]
+    fn nearest_rank_percentiles() {
+        let sorted: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(nearest_rank(&sorted, 0.5), 50.0);
+        assert_eq!(nearest_rank(&sorted, 0.99), 99.0);
+        assert_eq!(nearest_rank(&sorted, 1.0), 100.0);
+        assert_eq!(nearest_rank(&sorted[..1], 0.5), 1.0);
+        assert_eq!(nearest_rank(&[], 0.5), 0.0);
+    }
 }

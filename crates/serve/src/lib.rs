@@ -20,7 +20,8 @@
 //!
 //! The companion binary `skq-load` replays `skq-workload` scenarios
 //! against a [`pool::Server`] at a target QPS and reports latency
-//! percentiles from the `skq-obs` histograms.
+//! percentiles from raw samples, each request timed from its due
+//! instant.
 //!
 //! ```
 //! use skq_core::suite::OrpKwSuite;

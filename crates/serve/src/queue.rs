@@ -1,16 +1,35 @@
 //! A bounded job queue whose wake-ups cannot be lost.
 //!
-//! One `Mutex<VecDeque>` holds the jobs and the count of parked
-//! consumers; one `Condvar` wakes consumers. The closed flag is set
-//! and checked under the same lock (an atomic only so that
-//! [`JobQueue::is_closed`] can read it without locking). A consumer
-//! re-checks "a job is queued, or the queue is closed" under the lock
-//! before every wait, and registers as parked in the same critical
-//! section; the wait releases the lock atomically, so a push can never
-//! slip between the check and the park. A push that finds a parked
-//! consumer notifies one after it enqueues (a busy queue, whose
-//! consumers never park, skips the wake-up call). Idle workers
-//! therefore sleep untimed and wake exactly when work arrives.
+//! One `Mutex<VecDeque>` holds the jobs, the count of parked consumers
+//! and whether a consumer is spinning; one `Condvar` wakes consumers.
+//! The closed flag is set and checked under the same lock (an atomic
+//! so that [`JobQueue::is_closed`] and a spinning consumer can read it
+//! without locking).
+//!
+//! A consumer that finds the queue empty first tries to become *the*
+//! spinner: at most one consumer spins at a time, and it claims the
+//! role under the lock. The spinner drops the lock and polls an atomic
+//! mirror of the queue length (written only under the lock) and the
+//! closed flag, calling [`std::thread::yield_now`] between polls, for
+//! at most [`SPIN_BUDGET`]. It then re-locks, gives up the role and
+//! re-checks the queue, and parks only if it is still empty. A parked
+//! consumer registers as parked in the same critical section as its
+//! check, and the wait releases the lock atomically, so a push can
+//! never slip between the check and the park.
+//!
+//! The wake rule: a push notifies one parked consumer, except when a
+//! spinner will take the job — the push left a single job queued and a
+//! consumer is spinning. A push that leaves two or more jobs queued
+//! wakes a parked consumer even while one spins, so a burst is not
+//! serialised behind the spinner. A busy queue, whose consumers never
+//! park, makes no wake-up call at all.
+//!
+//! Why spin at all: waking a parked thread costs a futex wake and, on
+//! a host that halts idle CPUs, an inter-processor interrupt and a
+//! halt exit — tens of microseconds, more than the query it carries.
+//! The cost: after the queue empties, one core polls for at most
+//! [`SPIN_BUDGET`]. It yields between polls, so a worker that has work
+//! on the same core is not starved.
 //!
 //! Capacity is checked under the same lock, so the queue never holds
 //! more than `capacity` jobs — the precondition the serving layer's
@@ -19,13 +38,23 @@
 //! depth they saw under that lock, so no depth counter lives outside it.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
+
+/// How long an idle consumer polls for work before it parks. An order
+/// of magnitude above one parked wake-up (tens of microseconds when
+/// the host halts idle CPUs), so a job that arrives within it skips
+/// the wake-up, while an idle queue stops polling after a fifth of a
+/// millisecond.
+pub const SPIN_BUDGET: Duration = Duration::from_micros(200);
 
 struct State<T> {
     jobs: VecDeque<T>,
     /// Consumers inside `pop`'s wait.
     parked: usize,
+    /// Whether a consumer is polling in [`JobQueue::spin`].
+    spinning: bool,
 }
 
 /// A bounded multi-producer multi-consumer FIFO queue. See the module
@@ -33,9 +62,18 @@ struct State<T> {
 pub struct JobQueue<T> {
     state: Mutex<State<T>>,
     available: Condvar,
+    /// `state.jobs.len()`, stored only while holding `state`'s lock;
+    /// read without it only by the spinner.
+    len: AtomicUsize,
     /// Stored only while holding `state`'s lock.
     closed: AtomicBool,
     capacity: usize,
+    /// [`SPIN_BUDGET`], except in tests that need a spin to outlast
+    /// their set-up.
+    spin_budget: Duration,
+    /// Wake-up calls made by `try_push`.
+    #[cfg(test)]
+    notified: AtomicUsize,
 }
 
 impl<T> JobQueue<T> {
@@ -47,10 +85,25 @@ impl<T> JobQueue<T> {
             state: Mutex::new(State {
                 jobs: VecDeque::new(),
                 parked: 0,
+                spinning: false,
             }),
             available: Condvar::new(),
+            len: AtomicUsize::new(0),
             closed: AtomicBool::new(false),
             capacity,
+            spin_budget: SPIN_BUDGET,
+            #[cfg(test)]
+            notified: AtomicUsize::new(0),
+        }
+    }
+
+    /// A queue whose consumers spin for `spin_budget` instead of
+    /// [`SPIN_BUDGET`].
+    #[cfg(test)]
+    fn with_spin_budget(capacity: usize, spin_budget: Duration) -> Self {
+        Self {
+            spin_budget,
+            ..Self::new(capacity)
         }
     }
 
@@ -74,9 +127,17 @@ impl<T> JobQueue<T> {
                 return Err((item, depth));
             }
             state.jobs.push_back(item);
-            (depth + 1, state.parked > 0)
+            // relaxed: a hint for the spinner, which re-locks and
+            // re-checks the deque before it takes anything.
+            self.len.store(depth + 1, Ordering::Relaxed);
+            // A spinner takes a lone job itself; a second queued job
+            // needs a parked consumer as well.
+            let spinner_takes_it = state.spinning && depth == 0;
+            (depth + 1, state.parked > 0 && !spinner_takes_it)
         };
         if wake {
+            #[cfg(test)]
+            self.notified.fetch_add(1, Ordering::Relaxed); // relaxed: a test-only tally
             self.available.notify_one();
         }
         Ok(depth)
@@ -87,12 +148,28 @@ impl<T> JobQueue<T> {
     /// is closed **and** drained — the worker's signal to exit.
     pub fn pop(&self) -> Option<(T, usize)> {
         let mut state = self.lock();
+        // False once a spin ran out of budget, until a wake-up.
+        let mut may_spin = true;
         loop {
             if let Some(item) = state.jobs.pop_front() {
-                return Some((item, state.jobs.len()));
+                let depth = state.jobs.len();
+                // relaxed: as in `try_push`.
+                self.len.store(depth, Ordering::Relaxed);
+                return Some((item, depth));
             }
             if self.closed.load(Ordering::Acquire) {
                 return None;
+            }
+            if may_spin && !state.spinning {
+                state.spinning = true;
+                drop(state);
+                may_spin = self.spin();
+                state = self.lock();
+                // Given up under the lock, before the re-check: a push
+                // that saw the spinner and skipped its wake-up left a
+                // job this re-check finds.
+                state.spinning = false;
+                continue;
             }
             state.parked += 1;
             state = self
@@ -100,6 +177,23 @@ impl<T> JobQueue<T> {
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
             state.parked -= 1;
+            may_spin = true;
+        }
+    }
+
+    /// Polls for a queued job or the closed flag, without the lock, for
+    /// at most the spin budget. Returns whether either showed up.
+    fn spin(&self) -> bool {
+        let start = Instant::now();
+        loop {
+            // relaxed: as in `try_push`.
+            if self.len.load(Ordering::Relaxed) > 0 || self.closed.load(Ordering::Acquire) {
+                return true;
+            }
+            if start.elapsed() >= self.spin_budget {
+                return false;
+            }
+            std::thread::yield_now();
         }
     }
 
@@ -126,8 +220,29 @@ mod tests {
     #![allow(clippy::disallowed_methods)]
 
     use super::*;
+    use std::sync::mpsc;
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
+
+    /// A spin budget no test outlasts, so a consumer is still spinning
+    /// when the test acts.
+    const LONG_SPIN: Duration = Duration::from_secs(30);
+    /// How long a test waits for something that should happen at once.
+    const PATIENCE: Duration = Duration::from_secs(5);
+
+    /// Waits until `q` has a spinner (or none) and `parked` parked
+    /// consumers.
+    fn wait_until_idle<T>(q: &JobQueue<T>, spinning: bool, parked: usize) {
+        let deadline = Instant::now() + PATIENCE;
+        loop {
+            let state = q.lock();
+            if state.spinning == spinning && state.parked == parked {
+                return;
+            }
+            drop(state);
+            assert!(Instant::now() < deadline, "consumers never went idle");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
 
     #[test]
     fn fifo_order() {
@@ -260,5 +375,110 @@ mod tests {
             .collect();
         all.sort_unstable();
         assert_eq!(all, (0..total).collect::<Vec<_>>());
+    }
+
+    /// One consumer spins and the other parks: a lone job goes to the
+    /// spinner, and the push makes no wake-up call.
+    #[test]
+    fn a_lone_job_goes_to_the_spinner_without_a_wake_up() {
+        let q = Arc::new(JobQueue::with_spin_budget(8, LONG_SPIN));
+        let (tx, rx) = mpsc::channel();
+        let consumers: Vec<_> = (0..2)
+            .map(|_| {
+                let (q, tx) = (Arc::clone(&q), tx.clone());
+                std::thread::spawn(move || tx.send(q.pop()).unwrap())
+            })
+            .collect();
+        wait_until_idle(&q, true, 1);
+        assert_eq!(q.try_push(7), Ok(1));
+        assert_eq!(rx.recv_timeout(PATIENCE), Ok(Some((7, 0))));
+        assert_eq!(q.notified.load(Ordering::Relaxed), 0);
+        q.close();
+        assert_eq!(rx.recv_timeout(PATIENCE), Ok(None));
+        for consumer in consumers {
+            consumer.join().unwrap();
+        }
+        assert!(!q.lock().spinning, "the spinner kept its role");
+    }
+
+    /// With no spin budget every idle pop claims the spinner role and
+    /// gives it up at once, so pushes keep landing between a spin and
+    /// the re-check after it. A push that skipped its wake-up for the
+    /// spinner must still reach it.
+    #[test]
+    fn a_push_at_the_end_of_a_spin_is_never_lost() {
+        const TRIPS: u32 = 100_000;
+        let q = Arc::new(JobQueue::with_spin_budget(1, Duration::ZERO));
+        let (tx, rx) = mpsc::channel();
+        let echo = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                while let Some((i, _)) = q.pop() {
+                    tx.send(i).unwrap();
+                }
+            })
+        };
+        for i in 0..TRIPS {
+            q.try_push(i).unwrap();
+            assert_eq!(rx.recv_timeout(PATIENCE), Ok(i), "trip {i} was lost");
+        }
+        q.close();
+        echo.join().unwrap();
+    }
+
+    #[test]
+    fn close_ends_a_spin_promptly() {
+        let q = Arc::new(JobQueue::<u32>::with_spin_budget(8, LONG_SPIN));
+        let (tx, rx) = mpsc::channel();
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || tx.send(q.pop()).unwrap())
+        };
+        wait_until_idle(&q, true, 0);
+        q.close();
+        assert_eq!(rx.recv_timeout(PATIENCE), Ok(None));
+        consumer.join().unwrap();
+        assert!(!q.lock().spinning, "the spinner kept its role");
+    }
+
+    /// One consumer spins and the other parks. Each holds the job it
+    /// gets until the other has one too, so a queue that left the
+    /// second job of a burst to the spinner fails here instead of
+    /// hanging.
+    #[test]
+    fn a_burst_reaches_the_parked_consumer_beside_the_spinner() {
+        let q = Arc::new(JobQueue::with_spin_budget(8, LONG_SPIN));
+        let (got_tx, got_rx) = mpsc::channel();
+        let consumers: Vec<_> = (0..2)
+            .map(|_| {
+                let (q, got_tx) = (Arc::clone(&q), got_tx.clone());
+                let (release_tx, release_rx) = mpsc::channel::<()>();
+                let consumer = std::thread::spawn(move || {
+                    got_tx.send(q.pop()).unwrap();
+                    release_rx.recv_timeout(PATIENCE).is_ok()
+                });
+                (consumer, release_tx)
+            })
+            .collect();
+        wait_until_idle(&q, true, 1);
+        assert_eq!(q.try_push(1), Ok(1));
+        assert!(q.try_push(2).is_ok());
+        let mut jobs: Vec<u32> = (0..2)
+            .map(|_| {
+                let job = got_rx.recv_timeout(PATIENCE);
+                job.expect("each consumer gets a job")
+                    .expect("the queue is open")
+                    .0
+            })
+            .collect();
+        for (_, release) in &consumers {
+            release.send(()).unwrap();
+        }
+        for (consumer, _) in consumers {
+            assert!(consumer.join().unwrap(), "a consumer was not released");
+        }
+        jobs.sort_unstable();
+        assert_eq!(jobs, [1, 2]);
+        assert!(!q.lock().spinning, "the spinner kept its role");
     }
 }

@@ -35,9 +35,11 @@
 //! wall-clock deadline, keeping the partial answer).
 //!
 //! Exit codes: `0` success, `1` usage errors (unknown command, missing
-//! or unknown flags), `2` a malformed flag value (e.g. a non-numeric coordinate in
-//! `--lo/--hi/--center/--at`) — reported as a single line without the
-//! usage dump, for scripting.
+//! or unknown flags), `2` a malformed flag value (e.g. a non-numeric
+//! coordinate in `--lo/--hi/--center/--at`) or a data file that cannot
+//! be read or parsed (a `nan` coordinate, mixed dimensions, no
+//! objects) — reported as a single line without the usage dump, for
+//! scripting.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -391,9 +393,12 @@ fn write_creating_dirs(path: &str, contents: &str) -> Result<(), String> {
     std::fs::write(p, contents).map_err(|e| format!("{path}: {e}"))
 }
 
-fn load(path: &str) -> Result<Loaded, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    parse_csv(&text)
+/// Reads and parses a data file. Its errors are bad arguments (exit 2,
+/// one line): the command line was well formed, the file was not.
+fn load(path: &str) -> Result<Loaded, CliError> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| CliError::BadArg(format!("{path}: {e}")))?;
+    parse_csv(&text).map_err(CliError::BadArg)
 }
 
 /// Parses the semicolon data format. Lines starting with `#` and blank
@@ -902,6 +907,17 @@ mod tests {
         let (hits, stats) = sink_query(&index, &q, &tags, &guard, false).unwrap();
         assert_eq!(hits.unwrap().len(), 2);
         assert_eq!(stats.truncated_reason, Some(TruncatedReason::Limit));
+    }
+
+    #[test]
+    fn data_file_errors_are_bad_args() {
+        let d = write_csv("nan_line", "1; 2; a,b\nnan; 3; a\n");
+        for cmd in ["stats", "rect"] {
+            let Err(CliError::BadArg(msg)) = run(&string_args(&[cmd, &d])) else {
+                panic!("{cmd} on a nan line must be a bad argument");
+            };
+            assert_eq!(msg, "line 2: bad coordinate \"nan\"");
+        }
     }
 
     #[test]
