@@ -10,6 +10,11 @@
 //! histogram the request path records into (timed from `submit`) is
 //! printed beside them as log₂ bucket edges.
 //!
+//! The generator sleeps until [`PACING_MARGIN`] before each due instant
+//! and yields through the rest, so a send is not late by the sleep's
+//! timer slack. Its send lag (due → submit) is reported beside the
+//! latency.
+//!
 //! ```text
 //! skq-load [--scenario city|web|sensors] [--n OBJECTS] [--seed S]
 //!          [--requests R] [--qps Q] [--threads W] [--k K]
@@ -40,6 +45,7 @@ use std::time::{Duration, Instant};
 use skq_bench::json::Json;
 use skq_core::suite::OrpKwSuite;
 use skq_core::SkqError;
+use skq_serve::queue::poll_for;
 use skq_serve::{Pending, Request, Server, ServerConfig};
 use skq_workload::queries::QueryGen;
 use skq_workload::scenarios;
@@ -232,18 +238,17 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
     let (sent_tx, sent_rx) = mpsc::channel::<(Instant, Pending)>();
     let collector = std::thread::spawn(move || collect(sent_rx));
     let mut dropped = 0usize;
+    let mut send_lag_us = Vec::with_capacity(opts.requests);
     for (i, req) in requests.into_iter().enumerate() {
         let due = match interval {
             Some(interval) => {
                 let due = started + interval * (i as u32);
-                let now = Instant::now();
-                if due > now {
-                    std::thread::sleep(due - now);
-                }
+                wait_until(due);
                 due
             }
             None => Instant::now(),
         };
+        send_lag_us.push(micros(due.elapsed()));
         match server.submit(req) {
             // A send fails only if the collector died; its join below
             // reports that.
@@ -263,6 +268,7 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
         .map_err(|_| "the reply collector panicked".to_string())?;
     let ok = latency_us.len();
     latency_us.sort_by(f64::total_cmp);
+    send_lag_us.sort_by(f64::total_cmp);
     let elapsed = span.elapsed();
     drop(span);
     stop_rotating.store(true, Ordering::Release);
@@ -295,6 +301,8 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
     println!(
         "  latency_us (from due, raw samples): p50={p50:.1} p90={p90:.1} p99={p99:.1} max={max:.1}"
     );
+    let [lag_p50, lag_p99] = [0.5, 0.99].map(|q| nearest_rank(&send_lag_us, q));
+    println!("  send_lag_us (due -> submit, raw samples): p50={lag_p50:.1} p99={lag_p99:.1}");
     println!(
         "  latency_us (from submit, log2 bucket edges): p50<={} p90<={} p99<={} mean={:.0} max<={}",
         latency.p50(),
@@ -334,6 +342,10 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
         lat.set("p99_us", Json::Num(p99));
         lat.set("max_us", Json::Num(max));
         report.set("latency", lat);
+        let mut lag = Json::obj();
+        lag.set("p50_us", Json::Num(lag_p50));
+        lag.set("p99_us", Json::Num(lag_p99));
+        report.set("send_lag", lag);
         let mut edges = Json::obj();
         edges.set("p50_us", Json::Num(latency.p50() as f64));
         edges.set("p90_us", Json::Num(latency.p90() as f64));
@@ -377,7 +389,7 @@ fn collect(sent: mpsc::Receiver<(Instant, Pending)>) -> Replies {
     };
     for (due, pending) in sent {
         match pending.wait() {
-            Ok(_) => replies.latency_us.push(due.elapsed().as_secs_f64() * 1e6),
+            Ok(_) => replies.latency_us.push(micros(due.elapsed())),
             Err(SkqError::Internal(msg)) if msg.contains("fail point serve::request") => {
                 replies.injected += 1;
             }
@@ -385,6 +397,28 @@ fn collect(sent: mpsc::Receiver<(Instant, Pending)>) -> Replies {
         }
     }
     replies
+}
+
+/// How far before a due instant the generator stops sleeping and
+/// yields instead: above a sleep's timer slack (50 µs by default on
+/// Linux), so a sleep late by the slack still ends before the due
+/// instant.
+const PACING_MARGIN: Duration = Duration::from_micros(150);
+
+/// Returns at `due`, not before: sleeps until [`PACING_MARGIN`] before
+/// it, then polls the clock, yielding.
+fn wait_until(due: Instant) {
+    if let Some(rest) = due.checked_duration_since(Instant::now()) {
+        if rest > PACING_MARGIN {
+            std::thread::sleep(rest - PACING_MARGIN);
+        }
+    }
+    // Under the margin by now, so the poll reaches `due`.
+    poll_for(PACING_MARGIN, || (Instant::now() >= due).then_some(()));
+}
+
+fn micros(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e6
 }
 
 /// The nearest-rank `q`-quantile of ascending `sorted`, or 0 when it is

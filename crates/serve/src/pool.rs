@@ -14,8 +14,13 @@
 //!    touching the index), clones the current snapshot `Arc`, and runs
 //!    the query under `catch_unwind` so one poisonous request cannot
 //!    take the worker down.
-//! 3. The typed outcome travels back over a rendezvous channel; the
-//!    caller collects it from the returned [`Pending`].
+//! 3. The typed outcome travels back over a one-slot channel
+//!    (`sync_channel(1)`), so the worker's send never blocks; the
+//!    caller collects it from the returned [`Pending`]. Its
+//!    [`wait`](Pending::wait) polls the channel, yielding, for at most
+//!    [`SPIN_BUDGET`] before it blocks, so a reply that lands within
+//!    the budget costs no wake-up on either side: the channel's send
+//!    wakes only a receiver that is already blocked.
 //!
 //! Worker threads themselves run under a supervisor: a panic that
 //! escapes the request isolation (e.g. the `serve::worker` fail point)
@@ -24,7 +29,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -35,7 +40,7 @@ use skq_core::{CancelToken, QueryGuard, QueryStats, SkqError};
 use skq_geom::Rect;
 use skq_invidx::Keyword;
 
-use crate::queue::JobQueue;
+use crate::queue::{poll_for, JobQueue, SPIN_BUDGET};
 use crate::snapshot::{SnapshotCell, Versioned};
 
 /// Sizing knobs for a [`Server`].
@@ -109,7 +114,8 @@ pub struct Pending {
 }
 
 impl Pending {
-    /// Blocks until the worker replies.
+    /// Waits until the worker replies: polls for the reply, yielding,
+    /// for at most [`SPIN_BUDGET`], then blocks.
     ///
     /// # Errors
     ///
@@ -118,9 +124,14 @@ impl Pending {
     /// [`SkqError::Internal`] if the worker died before replying (its
     /// send half was dropped mid-panic).
     pub fn wait(self) -> Result<Reply, SkqError> {
-        self.rx
-            .recv()
-            .unwrap_or_else(|_| Err(SkqError::Internal("worker lost before replying".into())))
+        // `Some(None)`: the sender is gone without a reply.
+        let polled = poll_for(SPIN_BUDGET, || match self.rx.try_recv() {
+            Err(TryRecvError::Empty) => None,
+            outcome => Some(outcome.ok()),
+        });
+        polled
+            .unwrap_or_else(|| self.rx.recv().ok())
+            .unwrap_or_else(|| Err(SkqError::Internal("worker lost before replying".into())))
     }
 }
 
@@ -393,6 +404,71 @@ mod tests {
                 queue_capacity: 64,
             },
         )
+    }
+
+    /// A [`Pending`] fed by a test-held sender, standing in for a
+    /// worker.
+    fn pending() -> (SyncSender<Result<Reply, SkqError>>, Pending) {
+        let (tx, rx) = sync_channel(1);
+        (tx, Pending { rx })
+    }
+
+    fn reply() -> Result<Reply, SkqError> {
+        Ok(Reply {
+            ids: vec![3, 5, 8],
+            stats: QueryStats::default(),
+            generation: 4,
+        })
+    }
+
+    /// Well past [`SPIN_BUDGET`], so a reply or drop this late finds
+    /// the waiter blocked in `recv`.
+    const AFTER_THE_SPIN: Duration = Duration::from_millis(5);
+
+    fn assert_reply(outcome: Result<Reply, SkqError>) {
+        let got = outcome.unwrap();
+        assert_eq!((got.ids, got.generation), (vec![3, 5, 8], 4));
+    }
+
+    fn assert_worker_lost(outcome: Result<Reply, SkqError>) {
+        let err = outcome.unwrap_err();
+        assert!(matches!(err, SkqError::Internal(_)), "{err}");
+    }
+
+    #[test]
+    fn wait_takes_a_reply_sent_before_it() {
+        let (tx, pending) = pending();
+        tx.send(reply()).unwrap();
+        assert_reply(pending.wait());
+    }
+
+    #[test]
+    fn wait_takes_a_reply_sent_after_the_spin() {
+        let (tx, pending) = pending();
+        let worker = std::thread::spawn(move || {
+            std::thread::sleep(AFTER_THE_SPIN);
+            tx.send(reply()).unwrap();
+        });
+        assert_reply(pending.wait());
+        worker.join().unwrap();
+    }
+
+    #[test]
+    fn wait_reports_a_sender_dropped_before_it() {
+        let (tx, pending) = pending();
+        drop(tx);
+        assert_worker_lost(pending.wait());
+    }
+
+    #[test]
+    fn wait_reports_a_sender_dropped_after_the_spin() {
+        let (tx, pending) = pending();
+        let worker = std::thread::spawn(move || {
+            std::thread::sleep(AFTER_THE_SPIN);
+            drop(tx);
+        });
+        assert_worker_lost(pending.wait());
+        worker.join().unwrap();
     }
 
     #[test]

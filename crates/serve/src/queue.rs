@@ -11,11 +11,12 @@
 //! role under the lock. The spinner drops the lock and polls an atomic
 //! mirror of the queue length (written only under the lock) and the
 //! closed flag, calling [`std::thread::yield_now`] between polls, for
-//! at most [`SPIN_BUDGET`]. It then re-locks, gives up the role and
-//! re-checks the queue, and parks only if it is still empty. A parked
-//! consumer registers as parked in the same critical section as its
-//! check, and the wait releases the lock atomically, so a push can
-//! never slip between the check and the park.
+//! at most [`SPIN_BUDGET`] ([`poll_for`], the crate's one spin loop).
+//! It then re-locks, gives up the role and re-checks the queue, and
+//! parks only if it is still empty. A parked consumer registers as
+//! parked in the same critical section as its check, and the wait
+//! releases the lock atomically, so a push can never slip between the
+//! check and the park.
 //!
 //! The wake rule: a push notifies one parked consumer, except when a
 //! spinner will take the job — the push left a single job queued and a
@@ -42,12 +43,35 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// How long an idle consumer polls for work before it parks. An order
-/// of magnitude above one parked wake-up (tens of microseconds when
-/// the host halts idle CPUs), so a job that arrives within it skips
-/// the wake-up, while an idle queue stops polling after a fifth of a
-/// millisecond.
+/// How long an idle consumer polls for work, and a caller for its
+/// reply, before it parks. An order of magnitude above one parked
+/// wake-up (tens of microseconds when the host halts idle CPUs), so a
+/// job or reply that arrives within it skips the wake-up, while an idle
+/// thread stops polling after a fifth of a millisecond.
 pub const SPIN_BUDGET: Duration = Duration::from_micros(200);
+
+/// Calls `poll` until it returns `Some`, for at most `budget`, calling
+/// [`std::thread::yield_now`] between calls; `None` once the budget ran
+/// out. `poll` runs at least once, so a zero budget is one poll.
+///
+/// This is the crate's one spin loop: an idle consumer polls the queue
+/// with it ([`JobQueue::pop`]), a caller polls for its reply with it
+/// ([`Pending::wait`](crate::Pending::wait)), and `skq-load` paces its
+/// sends with it. It must yield, not spin
+/// with [`std::hint::spin_loop`]: a poller that shares a CPU with the
+/// thread it waits for would otherwise starve that thread.
+pub fn poll_for<R>(budget: Duration, mut poll: impl FnMut() -> Option<R>) -> Option<R> {
+    let start = Instant::now();
+    loop {
+        if let Some(found) = poll() {
+            return Some(found);
+        }
+        if start.elapsed() >= budget {
+            return None;
+        }
+        std::thread::yield_now();
+    }
+}
 
 struct State<T> {
     jobs: VecDeque<T>,
@@ -184,17 +208,12 @@ impl<T> JobQueue<T> {
     /// Polls for a queued job or the closed flag, without the lock, for
     /// at most the spin budget. Returns whether either showed up.
     fn spin(&self) -> bool {
-        let start = Instant::now();
-        loop {
+        poll_for(self.spin_budget, || {
             // relaxed: as in `try_push`.
-            if self.len.load(Ordering::Relaxed) > 0 || self.closed.load(Ordering::Acquire) {
-                return true;
-            }
-            if start.elapsed() >= self.spin_budget {
-                return false;
-            }
-            std::thread::yield_now();
-        }
+            (self.len.load(Ordering::Relaxed) > 0 || self.closed.load(Ordering::Acquire))
+                .then_some(())
+        })
+        .is_some()
     }
 
     /// Closes the queue: future pushes fail, and consumers drain the
@@ -242,6 +261,29 @@ mod tests {
             assert!(Instant::now() < deadline, "consumers never went idle");
             std::thread::sleep(Duration::from_millis(1));
         }
+    }
+
+    #[test]
+    fn poll_for_returns_the_first_some() {
+        let mut calls = 0;
+        let found = poll_for(LONG_SPIN, || {
+            calls += 1;
+            (calls == 3).then_some(calls * 10)
+        });
+        assert_eq!((found, calls), (Some(30), 3));
+    }
+
+    #[test]
+    fn poll_for_gives_up_after_its_budget() {
+        let mut calls = 0;
+        let found: Option<()> = poll_for(Duration::from_millis(2), || {
+            calls += 1;
+            None
+        });
+        assert_eq!(found, None);
+        assert!(calls >= 1, "poll_for never polled");
+        // A zero budget still polls once.
+        assert_eq!(poll_for(Duration::ZERO, || Some(7)), Some(7));
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! 3. per-thread generations are **monotone** (a reader never travels
 //!    back in time);
 //! 4. every published snapshot passes the deep structural validator
-//!    *while rotation is live*.
+//!    *while rotation is live*;
+//! 5. clients that poll for their replies do not starve a lone worker.
 //!
 //! Interleaving schedules are seeded through the vendored proptest
 //! substrate, so a failing schedule reproduces from its printed seed.
@@ -24,9 +25,11 @@ use std::sync::{Arc, Mutex};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use structured_keyword_search::core::naive;
 use structured_keyword_search::core::suite::OrpKwSuite;
 use structured_keyword_search::prelude::*;
 use structured_keyword_search::serve::{Request, Server, ServerConfig, SnapshotCell};
+use structured_keyword_search::workload::scenarios;
 
 /// Builds a suite whose full-range 2-keyword answer has exactly `n`
 /// hits — the per-generation fingerprint the readers verify.
@@ -245,6 +248,45 @@ fn server_rotation_under_live_queries() {
         .query(Request::new(Rect::full(2), vec![0, 1]))
         .unwrap();
     assert_eq!(reply.generation, 9);
+    server.shutdown();
+}
+
+/// Eight clients wait on one worker. Each waiter polls for its reply
+/// before it blocks, so the worker shares its CPU with up to eight
+/// pollers; they yield, so it still answers every query, and each
+/// answer is the brute-force one.
+#[test]
+fn one_worker_answers_eight_polling_clients() {
+    const CLIENTS: u64 = 8;
+    const QUERIES: usize = 50;
+    let dataset = Arc::new(scenarios::city(3_000, 17));
+    let server = Arc::new(Server::start(
+        OrpKwSuite::try_build(&dataset, 2).unwrap(),
+        ServerConfig {
+            workers: 1,
+            queue_capacity: 64,
+        },
+    ));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let (dataset, server) = (Arc::clone(&dataset), Arc::clone(&server));
+            std::thread::spawn(move || {
+                let mut gen = QueryGen::new(&dataset, 100 + c);
+                for _ in 0..QUERIES {
+                    let rect = gen.rect(0.05);
+                    let keywords = gen.keywords(2, 0.5).expect("city has keywords");
+                    let want = naive::brute_rect(&dataset, &rect, &keywords);
+                    let reply = server
+                        .query(Request::new(rect, keywords))
+                        .expect("a one-worker server answers every query");
+                    assert_eq!(reply.ids, want);
+                }
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().unwrap();
+    }
     server.shutdown();
 }
 
