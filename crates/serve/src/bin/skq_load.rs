@@ -10,10 +10,10 @@
 //! histogram the request path records into (timed from `submit`) is
 //! printed beside them as log₂ bucket edges.
 //!
-//! The generator sleeps until [`PACING_MARGIN`] before each due instant
-//! and yields through the rest, so a send is not late by the sleep's
-//! timer slack. Its send lag (due → submit) is reported beside the
-//! latency.
+//! The generator sleeps until each due instant, so a send can run late
+//! by the sleep's timer slack; that send lag (due → submit) is reported
+//! beside the latency, so the generator's delay can be told from the
+//! server's.
 //!
 //! ```text
 //! skq-load [--scenario city|web|sensors] [--n OBJECTS] [--seed S]
@@ -45,7 +45,6 @@ use std::time::{Duration, Instant};
 use skq_bench::json::Json;
 use skq_core::suite::OrpKwSuite;
 use skq_core::SkqError;
-use skq_serve::queue::poll_for;
 use skq_serve::{Pending, Request, Server, ServerConfig};
 use skq_workload::queries::QueryGen;
 use skq_workload::scenarios;
@@ -243,7 +242,10 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
         let due = match interval {
             Some(interval) => {
                 let due = started + interval * (i as u32);
-                wait_until(due);
+                let now = Instant::now();
+                if due > now {
+                    std::thread::sleep(due - now);
+                }
                 due
             }
             None => Instant::now(),
@@ -397,24 +399,6 @@ fn collect(sent: mpsc::Receiver<(Instant, Pending)>) -> Replies {
         }
     }
     replies
-}
-
-/// How far before a due instant the generator stops sleeping and
-/// yields instead: above a sleep's timer slack (50 µs by default on
-/// Linux), so a sleep late by the slack still ends before the due
-/// instant.
-const PACING_MARGIN: Duration = Duration::from_micros(150);
-
-/// Returns at `due`, not before: sleeps until [`PACING_MARGIN`] before
-/// it, then polls the clock, yielding.
-fn wait_until(due: Instant) {
-    if let Some(rest) = due.checked_duration_since(Instant::now()) {
-        if rest > PACING_MARGIN {
-            std::thread::sleep(rest - PACING_MARGIN);
-        }
-    }
-    // Under the margin by now, so the poll reaches `due`.
-    poll_for(PACING_MARGIN, || (Instant::now() >= due).then_some(()));
 }
 
 fn micros(d: Duration) -> f64 {

@@ -20,7 +20,10 @@
 //!    [`wait`](Pending::wait) polls the channel, yielding, for at most
 //!    [`SPIN_BUDGET`] before it blocks, so a reply that lands within
 //!    the budget costs no wake-up on either side: the channel's send
-//!    wakes only a receiver that is already blocked.
+//!    wakes only a receiver that is already blocked. Only a caller
+//!    whose job found the queue empty polls: its reply is one query
+//!    away. A job queued behind others blocks at once, so a crowd of
+//!    waiters does not poll the workers off the CPUs.
 //!
 //! Worker threads themselves run under a supervisor: a panic that
 //! escapes the request isolation (e.g. the `serve::worker` fail point)
@@ -111,11 +114,15 @@ pub struct Reply {
 #[derive(Debug)]
 pub struct Pending {
     rx: Receiver<Result<Reply, SkqError>>,
+    /// Whether `wait` polls before it blocks: the job found the queue
+    /// empty.
+    poll: bool,
 }
 
 impl Pending {
-    /// Waits until the worker replies: polls for the reply, yielding,
-    /// for at most [`SPIN_BUDGET`], then blocks.
+    /// Waits until the worker replies. If the job found the queue
+    /// empty, first polls for the reply, yielding, for at most
+    /// [`SPIN_BUDGET`]; then blocks.
     ///
     /// # Errors
     ///
@@ -125,10 +132,14 @@ impl Pending {
     /// send half was dropped mid-panic).
     pub fn wait(self) -> Result<Reply, SkqError> {
         // `Some(None)`: the sender is gone without a reply.
-        let polled = poll_for(SPIN_BUDGET, || match self.rx.try_recv() {
-            Err(TryRecvError::Empty) => None,
-            outcome => Some(outcome.ok()),
-        });
+        let polled = if self.poll {
+            poll_for(SPIN_BUDGET, || match self.rx.try_recv() {
+                Err(TryRecvError::Empty) => None,
+                outcome => Some(outcome.ok()),
+            })
+        } else {
+            None
+        };
         polled
             .unwrap_or_else(|| self.rx.recv().ok())
             .unwrap_or_else(|| Err(SkqError::Internal("worker lost before replying".into())))
@@ -219,7 +230,10 @@ impl Server {
                 registry
                     .gauge("skq_serve_queue_depth", &[])
                     .set(depth as f64);
-                Ok(Pending { rx })
+                Ok(Pending {
+                    rx,
+                    poll: depth == 1,
+                })
             }
             Err((_, queue_depth)) => {
                 registry
@@ -407,10 +421,10 @@ mod tests {
     }
 
     /// A [`Pending`] fed by a test-held sender, standing in for a
-    /// worker.
-    fn pending() -> (SyncSender<Result<Reply, SkqError>>, Pending) {
+    /// worker; `poll` as if its job found the queue empty.
+    fn pending(poll: bool) -> (SyncSender<Result<Reply, SkqError>>, Pending) {
         let (tx, rx) = sync_channel(1);
-        (tx, Pending { rx })
+        (tx, Pending { rx, poll })
     }
 
     fn reply() -> Result<Reply, SkqError> {
@@ -435,40 +449,57 @@ mod tests {
         assert!(matches!(err, SkqError::Internal(_)), "{err}");
     }
 
+    /// Runs `act` on the sender, `delay` after `wait` may have started,
+    /// and returns what `wait` gave back.
+    fn wait_with(
+        poll: bool,
+        delay: Duration,
+        act: impl FnOnce(SyncSender<Result<Reply, SkqError>>) + Send + 'static,
+    ) -> Result<Reply, SkqError> {
+        let (tx, pending) = pending(poll);
+        let worker = std::thread::spawn(move || {
+            std::thread::sleep(delay);
+            act(tx);
+        });
+        let outcome = pending.wait();
+        worker.join().unwrap();
+        outcome
+    }
+
+    fn send_reply(tx: SyncSender<Result<Reply, SkqError>>) {
+        tx.send(reply()).unwrap();
+    }
+
     #[test]
     fn wait_takes_a_reply_sent_before_it() {
-        let (tx, pending) = pending();
-        tx.send(reply()).unwrap();
-        assert_reply(pending.wait());
+        for poll in [true, false] {
+            let (tx, pending) = pending(poll);
+            send_reply(tx);
+            assert_reply(pending.wait());
+        }
     }
 
     #[test]
     fn wait_takes_a_reply_sent_after_the_spin() {
-        let (tx, pending) = pending();
-        let worker = std::thread::spawn(move || {
-            std::thread::sleep(AFTER_THE_SPIN);
-            tx.send(reply()).unwrap();
-        });
-        assert_reply(pending.wait());
-        worker.join().unwrap();
+        for poll in [true, false] {
+            assert_reply(wait_with(poll, AFTER_THE_SPIN, send_reply));
+        }
     }
 
     #[test]
     fn wait_reports_a_sender_dropped_before_it() {
-        let (tx, pending) = pending();
-        drop(tx);
-        assert_worker_lost(pending.wait());
+        for poll in [true, false] {
+            let (tx, pending) = pending(poll);
+            drop(tx);
+            assert_worker_lost(pending.wait());
+        }
     }
 
     #[test]
     fn wait_reports_a_sender_dropped_after_the_spin() {
-        let (tx, pending) = pending();
-        let worker = std::thread::spawn(move || {
-            std::thread::sleep(AFTER_THE_SPIN);
-            drop(tx);
-        });
-        assert_worker_lost(pending.wait());
-        worker.join().unwrap();
+        for poll in [true, false] {
+            assert_worker_lost(wait_with(poll, AFTER_THE_SPIN, drop));
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! role under the lock. The spinner drops the lock and polls an atomic
 //! mirror of the queue length (written only under the lock) and the
 //! closed flag, calling [`std::thread::yield_now`] between polls, for
-//! at most [`SPIN_BUDGET`] ([`poll_for`], the crate's one spin loop).
+//! at most [`SPIN_BUDGET`] (`poll_for`, the crate's one spin loop).
 //! It then re-locks, gives up the role and re-checks the queue, and
 //! parks only if it is still empty. A parked consumer registers as
 //! parked in the same critical section as its check, and the wait
@@ -55,12 +55,11 @@ pub const SPIN_BUDGET: Duration = Duration::from_micros(200);
 /// out. `poll` runs at least once, so a zero budget is one poll.
 ///
 /// This is the crate's one spin loop: an idle consumer polls the queue
-/// with it ([`JobQueue::pop`]), a caller polls for its reply with it
-/// ([`Pending::wait`](crate::Pending::wait)), and `skq-load` paces its
-/// sends with it. It must yield, not spin
-/// with [`std::hint::spin_loop`]: a poller that shares a CPU with the
-/// thread it waits for would otherwise starve that thread.
-pub fn poll_for<R>(budget: Duration, mut poll: impl FnMut() -> Option<R>) -> Option<R> {
+/// with it ([`JobQueue::pop`]), and a caller polls for its reply with
+/// it ([`Pending::wait`](crate::Pending::wait)). It must yield, not
+/// spin with [`std::hint::spin_loop`]: a poller that shares a CPU with
+/// the thread it waits for would otherwise starve that thread.
+pub(crate) fn poll_for<R>(budget: Duration, mut poll: impl FnMut() -> Option<R>) -> Option<R> {
     let start = Instant::now();
     loop {
         if let Some(found) = poll() {

@@ -13,7 +13,8 @@
 //!    back in time);
 //! 4. every published snapshot passes the deep structural validator
 //!    *while rotation is live*;
-//! 5. clients that poll for their replies do not starve a lone worker.
+//! 5. many clients waiting on one worker, some polling for their
+//!    replies and some blocked, each get the brute-force answer.
 //!
 //! Interleaving schedules are seeded through the vendored proptest
 //! substrate, so a failing schedule reproduces from its printed seed.
@@ -251,12 +252,12 @@ fn server_rotation_under_live_queries() {
     server.shutdown();
 }
 
-/// Eight clients wait on one worker. Each waiter polls for its reply
-/// before it blocks, so the worker shares its CPU with up to eight
-/// pollers; they yield, so it still answers every query, and each
-/// answer is the brute-force one.
+/// Eight clients wait on one worker. A waiter whose job found the
+/// queue empty polls for its reply before it blocks; one queued behind
+/// others blocks at once. Both kinds run side by side here, and every
+/// reply must be the brute-force answer.
 #[test]
-fn one_worker_answers_eight_polling_clients() {
+fn one_worker_answers_eight_concurrent_clients() {
     const CLIENTS: u64 = 8;
     const QUERIES: usize = 50;
     let dataset = Arc::new(scenarios::city(3_000, 17));
