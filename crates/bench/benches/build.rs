@@ -4,7 +4,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use skq_bench::planted_spatial;
 use skq_core::ksi::KsiIndex;
 use skq_core::orp::OrpKwIndex;
-use skq_core::sp::{SpKwIndex, SpStrategy};
+use skq_core::sp::SpKwIndex;
 use skq_core::srp::SrpKwIndex;
 
 fn bench_build(c: &mut Criterion) {
@@ -20,16 +20,10 @@ fn bench_build(c: &mut Criterion) {
             b.iter(|| OrpKwIndex::try_build(&ps3.dataset, 2).expect("valid bench input"))
         });
         g.bench_with_input(BenchmarkId::new("sp_willard", n), &n, |b, _| {
-            b.iter(|| {
-                SpKwIndex::try_build_with_strategy(&ps2.dataset, 2, SpStrategy::Willard)
-                    .expect("valid bench input")
-            })
+            b.iter(|| SpKwIndex::try_build(&ps2.dataset, 2).expect("valid bench input"))
         });
-        g.bench_with_input(BenchmarkId::new("sp_kd", n), &n, |b, _| {
-            b.iter(|| {
-                SpKwIndex::try_build_with_strategy(&ps2.dataset, 2, SpStrategy::Kd)
-                    .expect("valid bench input")
-            })
+        g.bench_with_input(BenchmarkId::new("sp_kd_3d", n), &n, |b, _| {
+            b.iter(|| SpKwIndex::try_build(&ps3.dataset, 2).expect("valid bench input"))
         });
         g.bench_with_input(BenchmarkId::new("srp", n), &n, |b, _| {
             b.iter(|| SrpKwIndex::try_build(&ps2.dataset, 2).expect("valid bench input"))

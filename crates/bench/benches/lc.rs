@@ -1,21 +1,19 @@
-//! Criterion bench for Table 1 rows 6–7: LC-KW halfspace queries, with
-//! the Willard-vs-kd-cells partitioner ablation.
+//! Criterion bench for Table 1 rows 6–7: LC-KW halfspace queries on
+//! SP-KW (the Willard tree in 2D, kd cells in 3D) against the naive
+//! baselines.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use skq_bench::planted_spatial;
 use skq_core::naive::{KeywordsFirst, StructuredFirst};
 use skq_core::query::KwQuery;
-use skq_core::sp::{SpKwIndex, SpStrategy};
+use skq_core::sp::SpKwIndex;
 use skq_geom::{ConvexPolytope, Halfspace};
 
 fn bench_lc(c: &mut Criterion) {
     let mut g = c.benchmark_group("lc_kw/halfplane");
     for n in [20_000usize, 60_000] {
         let ps = planted_spatial(n, 2, 2, 0, 1e6, 31);
-        let willard = SpKwIndex::try_build_with_strategy(&ps.dataset, 2, SpStrategy::Willard)
-            .expect("valid bench input");
-        let kdcells = SpKwIndex::try_build_with_strategy(&ps.dataset, 2, SpStrategy::Kd)
-            .expect("valid bench input");
+        let willard = SpKwIndex::try_build(&ps.dataset, 2).expect("valid bench input");
         let kf = KeywordsFirst::build(&ps.dataset);
         let sf = StructuredFirst::build(&ps.dataset);
         // x + y ≤ 10^6: cuts the data diagonally in half.
@@ -23,9 +21,6 @@ fn bench_lc(c: &mut Criterion) {
         let kws = ps.query_keywords.clone();
         g.bench_with_input(BenchmarkId::new("willard", n), &n, |b, _| {
             b.iter(|| willard.query(&q, &kws))
-        });
-        g.bench_with_input(BenchmarkId::new("kd_cells", n), &n, |b, _| {
-            b.iter(|| kdcells.query(&q, &kws))
         });
         g.bench_with_input(BenchmarkId::new("keywords_only", n), &n, |b, _| {
             b.iter(|| kf.query_polytope(&q, &kws))

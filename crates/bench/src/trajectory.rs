@@ -19,7 +19,6 @@ use std::time::Instant;
 
 use skq_core::dataset::Dataset;
 use skq_core::ksi::KsiIndex;
-use skq_core::lc::LcKwIndex;
 use skq_core::nn_l2::L2NnIndex;
 use skq_core::nn_linf::LinfNnIndex;
 use skq_core::orp::OrpKwIndex;
@@ -249,38 +248,14 @@ fn rr_problem(ctx: &Ctx, d: &Dataset) -> Json {
     out
 }
 
-fn lc_problem(ctx: &Ctx, d: &Dataset) -> Json {
+/// The halfspace rows: `lc` asks one constraint per query, `sp` two;
+/// both run on one SP-KW index.
+fn halfspace_problem(ctx: &Ctx, d: &Dataset, constraints: usize) -> Json {
     let count = ctx.scale.queries();
     let mut gen = QueryGen::new(d, SEED_QUERIES);
     let queries: Vec<_> = (0..count)
         .map(|_| {
-            let poly = gen.halfspaces(1);
-            let kws = gen.keywords(BUILD_K, 0.3).expect("vocabulary");
-            (poly, kws)
-        })
-        .collect();
-    let (index, build) = ctx.build_record(
-        d.len(),
-        || LcKwIndex::try_build(d, BUILD_K).expect("valid workload"),
-        LcKwIndex::space_words,
-    );
-    let query = ctx.query_record(queries.len(), |i| {
-        let (poly, kws) = &queries[i];
-        index.query_with_stats(poly, kws).expect("valid query").1
-    });
-    let mut out = Json::obj();
-    problem_header(&mut out, "city", d.len(), d.input_size(), BUILD_K);
-    out.set("build", build);
-    out.set("query", query);
-    out
-}
-
-fn sp_problem(ctx: &Ctx, d: &Dataset) -> Json {
-    let count = ctx.scale.queries();
-    let mut gen = QueryGen::new(d, SEED_QUERIES);
-    let queries: Vec<_> = (0..count)
-        .map(|_| {
-            let poly = gen.halfspaces(2);
+            let poly = gen.halfspaces(constraints);
             let kws = gen.keywords(BUILD_K, 0.3).expect("vocabulary");
             (poly, kws)
         })
@@ -475,8 +450,8 @@ pub fn run_with_snapshot(scale: Scale, probe: AllocProbe, snapshot: Option<&[u8]
         let wd = scenarios::city(400, SEED_DATA);
         let _ = orp_problem(&warm_ctx, &wd);
         let _ = rr_problem(&warm_ctx, &wd);
-        let _ = lc_problem(&warm_ctx, &wd);
-        let _ = sp_problem(&warm_ctx, &wd);
+        let _ = halfspace_problem(&warm_ctx, &wd, 1);
+        let _ = halfspace_problem(&warm_ctx, &wd, 2);
         let _ = srp_problem(&warm_ctx, &wd);
         let _ = nn_problem(&warm_ctx, &wd, || {
             NnEngine::Linf(LinfNnIndex::try_build(&wd, BUILD_K).expect("valid workload"))
@@ -494,8 +469,8 @@ pub fn run_with_snapshot(scale: Scale, probe: AllocProbe, snapshot: Option<&[u8]
     let mut problems = Json::obj();
     problems.set("orp", orp_problem(&ctx, &d));
     problems.set("rr", rr_problem(&ctx, &d));
-    problems.set("lc", lc_problem(&ctx, &d));
-    problems.set("sp", sp_problem(&ctx, &d));
+    problems.set("lc", halfspace_problem(&ctx, &d, 1));
+    problems.set("sp", halfspace_problem(&ctx, &d, 2));
     problems.set("srp", srp_problem(&ctx, &d));
     problems.set(
         "nn_linf",

@@ -34,7 +34,6 @@ pub const SITES: &[&str] = &[
     "rr::build",
     "nn_linf::build",
     "nn_l2::build",
-    "lc::build",
     "sp::build",
     "srp::build",
     "ksi::build",

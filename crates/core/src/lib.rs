@@ -21,8 +21,8 @@
 //!   tree included).
 //! * [`dimred`] — §4's dimension-reduction technique (Theorem 2).
 //! * One module per problem: [`orp`] (Theorems 1–2), [`rr`]
-//!   (Corollary 3), [`nn_linf`] (Corollary 4), [`sp`]/[`lc`]
-//!   (Theorems 5/12), [`srp`] (Corollary 6), [`nn_l2`] (Corollary 7),
+//!   (Corollary 3), [`nn_linf`] (Corollary 4), [`sp`] (Theorems 5/12,
+//!   LC-KW and SP-KW), [`srp`] (Corollary 6), [`nn_l2`] (Corollary 7),
 //!   and [`ksi`] (§1.2's pure `k`-set intersection).
 //! * [`naive`] — the two naive baselines plus a full scan, for every
 //!   problem.
@@ -98,7 +98,6 @@ pub mod framework;
 pub mod guard;
 pub mod invariants;
 pub mod ksi;
-pub mod lc;
 pub mod naive;
 pub mod nn_l2;
 pub mod nn_linf;

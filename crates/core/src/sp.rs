@@ -1,14 +1,27 @@
-//! Simplex reporting with keywords (SP-KW; Theorem 12, Appendix D).
+//! Simplex reporting and linear conjunction with keywords (SP-KW,
+//! Theorem 12 and Appendix D; LC-KW, Theorem 5).
 //!
-//! Given a `d`-simplex (or, more generally, any conjunction of `O(1)`
-//! halfspaces — LC-KW queries arrive that way and a simplex is exactly
-//! `d + 1` of them) and keywords `w₁, …, w_k`, report the matching
-//! objects inside the region. The index is the transformation framework
-//! applied to a partition tree: in 2D, the Willard ham-sandwich tree
-//! (see DESIGN.md §4 for the substitution of Chan's optimal partition
-//! tree); in higher dimensions, kd cells (the paper notes in §3.5 that
-//! the kd-tree yields `O(N^{1−1/max(k,d)} + N^{1−1/k}·OUT^{1/k})`
-//! there).
+//! Given a conjunction of `O(1)` halfspaces `Σᵢ cᵢ·x[i] ≤ c_{d+1}` and
+//! keywords `w₁, …, w_k`, report the matching objects inside the
+//! region. A `d`-simplex is exactly `d + 1` halfspaces, and an LC-KW
+//! query is such a conjunction as given. The index is the
+//! transformation framework applied to a partition tree, picked by the
+//! dimension: in 2D, the Willard ham-sandwich tree (see DESIGN.md §4
+//! for the substitution of Chan's optimal partition tree); in higher
+//! dimensions, kd cells (the paper notes in §3.5 that the kd-tree
+//! yields `O(N^{1−1/max(k,d)} + N^{1−1/k}·OUT^{1/k})` for rectangles;
+//! for halfspaces kd cells have no sublinear crossing bound).
+//!
+//! The paper reduces LC-KW to SP-KW by partitioning the constraint
+//! polyhedron into `O(1)` simplices. The framework only needs each
+//! cell classified against the query region, and a cell is classified
+//! against any halfspace conjunction as easily as against a simplex,
+//! so the decomposition is unnecessary: the constraints pass through
+//! unchanged, the same `O(1)` factor in one query instead of several.
+//!
+//! LC-KW also gives a linear-space ORP-KW index: a `d`-rectangle is `2d`
+//! linear constraints ([`ConvexPolytope::from_rect`]), which realizes
+//! Table 1's "`d ≤ k`, `O(N)` space" row.
 
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -24,17 +37,8 @@ use crate::query::KwQuery;
 use crate::sink::ResultSink;
 use crate::stats::QueryStats;
 
-/// Which partitioner backs the index.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpStrategy {
-    /// Willard ham-sandwich partition tree (2D only): crossing number
-    /// `O(N^{log₄3})`.
-    Willard,
-    /// kd-tree cells (any dimension): crossing number
-    /// `O(N^{1−1/max(k,d)})` for simplex queries.
-    Kd,
-}
-
+/// The partitioner the dimension picks: Willard in 2D, kd cells
+/// otherwise.
 enum Inner {
     Willard(TransformedIndex<WillardPartitioner>),
     Kd(TransformedIndex<KdPartitioner>),
@@ -72,52 +76,25 @@ pub struct SpKwIndex {
 }
 
 impl SpKwIndex {
-    /// Builds with the default strategy (Willard in 2D, kd otherwise).
+    /// Builds the index for exactly-`k`-keyword queries: on the
+    /// Willard partition tree for 2D data, on kd cells otherwise.
     ///
     /// # Errors
     ///
     /// `SkqError::InvalidQuery` if `k` is outside `2..=16`.
     pub fn try_build(dataset: &Dataset, k: usize) -> Result<Self, SkqError> {
-        let strategy = if dataset.dim() == 2 {
-            SpStrategy::Willard
-        } else {
-            SpStrategy::Kd
-        };
-        Self::try_build_with_strategy(dataset, k, strategy)
-    }
-
-    /// Builds with an explicit strategy.
-    ///
-    /// # Errors
-    ///
-    /// `SkqError::InvalidQuery` if `k` is outside `2..=16`;
-    /// `SkqError::InvalidDataset` if a 2D-only strategy is paired with
-    /// non-2D data.
-    pub fn try_build_with_strategy(
-        dataset: &Dataset,
-        k: usize,
-        strategy: SpStrategy,
-    ) -> Result<Self, SkqError> {
         validate::build_k(k)?;
         failpoints::check("sp::build")?;
         let points = dataset.points().to_vec();
         let weights: Vec<u64> = (0..dataset.len()).map(|i| dataset.weight(i)).collect();
         let docs = Arc::clone(dataset.shared_docs());
-        let inner = match strategy {
-            SpStrategy::Willard => {
-                if dataset.dim() != 2 {
-                    return Err(SkqError::InvalidDataset(
-                        "the Willard partition tree is 2D".into(),
-                    ));
-                }
-                let p = WillardPartitioner::new(points.clone(), weights);
-                Inner::Willard(TransformedIndex::try_build(p, docs, k..=k)?)
-            }
-            SpStrategy::Kd => {
-                let coords = points.iter().flat_map(|p| p.coords()).copied().collect();
-                let p = KdPartitioner::new(dataset.dim(), coords, doc_weights(&docs));
-                Inner::Kd(TransformedIndex::try_build(p, docs, k..=k)?)
-            }
+        let inner = if dataset.dim() == 2 {
+            let p = WillardPartitioner::new(points.clone(), weights);
+            Inner::Willard(TransformedIndex::try_build(p, docs, k..=k)?)
+        } else {
+            let coords = points.iter().flat_map(|p| p.coords()).copied().collect();
+            let p = KdPartitioner::new(dataset.dim(), coords, doc_weights(&docs));
+            Inner::Kd(TransformedIndex::try_build(p, docs, k..=k)?)
         };
         Ok(Self {
             inner,
@@ -135,14 +112,6 @@ impl SpKwIndex {
     /// The dimensionality `d`.
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// The strategy in use.
-    pub fn strategy(&self) -> SpStrategy {
-        match self.inner {
-            Inner::Willard(_) => SpStrategy::Willard,
-            Inner::Kd(_) => SpStrategy::Kd,
-        }
     }
 
     /// Index space in 64-bit words (cells charged as a constant; the
@@ -197,8 +166,10 @@ impl SpKwIndex {
 }
 
 impl KwQuery for SpKwIndex {
-    /// A conjunction of halfspaces; a simplex is exactly `d + 1` of
-    /// them ([`Simplex::to_polytope`](skq_geom::Simplex::to_polytope)).
+    /// A conjunction of halfspaces `Σᵢ cᵢ·x[i] ≤ c_{d+1}`; a simplex is
+    /// exactly `d + 1` of them
+    /// ([`Simplex::to_polytope`](skq_geom::Simplex::to_polytope)) and a
+    /// rectangle `2d` ([`ConvexPolytope::from_rect`]).
     type Shape = ConvexPolytope;
 
     fn check(&self, q: &ConvexPolytope, keywords: &[Keyword]) -> Result<(), SkqError> {
@@ -275,10 +246,10 @@ mod tests {
     }
 
     #[test]
-    fn both_strategies_share_the_dataset_documents() {
-        let dataset = random_dataset(300, 2, 8, 61);
-        for strategy in [SpStrategy::Willard, SpStrategy::Kd] {
-            let index = SpKwIndex::try_build_with_strategy(&dataset, 2, strategy).unwrap();
+    fn both_partitioners_share_the_dataset_documents() {
+        for dim in [2, 3] {
+            let dataset = random_dataset(300, dim, 8, 61);
+            let index = SpKwIndex::try_build(&dataset, 2).unwrap();
             for i in 0..dataset.len() {
                 let doc = match &index.inner {
                     Inner::Willard(t) => t.doc(i),
@@ -286,7 +257,7 @@ mod tests {
                 };
                 assert!(
                     std::ptr::eq(doc, dataset.doc(i)),
-                    "{strategy:?}: doc {i} was copied"
+                    "{dim}D: doc {i} was copied"
                 );
             }
         }
@@ -296,7 +267,7 @@ mod tests {
     fn willard_matches_bruteforce() {
         let dataset = random_dataset(400, 2, 10, 1);
         let index = SpKwIndex::try_build(&dataset, 2).unwrap();
-        assert_eq!(index.strategy(), SpStrategy::Willard);
+        assert!(matches!(index.inner, Inner::Willard(_)));
         index.validate().unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..60 {
@@ -311,12 +282,13 @@ mod tests {
     }
 
     #[test]
-    fn kd_strategy_matches_bruteforce_2d() {
-        let dataset = random_dataset(300, 2, 8, 11);
-        let index = SpKwIndex::try_build_with_strategy(&dataset, 2, SpStrategy::Kd).unwrap();
+    fn kd_cells_match_bruteforce_3d() {
+        let dataset = random_dataset(300, 3, 8, 11);
+        let index = SpKwIndex::try_build(&dataset, 2).unwrap();
+        assert!(matches!(index.inner, Inner::Kd(_)));
         let mut rng = StdRng::seed_from_u64(12);
         for _ in 0..60 {
-            let q = random_halfspaces(&mut rng, 2, 2);
+            let q = random_halfspaces(&mut rng, 3, 2);
             let w1 = rng.gen_range(0..8);
             let w2 = (w1 + 1 + rng.gen_range(0..7)) % 8;
             let mut got = index.query(&q, &[w1, w2]).unwrap();
@@ -326,10 +298,9 @@ mod tests {
     }
 
     #[test]
-    fn kd_strategy_3d_simplex() {
+    fn kd_cells_3d_simplex() {
         let dataset = random_dataset(250, 3, 8, 21);
         let index = SpKwIndex::try_build(&dataset, 2).unwrap();
-        assert_eq!(index.strategy(), SpStrategy::Kd);
         let simplex = Simplex::new(vec![
             Point::new3(-30.0, -30.0, -30.0),
             Point::new3(40.0, 0.0, 0.0),
@@ -376,11 +347,6 @@ mod tests {
             SpKwIndex::try_build(&dataset, 1),
             Err(SkqError::InvalidQuery(_))
         ));
-        let d3 = random_dataset(50, 3, 4, 63);
-        assert!(matches!(
-            SpKwIndex::try_build_with_strategy(&d3, 2, SpStrategy::Willard),
-            Err(SkqError::InvalidDataset(_))
-        ));
         let nan = ConvexPolytope::new(vec![Halfspace::new(&[f64::NAN, 0.0], 1.0)]);
         assert!(matches!(
             index.query(&nan, &[0, 1]),
@@ -406,5 +372,66 @@ mod tests {
             got.sort_unstable();
             assert_eq!(got, brute(&dataset, &q, &ws));
         }
+    }
+
+    /// The paper's introductory example: hotels with price, rating, and
+    /// feature tags; condition C2 is `c₁·price + c₂·(10 − rating) ≤ c₃`.
+    #[test]
+    fn intro_example_condition_c2() {
+        const POOL: u32 = 0;
+        const PARKING: u32 = 1;
+        const PETS: u32 = 2;
+        let hotels = Dataset::from_parts(vec![
+            (Point::new2(100.0, 9.0), vec![POOL, PARKING, PETS]),
+            (Point::new2(250.0, 9.5), vec![POOL, PARKING, PETS]),
+            (Point::new2(120.0, 6.0), vec![POOL, PARKING, PETS]),
+            (Point::new2(110.0, 8.5), vec![POOL]),
+        ]);
+        let index = SpKwIndex::try_build(&hotels, 3).unwrap();
+        // price + 50·(10 − rating) ≤ 200  ⇔  price − 50·rating ≤ −300.
+        let c2 = ConvexPolytope::new(vec![Halfspace::new(&[1.0, -50.0], -300.0)]);
+        let mut got = index.query(&c2, &[POOL, PARKING, PETS]).unwrap();
+        got.sort_unstable();
+        // Hotel 0: 100 − 450 = −350 ✓; hotel 1: 250 − 475 = −225 ✗;
+        // hotel 2: 120 − 300 = −180 ✗; hotel 3: keywords missing.
+        assert_eq!(got, vec![0]);
+    }
+
+    /// A rectangle as `2d` linear constraints answers like ORP-KW.
+    #[test]
+    fn rect_as_constraints_matches_orp() {
+        use crate::orp::OrpKwIndex;
+        use skq_geom::Rect;
+        let dataset = random_dataset(300, 2, 8, 7);
+        let sp = SpKwIndex::try_build(&dataset, 2).unwrap();
+        let orp = OrpKwIndex::try_build(&dataset, 2).unwrap();
+        let mut rng = StdRng::seed_from_u64(8);
+        for _ in 0..40 {
+            let x0: f64 = rng.gen_range(-25.0..25.0);
+            let x1: f64 = rng.gen_range(-25.0..25.0);
+            let y0: f64 = rng.gen_range(-25.0..25.0);
+            let y1: f64 = rng.gen_range(-25.0..25.0);
+            let q = Rect::new(&[x0.min(x1), y0.min(y1)], &[x0.max(x1), y0.max(y1)]);
+            let w1 = rng.gen_range(0..8);
+            let w2 = (w1 + 1 + rng.gen_range(0..7)) % 8;
+            let mut a = sp.query(&ConvexPolytope::from_rect(&q), &[w1, w2]).unwrap();
+            let mut b = orp.query(&q, &[w1, w2]).unwrap();
+            a.sort_unstable();
+            b.sort_unstable();
+            assert_eq!(a, b);
+        }
+    }
+
+    #[test]
+    fn higher_dimensional_constraints() {
+        let dataset = random_dataset(200, 4, 6, 17);
+        let index = SpKwIndex::try_build(&dataset, 2).unwrap();
+        let q = ConvexPolytope::new(vec![
+            Halfspace::new(&[1.0, 1.0, 1.0, 1.0], 5.0),
+            Halfspace::new(&[-1.0, 0.5, 0.0, 0.0], 3.0),
+        ]);
+        let mut got = index.query(&q, &[0, 1]).unwrap();
+        got.sort_unstable();
+        assert_eq!(got, brute(&dataset, &q, &[0, 1]));
     }
 }

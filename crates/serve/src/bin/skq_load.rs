@@ -1,8 +1,9 @@
-//! `skq-load` — a closed-loop load generator for the serving layer.
+//! `skq-load` — an open-loop load generator for the serving layer.
 //!
 //! Replays an `skq-workload` scenario against an in-process
 //! [`skq_serve::Server`] at a target QPS, optionally rotating snapshots
-//! concurrently. A second thread collects the replies in send order and
+//! concurrently. The generator submits on its schedule and never waits
+//! for a reply (open loop); a second thread collects the replies in send order and
 //! times each request from its due instant (its slot in the `--qps`
 //! schedule, or the moment before its submit with `--qps 0`), so a late
 //! send counts against the request. The reported p50/p90/p99 are
@@ -22,7 +23,9 @@
 //!          [--json PATH] [--trace PATH]
 //! ```
 //!
-//! * `--qps 0` (the default) submits as fast as the queue admits.
+//! * `--qps 0` (the default) submits every request at once; the queue
+//!   holds them all, so each latency measures the request's position
+//!   in the queue, not its service time.
 //! * `--deadline-ms MS` gives every request a deadline of `MS`
 //!   milliseconds from submission (0, the default, sets none).
 //! * `--rotate-ms MS` runs a publisher thread rebuilding and
@@ -185,8 +188,8 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
         suite,
         ServerConfig {
             workers: opts.threads,
-            // Closed-loop replay: size the queue so pacing, not
-            // admission control, is the only throttle.
+            // Open-loop replay: the queue holds every request, so
+            // pacing, not admission control, is the only throttle.
             queue_capacity: opts.requests.max(64),
         },
     ));

@@ -16,13 +16,16 @@
 //!   chosen intersection size;
 //! * [`scenarios`] — one-call presets for the recurring workload shapes
 //!   of the spatial-keyword literature (city POIs, web documents,
-//!   sensor networks).
+//!   sensor networks);
+//! * [`adversarial`] — worst-case inputs for the partition trees: a
+//!   strip along a tilted line and an annulus around a ball's boundary.
 //!
 //! Everything is deterministic given a seed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod adversarial;
 pub mod ksi;
 pub mod queries;
 pub mod scenarios;

@@ -60,9 +60,10 @@ fn main() -> Result<(), SkqError> {
         );
     }
 
-    // --- C2: linear constraint + keywords (LC-KW, Theorem 5). -----
+    // --- C2: linear constraint + keywords (LC-KW, Theorem 5, on the
+    // SP-KW index). ---------------------------------------------------
     // price + 40·(10 − rating) ≤ 240  ⇔  price − 40·rating ≤ −160.
-    let lc = LcKwIndex::try_build(&hotels, wanted.len())?;
+    let lc = SpKwIndex::try_build(&hotels, wanted.len())?;
     let c2 = Halfspace::new(&[1.0, -40.0], -160.0);
     let mut hits = lc.query(&ConvexPolytope::new(vec![c2]), &wanted)?;
     hits.sort_unstable();

@@ -90,7 +90,6 @@ pub mod prelude {
     pub use skq_core::error::SkqError;
     pub use skq_core::guard::{CancelToken, GuardedSink, QueryGuard};
     pub use skq_core::ksi::KsiIndex;
-    pub use skq_core::lc::LcKwIndex;
     pub use skq_core::naive::{FullScan, KeywordsFirst, StructuredFirst};
     pub use skq_core::nn_l2::L2NnIndex;
     pub use skq_core::nn_linf::LinfNnIndex;
@@ -98,7 +97,7 @@ pub mod prelude {
     pub use skq_core::query::KwQuery;
     pub use skq_core::rr::RrKwIndex;
     pub use skq_core::sink::{CountSink, DedupSink, FilterSink, LimitSink, MapSink, ResultSink};
-    pub use skq_core::sp::{SpKwIndex, SpStrategy};
+    pub use skq_core::sp::SpKwIndex;
     pub use skq_core::srp::SrpKwIndex;
     pub use skq_core::stats::{QueryStats, Route, TruncatedReason};
     pub use skq_geom::{

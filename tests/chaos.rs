@@ -63,7 +63,6 @@ fn drive(site: &str, d: &Dataset) -> Result<(), SkqError> {
         "rr::build" => RrKwIndex::try_build(&rects, 2).map(|_| ()),
         "nn_linf::build" => LinfNnIndex::try_build(d, 2).map(|_| ()),
         "nn_l2::build" => L2NnIndex::try_build(d, 2).map(|_| ()),
-        "lc::build" => LcKwIndex::try_build(d, 2).map(|_| ()),
         "sp::build" => SpKwIndex::try_build(d, 2).map(|_| ()),
         "srp::build" => SrpKwIndex::try_build(d, 2).map(|_| ()),
         "ksi::build" => KsiIndex::try_build(docs.as_slice(), 2).map(|_| ()),

@@ -245,7 +245,7 @@ fn full_space_equals_pure_keyword_search() {
     );
     let inv = InvertedIndex::build(dataset.docs());
     let orp = OrpKwIndex::try_build(&dataset, 2).unwrap();
-    let lc = LcKwIndex::try_build(&dataset, 2).unwrap();
+    let lc = SpKwIndex::try_build(&dataset, 2).unwrap();
     let srp = SrpKwIndex::try_build(&dataset, 2).unwrap();
     for (w1, w2) in [(0u32, 1u32), (2, 4), (3, 5)] {
         let expected = inv.intersect(&[w1, w2]);

@@ -157,7 +157,7 @@ fn all_solutions_agree_end_to_end() {
     }
     .generate(21);
     let orp = OrpKwIndex::try_build(&dataset, 2).unwrap();
-    let lc = LcKwIndex::try_build(&dataset, 2).unwrap();
+    let lc = SpKwIndex::try_build(&dataset, 2).unwrap();
     let srp = SrpKwIndex::try_build(&dataset, 2).unwrap();
     let nn_inf = LinfNnIndex::try_build(&dataset, 2).unwrap();
     let nn_2 = L2NnIndex::try_build(&dataset, 2).unwrap();

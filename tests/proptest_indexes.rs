@@ -131,7 +131,7 @@ proptest! {
                 .map(|(a, b, c)| Halfspace::new(&[f64::from(a), f64::from(b)], f64::from(c)))
                 .collect(),
         );
-        let index = SpKwIndex::try_build_with_strategy(&dataset, 2, SpStrategy::Willard).unwrap();
+        let index = SpKwIndex::try_build(&dataset, 2).unwrap();
         deep_validate!(index);
         let oracle = FullScan::new(&dataset);
         prop_assert_eq!(sorted(index.query(&q, &kws).unwrap()), oracle.query_polytope(&q, &kws));
@@ -151,7 +151,7 @@ proptest! {
                 })
                 .collect(),
         );
-        let index = SpKwIndex::try_build_with_strategy(&dataset, 2, SpStrategy::Kd).unwrap();
+        let index = SpKwIndex::try_build(&dataset, 2).unwrap();
         deep_validate!(index);
         let oracle = FullScan::new(&dataset);
         prop_assert_eq!(sorted(index.query(&q, &kws).unwrap()), oracle.query_polytope(&q, &kws));

@@ -151,7 +151,7 @@ fn srp_equals_lc_on_lifted_points() {
     let srp = SrpKwIndex::try_build(&dataset, 2).unwrap();
     // Manually lifted dataset + LC index.
     let lifted = dataset.map_points(|_, p| structured_keyword_search::geom::lift_point(p));
-    let lc = LcKwIndex::try_build(&lifted, 2).unwrap();
+    let lc = SpKwIndex::try_build(&lifted, 2).unwrap();
 
     for _ in 0..40 {
         let ball = Ball::new(

@@ -17,7 +17,7 @@ fn city_200k_all_indexes_agree_with_baselines() {
     let city = scenarios::city(200_000, 42);
     let k = 2;
     let orp = OrpKwIndex::try_build(&city, k).unwrap();
-    let lc = LcKwIndex::try_build(&city, k).unwrap();
+    let lc = SpKwIndex::try_build(&city, k).unwrap();
     let srp = SrpKwIndex::try_build(&city, k).unwrap();
     let nn = LinfNnIndex::try_build(&city, k).unwrap();
     let kf = KeywordsFirst::build(&city);
