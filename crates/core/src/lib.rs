@@ -99,6 +99,7 @@ pub mod guard;
 pub mod invariants;
 pub mod ksi;
 pub mod naive;
+mod nn;
 pub mod nn_l2;
 pub mod nn_linf;
 pub mod orp;

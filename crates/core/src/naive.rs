@@ -17,6 +17,7 @@ use skq_geom::{Ball, ConvexPolytope, KdTree, Point, Rect};
 use skq_invidx::{InvertedIndex, Keyword};
 
 use crate::dataset::Dataset;
+use crate::nn::rank_by_distance;
 
 /// The one brute-force ORP-KW oracle: scans the whole dataset and
 /// reports, in ascending id order, every object inside `q` whose
@@ -81,30 +82,16 @@ impl KeywordsFirst {
 
     /// L∞NN-KW query: rank all keyword matches by distance.
     pub fn nn_linf(&self, q: &Point, t: usize, keywords: &[Keyword]) -> Vec<u32> {
-        let mut ids = self.inv.intersect(keywords);
-        ids.sort_unstable_by(|&a, &b| {
-            self.dataset
-                .point(a as usize)
-                .linf(q)
-                .total_cmp(&self.dataset.point(b as usize).linf(q))
-                .then(a.cmp(&b))
-        });
-        ids.truncate(t);
-        ids
+        rank_by_distance(self.inv.intersect(keywords), t, |o| {
+            self.dataset.point(o as usize).linf(q)
+        })
     }
 
     /// L2NN-KW query: rank all keyword matches by distance.
     pub fn nn_l2(&self, q: &Point, t: usize, keywords: &[Keyword]) -> Vec<u32> {
-        let mut ids = self.inv.intersect(keywords);
-        ids.sort_unstable_by(|&a, &b| {
-            self.dataset
-                .point(a as usize)
-                .l2_sq(q)
-                .total_cmp(&self.dataset.point(b as usize).l2_sq(q))
-                .then(a.cmp(&b))
-        });
-        ids.truncate(t);
-        ids
+        rank_by_distance(self.inv.intersect(keywords), t, |o| {
+            self.dataset.point(o as usize).l2_sq(q)
+        })
     }
 
     /// Index space in 64-bit words (postings + documents).
@@ -239,30 +226,16 @@ impl FullScan {
 
     /// L∞NN-KW by scan.
     pub fn nn_linf(&self, q: &Point, t: usize, keywords: &[Keyword]) -> Vec<u32> {
-        let mut ids = self.scan(|_| true, keywords);
-        ids.sort_unstable_by(|&a, &b| {
-            self.dataset
-                .point(a as usize)
-                .linf(q)
-                .total_cmp(&self.dataset.point(b as usize).linf(q))
-                .then(a.cmp(&b))
-        });
-        ids.truncate(t);
-        ids
+        rank_by_distance(self.scan(|_| true, keywords), t, |o| {
+            self.dataset.point(o as usize).linf(q)
+        })
     }
 
     /// L2NN-KW by scan.
     pub fn nn_l2(&self, q: &Point, t: usize, keywords: &[Keyword]) -> Vec<u32> {
-        let mut ids = self.scan(|_| true, keywords);
-        ids.sort_unstable_by(|&a, &b| {
-            self.dataset
-                .point(a as usize)
-                .l2_sq(q)
-                .total_cmp(&self.dataset.point(b as usize).l2_sq(q))
-                .then(a.cmp(&b))
-        });
-        ids.truncate(t);
-        ids
+        rank_by_distance(self.scan(|_| true, keywords), t, |o| {
+            self.dataset.point(o as usize).l2_sq(q)
+        })
     }
 
     fn scan(&self, geom: impl Fn(&Point) -> bool, keywords: &[Keyword]) -> Vec<u32> {

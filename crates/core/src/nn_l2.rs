@@ -14,7 +14,8 @@ use skq_invidx::Keyword;
 use crate::dataset::Dataset;
 use crate::error::{validate, SkqError};
 use crate::failpoints;
-use crate::sink::{CountSink, LimitSink, ResultSink};
+use crate::nn::{self, RadiusSearch};
+use crate::sink::ResultSink;
 use crate::srp::SrpKwIndex;
 use crate::stats::QueryStats;
 
@@ -39,10 +40,8 @@ use crate::stats::QueryStats;
 /// ```
 pub struct L2NnIndex {
     srp: SrpKwIndex,
-    points: Vec<Point>,
     /// Per-dimension coordinate extremes, for the initial radius bound.
     extremes: Vec<(f64, f64)>,
-    dim: usize,
 }
 
 impl L2NnIndex {
@@ -67,27 +66,10 @@ impl L2NnIndex {
                 }
             }
         }
-        let dim = dataset.dim();
-        let extremes = (0..dim)
-            .map(|d| {
-                let lo = dataset
-                    .points()
-                    .iter()
-                    .map(|p| p.get(d))
-                    .fold(f64::INFINITY, f64::min);
-                let hi = dataset
-                    .points()
-                    .iter()
-                    .map(|p| p.get(d))
-                    .fold(f64::NEG_INFINITY, f64::max);
-                (lo, hi)
-            })
-            .collect();
+        let srp = SrpKwIndex::try_build(dataset, k)?;
         Ok(Self {
-            srp: SrpKwIndex::try_build(dataset, k)?,
-            points: dataset.points().to_vec(),
-            extremes,
-            dim,
+            extremes: extremes(&srp),
+            srp,
         })
     }
 
@@ -112,7 +94,7 @@ impl L2NnIndex {
         t: usize,
         keywords: &[Keyword],
     ) -> Result<(Vec<u32>, QueryStats), SkqError> {
-        validate::point_query(q, self.dim)?;
+        validate::point_query(q, self.srp.dim())?;
         for &c in q.coords() {
             if c.fract() != 0.0 || c.abs() > (1 << 25) as f64 {
                 return Err(SkqError::InvalidQuery(format!(
@@ -126,7 +108,7 @@ impl L2NnIndex {
 
         // Max possible squared distance to any stored point: exact
         // integer arithmetic in u64.
-        let max_sq: u64 = (0..self.dim)
+        let max_sq: u64 = (0..self.srp.dim())
             .map(|d| {
                 let qc = q.get(d) as i64;
                 let (lo, hi) = self.extremes[d];
@@ -137,71 +119,18 @@ impl L2NnIndex {
             })
             .sum();
 
-        if !self.threshold(q, max_sq, keywords, t, &mut stats) {
-            // Fewer than t matches exist: return all of them.
-            let mut all = Vec::new();
-            let _ = self
-                .srp
-                .query_sq_sink(q, max_sq as f64, keywords, &mut all, &mut stats);
-            let ranked = self.rank_by_distance(q, all, usize::MAX);
-            stats.emitted = ranked.len() as u64;
-            return Ok((ranked, stats));
-        }
-
-        // Binary search the integer squared radius.
-        let mut lo = 0u64;
-        let mut hi = max_sq;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.threshold(q, mid, keywords, t, &mut stats) {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-
-        let mut hits = Vec::new();
-        let _ = self
-            .srp
-            .query_sq_sink(q, lo as f64, keywords, &mut hits, &mut stats);
-        let out = self.rank_by_distance(q, hits, t);
-        stats.emitted = out.len() as u64;
+        let search = L2Search {
+            srp: &self.srp,
+            q,
+            keywords,
+        };
+        let out = nn::nearest(max_sq + 1, t, &search, &mut stats);
         Ok((out, stats))
-    }
-
-    /// "Are there at least `t` matches within squared radius `r²`?" —
-    /// a counting probe; no result vector is built.
-    fn threshold(
-        &self,
-        q: &Point,
-        radius_sq: u64,
-        keywords: &[Keyword],
-        t: usize,
-        stats: &mut QueryStats,
-    ) -> bool {
-        let mut probe = LimitSink::new(CountSink::new(), t);
-        let _ = self
-            .srp
-            .query_sq_sink(q, radius_sq as f64, keywords, &mut probe, stats);
-        probe.emitted() >= t as u64
-    }
-
-    /// Sorts by `(squared L2 distance, id)` — exact for integer inputs —
-    /// and truncates to `t`.
-    fn rank_by_distance(&self, q: &Point, mut ids: Vec<u32>, t: usize) -> Vec<u32> {
-        ids.sort_unstable_by(|&a, &b| {
-            self.points[a as usize]
-                .l2_sq(q)
-                .total_cmp(&self.points[b as usize].l2_sq(q))
-                .then(a.cmp(&b))
-        });
-        ids.truncate(t);
-        ids
     }
 
     /// Index space in 64-bit words.
     pub fn space_words(&self) -> usize {
-        self.srp.space_words() + self.dim * self.points.len()
+        self.srp.space_words()
     }
 
     /// Deep structural validation (DESIGN.md §12): the per-dimension
@@ -213,41 +142,54 @@ impl L2NnIndex {
     ///
     /// The first violated invariant, by name.
     pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
-        use crate::invariants::InvariantViolation as V;
-        if self.extremes.len() != self.dim {
-            return Err(V::new(
+        let actual = extremes(&self.srp);
+        if self.extremes != actual {
+            return Err(crate::invariants::InvariantViolation::new(
                 "nn_l2::extremes",
-                format!(
-                    "{} extreme pairs for a {}D index",
-                    self.extremes.len(),
-                    self.dim
-                ),
+                format!("stored extremes {:?} ≠ actual {actual:?}", self.extremes),
             ));
         }
-        for (d, &(lo, hi)) in self.extremes.iter().enumerate() {
-            let (want_lo, want_hi) = self
-                .points
-                .iter()
-                .map(|p| p.get(d))
-                .fold((f64::INFINITY, f64::NEG_INFINITY), |(l, h), c| {
-                    (l.min(c), h.max(c))
-                });
-            if lo != want_lo || hi != want_hi {
-                return Err(V::new(
-                    "nn_l2::extremes",
-                    format!(
-                        "dimension {d}: stored extremes ({lo}, {hi}) ≠ actual ({want_lo}, {want_hi})"
-                    ),
-                ));
-            }
-        }
         self.srp.validate()
+    }
+}
+
+/// Each dimension's `(min, max)` coordinate over the indexed points.
+fn extremes(srp: &SrpKwIndex) -> Vec<(f64, f64)> {
+    (0..srp.dim())
+        .map(|d| {
+            (0..srp.len() as u32)
+                .map(|o| srp.point(o).get(d))
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), c| {
+                    (lo.min(c), hi.max(c))
+                })
+        })
+        .collect()
+}
+
+/// One L2NN-KW query: candidate radius `i` is the squared radius `i`,
+/// exact for integer coordinates.
+struct L2Search<'a> {
+    srp: &'a SrpKwIndex,
+    q: &'a Point,
+    keywords: &'a [Keyword],
+}
+
+impl RadiusSearch for L2Search<'_> {
+    fn within<S: ResultSink>(&self, i: u64, sink: &mut S, stats: &mut QueryStats) {
+        let _ = self
+            .srp
+            .query_sq_sink(self.q, i as f64, self.keywords, sink, stats);
+    }
+
+    fn distance(&self, o: u32) -> f64 {
+        self.srp.point(o).l2_sq(self.q)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::naive::FullScan;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn integer_dataset(n: usize, dim: usize, vocab: u32, seed: u64) -> Dataset {
@@ -266,21 +208,6 @@ mod tests {
         )
     }
 
-    fn brute(dataset: &Dataset, q: &Point, t: usize, kws: &[Keyword]) -> Vec<u32> {
-        let mut ids: Vec<u32> = (0..dataset.len() as u32)
-            .filter(|&i| dataset.doc(i as usize).contains_all(kws))
-            .collect();
-        ids.sort_unstable_by(|&a, &b| {
-            dataset
-                .point(a as usize)
-                .l2_sq(q)
-                .total_cmp(&dataset.point(b as usize).l2_sq(q))
-                .then(a.cmp(&b))
-        });
-        ids.truncate(t);
-        ids
-    }
-
     #[test]
     fn matches_bruteforce_2d() {
         let dataset = integer_dataset(300, 2, 8, 1);
@@ -296,7 +223,7 @@ mod tests {
             let w2 = (w1 + 1 + rng.gen_range(0..7)) % 8;
             assert_eq!(
                 index.query(&q, t, &[w1, w2]).unwrap().0,
-                brute(&dataset, &q, t, &[w1, w2]),
+                FullScan::new(&dataset).nn_l2(&q, t, &[w1, w2]),
                 "q={q:?} t={t}"
             );
         }
@@ -318,7 +245,7 @@ mod tests {
             let w2 = (w1 + 1 + rng.gen_range(0..5)) % 6;
             assert_eq!(
                 index.query(&q, t, &[w1, w2]).unwrap().0,
-                brute(&dataset, &q, t, &[w1, w2])
+                FullScan::new(&dataset).nn_l2(&q, t, &[w1, w2])
             );
         }
     }
@@ -343,7 +270,7 @@ mod tests {
         let index = L2NnIndex::try_build(&dataset, 2).unwrap();
         let q = Point::new2(0.0, 0.0);
         let (got, _) = index.query(&q, 1000, &[0, 1]).unwrap();
-        let expected = brute(&dataset, &q, usize::MAX, &[0, 1]);
+        let expected = FullScan::new(&dataset).nn_l2(&q, usize::MAX, &[0, 1]);
         assert_eq!(got, expected);
     }
 

@@ -15,23 +15,12 @@ use skq_invidx::Keyword;
 use crate::dataset::Dataset;
 use crate::error::{validate, SkqError};
 use crate::failpoints;
+use crate::nn::{self, RadiusSearch};
 use crate::orp::OrpKwIndex;
 use crate::query::KwQuery;
-use crate::sink::{CountSink, LimitSink, ResultSink};
+use crate::sink::ResultSink;
 use crate::stats::QueryStats;
 use crate::telemetry;
-
-/// The `L∞`-ball `B(q, r)` as a rectangle, rounded *outward* by one
-/// ulp per side: candidate radii are computed as `|q[i] − x|`, whose
-/// rounding need not agree with `q[i] ± r`, and an inward-rounded
-/// rectangle could exclude the very boundary object that defines the
-/// radius. Outward rounding only admits boundary-adjacent extras, which
-/// the final re-ranking by true distance discards.
-fn outward_ball(q: &Point, r: f64) -> Rect {
-    let lo: Vec<f64> = q.coords().iter().map(|c| (c - r).next_down()).collect();
-    let hi: Vec<f64> = q.coords().iter().map(|c| (c + r).next_up()).collect();
-    Rect::new(&lo, &hi)
-}
 
 /// The L∞NN-KW index.
 ///
@@ -60,8 +49,6 @@ pub struct LinfNnIndex {
     /// trees, each created on the coordinates of a different dimension",
     /// used to select candidate radii by rank.
     sorted_coords: Vec<Vec<f64>>,
-    points: Vec<Point>,
-    dim: usize,
 }
 
 impl LinfNnIndex {
@@ -76,32 +63,21 @@ impl LinfNnIndex {
         let orp = OrpKwIndex::try_build(dataset, k)?;
         let _span = skq_obs::Span::enter("nn_linf.build");
         let start = std::time::Instant::now();
-        let dim = dataset.dim();
-        let mut sorted_coords = Vec::with_capacity(dim);
-        for d in 0..dim {
-            let mut col: Vec<f64> = dataset.points().iter().map(|p| p.get(d)).collect();
-            col.sort_by(f64::total_cmp);
-            sorted_coords.push(col);
-        }
         let index = Self {
+            sorted_coords: sorted_columns(&orp),
             orp,
-            sorted_coords,
-            points: dataset.points().to_vec(),
-            dim,
         };
         let (nodes, pivots) = index
             .orp
             .kd_node_summaries(index.orp.k())
             .map(|s| (s.len() as u64, s.iter().map(|&(_, _, p, _)| p as u64).sum()))
             .unwrap_or((0, 0));
-        // Engine plus the candidate-radius columns and the point copies.
-        let words = index.orp.space_words() + 2 * index.dim * index.points.len();
         telemetry::record_build(
             "nn_linf",
             start.elapsed(),
             nodes,
             pivots,
-            (words * 8) as u64,
+            (index.space_words() * 8) as u64,
         );
         Ok(index)
     }
@@ -128,74 +104,33 @@ impl LinfNnIndex {
         t: usize,
         keywords: &[Keyword],
     ) -> Result<(Vec<u32>, QueryStats), SkqError> {
-        validate::point_query(q, self.dim)?;
+        validate::point_query(q, self.orp.dim())?;
         validate::result_count(t)?;
         validate::distinct_keywords(keywords, self.k())?;
         let mut stats = QueryStats::new();
-
-        // Are there t matches at all? Probe with the maximal radius.
-        let n = self.points.len();
-        let total_candidates = self.dim * n;
-        let r_max = self.candidate_by_rank(q, total_candidates - 1);
-        if !self.threshold(q, r_max, keywords, t, &mut stats) {
-            // Fewer than t matches exist: return all of them.
-            let ball = outward_ball(q, r_max);
-            let mut all = Vec::new();
-            let _ = self.orp.query_sink(&ball, keywords, &mut all, &mut stats);
-            let ranked = self.rank_by_distance(q, all, usize::MAX);
-            stats.emitted = ranked.len() as u64;
-            return Ok((ranked, stats));
-        }
-
-        // Binary search the candidate-radius rank for the minimal radius
-        // admitting ≥ t matches.
-        let mut lo = 0usize;
-        let mut hi = total_candidates - 1;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let r = self.candidate_by_rank(q, mid);
-            if self.threshold(q, r, keywords, t, &mut stats) {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        let r_star = self.candidate_by_rank(q, lo);
-
-        // Collect everything within r* and rank by true distance.
-        let ball = outward_ball(q, r_star);
-        let mut hits = Vec::new();
-        let _ = self.orp.query_sink(&ball, keywords, &mut hits, &mut stats);
-        let ranked = self.rank_by_distance(q, hits, t);
-
-        // Closure pass: re-collect at the t-th hit's actual distance
-        // (nudged up a few ulps). This pins down boundary cases where
-        // the rectangle arithmetic of the threshold ball and the
-        // distance arithmetic of the ranking disagree by an ulp.
-        let d_t = self.points[*ranked.last().expect("t >= 1 hits") as usize].linf(q);
-        let ball = outward_ball(q, f64::from_bits(d_t.to_bits() + 4));
-        let mut hits = Vec::new();
-        let _ = self.orp.query_sink(&ball, keywords, &mut hits, &mut stats);
-        let out = self.rank_by_distance(q, hits, t);
-        stats.emitted = out.len() as u64;
+        let search = LinfSearch {
+            index: self,
+            q,
+            keywords,
+        };
+        let radii = (self.orp.dim() * self.orp.len()) as u64;
+        let out = nn::nearest(radii, t, &search, &mut stats);
         Ok((out, stats))
     }
 
-    /// "Are there at least `t` matches within radius `r`?" — the
-    /// early-terminating ORP-KW threshold query of Corollary 4, run
-    /// through a counting probe so no result vector is ever built.
-    fn threshold(
-        &self,
-        q: &Point,
-        r: f64,
-        keywords: &[Keyword],
-        t: usize,
-        stats: &mut QueryStats,
-    ) -> bool {
-        let ball = outward_ball(q, r);
-        let mut probe = LimitSink::new(CountSink::new(), t);
-        let _ = self.orp.query_sink(&ball, keywords, &mut probe, stats);
-        probe.emitted() >= t as u64
+    /// The `L∞`-ball `B(q, r)` as the rectangle that selects exactly the
+    /// objects within distance `r` of `q` — each dimension's
+    /// [`run_within`] spans it — or `None` when no object is within `r`.
+    /// The candidate radii are counted over the same runs, so the ball
+    /// and the radii agree to the last bit.
+    fn ball(&self, q: &Point, r: f64) -> Option<Rect> {
+        let mut lo = [0.0; skq_geom::MAX_DIM];
+        let mut hi = [0.0; skq_geom::MAX_DIM];
+        for (d, col) in self.sorted_coords.iter().enumerate() {
+            let run = &col[run_within(col, q.get(d), r)];
+            (lo[d], hi[d]) = (*run.first()?, *run.last()?);
+        }
+        Some(Rect::new(&lo[..self.orp.dim()], &hi[..self.orp.dim()]))
     }
 
     /// The `rank`-th smallest candidate radius (0-based), i.e. the
@@ -221,96 +156,83 @@ impl LinfNnIndex {
 
     /// Number of candidate radii `≤ r`.
     fn count_candidates_le(&self, q: &Point, r: f64) -> usize {
-        let mut total = 0usize;
-        for d in 0..self.dim {
-            let col = &self.sorted_coords[d];
-            let qc = q.get(d);
-            // Coordinates below q: distance qc − x decreases with x.
-            let split = col.partition_point(|&x| x < qc);
-            let left_far = col[..split].partition_point(|&x| (qc - x).abs() > r);
-            total += split - left_far;
-            // Coordinates at or above q: distance x − qc increases.
-            let right_near = col[split..].partition_point(|&x| (qc - x).abs() <= r);
-            total += right_near;
-        }
-        total
-    }
-
-    /// Sorts `ids` by `(L∞ distance to q, id)` and truncates to `t`.
-    fn rank_by_distance(&self, q: &Point, mut ids: Vec<u32>, t: usize) -> Vec<u32> {
-        ids.sort_unstable_by(|&a, &b| {
-            self.points[a as usize]
-                .linf(q)
-                .total_cmp(&self.points[b as usize].linf(q))
-                .then(a.cmp(&b))
-        });
-        ids.truncate(t);
-        ids
+        (self.sorted_coords.iter().enumerate())
+            .map(|(d, col)| run_within(col, q.get(d), r).len())
+            .sum()
     }
 
     /// Index space in 64-bit words.
     pub fn space_words(&self) -> usize {
-        self.orp.space_words() + self.dim * self.points.len()
+        self.orp.space_words() + self.orp.dim() * self.orp.len()
     }
 
     /// Deep structural validation (DESIGN.md §12): the candidate-radius
-    /// columns must be sorted permutations of the
-    /// stored coordinates (the binary-search step of Corollary 4 silently
-    /// returns wrong neighbors otherwise), and the rectangle engine must
-    /// itself validate.
+    /// columns must be the engine's coordinates, sorted (the
+    /// binary-search step of Corollary 4 silently returns wrong
+    /// neighbors otherwise), and the rectangle engine must itself
+    /// validate.
     ///
     /// # Errors
     ///
     /// The first violated invariant, by name.
     pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
-        use crate::invariants::InvariantViolation as V;
-        if self.sorted_coords.len() != self.dim {
-            return Err(V::new(
+        if self.sorted_coords != sorted_columns(&self.orp) {
+            return Err(crate::invariants::InvariantViolation::new(
                 "nn_linf::sorted_coords",
-                format!(
-                    "{} coordinate columns for a {}D index",
-                    self.sorted_coords.len(),
-                    self.dim
-                ),
+                "the candidate-radius columns are not the engine's coordinates, sorted",
             ));
         }
-        for (d, col) in self.sorted_coords.iter().enumerate() {
-            if col.len() != self.points.len() {
-                return Err(V::new(
-                    "nn_linf::sorted_coords",
-                    format!(
-                        "dimension {d}: column of {} entries for {} points",
-                        col.len(),
-                        self.points.len()
-                    ),
-                ));
-            }
-            if col.windows(2).any(|w| w[0].total_cmp(&w[1]).is_gt()) {
-                return Err(V::new(
-                    "nn_linf::sorted_coords",
-                    format!("dimension {d}: candidate-radius column not sorted"),
-                ));
-            }
-            let mut expected: Vec<f64> = self.points.iter().map(|p| p.get(d)).collect();
-            expected.sort_by(f64::total_cmp);
-            if col
-                .iter()
-                .zip(&expected)
-                .any(|(a, b)| a.total_cmp(b).is_ne())
-            {
-                return Err(V::new(
-                    "nn_linf::sorted_coords",
-                    format!("dimension {d}: column is not a permutation of the stored coordinates"),
-                ));
-            }
-        }
         self.orp.validate()
+    }
+}
+
+/// Each dimension's coordinates over the engine's points, sorted.
+fn sorted_columns(orp: &OrpKwIndex) -> Vec<Vec<f64>> {
+    (0..orp.dim())
+        .map(|d| {
+            let mut col: Vec<f64> = (0..orp.len()).map(|i| orp.point(i).get(d)).collect();
+            col.sort_by(f64::total_cmp);
+            col
+        })
+        .collect()
+}
+
+/// The positions of the sorted column `col` whose values `x` satisfy
+/// `|qc − x| ≤ r`. They form one run: below `qc` the rounded distance
+/// `qc − x` falls as `x` grows, and at or above `qc` the distance
+/// `x − qc` grows with `x`.
+fn run_within(col: &[f64], qc: f64, r: f64) -> std::ops::Range<usize> {
+    let split = col.partition_point(|&x| x < qc);
+    let first = col[..split].partition_point(|&x| (qc - x).abs() > r);
+    let end = split + col[split..].partition_point(|&x| (qc - x).abs() <= r);
+    first..end
+}
+
+/// One L∞NN-KW query: candidate radius `i` is the `i`-th smallest
+/// `|q[j] − x|` over every dimension `j` and stored coordinate `x`.
+struct LinfSearch<'a> {
+    index: &'a LinfNnIndex,
+    q: &'a Point,
+    keywords: &'a [Keyword],
+}
+
+impl RadiusSearch for LinfSearch<'_> {
+    fn within<S: ResultSink>(&self, i: u64, sink: &mut S, stats: &mut QueryStats) {
+        let r = self.index.candidate_by_rank(self.q, i as usize);
+        if let Some(ball) = self.index.ball(self.q, r) {
+            let _ = self.index.orp.query_sink(&ball, self.keywords, sink, stats);
+        }
+    }
+
+    fn distance(&self, o: u32) -> f64 {
+        self.index.orp.point(o as usize).linf(self.q)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::naive::FullScan;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn random_dataset(n: usize, dim: usize, vocab: u32, seed: u64) -> Dataset {
@@ -328,22 +250,6 @@ mod tests {
         )
     }
 
-    /// Brute-force t-NN: all matching objects sorted by (L∞, id).
-    fn brute(dataset: &Dataset, q: &Point, t: usize, kws: &[Keyword]) -> Vec<u32> {
-        let mut ids: Vec<u32> = (0..dataset.len() as u32)
-            .filter(|&i| dataset.doc(i as usize).contains_all(kws))
-            .collect();
-        ids.sort_unstable_by(|&a, &b| {
-            dataset
-                .point(a as usize)
-                .linf(q)
-                .total_cmp(&dataset.point(b as usize).linf(q))
-                .then(a.cmp(&b))
-        });
-        ids.truncate(t);
-        ids
-    }
-
     #[test]
     fn matches_bruteforce_2d() {
         let dataset = random_dataset(300, 2, 8, 1);
@@ -355,7 +261,7 @@ mod tests {
             let w1 = rng.gen_range(0..8);
             let w2 = (w1 + 1 + rng.gen_range(0..7)) % 8;
             let (got, _) = index.query(&q, t, &[w1, w2]).unwrap();
-            let expected = brute(&dataset, &q, t, &[w1, w2]);
+            let expected = FullScan::new(&dataset).nn_linf(&q, t, &[w1, w2]);
             // Sets of distances must agree (ties at the boundary may pick
             // different ids only if distances tie — with the (dist, id)
             // order both sides are deterministic).
@@ -379,7 +285,7 @@ mod tests {
             let w2 = (w1 + 1 + rng.gen_range(0..5)) % 6;
             assert_eq!(
                 index.query(&q, t, &[w1, w2]).unwrap().0,
-                brute(&dataset, &q, t, &[w1, w2])
+                FullScan::new(&dataset).nn_linf(&q, t, &[w1, w2])
             );
         }
     }
@@ -430,6 +336,23 @@ mod tests {
         let origin = Point::new2(0.0, 0.0);
         assert_eq!(index.query(&origin, 1, &[0, 1]).unwrap().0, vec![0]);
         assert_eq!(index.query(&origin, 2, &[0, 1]).unwrap().0, vec![0, 1]);
+        // Mirrored: the lower id now lies below the query.
+        let flipped = Dataset::from_parts(vec![
+            (Point::new2(-2.0, 0.0), vec![0, 1]),
+            (Point::new2(2.0, 0.0), vec![0, 1]),
+        ]);
+        let index = LinfNnIndex::try_build(&flipped, 2).unwrap();
+        assert_eq!(index.query(&origin, 1, &[0, 1]).unwrap().0, vec![0]);
+    }
+
+    #[test]
+    fn ball_reaches_objects_past_a_rounded_bound() {
+        // |0.1 − (−0.4)| rounds to exactly 0.5, but −0.4 + 0.5 rounds
+        // to below 0.1: a ball bounded by q ± r would miss the object.
+        let dataset = Dataset::from_parts(vec![(Point::new1(0.1), vec![0, 1])]);
+        let index = LinfNnIndex::try_build(&dataset, 2).unwrap();
+        let (got, _) = index.query(&Point::new1(-0.4), 1, &[0, 1]).unwrap();
+        assert_eq!(got, vec![0]);
     }
 
     #[test]

@@ -70,7 +70,6 @@ enum Inner {
 /// ```
 pub struct SpKwIndex {
     inner: Inner,
-    points: Vec<Point>,
     dim: usize,
     k: usize,
 }
@@ -85,11 +84,11 @@ impl SpKwIndex {
     pub fn try_build(dataset: &Dataset, k: usize) -> Result<Self, SkqError> {
         validate::build_k(k)?;
         failpoints::check("sp::build")?;
-        let points = dataset.points().to_vec();
-        let weights: Vec<u64> = (0..dataset.len()).map(|i| dataset.weight(i)).collect();
+        let points = dataset.points();
         let docs = Arc::clone(dataset.shared_docs());
         let inner = if dataset.dim() == 2 {
-            let p = WillardPartitioner::new(points.clone(), weights);
+            let weights = (0..dataset.len()).map(|i| dataset.weight(i)).collect();
+            let p = WillardPartitioner::new(points.to_vec(), weights);
             Inner::Willard(TransformedIndex::try_build(p, docs, k..=k)?)
         } else {
             let coords = points.iter().flat_map(|p| p.coords()).copied().collect();
@@ -98,7 +97,6 @@ impl SpKwIndex {
         };
         Ok(Self {
             inner,
-            points,
             dim: dataset.dim(),
             k,
         })
@@ -114,11 +112,12 @@ impl SpKwIndex {
         self.dim
     }
 
-    /// Index space in 64-bit words (cells charged as a constant; the
-    /// Willard polygons average `O(1)` vertices because each level adds
-    /// at most two clips).
+    /// Index space in 64-bit words: the partitioner's coordinates plus
+    /// the framework (cells charged as a constant; the Willard polygons
+    /// average `O(1)` vertices because each level adds at most two
+    /// clips).
     pub fn space_words(&self) -> usize {
-        let point_words = self.points.len() * self.dim;
+        let point_words = self.len() * self.dim;
         point_words
             + match &self.inner {
                 Inner::Willard(t) => t.space_words(12),
@@ -135,29 +134,33 @@ impl SpKwIndex {
         }
     }
 
-    /// The stored point set, exposed so lifting-based wrappers (SRP-KW)
-    /// can cross-check their lifted coordinates during deep validation.
-    pub(crate) fn validate_points(&self) -> &[Point] {
-        &self.points
+    /// The number of indexed objects.
+    pub(crate) fn len(&self) -> usize {
+        match &self.inner {
+            Inner::Willard(t) => t.partitioner().coords().len(),
+            Inner::Kd(t) => t.partitioner().len(),
+        }
     }
 
-    /// Deep structural validation (DESIGN.md §12).
+    /// Object `o`'s point, read bit for bit from the partitioner's
+    /// coordinates: the index keeps no other copy.
+    pub(crate) fn point(&self, o: u32) -> Point {
+        match &self.inner {
+            Inner::Willard(t) => {
+                let (x, y) = t.partitioner().coords()[o as usize];
+                Point::new2(x, y)
+            }
+            Inner::Kd(t) => Point::new(t.partitioner().point_coords(o)),
+        }
+    }
+
+    /// Deep structural validation (DESIGN.md §12): the framework
+    /// checks.
     ///
     /// # Errors
     ///
     /// The first violated invariant, by name.
     pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
-        use crate::invariants::InvariantViolation as V;
-        if let Some(p) = self.points.iter().find(|p| p.dim() != self.dim) {
-            return Err(V::new(
-                "sp::points",
-                format!(
-                    "stored point of dimension {}, index is {}D",
-                    p.dim(),
-                    self.dim
-                ),
-            ));
-        }
         match &self.inner {
             Inner::Willard(t) => t.validate(),
             Inner::Kd(t) => t.validate(),
@@ -187,7 +190,7 @@ impl KwQuery for SpKwIndex {
         if let Some(d) = q.dim() {
             assert_eq!(d, self.dim, "query dimension mismatch");
         }
-        let accept = |o: u32| q.contains(&self.points[o as usize]);
+        let accept = |o: u32| q.contains(&self.point(o));
         match &self.inner {
             Inner::Willard(tree) => tree.query_sink(
                 keywords,

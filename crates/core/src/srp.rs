@@ -114,6 +114,17 @@ impl SrpKwIndex {
             .query_sink(&ConvexPolytope::from_halfspace(hs), keywords, sink, stats)
     }
 
+    /// The number of indexed objects.
+    pub(crate) fn len(&self) -> usize {
+        self.sp.len()
+    }
+
+    /// Object `o`'s point: the first `d` coordinates of its lifted
+    /// image, which [`lift_point`] copies bit for bit.
+    pub(crate) fn point(&self, o: u32) -> Point {
+        Point::new(&self.sp.point(o).coords()[..self.dim])
+    }
+
     /// Index space in 64-bit words.
     pub fn space_words(&self) -> usize {
         self.sp.space_words()
@@ -146,7 +157,8 @@ impl SrpKwIndex {
                 ),
             ));
         }
-        for (i, p) in self.sp.validate_points().iter().enumerate() {
+        for i in 0..self.sp.len() {
+            let p = self.sp.point(i as u32);
             let norm: f64 = (0..self.dim).map(|j| p.get(j) * p.get(j)).sum();
             let stored = p.get(self.dim);
             if (stored - norm).abs() > 1e-9 * norm.max(1.0) {

@@ -119,8 +119,8 @@ fn counting_and_threshold_queries_do_not_materialize_results() {
     );
 
     // End-to-end: the L∞-NN binary search runs ~log N threshold probes;
-    // none of them may materialize candidates. Only the two final
-    // collection passes (a handful of near neighbours here) allocate.
+    // none of them may materialize candidates. Only the final
+    // collection pass (a handful of near neighbours here) allocates.
     let nn = LinfNnIndex::try_build(&dataset, 2).unwrap();
     let _ = nn.query(&Point::new2(0.0, 0.0), 5, &[0, 1]); // warm-up
     let nn_bytes = bytes_allocated_by(|| {
